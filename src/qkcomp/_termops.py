@@ -9,8 +9,7 @@ functions are exact for any exact coefficient type, ``Fraction`` included.
 All sign bookkeeping counts transpositions via bit tricks; nothing here is
 ever floating point.
 
-``qkcomp._speedups`` implements the same functions in Cython; the
-backend is chosen once in :mod:`qkcomp.kernel`.
+:mod:`qkcomp.kernel` re-exports these functions for ``forms``.
 """
 
 from __future__ import annotations

@@ -1,26 +1,18 @@
-"""Backend selection for the exterior-term kernel.
+"""The exterior-term kernel that :mod:`qkcomp.forms` calls.
 
-The compiled extension is preferred when present; setting the
-environment variable ``QKCOMP_PURE`` forces the pure-Python kernel
-(useful for benchmarking and debugging)."""
+A plain re-export of the pure-Python integer kernel in
+:mod:`qkcomp._termops`, under the one module name that ``forms`` looks
+its functions up in, so callers (tests, instrumentation) can rebind them
+in one place."""
 
-from __future__ import annotations
+from ._termops import (
+    BACKEND,
+    accumulate_scaled,
+    inner_terms,
+    interior_terms,
+    star_terms,
+    wedge_terms,
+)
 
-import os
-
-if os.environ.get("QKCOMP_PURE"):
-    from . import _termops as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _termops as _impl  # type: ignore[no-redef]
-
-BACKEND: str = _impl.BACKEND
-
-merge_sign = _impl.merge_sign
-wedge_terms = _impl.wedge_terms
-star_terms = _impl.star_terms
-interior_terms = _impl.interior_terms
-accumulate_scaled = _impl.accumulate_scaled
-inner_terms = _impl.inner_terms
+__all__ = ["BACKEND", "accumulate_scaled", "inner_terms", "interior_terms",
+           "star_terms", "wedge_terms"]

@@ -57,11 +57,6 @@ class SignedPermutation:
     def __neg__(self) -> "SignedPermutation":
         return SignedPermutation(self.targets, tuple(-s for s in self.signs))
 
-    def matrix_entry(self, row: int, col: int) -> int:
-        """<e_row, A e_col> for the standard inner product."""
-        t, s = self.apply(col)
-        return s if t == row else 0
-
     def apply_vector(self, v: Vector) -> Vector:
         comps = [Fraction(0)] * len(self.targets)
         for i, c in enumerate(v.components, start=1):
@@ -73,10 +68,6 @@ class SignedPermutation:
 
 def _identity_perm(m: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, m + 1)), (1,) * m)
-
-
-def _minus_identity(m: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, m + 1)), (-1,) * m)
 
 
 @dataclass(frozen=True)
@@ -433,7 +424,9 @@ def refined_kato_gap(H: HessianMatrix, gradient_direction: int = 1) -> KatoRepor
 
     grad_sq = f11 * f11 + row_sq
     gap = frob - Fraction(4, 3) * grad_sq
-    assert gap == slack1 + slack2 + slack3
+    if gap != slack1 + slack2 + slack3:
+        raise RuntimeError(f"Kato slacks {slack1}, {slack2}, {slack3} do not "
+                           f"sum to the gap {gap}")
     return KatoReport(gap, slack1, slack2, slack3)
 
 
@@ -444,6 +437,8 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     cleared to integers, so large sample counts stay cheap while the
     arithmetic stays exact.  Returns (number of negative gaps, minimal
     gap seen)."""
+    if samples < 1:
+        raise ContractViolation(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     m = 4 * n
     negatives = 0
@@ -471,7 +466,6 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
         gap = Fraction(gap_scaled, 3 * (12 * q) ** 2)
         if min_gap is None or gap < min_gap:
             min_gap = gap
-    assert min_gap is not None
     return negatives, min_gap
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .forms import ContractViolation
 
 Rational = Fraction | int
@@ -53,8 +55,9 @@ class RiccatiProblem:
         object.__setattr__(self, "_m", float(self.m))
         object.__setattr__(self, "_K", float(self.K))
 
-    def rhs(self, u: float) -> float:
-        """Right side of the equality ODE u' = -u^2/m - m K."""
+    def rhs(self, u):
+        """Right side of the equality ODE u' = -u^2/m - m K, for a float or
+        elementwise for an array."""
         return -u * u / self._m - self._m * self._K
 
 
@@ -99,6 +102,19 @@ class ComparisonFunction:
         pole = self.pole
         if pole is not None and t >= pole:
             raise DomainError(f"cot barrier valid on (0, {pole:.6g}), got t={t}")
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The barrier at every entry of ts.  The first entry in row-major
+        order that lies outside the domain raises as domain_check does."""
+        pole = self.pole
+        outside = ts <= 0 if pole is None else (ts <= 0) | (ts >= pole)
+        if outside.any():
+            self.domain_check(float(ts.flat[np.argmax(outside)]))
+        if self.kind == "reciprocal":
+            return self._m / ts
+        if self.kind == "coth":
+            return self.amplitude / np.tanh(self.frequency * ts)
+        return self.amplitude / np.tan(self.frequency * ts)
 
     def __call__(self, t: float) -> float:
         self.domain_check(t)
@@ -161,46 +177,89 @@ class Trajectory:
     us: tuple[float, ...]
     truncated: bool
 
-    def final(self) -> tuple[float, float]:
-        return self.ts[-1], self.us[-1]
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """Trajectories stepped together: row j of `ts` and `us` holds
+    trajectory j, whose first `lengths[j]` entries are valid."""
+
+    ts: np.ndarray
+    us: np.ndarray
+    lengths: np.ndarray
+    truncated: np.ndarray
+
+    def trajectory(self, j: int) -> Trajectory:
+        k = int(self.lengths[j])
+        return Trajectory(tuple(self.ts[j, :k].tolist()),
+                          tuple(self.us[j, :k].tolist()), bool(self.truncated[j]))
+
+    def max_excess(self, barrier: ComparisonFunction) -> float:
+        """Largest u - barrier(t) over every valid point, taken trajectory
+        by trajectory (one row at a time keeps the temporaries small), so
+        the first point outside the barrier's domain raises as a loop over
+        the trajectories would."""
+        return max(float((self.us[j, :k] - barrier.values(self.ts[j, :k])).max())
+                   for j, k in enumerate(self.lengths.tolist()))
 
 
 BLOWUP_LIMIT = 1.0e9
 
 
-def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
-                      steps: int) -> Trajectory:
-    """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K.
+def integrate_riccati_batch(p: RiccatiProblem, u0s, t0s, t1: float,
+                            steps: int) -> TrajectoryBatch:
+    """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K,
+    all trajectories at once.  Trajectory j runs from (t0s[j], u0s[j]) to
+    t1 in `steps` steps of its own size.
 
     Solutions starting at or below the barrier stay below it; they may
-    reach -infinity in finite time, in which case the trajectory is
-    truncated and flagged."""
-    if t0 <= 0:
-        raise ContractViolation(f"need t0 > 0, got {t0}")
+    reach -infinity in finite time.  A trajectory whose next value is not
+    finite or exceeds BLOWUP_LIMIT in size ends before that step and is
+    flagged truncated."""
+    u0s = np.asarray(u0s, dtype=float)
+    t0s = np.asarray(t0s, dtype=float)
+    if u0s.ndim != 1 or u0s.shape != t0s.shape:
+        raise ContractViolation("need u0s and t0s as 1-d sequences of one length")
+    if u0s.size == 0:
+        raise ContractViolation("need at least one trajectory")
+    if (t0s <= 0).any():
+        raise ContractViolation(f"need t0 > 0, got {float(t0s[np.argmax(t0s <= 0)])}")
     if steps < 100:
         raise ContractViolation(f"need at least 100 steps, got {steps}")
     barrier = riccati_barrier(p)
-    if u0 > barrier(t0):
-        raise ContractViolation(
-            f"u0={u0} starts above the barrier {barrier(t0)} at t0={t0}")
-    h = (t1 - t0) / steps
-    ts = [t0]
-    us = [u0]
-    t, u = t0, u0
-    truncated = False
-    for _ in range(steps):
-        k1 = p.rhs(u)
-        k2 = p.rhs(u + 0.5 * h * k1)
-        k3 = p.rhs(u + 0.5 * h * k2)
-        k4 = p.rhs(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        if not math.isfinite(u) or abs(u) > BLOWUP_LIMIT:
-            truncated = True
-            break
-        ts.append(t)
-        us.append(u)
-    return Trajectory(tuple(ts), tuple(us), truncated)
+    for u0, t0 in zip(u0s.tolist(), t0s.tolist()):
+        if u0 > barrier(t0):
+            raise ContractViolation(
+                f"u0={u0} starts above the barrier {barrier(t0)} at t0={t0}")
+    h = (t1 - t0s) / steps
+    ts = np.empty((u0s.size, steps + 1))
+    us = np.empty_like(ts)
+    ts[:, 0], us[:, 0] = t0s, u0s
+    lengths = np.full(u0s.size, steps + 1)
+    t, u = t0s, u0s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            k1 = p.rhs(u)
+            k2 = p.rhs(u + 0.5 * h * k1)
+            k3 = p.rhs(u + 0.5 * h * k2)
+            k4 = p.rhs(u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t + h
+            bounded = np.abs(u) <= BLOWUP_LIMIT  # False for inf and nan
+            if not bounded.all():
+                # ended trajectories carry u = 0 from here on, so stay bounded
+                lengths[~bounded] = i
+                ended = lengths <= steps
+                if ended.all():
+                    break
+                u = np.where(ended, 0.0, u)
+            ts[:, i], us[:, i] = t, u
+    return TrajectoryBatch(ts, us, lengths, lengths <= steps)
+
+
+def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
+                      steps: int) -> Trajectory:
+    """One trajectory of :func:`integrate_riccati_batch`."""
+    return integrate_riccati_batch(p, [u0], [t0], t1, steps).trajectory(0)
 
 
 def line_block_problem(delta: int) -> RiccatiProblem:

@@ -154,6 +154,18 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["riccati", "--samples", "0"],
+                                  ["harmonicity", "--samples", "0"],
+                                  ["harmonicity", "--kato-samples", "0"],
+                                  ["harmonicity", "--kato-samples", "-3"]])
+def test_empty_sample_is_usage_error(argv, capsys):
+    # zero samples would pass vacuously; it is bad input, not a result
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_domain_error_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--delta", "1", "--n", "2", "--r-max", "3",

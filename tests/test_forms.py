@@ -258,7 +258,7 @@ def _ref_combine(a, b, coeff):
 
 
 def _random_term_map(rng, dim, degree):
-    # the draws of random_terms in test_kernel.py, keyed by index tuples
+    # a random Fraction on every index tuple of one degree (zeros dropped)
     out = {}
     for combo in combinations(range(1, dim + 1), degree):
         c = F(rng.randint(-9, 9), rng.randint(1, 9))
@@ -268,7 +268,6 @@ def _random_term_map(rng, dim, degree):
 
 
 def test_integer_forms_match_fraction_reference():
-    # the seeded inputs of test_kernel.test_backends_agree_on_random_inputs
     rng = random.Random(123)
     for _ in range(100):
         dim = rng.randint(2, 11)

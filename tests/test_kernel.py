@@ -1,33 +1,11 @@
-"""The two term-arithmetic backends must agree exactly on everything, on
-the integer-numerator maps that Form passes and on Fraction maps alike."""
+"""The term-arithmetic kernel: merge signs against inversion counts, and the
+integer-numerator maps that Form passes against the same maps in Fraction."""
 
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
-import pytest
-
 from qkcomp import _termops
-
-try:
-    from qkcomp import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(_speedups is None,
-                                    reason="compiled kernel not built")
-
-
-def random_terms(rng, dim, degree):
-    out = {}
-    for combo in combinations(range(dim), degree):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        c = F(rng.randint(-9, 9), rng.randint(1, 9))
-        if c:
-            out[mask] = c
-    return out
 
 
 def random_int_terms(rng, dim, degree):
@@ -49,60 +27,6 @@ def test_merge_sign_reference_cases():
     assert _termops.merge_sign(0b10, 0b01) == -1
     # ka = {1,3}, kb = {2}: 2 passes 3 only
     assert _termops.merge_sign(0b101, 0b010) == -1
-
-
-@needs_compiled
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(123)
-    for _ in range(100):
-        dim = rng.randint(2, 11)
-        p = rng.randint(0, dim)
-        q = rng.randint(0, dim)
-        a = random_terms(rng, dim, p)
-        b = random_terms(rng, dim, q)
-        assert _termops.wedge_terms(a, b) == _speedups.wedge_terms(a, b)
-        assert _termops.star_terms(a, dim) == _speedups.star_terms(a, dim)
-        comps = tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(dim))
-        assert _termops.interior_terms(comps, a) == \
-            _speedups.interior_terms(comps, a)
-        assert _termops.inner_terms(a, b) == _speedups.inner_terms(a, b)
-        acc1, acc2 = dict(a), dict(a)
-        c = F(rng.randint(-9, 9), rng.randint(1, 9))
-        _termops.accumulate_scaled(acc1, b, c)
-        _speedups.accumulate_scaled(acc2, b, c)
-        assert acc1 == acc2
-
-
-@needs_compiled
-def test_backends_agree_on_integer_maps():
-    rng = random.Random(124)
-    for _ in range(100):
-        dim = rng.randint(2, 11)
-        p = rng.randint(0, dim)
-        q = rng.randint(0, dim)
-        a = random_int_terms(rng, dim, p)
-        b = random_int_terms(rng, dim, q)
-        assert _termops.wedge_terms(a, b) == _speedups.wedge_terms(a, b)
-        assert _termops.star_terms(a, dim) == _speedups.star_terms(a, dim)
-        comps = tuple(rng.randint(-9, 9) for _ in range(dim))
-        assert _termops.interior_terms(comps, a) == \
-            _speedups.interior_terms(comps, a)
-        assert _termops.inner_terms(a, b) == _speedups.inner_terms(a, b)
-        acc1, acc2 = dict(a), dict(a)
-        c = rng.randint(-9, 9)
-        _termops.accumulate_scaled(acc1, b, c)
-        _speedups.accumulate_scaled(acc2, b, c)
-        assert acc1 == acc2
-
-
-@needs_compiled
-def test_merge_sign_agreement_exhaustive_small():
-    for ka in range(32):
-        for kb in range(32):
-            if ka & kb:
-                continue
-            assert _termops.merge_sign(ka, kb) == _speedups.merge_sign(ka, kb)
 
 
 def test_merge_sign_counts_inversions_exhaustive():
@@ -149,16 +73,3 @@ def test_accumulate_cancels_to_empty():
     acc = dict(a)
     _termops.accumulate_scaled(acc, a, F(-1))
     assert acc == {}
-
-
-def test_kernel_selection_env(monkeypatch):
-    import importlib
-
-    import qkcomp.kernel as k
-
-    monkeypatch.setenv("QKCOMP_PURE", "1")
-    mod = importlib.reload(k)
-    assert mod.BACKEND == "python"
-    monkeypatch.delenv("QKCOMP_PURE")
-    mod = importlib.reload(k)
-    assert mod.BACKEND in ("python", "compiled")

@@ -282,6 +282,22 @@ def test_kato_scan_matches_exact_path():
     assert min_gap >= 0
 
 
+def test_kato_scan_rejects_empty_sample():
+    with pytest.raises(ContractViolation):
+        kato_gap_scan(2, 0, seed=10)
+
+
+def test_kato_slack_invariant_is_a_raised_check(monkeypatch):
+    # a line sum of 1 breaks gap == slack1 + slack2 + slack3; with the flag
+    # check bypassed the invariant must still raise (and survive -O)
+    fr = build_frame(2, Layout.GROUPED)
+    h = [[F(0)] * 8 for _ in range(8)]
+    h[0][0] = F(1)
+    monkeypatch.setattr(HessianMatrix, "is_quaternionic_harmonic", lambda self: True)
+    with pytest.raises(RuntimeError, match="do not sum to the gap"):
+        refined_kato_gap(HessianMatrix(fr, h))
+
+
 def test_kato_requires_flags():
     fr = build_frame(2, Layout.GROUPED)
     h = [[F(0)] * 8 for _ in range(8)]

@@ -2,20 +2,65 @@
 principle for the certifying integrator."""
 
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import (
+    BLOWUP_LIMIT,
     DomainError,
     RiccatiProblem,
     integrate_riccati,
+    integrate_riccati_batch,
     line_block_problem,
     rational_sqrt,
     riccati_barrier,
     transversal_block_problem,
 )
+
+
+# -- reference: the scalar RK4 loop, one trajectory at a time ------------------
+
+def reference_rk4(p, u0, t0, t1, steps):
+    """(ts, us, truncated) of classical RK4 on u' = -u^2/m - m K in Python
+    floats; a value that is not finite or exceeds BLOWUP_LIMIT in size ends
+    the trajectory before it."""
+    h = (t1 - t0) / steps
+    ts, us = [t0], [u0]
+    t, u = t0, u0
+    for _ in range(steps):
+        k1 = p.rhs(u)
+        k2 = p.rhs(u + 0.5 * h * k1)
+        k3 = p.rhs(u + 0.5 * h * k2)
+        k4 = p.rhs(u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        if not math.isfinite(u) or abs(u) > BLOWUP_LIMIT:
+            return ts, us, True
+        ts.append(t)
+        us.append(u)
+    return ts, us, False
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def criterion_3_inputs(barrier, count=100):
+    """The seeded initial data of criterion 3 in qkcomp.suite."""
+    rng = random.Random(333)
+    t0s, u0s = [], []
+    for _ in range(count):
+        t0s.append(0.1 + 0.4 * rng.random())
+        u0s.append(barrier(t0s[-1]) - 3.0 * rng.random())
+    return u0s, t0s
+
+
+CRITERION_3_INSTANCES = [line_block_problem(-1), transversal_block_problem(-1),
+                         line_block_problem(0), transversal_block_problem(0)]
 
 
 def test_barrier_forms_match_the_displayed_bounds():
@@ -124,3 +169,81 @@ def test_rational_sqrt():
     assert rational_sqrt(F(1, 4)) == F(1, 2)
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(0)) == 0
+
+
+@pytest.mark.parametrize("prob", CRITERION_3_INSTANCES)
+def test_batch_matches_scalar_reference_bitwise(prob):
+    barrier = riccati_barrier(prob)
+    u0s, t0s = criterion_3_inputs(barrier)
+    batch = integrate_riccati_batch(prob, u0s, t0s, 3.0, steps=1200)
+    worst = -math.inf
+    for j, (u0, t0) in enumerate(zip(u0s, t0s)):
+        ts, us, truncated = reference_rk4(prob, u0, t0, 3.0, 1200)
+        traj = batch.trajectory(j)
+        assert bits(traj.ts) == bits(ts)
+        assert bits(traj.us) == bits(us)
+        assert traj.truncated is truncated
+        worst = max(worst, max(u - barrier(t) for t, u in zip(ts, us)))
+    # numpy's coth/cot may differ from math's in the last place
+    assert batch.max_excess(barrier) == pytest.approx(worst, abs=1e-14)
+
+
+def test_batch_truncates_like_scalar_reference():
+    # -60 at t0=0.2 blows down; the others stay finite
+    prob = line_block_problem(-1)
+    u0s, t0s = [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5]
+    batch = integrate_riccati_batch(prob, u0s, t0s, 3.0, steps=5000)
+    flags = []
+    for j, (u0, t0) in enumerate(zip(u0s, t0s)):
+        ts, us, truncated = reference_rk4(prob, u0, t0, 3.0, 5000)
+        traj = batch.trajectory(j)
+        assert bits(traj.ts) == bits(ts)
+        assert bits(traj.us) == bits(us)
+        flags.append(traj.truncated)
+        assert traj.truncated is truncated
+    assert flags == [True, False, True, False]
+    assert batch.truncated.tolist() == flags
+
+
+def test_single_trajectory_is_batch_of_one():
+    prob = line_block_problem(-1)
+    barrier = riccati_barrier(prob)
+    traj = integrate_riccati(prob, barrier(0.1), 0.1, 3.0, steps=10000)
+    ts, us, truncated = reference_rk4(prob, barrier(0.1), 0.1, 3.0, 10000)
+    assert bits(traj.ts) == bits(ts) and bits(traj.us) == bits(us)
+    assert traj.truncated is truncated is False
+    assert all(type(u) is float for u in traj.us)
+
+
+def test_batch_preconditions():
+    prob = line_block_problem(-1)
+    barrier = riccati_barrier(prob)
+    with pytest.raises(ContractViolation):
+        integrate_riccati_batch(prob, [], [], 3.0, steps=1000)
+    with pytest.raises(ContractViolation):
+        integrate_riccati_batch(prob, [0.0, 0.0], [0.5], 3.0, steps=1000)
+    with pytest.raises(ContractViolation, match="starts above"):
+        integrate_riccati_batch(prob, [0.0, barrier(0.5) + 1.0], [0.5, 0.5],
+                                3.0, steps=1000)
+    with pytest.raises(ContractViolation, match="need t0 > 0"):
+        integrate_riccati_batch(prob, [0.0, 0.0], [0.5, -0.5], 3.0, steps=1000)
+
+
+def test_vectorized_barrier_values_and_domain():
+    for prob in CRITERION_3_INSTANCES + [line_block_problem(1)]:
+        barrier = riccati_barrier(prob)
+        ts = np.array([0.1, 0.4, 0.7, 1.5])
+        want = [barrier(t) for t in ts.tolist()]
+        # numpy's tan/tanh may be a few ulp from libm's
+        assert barrier.values(ts).tolist() == pytest.approx(want, rel=1e-14)
+    cot = riccati_barrier(line_block_problem(1))
+    ts = np.array([[0.5, 1.0], [math.pi / 2, 0.0]])
+    # the first entry outside (0, pi/2) in row-major order raises, with the
+    # message the scalar evaluation gives
+    with pytest.raises(DomainError) as exc:
+        cot.values(ts)
+    with pytest.raises(DomainError) as scalar:
+        cot(math.pi / 2)
+    assert str(exc.value) == str(scalar.value)
+    with pytest.raises(DomainError, match="t > 0"):
+        riccati_barrier(line_block_problem(0)).values(np.array([1.0, -1.0]))
