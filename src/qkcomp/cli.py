@@ -1,6 +1,9 @@
 """qkcomp command line: verification suites, comparison tables, curvature
 reports and spectral estimates, emitted as JSON (canonical) or CSV.
 
+The subcommands build their checks with the parameterized builders of
+`qkcomp.suite`, so a run at a criterion's parameters reproduces its checks.
+
 Exit status is 0 when every check in the run passes, 1 on any check
 failure, and 2 on usage errors.  Identical invocations emit identical
 bytes; the environment variable QKCOMP_SEED overrides --seed.
@@ -9,9 +12,9 @@ bytes; the environment variable QKCOMP_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
-import math
+import csv
+import itertools
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -19,53 +22,15 @@ from . import suite as suite_mod
 from .comparison import (
     ModelGeometry,
     area_density,
-    eigenvalue_bounds,
-    flat_laplacian_coefficient,
-    flat_laplacian_coefficient_printed,
     hessian_block_bounds,
     laplacian_distance,
+    sphere_area_constant,
     volume,
-    volume_ratio_check,
 )
 from .forms import ContractViolation
-from .identities import check_star_identities
-from .levelset import (
-    level_set_geometry,
-    radial_hessian_check,
-    verify_gauss_equation,
-    verify_level_set_sums,
-    verify_second_fundamental,
-    verify_weighted_displays,
-)
-from .model import (
-    build_model,
-    curvature,
-    verify_berger,
-    verify_einstein,
-    verify_parallel_four_form,
-    verify_quaternionic_traces,
-    verify_radial_slabs,
-)
-from .quaternionic import (
-    HessianMatrix,
-    Layout,
-    build_frame,
-    busemann_hessian,
-    equality_case_hessian,
-    kato_gap_scan,
-    random_traceless_hessian,
-    refined_kato_gap,
-    siu_corlette_defect,
-    verify_star_commutation,
-)
-from .report import Check, Report, check_eq, check_true, render_value
-from .riccati import (
-    integrate_riccati,
-    integrate_riccati_batch,
-    line_block_problem,
-    riccati_barrier,
-    transversal_block_problem,
-)
+from .model import build_model, model_curvature
+from .report import Report, check_true, render_value
+from .riccati import integrate_riccati, riccati_barrier
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
 
 
@@ -83,139 +48,67 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("QKCOMP_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
-def _emit(report: Report, args) -> int:
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
+def _write(text: str, out: str) -> None:
+    if out and out != "-":
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not report.passed:
-        for chk in report.failures():
-            print(f"FAIL {chk.name}: expected {render_value(chk.expected)}, "
-                  f"got {render_value(chk.actual)}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def _emit(report: Report, args) -> int:
+    _write(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    for chk in report.failures():
+        print(f"FAIL {chk.name}: expected {render_value(chk.expected)}, "
+              f"got {render_value(chk.actual)}", file=sys.stderr)
+    return 0 if report.passed else 1
+
+
+def _grid(args) -> tuple[float, list[float]]:
+    """(r_min, the `steps` evenly spaced radii from r_min to r_max)."""
+    r_min = args.r_min if args.r_min is not None else args.r_max / args.steps
+    return r_min, [r_min + (args.r_max - r_min) * i / max(args.steps - 1, 1)
+                   for i in range(args.steps)]
 
 
 def cmd_check_identities(args) -> int:
-    seed = _resolve_seed(args)
     degrees = range(1, args.dim + 1) if args.degree is None else [args.degree]
-    rep = Report("check-identities",
-                 {"dim": args.dim,
-                  "degree": "all" if args.degree is None else args.degree,
-                  "trials": args.trials, "seed": seed})
-    for degree in degrees:
-        idrep = check_star_identities(args.dim, degree, args.trials,
-                                      seed + degree)
-        for res in idrep.results:
-            rep.checks.append(Check(
-                f"dim {args.dim} degree {degree} identity {res.name}",
-                f"exact on {res.samples} samples",
-                "pass" if res.passed else f"fail: {res.counterexample}",
-                res.passed))
+    rep = Report("check-identities", {
+        "dim": args.dim, "degree": "all" if args.degree is None else args.degree,
+        "trials": args.trials, "seed": args.seed})
+    rep.extend(suite_mod.identity_checks(args.dim, degrees, args.trials, args.seed))
     return _emit(rep, args)
 
 
 def cmd_harmonicity(args) -> int:
-    seed = _resolve_seed(args)
     n = args.n
     rep = Report("harmonicity", {"n": n, "samples": args.samples,
-                                 "kato_samples": args.kato_samples,
-                                 "seed": seed})
-    frame = build_frame(n, Layout.INTERLEAVED)
-    m = frame.dim
-    for line in range(1, n + 1):
-        h = [[Fraction(0)] * m for _ in range(m)]
-        a, b, c, d = frame.line_indices(line)
-        h[a - 1][a - 1], h[b - 1][b - 1] = Fraction(2), Fraction(1)
-        h[c - 1][c - 1], h[d - 1][d - 1] = Fraction(1), Fraction(1)
-        other = frame.line_indices(1 if line != 1 else 2)[0]
-        h[other - 1][other - 1] += Fraction(-5)
-        H = HessianMatrix(frame, h)
-        rep.checks.append(check_eq(
-            f"defect coefficient on line {line} = 6 x line sum",
-            Fraction(6) * H.line_sum(line),
-            siu_corlette_defect(H).coefficient(frame.line_indices(line))))
-
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(args.samples):
-        if not verify_star_commutation(random_traceless_hessian(frame, rng)):
-            bad += 1
-    rep.checks.append(Check(
-        f"star commutation on {args.samples} random trace-free Hessians",
-        f"0 of {args.samples}", f"{bad} of {args.samples}", bad == 0))
-
-    negatives, min_gap = kato_gap_scan(n, args.kato_samples, seed)
-    rep.checks.append(Check(
-        f"refined Kato gap >= 0 on {args.kato_samples} constrained samples",
-        "0 negative", f"{negatives} negative, min gap {render_value(min_gap)}",
-        negatives == 0))
-    gframe = build_frame(n, Layout.GROUPED)
-    rep.checks.append(check_eq(
-        "equality-case shape has exact gap 0", Fraction(0),
-        refined_kato_gap(equality_case_hessian(gframe, Fraction(1))).gap))
-
-    bus = busemann_hessian(n)
-    rep.checks.append(check_eq("Busemann Hessian trace = -2(2n+1)",
-                               Fraction(-2 * (2 * n + 1)), bus.trace()))
-    rep.checks.append(check_eq("Busemann |H|^2 = 4(n+2)",
-                               Fraction(4 * (n + 2)), bus.frobenius_sq()))
+                                 "kato_samples": args.kato_samples, "seed": args.seed})
+    rep.extend(suite_mod.defect_checks(n, args.seed))
+    rep.checks.append(suite_mod.star_commutation_check(n, args.samples, args.seed))
+    rep.checks.append(suite_mod.kato_scan_check(n, args.kato_samples, args.seed))
+    rep.extend(suite_mod.kato_equality_checks(n))
+    rep.extend(suite_mod.busemann_checks(n))
     return _emit(rep, args)
 
 
 def cmd_compare(args) -> int:
     n, delta = args.n, args.delta
     g = ModelGeometry(n, delta)
-    r_min = args.r_min if args.r_min is not None else args.r_max / args.steps
+    r_min, grid = _grid(args)
     rep = Report("compare", {"n": n, "delta": delta, "r_min": r_min,
                              "r_max": args.r_max, "steps": args.steps})
-    for i in range(args.steps):
-        r = r_min + (args.r_max - r_min) * i / max(args.steps - 1, 1)
+    for r in grid:
         line, trans = hessian_block_bounds(g, r)
-        rep.results.append({
-            "r": r,
-            "laplacian": laplacian_distance(g, r),
-            "line_block": line,
-            "transversal_block": trans,
-            "density": area_density(g, r),
-        })
-    worst = max(abs(row["laplacian"]
-                    - (row["line_block"] + (n - 1) * row["transversal_block"]))
-                for row in rep.results)
-    rep.checks.append(check_true("block-sum identity on the grid", worst == 0,
-                                 detail=f"max dev {worst:.3e}"))
-    fd_bad = 0.0
-    for row in rep.results[1:]:
-        r = row["r"]
-        h = 1e-6 * max(r, 1.0)
-        if delta == 1 and r + h >= math.pi / 2:
-            continue
-        fd = (math.log(area_density(g, r + h))
-              - math.log(area_density(g, r - h))) / (2 * h)
-        fd_bad = max(fd_bad, abs(fd - row["laplacian"]))
-    rep.checks.append(check_true("(d/dr) log J = laplacian (1e-8)",
-                                 fd_bad <= 1e-8, detail=f"{fd_bad:.3e}"))
-    eb = eigenvalue_bounds(n)
-    rep.checks.append(check_true(
-        "sharpening: (2n+1)^2 < rescaled Cheng bound",
-        eb.quaternionic < eb.real_cheng,
-        detail=f"{eb.quaternionic} < {render_value(eb.real_cheng)}"))
+        rep.results.append({"r": r, "laplacian": laplacian_distance(g, r),
+                            "line_block": line, "transversal_block": trans,
+                            "density": area_density(g, r)})
+    rep.checks.append(suite_mod.closed_form_check(g, grid))
+    # not at r_min: the difference error grows like r^-3 towards 0
+    rep.checks.append(suite_mod.log_derivative_check(g, grid[1:]))
+    rep.checks.append(suite_mod.sharpening_check(max(n, 50)))
     if delta == 0:
-        rep.checks.append(check_true(
-            "flat coefficient (4n-1)/r used (printed 4n-3 is an erratum)",
-            abs(rep.results[0]["laplacian"] * rep.results[0]["r"]
-                - flat_laplacian_coefficient(n)) < 1e-9,
-            detail=f"derived {flat_laplacian_coefficient(n)}, "
-                   f"printed {flat_laplacian_coefficient_printed(n)}"))
+        rep.checks.append(suite_mod.flat_coefficient_check(n, r_min))
         rep.notes.append("delta=0 Laplacian coefficient derives to (4n-1)/r; "
                          "the printed (4n-3)/r is flagged as an erratum")
     rep.notes.append("transversal Hessian bound uses argument r (4 coth r / "
@@ -224,21 +117,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    seed = _resolve_seed(args)
-    prob = (line_block_problem if args.block == "line"
-            else transversal_block_problem)(args.delta)
+    prob = suite_mod.BLOCKS[args.block](args.delta)
     barrier = riccati_barrier(prob)
     rep = Report("riccati", {"delta": args.delta, "block": args.block,
-                             "m": prob.m, "K": prob.K,
-                             "r_min": args.r_min, "r_max": args.r_max,
-                             "steps": args.steps, "samples": args.samples,
-                             "seed": seed})
-    resid = barrier.symbolic_residual()
-    rep.checks.append(check_true(
-        "symbolic residual of the equality solution is exactly 0",
-        all(v == 0 for v in resid.values()),
-        detail=",".join(f"{k}={render_value(v)}" for k, v in resid.items())))
-
+                             "m": prob.m, "K": prob.K, "r_min": args.r_min,
+                             "r_max": args.r_max, "steps": args.steps,
+                             "samples": args.samples, "seed": args.seed})
+    rep.extend(suite_mod.barrier_residual_checks(args.block, args.delta))
     fine = max(args.steps, 8000)
     stride = max(fine // args.steps, 1)
     traj = integrate_riccati(prob, barrier(args.r_min), args.r_min,
@@ -249,41 +134,25 @@ def cmd_riccati(args) -> int:
         worst_eq <= 1e-8, detail=f"{worst_eq:.3e}"))
     for t, u in list(zip(traj.ts, traj.us))[::stride]:
         rep.results.append({"t": t, "u": u, "barrier": barrier(t)})
-
-    rng = random.Random(seed)
-    t0s, u0s = [], []
-    for _ in range(args.samples):
-        t0s.append(args.r_min * (1 + rng.random()))
-        u0s.append(barrier(t0s[-1]) - 3.0 * rng.random())
-    batch = integrate_riccati_batch(prob, u0s, t0s, args.r_max, args.steps)
-    worst = batch.max_excess(barrier)
-    rep.checks.append(check_true(
-        f"{args.samples} seeded sub-barrier trajectories stay below barrier + 1e-6",
-        worst <= 1e-6, detail=f"max excess {worst:.3e}"))
+    rep.checks.append(suite_mod.trajectory_check(
+        args.block, args.delta, args.samples, args.seed,
+        args.r_min, args.r_min, args.r_max, args.steps))
     return _emit(rep, args)
 
 
 def cmd_volume(args) -> int:
-    g = ModelGeometry(args.n, args.delta)
-    r_min = args.r_min if args.r_min is not None else args.r_max / args.steps
-    rep = Report("volume", {"n": args.n, "delta": args.delta,
-                            "r_min": r_min, "r_max": args.r_max,
-                            "steps": args.steps})
-    for i in range(args.steps):
-        r = r_min + (args.r_max - r_min) * i / max(args.steps - 1, 1)
+    n = args.n
+    g = ModelGeometry(n, args.delta)
+    r_min, grid = _grid(args)
+    rep = Report("volume", {"n": n, "delta": args.delta, "r_min": r_min,
+                            "r_max": args.r_max, "steps": args.steps})
+    for r in grid:
         rep.results.append({"r": r, "density": area_density(g, r),
                             "volume": volume(g, r)})
-    res = volume_ratio_check(lambda r: area_density(g, r), g,
-                             max(r_min, args.r_max / 4), args.r_max)
-    rep.checks.append(check_true(
-        "volume-ratio equality case within 1e-10",
-        res.holds and abs(res.ratio / res.model_ratio - 1) <= 1e-10,
-        detail=f"|ratio/model-1| = {abs(res.ratio / res.model_ratio - 1):.3e}"))
+    rep.checks.append(suite_mod.volume_ratio_equality_check(
+        g, max(r_min, args.r_max / 4), args.r_max))
     if args.delta == 0:
-        from .comparison import sphere_area_constant
-
-        r = args.r_max
-        exact = sphere_area_constant(args.n) * r ** (4 * args.n) / (4 * args.n)
+        exact = sphere_area_constant(n) * args.r_max ** (4 * n) / (4 * n)
         rep.checks.append(check_true(
             "flat ball volume matches the closed form",
             abs(rep.results[-1]["volume"] / exact - 1) <= 1e-8,
@@ -292,48 +161,22 @@ def cmd_volume(args) -> int:
 
 
 def cmd_model(args) -> int:
-    scale = args.scale
-    sc = build_model(args.n)
-    R = curvature(sc)
-    frame = build_frame(args.n, Layout.INTERLEAVED)
-    ric = R.ricci()
-    rep = Report("model", {"n": args.n, "scale": scale})
-    rep.results.append({
-        "n": args.n,
-        "c": sc.c,
-        "einstein_constant": ric[0][0],
-        "scalar": R.scalar(),
-    })
-    rep.checks.append(check_eq("tensor symmetries and first Bianchi",
-                               0, R.symmetry_violations()))
-    rep.extend(verify_einstein(R, args.n))
-    rep.extend(verify_radial_slabs(R, args.n))
-    rep.extend(verify_quaternionic_traces(R, frame))
-    berger = verify_berger(R, frame, args.n)
-    rep.extend(berger.checks)
-    rep.extend(verify_parallel_four_form(sc, frame, berger).checks)
-    lsg = level_set_geometry(sc, scale)
-    rep.extend(verify_second_fundamental(lsg))
-    rep.extend(verify_level_set_sums(lsg))
-    rep.extend(verify_gauss_equation(R, lsg))
-    if scale != 1:
-        base = level_set_geometry(sc, Fraction(1))
-        rep.extend(verify_weighted_displays(R, base, scale))
-    rep.extend(radial_hessian_check(sc))
-
+    n = args.n
+    sc = build_model(n)
+    R = model_curvature(n)
+    rep = Report("model", {"n": n, "scale": args.scale})
+    rep.results.append({"n": n, "c": sc.c, "einstein_constant": R.ricci()[0][0],
+                        "scalar": R.scalar()})
+    rep.extend(suite_mod.model_battery(n))
+    rep.extend(suite_mod.level_set_battery(n, args.scale))
     if args.components:
-        import csv
         with open(args.components, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["A", "B", "C", "D", "value"])
-            m = R.dim
-            for a in range(1, m + 1):
-                for b in range(1, m + 1):
-                    for c in range(1, m + 1):
-                        for d in range(1, m + 1):
-                            v = R.entry(a, b, c, d)
-                            if v:
-                                writer.writerow([a, b, c, d, render_value(v)])
+            for abcd in itertools.product(range(1, R.dim + 1), repeat=4):
+                v = R.entry(*abcd)
+                if v:
+                    writer.writerow([*abcd, render_value(v)])
     return _emit(rep, args)
 
 
@@ -345,13 +188,7 @@ def cmd_lambda1(args) -> int:
         rows = convergence_study(args.n, [args.rmax / 2, 3 * args.rmax / 4,
                                           args.rmax], args.mesh)
         rep.results.extend(rows)
-        rep.checks.append(check_true(
-            "estimates decrease as r_max grows",
-            all(a["lambda1"] > b["lambda1"] for a, b in zip(rows, rows[1:])),
-            detail=",".join(f"{r['lambda1']:.6f}" for r in rows)))
-        rep.checks.append(check_true(
-            "all estimates above the limit value",
-            all(r["lambda1"] > target for r in rows)))
+        rep.checks.append(suite_mod.convergence_check(args.n, rows))
     else:
         est = lambda1_dirichlet(RadialProblem(args.n, args.rmin, args.rmax,
                                               args.mesh))
@@ -368,12 +205,8 @@ def cmd_lambda1(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    status, text, reports = suite_mod.run_suite()
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    status, text, _reports = suite_mod.run_suite()
+    _write(text, args.out)
     return status
 
 
@@ -384,56 +217,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperbolic comparison geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, func, seed=True):
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default="-", help="output path (default stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check-identities",
                        help="the six star/interior/exterior operator laws")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--degree", type=int, default=None,
                    help="single degree (default: all degrees 1..dim)")
-    p.add_argument("--trials", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_check_identities)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    common(p, cmd_check_identities)
 
     p = sub.add_parser("harmonicity",
                        help="quaternionic-harmonicity and refined Kato checks")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--kato-samples", type=_positive_int, default=10000)
-    common(p)
-    p.set_defaults(func=cmd_harmonicity)
+    common(p, cmd_harmonicity)
 
-    p = sub.add_parser("compare", help="distance Laplacian and Hessian block table")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=50)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_compare)
+    def radial_table(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
+        p.add_argument("--r-min", type=float, default=None)
+        p.add_argument("--r-max", type=float, required=True)
+        p.add_argument("--steps", type=_positive_int, default=50)
+        common(p, func, seed=False)
+
+    radial_table("compare", cmd_compare, "distance Laplacian and Hessian block table")
 
     p = sub.add_parser("riccati", help="barrier table and comparison trajectories")
     p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
     p.add_argument("--block", choices=("line", "transversal"), default="line")
     p.add_argument("--r-min", type=float, default=0.1)
     p.add_argument("--r-max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_positive_int, default=300)
     p.add_argument("--samples", type=_positive_int, default=25)
-    common(p)
-    p.set_defaults(func=cmd_riccati)
+    common(p, cmd_riccati)
 
-    p = sub.add_parser("volume", help="area density and ball volume table")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=50)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_volume)
+    radial_table("volume", cmd_volume, "area density and ball volume table")
 
     p = sub.add_parser("model", help="solvable-model curvature report")
     p.add_argument("--n", type=int, default=2)
@@ -441,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-set scale s = e^{-2t} as p/q")
     p.add_argument("--components", default=None,
                    help="also write the nonzero curvature components as CSV")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_model)
+    common(p, cmd_model, seed=False)
 
     p = sub.add_parser("lambda1", help="radial Dirichlet spectral estimate")
     p.add_argument("--n", type=int, default=2)
@@ -450,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=float, default=1e-3)
     p.add_argument("--mesh", type=int, default=20000)
     p.add_argument("--study", action="store_true")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_lambda1)
+    common(p, cmd_lambda1, seed=False)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--out", default="-")
@@ -464,10 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in args and "QKCOMP_SEED" in os.environ:
+            args.seed = int(os.environ["QKCOMP_SEED"])
         return args.func(args)
     except (ContractViolation, ValueError) as exc:
         parser.exit(2, f"qkcomp: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -161,11 +161,6 @@ def layout_permutation(n: int, src: Layout, dst: Layout) -> tuple[int, ...]:
     return tuple(inter_to_grouped)
 
 
-def convert_layout(frame: QuaternionicFrame, dst: Layout) -> QuaternionicFrame:
-    """Rebuild the canonical frame in the destination layout."""
-    return build_frame(frame.n, dst)
-
-
 @dataclass(frozen=True)
 class FundamentalForms:
     """The three local 2-forms and the global 4-form they square to."""

@@ -1,6 +1,11 @@
 """The acceptance battery: every numbered criterion as a callable check
 suite with fixed seeds, shared by `qkcomp suite` and the test suite.
 
+Each check family is built by one parameterized builder; the criteria call
+the builders with their fixed sizes and seeds, and the CLI subcommands call
+them with the user's.  Every random stream is made through this module's
+`random` name.
+
 Reports carry no timestamps or timings, so repeated runs emit identical
 bytes; wall-clock budgets are asserted by the tests around these calls.
 """
@@ -17,7 +22,6 @@ from .comparison import (
     eigenvalue_bounds,
     flat_laplacian_coefficient,
     flat_laplacian_coefficient_printed,
-    hessian_block_bounds,
     laplacian_distance,
     volume_ratio_check,
 )
@@ -56,21 +60,86 @@ from .riccati import integrate_riccati_batch, line_block_problem, riccati_barrie
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet, rayleigh_quotient
 
 
+def _tagged(n: int, checks: list[Check]) -> list[Check]:
+    """Prefix each check name with [n=<n>] unless it already starts with n=<n>."""
+    for chk in checks:
+        if not chk.name.startswith(f"n={n}"):
+            chk.name = f"[n={n}] {chk.name}"
+    return checks
+
+
+def identity_checks(dim: int, degrees, trials: int, seed: int) -> list[Check]:
+    """The six operator identities in dimension `dim` at each degree, exact
+    on `trials` samples seeded at seed + degree."""
+    checks = []
+    for degree in degrees:
+        for res in check_star_identities(dim, degree, trials, seed + degree).results:
+            checks.append(Check(
+                f"dim {dim} degree {degree} identity {res.name}",
+                f"exact on {res.samples} samples",
+                "pass" if res.passed else f"fail: {res.counterexample}",
+                res.passed))
+    return checks
+
+
 def criterion_1_identities() -> Report:
     """Operator identities: exact pass on 100 seeded samples per identity,
     dims 4 and 8, all degrees."""
     rep = Report("criterion-1-operator-identities")
     for dim in (4, 8):
-        for degree in range(1, dim + 1):
-            idrep = check_star_identities(dim, degree, trials=100,
-                                          seed=1000 + 100 * dim + degree)
-            for res in idrep.results:
-                rep.checks.append(Check(
-                    f"dim {dim} degree {degree} identity {res.name}",
-                    "exact on 100 samples",
-                    "pass" if res.passed else f"fail: {res.counterexample}",
-                    res.passed))
+        rep.extend(identity_checks(dim, range(1, dim + 1), 100, 1000 + 100 * dim))
     return rep
+
+
+def defect_checks(n: int, seed: int) -> list[Check]:
+    """The defect form's top coefficient is 6 x the line sum on every line,
+    vanishes for the zero Hessian, and is linear on two trace-free Hessians
+    drawn from random.Random(seed)."""
+    frame = build_frame(n, Layout.INTERLEAVED)
+    m = frame.dim
+    checks = []
+    for line in range(1, n + 1):
+        h = [[Fraction(0)] * m for _ in range(m)]
+        a, b, c, d = frame.line_indices(line)
+        h[a - 1][a - 1] = Fraction(2)
+        h[b - 1][b - 1] = Fraction(1)
+        h[c - 1][c - 1] = Fraction(1)
+        h[d - 1][d - 1] = Fraction(1)
+        other = frame.line_indices(1 if line != 1 else 2)[0]
+        h[other - 1][other - 1] += Fraction(-5)
+        H = HessianMatrix(frame, h)
+        form = siu_corlette_defect(H)
+        checks.append(check_eq(
+            f"n={n} line {line}: top coefficient = 6 x line sum",
+            Fraction(6) * H.line_sum(line),
+            form.coefficient(frame.line_indices(line))))
+    checks.append(check_true(
+        f"n={n} zero Hessian gives the zero defect form",
+        siu_corlette_defect(HessianMatrix.zero(frame)).is_zero()))
+
+    rng = random.Random(seed)
+    H1 = random_traceless_hessian(frame, rng)
+    H2 = random_traceless_hessian(frame, rng)
+    lin = siu_corlette_defect(HessianMatrix(
+        frame, [[2 * H1.entries[i][j] + 3 * H2.entries[i][j]
+                 for j in range(m)] for i in range(m)]))
+    combo = 2 * siu_corlette_defect(H1) + 3 * siu_corlette_defect(H2)
+    checks.append(check_true(f"n={n} defect form is linear in the Hessian",
+                             lin == combo))
+    return checks
+
+
+def star_commutation_check(n: int, samples: int, seed: int) -> Check:
+    """The star commutation identity on `samples` trace-free Hessians drawn
+    from random.Random(seed)."""
+    frame = build_frame(n, Layout.INTERLEAVED)
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(samples):
+        if not verify_star_commutation(random_traceless_hessian(frame, rng)):
+            bad += 1
+    return Check(f"star commutation identity, n={n}, {samples} trace-free samples",
+                 f"0 of {samples}", f"{bad} of {samples}", bad == 0)
 
 
 def criterion_2_harmonicity() -> Report:
@@ -79,92 +148,125 @@ def criterion_2_harmonicity() -> Report:
     at n=3."""
     rep = Report("criterion-2-harmonicity")
     for n in (2, 3):
-        frame = build_frame(n, Layout.INTERLEAVED)
-        m = frame.dim
-        for line in range(1, n + 1):
-            h = [[Fraction(0)] * m for _ in range(m)]
-            a, b, c, d = frame.line_indices(line)
-            h[a - 1][a - 1] = Fraction(2)
-            h[b - 1][b - 1] = Fraction(1)
-            h[c - 1][c - 1] = Fraction(1)
-            h[d - 1][d - 1] = Fraction(1)
-            other = frame.line_indices(1 if line != 1 else 2)[0]
-            h[other - 1][other - 1] += Fraction(-5)
-            H = HessianMatrix(frame, h)
-            form = siu_corlette_defect(H)
-            rep.checks.append(check_eq(
-                f"n={n} line {line}: top coefficient = 6 x line sum",
-                Fraction(6) * H.line_sum(line),
-                form.coefficient(frame.line_indices(line))))
-        rep.checks.append(check_true(
-            f"n={n} zero Hessian gives the zero defect form",
-            siu_corlette_defect(HessianMatrix.zero(frame)).is_zero()))
-
-        rng = random.Random(1500 + n)
-        H1 = random_traceless_hessian(frame, rng)
-        H2 = random_traceless_hessian(frame, rng)
-        lin = siu_corlette_defect(HessianMatrix(
-            frame, [[2 * H1.entries[i][j] + 3 * H2.entries[i][j]
-                     for j in range(m)] for i in range(m)]))
-        combo = 2 * siu_corlette_defect(H1) + 3 * siu_corlette_defect(H2)
-        rep.checks.append(check_true(f"n={n} defect form is linear in the Hessian",
-                                     lin == combo))
-
+        rep.extend(defect_checks(n, 1500 + n))
     for n, samples, seed in ((2, 200, 2222), (3, 50, 2333)):
-        frame = build_frame(n, Layout.INTERLEAVED)
-        rng = random.Random(seed)
-        bad = 0
-        for _ in range(samples):
-            if not verify_star_commutation(random_traceless_hessian(frame, rng)):
-                bad += 1
-        rep.checks.append(Check(
-            f"star commutation identity, n={n}, {samples} trace-free samples",
-            f"0 of {samples}", f"{bad} of {samples}", bad == 0))
+        rep.checks.append(star_commutation_check(n, samples, seed))
     return rep
 
 
 TRAJECTORY_MARGIN = 1e-6
+BLOCKS = {"line": line_block_problem, "transversal": transversal_block_problem}
+
+
+def barrier_residual_checks(block: str, delta: int) -> list[Check]:
+    """The barrier of one block solves the equality Riccati equation:
+    symbolic residual exactly 0, floating residual <= 1e-12 at three points."""
+    prob = BLOCKS[block](delta)
+    barrier = riccati_barrier(prob)
+    resid = barrier.symbolic_residual()
+    ts = (0.2, 0.5, 0.7) if delta == 1 and block == "line" else (0.5, 1.0, 2.0)
+    m, K = float(prob.m), float(prob.K)
+    worst = max(abs(barrier.derivative(t) + barrier(t) ** 2 / m + m * K) for t in ts)
+    return [check_true(f"{block} block, delta={delta}: symbolic residual is exactly 0",
+                       all(v == 0 for v in resid.values()),
+                       detail=",".join(f"{k}={v}" for k, v in resid.items())),
+            check_true(f"{block} block, delta={delta}: floating residual <= 1e-12",
+                       worst <= 1e-12, detail=f"{worst:.3e}")]
+
+
+def trajectory_check(block: str, delta: int, samples: int, seed: int,
+                     t0_min: float, t0_span: float, r_max: float, steps: int) -> Check:
+    """`samples` comparison trajectories started below the barrier, at
+    t0 = t0_min + t0_span U and u0 = barrier(t0) - 3 U' with U, U' drawn
+    from random.Random(seed), stay <= barrier + TRAJECTORY_MARGIN up to r_max
+    (RK4, `steps` steps)."""
+    prob = BLOCKS[block](delta)
+    barrier = riccati_barrier(prob)
+    rng = random.Random(seed)
+    t0s, u0s = [], []
+    for _ in range(samples):
+        t0s.append(t0_min + t0_span * rng.random())
+        u0s.append(barrier(t0s[-1]) - 3.0 * rng.random())
+    batch = integrate_riccati_batch(prob, u0s, t0s, r_max, steps)
+    worst = batch.max_excess(barrier)
+    return check_true(
+        f"instance ({block} {delta}): {samples} trajectories stay <= barrier + 1e-6",
+        worst <= TRAJECTORY_MARGIN,
+        detail=f"max excess {worst:.3e}, truncated {int(batch.truncated.sum())}")
 
 
 def criterion_3_riccati() -> Report:
     """Riccati barriers: symbolic residual exactly zero; seeded comparison
     trajectories never exceed barrier + 1e-6."""
     rep = Report("criterion-3-riccati-barriers")
-    for name, prob in (("line", line_block_problem), ("transversal", transversal_block_problem)):
+    for block in BLOCKS:
         for delta in (-1, 0, 1):
-            barrier = riccati_barrier(prob(delta))
-            resid = barrier.symbolic_residual()
-            rep.checks.append(check_true(
-                f"{name} block, delta={delta}: symbolic residual is exactly 0",
-                all(v == 0 for v in resid.values()),
-                detail=",".join(f"{k}={v}" for k, v in resid.items())))
-            ts = (0.2, 0.5, 0.7) if delta == 1 and name == "line" else (0.5, 1.0, 2.0)
-            worst = max(abs(barrier.derivative(t)
-                            + barrier(t) ** 2 / float(prob(delta).m)
-                            + float(prob(delta).m) * float(prob(delta).K))
-                        for t in ts)
-            rep.checks.append(check_true(
-                f"{name} block, delta={delta}: floating residual <= 1e-12",
-                worst <= 1e-12, detail=f"{worst:.3e}"))
-
-    for name, prob in (("line -1", line_block_problem(-1)),
-                       ("transversal -1", transversal_block_problem(-1)),
-                       ("line 0", line_block_problem(0)),
-                       ("transversal 0", transversal_block_problem(0))):
-        barrier = riccati_barrier(prob)
-        rng = random.Random(333)
-        t0s, u0s = [], []
-        for _ in range(100):
-            t0s.append(0.1 + 0.4 * rng.random())
-            u0s.append(barrier(t0s[-1]) - 3.0 * rng.random())
-        batch = integrate_riccati_batch(prob, u0s, t0s, 3.0, steps=1200)
-        worst = batch.max_excess(barrier)
-        truncated = int(batch.truncated.sum())
-        rep.checks.append(check_true(
-            f"instance ({name}): 100 trajectories stay <= barrier + 1e-6",
-            worst <= TRAJECTORY_MARGIN,
-            detail=f"max excess {worst:.3e}, truncated {truncated}"))
+            rep.extend(barrier_residual_checks(block, delta))
+    for delta in (-1, 0):
+        for block in BLOCKS:
+            rep.checks.append(trajectory_check(block, delta, 100, 333, 0.1, 0.4, 3.0, 1200))
     return rep
+
+
+def closed_form_check(g: ModelGeometry, rgrid) -> Check:
+    """The distance Laplacian, one line block plus n-1 transversal blocks,
+    equals its closed form on the grid within 1e-12."""
+    n, delta = g.n, g.delta
+    worst = 0.0
+    for r in rgrid:
+        if delta == -1:
+            direct = 6 / math.tanh(2 * r) + 4 * (n - 1) / math.tanh(r)
+        elif delta == 0:
+            direct = (4 * n - 1) / r
+        else:
+            direct = 6 / math.tan(2 * r) + 4 * (n - 1) / math.tan(r)
+        worst = max(worst, abs(laplacian_distance(g, r) - direct))
+    return check_true(f"delta={delta}: laplacian = line + (n-1) transversal blocks",
+                      worst <= 1e-12, detail=f"{worst:.3e}")
+
+
+def log_derivative_check(g: ModelGeometry, rgrid) -> Check:
+    """(d/dr) log J equals the Laplacian within 1e-8, by central differences
+    with step 1e-6 max(r, 1), at every grid point whose stencil stays below
+    the delta=1 diameter; fails when no point does."""
+    worst, points = 0.0, 0
+    for r in rgrid:
+        h = 1e-6 * max(r, 1.0)
+        if g.delta == 1 and r + h >= math.pi / 2:
+            continue
+        fd = (math.log(area_density(g, r + h))
+              - math.log(area_density(g, r - h))) / (2 * h)
+        worst = max(worst, abs(fd - laplacian_distance(g, r)))
+        points += 1
+    return check_true(f"(d/dr) log J = laplacian at {points} grid points (1e-8)",
+                      points > 0 and worst <= 1e-8, detail=f"{worst:.3e}")
+
+
+def volume_ratio_equality_check(g: ModelGeometry, r1: float, r2: float) -> Check:
+    """The model density meets the volume-ratio bound with equality (1e-10)."""
+    res = volume_ratio_check(lambda r: area_density(g, r), g, r1, r2)
+    dev = abs(res.ratio / res.model_ratio - 1)
+    return check_true("volume ratio equality case within 1e-10",
+                      dev <= 1e-10 and res.holds, detail=f"|ratio/model - 1| = {dev:.3e}")
+
+
+def flat_coefficient_check(n: int, r: float) -> Check:
+    """r times the flat Laplacian at r is the derived 4n-1 within 1e-12."""
+    val = laplacian_distance(ModelGeometry(n, 0), r) * r
+    return check_true(
+        "delta=0 coefficient is 4n-1 (printed 4n-3 flagged as erratum)",
+        abs(val - flat_laplacian_coefficient(n)) <= 1e-12,
+        detail=f"derived {val:.12g}, printed {flat_laplacian_coefficient_printed(n)}")
+
+
+def sharpening_check(n_max: int = 50) -> Check:
+    """(2n+1)^2 lies below the rescaled Cheng bound (4n-1)(n+2) for n = 2..n_max."""
+    bad = []
+    for k in range(2, n_max + 1):
+        eb = eigenvalue_bounds(k)
+        if not eb.quaternionic < eb.real_cheng:
+            bad.append(k)
+    return check_eq(f"sharpening (2n+1)^2 < (4n-1)(n+2), n=2..{n_max}", [], bad)
 
 
 def criterion_4_comparison() -> Report:
@@ -174,64 +276,26 @@ def criterion_4_comparison() -> Report:
     rep = Report("criterion-4-comparison")
     n = 2
     for delta in (-1, 0, 1):
-        g = ModelGeometry(n, delta)
-        rgrid = [0.1 + 0.065 * i for i in range(20)]
-        worst = 0.0
-        for r in rgrid:
-            line, trans = hessian_block_bounds(g, r)
-            if delta == -1:
-                direct = 6 / math.tanh(2 * r) + 4 * (n - 1) / math.tanh(r)
-            elif delta == 0:
-                direct = (4 * n - 1) / r
-            else:
-                direct = 6 / math.tan(2 * r) + 4 * (n - 1) / math.tan(r)
-            worst = max(worst, abs(line + (n - 1) * trans - direct),
-                        abs(laplacian_distance(g, r) - direct))
-        rep.checks.append(check_true(
-            f"delta={delta}: laplacian = line + (n-1) transversal blocks",
-            worst <= 1e-12, detail=f"{worst:.3e}"))
-
+        rep.checks.append(closed_form_check(ModelGeometry(n, delta),
+                                            [0.1 + 0.065 * i for i in range(20)]))
     g = ModelGeometry(n, -1)
-    fd_step = 1e-6
-    worst = 0.0
-    for i in range(20):
-        r = 0.3 + 0.15 * i
-        fd = (math.log(area_density(g, r + fd_step))
-              - math.log(area_density(g, r - fd_step))) / (2 * fd_step)
-        worst = max(worst, abs(fd - laplacian_distance(g, r)))
-    rep.checks.append(check_true(
-        "(d/dr) log J = laplacian at 20 grid points (1e-8)",
-        worst <= 1e-8, detail=f"{worst:.3e}"))
-
-    res = volume_ratio_check(lambda r: area_density(g, r), g, 1.0, 2.0)
-    rep.checks.append(check_true(
-        "volume ratio equality case within 1e-10",
-        abs(res.ratio / res.model_ratio - 1) <= 1e-10 and res.holds,
-        detail=f"|ratio/model - 1| = {abs(res.ratio / res.model_ratio - 1):.3e}"))
-
-    flat = ModelGeometry(n, 0)
-    val = laplacian_distance(flat, 1.7) * 1.7
-    rep.checks.append(check_true(
-        "delta=0 coefficient is 4n-1 (printed 4n-3 flagged as erratum)",
-        abs(val - flat_laplacian_coefficient(n)) <= 1e-12,
-        detail=f"derived {val:.12g}, printed {flat_laplacian_coefficient_printed(n)}"))
+    rep.checks.append(log_derivative_check(g, [0.3 + 0.15 * i for i in range(20)]))
+    rep.checks.append(volume_ratio_equality_check(g, 1.0, 2.0))
+    rep.checks.append(flat_coefficient_check(n, 1.7))
     rep.notes.append(
         "flat Laplacian coefficient: derived (4n-1)/r from the block barriers "
         "3/t + 4(n-1)/t; the printed (4n-3)/r is reported as an erratum")
     rep.notes.append(
         "transversal Hessian bound: 4 coth t per the transversal barrier; "
         "the printed 4 coth 2t is reported as an erratum")
-
-    eb = eigenvalue_bounds(n)
-    rep.checks.append(check_eq("quaternionic bound (2n+1)^2, n=2", 25, eb.quaternionic))
-    sharp_bad = [k for k in range(2, 51)
-                 if not (2 * k + 1) ** 2 < (4 * k - 1) * (k + 2)]
-    rep.checks.append(check_eq("sharpening (2n+1)^2 < (4n-1)(n+2), n=2..50",
-                               [], sharp_bad))
+    rep.checks.append(check_eq("quaternionic bound (2n+1)^2, n=2", 25,
+                               eigenvalue_bounds(n).quaternionic))
+    rep.checks.append(sharpening_check())
     return rep
 
 
-def _model_battery(n: int) -> list[Check]:
+def model_battery(n: int) -> list[Check]:
+    """The exact curvature battery of the solvable model of dimension 4n."""
     sc = build_model(n)
     R = model_curvature(n)
     frame = build_frame(n, Layout.INTERLEAVED)
@@ -248,61 +312,70 @@ def _model_battery(n: int) -> list[Check]:
     berger = verify_berger(R, frame, n)
     checks.extend(berger.checks)
     checks.extend(verify_parallel_four_form(sc, frame, berger).checks)
-    return checks
+    return _tagged(n, checks)
 
 
 def criterion_5_model_curvature() -> Report:
     """Full model-curvature battery for n = 2 and n = 3, all exact."""
     rep = Report("criterion-5-model-curvature")
     for n in (2, 3):
-        for chk in _model_battery(n):
-            chk.name = f"[n={n}] {chk.name}" if not chk.name.startswith(
-                f"n={n}") else chk.name
-            rep.checks.append(chk)
+        rep.extend(model_battery(n))
     return rep
+
+
+def level_set_battery(n: int, scale: Fraction) -> list[Check]:
+    """Horosphere checks at scale s = e^{-2t}: the shape operator and the
+    curvature sums at s, the Gauss equation at scales 1 and s, the displays
+    weighted by s against scale 1, and the Busemann cross-check."""
+    sc = build_model(n)
+    R = model_curvature(n)
+    base = level_set_geometry(sc, Fraction(1))
+    lsg = base if scale == 1 else level_set_geometry(sc, scale)
+    checks = (verify_second_fundamental(lsg)
+              + verify_level_set_sums(lsg)
+              + verify_gauss_equation(R, base))
+    if scale != 1:
+        checks += verify_gauss_equation(R, lsg) + verify_weighted_displays(R, base, scale)
+    return _tagged(n, checks + radial_hessian_check(sc))
 
 
 def criterion_6_level_sets() -> Report:
-    """Gauss equation and horosphere curvature sums at scales 1 and 1/4."""
+    """Gauss equation at scales 1 and 1/4, horosphere curvature sums and
+    weighted displays at 1/4."""
     rep = Report("criterion-6-level-sets")
     for n in (2, 3):
-        sc = build_model(n)
-        R = model_curvature(n)
-        lsg1 = level_set_geometry(sc, Fraction(1))
-        checks = (verify_second_fundamental(lsg1)
-                  + verify_level_set_sums(lsg1)
-                  + verify_gauss_equation(R, lsg1)
-                  + verify_gauss_equation(R, level_set_geometry(sc, Fraction(1, 4)))
-                  + verify_weighted_displays(R, lsg1, Fraction(1, 4))
-                  + radial_hessian_check(sc))
-        for chk in checks:
-            chk.name = f"[n={n}] {chk.name}"
-            rep.checks.append(chk)
+        rep.extend(level_set_battery(n, Fraction(1, 4)))
     return rep
+
+
+def convergence_check(n: int, rows: list[dict]) -> Check:
+    """The Dirichlet estimates of a convergence study decrease as r_max
+    grows and stay above (2n+1)^2."""
+    target = (2 * n + 1) ** 2
+    decreasing = all(a["lambda1"] > b["lambda1"] for a, b in zip(rows, rows[1:]))
+    above = all(row["lambda1"] > target for row in rows)
+    return check_true(f"n={n}: estimates decrease in r_max and stay above {target}",
+                      decreasing and above,
+                      detail=",".join(f"{row['lambda1']:.6f}" for row in rows))
 
 
 def criterion_7_spectral() -> Report:
     """Spectral sharpness of (2n+1)^2 from above, with the Rayleigh upper
     bound and the sharpening over the rescaled Cheng constant."""
     rep = Report("criterion-7-spectral")
-    est2 = lambda1_dirichlet(RadialProblem(2, 1e-3, 12.0, 20000))
-    rep.results.append({"n": 2, "r_max": 12.0, "mesh": 20000,
-                        "lambda1": est2.lambda1, "target": 25,
-                        "gap": est2.lambda1 - 25})
+    # the last row solves RadialProblem(2, 1e-3, 12.0, 20000)
+    rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
+    last = rows[-1]
+    rep.results.append({"n": 2, "r_max": last["r_max"], "mesh": last["mesh"],
+                        "lambda1": last["lambda1"], "target": 25, "gap": last["gap"]})
     rep.checks.append(check_true(
         "n=2: lambda1(r_max=12, mesh 20000) in (25, 26)",
-        25 < est2.lambda1 < 26, detail=f"{est2.lambda1:.9f}"))
+        25 < last["lambda1"] < 26, detail=f"{last['lambda1']:.9f}"))
 
-    rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
-    decreasing = all(a["lambda1"] > b["lambda1"] for a, b in zip(rows, rows[1:]))
-    above = all(row["lambda1"] > 25 for row in rows)
-    rep.checks.append(check_true(
-        "n=2: estimates decrease in r_max and stay above 25",
-        decreasing and above,
-        detail=",".join(f"{row['lambda1']:.6f}" for row in rows)))
+    rep.checks.append(convergence_check(2, rows))
     rep.checks.append(check_true(
         "n=2: gap at r_max=12 below 1",
-        rows[-1]["gap"] < 1.0, detail=f"{rows[-1]['gap']:.6f}"))
+        last["gap"] < 1.0, detail=f"{last['gap']:.6f}"))
 
     rmax = 30.0
     trial = lambda r: math.exp(-5 * r) * (1 - r / rmax)
@@ -319,52 +392,58 @@ def criterion_7_spectral() -> Report:
     rep.checks.append(check_true(
         "n=3: lambda1(r_max=12, mesh 20000) in (49, 50)",
         49 < est3.lambda1 < 50, detail=f"{est3.lambda1:.9f}"))
-
-    sharp_bad = [k for k in range(2, 51)
-                 if not (2 * k + 1) ** 2 < (4 * k - 1) * (k + 2)]
-    rep.checks.append(check_eq("sharpening (2n+1)^2 < (4n-1)(n+2), n=2..50",
-                               [], sharp_bad))
+    rep.checks.append(sharpening_check())
     return rep
 
 
 KATO_SAMPLES = 100_000
 
 
+def kato_scan_check(n: int, samples: int, seed: int) -> Check:
+    """The refined Kato gap is >= 0 on `samples` seeded quaternionic-harmonic
+    Hessians."""
+    negatives, min_gap = kato_gap_scan(n, samples, seed=seed)
+    return Check(
+        f"gap >= 0 on {samples} seeded quaternionic-harmonic Hessians (n={n})",
+        "0 negative", f"{negatives} negative, min gap {min_gap}", negatives == 0)
+
+
+def kato_equality_checks(n: int) -> list[Check]:
+    """The equality-case shape and the zero Hessian have exact Kato gap 0."""
+    frame = build_frame(n, Layout.GROUPED)
+    checks = [check_eq(f"equality-case shape (mu={mu}) has exact gap 0", Fraction(0),
+                       refined_kato_gap(equality_case_hessian(frame, mu)).gap)
+              for mu in (Fraction(1), Fraction(7, 3))]
+    checks.append(check_eq("zero Hessian gap", Fraction(0),
+                           refined_kato_gap(HessianMatrix.zero(frame)).gap))
+    return checks
+
+
+def busemann_checks(n: int) -> list[Check]:
+    """Trace, norm, line sum and spectrum of the Busemann equality-case Hessian."""
+    bus = busemann_hessian(n)
+    diag = sorted(bus.entries[i][i] for i in range(bus.dim))
+    expected = sorted([Fraction(0)] + [Fraction(-2)] * 3 + [Fraction(-1)] * (4 * n - 4))
+    return [
+        check_eq(f"n={n}: Busemann Hessian trace = -2(2n+1)",
+                 Fraction(-2 * (2 * n + 1)), bus.trace()),
+        check_eq(f"n={n}: Busemann |H|^2 = 4(n+2)",
+                 Fraction(4 * (n + 2)), bus.frobenius_sq()),
+        check_eq(f"n={n}: Busemann line-1 diagonal sum = -6",
+                 Fraction(-6), bus.line_sum(1)),
+        check_true(f"n={n}: Busemann eigenvalues {{0, -2 x3, -1 x(4n-4)}}",
+                   diag == expected),
+    ]
+
+
 def criterion_8_refined_kato() -> Report:
     """Refined Kato gap nonnegative on 1e5 seeded constrained Hessians,
     equality on the stated shape, and the Busemann Hessian identities."""
     rep = Report("criterion-8-refined-kato")
-    negatives, min_gap = kato_gap_scan(2, KATO_SAMPLES, seed=888)
-    rep.checks.append(Check(
-        f"gap >= 0 on {KATO_SAMPLES} seeded quaternionic-harmonic Hessians (n=2)",
-        "0 negative", f"{negatives} negative, min gap {min_gap}",
-        negatives == 0))
-
-    frame = build_frame(2, Layout.GROUPED)
-    for mu in (Fraction(1), Fraction(7, 3)):
-        repo = refined_kato_gap(equality_case_hessian(frame, mu))
-        rep.checks.append(check_eq(
-            f"equality-case shape (mu={mu}) has exact gap 0", Fraction(0), repo.gap))
-    zero = refined_kato_gap(HessianMatrix.zero(frame))
-    rep.checks.append(check_eq("zero Hessian gap", Fraction(0), zero.gap))
-
+    rep.checks.append(kato_scan_check(2, KATO_SAMPLES, 888))
+    rep.extend(kato_equality_checks(2))
     for n in (2, 3):
-        bus = busemann_hessian(n)
-        rep.checks.append(check_eq(
-            f"n={n}: Busemann Hessian trace = -2(2n+1)",
-            Fraction(-2 * (2 * n + 1)), bus.trace()))
-        rep.checks.append(check_eq(
-            f"n={n}: Busemann |H|^2 = 4(n+2)",
-            Fraction(4 * (n + 2)), bus.frobenius_sq()))
-        rep.checks.append(check_eq(
-            f"n={n}: Busemann line-1 diagonal sum = -6",
-            Fraction(-6), bus.line_sum(1)))
-        diag = sorted(bus.entries[i][i] for i in range(bus.dim))
-        expected = sorted([Fraction(0)] + [Fraction(-2)] * 3
-                          + [Fraction(-1)] * (4 * n - 4))
-        rep.checks.append(check_true(
-            f"n={n}: Busemann eigenvalues {{0, -2 x3, -1 x(4n-4)}}",
-            diag == expected))
+        rep.extend(busemann_checks(n))
     return rep
 
 

@@ -90,6 +90,25 @@ def test_criterion_9_suite_determinism(capsys):
     assert out1.endswith("suite: PASS\n")
 
 
+def test_battery_streams_are_made_through_suite_random(monkeypatch):
+    # certbench offsets the seeds of criteria 2 and 3 by rebinding
+    # `qkcomp.suite.random`, so every stream they draw must be made there
+    import random
+
+    seeds = []
+
+    class Recorder:
+        @staticmethod
+        def Random(seed):  # noqa: N802 - mirrors random.Random
+            seeds.append(seed)
+            return random.Random(seed)
+
+    monkeypatch.setattr(battery, "random", Recorder)
+    battery.criterion_2_harmonicity()
+    battery.criterion_3_riccati()
+    assert seeds == [1502, 1503, 2222, 2333] + [333] * 4
+
+
 def test_mutation_sanity_failing_check_reports_nonzero():
     # a deliberately broken report must surface as a failure, proving the
     # battery cannot silently pass

@@ -157,13 +157,52 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [["riccati", "--samples", "0"],
                                   ["harmonicity", "--samples", "0"],
                                   ["harmonicity", "--kato-samples", "0"],
-                                  ["harmonicity", "--kato-samples", "-3"]])
+                                  ["harmonicity", "--kato-samples", "-3"],
+                                  ["compare", "--r-max", "3", "--steps", "0"],
+                                  ["volume", "--r-max", "3", "--steps", "0"],
+                                  ["riccati", "--steps", "0"],
+                                  ["check-identities", "--dim", "0"],
+                                  ["check-identities", "--dim", "4", "--trials", "0"],
+                                  ["check-identities", "--dim", "4", "--trials", "-2"]])
 def test_empty_sample_is_usage_error(argv, capsys):
     # zero samples would pass vacuously; it is bad input, not a result
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_log_derivative_check_needs_a_grid_point(capsys):
+    # the check skips r_min, so one step leaves it nothing to pass on
+    status, out = run_cli(["compare", "--r-max", "3", "--steps", "1"], capsys)
+    fd = [c for c in json.loads(out)["checks"] if c["name"].startswith("(d/dr) log J")]
+    assert status == 1
+    assert fd == [{"name": "(d/dr) log J = laplacian at 0 grid points (1e-8)",
+                   "expected": "true", "actual": "0.000e+00", "pass": False}]
+    status, out = run_cli(["compare", "--r-max", "3", "--steps", "2"], capsys)
+    assert status == 0
+    assert "(d/dr) log J = laplacian at 1 grid points (1e-8)" in out
+
+
+@pytest.mark.parametrize("argv, criteria, prefix", [
+    (["check-identities", "--dim", "4", "--trials", "100", "--seed", "1400"],
+     ("criterion_1_identities",), "dim 4 "),
+    (["harmonicity", "--n", "3", "--seed", "1503"],
+     ("criterion_2_harmonicity",), "n=3 "),
+    (["model", "--n", "2", "--scale", "1/4"],
+     ("criterion_5_model_curvature", "criterion_6_level_sets"), ("[n=2] ", "n=2:")),
+])
+def test_subcommand_reproduces_suite_slice(argv, criteria, prefix, capsys):
+    # a subcommand at a criterion's parameters builds that criterion's checks
+    from qkcomp import suite
+
+    status, out = run_cli(argv, capsys)
+    assert status == 0
+    got = json.loads(out)["checks"]
+    want = [c.as_dict() for name in criteria for c in getattr(suite, name)().checks
+            if c.name.startswith(prefix)]
+    assert want
+    assert got[:len(want)] == want
 
 
 def test_domain_error_is_usage_error():

@@ -15,7 +15,6 @@ from qkcomp.quaternionic import (
     build_frame,
     build_fundamental_forms,
     busemann_hessian,
-    convert_layout,
     equality_case_hessian,
     kato_gap_scan,
     layout_permutation,
@@ -340,9 +339,3 @@ def test_hessian_validation():
     bad[0][1] = F(1)  # asymmetric
     with pytest.raises(ContractViolation):
         HessianMatrix(fr, bad)
-
-
-def test_convert_layout_frames_agree():
-    fr = build_frame(2, Layout.GROUPED)
-    conv = convert_layout(fr, Layout.INTERLEAVED)
-    assert conv == build_frame(2, Layout.INTERLEAVED)

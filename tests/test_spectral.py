@@ -143,6 +143,13 @@ def test_domain_monotonicity():
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
+def test_study_last_row_is_the_direct_solve():
+    # criterion 7 reads lambda1(r_max=12, mesh 20000) off this row
+    row = convergence_study(2, [6.0, 9.0, 12.0], 20000)[-1]
+    assert (row["r_max"], row["mesh"]) == (12.0, 20000)
+    assert row["lambda1"] == lambda1_dirichlet(RadialProblem(2, 1e-3, 12.0, 20000)).lambda1
+
+
 def test_mesh_refinement_is_second_order():
     vals = {}
     for mesh in (2500, 5000, 10000):
