@@ -23,7 +23,7 @@ from .model import (
     levi_civita,
     levi_civita_table,
 )
-from .quaternionic import Layout, busemann_hessian, layout_permutation
+from .quaternionic import busemann_hessian
 from .report import Check, check_eq, check_true
 from .riccati import rational_sqrt
 
@@ -285,20 +285,14 @@ def radial_hessian_check(sc: StructureConstants) -> list[Check]:
     m = sc.dim
     checks = [check_eq("shape operator off-diagonal vanishes", 0, off)]
 
-    bus = busemann_hessian(n)
-    perm = layout_permutation(n, Layout.GROUPED, Layout.INTERLEAVED)
-    # interleaved beta-Hessian from the grouped statement
-    beta_int = [[Fraction(0)] * m for _ in range(m)]
-    for gi in range(1, m + 1):
-        for gj in range(1, m + 1):
-            beta_int[perm[gi - 1] - 1][perm[gj - 1] - 1] = bus[(gi, gj)]
+    beta = busemann_hessian(n).entries
     mismatch = 0
     for i in range(2, m + 1):
         for j in range(2, m + 1):
-            want = -beta_int[i - 1][j - 1]
+            want = -beta[i - 1][j - 1]
             if h_mat[i - 2][j - 2] != want:
                 mismatch += 1
-    first_row_bad = sum(1 for j in range(m) if beta_int[0][j] or beta_int[j][0])
+    first_row_bad = sum(1 for j in range(m) if beta[0][j] or beta[j][0])
     checks.append(check_eq("shape operator = -(Busemann Hessian restriction)",
                            0, mismatch))
     checks.append(check_eq("Busemann Hessian radial row and column vanish",

@@ -1,6 +1,6 @@
 """Exact left-invariant solvable model of quaternionic hyperbolic space.
 
-The algebra is s = span(e_1) + z + v over the interleaved frame, with
+The algebra is s = span(e_1) + z + v over the quaternionic frame, with
 z = span(e_2, e_3, e_4) the center directions (I e_1, J e_1, K e_1) and
 v = span(e_5 .. e_{4n}).  Brackets:
 
@@ -8,9 +8,8 @@ v = span(e_5 .. e_{4n}).  Brackets:
     [u, w] = c ( <Iu,w> e_2 + <Ju,w> e_3 + <Ku,w> e_4 )  for u, w in v.
 
 The center-bracket scale c is not assumed: it is derived by solving the
-Einstein condition Ric = -4(n+2) id at n = 2 (a rational sweep followed
-by an exact quadratic root solve), then cross-checked against the
-curvature tables.  The Levi-Civita connection comes from the Koszul
+Einstein condition Ric = -4(n+2) id at n = 2 over a rational sweep, then
+cross-checked against the curvature tables.  The Levi-Civita connection comes from the Koszul
 formula for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
@@ -27,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .forms import ContractViolation, Form, Vector, form_inner, wedge
-from .quaternionic import Layout, QuaternionicFrame, build_frame, build_fundamental_forms
+from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
 from .report import Check, check_eq, check_true
 
 
@@ -45,7 +44,7 @@ def _zeros3(m: int) -> list:
 def _bracket_table(n: int, c: Fraction) -> list:
     """Dense structure constants C[A][B][D] with [e_A, e_B] = sum_D C[A][B][D] e_D."""
     m = 4 * n
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     C = _zeros3(m)
     for p in range(1, m):  # 0-based targets: indices 2..4n
         scale = Fraction(2) if p <= 3 else Fraction(1)
@@ -108,9 +107,6 @@ class StructureConstants:
     def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
         """Components of [e_a, e_b] (1-based arguments)."""
         return self.table[a - 1][b - 1]
-
-    def frame(self) -> QuaternionicFrame:
-        return build_frame(self.n, Layout.INTERLEAVED)
 
 
 def levi_civita_table(C) -> list:
@@ -238,11 +234,8 @@ class CurvatureTensor:
 
 @lru_cache(maxsize=None)
 def _derive_bracket_scale() -> tuple[Fraction, tuple]:
-    """Solve the one-parameter Einstein condition at n = 2.
-
-    Sweeps the rational candidates first; if none matched, fits the
-    quadratic Ricci residual exactly through c in {0, 1, 2} and solves it.
-    """
+    """Solve the one-parameter Einstein condition at n = 2: exactly one
+    candidate of EINSTEIN_SWEEP must satisfy it."""
     n = 2
     target = Fraction(-4 * (n + 2))
 
@@ -255,41 +248,11 @@ def _derive_bracket_scale() -> tuple[Fraction, tuple]:
         return all(ric[i][j] == (target if i == j else 0)
                    for i in range(m) for j in range(m))
 
-    record = []
-    matches = []
-    for cand in EINSTEIN_SWEEP:
-        ok = einstein_ok(cand)
-        record.append((cand, ok))
-        if ok:
-            matches.append(cand)
-    if len(matches) == 1:
-        return matches[0], tuple(record)
-    if matches:
-        raise ModelConstructionError(f"multiple Einstein scales: {matches}")
-
-    # exact quadratic fit of Ric_55(c) through three rational nodes
-    def ric55(c: Fraction) -> Fraction:
-        C = _bracket_table(n, c)
-        G = levi_civita_table(C)
-        return CurvatureTensor(n, curvature_table(C, G)).ricci()[4][4]
-
-    y0, y1, y2 = ric55(Fraction(0)), ric55(Fraction(1)), ric55(Fraction(2))
-    a2 = (y2 - 2 * y1 + y0) / 2
-    a1 = y1 - y0 - a2
-    a0 = y0 - target
-    disc = a1 * a1 - 4 * a2 * a0
-    if disc < 0 or a2 == 0:
-        raise ModelConstructionError("Einstein residual has no rational root")
-    from .riccati import rational_sqrt
-
-    root = rational_sqrt(disc)
-    if root is None:
-        raise ModelConstructionError("Einstein residual root is irrational")
-    for sign in (1, -1):
-        cand = (-a1 + sign * root) / (2 * a2)
-        if cand > 0 and einstein_ok(cand):
-            return cand, tuple(record) + ((cand, True),)
-    raise ModelConstructionError("no positive Einstein scale found")
+    record = tuple((cand, einstein_ok(cand)) for cand in EINSTEIN_SWEEP)
+    matches = [cand for cand, ok in record if ok]
+    if len(matches) != 1:
+        raise ModelConstructionError(f"need exactly one Einstein scale, found {matches}")
+    return matches[0], record
 
 
 def build_model(n: int) -> StructureConstants:
@@ -638,8 +601,8 @@ def verify_parallel_four_form(sc: StructureConstants,
                               berger: BergerData | None = None) -> Sp1Connection:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
     the curvature relation alpha = da + b ^ c (with its cyclic companions)."""
-    if frame.layout is not Layout.INTERLEAVED or frame.n != sc.n:
-        raise ContractViolation("frame must be the interleaved model frame")
+    if frame.n != sc.n:
+        raise ContractViolation("frame must be the model frame")
     cc = levi_civita(sc)
     ff = build_fundamental_forms(frame)
     space = frame.space

@@ -2,33 +2,24 @@
 degree-4 form Omega, the pointwise quaternionic-harmonicity identities,
 and the refined Hessian (Kato-type) inequality algebra.
 
-Two index layouts are in common use and both appear across the
-verifiers, so each is supported with an exact conversion:
-
-* ``GROUPED``:      e_1..e_n, I e_1..I e_n, J e_1..J e_n, K e_1..K e_n
-* ``INTERLEAVED``:  per line s the block (e_{4s-3}, e_{4s-2}, e_{4s-1},
-  e_{4s}) = (e_s, I e_s, J e_s, K e_s)
-
-Every cross-module call states its layout; ``layout_permutation`` is the
-exact conversion.
+Every module uses one frame: quaternionic line s is the block
+(e_{4s-3}, e_{4s-2}, e_{4s-1}, e_{4s}) = (e_s, I e_s, J e_s, K e_s).  With
+the gradient along e_1, the vectors I e_1, J e_1, K e_1 are the indices
+2, 3, 4, i.e. ``frame.line_indices(1)[1:]``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .forms import ContractViolation, Form, InnerSpace, Vector, ext_mult, interior, wedge
 from .kernel import accumulate_scaled
-
-
-class Layout(enum.Enum):
-    GROUPED = "grouped"
-    INTERLEAVED = "interleaved"
 
 
 @dataclass(frozen=True)
@@ -66,16 +57,11 @@ class SignedPermutation:
         return Vector(v.space, tuple(comps))
 
 
-def _identity_perm(m: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, m + 1)), (1,) * m)
-
-
 @dataclass(frozen=True)
 class QuaternionicFrame:
-    """Canonical quaternionic actions on R^{4n} for a chosen layout."""
+    """Canonical quaternionic actions on R^{4n}."""
 
     n: int
-    layout: Layout
     I: SignedPermutation
     J: SignedPermutation
     K: SignedPermutation
@@ -90,21 +76,17 @@ class QuaternionicFrame:
 
     def line_base_indices(self) -> tuple[int, ...]:
         """Indices of the base vector e_s of each quaternionic line."""
-        if self.layout is Layout.GROUPED:
-            return tuple(range(1, self.n + 1))
-        return tuple(4 * s - 3 for s in range(1, self.n + 1))
+        return tuple(range(1, self.dim + 1, 4))
 
     def line_indices(self, s: int) -> tuple[int, int, int, int]:
         """Indices (e_s, I e_s, J e_s, K e_s) of line s (1-based)."""
-        if self.layout is Layout.GROUPED:
-            return (s, self.n + s, 2 * self.n + s, 3 * self.n + s)
         return (4 * s - 3, 4 * s - 2, 4 * s - 1, 4 * s)
 
     def actions(self) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation]:
         return (self.I, self.J, self.K)
 
 
-def build_frame(n: int, layout: Layout = Layout.INTERLEAVED) -> QuaternionicFrame:
+def build_frame(n: int) -> QuaternionicFrame:
     """Canonical signed-permutation realization of I, J, K.
 
     Within each quaternionic line (a, b, c, d) = (e, Ie, Je, Ke):
@@ -122,11 +104,8 @@ def build_frame(n: int, layout: Layout = Layout.INTERLEAVED) -> QuaternionicFram
     sJ = [0] * m
     tK = [0] * m
     sK = [0] * m
-
-    frame = QuaternionicFrame(n, layout,
-                              _identity_perm(m), _identity_perm(m), _identity_perm(m))
     for s in range(1, n + 1):
-        a, b, c, d = frame.line_indices(s)
+        a, b, c, d = range(4 * s - 3, 4 * s + 1)
         for idx, (t, sg) in zip((a, b, c, d),
                                 ((b, 1), (a, -1), (d, 1), (c, -1))):
             tI[idx - 1], sI[idx - 1] = t, sg
@@ -138,27 +117,11 @@ def build_frame(n: int, layout: Layout = Layout.INTERLEAVED) -> QuaternionicFram
             tK[idx - 1], sK[idx - 1] = t, sg
 
     return QuaternionicFrame(
-        n, layout,
+        n,
         SignedPermutation(tuple(tI), tuple(sI)),
         SignedPermutation(tuple(tJ), tuple(sJ)),
         SignedPermutation(tuple(tK), tuple(sK)),
     )
-
-
-def layout_permutation(n: int, src: Layout, dst: Layout) -> tuple[int, ...]:
-    """perm[i-1] = index in dst layout of the vector indexed i in src layout."""
-    if src is dst:
-        return tuple(range(1, 4 * n + 1))
-    grouped_to_inter = [0] * (4 * n)
-    for s in range(1, n + 1):
-        for block in range(4):
-            grouped_to_inter[block * n + s - 1] = 4 * (s - 1) + block + 1
-    if src is Layout.GROUPED:
-        return tuple(grouped_to_inter)
-    inter_to_grouped = [0] * (4 * n)
-    for g, i in enumerate(grouped_to_inter, start=1):
-        inter_to_grouped[i - 1] = g
-    return tuple(inter_to_grouped)
 
 
 @dataclass(frozen=True)
@@ -226,10 +189,6 @@ class HessianMatrix:
         return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                      for row in self.entries), den
 
-    def __getitem__(self, ab: tuple[int, int]) -> Fraction:
-        a, b = ab
-        return self.entries[a - 1][b - 1]
-
     @property
     def dim(self) -> int:
         return self.frame.dim
@@ -256,21 +215,32 @@ class HessianMatrix:
         return cls(frame, [[0] * m for _ in range(m)])
 
 
-def random_symmetric(frame: QuaternionicFrame, rng: random.Random) -> list[list[Fraction]]:
-    m = frame.dim
-    h = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            h[a][b] = c
-            h[b][a] = c
-    return h
+def random_symmetric(m: int, count: int,
+                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random symmetric m x m matrices: int64 numerators in [-9, 9]
+    of shape (count, m, m) over one denominator in [1, 9] per matrix.
+
+    Each matrix takes 1 + m(m+1)/2 consecutive 32-bit words w of `rng`:
+    w % 9 + 1 of the first is the denominator, w % 19 - 9 of the others
+    the upper triangle row by row.  So one draw of k matrices equals k
+    draws of one."""
+    upper = np.triu_indices(m)
+    width = 1 + len(upper[0])
+    bits = 32 * count * width
+    words = np.frombuffer(rng.getrandbits(bits).to_bytes(bits // 8, "little"),
+                          dtype="<u4").reshape(count, width).astype(np.int64)
+    nums = np.empty((count, m, m), dtype=np.int64)
+    vals = words[:, 1:] % 19 - 9
+    nums[:, upper[0], upper[1]] = vals
+    nums[:, upper[1], upper[0]] = vals
+    return nums, words[:, 0] % 9 + 1
 
 
 def random_traceless_hessian(frame: QuaternionicFrame,
                              rng: random.Random) -> HessianMatrix:
     """Random symmetric matrix projected onto trace zero."""
-    h = random_symmetric(frame, rng)
+    nums, q = random_symmetric(frame.dim, 1, rng)
+    h = [[Fraction(x, int(q[0])) for x in row] for row in nums[0].tolist()]
     m = frame.dim
     shift = sum((h[i][i] for i in range(m)), Fraction(0)) / m
     for i in range(m):
@@ -278,16 +248,26 @@ def random_traceless_hessian(frame: QuaternionicFrame,
     return HessianMatrix(frame, h)
 
 
+def _quaternionic_harmonic_batch(n: int, count: int,
+                                 rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`count` quaternionic-harmonic Hessians h / (4 q): random symmetric
+    matrices whose lines' four diagonal entries each lose their mean.
+    Returns the int64 numerators h, of size at most 54, and the q."""
+    nums, q = random_symmetric(4 * n, count, rng)
+    # line s is the diagonal block 4s-3..4s of the frame
+    diag = np.arange(4 * n)
+    line_sums = nums[:, diag, diag].reshape(count, n, 4).sum(axis=2)
+    h = 4 * nums
+    h[:, diag, diag] -= line_sums[:, diag // 4]
+    return h, q
+
+
 def random_quaternionic_harmonic(frame: QuaternionicFrame,
                                  rng: random.Random) -> HessianMatrix:
-    """Exact projection: subtract each line's mean of its four diagonal entries."""
-    h = random_symmetric(frame, rng)
-    for s in range(1, frame.n + 1):
-        idx = frame.line_indices(s)
-        mean = sum((h[i - 1][i - 1] for i in idx), Fraction(0)) / 4
-        for i in idx:
-            h[i - 1][i - 1] -= mean
-    return HessianMatrix(frame, h)
+    """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
+    h, q = _quaternionic_harmonic_batch(frame.n, 1, rng)
+    den = 4 * int(q[0])
+    return HessianMatrix(frame, [[Fraction(x, den) for x in row] for row in h[0].tolist()])
 
 
 def siu_corlette_defect(H: HessianMatrix) -> Form:
@@ -387,25 +367,25 @@ class KatoReport:
     slack_cauchy_schwarz: Fraction
     slack_row_factor: Fraction
 
-    @property
-    def nonnegative(self) -> bool:
-        return self.gap >= 0
+
+def scaled_kato_gap(h):
+    """3|h|^2 - 4|h e_1|^2 over the last two axes of h: three times the
+    refined Kato gap of the Hessian h with the gradient along e_1, where
+    |grad |grad f|| = |h e_1|.  Exact in the arithmetic of h: int64
+    batches or object arrays of Fractions."""
+    return 3 * (h * h).sum(axis=(-2, -1)) - 4 * (h[..., 0, :] * h[..., 0, :]).sum(axis=-1)
 
 
-def refined_kato_gap(H: HessianMatrix, gradient_direction: int = 1) -> KatoReport:
-    """Exact gap |H|^2 - (4/3) sum_A H[1,A]^2 for a quaternionic-harmonic
-    Hessian in the grouped layout with e_1 the gradient direction."""
-    if H.frame.layout is not Layout.GROUPED:
-        raise ContractViolation("refined Kato gap is stated in the grouped layout")
-    if gradient_direction != 1:
-        raise ContractViolation("gradient direction must be the first basis vector")
+def refined_kato_gap(H: HessianMatrix) -> KatoReport:
+    """Exact gap |H|^2 - (4/3) sum_A H[1,A]^2 of a quaternionic-harmonic
+    Hessian with e_1 the gradient direction, and the three slacks of the
+    chain, which must sum to it."""
     if not H.is_quaternionic_harmonic():
         raise ContractViolation("Hessian must carry the quaternionic-harmonic flag")
-    n = H.frame.n
     m = H.dim
     e = H.entries
     f11 = e[0][0]
-    diag_iks = [e[i * n][i * n] for i in range(1, 4)]  # (in+1, in+1), i = 1..3
+    diag_iks = [e[i - 1][i - 1] for i in H.frame.line_indices(1)[1:]]  # I e1, J e1, K e1
     row_sq = sum((e[0][a] * e[0][a] for a in range(1, m)), Fraction(0))
 
     frob = H.frobenius_sq()
@@ -417,79 +397,56 @@ def refined_kato_gap(H: HessianMatrix, gradient_direction: int = 1) -> KatoRepor
 
     slack3 = Fraction(2, 3) * row_sq
 
-    grad_sq = f11 * f11 + row_sq
-    gap = frob - Fraction(4, 3) * grad_sq
+    gap = scaled_kato_gap(np.array(e, dtype=object)) / 3
     if gap != slack1 + slack2 + slack3:
         raise RuntimeError(f"Kato slacks {slack1}, {slack2}, {slack3} do not "
                            f"sum to the gap {gap}")
     return KatoReport(gap, slack1, slack2, slack3)
 
 
-def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
-    """Sample quaternionic-harmonic Hessians and scan the Kato gap.
+# entries per chunk of the scan, 256 Hessians at n = 2: larger chunks gain
+# little speed and add their arrays to the peak memory
+_SCAN_ENTRIES = 1 << 14
 
-    Runs the same formula as :func:`refined_kato_gap` with denominators
-    cleared to integers, so large sample counts stay cheap while the
-    arithmetic stays exact.  Returns (number of negative gaps, minimal
-    gap seen)."""
+
+def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
+    """Scan the refined Kato gap over `samples` quaternionic-harmonic
+    Hessians, the stream :func:`random_quaternionic_harmonic` draws from
+    random.Random(seed), in int64 chunks.  Returns (number of negative
+    gaps, least gap), both exact."""
     if samples < 1:
         raise ContractViolation(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
-    m = 4 * n
+    chunk = max(1, _SCAN_ENTRIES // (4 * n) ** 2)
     negatives = 0
-    min_gap: Fraction | None = None
-    for _ in range(samples):
-        # integer numerators over one common denominator q, scaled by 12
-        # (4 for the line projection, 3 for the 4/3 factor)
-        q = rng.randint(1, 9)
-        h = [[0] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a, m):
-                v = rng.randint(-9, 9) * 12
-                h[a][b] = v
-                h[b][a] = v
-        for s in range(n):
-            idx = (s, n + s, 2 * n + s, 3 * n + s)
-            mean4 = sum(h[i][i] for i in idx) // 4  # entries are multiples of 12
-            for i in idx:
-                h[i][i] -= mean4
-        frob3 = 3 * sum(h[a][b] * h[a][b] for a in range(m) for b in range(m))
-        grad4 = 4 * sum(h[0][a] * h[0][a] for a in range(m))
-        gap_scaled = frob3 - grad4  # = 3 * (12 q)^2 * gap
-        if gap_scaled < 0:
-            negatives += 1
-        gap = Fraction(gap_scaled, 3 * (12 * q) ** 2)
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-    return negatives, min_gap
+    least: dict[int, int] = {}  # denominator q -> least scaled gap
+    for start in range(0, samples, chunk):
+        h, q = _quaternionic_harmonic_batch(n, min(chunk, samples - start), rng)
+        gaps = scaled_kato_gap(h)
+        negatives += int((gaps < 0).sum())
+        for d in set(q.tolist()):
+            g = int(gaps[q == d].min())
+            least[d] = min(g, least.get(d, g))
+    # the gap of h / (4q) is scaled_kato_gap(h) / (3 (4q)^2)
+    return negatives, min(Fraction(g, 48 * d * d) for d, g in least.items())
 
 
 def equality_case_hessian(frame: QuaternionicFrame, mu: Fraction) -> HessianMatrix:
-    """The equality-case shape diag(-3 mu, 0, ..; mu, 0, ..; mu, 0, ..; mu, 0, ..)
-    in the grouped layout (one scalar function of the gradient direction)."""
-    if frame.layout is not Layout.GROUPED:
-        raise ContractViolation("equality case is stated in the grouped layout")
-    n = frame.n
+    """The equality-case shape: -3 mu at e_1, mu at I e_1, J e_1, K e_1 and
+    zero elsewhere (one scalar function of the gradient direction)."""
     m = frame.dim
     h = [[Fraction(0)] * m for _ in range(m)]
-    h[0][0] = -3 * Fraction(mu)
-    for i in range(1, 4):
-        h[i * n][i * n] = Fraction(mu)
+    for i, v in zip(frame.line_indices(1), (-3 * mu, mu, mu, mu)):
+        h[i - 1][i - 1] = Fraction(v)
     return HessianMatrix(frame, h)
 
 
 def busemann_hessian(n: int) -> HessianMatrix:
-    """Equality-case Hessian of the Busemann function, grouped layout:
-    block diag(D1, D2, D2, D2) with D1 = diag(0, -1, .., -1) and
-    D2 = diag(-2, -1, .., -1).  Trace is -2(2n+1); the e_1 row vanishes."""
-    frame = build_frame(n, Layout.GROUPED)
+    """Equality-case Hessian of the Busemann function,
+    diag(0, -2, -2, -2, -1, ..., -1): 0 at e_1, -2 at I e_1, J e_1, K e_1
+    and -1 on the other lines.  Trace is -2(2n+1); the e_1 row vanishes."""
+    frame = build_frame(n)
     m = frame.dim
-    h = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(2, n + 1):
-        h[i - 1][i - 1] = Fraction(-1)
-    for block in range(1, 4):
-        base = block * n
-        h[base][base] = Fraction(-2)
-        for i in range(2, n + 1):
-            h[base + i - 1][base + i - 1] = Fraction(-1)
-    return HessianMatrix(frame, h)
+    diag = [0, -2, -2, -2] + [-1] * (m - 4)
+    return HessianMatrix(frame, [[diag[i] if i == j else 0 for j in range(m)]
+                                 for i in range(m)])

@@ -45,7 +45,6 @@ from .model import (
 )
 from .quaternionic import (
     HessianMatrix,
-    Layout,
     build_frame,
     busemann_hessian,
     equality_case_hessian,
@@ -95,7 +94,7 @@ def defect_checks(n: int, seed: int) -> list[Check]:
     """The defect form's top coefficient is 6 x the line sum on every line,
     vanishes for the zero Hessian, and is linear on two trace-free Hessians
     drawn from random.Random(seed)."""
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     m = frame.dim
     checks = []
     for line in range(1, n + 1):
@@ -132,7 +131,7 @@ def defect_checks(n: int, seed: int) -> list[Check]:
 def star_commutation_check(n: int, samples: int, seed: int) -> Check:
     """The star commutation identity on `samples` trace-free Hessians drawn
     from random.Random(seed)."""
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
@@ -210,9 +209,10 @@ def criterion_3_riccati() -> Report:
 
 def closed_form_check(g: ModelGeometry, rgrid) -> Check:
     """The distance Laplacian, one line block plus n-1 transversal blocks,
-    equals its closed form on the grid within 1e-12."""
+    equals its closed form on the grid within 1e-12, or 4 ulps of the closed
+    form where those are wider (from 2048 on)."""
     n, delta = g.n, g.delta
-    worst = 0.0
+    worst, ok = 0.0, True
     for r in rgrid:
         if delta == -1:
             direct = 6 / math.tanh(2 * r) + 4 * (n - 1) / math.tanh(r)
@@ -220,9 +220,11 @@ def closed_form_check(g: ModelGeometry, rgrid) -> Check:
             direct = (4 * n - 1) / r
         else:
             direct = 6 / math.tan(2 * r) + 4 * (n - 1) / math.tan(r)
-        worst = max(worst, abs(laplacian_distance(g, r) - direct))
+        dev = abs(laplacian_distance(g, r) - direct)
+        worst = max(worst, dev)
+        ok = ok and dev <= max(1e-12, 4 * math.ulp(direct))
     return check_true(f"delta={delta}: laplacian = line + (n-1) transversal blocks",
-                      worst <= 1e-12, detail=f"{worst:.3e}")
+                      ok, detail=f"{worst:.3e}")
 
 
 def log_derivative_check(g: ModelGeometry, rgrid) -> Check:
@@ -298,7 +300,7 @@ def model_battery(n: int) -> list[Check]:
     """The exact curvature battery of the solvable model of dimension 4n."""
     sc = build_model(n)
     R = model_curvature(n)
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     checks: list[Check] = []
     checks.append(check_eq(f"n={n}: derived bracket scale", Fraction(2), sc.c))
     checks.append(check_eq(f"n={n}: tensor symmetries and first Bianchi",
@@ -410,7 +412,7 @@ def kato_scan_check(n: int, samples: int, seed: int) -> Check:
 
 def kato_equality_checks(n: int) -> list[Check]:
     """The equality-case shape and the zero Hessian have exact Kato gap 0."""
-    frame = build_frame(n, Layout.GROUPED)
+    frame = build_frame(n)
     checks = [check_eq(f"equality-case shape (mu={mu}) has exact gap 0", Fraction(0),
                        refined_kato_gap(equality_case_hessian(frame, mu)).gap)
               for mu in (Fraction(1), Fraction(7, 3))]

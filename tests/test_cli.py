@@ -100,6 +100,20 @@ def test_harmonicity_command(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_harmonicity_takes_a_negative_seed(capsys):
+    status, _ = run_cli(["harmonicity", "--seed", "-3", "--kato-samples", "100"], capsys)
+    assert status == 0
+
+
+def test_closed_form_check_allows_rounding_above_8192(capsys):
+    # the grid starts at r = 1e-4, where the Laplacian is 1.9e5 and one ulp 2.9e-11
+    status, out = run_cli(["compare", "--n", "5", "--delta", "0", "--r-max", "0.001",
+                           "--steps", "10"], capsys)
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "delta=0: laplacian = line + (n-1) transversal blocks"
+    assert check["pass"] is True
+
+
 def test_volume_command(capsys):
     status, out = run_cli(["volume", "--delta", "0", "--n", "2",
                            "--r-max", "2", "--steps", "8"], capsys)

@@ -5,8 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import qkcomp.model
 from qkcomp.forms import ContractViolation, Form, ext_mult
 from qkcomp.model import (
+    ModelConstructionError,
+    _derive_bracket_scale,
     build_model,
     curvature,
     covariant_derivative,
@@ -20,7 +23,7 @@ from qkcomp.model import (
     verify_quaternionic_traces,
     verify_radial_slabs,
 )
-from qkcomp.quaternionic import Layout, build_frame, build_fundamental_forms
+from qkcomp.quaternionic import build_frame, build_fundamental_forms
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,17 @@ def test_bracket_scale_derived_by_einstein_sweep(model2):
     assert sc.c == 2
     assert dict(sc.derivation)[F(2)] is True
     assert sum(ok for _, ok in sc.derivation) == 1
+
+
+@pytest.mark.parametrize("sweep", [(F(1), F(3)), (F(2), F(2))])
+def test_bracket_scale_needs_exactly_one_match(monkeypatch, sweep):
+    monkeypatch.setattr(qkcomp.model, "EINSTEIN_SWEEP", sweep)
+    _derive_bracket_scale.cache_clear()
+    try:
+        with pytest.raises(ModelConstructionError):
+            _derive_bracket_scale()
+    finally:
+        _derive_bracket_scale.cache_clear()
 
 
 def test_jacobi_identity(model2, model3):
@@ -145,7 +159,7 @@ def test_radial_slab_tables(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_trace_identities(n):
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     checks = verify_quaternionic_traces(model_curvature(n), frame)
     assert all(c.passed for c in checks)
 
@@ -154,7 +168,7 @@ def test_trace_identity_random_vectors(model2):
     # Thm-level statement for non-frame vectors: contract the tensor with
     # a rational vector X and its I, J, K images
     sc, _, R = model2
-    frame = build_frame(2, Layout.INTERLEAVED)
+    frame = build_frame(2)
     m = sc.dim
     import random
 
@@ -193,7 +207,7 @@ def test_trace_identity_random_vectors(model2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_berger_commutators(n):
-    frame = build_frame(n, Layout.INTERLEAVED)
+    frame = build_frame(n)
     data = verify_berger(model_curvature(n), frame, n)
     assert all(c.passed for c in data.checks), \
         [(c.name, c.actual) for c in data.checks if not c.passed]
@@ -204,7 +218,7 @@ def test_berger_commutators(n):
 def test_curvature_pair_identity_named_triple(model2):
     # <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 at (e1, e5, e6)
     _, _, R = model2
-    frame = build_frame(2, Layout.INTERLEAVED)
+    frame = build_frame(2)
     data = verify_berger(R, frame, 2)
     I, J, K = frame.actions()
     a, b, c = 1, 5, 6
@@ -217,7 +231,7 @@ def test_curvature_pair_identity_named_triple(model2):
 
 def test_parallel_four_form(model2):
     sc, _, R = model2
-    frame = build_frame(2, Layout.INTERLEAVED)
+    frame = build_frame(2)
     berger = verify_berger(R, frame, 2)
     sp1 = verify_parallel_four_form(sc, frame, berger)
     assert all(c.passed for c in sp1.checks), \
@@ -229,7 +243,7 @@ def test_parallel_four_form(model2):
 def test_exterior_derivative_matches_connection(model2):
     # torsion-free consistency: d omega = sum theta^A ^ nabla_A omega
     sc, cc, _ = model2
-    frame = build_frame(2, Layout.INTERLEAVED)
+    frame = build_frame(2)
     ff = build_fundamental_forms(frame)
     space = frame.space
     for omega in (ff.omega1, ff.omega2):

@@ -2,6 +2,7 @@
 defects, the star-commutation identity, and the refined Kato chain."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from qkcomp.forms import ContractViolation, form_inner, wedge
 from qkcomp.quaternionic import (
     HessianMatrix,
-    Layout,
     QuaternionicFrame,
     SignedPermutation,
     build_frame,
@@ -17,9 +17,9 @@ from qkcomp.quaternionic import (
     busemann_hessian,
     equality_case_hessian,
     kato_gap_scan,
-    layout_permutation,
     quaternionic_defects,
     random_quaternionic_harmonic,
+    random_symmetric,
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
@@ -71,10 +71,9 @@ def naive_omega(frame: QuaternionicFrame) -> dict:
     return {k: v for k, v in total.items() if v}
 
 
-@pytest.mark.parametrize("layout", [Layout.GROUPED, Layout.INTERLEAVED])
 @pytest.mark.parametrize("n", [2, 3])
-def test_frame_algebra(n, layout):
-    fr = build_frame(n, layout)
+def test_frame_algebra(n):
+    fr = build_frame(n)
     m = fr.dim
     minus = SignedPermutation(tuple(range(1, m + 1)), (-1,) * m)
     I, J, K = fr.actions()
@@ -89,31 +88,24 @@ def test_frame_algebra(n, layout):
 
 def test_frame_rejects_n1():
     with pytest.raises(ContractViolation):
-        build_frame(1, Layout.GROUPED)
+        build_frame(1)
 
 
 def test_ij_equals_k_on_first_vector():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     i_of_j = fr.I.compose(fr.J).apply(1)
     assert i_of_j == fr.K.apply(1)
 
 
 def test_interleaved_quaternionic_line():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     assert fr.I.apply(1) == (2, 1)
     assert fr.I.apply(2) == (1, -1)
 
 
-def test_layout_round_trip():
-    for n in (2, 3):
-        p = layout_permutation(n, Layout.GROUPED, Layout.INTERLEAVED)
-        q = layout_permutation(n, Layout.INTERLEAVED, Layout.GROUPED)
-        assert [q[p[i] - 1] for i in range(4 * n)] == list(range(1, 4 * n + 1))
-
-
 def test_actions_preserve_inner_product():
     rng = random.Random(0)
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     from qkcomp.identities import random_vector
 
     space = fr.space
@@ -124,15 +116,14 @@ def test_actions_preserve_inner_product():
             assert act.apply_vector(v).dot(act.apply_vector(w)) == v.dot(w)
 
 
-@pytest.mark.parametrize("layout", [Layout.GROUPED, Layout.INTERLEAVED])
-def test_omega_against_naive_expansion(layout):
-    fr = build_frame(2, layout)
+def test_omega_against_naive_expansion():
+    fr = build_frame(2)
     ff = build_fundamental_forms(fr)
     assert ff.Omega.terms() == naive_omega(fr)
 
 
 def test_omega_top_coefficient_is_six():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     ff = build_fundamental_forms(fr)
     assert ff.Omega.coefficient(fr.line_indices(1)) == 6
     # the independent naive expansion sees the same factor
@@ -140,20 +131,20 @@ def test_omega_top_coefficient_is_six():
 
 
 def test_omega1_squared_coefficient():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     ff = build_fundamental_forms(fr)
     sq = wedge(ff.omega1, ff.omega1)
-    assert sq.coefficient((1, 3, 2, 4)) == 2
+    assert sq.coefficient((1, 2, 5, 6)) == 2  # e1, I e1, e2, I e2
 
 
 def test_omega_invariant_under_cyclic_relabeling():
-    fr = build_frame(2, Layout.INTERLEAVED)
-    cyc = QuaternionicFrame(fr.n, fr.layout, fr.J, fr.K, fr.I)
+    fr = build_frame(2)
+    cyc = QuaternionicFrame(fr.n, fr.J, fr.K, fr.I)
     assert build_fundamental_forms(cyc).Omega == build_fundamental_forms(fr).Omega
 
 
 def test_fundamental_forms_are_degree2_and_orthogonal():
-    fr = build_frame(3, Layout.INTERLEAVED)
+    fr = build_frame(3)
     ff = build_fundamental_forms(fr)
     for om in (ff.omega1, ff.omega2, ff.omega3):
         assert om.degree == 2
@@ -179,7 +170,7 @@ def line_violation_hessian(frame, line, amount=F(5)):
 
 def test_defect_factor_six_per_line():
     for n in (2, 3):
-        fr = build_frame(n, Layout.INTERLEAVED)
+        fr = build_frame(n)
         for line in range(1, n + 1):
             H = line_violation_hessian(fr, line)
             form = siu_corlette_defect(H)
@@ -189,7 +180,7 @@ def test_defect_factor_six_per_line():
 
 
 def test_defect_zero_for_quaternionic_harmonic_lines():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     m = fr.dim
     h = [[F(0)] * m for _ in range(m)]
     h[0][0], h[1][1], h[2][2], h[3][3] = F(3), F(-1), F(-1), F(-1)
@@ -198,12 +189,12 @@ def test_defect_zero_for_quaternionic_harmonic_lines():
 
 
 def test_defect_of_zero_hessian():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     assert siu_corlette_defect(HessianMatrix.zero(fr)).is_zero()
 
 
 def test_defect_requires_harmonic():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     h = [[F(0)] * 8 for _ in range(8)]
     h[0][0] = F(1)
     with pytest.raises(ContractViolation):
@@ -211,7 +202,7 @@ def test_defect_requires_harmonic():
 
 
 def test_defect_linear_in_hessian():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     rng = random.Random(5)
     H1 = random_traceless_hessian(fr, rng)
     H2 = random_traceless_hessian(fr, rng)
@@ -222,7 +213,7 @@ def test_defect_linear_in_hessian():
 
 
 def test_star_commutation_random_and_zero():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     rng = random.Random(6)
     for _ in range(15):
         assert verify_star_commutation(random_traceless_hessian(fr, rng))
@@ -231,14 +222,14 @@ def test_star_commutation_random_and_zero():
 
 
 def test_star_commutation_n3_samples():
-    fr = build_frame(3, Layout.INTERLEAVED)
+    fr = build_frame(3)
     rng = random.Random(7)
     for _ in range(5):
         assert verify_star_commutation(random_traceless_hessian(fr, rng))
 
 
 def test_star_commutation_sides_nontrivial():
-    fr = build_frame(2, Layout.INTERLEAVED)
+    fr = build_frame(2)
     rng = random.Random(8)
     lhs, rhs = star_commutation_sides(random_traceless_hessian(fr, rng))
     assert not lhs.is_zero()
@@ -248,7 +239,7 @@ def test_star_commutation_sides_nontrivial():
 # -- refined Kato -----------------------------------------------------------
 
 def test_kato_equality_case():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     H = equality_case_hessian(fr, F(1))
     assert H.frobenius_sq() == 12
     assert sum(H.entries[0][a] ** 2 for a in range(8)) == 9
@@ -260,12 +251,12 @@ def test_kato_equality_case():
 
 
 def test_kato_zero_hessian():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     assert refined_kato_gap(HessianMatrix.zero(fr)).gap == 0
 
 
 def test_kato_gap_nonnegative_sampled():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     rng = random.Random(9)
     for _ in range(200):
         H = random_quaternionic_harmonic(fr, rng)
@@ -276,9 +267,34 @@ def test_kato_gap_nonnegative_sampled():
 
 
 def test_kato_scan_matches_exact_path():
-    negatives, min_gap = kato_gap_scan(2, 2000, seed=10)
-    assert negatives == 0
-    assert min_gap >= 0
+    # 2500 samples span ten int64 chunks of the scan at n=2; the exact
+    # path draws the same Hessians one at a time
+    fr = build_frame(2)
+    rng = random.Random(10)
+    gaps = [refined_kato_gap(random_quaternionic_harmonic(fr, rng)).gap
+            for _ in range(2500)]
+    assert kato_gap_scan(2, 2500, seed=10) == (sum(g < 0 for g in gaps), min(gaps))
+
+
+def test_kato_scan_memory_is_chunked():
+    tracemalloc.start()
+    try:
+        kato_gap_scan(2, 20_000, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_random_symmetric_stream():
+    nums, q = random_symmetric(8, 500, random.Random(13))
+    rng = random.Random(13)
+    for k in range(500):
+        one, d = random_symmetric(8, 1, rng)
+        assert (one[0] == nums[k]).all() and d[0] == q[k]
+    assert (nums == nums.transpose(0, 2, 1)).all()
+    assert set(nums.ravel().tolist()) == set(range(-9, 10))
+    assert set(q.tolist()) == set(range(1, 10))
 
 
 def test_kato_scan_rejects_empty_sample():
@@ -289,7 +305,7 @@ def test_kato_scan_rejects_empty_sample():
 def test_kato_slack_invariant_is_a_raised_check(monkeypatch):
     # a line sum of 1 breaks gap == slack1 + slack2 + slack3; with the flag
     # check bypassed the invariant must still raise (and survive -O)
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     h = [[F(0)] * 8 for _ in range(8)]
     h[0][0] = F(1)
     monkeypatch.setattr(HessianMatrix, "is_quaternionic_harmonic", lambda self: True)
@@ -298,20 +314,15 @@ def test_kato_slack_invariant_is_a_raised_check(monkeypatch):
 
 
 def test_kato_requires_flags():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     h = [[F(0)] * 8 for _ in range(8)]
     h[0][0] = F(1)  # not quaternionic harmonic
     with pytest.raises(ContractViolation):
         refined_kato_gap(HessianMatrix(fr, h))
-    with pytest.raises(ContractViolation):
-        refined_kato_gap(equality_case_hessian(fr, F(1)), gradient_direction=2)
-    inter = build_frame(2, Layout.INTERLEAVED)
-    with pytest.raises(ContractViolation):
-        refined_kato_gap(HessianMatrix.zero(inter))
 
 
 def test_random_generators_satisfy_flags():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     rng = random.Random(11)
     H = random_quaternionic_harmonic(fr, rng)
     assert H.is_quaternionic_harmonic()
@@ -328,13 +339,12 @@ def test_busemann_hessian(n):
     assert H.trace() == -2 * (2 * n + 1)
     assert H.frobenius_sq() == 4 * (n + 2)
     assert H.line_sum(1) == -6
-    diag = sorted(H.entries[i][i] for i in range(4 * n))
-    assert diag == sorted([F(0)] + [F(-2)] * 3 + [F(-1)] * (4 * n - 4))
+    assert [H.entries[i][i] for i in range(4 * n)] == [0, -2, -2, -2] + [-1] * (4 * n - 4)
     assert all(H.entries[0][j] == 0 for j in range(4 * n))
 
 
 def test_hessian_validation():
-    fr = build_frame(2, Layout.GROUPED)
+    fr = build_frame(2)
     bad = [[F(0)] * 8 for _ in range(8)]
     bad[0][1] = F(1)  # asymmetric
     with pytest.raises(ContractViolation):
