@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import os
 import sys
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .comparison import (
     volume,
 )
 from .forms import ContractViolation
-from .model import build_model, model_curvature
+from .model import ModelConstructionError, build_model, model_curvature
 from .report import Report, check_true, render_value
 from .riccati import integrate_riccati, riccati_barrier
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
@@ -173,10 +172,8 @@ def cmd_model(args) -> int:
         with open(args.components, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["A", "B", "C", "D", "value"])
-            for abcd in itertools.product(range(1, R.dim + 1), repeat=4):
-                v = R.entry(*abcd)
-                if v:
-                    writer.writerow([*abcd, render_value(v)])
+            for abcd, v in R.table.items():
+                writer.writerow([*(i + 1 for i in abcd), render_value(v)])
     return _emit(rep, args)
 
 
@@ -291,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in args and "QKCOMP_SEED" in os.environ:
             args.seed = int(os.environ["QKCOMP_SEED"])
         return args.func(args)
-    except (ContractViolation, ValueError) as exc:
+    except (ContractViolation, ModelConstructionError, ValueError) as exc:
+        # a model error here means n or --scale gives exact tables past int64
         parser.exit(2, f"qkcomp: {exc}\n")
 
 

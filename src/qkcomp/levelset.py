@@ -5,7 +5,10 @@ all its branches, and the radial-Hessian equality-case certification.
 A level set carries the two-step nilpotent algebra z + v with the
 induced metric of block weights (s^-2 on z, s^-1 on v) at scale
 s = e^{-2t}; rational scales with rational square root (s = 1, 1/4)
-keep every check exact.
+keep every check exact.  Its tables are the model's `ExactArray`s
+(int64 numerators over one denominator) over local 0-based axes, index i
+standing for the ambient e_{i+2}; the Gauss equation and the weighted
+displays are elementwise comparisons of those arrays.
 """
 
 from __future__ import annotations
@@ -13,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .forms import ContractViolation
 from .model import (
     ConnectionCoefficients,
     CurvatureTensor,
+    ExactArray,
     StructureConstants,
+    contract,
     curvature_table,
     jacobi_violations,
     levi_civita,
@@ -53,26 +60,21 @@ class LevelSetGeometry:
         return self.second_fundamental[i - 2]
 
 
-def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> list:
+def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
     """Structure constants of z + v in the orthonormal frame of the
-    rescaled metric: u_p = s f_p on z, u_a = sqrt(s) f_a on v."""
+    rescaled metric: u_p = s f_p on z, u_a = sqrt(s) f_a on v, so
+    C[a, b, d] = C^model[a, b, d] w_a w_b / w_d with w = (s, s, s, sqrt(s), ...)
+    on the nonzero model entries."""
     if scale <= 0:
         raise ContractViolation(f"scale must be positive, got {scale}")
     root = rational_sqrt(scale)
     if root is None:
         raise ContractViolation(
             f"scale must have a rational square root, got {scale}")
-    n = sc.n
-    m2 = 4 * n - 1
-    w = [scale] * 3 + [root] * (m2 - 3)  # local 0-based: z then v-in-order
-    C = [[[Fraction(0)] * m2 for _ in range(m2)] for _ in range(m2)]
-    for a in range(3, m2):
-        for b in range(3, m2):
-            for d in range(3):
-                coeff = sc.table[a + 1][b + 1][d + 1]
-                if coeff:
-                    C[a][b][d] = coeff * w[a] * w[b] / w[d]
-    return C
+    w = [scale] * 3 + [root] * (4 * sc.n - 4)
+    C = sc.table[1:, 1:, 1:]
+    return ExactArray.from_entries(C.num.shape, {
+        (a, b, d): v * w[a] * w[b] / w[d] for (a, b, d), v in C.items()})
 
 
 def second_fundamental_form(sc: StructureConstants,
@@ -82,11 +84,9 @@ def second_fundamental_form(sc: StructureConstants,
     h_ab = <nabla_{e_a} e_b, e_1> from the ambient connection."""
     if cc is None:
         cc = levi_civita(sc)
-    m = sc.dim
-    h = [[cc.gamma(a, b, 1) for b in range(2, m + 1)] for a in range(2, m + 1)]
-    off = sum(1 for i in range(m - 1) for j in range(m - 1)
-              if i != j and h[i][j] != 0)
-    return h, off
+    h = cc.table[1:, 1:, 0]
+    off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
+    return h.fractions(), int(off)
 
 
 def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeometry:
@@ -96,8 +96,7 @@ def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeome
     C = _nilpotent_brackets(sc, scale)
     if jacobi_violations(C) != 0:
         raise ContractViolation("nilpotent bracket table violates Jacobi")
-    G = levi_civita_table(C)
-    bar = CurvatureTensor(sc.n, curvature_table(C, G))
+    bar = CurvatureTensor(sc.n, curvature_table(C, levi_civita_table(C)))
     h_mat, off = second_fundamental_form(sc)
     if off:
         raise ContractViolation("ambient shape operator is not diagonal")
@@ -117,55 +116,31 @@ def verify_second_fundamental(lsg: LevelSetGeometry) -> list[Check]:
 def verify_gauss_equation(R: CurvatureTensor, lsg: LevelSetGeometry) -> list[Check]:
     """All branches of the Gauss equation
     R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj over 2 <= i,j,k,l <= 4n."""
-    n = lsg.n
-    m = 4 * n
-    h = lsg.second_fundamental
-    branch_bad = {key: 0 for key in
-                  ("v-block", "z-block", "mixed +2 (i=l in z)", "mixed +2 (k=j in z)",
-                   "mixed -2 (i=k in z)", "mixed -2 (j=l in z)", "plain")}
-    branch_total = dict.fromkeys(branch_bad, 0)
+    m = 4 * lsg.n - 1
+    h = ExactArray.from_entries((m,), dict(enumerate(lsg.second_fundamental)))
+    i, j, k, l = np.ogrid[:m, :m, :m, :m]  # local: ambient index - 2
+    pairing = ((l == i) & (k == j)).astype(np.int64) - ((k == i) & (l == j))
+    want = lsg.curvature.table + contract("i,j,ijkl->ijkl", h, h, ExactArray(pairing))
+    bad = R.table[1:, 1:, 1:, 1:].ne(want)
 
-    def branch_name(i, j, k, l) -> str:
-        z = range(2, 5)
-        v = range(5, m + 1)
-        if all(x in v for x in (i, j, k, l)):
-            return "v-block"
-        if all(x in z for x in (i, j, k, l)):
-            return "z-block"
-        if i == l and i in z and k == j and k in v:
-            return "mixed +2 (i=l in z)"
-        if k == j and k in z and i == l and i in v:
-            return "mixed +2 (k=j in z)"
-        if i == k and i in z and j == l and j in v:
-            return "mixed -2 (i=k in z)"
-        if j == l and j in z and i == k and i in v:
-            return "mixed -2 (j=l in z)"
-        return "plain"
-
-    for i in range(2, m + 1):
-        hi = h[i - 2]
-        for j in range(2, m + 1):
-            hj = h[j - 2]
-            for k in range(2, m + 1):
-                for l in range(2, m + 1):
-                    corr = Fraction(0)
-                    if l == i and k == j:
-                        corr += hi * hj
-                    if k == i and l == j:
-                        corr -= hi * hj
-                    want = lsg.entry(i, j, k, l) + corr
-                    name = branch_name(i, j, k, l)
-                    branch_total[name] += 1
-                    if R.entry(i, j, k, l) != want:
-                        branch_bad[name] += 1
+    z, v = (lambda x: x < 3), (lambda x: x >= 3)
+    # the branches are disjoint; "plain" is every other slot
+    branches = {
+        "v-block": v(i) & v(j) & v(k) & v(l),
+        "z-block": z(i) & z(j) & z(k) & z(l),
+        "mixed +2 (i=l in z)": (i == l) & z(i) & (k == j) & v(k),
+        "mixed +2 (k=j in z)": (k == j) & z(k) & (i == l) & v(i),
+        "mixed -2 (i=k in z)": (i == k) & z(i) & (j == l) & v(j),
+        "mixed -2 (j=l in z)": (j == l) & z(j) & (i == k) & v(i),
+    }
+    branches["plain"] = ~np.logical_or.reduce(list(branches.values()))
 
     checks = []
-    for name in branch_bad:
-        checks.append(Check(
-            f"gauss equation at scale {lsg.scale} [{name}]",
-            f"0 of {branch_total[name]}",
-            f"{branch_bad[name]} of {branch_total[name]}",
-            branch_bad[name] == 0))
+    for name, mask in branches.items():
+        total = int(np.count_nonzero(mask))
+        count = int(np.count_nonzero(mask & bad))
+        checks.append(Check(f"gauss equation at scale {lsg.scale} [{name}]",
+                            f"0 of {total}", f"{count} of {total}", count == 0))
     return checks
 
 
@@ -223,55 +198,36 @@ def verify_weighted_displays(R: CurvatureTensor, base: LevelSetGeometry,
     if base.scale != 1:
         raise ContractViolation("weighted displays are stated against the scale-1 level set")
     n = base.n
+    bar = base.curvature.table
     s2 = scale * scale
     checks = []
 
-    zblock_bad = 0
-    for p in (2, 3, 4):
-        for q in (2, 3, 4):
-            for r in (2, 3, 4):
-                for o in (2, 3, 4):
-                    delta = Fraction(-4) * ((1 if r == p and o == q else 0)
-                                            - (1 if r == q and o == p else 0))
-                    want = delta + s2 * base.entry(p, q, r, o)
-                    if R.entry(p, q, r, o) != want:
-                        zblock_bad += 1
+    p, q, r, o = np.ogrid[:3, :3, :3, :3]
+    delta = -4 * (((r == p) & (o == q)).astype(np.int64) - ((r == q) & (o == p)))
+    zblock = R.table[1:4, 1:4, 1:4, 1:4].ne(bar[:3, :3, :3, :3] * s2 + ExactArray(delta))
     checks.append(check_eq(
-        f"z-block display with s^2 = {s2} weighting", 0, zblock_bad))
+        f"z-block display with s^2 = {s2} weighting", 0, int(np.count_nonzero(zblock))))
 
-    shift = -2 * (scale - 1)
-    mixed_bad = 0
-    mixed_listed = []
+    # listed[p, q, al, be] = +-1 on the displayed families, which carry the
+    # shift -2(s-1); their index-swapped partners are not displayed
+    mv = 4 * n - 4
+    listed = np.zeros((3, 3, mv, mv), dtype=np.int64)
     for line in range(2, n + 1):
-        a4, b4, c4, d4 = 4 * line - 3, 4 * line - 2, 4 * line - 1, 4 * line
-        mixed_listed.extend([
-            (2, 3, d4, a4, shift),
-            (2, 3, c4, b4, shift),
-            (2, 4, d4, b4, shift),
-            (2, 4, c4, a4, -shift),
-            (3, 4, d4, c4, shift),
-            (3, 4, b4, a4, shift),
-        ])
-    listed_keys = {(p, q, al, be) for (p, q, al, be, _) in mixed_listed}
-    for (p, q, al, be, extra) in mixed_listed:
-        want = scale * base.entry(p, q, al, be) + extra
-        if R.entry(p, q, al, be) != want:
-            mixed_bad += 1
-    for p in (2, 3, 4):
-        for q in (2, 3, 4):
-            if q == p:
-                continue
-            for al in range(5, 4 * n + 1):
-                for be in range(5, 4 * n + 1):
-                    if (p, q, al, be) in listed_keys or (q, p, be, al) in listed_keys:
-                        continue
-                    if (p, q, be, al) in listed_keys or (q, p, al, be) in listed_keys:
-                        continue
-                    want = scale * base.entry(p, q, al, be)
-                    if R.entry(p, q, al, be) != want:
-                        mixed_bad += 1
+        a4, b4, c4, d4 = (4 * line - 8 + k for k in range(4))  # local to v
+        listed[0, 1, d4, a4] = listed[0, 1, c4, b4] = 1
+        listed[0, 2, d4, b4] = 1
+        listed[0, 2, c4, a4] = -1
+        listed[1, 2, d4, c4] = listed[1, 2, b4, a4] = 1
+    shown = listed != 0
+    partners = (shown | shown.transpose(1, 0, 3, 2) | shown.transpose(0, 1, 3, 2)
+                | shown.transpose(1, 0, 2, 3))
+    p, q = np.ogrid[:3, :3]
+    checked = (p != q)[:, :, None, None] & (shown | ~partners)
+    want = bar[:3, :3, 3:, 3:] * scale + ExactArray(listed) * (-2 * (scale - 1))
+    mixed = checked & R.table[1:4, 1:4, 4:, 4:].ne(want)
     checks.append(check_eq(
-        f"mixed z-z-v-v display with s = {scale} weighting", 0, mixed_bad))
+        f"mixed z-z-v-v display with s = {scale} weighting", 0,
+        int(np.count_nonzero(mixed))))
     return checks
 
 

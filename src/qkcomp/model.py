@@ -16,14 +16,24 @@ formula for left-invariant orthonormal frames,
 
 and the curvature tensor follows the convention
 R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>.
+
+Every table here and on the horospheres of `levelset` (C, Gamma, R) is an
+`ExactArray`: int64 numerators over one positive denominator.  Koszul,
+curvature and the identity batteries are `contract` (np.einsum) reductions
+and elementwise comparisons of numerators; each step first bounds the
+numerators it can produce and raises ModelConstructionError if they could
+pass 2^62.  Entries read one at a time are `Fraction`s.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .forms import ContractViolation, Form, Vector, form_inner, wedge
 from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
@@ -31,63 +41,138 @@ from .report import Check, check_eq, check_true
 
 
 class ModelConstructionError(RuntimeError):
-    """No bracket scale satisfies the Einstein condition exactly."""
+    """No bracket scale satisfies the Einstein condition exactly, or an
+    exact table would leave the int64 range."""
 
 
 EINSTEIN_SWEEP = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+INT_BOUND = 1 << 62
 
 
-def _zeros3(m: int) -> list:
-    return [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+def _guard(bound: int, step: str) -> None:
+    if bound > INT_BOUND:
+        raise ModelConstructionError(
+            f"exact table out of the int64 range: {step} could reach {bound} > 2^62")
 
 
-def _bracket_table(n: int, c: Fraction) -> list:
-    """Dense structure constants C[A][B][D] with [e_A, e_B] = sum_D C[A][B][D] e_D."""
+@dataclass(frozen=True, eq=False)
+class ExactArray:
+    """Exact rational array: int64 numerators `num` over the positive
+    denominator `den`, in lowest terms when built by `of`."""
+
+    num: np.ndarray
+    den: int = 1
+
+    @classmethod
+    def of(cls, num, den: int = 1) -> ExactArray:
+        num = np.asarray(num, dtype=np.int64)
+        g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
+        return cls(num // g if num.any() else num, den // g)
+
+    @classmethod
+    def from_entries(cls, shape, entries: dict) -> ExactArray:
+        """The array of `shape` holding the rationals {index: value}, zero
+        elsewhere."""
+        entries = {idx: Fraction(v) for idx, v in entries.items()}
+        den = math.lcm(*(v.denominator for v in entries.values()))
+        scaled = {idx: v.numerator * (den // v.denominator) for idx, v in entries.items()}
+        _guard(max(map(abs, scaled.values()), default=0), "rational entries")
+        num = np.zeros(shape, dtype=np.int64)
+        for idx, v in scaled.items():
+            num[idx] = v
+        return cls.of(num, den)
+
+    @property
+    def bound(self) -> int:
+        """The largest numerator magnitude, at least 1, so that it times a
+        multiplier also bounds the multiplier."""
+        return int(np.abs(self.num).max(initial=1))
+
+    def __getitem__(self, idx) -> ExactArray:
+        return ExactArray(self.num[idx], self.den)
+
+    def fraction(self, *idx: int) -> Fraction:
+        return Fraction(int(self.num[idx]), self.den)
+
+    def fractions(self) -> list:
+        """The entries as nested lists of Fraction."""
+        def build(x):
+            return [build(y) for y in x] if isinstance(x, list) else Fraction(x, self.den)
+        return build(self.num.tolist())
+
+    def items(self):
+        """(index tuple, Fraction) for every nonzero entry, in index order."""
+        for idx in map(tuple, np.argwhere(self.num).tolist()):
+            yield idx, Fraction(int(self.num[idx]), self.den)
+
+    def _common(self, other) -> tuple[np.ndarray, np.ndarray, int]:
+        """Both numerator arrays over the lcm of the denominators."""
+        if not isinstance(other, ExactArray):
+            other = Fraction(other)
+            other = ExactArray.of(other.numerator, other.denominator)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        _guard(self.bound * a + other.bound * b, "common denominator")
+        return self.num * a, other.num * b, den
+
+    def __add__(self, other) -> ExactArray:
+        x, y, den = self._common(other)
+        return ExactArray.of(x + y, den)
+
+    def __sub__(self, other) -> ExactArray:
+        x, y, den = self._common(other)
+        return ExactArray.of(x - y, den)
+
+    def __neg__(self) -> ExactArray:
+        return ExactArray(-self.num, self.den)
+
+    def __mul__(self, k) -> ExactArray:
+        k = Fraction(k)
+        _guard(self.bound * abs(k.numerator), "scaling")
+        return ExactArray.of(self.num * k.numerator, self.den * k.denominator)
+
+    def ne(self, other) -> np.ndarray:
+        """Elementwise self != other, exactly (other broadcasts)."""
+        x, y, _ = self._common(other)
+        return x != y
+
+
+def contract(spec: str, *ops: ExactArray) -> ExactArray:
+    """np.einsum of the numerators under `spec`, over the product of the
+    denominators; refused if a sum of products could pass 2^62."""
+    inputs, output = spec.split("->")
+    sizes: dict[str, int] = {}
+    for sub, op in zip(inputs.split(","), ops):
+        sizes.update(zip(sub, op.num.shape))
+    terms = math.prod(size for index, size in sizes.items() if index not in output)
+    _guard(terms * math.prod(op.bound for op in ops), spec)
+    return ExactArray.of(np.einsum(spec, *(op.num for op in ops)),
+                         math.prod(op.den for op in ops))
+
+
+def _bracket_table(n: int, c: Fraction) -> ExactArray:
+    """Structure constants C[A, B, D] with [e_A, e_B] = sum_D C[A, B, D] e_D
+    (0-based axes)."""
+    c = Fraction(c)
     m = 4 * n
-    frame = build_frame(n)
-    C = _zeros3(m)
-    for p in range(1, m):  # 0-based targets: indices 2..4n
-        scale = Fraction(2) if p <= 3 else Fraction(1)
-        C[0][p][p] = scale
-        C[p][0][p] = -scale
-    actions = frame.actions()
-    for a in range(4, m):
-        for b in range(4, m):
-            if a == b:
-                continue
-            for p, act in enumerate(actions, start=1):
-                t, s = act.apply(a + 1)
-                if t == b + 1:
-                    C[a][b][p] += c * s
-    return C
+    num = np.zeros((m, m, m), dtype=np.int64)
+    targets = np.arange(1, m)
+    radial = np.where(targets <= 3, 2, 1) * c.denominator
+    num[0, targets, targets] = radial
+    num[targets, 0, targets] = -radial
+    v = np.arange(4, m)
+    for p, act in enumerate(build_frame(n).actions(), start=1):
+        images = np.array(act.targets) - 1
+        num[v, images[v], p] += c.numerator * np.array(act.signs)[v]
+    return ExactArray.of(num, c.denominator)
 
 
-def bracket_nonzero(C) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-    m = len(C)
-    out: dict = {}
-    for a in range(m):
-        for b in range(m):
-            nz = [(d, C[a][b][d]) for d in range(m) if C[a][b][d]]
-            if nz:
-                out[(a, b)] = nz
-    return out
-
-
-def jacobi_violations(C) -> int:
-    """Number of (A, B, D, component) slots where the Jacobi identity fails."""
-    m = len(C)
-    nz = bracket_nonzero(C)
-    bad = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            for d in range(b + 1, m):
-                acc = [Fraction(0)] * m
-                for (x, y, z) in ((a, b, d), (b, d, a), (d, a, b)):
-                    for e, coeff in nz.get((x, y), ()):
-                        for f, coeff2 in nz.get((e, z), ()):
-                            acc[f] += coeff * coeff2
-                bad += sum(1 for v in acc if v)
-    return bad
+def jacobi_violations(C: ExactArray) -> int:
+    """Number of (A < B < D, component) slots where the Jacobi identity fails."""
+    J = contract("abe,edf->abdf", C, C)  # [[e_a, e_b], e_d]
+    cyclic = J + contract("bdaf->abdf", J) + contract("dabf->abdf", J)
+    a, b, d = np.ogrid[:len(C.num), :len(C.num), :len(C.num)]
+    return int(np.count_nonzero(cyclic.num[(a < b) & (b < d)]))
 
 
 @dataclass(frozen=True)
@@ -97,7 +182,7 @@ class StructureConstants:
 
     n: int
     c: Fraction
-    table: tuple  # C[A][B][D], dense nested tuples
+    table: ExactArray  # C[A, B, D], 0-based
     derivation: tuple  # ((candidate, einstein_ok), ...)
 
     @property
@@ -106,130 +191,87 @@ class StructureConstants:
 
     def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
         """Components of [e_a, e_b] (1-based arguments)."""
-        return self.table[a - 1][b - 1]
+        return tuple(self.table[a - 1, b - 1].fractions())
 
 
-def levi_civita_table(C) -> list:
-    """Koszul formula: Gamma[A][B][D] with nabla_{e_A} e_B = sum Gamma e_D."""
-    m = len(C)
-    G = _zeros3(m)
-    half = Fraction(1, 2)
-    for a in range(m):
-        for b in range(m):
-            for d in range(m):
-                v = C[a][b][d] - C[b][d][a] + C[d][a][b]
-                if v:
-                    G[a][b][d] = half * v
-    return G
+def levi_civita_table(C: ExactArray) -> ExactArray:
+    """Koszul formula: Gamma[A, B, D] with nabla_{e_A} e_B = sum_D Gamma e_D,
+    2 Gamma_ABD = C_ABD - C_BDA + C_DAB."""
+    return (C - contract("bda->abd", C) + contract("dab->abd", C)) * Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    table: tuple  # Gamma[A][B][D]
-
-    @property
-    def dim(self) -> int:
-        return len(self.table)
+    table: ExactArray  # Gamma[A, B, D], 0-based
 
     def gamma(self, a: int, b: int, d: int) -> Fraction:
         """<nabla_{e_a} e_b, e_d> (1-based)."""
-        return self.table[a - 1][b - 1][d - 1]
+        return self.table.fraction(a - 1, b - 1, d - 1)
 
 
-def curvature_table(C, G) -> list:
-    """R[A][B][C][D] = <R(e_A, e_B) e_D, e_C>, dense.
-
+def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
+    """R[A, B, C, D] = <R(e_A, e_B) e_D, e_C> from
     R(e_a, e_b) e_d = nabla_a nabla_b e_d - nabla_b nabla_a e_d
     - nabla_{[e_a, e_b]} e_d, everything contracted through Gamma."""
-    m = len(C)
-    nz_brackets = bracket_nonzero(C)
-    R: list = [[None] * m for _ in range(m)]
-    for a in range(m):
-        R[a][a] = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            slab = [[Fraction(0)] * m for _ in range(m)]
-            for d in range(m):
-                for e in range(m):
-                    v = G[b][d][e]
-                    if v:
-                        Ge = G[a][e]
-                        for cc in range(m):
-                            if Ge[cc]:
-                                slab[cc][d] += v * Ge[cc]
-                    v2 = G[a][d][e]
-                    if v2:
-                        Ge = G[b][e]
-                        for cc in range(m):
-                            if Ge[cc]:
-                                slab[cc][d] -= v2 * Ge[cc]
-                for e, coeff in nz_brackets.get((a, b), ()):
-                    Ged = G[e][d]
-                    for cc in range(m):
-                        if Ged[cc]:
-                            slab[cc][d] -= coeff * Ged[cc]
-            R[a][b] = slab
-            R[b][a] = [[-slab[cc][d] for d in range(m)] for cc in range(m)]
-    return R
+    return (contract("bde,aec->abcd", G, G) - contract("ade,bec->abcd", G, G)
+            - contract("abe,edc->abcd", C, G))
 
 
+@dataclass(frozen=True)
 class CurvatureTensor:
     """Exact 4-index curvature array in the fixed convention."""
 
-    __slots__ = ("n", "dim", "_R")
+    n: int
+    table: ExactArray  # R[A, B, C, D], 0-based
 
-    def __init__(self, n: int, R):
-        self.n = n
-        self.dim = len(R)
-        self._R = R
+    @property
+    def dim(self) -> int:
+        return len(self.table.num)
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """R_{abcd} = <R(e_a, e_b) e_d, e_c> (1-based)."""
-        return self._R[a - 1][b - 1][c - 1][d - 1]
+        return self.table.fraction(a - 1, b - 1, c - 1, d - 1)
 
-    def operator(self, a: int, b: int):
+    def operator(self, a: int, b: int) -> list:
         """Matrix of R(e_a, e_b): rows are output components."""
-        return self._R[a - 1][b - 1]
+        return self.table[a - 1, b - 1].fractions()
 
     def sectional(self, a: int, b: int) -> Fraction:
         """K(e_a, e_b) = R_{abab}."""
         return self.entry(a, b, a, b)
 
+    def sectional_table(self) -> ExactArray:
+        """K[A, B] = R_ABAB, 0-based."""
+        return contract("abab->ab", self.table)
+
+    def ricci_table(self) -> ExactArray:
+        return contract("bidi->bd", self.table)
+
     def ricci(self) -> list:
-        m = self.dim
-        R = self._R
-        return [[sum((R[b][i][d][i] for i in range(m)), Fraction(0))
-                 for d in range(m)] for b in range(m)]
+        return self.ricci_table().fractions()
 
     def scalar(self) -> Fraction:
-        ric = self.ricci()
-        return sum((ric[i][i] for i in range(self.dim)), Fraction(0))
+        return contract("ii->", self.ricci_table()).fraction()
 
     def symmetry_violations(self) -> int:
         """Slots violating the pair symmetries or the first Bianchi identity."""
+        R = self.table
         m = self.dim
-        R = self._R
-        bad = 0
-        for a in range(m):
-            for b in range(a, m):
-                for c in range(m):
-                    for d in range(c, m):
-                        v = R[a][b][c][d]
-                        if R[b][a][c][d] != -v:
-                            bad += 1
-                        if R[a][b][d][c] != -v:
-                            bad += 1
-                        if R[c][d][a][b] != v:
-                            bad += 1
-        for a in range(m):
-            for b in range(a + 1, m):
-                for c in range(b + 1, m):
-                    for d in range(m):
-                        # first Bianchi on the vector slots (a, b, c)
-                        s = (R[a][b][d][c] + R[b][c][d][a] + R[c][a][d][b])
-                        if s:
-                            bad += 1
-        return bad
+        a, b, c, d = np.ogrid[:m, :m, :m, :m]
+        pairs = (a <= b) & (c <= d)
+        bad = sum(np.count_nonzero(pairs & R.ne(other))
+                  for other in (-contract("bacd->abcd", R), -contract("abdc->abcd", R),
+                                contract("cdab->abcd", R)))
+        # first Bianchi on the vector slots (a, b, c)
+        bianchi = (contract("abdc->abcd", R) + contract("bcda->abcd", R)
+                   + contract("cadb->abcd", R))
+        bad += np.count_nonzero(((a < b) & (b < c)) & (bianchi.num != 0))
+        return int(bad)
+
+
+def _einstein_violations(R: CurvatureTensor, n: int) -> np.ndarray:
+    """Where Ric differs from -4(n+2) id."""
+    return R.ricci_table().ne(ExactArray.of(-4 * (n + 2) * np.eye(R.dim, dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
@@ -237,16 +279,11 @@ def _derive_bracket_scale() -> tuple[Fraction, tuple]:
     """Solve the one-parameter Einstein condition at n = 2: exactly one
     candidate of EINSTEIN_SWEEP must satisfy it."""
     n = 2
-    target = Fraction(-4 * (n + 2))
 
     def einstein_ok(c: Fraction) -> bool:
         C = _bracket_table(n, c)
-        G = levi_civita_table(C)
-        R = CurvatureTensor(n, curvature_table(C, G))
-        ric = R.ricci()
-        m = 4 * n
-        return all(ric[i][j] == (target if i == j else 0)
-                   for i in range(m) for j in range(m))
+        R = CurvatureTensor(n, curvature_table(C, levi_civita_table(C)))
+        return not _einstein_violations(R, n).any()
 
     record = tuple((cand, einstein_ok(cand)) for cand in EINSTEIN_SWEEP)
     matches = [cand for cand, ok in record if ok]
@@ -263,23 +300,18 @@ def build_model(n: int) -> StructureConstants:
     C = _bracket_table(n, c)
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
-    table = tuple(tuple(tuple(row) for row in slab) for slab in C)
-    return StructureConstants(n, c, table, record)
+    return StructureConstants(n, c, C, record)
 
 
 def levi_civita(sc: StructureConstants) -> ConnectionCoefficients:
-    G = levi_civita_table([list(map(list, slab)) for slab in sc.table])
-    return ConnectionCoefficients(tuple(tuple(tuple(r) for r in slab) for slab in G))
+    return ConnectionCoefficients(levi_civita_table(sc.table))
 
 
 def curvature(sc: StructureConstants,
               cc: ConnectionCoefficients | None = None) -> CurvatureTensor:
-    C = [list(map(list, slab)) for slab in sc.table]
     if cc is None:
-        G = levi_civita_table(C)
-    else:
-        G = [list(map(list, slab)) for slab in cc.table]
-    return CurvatureTensor(sc.n, curvature_table(C, G))
+        cc = levi_civita(sc)
+    return CurvatureTensor(sc.n, curvature_table(sc.table, cc.table))
 
 
 @lru_cache(maxsize=None)
@@ -289,15 +321,12 @@ def model_curvature(n: int) -> CurvatureTensor:
 
 def verify_einstein(R: CurvatureTensor, n: int) -> list[Check]:
     """Ric = -4(n+2) id and scalar curvature -16 n (n+2), exactly."""
-    ric = R.ricci()
-    m = R.dim
-    target = Fraction(-4 * (n + 2))
-    diag_bad = sum(1 for i in range(m) if ric[i][i] != target)
-    off_bad = sum(1 for i in range(m) for j in range(m)
-                  if i != j and ric[i][j] != 0)
+    bad = _einstein_violations(R, n)
+    diag_bad = int(np.count_nonzero(np.diagonal(bad)))
     return [
         check_eq("einstein diagonal entries equal -4(n+2)", 0, diag_bad),
-        check_eq("einstein off-diagonal entries vanish", 0, off_bad),
+        check_eq("einstein off-diagonal entries vanish", 0,
+                 int(np.count_nonzero(bad)) - diag_bad),
         check_eq("scalar curvature", Fraction(-16 * n * (n + 2)), R.scalar()),
     ]
 
@@ -310,29 +339,18 @@ def verify_quaternionic_traces(R: CurvatureTensor,
     This is the pointwise form of the parallel-transport statement along
     geodesics; on the homogeneous model the two are equivalent."""
     m = frame.dim
-    acts = frame.actions()
+    sec = R.sectional_table()
+    I, J, K = (np.array(act.targets) - 1 for act in frame.actions())
+    x = np.arange(m)
+    three = sec[x, I] + sec[x, J] + sec[x, K]
+    three_bad = int(np.count_nonzero(three.ne(-12)))
 
-    def img(idx: int, k: int) -> int:
-        return acts[k].apply(idx)[0]
-
-    three_bad = 0
-    for a in range(1, m + 1):
-        s = sum((R.sectional(a, img(a, k)) for k in range(3)), Fraction(0))
-        if s != -12:
-            three_bad += 1
-
-    four_bad = 0
-    four_total = 0
-    for a in range(1, m + 1):
-        line = {a, img(a, 0), img(a, 1), img(a, 2)}
-        for b in range(1, m + 1):
-            if b in line:
-                continue
-            four_total += 1
-            s = R.sectional(a, b) + sum(
-                (R.sectional(a, img(b, k)) for k in range(3)), Fraction(0))
-            if s != -4:
-                four_bad += 1
+    # four[a, b] = K(e_a, e_b) + K(e_a, I e_b) + K(e_a, J e_b) + K(e_a, K e_b),
+    # admissible when e_b lies off the quaternionic line of e_a
+    four = sec + sec[:, I] + sec[:, J] + sec[:, K]
+    admissible = x[:, None] // 4 != x[None, :] // 4
+    four_total = int(np.count_nonzero(admissible))
+    four_bad = int(np.count_nonzero(admissible & four.ne(-4)))
 
     return [
         check_eq("three-sum K(X,IX)+K(X,JX)+K(X,KX) = -12, all frame X", 0, three_bad),
@@ -341,38 +359,12 @@ def verify_quaternionic_traces(R: CurvatureTensor,
     ]
 
 
-def _structure_matrix(perm, m: int) -> list:
-    M = [[0] * m for _ in range(m)]
+def _structure_matrix(perm, m: int) -> ExactArray:
+    M = np.zeros((m, m), dtype=np.int64)
     for col in range(1, m + 1):
         t, s = perm.apply(col)
-        M[t - 1][col - 1] = s
-    return M
-
-
-def _mat_commutator(A, perm, m: int):
-    """[A, P] for the matrix P of a signed permutation, in O(m^2):
-    (AP)[i][j] = s_j A[i][sigma(j)-1], (PA)[i][j] = s_k A[k][j] with sigma(k) = i."""
-    inv = [0] * m
-    for k in range(1, m + 1):
-        t, _ = perm.apply(k)
-        inv[t - 1] = k
-    out = []
-    for i in range(m):
-        k = inv[i]
-        _, sk = perm.apply(k)
-        rowA = A[i]
-        rowK = A[k - 1]
-        row = []
-        for j in range(m):
-            t, sj = perm.apply(j + 1)
-            row.append(sj * rowA[t - 1] - sk * rowK[j])
-        out.append(row)
-    return out
-
-
-def _trace_inner(A, B, m: int) -> Fraction:
-    return sum((A[i][j] * B[i][j] for i in range(m) for j in range(m)
-                if A[i][j] and B[i][j]), Fraction(0))
+        M[t - 1, col - 1] = s
+    return ExactArray(M)
 
 
 @dataclass
@@ -398,63 +390,43 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
     m = frame.dim
     I, J, K = frame.actions()
     MI, MJ, MK = (_structure_matrix(p, m) for p in (I, J, K))
-    ric = R.ricci()
+    Rt = R.table
 
-    alpha = [[Fraction(0)] * m for _ in range(m)]
-    beta = [[Fraction(0)] * m for _ in range(m)]
-    gamma = [[Fraction(0)] * m for _ in range(m)]
+    def commutator(P: ExactArray) -> ExactArray:
+        """[R(e_a, e_b), P] for every pair (a, b)."""
+        return contract("abij,jk->abik", Rt, P) - contract("ij,abjk->abik", P, Rt)
 
-    span_bad = 0
-    cross_bad = 0
+    def extract(com: ExactArray, P: ExactArray) -> ExactArray:
+        """<com, P> / m: the coefficient of P in com, since the structure
+        matrices are mutually orthogonal with <P, P> = m."""
+        return contract("abij,ij->ab", com, P) * Fraction(1, m)
 
-    def residual_ok(com, c1, P1, c2, P2) -> bool:
-        for i in range(m):
-            for j in range(m):
-                if com[i][j] != c1 * P1[i][j] + c2 * P2[i][j]:
-                    return False
-        return True
+    def off_span(com, c1, P1, c2, P2) -> np.ndarray:
+        """Pairs whose commutator is not c1 P1 + c2 P2."""
+        span = contract("ab,ij->abij", c1, P1) + contract("ab,ij->abij", c2, P2)
+        return com.ne(span).any(axis=(2, 3))
 
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            Rop = R.operator(a + 1, b + 1)
-            com_i = _mat_commutator(Rop, I, m)
-            com_j = _mat_commutator(Rop, J, m)
-            com_k = _mat_commutator(Rop, K, m)
-            g1 = _trace_inner(com_i, MJ, m) / m
-            b1 = -_trace_inner(com_i, MK, m) / m
-            a1 = _trace_inner(com_j, MK, m) / m
-            g2 = -_trace_inner(com_j, MI, m) / m
-            b2 = _trace_inner(com_k, MI, m) / m
-            a2 = -_trace_inner(com_k, MJ, m) / m
-            if g1 != g2 or b1 != b2 or a1 != a2:
-                cross_bad += 1
-            if not (residual_ok(com_i, g1, MJ, -b1, MK)
-                    and residual_ok(com_j, -g1, MI, a1, MK)
-                    and residual_ok(com_k, b1, MI, -a1, MJ)):
-                span_bad += 1
-            alpha[a][b] = a1
-            beta[a][b] = b1
-            gamma[a][b] = g1
+    com_i, com_j, com_k = commutator(MI), commutator(MJ), commutator(MK)
+    g1, b1, a1 = extract(com_i, MJ), -extract(com_i, MK), extract(com_j, MK)
+    g2, b2, a2 = -extract(com_j, MI), extract(com_k, MI), -extract(com_k, MJ)
+    pairs = ~np.eye(m, dtype=bool)
+    cross_bad = int(np.count_nonzero(pairs & (g1.ne(g2) | b1.ne(b2) | a1.ne(a2))))
+    span = (off_span(com_i, g1, MJ, -b1, MK) | off_span(com_j, -g1, MI, a1, MK)
+            | off_span(com_k, b1, MI, -a1, MJ))
+    span_bad = int(np.count_nonzero(pairs & span))
 
-    eq1_bad = 0
-    ric_bad = 0
-    for a in range(m):
-        for b in range(m):
-            tI, sI = I.apply(b + 1)
-            tJ, sJ = J.apply(b + 1)
-            tK, sK = K.apply(b + 1)
-            want = Fraction(4 if a == b else 0)
-            if sI * alpha[a][tI - 1] != want:
-                eq1_bad += 1
-            if sJ * beta[a][tJ - 1] != want:
-                eq1_bad += 1
-            if sK * gamma[a][tK - 1] != want:
-                eq1_bad += 1
-            if sI * alpha[a][tI - 1] != -ric[a][b] / (n + 2):
-                ric_bad += 1
+    def at_image(form: ExactArray, act) -> ExactArray:
+        """The matrix [a, b] -> form(e_a, act e_b)."""
+        return ExactArray(form.num[:, np.array(act.targets) - 1] * np.array(act.signs),
+                          form.den)
 
+    four = ExactArray(4 * np.eye(m, dtype=np.int64))
+    eq1_bad = sum(int(np.count_nonzero(at_image(form, act).ne(four)))
+                  for form, act in ((a1, I), (b1, J), (g1, K)))
+    ric_bad = int(np.count_nonzero(
+        at_image(a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
+
+    alpha, beta, gamma = a1.fractions(), b1.fractions(), g1.fractions()
     rng = random.Random(seed)
     triple_bad = 0
     for _ in range(triple_samples):
@@ -485,14 +457,14 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
     return BergerData(alpha, beta, gamma, checks)
 
 
-def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], Fraction]:
+def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], int]:
     """The tabulated R_{1pAB} and R_{1aAB} families (all other slab-1
     entries vanish)."""
-    t: dict[tuple[int, int, int, int], Fraction] = {}
+    t: dict[tuple[int, int, int, int], int] = {}
 
     def put(a, b, c, d, v):
-        t[(a, b, c, d)] = Fraction(v)
-        t[(a, b, d, c)] = Fraction(-v)
+        t[(a, b, c, d)] = v
+        t[(a, b, d, c)] = -v
 
     for p in (2, 3, 4):
         put(1, p, 1, p, -4)
@@ -525,41 +497,31 @@ def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], Fraction]:
 def verify_radial_slabs(R: CurvatureTensor, n: int) -> list[Check]:
     """Every R_{1BCD} entry against the tabulated families, including the
     '= 0 otherwise' clauses."""
-    expected = expected_radial_slabs(n)
     m = R.dim
-    bad = 0
-    listed_bad = 0
-    for b in range(2, m + 1):
-        for c in range(1, m + 1):
-            for d in range(1, m + 1):
-                want = expected.get((1, b, c, d), Fraction(0))
-                got = R.entry(1, b, c, d)
-                if got != want:
-                    bad += 1
-                    if (1, b, c, d) in expected:
-                        listed_bad += 1
+    want = np.zeros((m, m, m), dtype=np.int64)
+    listed = np.zeros((m, m, m), dtype=bool)
+    for (_, b, c, d), v in expected_radial_slabs(n).items():
+        want[b - 1, c - 1, d - 1] = v
+        listed[b - 1, c - 1, d - 1] = True
+    bad = R.table[0, 1:].ne(ExactArray(want[1:]))
     total = (m - 1) * m * m
+    count = int(np.count_nonzero(bad))
     return [
         Check("radial curvature slabs R_{1BCD} match the tables",
-              f"0 of {total}", f"{bad} of {total}", bad == 0),
-        check_eq("tabulated nonzero radial entries", 0, listed_bad),
+              f"0 of {total}", f"{count} of {total}", count == 0),
+        check_eq("tabulated nonzero radial entries", 0,
+                 int(np.count_nonzero(bad & listed[1:]))),
     ]
 
 
 def exterior_derivative(sc: StructureConstants, omega: Form) -> Form:
     """d on left-invariant forms: d theta^C = -(1/2) C^C_AB theta^A ^ theta^B,
     extended as an antiderivation."""
-    m = sc.dim
     space = omega.space
-    d_one = []
-    for cidx in range(1, m + 1):
-        acc = Form.zero(space, 2)
-        for a in range(1, m + 1):
-            for b in range(a + 1, m + 1):
-                coeff = sc.table[a - 1][b - 1][cidx - 1]
-                if coeff:
-                    acc = acc + Form.basis(space, (a, b), -coeff)
-        d_one.append(acc)
+    d_one = [Form.zero(space, 2) for _ in range(sc.dim)]
+    for (a, b, cidx), coeff in sc.table.items():
+        if a < b:
+            d_one[cidx] = d_one[cidx] + Form.basis(space, (a + 1, b + 1), -coeff)
     out = Form.zero(space, omega.degree + 1)
     for idx, coeff in omega.terms().items():
         for pos, i in enumerate(idx):
@@ -571,17 +533,13 @@ def exterior_derivative(sc: StructureConstants, omega: Form) -> Form:
 
 def covariant_derivative(cc: ConnectionCoefficients, a: int, omega: Form) -> Form:
     """nabla_{e_a} omega for a left-invariant form (1-based direction)."""
-    m = cc.dim
     space = omega.space
     from .forms import ext_mult, interior
 
     out = Form.zero(space, omega.degree)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            coeff = cc.gamma(a, i, j)
-            if coeff:
-                contracted = interior(Vector.basis(space, j), omega)
-                out = out - ext_mult(Form.basis(space, (i,), coeff), contracted)
+    for (i, j), coeff in cc.table[a - 1].items():
+        contracted = interior(Vector.basis(space, j + 1), omega)
+        out = out - ext_mult(Form.basis(space, (i + 1,), coeff), contracted)
     return out
 
 

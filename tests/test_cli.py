@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, file output."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -159,12 +160,27 @@ def test_out_file_and_components(tmp_path, capsys):
     assert all(r["value"] != "0/1" for r in rows)
 
 
+@pytest.mark.parametrize("n, sha256", [
+    (2, "7b60c064684719fb38f27b66d487fc7d8d7e6fbbd27649bc68a517a92941f304"),
+    (3, "453e6773a6ddfef2d1a622ee91e852821ed2cab608a9678dc4032eacfe0731fb"),
+])
+def test_components_csv_bytes(tmp_path, n, sha256):
+    # every nonzero R_ABCD of the model, pinned byte for byte
+    comp_csv = tmp_path / "components.csv"
+    assert main(["model", "--n", str(n), "--out", str(tmp_path / "model.json"),
+                 "--components", str(comp_csv)]) == 0
+    assert hashlib.sha256(comp_csv.read_bytes()).hexdigest() == sha256
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--delta", "7", "--r-max", "3"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["model", "--scale", "nonsense"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "--scale", "10000000000000000"])  # s^2 = 1e32 passes int64
     assert exc.value.code == 2
 
 
@@ -196,6 +212,19 @@ def test_log_derivative_check_needs_a_grid_point(capsys):
     status, out = run_cli(["compare", "--r-max", "3", "--steps", "2"], capsys)
     assert status == 0
     assert "(d/dr) log J = laplacian at 1 grid points (1e-8)" in out
+
+
+def test_log_derivative_check_at_small_radii(capsys):
+    # the difference error grows like 1/r as r -> 0; a step and bound scaled
+    # to r certify the grid 0.001..0.01 (a fixed step and bound failed it
+    # at 6.25e-04)
+    status, out = run_cli(["compare", "--n", "4", "--r-max", "0.01", "--steps", "10"],
+                          capsys)
+    fd = [c for c in json.loads(out)["checks"] if c["name"].startswith("(d/dr) log J")]
+    assert status == 0
+    assert fd[0]["name"] == "(d/dr) log J = laplacian at 9 grid points (1e-8)"
+    assert fd[0]["pass"] is True
+    assert float(fd[0]["actual"]) <= 0.25e-8
 
 
 @pytest.mark.parametrize("argv, criteria, prefix", [

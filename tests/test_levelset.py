@@ -1,6 +1,7 @@
 """Horosphere geometry: shape operator, intrinsic curvature, Gauss
 equation branches, weighted displays, and the Busemann cross-check."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from qkcomp.levelset import (
     verify_second_fundamental,
     verify_weighted_displays,
 )
-from qkcomp.model import build_model, model_curvature
+from qkcomp.model import CurvatureTensor, ExactArray, build_model, model_curvature
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_intrinsic_curvature_scale_invariant(setup2):
 def test_weighted_displays(setup2, setup3):
     for sc, R in (setup2, setup3):
         base = level_set_geometry(sc, F(1))
-        for scale in (F(1), F(1, 4), F(4)):
+        for scale in (F(1), F(1, 4), F(4), F(1, 10**12)):
             checks = verify_weighted_displays(R, base, scale)
             assert all(c.passed for c in checks), \
                 [(c.name, c.actual) for c in checks if not c.passed]
@@ -119,3 +120,57 @@ def test_shape_operator_diagonal(setup2):
     h, off = second_fundamental_form(sc)
     assert off == 0
     assert [h[i][i] for i in range(7)] == [2, 2, 2, 1, 1, 1, 1]
+
+
+def reference_gauss_counts(R, lsg):
+    """(bad, total) per branch of the Gauss equation, slot by slot."""
+    m = 4 * lsg.n
+    h = lsg.second_fundamental
+    z, v = range(2, 5), range(5, m + 1)
+    counts = {}
+
+    def branch(i, j, k, l):
+        if all(x in v for x in (i, j, k, l)):
+            return "v-block"
+        if all(x in z for x in (i, j, k, l)):
+            return "z-block"
+        if i == l and i in z and k == j and k in v:
+            return "mixed +2 (i=l in z)"
+        if k == j and k in z and i == l and i in v:
+            return "mixed +2 (k=j in z)"
+        if i == k and i in z and j == l and j in v:
+            return "mixed -2 (i=k in z)"
+        if j == l and j in z and i == k and i in v:
+            return "mixed -2 (j=l in z)"
+        return "plain"
+
+    for i in range(2, m + 1):
+        for j in range(2, m + 1):
+            for k in range(2, m + 1):
+                for l in range(2, m + 1):
+                    corr = F(0)
+                    if l == i and k == j:
+                        corr += h[i - 2] * h[j - 2]
+                    if k == i and l == j:
+                        corr -= h[i - 2] * h[j - 2]
+                    bad, total = counts.get(branch(i, j, k, l), (0, 0))
+                    bad += R.entry(i, j, k, l) != lsg.entry(i, j, k, l) + corr
+                    counts[branch(i, j, k, l)] = (bad, total + 1)
+    return counts
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 4)])
+def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
+    sc, R = setup2
+    rng = random.Random(7)
+    num = R.table.num.copy()
+    for _ in range(40):
+        num[tuple(rng.randrange(1, 8) for _ in range(4))] += 1
+    broken = CurvatureTensor(2, ExactArray.of(num, R.table.den))
+    lsg = level_set_geometry(sc, scale)
+    counts = reference_gauss_counts(broken, lsg)
+    assert sum(bad for bad, _ in counts.values()) > 0
+    got = {chk.name: (chk.actual, chk.passed) for chk in verify_gauss_equation(broken, lsg)}
+    assert got == {f"gauss equation at scale {scale} [{name}]":
+                   (f"{bad} of {total}", bad == 0)
+                   for name, (bad, total) in counts.items()}

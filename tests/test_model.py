@@ -1,21 +1,34 @@
 """Solvable-model construction, connection, curvature tensor, and the
-curvature identity batteries."""
+curvature identity batteries.
 
+The dense nested-`Fraction` loops below are the reference the integer
+tables of `qkcomp.model` and `qkcomp.levelset` are tested against."""
+
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import qkcomp.model
 from qkcomp.forms import ContractViolation, Form, ext_mult
+from qkcomp.levelset import _nilpotent_brackets, level_set_geometry
 from qkcomp.model import (
+    EINSTEIN_SWEEP,
+    CurvatureTensor,
+    ExactArray,
     ModelConstructionError,
+    _bracket_table,
     _derive_bracket_scale,
     build_model,
+    contract,
     curvature,
+    curvature_table,
     covariant_derivative,
     exterior_derivative,
     jacobi_violations,
     levi_civita,
+    levi_civita_table,
     model_curvature,
     verify_berger,
     verify_einstein,
@@ -24,6 +37,106 @@ from qkcomp.model import (
     verify_radial_slabs,
 )
 from qkcomp.quaternionic import build_frame, build_fundamental_forms
+from qkcomp.riccati import rational_sqrt
+from qkcomp.suite import level_set_battery, model_battery
+
+
+def _zeros3(m):
+    return [[[F(0)] * m for _ in range(m)] for _ in range(m)]
+
+
+def reference_bracket_table(n, c):
+    """Dense C[A][B][D] with [e_A, e_B] = sum_D C[A][B][D] e_D."""
+    m = 4 * n
+    frame = build_frame(n)
+    C = _zeros3(m)
+    for p in range(1, m):
+        scale = F(2) if p <= 3 else F(1)
+        C[0][p][p] = scale
+        C[p][0][p] = -scale
+    actions = frame.actions()
+    for a in range(4, m):
+        for b in range(4, m):
+            if a == b:
+                continue
+            for p, act in enumerate(actions, start=1):
+                t, s = act.apply(a + 1)
+                if t == b + 1:
+                    C[a][b][p] += c * s
+    return C
+
+
+def reference_nilpotent_brackets(C, scale):
+    """The level-set brackets of the dense model table C at scale s."""
+    root = rational_sqrt(scale)
+    m2 = len(C) - 1
+    w = [scale] * 3 + [root] * (m2 - 3)
+    out = _zeros3(m2)
+    for a in range(3, m2):
+        for b in range(3, m2):
+            for d in range(3):
+                if C[a + 1][b + 1][d + 1]:
+                    out[a][b][d] = C[a + 1][b + 1][d + 1] * w[a] * w[b] / w[d]
+    return out
+
+
+def reference_levi_civita(C):
+    """Koszul formula, entry by entry."""
+    m = len(C)
+    G = _zeros3(m)
+    for a in range(m):
+        for b in range(m):
+            for d in range(m):
+                G[a][b][d] = F(1, 2) * (C[a][b][d] - C[b][d][a] + C[d][a][b])
+    return G
+
+
+def reference_curvature(C, G):
+    """R[A][B][C][D] = <R(e_A, e_B) e_D, e_C> over the pairs a < b,
+    antisymmetric in (A, B), skipping zero factors."""
+    m = len(C)
+    brackets = {(a, b): [(d, C[a][b][d]) for d in range(m) if C[a][b][d]]
+                for a in range(m) for b in range(m)}
+    R = [[None] * m for _ in range(m)]
+    for a in range(m):
+        R[a][a] = [[F(0)] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            slab = [[F(0)] * m for _ in range(m)]
+            for d in range(m):
+                for e in range(m):
+                    v = G[b][d][e]
+                    if v:
+                        for cc in range(m):
+                            slab[cc][d] += v * G[a][e][cc]
+                    v2 = G[a][d][e]
+                    if v2:
+                        for cc in range(m):
+                            slab[cc][d] -= v2 * G[b][e][cc]
+                for e, coeff in brackets[(a, b)]:
+                    for cc in range(m):
+                        slab[cc][d] -= coeff * G[e][d][cc]
+            R[a][b] = slab
+            R[b][a] = [[-slab[cc][d] for d in range(m)] for cc in range(m)]
+    return R
+
+
+def reference_symmetry_violations(R):
+    m = len(R)
+    bad = 0
+    for a in range(m):
+        for b in range(a, m):
+            for c in range(m):
+                for d in range(c, m):
+                    v = R[a][b][c][d]
+                    bad += (R[b][a][c][d] != -v) + (R[a][b][d][c] != -v) \
+                        + (R[c][d][a][b] != v)
+    for a in range(m):
+        for b in range(a + 1, m):
+            for c in range(b + 1, m):
+                for d in range(m):
+                    bad += R[a][b][d][c] + R[b][c][d][a] + R[c][a][d][b] != 0
+    return bad
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +175,13 @@ def test_bracket_scale_needs_exactly_one_match(monkeypatch, sweep):
 
 def test_jacobi_identity(model2, model3):
     for sc, _, _ in (model2, model3):
-        C = [list(map(list, slab)) for slab in sc.table]
-        assert jacobi_violations(C) == 0
+        assert jacobi_violations(sc.table) == 0
 
 
 def test_ad_e1_eigenvalues(model2):
     sc, _, _ = model2
     # [e1, z] = 2z on three directions, [e1, v] = v on 4(n-1)
-    diag = [sc.table[0][b][b] for b in range(1, sc.dim)]
+    diag = [sc.table.fraction(0, b, b) for b in range(1, sc.dim)]
     assert diag[:3] == [2, 2, 2]
     assert diag[3:] == [1] * (4 * sc.n - 4)
 
@@ -111,7 +223,7 @@ def test_connection_torsion_free(model2):
         for b in range(1, m + 1):
             for d in range(1, m + 1):
                 assert cc.gamma(a, b, d) - cc.gamma(b, a, d) == \
-                    sc.table[a - 1][b - 1][d - 1]
+                    sc.table.fraction(a - 1, b - 1, d - 1)
 
 
 def test_curvature_symmetries(model2):
@@ -185,10 +297,10 @@ def test_trace_identity_random_vectors(model2):
             for b in range(m):
                 if not yc[b]:
                     continue
+                row = R.operator(a + 1, b + 1)
                 for c in range(m):
                     if not yc[c]:
                         continue
-                    row = R.operator(a + 1, b + 1)
                     for d in range(m):
                         v = row[d][c]
                         if v:
@@ -258,3 +370,74 @@ def test_exterior_derivative_matches_connection(model2):
 def test_build_model_validation():
     with pytest.raises(ContractViolation):
         build_model(1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_curvature_batteries_beyond_the_suite(n):
+    # criteria 5 and 6 run n = 2, 3; the statements hold for every n
+    checks = model_battery(n) + level_set_battery(n, F(1, 4))
+    assert [(c.name, c.actual) for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", EINSTEIN_SWEEP)
+def test_tables_match_fraction_reference(n, c):
+    C = _bracket_table(n, c)
+    G = levi_civita_table(C)
+    R = curvature_table(C, G)
+    ref_C = reference_bracket_table(n, c)
+    ref_G = reference_levi_civita(ref_C)
+    assert C.fractions() == ref_C
+    assert G.fractions() == ref_G
+    assert R.fractions() == reference_curvature(ref_C, ref_G)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [F(1), F(1, 4), F(4)])
+def test_level_set_tables_match_fraction_reference(n, scale):
+    sc = build_model(n)
+    C = _nilpotent_brackets(sc, scale)
+    ref_C = reference_nilpotent_brackets(reference_bracket_table(n, sc.c), scale)
+    ref_G = reference_levi_civita(ref_C)
+    assert C.fractions() == ref_C
+    assert levi_civita_table(C).fractions() == ref_G
+    assert level_set_geometry(sc, scale).curvature.table.fractions() == \
+        reference_curvature(ref_C, ref_G)
+
+
+def test_violation_counts_match_reference_on_a_perturbed_tensor():
+    # the array counts are not vacuous: break the tensor in seeded slots and
+    # count as the reference loops do
+    R = model_curvature(2).table
+    rng = random.Random(5)
+    num = R.num.copy()
+    for _ in range(6):
+        num[tuple(rng.randrange(8) for _ in range(4))] += rng.choice((-1, 1))
+    broken = ExactArray.of(num, R.den)
+    expected = reference_symmetry_violations(broken.fractions())
+    assert expected > 0
+    assert CurvatureTensor(2, broken).symmetry_violations() == expected
+
+    C = build_model(2).table
+    num = C.num.copy()
+    num[4, 5, 1] += 1
+    assert jacobi_violations(ExactArray.of(num, C.den)) > 0
+
+
+NEAR_2_31 = (1 << 31) - 7
+
+
+def test_products_refuse_to_leave_int64():
+    big = ExactArray.of(np.full((2, 2, 2), NEAR_2_31))
+    with pytest.raises(ModelConstructionError):
+        curvature_table(big, big)
+    with pytest.raises(ModelConstructionError):
+        contract("ij,jk->ik", big[0], big[0])
+    # one product of two such entries fits; the sum of two may not
+    assert contract("i,i->i", big[0, 0], big[0, 0]).num[0] == NEAR_2_31 ** 2
+    with pytest.raises(ModelConstructionError):
+        big * 4 * NEAR_2_31
+    # rescaling to a common denominator is a product too
+    coprime = ExactArray.of([1], NEAR_2_31)
+    with pytest.raises(ModelConstructionError):
+        ExactArray.of([1 << 33], (1 << 31) - 1) - coprime
