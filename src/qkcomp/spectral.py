@@ -1,10 +1,11 @@
 """Radial Sturm-Liouville estimation of the bottom of the spectrum.
 
 The radial problem is -(1/w)(w u')' = lambda u on (r_min, r_max) with
-Dirichlet conditions at both ends and weight w(r) = J(r), the
-quaternionic-hyperbolic area density.  Second-order finite differences
-give a symmetric tridiagonal generalized problem A u = lambda B u with B
-diagonal and positive, so D^{-1/2} A D^{-1/2} v = lambda v (D = B) is an
+Dirichlet conditions at both ends and weight w(r) = J(r), the area
+density of the model with curvature scale delta (quaternionic hyperbolic
+by default).  Second-order finite differences give a symmetric
+tridiagonal generalized problem A u = lambda B u with B diagonal and
+positive, so D^{-1/2} A D^{-1/2} v = lambda v (D = B) is an
 equivalent standard symmetric tridiagonal problem.  Its smallest
 eigenpair comes from one direct LAPACK solve (bisection plus inverse
 iteration on the tridiagonal matrix); u = D^{-1/2} v maps the vector
@@ -21,19 +22,19 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .comparison import ModelGeometry, area_density
+from .comparison import ModelGeometry, area_densities
 from .forms import ContractViolation
 
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Mesh and weight of one radial Dirichlet problem."""
+    """Mesh and model geometry of one radial Dirichlet problem."""
 
     n: int
     r_min: float = 1e-3
     r_max: float = 12.0
     mesh_points: int = 20000
-    weight: Callable[[float], float] | None = None
+    delta: int = -1
 
     def __post_init__(self) -> None:
         if not self.r_min < self.r_max:
@@ -42,12 +43,11 @@ class RadialProblem:
             raise ContractViolation("need r_min > 0")
         if self.mesh_points < 64:
             raise ContractViolation("need at least 64 mesh points")
+        ModelGeometry(self.n, self.delta).domain_check(self.r_max)
 
-    def weight_fn(self) -> Callable[[float], float]:
-        if self.weight is not None:
-            return self.weight
-        g = ModelGeometry(self.n, -1)
-        return lambda r: area_density(g, r)
+    def weight(self, rs: np.ndarray) -> np.ndarray:
+        """The area density J at every radius of `rs`."""
+        return area_densities(ModelGeometry(self.n, self.delta), rs)
 
     @property
     def target(self) -> int:
@@ -70,11 +70,8 @@ def _assemble(p: RadialProblem):
     """Symmetric tridiagonal A (flux form) and diagonal B on interior nodes."""
     m = p.mesh_points
     h = (p.r_max - p.r_min) / m
-    w = p.weight_fn()
-    nodes = p.r_min + h * np.arange(m + 1)
-    half = p.r_min + h * (np.arange(m) + 0.5)
-    w_half = np.array([w(r) for r in half])
-    w_node = np.array([w(r) for r in nodes[1:m]])
+    w_half = p.weight(p.r_min + h * (np.arange(m) + 0.5))
+    w_node = p.weight(p.r_min + h * np.arange(1, m))
     diag = (w_half[:-1] + w_half[1:]) / (h * h)
     off = -w_half[1:-1] / (h * h)
     return diag, off, w_node, h
@@ -130,8 +127,7 @@ def rayleigh_quotient(p: RadialProblem, trial: Callable[[float], float],
     m = p.mesh_points if p.mesh_points % 2 == 0 else p.mesh_points + 1
     h = (p.r_max - p.r_min) / m
     rs = p.r_min + h * np.arange(m + 1)
-    w = p.weight_fn()
-    ws = np.array([w(r) for r in rs])
+    ws = p.weight(rs)
     us = np.array([trial(r) for r in rs])
     if abs(us[-1]) > 1e-12 * (np.max(np.abs(us)) or 1.0):
         raise ContractViolation("trial function must vanish at r_max")

@@ -228,18 +228,23 @@ def closed_form_check(g: ModelGeometry, rgrid) -> Check:
 
 
 def log_derivative_check(g: ModelGeometry, rgrid) -> Check:
-    """(d/dr) log J equals the Laplacian within 1e-8 max(1, 1/r), by the
-    central difference log(J(r+h)/J(r-h))/(2h) with step h = 1e-6 r, at every
-    grid point whose stencil stays below the delta=1 diameter; fails when no
-    point does.  The detail is the worst deviation times min(1, r), which
-    the bound holds to 1e-8: the difference error grows like 1/r as r -> 0."""
+    """(d/dr) log J equals the Laplacian within 1e-8 max(1, 1/d), where d is
+    the distance from r to the nearest pole of the Laplacian: r itself, and
+    for delta=1 also pi/2 - r.  The central difference is
+    log(J(r+h)/J(r-h)) over the representable step (r+h) - (r-h), with
+    h = 1e-6 d, at every grid point where that step is nonzero; fails when
+    no point has one.  The detail is the worst deviation times min(1, d),
+    which the bound holds to 1e-8: the difference error grows like 1/d
+    towards a pole."""
     worst, points = 0.0, 0
     for r in rgrid:
-        h = 1e-6 * r
-        if g.delta == 1 and r + h >= math.pi / 2:
+        d = min(r, math.pi / 2 - r) if g.delta == 1 else r
+        h = 1e-6 * d
+        step = (r + h) - (r - h)
+        if not step > 0:
             continue
-        fd = math.log(area_density(g, r + h) / area_density(g, r - h)) / (2 * h)
-        worst = max(worst, abs(fd - laplacian_distance(g, r)) * min(1.0, r))
+        fd = math.log(area_density(g, r + h) / area_density(g, r - h)) / step
+        worst = max(worst, abs(fd - laplacian_distance(g, r)) * min(1.0, d))
         points += 1
     return check_true(f"(d/dr) log J = laplacian at {points} grid points (1e-8)",
                       points > 0 and worst <= 1e-8, detail=f"{worst:.3e}")

@@ -227,6 +227,29 @@ def test_log_derivative_check_at_small_radii(capsys):
     assert float(fd[0]["actual"]) <= 0.25e-8
 
 
+def test_log_derivative_check_next_to_the_projective_pole(capsys):
+    # the delta=1 Laplacian has a pole at pi/2, so the step and bound scale
+    # with the distance to it; a step scaled to r alone read 4.881e-03 here
+    status, out = run_cli(["compare", "--n", "2", "--delta", "1", "--r-max", "1.57",
+                           "--steps", "40"], capsys)
+    fd = [c for c in json.loads(out)["checks"] if c["name"].startswith("(d/dr) log J")]
+    assert status == 0
+    assert fd[0]["name"] == "(d/dr) log J = laplacian at 39 grid points (1e-8)"
+    assert fd[0]["pass"] is True
+    assert float(fd[0]["actual"]) <= 1e-9
+
+
+def test_log_derivative_check_skips_an_unrepresentable_step(capsys):
+    # one ulp below pi/2 the step 1e-6 (pi/2 - r) rounds away: the point is
+    # skipped, not divided by zero
+    status, out = run_cli(["compare", "--delta", "1", "--r-max", "1.5707963267948961",
+                           "--steps", "2"], capsys)
+    fd = [c for c in json.loads(out)["checks"] if c["name"].startswith("(d/dr) log J")]
+    assert status == 1
+    assert fd == [{"name": "(d/dr) log J = laplacian at 0 grid points (1e-8)",
+                   "expected": "true", "actual": "0.000e+00", "pass": False}]
+
+
 @pytest.mark.parametrize("argv, criteria, prefix", [
     (["check-identities", "--dim", "4", "--trials", "100", "--seed", "1400"],
      ("criterion_1_identities",), "dim 4 "),

@@ -2,11 +2,18 @@
 density, volumes, ratio monotonicity, eigenvalue constants."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from scipy.integrate import quad
 
+import qkcomp
 from qkcomp.comparison import (
+    QUADRATURE_PANELS,
     EigenvalueBounds,
     ModelGeometry,
     area_density,
@@ -14,6 +21,7 @@ from qkcomp.comparison import (
     flat_laplacian_coefficient,
     flat_laplacian_coefficient_printed,
     hessian_block_bounds,
+    integrate,
     laplacian_distance,
     sphere_area_constant,
     volume,
@@ -32,6 +40,23 @@ def simpson(f, a, b, n=4000):
     total += 4 * sum(f(a + h * k) for k in range(1, n, 2))
     total += 2 * sum(f(a + h * k) for k in range(2, n, 2))
     return total * h / 3
+
+
+def quad_integral(f, a, b):
+    """Oracle: QUADPACK at the settings the package used before it had its
+    own rule.  Only the tests import scipy.integrate."""
+    return quad(f, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+
+# |integrate / quad - 1| allowed on the grid below; measured 1.8e-14
+# (n = 5, delta = -1, r = 0.1), at the rounding of the two sums
+QUAD_AGREEMENT = 5e-14
+
+
+def grid_radii(delta):
+    if delta == 1:
+        return [0.01, 0.1, 0.5, 1.0, 1.5, math.pi / 2 - 1e-12]
+    return [0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0]
 
 
 def test_laplacian_hyperbolic_limit():
@@ -143,6 +168,85 @@ def test_projective_total_volume_finite():
     oracle = sphere_area_constant(2) * simpson(
         lambda s: area_density(gp, s), 1e-9, math.pi / 2 - 1e-9, n=20000)
     assert total == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_volume_matches_quad(n, delta):
+    g = ModelGeometry(n, delta)
+    for r in grid_radii(delta):
+        oracle = sphere_area_constant(n) * quad_integral(
+            lambda s: area_density(g, s), 0.0, r)
+        assert abs(volume(g, r) / oracle - 1) <= QUAD_AGREEMENT, r
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_volume_ratio_check_matches_quad(n, delta):
+    g = ModelGeometry(n, delta)
+    radii = grid_radii(delta)
+    pairs = [(radii[1], radii[3]), (radii[3], radii[-1])]
+    model = lambda s: area_density(g, s)
+    for density in (model, lambda s: model(s) * math.exp(-s),
+                    lambda s: model(s) * math.exp(s)):
+        for r1, r2 in pairs:
+            res = volume_ratio_check(density, g, r1, r2)
+            ratio = quad_integral(density, 0.0, r2) / quad_integral(density, 0.0, r1)
+            model_ratio = quad_integral(model, 0.0, r2) / quad_integral(model, 0.0, r1)
+            assert abs(res.ratio / ratio - 1) <= 2 * QUAD_AGREEMENT
+            assert abs(res.model_ratio / model_ratio - 1) <= 2 * QUAD_AGREEMENT
+            assert res.holds == (ratio <= model_ratio * (1 + 1e-8))
+
+
+def test_integrate_is_exact_on_polynomials():
+    # both rules integrate degree 19 exactly, so one panel is accepted; the
+    # nodes carry rounding that s^19 amplifies to about 1.5e-14 relative
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 3 * s ** 2 - s ** 19
+
+    assert integrate(f, 0.0, 2.0) == pytest.approx(8 - 2.0 ** 20 / 20, rel=1e-13)
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("k, one_panel", [(20, True), (21, False)])
+def test_integrate_accepts_a_panel_at_its_tolerance(k, one_panel):
+    # on [0, 1] the two rules differ by 2.9e-11 of the value of s^20 and by
+    # 3.2e-10 of that of s^21, either side of QUADRATURE_EPSREL = 1e-10
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return s ** k
+
+    assert integrate(f, 0.0, 1.0) == pytest.approx(1 / (k + 1), rel=1e-13)
+    assert (len(calls) == 30) == one_panel
+
+
+@pytest.mark.parametrize("f", [lambda s: 1 / s, lambda s: math.nan])
+def test_integrate_raises_at_the_panel_cap(f):
+    # the 1/s panel at 0 never converges (its rules differ by a fixed ratio
+    # at every width), nor does a NaN
+    with pytest.raises(RuntimeError, match=f"not resolved in {QUADRATURE_PANELS} panels"):
+        integrate(f, 0.0, 1.0)
+
+
+def test_suite_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulled in scipy.special and scipy.optimize, most of
+    # the suite's start-up time; scipy.linalg (eigh_tridiagonal) stays
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qkcomp.suite; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qkcomp.suite" in loaded and "scipy.linalg" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.special", "scipy.optimize"}
 
 
 def test_volume_ratio_equality_case():

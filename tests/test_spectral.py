@@ -11,6 +11,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 import qkcomp.spectral as spectral
 from qkcomp.comparison import ModelGeometry, area_density
 from qkcomp.forms import ContractViolation
+from qkcomp.riccati import DomainError
 from qkcomp.spectral import (
     RESIDUAL_TARGET,
     RadialProblem,
@@ -50,6 +51,16 @@ def bessel_j3_first_zero() -> float:
     return (lo + hi) / 2
 
 
+def scalar_assemble(p: RadialProblem):
+    """The assembly as a loop of scalar `area_density` calls (libm sinh/sin)."""
+    g = ModelGeometry(p.n, p.delta)
+    m = p.mesh_points
+    h = (p.r_max - p.r_min) / m
+    w_half = np.array([area_density(g, p.r_min + h * (i + 0.5)) for i in range(m)])
+    w_node = np.array([area_density(g, p.r_min + h * i) for i in range(1, m)])
+    return (w_half[:-1] + w_half[1:]) / (h * h), -w_half[1:-1] / (h * h), w_node, h
+
+
 def dense_generalized_eigenvalue(p: RadialProblem) -> float:
     diag, off, w, _h = _assemble(p)
     size = diag.shape[0]
@@ -85,6 +96,14 @@ def inverse_iteration(p: RadialProblem, target: float = 1e-10,
 # oracle at r_max 8, mesh 2000, n = 2 and 3
 LAMBDA_TOL = 1e-8
 
+# Relative gap between the numpy and the scalar-loop assembly, where numpy's
+# sinh/sin differ from libm's by a few ulp, raised to the powers in J;
+# measured 4.8e-15 at n = 5 (x86-64 with AVX-512)
+ASSEMBLY_TOL = 5e-14
+# |lambda1| gap between solves on the two assemblies; measured 5.5e-12
+# (n = 2, r_max 12, mesh 20000)
+ASSEMBLY_LAMBDA_TOL = 1e-10
+
 
 # -- tests --------------------------------------------------------------------
 
@@ -98,6 +117,22 @@ def test_assembled_system_is_symmetric_tridiagonal():
     # interior row sums of the flux form vanish (up to relative roundoff)
     row_sums = diag[1:-1] + off[:-1] + off[1:]
     assert np.all(np.abs(row_sums) <= 1e-12 * diag[1:-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("delta, r_max", [(-1, 12.0), (0, 3.0), (1, 1.5)])
+def test_assembly_matches_the_scalar_loop(n, delta, r_max):
+    p = RadialProblem(n, 1e-3, r_max, 20000, delta)
+    for ours, loop in zip(_assemble(p), scalar_assemble(p)):
+        assert np.all(np.abs(ours / loop - 1) <= ASSEMBLY_TOL)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_on_the_scalar_loop_assembly(n, monkeypatch):
+    p = RadialProblem(n, 1e-3, 12.0, 20000)
+    ours = lambda1_dirichlet(p).lambda1
+    monkeypatch.setattr(spectral, "_assemble", scalar_assemble)
+    assert abs(lambda1_dirichlet(p).lambda1 - ours) <= ASSEMBLY_LAMBDA_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -122,9 +157,7 @@ def test_lambda1_window_modest_mesh():
 
 
 def test_flat_ball_matches_bessel_zero():
-    g0 = ModelGeometry(2, 0)
-    p = RadialProblem(2, 1e-3, 1.0, 4000,
-                      weight=lambda r: area_density(g0, r))
+    p = RadialProblem(2, 1e-3, 1.0, 4000, delta=0)
     est = lambda1_dirichlet(p)
     target = bessel_j3_first_zero() ** 2
     assert est.lambda1 == pytest.approx(target, rel=1e-3)
@@ -209,3 +242,7 @@ def test_problem_validation():
         RadialProblem(2, 1e-3, 1.0, 32)
     with pytest.raises(ContractViolation):
         convergence_study(2, [5.0, 4.0], 1000)
+    with pytest.raises(ContractViolation):
+        RadialProblem(2, 1e-3, 1.0, 1000, delta=2)
+    with pytest.raises(DomainError):
+        RadialProblem(2, 1e-3, math.pi / 2, 1000, delta=1)
