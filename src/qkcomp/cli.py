@@ -27,7 +27,7 @@ from .comparison import (
     volume,
 )
 from .forms import ContractViolation
-from .model import ModelConstructionError, build_model, model_curvature
+from .model import build_model, model_curvature
 from .report import Report, check_true, render_value
 from .riccati import integrate_riccati, riccati_barrier
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
@@ -288,8 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in args and "QKCOMP_SEED" in os.environ:
             args.seed = int(os.environ["QKCOMP_SEED"])
         return args.func(args)
-    except (ContractViolation, ModelConstructionError, ValueError) as exc:
-        # a model error here means n or --scale gives exact tables past int64
+    except (ContractViolation, ValueError) as exc:
+        # bad input only, such as an n or --scale whose exact tables would
+        # pass int64; a ModelConstructionError is an internal failure
         parser.exit(2, f"qkcomp: {exc}\n")
 
 

@@ -210,17 +210,15 @@ def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float,
 
 @dataclass(frozen=True)
 class EigenvalueBounds:
-    """lambda_1 upper bounds: the quaternionic value with its real and
-    Kahler reference constants."""
+    """lambda_1 upper bounds: the quaternionic value with its real
+    reference constant."""
 
     quaternionic: int
     real_cheng: Fraction
-    kahler_reference: Fraction
 
 
 def eigenvalue_bounds(n: int) -> EigenvalueBounds:
-    """(2n+1)^2 against Cheng's bound rescaled to Ric >= -4(n+2), and the
-    Kahler reference n^2 (complex dimension n).
+    """(2n+1)^2 against Cheng's bound rescaled to Ric >= -4(n+2).
 
     Cheng in dimension d with Ric >= -(d-1) gives (d-1)^2/4; rescaling
     the curvature normalization to Ric >= -4(n+2) multiplies it by
@@ -228,4 +226,4 @@ def eigenvalue_bounds(n: int) -> EigenvalueBounds:
     if n < 2:
         raise ContractViolation(f"need n >= 2, got n={n}")
     cheng = Fraction((4 * n - 1) ** 2, 4) * Fraction(4 * (n + 2), 4 * n - 1)
-    return EigenvalueBounds((2 * n + 1) ** 2, cheng, Fraction(n * n))
+    return EigenvalueBounds((2 * n + 1) ** 2, cheng)

@@ -1,10 +1,17 @@
-"""Exact exterior algebra over an oriented inner-product space.
+"""Exact exterior algebra over an oriented inner-product space, and the
+one dense exact array type.
 
 Coefficients are arbitrary-precision rationals throughout, stored as
 integer numerators over one shared positive denominator per form; every
 operator identity checked on top of this module is therefore exact, with
 no tolerances.  The canonical ordered basis is orthonormal and fixes the
 orientation.
+
+Dense exact data (Hessians, the model's bracket, connection and curvature
+tables) is an `ExactArray` in the same format: int64 numerators over one
+positive denominator.  `contract` (np.einsum) and the elementwise steps
+first bound the numerators they can produce and raise Int64RangeError if
+they could pass 2^62.  Entries read one at a time are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from . import kernel
 
@@ -26,6 +35,20 @@ class DimensionMismatch(ValueError):
 
 class ContractViolation(ValueError):
     """An operation precondition was violated."""
+
+
+class Int64RangeError(ContractViolation):
+    """An exact table would leave the int64 range."""
+
+
+INT_BOUND = 1 << 62
+
+
+def guard_int64(bound: int, step: str) -> None:
+    """Refuse `step` if its numerators could reach `bound` > 2^62."""
+    if bound > INT_BOUND:
+        raise Int64RangeError(
+            f"exact table out of the int64 range: {step} could reach {bound} > 2^62")
 
 
 @dataclass(frozen=True)
@@ -329,3 +352,103 @@ def form_inner(a: Form, b: Form) -> Fraction:
     if a.degree != b.degree:
         return Fraction(0)
     return Fraction(kernel.inner_terms(a._terms, b._terms), a.den * b.den)
+
+
+@dataclass(frozen=True, eq=False)
+class ExactArray:
+    """Exact rational array: int64 numerators `num` over the positive
+    denominator `den`, in lowest terms when built by `of`."""
+
+    num: np.ndarray
+    den: int = 1
+
+    @classmethod
+    def of(cls, num, den: int = 1) -> ExactArray:
+        num = np.asarray(num, dtype=np.int64)
+        g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
+        return cls(num // g if num.any() else num, den // g)
+
+    @classmethod
+    def from_entries(cls, shape, entries: dict) -> ExactArray:
+        """The array of `shape` holding the rationals {index: value}, zero
+        elsewhere."""
+        entries = {idx: Fraction(v) for idx, v in entries.items()}
+        den = math.lcm(*(v.denominator for v in entries.values()))
+        scaled = {idx: v.numerator * (den // v.denominator) for idx, v in entries.items()}
+        guard_int64(max(map(abs, scaled.values()), default=0), "rational entries")
+        num = np.zeros(shape, dtype=np.int64)
+        for idx, v in scaled.items():
+            num[idx] = v
+        return cls.of(num, den)
+
+    @property
+    def bound(self) -> int:
+        """The largest numerator magnitude, at least 1, so that it times a
+        multiplier also bounds the multiplier."""
+        return int(np.abs(self.num).max(initial=1))
+
+    def __getitem__(self, idx) -> ExactArray:
+        return ExactArray(self.num[idx], self.den)
+
+    def reshape(self, *shape: int) -> ExactArray:
+        return ExactArray(self.num.reshape(shape), self.den)
+
+    def fraction(self, *idx: int) -> Fraction:
+        return Fraction(int(self.num[idx]), self.den)
+
+    def fractions(self) -> list:
+        """The entries as nested lists of Fraction."""
+        def build(x):
+            return [build(y) for y in x] if isinstance(x, list) else Fraction(x, self.den)
+        return build(self.num.tolist())
+
+    def items(self):
+        """(index tuple, Fraction) for every nonzero entry, in index order."""
+        for idx in map(tuple, np.argwhere(self.num).tolist()):
+            yield idx, Fraction(int(self.num[idx]), self.den)
+
+    def _common(self, other) -> tuple[np.ndarray, np.ndarray, int]:
+        """Both numerator arrays over the lcm of the denominators."""
+        if not isinstance(other, ExactArray):
+            other = Fraction(other)
+            other = ExactArray.of(other.numerator, other.denominator)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        guard_int64(self.bound * a + other.bound * b, "common denominator")
+        return self.num * a, other.num * b, den
+
+    def __add__(self, other) -> ExactArray:
+        x, y, den = self._common(other)
+        return ExactArray.of(x + y, den)
+
+    def __sub__(self, other) -> ExactArray:
+        x, y, den = self._common(other)
+        return ExactArray.of(x - y, den)
+
+    def __neg__(self) -> ExactArray:
+        return ExactArray(-self.num, self.den)
+
+    def __mul__(self, k) -> ExactArray:
+        k = Fraction(k)
+        guard_int64(self.bound * abs(k.numerator), "scaling")
+        return ExactArray.of(self.num * k.numerator, self.den * k.denominator)
+
+    __rmul__ = __mul__
+
+    def ne(self, other) -> np.ndarray:
+        """Elementwise self != other, exactly (other broadcasts)."""
+        x, y, _ = self._common(other)
+        return x != y
+
+
+def contract(spec: str, *ops: ExactArray) -> ExactArray:
+    """np.einsum of the numerators under `spec`, over the product of the
+    denominators; refused if a sum of products could pass 2^62."""
+    inputs, output = spec.split("->")
+    sizes: dict[str, int] = {}
+    for sub, op in zip(inputs.split(","), ops):
+        sizes.update(zip(sub, op.num.shape))
+    terms = math.prod(size for index, size in sizes.items() if index not in output)
+    guard_int64(terms * math.prod(op.bound for op in ops), spec)
+    return ExactArray.of(np.einsum(spec, *(op.num for op in ops)),
+                         math.prod(op.den for op in ops))

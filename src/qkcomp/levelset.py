@@ -5,10 +5,11 @@ all its branches, and the radial-Hessian equality-case certification.
 A level set carries the two-step nilpotent algebra z + v with the
 induced metric of block weights (s^-2 on z, s^-1 on v) at scale
 s = e^{-2t}; rational scales with rational square root (s = 1, 1/4)
-keep every check exact.  Its tables are the model's `ExactArray`s
-(int64 numerators over one denominator) over local 0-based axes, index i
-standing for the ambient e_{i+2}; the Gauss equation and the weighted
-displays are elementwise comparisons of those arrays.
+keep every check exact.  Its tables, the shape operator among them, are
+`forms.ExactArray`s (int64 numerators over one denominator) over local
+0-based axes, index i standing for the ambient e_{i+2}; the Gauss
+equation, the curvature sums, the weighted displays and the Busemann
+cross-check are reductions and elementwise comparisons of those arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import ContractViolation
+from .forms import ContractViolation, ExactArray, contract
 from .model import (
     ConnectionCoefficients,
     CurvatureTensor,
-    ExactArray,
     StructureConstants,
-    contract,
     curvature_table,
     jacobi_violations,
     levi_civita,
@@ -44,7 +43,7 @@ class LevelSetGeometry:
 
     n: int
     scale: Fraction
-    second_fundamental: tuple[Fraction, ...]
+    second_fundamental: ExactArray  # shape-operator eigenvalues, local axes
     curvature: CurvatureTensor
 
     def sectional(self, i: int, j: int) -> Fraction:
@@ -54,10 +53,6 @@ class LevelSetGeometry:
     def entry(self, i: int, j: int, k: int, l: int) -> Fraction:
         """bar R_{ijkl} with ambient indices 2..4n."""
         return self.curvature.entry(i - 1, j - 1, k - 1, l - 1)
-
-    def shape(self, i: int) -> Fraction:
-        """Second-fundamental-form eigenvalue at ambient index i."""
-        return self.second_fundamental[i - 2]
 
 
 def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
@@ -79,14 +74,14 @@ def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
 
 def second_fundamental_form(sc: StructureConstants,
                             cc: ConnectionCoefficients | None = None
-                            ) -> tuple[list, int]:
-    """(h matrix over indices 2..4n, off-diagonal violations) with
+                            ) -> tuple[ExactArray, int]:
+    """(h matrix over local axes, off-diagonal violations) with
     h_ab = <nabla_{e_a} e_b, e_1> from the ambient connection."""
     if cc is None:
         cc = levi_civita(sc)
     h = cc.table[1:, 1:, 0]
     off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
-    return h.fractions(), int(off)
+    return h, int(off)
 
 
 def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeometry:
@@ -97,27 +92,26 @@ def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeome
     if jacobi_violations(C) != 0:
         raise ContractViolation("nilpotent bracket table violates Jacobi")
     bar = CurvatureTensor(sc.n, curvature_table(C, levi_civita_table(C)))
-    h_mat, off = second_fundamental_form(sc)
+    h, off = second_fundamental_form(sc)
     if off:
         raise ContractViolation("ambient shape operator is not diagonal")
-    diag = tuple(h_mat[i][i] for i in range(sc.dim - 1))
-    return LevelSetGeometry(sc.n, scale, diag, bar)
+    return LevelSetGeometry(sc.n, scale, contract("ii->i", h), bar)
 
 
 def verify_second_fundamental(lsg: LevelSetGeometry) -> list[Check]:
     """Shape operator diag(2, 2, 2, 1, ..., 1)."""
-    n = lsg.n
-    expected = (Fraction(2),) * 3 + (Fraction(1),) * (4 * n - 4)
+    h = lsg.second_fundamental
+    expected = ExactArray.of([2] * 3 + [1] * (4 * lsg.n - 4))
     return [check_true("second fundamental form = diag(2,2,2,1,...,1)",
-                       lsg.second_fundamental == expected,
-                       detail=",".join(str(x) for x in lsg.second_fundamental[:6]))]
+                       not h.ne(expected).any(),
+                       detail=",".join(str(x) for x in h[:6].fractions()))]
 
 
 def verify_gauss_equation(R: CurvatureTensor, lsg: LevelSetGeometry) -> list[Check]:
     """All branches of the Gauss equation
     R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj over 2 <= i,j,k,l <= 4n."""
     m = 4 * lsg.n - 1
-    h = ExactArray.from_entries((m,), dict(enumerate(lsg.second_fundamental)))
+    h = lsg.second_fundamental
     i, j, k, l = np.ogrid[:m, :m, :m, :m]  # local: ambient index - 2
     pairing = ((l == i) & (k == j)).astype(np.int64) - ((k == i) & (l == j))
     want = lsg.curvature.table + contract("i,j,ijkl->ijkl", h, h, ExactArray(pairing))
@@ -148,46 +142,26 @@ def verify_level_set_sums(lsg: LevelSetGeometry) -> list[Check]:
     """The horosphere curvature sums {0, 4, -9, 0} and the individual
     K^N(z, v) = 1 values."""
     n = lsg.n
-    checks = []
-    zero_bad = sum(1 for (p, q) in ((2, 3), (2, 4), (3, 4))
-                   if lsg.sectional(p, q) != 0)
-    checks.append(check_eq("K^N vanishes on the center planes", 0, zero_bad))
+    # local axes: z at 0..2, line s of v at 4s-5..4s-2
+    K = lsg.curvature.sectional_table()
+    zv = K[:3, 3:]
+    vv = K[3:, 3:].reshape(n - 1, 4, n - 1, 4)  # [line s, entry i, line r, entry j]
 
-    mixed_bad = 0
-    for p in (2, 3, 4):
-        for s in range(2, n + 1):
-            total = sum((lsg.sectional(p, 4 * s - i) for i in range(4)), Fraction(0))
-            if total != 4:
-                mixed_bad += 1
-    checks.append(check_eq("sum_i K^N(e_p, e_{4s-i}) = 4", 0, mixed_bad))
+    def bad(values: ExactArray, want: int, where=True) -> int:
+        return int(np.count_nonzero(where & values.ne(want)))
 
-    line_bad = 0
-    for s in range(2, n + 1):
-        total = sum((lsg.sectional(4 * s, 4 * s - i) for i in range(1, 4)),
-                    Fraction(0))
-        if total != -9:
-            line_bad += 1
-    checks.append(check_eq("sum_i K^N(e_{4s}, e_{4s-i}) = -9", 0, line_bad))
-
-    cross_bad = 0
-    for s in range(2, n + 1):
-        for r in range(2, n + 1):
-            if r == s:
-                continue
-            total = sum((lsg.sectional(4 * s, 4 * r - i) for i in range(4)),
-                        Fraction(0))
-            if total != 0:
-                cross_bad += 1
-    checks.append(check_eq("sum_i K^N(e_{4s}, e_{4r-i}) = 0 across lines",
-                           0, cross_bad))
-
-    unit_bad = 0
-    for p in (2, 3, 4):
-        for al in range(5, 4 * n + 1):
-            if lsg.sectional(p, al) != 1:
-                unit_bad += 1
-    checks.append(check_eq("K^N(center, transversal) = 1", 0, unit_bad))
-    return checks
+    lines = ~np.eye(n - 1, dtype=bool)
+    return [
+        check_eq("K^N vanishes on the center planes", 0,
+                 bad(K[:3, :3], 0, np.triu(np.ones((3, 3), dtype=bool), 1))),
+        check_eq("sum_i K^N(e_p, e_{4s-i}) = 4", 0,
+                 bad(contract("psj->ps", zv.reshape(3, n - 1, 4)), 4)),
+        check_eq("sum_i K^N(e_{4s}, e_{4s-i}) = -9", 0,
+                 bad(contract("sj->s", contract("sisj->sij", vv)[:, 3, :3]), -9)),
+        check_eq("sum_i K^N(e_{4s}, e_{4r-i}) = 0 across lines", 0,
+                 bad(contract("srj->sr", vv[:, 3]), 0, lines)),
+        check_eq("K^N(center, transversal) = 1", 0, bad(zv, 1)),
+    ]
 
 
 def verify_weighted_displays(R: CurvatureTensor, base: LevelSetGeometry,
@@ -237,32 +211,24 @@ def radial_hessian_check(sc: StructureConstants) -> list[Check]:
     level-set block), and its block traces are the r -> infinity barrier
     limits 6, 4, and 4n+2 in total."""
     n = sc.n
-    h_mat, off = second_fundamental_form(sc)
-    m = sc.dim
+    h, off = second_fundamental_form(sc)
     checks = [check_eq("shape operator off-diagonal vanishes", 0, off)]
 
-    beta = busemann_hessian(n).entries
-    mismatch = 0
-    for i in range(2, m + 1):
-        for j in range(2, m + 1):
-            want = -beta[i - 1][j - 1]
-            if h_mat[i - 2][j - 2] != want:
-                mismatch += 1
-    first_row_bad = sum(1 for j in range(m) if beta[0][j] or beta[j][0])
+    beta = busemann_hessian(n).table
+    radial = (beta.num[0] != 0) | (beta.num[:, 0] != 0)
     checks.append(check_eq("shape operator = -(Busemann Hessian restriction)",
-                           0, mismatch))
+                           0, int(np.count_nonzero(h.ne(-beta[1:, 1:])))))
     checks.append(check_eq("Busemann Hessian radial row and column vanish",
-                           0, first_row_bad))
+                           0, int(np.count_nonzero(radial))))
 
-    diag = [h_mat[i][i] for i in range(m - 1)]
-    trace = sum(diag, Fraction(0))
+    diag = contract("ii->i", h)
+    blocks = contract("sk->s", diag[3:].reshape(n - 1, 4))
     checks.append(check_eq("total shape trace = 4n+2 (area growth exponent)",
-                           Fraction(4 * n + 2), trace))
+                           Fraction(4 * n + 2), contract("i->", diag).fraction()))
     checks.append(check_eq("line-block trace = 6 (limit of 6 coth 2r)",
-                           Fraction(6), sum(diag[:3], Fraction(0))))
+                           Fraction(6), contract("i->", diag[:3]).fraction()))
     for s in range(2, n + 1):
-        block = sum((diag[4 * s - 5 + k] for k in range(4)), Fraction(0))
         checks.append(check_eq(
             f"transversal block {s} trace = 4 (limit of 4 coth r)",
-            Fraction(4), block))
+            Fraction(4), blocks.fraction(s - 2)))
     return checks

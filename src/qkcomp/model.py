@@ -17,17 +17,16 @@ formula for left-invariant orthonormal frames,
 and the curvature tensor follows the convention
 R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>.
 
-Every table here and on the horospheres of `levelset` (C, Gamma, R) is an
-`ExactArray`: int64 numerators over one positive denominator.  Koszul,
-curvature and the identity batteries are `contract` (np.einsum) reductions
-and elementwise comparisons of numerators; each step first bounds the
-numerators it can produce and raises ModelConstructionError if they could
-pass 2^62.  Entries read one at a time are `Fraction`s.
+Every table here and on the horospheres of `levelset` (C, Gamma, R) is a
+`forms.ExactArray`: int64 numerators over one positive denominator.
+Koszul, curvature and the identity batteries are `contract` (np.einsum)
+reductions and elementwise comparisons of numerators, each refused with
+Int64RangeError if its numerators could pass 2^62.  Entries read one at a
+time are `Fraction`s.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,119 +34,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import ContractViolation, Form, Vector, form_inner, wedge
+from .forms import (ContractViolation, ExactArray, Form, Vector, contract, form_inner,
+                    wedge)
 from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
 from .report import Check, check_eq, check_true
 
 
 class ModelConstructionError(RuntimeError):
-    """No bracket scale satisfies the Einstein condition exactly, or an
-    exact table would leave the int64 range."""
+    """No bracket scale satisfies the Einstein condition exactly, or the
+    bracket table fails the Jacobi identity: an internal failure."""
 
 
 EINSTEIN_SWEEP = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
-INT_BOUND = 1 << 62
-
-
-def _guard(bound: int, step: str) -> None:
-    if bound > INT_BOUND:
-        raise ModelConstructionError(
-            f"exact table out of the int64 range: {step} could reach {bound} > 2^62")
-
-
-@dataclass(frozen=True, eq=False)
-class ExactArray:
-    """Exact rational array: int64 numerators `num` over the positive
-    denominator `den`, in lowest terms when built by `of`."""
-
-    num: np.ndarray
-    den: int = 1
-
-    @classmethod
-    def of(cls, num, den: int = 1) -> ExactArray:
-        num = np.asarray(num, dtype=np.int64)
-        g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
-        return cls(num // g if num.any() else num, den // g)
-
-    @classmethod
-    def from_entries(cls, shape, entries: dict) -> ExactArray:
-        """The array of `shape` holding the rationals {index: value}, zero
-        elsewhere."""
-        entries = {idx: Fraction(v) for idx, v in entries.items()}
-        den = math.lcm(*(v.denominator for v in entries.values()))
-        scaled = {idx: v.numerator * (den // v.denominator) for idx, v in entries.items()}
-        _guard(max(map(abs, scaled.values()), default=0), "rational entries")
-        num = np.zeros(shape, dtype=np.int64)
-        for idx, v in scaled.items():
-            num[idx] = v
-        return cls.of(num, den)
-
-    @property
-    def bound(self) -> int:
-        """The largest numerator magnitude, at least 1, so that it times a
-        multiplier also bounds the multiplier."""
-        return int(np.abs(self.num).max(initial=1))
-
-    def __getitem__(self, idx) -> ExactArray:
-        return ExactArray(self.num[idx], self.den)
-
-    def fraction(self, *idx: int) -> Fraction:
-        return Fraction(int(self.num[idx]), self.den)
-
-    def fractions(self) -> list:
-        """The entries as nested lists of Fraction."""
-        def build(x):
-            return [build(y) for y in x] if isinstance(x, list) else Fraction(x, self.den)
-        return build(self.num.tolist())
-
-    def items(self):
-        """(index tuple, Fraction) for every nonzero entry, in index order."""
-        for idx in map(tuple, np.argwhere(self.num).tolist()):
-            yield idx, Fraction(int(self.num[idx]), self.den)
-
-    def _common(self, other) -> tuple[np.ndarray, np.ndarray, int]:
-        """Both numerator arrays over the lcm of the denominators."""
-        if not isinstance(other, ExactArray):
-            other = Fraction(other)
-            other = ExactArray.of(other.numerator, other.denominator)
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        _guard(self.bound * a + other.bound * b, "common denominator")
-        return self.num * a, other.num * b, den
-
-    def __add__(self, other) -> ExactArray:
-        x, y, den = self._common(other)
-        return ExactArray.of(x + y, den)
-
-    def __sub__(self, other) -> ExactArray:
-        x, y, den = self._common(other)
-        return ExactArray.of(x - y, den)
-
-    def __neg__(self) -> ExactArray:
-        return ExactArray(-self.num, self.den)
-
-    def __mul__(self, k) -> ExactArray:
-        k = Fraction(k)
-        _guard(self.bound * abs(k.numerator), "scaling")
-        return ExactArray.of(self.num * k.numerator, self.den * k.denominator)
-
-    def ne(self, other) -> np.ndarray:
-        """Elementwise self != other, exactly (other broadcasts)."""
-        x, y, _ = self._common(other)
-        return x != y
-
-
-def contract(spec: str, *ops: ExactArray) -> ExactArray:
-    """np.einsum of the numerators under `spec`, over the product of the
-    denominators; refused if a sum of products could pass 2^62."""
-    inputs, output = spec.split("->")
-    sizes: dict[str, int] = {}
-    for sub, op in zip(inputs.split(","), ops):
-        sizes.update(zip(sub, op.num.shape))
-    terms = math.prod(size for index, size in sizes.items() if index not in output)
-    _guard(terms * math.prod(op.bound for op in ops), spec)
-    return ExactArray.of(np.einsum(spec, *(op.num for op in ops)),
-                         math.prod(op.den for op in ops))
 
 
 def _bracket_table(n: int, c: Fraction) -> ExactArray:

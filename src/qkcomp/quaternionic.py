@@ -6,6 +6,11 @@ Every module uses one frame: quaternionic line s is the block
 (e_{4s-3}, e_{4s-2}, e_{4s-1}, e_{4s}) = (e_s, I e_s, J e_s, K e_s).  With
 the gradient along e_1, the vectors I e_1, J e_1, K e_1 are the indices
 2, 3, 4, i.e. ``frame.line_indices(1)[1:]``.
+
+A Hessian is a `forms.ExactArray` table (int64 numerators over one
+denominator), built straight from the seeded int64 streams; its trace,
+line sums, norm and Kato slacks are guarded integer reductions read out
+as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import ContractViolation, Form, InnerSpace, Vector, ext_mult, interior, wedge
+from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
+                    ext_mult, guard_int64, interior, wedge)
 from .kernel import accumulate_scaled
 
 
@@ -162,57 +168,51 @@ def build_fundamental_forms(frame: QuaternionicFrame) -> FundamentalForms:
 
 
 class HessianMatrix:
-    """4n x 4n symmetric matrix of exact rationals, tied to a frame.
+    """4n x 4n symmetric matrix of exact rationals, tied to a frame: an
+    `ExactArray` table whose reductions are guarded integer sums, read out
+    as `Fraction`s.
 
     Constraint flags express harmonicity (zero trace) and quaternionic
     harmonicity (each line's four diagonal entries sum to zero)."""
 
-    __slots__ = ("frame", "entries")
+    __slots__ = ("frame", "table")
 
-    def __init__(self, frame: QuaternionicFrame, entries):
+    def __init__(self, frame: QuaternionicFrame, table: ExactArray):
         m = frame.dim
-        rows = [tuple(Fraction(x) for x in row) for row in entries]
-        if len(rows) != m or any(len(r) != m for r in rows):
+        if table.num.shape != (m, m):
             raise ContractViolation(f"expected a {m}x{m} matrix")
-        for a in range(m):
-            for b in range(a + 1, m):
-                if rows[a][b] != rows[b][a]:
-                    raise ContractViolation(
-                        f"matrix not symmetric at ({a + 1},{b + 1})")
+        asym = np.argwhere(np.triu(table.num != table.num.T))
+        if len(asym):
+            a, b = asym[0].tolist()
+            raise ContractViolation(f"matrix not symmetric at ({a + 1},{b + 1})")
         self.frame = frame
-        self.entries = tuple(rows)
-
-    def scaled_entries(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Entries as integer numerators over their least common
-        denominator: ``(rows, den)``."""
-        den = math.lcm(*(x.denominator for row in self.entries for x in row))
-        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                     for row in self.entries), den
+        self.table = table
 
     @property
     def dim(self) -> int:
         return self.frame.dim
 
+    def diagonal(self) -> ExactArray:
+        return contract("ii->i", self.table)
+
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.dim)), Fraction(0))
+        return contract("ii->", self.table).fraction()
 
     def is_harmonic(self) -> bool:
         return self.trace() == 0
 
     def line_sum(self, s: int) -> Fraction:
-        idx = self.frame.line_indices(s)
-        return sum((self.entries[i - 1][i - 1] for i in idx), Fraction(0))
+        return contract("i->", self.diagonal()[4 * s - 4:4 * s]).fraction()
 
     def is_quaternionic_harmonic(self) -> bool:
         return all(self.line_sum(s) == 0 for s in range(1, self.frame.n + 1))
 
     def frobenius_sq(self) -> Fraction:
-        return sum((x * x for row in self.entries for x in row), Fraction(0))
+        return contract("ij,ij->", self.table, self.table).fraction()
 
     @classmethod
     def zero(cls, frame: QuaternionicFrame) -> "HessianMatrix":
-        m = frame.dim
-        return cls(frame, [[0] * m for _ in range(m)])
+        return cls(frame, ExactArray(np.zeros((frame.dim, frame.dim), dtype=np.int64)))
 
 
 def random_symmetric(m: int, count: int,
@@ -238,14 +238,12 @@ def random_symmetric(m: int, count: int,
 
 def random_traceless_hessian(frame: QuaternionicFrame,
                              rng: random.Random) -> HessianMatrix:
-    """Random symmetric matrix projected onto trace zero."""
-    nums, q = random_symmetric(frame.dim, 1, rng)
-    h = [[Fraction(x, int(q[0])) for x in row] for row in nums[0].tolist()]
+    """Random symmetric matrix h / q projected onto trace zero:
+    (m h - tr(h) id) / (m q)."""
     m = frame.dim
-    shift = sum((h[i][i] for i in range(m)), Fraction(0)) / m
-    for i in range(m):
-        h[i][i] -= shift
-    return HessianMatrix(frame, h)
+    nums, q = random_symmetric(m, 1, rng)
+    h = m * nums[0] - np.trace(nums[0]) * np.eye(m, dtype=np.int64)
+    return HessianMatrix(frame, ExactArray.of(h, m * int(q[0])))
 
 
 def _quaternionic_harmonic_batch(n: int, count: int,
@@ -266,8 +264,7 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
                                  rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
     h, q = _quaternionic_harmonic_batch(frame.n, 1, rng)
-    den = 4 * int(q[0])
-    return HessianMatrix(frame, [[Fraction(x, den) for x in row] for row in h[0].tolist()])
+    return HessianMatrix(frame, ExactArray.of(h[0], 4 * int(q[0])))
 
 
 def siu_corlette_defect(H: HessianMatrix) -> Form:
@@ -281,9 +278,9 @@ def siu_corlette_defect(H: HessianMatrix) -> Form:
     frame = H.frame
     space = frame.space
     ff = build_fundamental_forms(frame)
-    rows, den = H.scaled_entries()
+    den = H.table.den
     out = Form.zero(space, 4)
-    for a, row in enumerate(rows, start=1):
+    for a, row in enumerate(H.table.num.tolist(), start=1):
         row_form = Form(space, 1, {1 << b: c for b, c in enumerate(row) if c}, den)
         if row_form.is_zero():
             continue
@@ -335,10 +332,10 @@ def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
     sign_eq = -1 if (m - 1) % 2 else 1
 
     # integer numerators over den * op_den on both sides
-    rows, den = H.scaled_entries()
+    den = H.table.den
     lhs_terms: dict = {}
     rhs_terms: dict = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(H.table.num.tolist()):
         for j, c in enumerate(row):
             if not c:
                 continue
@@ -368,11 +365,11 @@ class KatoReport:
     slack_row_factor: Fraction
 
 
-def scaled_kato_gap(h):
-    """3|h|^2 - 4|h e_1|^2 over the last two axes of h: three times the
-    refined Kato gap of the Hessian h with the gradient along e_1, where
-    |grad |grad f|| = |h e_1|.  Exact in the arithmetic of h: int64
-    batches or object arrays of Fractions."""
+def scaled_kato_gap(h: np.ndarray) -> np.ndarray:
+    """3|h|^2 - 4|h e_1|^2 over the last two axes of the int64 numerators
+    h: three times the refined Kato gap of the Hessian h with the gradient
+    along e_1, where |grad |grad f|| = |h e_1|.  Exact while the sums stay
+    in the int64 range."""
     return 3 * (h * h).sum(axis=(-2, -1)) - 4 * (h[..., 0, :] * h[..., 0, :]).sum(axis=-1)
 
 
@@ -383,21 +380,20 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
     if not H.is_quaternionic_harmonic():
         raise ContractViolation("Hessian must carry the quaternionic-harmonic flag")
     m = H.dim
-    e = H.entries
-    f11 = e[0][0]
-    diag_iks = [e[i - 1][i - 1] for i in H.frame.line_indices(1)[1:]]  # I e1, J e1, K e1
-    row_sq = sum((e[0][a] * e[0][a] for a in range(1, m)), Fraction(0))
+    T = H.table
+    f11 = T.fraction(0, 0)
+    iks = H.diagonal()[1:4]  # at I e1, J e1, K e1: frame.line_indices(1)[1:]
+    row = T[0, 1:]
+    row_sq = contract("i,i->", row, row).fraction()
+    iks_sq = contract("i,i->", iks, iks).fraction()
 
-    frob = H.frobenius_sq()
-    retained = f11 * f11 + sum((d * d for d in diag_iks), Fraction(0)) + 2 * row_sq
-    slack1 = frob - retained
-
-    s = sum(diag_iks, Fraction(0))
-    slack2 = sum((d * d for d in diag_iks), Fraction(0)) - s * s / 3
-
+    slack1 = H.frobenius_sq() - (f11 * f11 + iks_sq + 2 * row_sq)
+    s = contract("i->", iks).fraction()
+    slack2 = iks_sq - s * s / 3
     slack3 = Fraction(2, 3) * row_sq
 
-    gap = scaled_kato_gap(np.array(e, dtype=object)) / 3
+    guard_int64((3 * m * m + 4 * m) * T.bound ** 2, "Kato gap")
+    gap = Fraction(int(scaled_kato_gap(T.num)), 3 * T.den ** 2)
     if gap != slack1 + slack2 + slack3:
         raise RuntimeError(f"Kato slacks {slack1}, {slack2}, {slack3} do not "
                            f"sum to the gap {gap}")
@@ -434,11 +430,9 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
 def equality_case_hessian(frame: QuaternionicFrame, mu: Fraction) -> HessianMatrix:
     """The equality-case shape: -3 mu at e_1, mu at I e_1, J e_1, K e_1 and
     zero elsewhere (one scalar function of the gradient direction)."""
-    m = frame.dim
-    h = [[Fraction(0)] * m for _ in range(m)]
-    for i, v in zip(frame.line_indices(1), (-3 * mu, mu, mu, mu)):
-        h[i - 1][i - 1] = Fraction(v)
-    return HessianMatrix(frame, h)
+    diag = np.zeros(frame.dim, dtype=np.int64)
+    diag[:4] = (-3, 1, 1, 1)  # frame.line_indices(1)
+    return HessianMatrix(frame, ExactArray.of(np.diag(diag)) * mu)
 
 
 def busemann_hessian(n: int) -> HessianMatrix:
@@ -446,7 +440,5 @@ def busemann_hessian(n: int) -> HessianMatrix:
     diag(0, -2, -2, -2, -1, ..., -1): 0 at e_1, -2 at I e_1, J e_1, K e_1
     and -1 on the other lines.  Trace is -2(2n+1); the e_1 row vanishes."""
     frame = build_frame(n)
-    m = frame.dim
-    diag = [0, -2, -2, -2] + [-1] * (m - 4)
-    return HessianMatrix(frame, [[diag[i] if i == j else 0 for j in range(m)]
-                                 for i in range(m)])
+    diag = [0, -2, -2, -2] + [-1] * (frame.dim - 4)
+    return HessianMatrix(frame, ExactArray.of(np.diag(diag)))

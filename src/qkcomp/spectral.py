@@ -49,10 +49,6 @@ class RadialProblem:
         """The area density J at every radius of `rs`."""
         return area_densities(ModelGeometry(self.n, self.delta), rs)
 
-    @property
-    def target(self) -> int:
-        return (2 * self.n + 1) ** 2
-
 
 @dataclass(frozen=True)
 class SpectralEstimate:
@@ -117,22 +113,23 @@ def discrete_rayleigh(p: RadialProblem, u: np.ndarray) -> float:
     return float(u @ _matvec(diag, off, u)) / float(u @ (w_node * u))
 
 
-def rayleigh_quotient(p: RadialProblem, trial: Callable[[float], float],
-                      trial_derivative: Callable[[float], float] | None = None
+def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray],
+                      trial_derivative: Callable[[np.ndarray], np.ndarray] | None = None
                       ) -> float:
     """integral (u')^2 w / integral u^2 w by Simpson quadrature on the mesh.
 
-    An upper bound for the truncated problem's lambda_1; the trial must
-    vanish at r_max."""
+    `trial` and `trial_derivative` are called once, on the array of mesh
+    nodes.  An upper bound for the truncated problem's lambda_1; the trial
+    must vanish at r_max."""
     m = p.mesh_points if p.mesh_points % 2 == 0 else p.mesh_points + 1
     h = (p.r_max - p.r_min) / m
     rs = p.r_min + h * np.arange(m + 1)
     ws = p.weight(rs)
-    us = np.array([trial(r) for r in rs])
+    us = np.broadcast_to(trial(rs), rs.shape)
     if abs(us[-1]) > 1e-12 * (np.max(np.abs(us)) or 1.0):
         raise ContractViolation("trial function must vanish at r_max")
     if trial_derivative is not None:
-        dus = np.array([trial_derivative(r) for r in rs])
+        dus = np.broadcast_to(trial_derivative(rs), rs.shape)
     else:
         dus = np.gradient(us, rs, edge_order=2)
 

@@ -16,6 +16,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .comparison import (
     ModelGeometry,
     area_density,
@@ -25,6 +27,7 @@ from .comparison import (
     laplacian_distance,
     volume_ratio_check,
 )
+from .forms import ExactArray
 from .identities import check_star_identities
 from .levelset import (
     level_set_geometry,
@@ -98,15 +101,11 @@ def defect_checks(n: int, seed: int) -> list[Check]:
     m = frame.dim
     checks = []
     for line in range(1, n + 1):
-        h = [[Fraction(0)] * m for _ in range(m)]
-        a, b, c, d = frame.line_indices(line)
-        h[a - 1][a - 1] = Fraction(2)
-        h[b - 1][b - 1] = Fraction(1)
-        h[c - 1][c - 1] = Fraction(1)
-        h[d - 1][d - 1] = Fraction(1)
+        entries = {(i - 1, i - 1): v
+                   for i, v in zip(frame.line_indices(line), (2, 1, 1, 1))}
         other = frame.line_indices(1 if line != 1 else 2)[0]
-        h[other - 1][other - 1] += Fraction(-5)
-        H = HessianMatrix(frame, h)
+        entries[other - 1, other - 1] = -5
+        H = HessianMatrix(frame, ExactArray.from_entries((m, m), entries))
         form = siu_corlette_defect(H)
         checks.append(check_eq(
             f"n={n} line {line}: top coefficient = 6 x line sum",
@@ -119,9 +118,7 @@ def defect_checks(n: int, seed: int) -> list[Check]:
     rng = random.Random(seed)
     H1 = random_traceless_hessian(frame, rng)
     H2 = random_traceless_hessian(frame, rng)
-    lin = siu_corlette_defect(HessianMatrix(
-        frame, [[2 * H1.entries[i][j] + 3 * H2.entries[i][j]
-                 for j in range(m)] for i in range(m)]))
+    lin = siu_corlette_defect(HessianMatrix(frame, 2 * H1.table + 3 * H2.table))
     combo = 2 * siu_corlette_defect(H1) + 3 * siu_corlette_defect(H2)
     checks.append(check_true(f"n={n} defect form is linear in the Hessian",
                              lin == combo))
@@ -386,8 +383,8 @@ def criterion_7_spectral() -> Report:
         last["gap"] < 1.0, detail=f"{last['gap']:.6f}"))
 
     rmax = 30.0
-    trial = lambda r: math.exp(-5 * r) * (1 - r / rmax)
-    dtrial = lambda r: math.exp(-5 * r) * (-5 * (1 - r / rmax) - 1 / rmax)
+    trial = lambda r: np.exp(-5 * r) * (1 - r / rmax)
+    dtrial = lambda r: np.exp(-5 * r) * (-5 * (1 - r / rmax) - 1 / rmax)
     q = rayleigh_quotient(RadialProblem(2, 1e-3, rmax, 20000), trial, dtrial)
     rep.checks.append(check_true(
         "n=2: Rayleigh quotient of e^{-5r} trial <= 25.6",
@@ -430,7 +427,7 @@ def kato_equality_checks(n: int) -> list[Check]:
 def busemann_checks(n: int) -> list[Check]:
     """Trace, norm, line sum and spectrum of the Busemann equality-case Hessian."""
     bus = busemann_hessian(n)
-    diag = sorted(bus.entries[i][i] for i in range(bus.dim))
+    diag = sorted(bus.diagonal().fractions())
     expected = sorted([Fraction(0)] + [Fraction(-2)] * 3 + [Fraction(-1)] * (4 * n - 4))
     return [
         check_eq(f"n={n}: Busemann Hessian trace = -2(2n+1)",

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+import qkcomp.cli
 from qkcomp.cli import main
+from qkcomp.model import ModelConstructionError
 
 
 def run_cli(argv, capsys):
@@ -172,6 +174,24 @@ def test_components_csv_bytes(tmp_path, n, sha256):
     assert hashlib.sha256(comp_csv.read_bytes()).hexdigest() == sha256
 
 
+# JSON of the reports that read Hessians and the horosphere tables: a
+# Fraction value that turns into an int prints as "14" instead of "14/1"
+@pytest.mark.parametrize("argv, sha256", [
+    (["model", "--n", "2", "--scale", "1/4"],
+     "bd7a9ac97eb155c5f76b35b2773554db9af80acd8ebce5b4f6885b2645e95268"),
+    (["model", "--n", "3", "--scale", "1/4"],
+     "5107f283e58c35136aa0edb83b33fd455047530f177ee9c82656d5be9dc84119"),
+    (["harmonicity", "--n", "2", "--samples", "50", "--kato-samples", "1000"],
+     "cf959d24dea5807688aac4bf2e27c936e47f4a478be51558d1a79daccdf8d469"),
+    (["harmonicity", "--n", "3", "--samples", "50", "--kato-samples", "1000"],
+     "0404546457216ae390a8f38a6fb0565fb12e9071d9b562d43397d2c33a4b3344"),
+])
+def test_report_json_bytes(tmp_path, argv, sha256):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--delta", "7", "--r-max", "3"])
@@ -182,6 +202,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["model", "--scale", "10000000000000000"])  # s^2 = 1e32 passes int64
     assert exc.value.code == 2
+
+
+def test_internal_model_failure_is_not_a_usage_error(monkeypatch):
+    # no Einstein scale or a failing Jacobi identity is a fault of the
+    # program, not of its input: it must not exit 2
+    def fail(n):
+        raise ModelConstructionError("need exactly one Einstein scale, found []")
+    monkeypatch.setattr(qkcomp.cli, "build_model", fail)
+    with pytest.raises(ModelConstructionError):
+        main(["model", "--n", "2"])
 
 
 @pytest.mark.parametrize("argv", [["riccati", "--samples", "0"],

@@ -273,8 +273,8 @@ def test_volume_ratio_flags_violated_hypothesis():
 
 
 def test_eigenvalue_bounds_table():
-    assert eigenvalue_bounds(2) == EigenvalueBounds(25, F(28), F(4))
-    assert eigenvalue_bounds(3) == EigenvalueBounds(49, F(55), F(9))
+    assert eigenvalue_bounds(2) == EigenvalueBounds(25, F(28))
+    assert eigenvalue_bounds(3) == EigenvalueBounds(49, F(55))
     for n in range(2, 51):
         eb = eigenvalue_bounds(n)
         assert eb.quaternionic == (2 * n + 1) ** 2

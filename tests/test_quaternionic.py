@@ -1,13 +1,17 @@
 """Quaternionic frame algebra, the fundamental 4-form, harmonicity
-defects, the star-commutation identity, and the refined Kato chain."""
+defects, the star-commutation identity, and the refined Kato chain.
+
+`ReferenceHessian` keeps the nested-`Fraction` Hessians the `ExactArray`
+tables of `HessianMatrix` are tested against."""
 
 import random
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from qkcomp.forms import ContractViolation, form_inner, wedge
+from qkcomp.forms import ContractViolation, ExactArray, Int64RangeError, form_inner, wedge
 from qkcomp.quaternionic import (
     HessianMatrix,
     QuaternionicFrame,
@@ -155,6 +159,12 @@ def test_fundamental_forms_are_degree2_and_orthogonal():
 
 # -- Hessians and the Siu-Corlette defect ----------------------------------
 
+def table_of(rows) -> ExactArray:
+    """The ExactArray of a square matrix given as nested rationals."""
+    return ExactArray.from_entries((len(rows), len(rows)), {
+        (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x})
+
+
 def line_violation_hessian(frame, line, amount=F(5)):
     m = frame.dim
     h = [[F(0)] * m for _ in range(m)]
@@ -165,7 +175,7 @@ def line_violation_hessian(frame, line, amount=F(5)):
     h[d - 1][d - 1] = F(1)
     other = frame.line_indices(1 if line != 1 else 2)[0]
     h[other - 1][other - 1] -= amount
-    return HessianMatrix(frame, h)
+    return HessianMatrix(frame, table_of(h))
 
 
 def test_defect_factor_six_per_line():
@@ -184,7 +194,7 @@ def test_defect_zero_for_quaternionic_harmonic_lines():
     m = fr.dim
     h = [[F(0)] * m for _ in range(m)]
     h[0][0], h[1][1], h[2][2], h[3][3] = F(3), F(-1), F(-1), F(-1)
-    H = HessianMatrix(fr, h)
+    H = HessianMatrix(fr, table_of(h))
     assert quaternionic_defects(H)[0] == 0
 
 
@@ -198,7 +208,7 @@ def test_defect_requires_harmonic():
     h = [[F(0)] * 8 for _ in range(8)]
     h[0][0] = F(1)
     with pytest.raises(ContractViolation):
-        siu_corlette_defect(HessianMatrix(fr, h))
+        siu_corlette_defect(HessianMatrix(fr, table_of(h)))
 
 
 def test_defect_linear_in_hessian():
@@ -206,8 +216,7 @@ def test_defect_linear_in_hessian():
     rng = random.Random(5)
     H1 = random_traceless_hessian(fr, rng)
     H2 = random_traceless_hessian(fr, rng)
-    combo = HessianMatrix(fr, [[3 * H1.entries[i][j] - 2 * H2.entries[i][j]
-                                for j in range(8)] for i in range(8)])
+    combo = HessianMatrix(fr, 3 * H1.table - 2 * H2.table)
     assert siu_corlette_defect(combo) == \
         3 * siu_corlette_defect(H1) + (-2) * siu_corlette_defect(H2)
 
@@ -242,7 +251,7 @@ def test_kato_equality_case():
     fr = build_frame(2)
     H = equality_case_hessian(fr, F(1))
     assert H.frobenius_sq() == 12
-    assert sum(H.entries[0][a] ** 2 for a in range(8)) == 9
+    assert sum(x ** 2 for x in H.table[0].fractions()) == 9
     rep = refined_kato_gap(H)
     assert rep.gap == 0
     assert rep.slack_dropped_entries == 0
@@ -310,7 +319,7 @@ def test_kato_slack_invariant_is_a_raised_check(monkeypatch):
     h[0][0] = F(1)
     monkeypatch.setattr(HessianMatrix, "is_quaternionic_harmonic", lambda self: True)
     with pytest.raises(RuntimeError, match="do not sum to the gap"):
-        refined_kato_gap(HessianMatrix(fr, h))
+        refined_kato_gap(HessianMatrix(fr, table_of(h)))
 
 
 def test_kato_requires_flags():
@@ -318,7 +327,7 @@ def test_kato_requires_flags():
     h = [[F(0)] * 8 for _ in range(8)]
     h[0][0] = F(1)  # not quaternionic harmonic
     with pytest.raises(ContractViolation):
-        refined_kato_gap(HessianMatrix(fr, h))
+        refined_kato_gap(HessianMatrix(fr, table_of(h)))
 
 
 def test_random_generators_satisfy_flags():
@@ -339,13 +348,144 @@ def test_busemann_hessian(n):
     assert H.trace() == -2 * (2 * n + 1)
     assert H.frobenius_sq() == 4 * (n + 2)
     assert H.line_sum(1) == -6
-    assert [H.entries[i][i] for i in range(4 * n)] == [0, -2, -2, -2] + [-1] * (4 * n - 4)
-    assert all(H.entries[0][j] == 0 for j in range(4 * n))
+    assert H.diagonal().fractions() == [0, -2, -2, -2] + [-1] * (4 * n - 4)
+    assert not H.table[0].num.any()
 
 
 def test_hessian_validation():
     fr = build_frame(2)
     bad = [[F(0)] * 8 for _ in range(8)]
     bad[0][1] = F(1)  # asymmetric
-    with pytest.raises(ContractViolation):
-        HessianMatrix(fr, bad)
+    with pytest.raises(ContractViolation, match=r"not symmetric at \(1,2\)"):
+        HessianMatrix(fr, table_of(bad))
+    with pytest.raises(ContractViolation, match="expected a 8x8 matrix"):
+        HessianMatrix(fr, table_of(bad)[:7])
+    with pytest.raises(ContractViolation, match="expected a 12x12 matrix"):
+        HessianMatrix(build_frame(3), table_of(bad))
+
+
+# -- differential: the ExactArray Hessians against the Fraction reference ---
+
+class ReferenceHessian:
+    """The nested-Fraction construction of a Hessian: rows of Fractions,
+    with every sum and the Kato chain written out entry by entry."""
+
+    def __init__(self, frame, rows):
+        self.frame = frame
+        self.rows = [[F(x) for x in row] for row in rows]
+        self.m = frame.dim
+
+    def trace(self):
+        return sum((self.rows[i][i] for i in range(self.m)), F(0))
+
+    def line_sum(self, s):
+        return sum((self.rows[i - 1][i - 1] for i in self.frame.line_indices(s)), F(0))
+
+    def frobenius_sq(self):
+        return sum((x * x for row in self.rows for x in row), F(0))
+
+    def kato(self):
+        """(gap, slack1, slack2, slack3) with the gradient along e_1."""
+        e = self.rows
+        f11 = e[0][0]
+        iks = [e[i - 1][i - 1] for i in self.frame.line_indices(1)[1:]]
+        row_sq = sum((e[0][a] * e[0][a] for a in range(1, self.m)), F(0))
+        iks_sq = sum((d * d for d in iks), F(0))
+        frob = self.frobenius_sq()
+        slack1 = frob - (f11 * f11 + iks_sq + 2 * row_sq)
+        slack2 = iks_sq - sum(iks, F(0)) ** 2 / 3
+        gap = frob - F(4, 3) * (f11 * f11 + row_sq)
+        return gap, slack1, slack2, F(2, 3) * row_sq
+
+
+def reference_symmetric(frame, rng):
+    nums, q = random_symmetric(frame.dim, 1, rng)
+    return [[F(x, int(q[0])) for x in row] for row in nums[0].tolist()]
+
+
+def reference_traceless(frame, rng):
+    h = reference_symmetric(frame, rng)
+    shift = sum((h[i][i] for i in range(frame.dim)), F(0)) / frame.dim
+    for i in range(frame.dim):
+        h[i][i] -= shift
+    return ReferenceHessian(frame, h)
+
+
+def reference_quaternionic_harmonic(frame, rng):
+    h = reference_symmetric(frame, rng)
+    for s in range(1, frame.n + 1):
+        idx = frame.line_indices(s)
+        mean = sum((h[i - 1][i - 1] for i in idx), F(0)) / 4
+        for i in idx:
+            h[i - 1][i - 1] -= mean
+    return ReferenceHessian(frame, h)
+
+
+def assert_matches_reference(H, ref, kato):
+    assert H.table.fractions() == ref.rows
+    values = [H.trace(), H.frobenius_sq()] + [H.line_sum(s) for s in range(1, H.frame.n + 1)]
+    assert values == [ref.trace(), ref.frobenius_sq()] + [
+        ref.line_sum(s) for s in range(1, H.frame.n + 1)]
+    if kato:
+        rep = refined_kato_gap(H)
+        values += [rep.gap, rep.slack_dropped_entries, rep.slack_cauchy_schwarz,
+                   rep.slack_row_factor]
+        assert values[-4:] == list(ref.kato())
+    # the reports print Fraction(14) as 14/1 and the int 14 as 14
+    assert all(type(v) is F for v in values)
+
+
+# criterion 2's seeded streams: the defect checks' two Hessians and the
+# star commutation samples
+@pytest.mark.parametrize("n, seed, count", [(2, 1502, 2), (2, 2222, 200),
+                                            (3, 1503, 2), (3, 2333, 50)])
+def test_traceless_stream_matches_reference(n, seed, count):
+    fr = build_frame(n)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        assert_matches_reference(random_traceless_hessian(fr, rng),
+                                 reference_traceless(fr, ref_rng), kato=False)
+
+
+# the head of criterion 8's scan stream, drawn one Hessian at a time
+@pytest.mark.parametrize("n, count", [(2, 300), (3, 100)])
+def test_quaternionic_harmonic_stream_matches_reference(n, count):
+    fr = build_frame(n)
+    rng, ref_rng = random.Random(888), random.Random(888)
+    for _ in range(count):
+        assert_matches_reference(random_quaternionic_harmonic(fr, rng),
+                                 reference_quaternionic_harmonic(fr, ref_rng), kato=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_equality_and_busemann_hessians_match_reference(n):
+    fr = build_frame(n)
+    m = fr.dim
+    for mu in (F(1), F(7, 3)):
+        rows = [[F(0)] * m for _ in range(m)]
+        for i, v in zip(fr.line_indices(1), (-3 * mu, mu, mu, mu)):
+            rows[i - 1][i - 1] = v
+        assert_matches_reference(equality_case_hessian(fr, mu),
+                                 ReferenceHessian(fr, rows), kato=True)
+    diag = [0, -2, -2, -2] + [-1] * (m - 4)
+    rows = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    assert_matches_reference(busemann_hessian(n), ReferenceHessian(fr, rows), kato=False)
+    assert_matches_reference(HessianMatrix.zero(fr),
+                             ReferenceHessian(fr, [[0] * m] * m), kato=True)
+
+
+def test_hessian_near_2_31_raises_rather_than_wraps():
+    # each square fits in int64, their sum over the 64 entries does not
+    fr = build_frame(2)
+    big = (1 << 31) - 7
+    H = HessianMatrix(fr, ExactArray.of(np.diag([big, -big] * 4)))
+    assert H.is_quaternionic_harmonic() and H.trace() == 0
+    with pytest.raises(Int64RangeError):
+        H.frobenius_sq()
+    with pytest.raises(Int64RangeError):
+        refined_kato_gap(H)
+    # at 2^28, |H|^2 still fits but 3 |H|^2 in the gap may not
+    H = HessianMatrix(fr, ExactArray.of(np.diag([1 << 28, -(1 << 28)] * 4)))
+    assert H.frobenius_sq() == 8 << 56
+    with pytest.raises(Int64RangeError, match="Kato gap"):
+        refined_kato_gap(H)

@@ -204,27 +204,57 @@ def test_rayleigh_of_discrete_eigenvector():
     assert discrete_rayleigh(p, x) == pytest.approx(est.lambda1, abs=1e-6)
 
 
+def trial_pair(k, rmax, lib=np):
+    """e^{-kr} (1 - r/rmax) and its derivative, on arrays (numpy) or
+    floats (math)."""
+    return (lambda r: lib.exp(-k * r) * (1 - r / rmax),
+            lambda r: lib.exp(-k * r) * (-k * (1 - r / rmax) - 1 / rmax))
+
+
 def test_rayleigh_trial_bounds():
     rmax = 30.0
     p = RadialProblem(2, 1e-3, rmax, 20000)
-    u5 = lambda r: math.exp(-5 * r) * (1 - r / rmax)
-    du5 = lambda r: math.exp(-5 * r) * (-5 * (1 - r / rmax) - 1 / rmax)
-    q5 = rayleigh_quotient(p, u5, du5)
+    q5 = rayleigh_quotient(p, *trial_pair(5, rmax))
     assert 25 < q5 <= 25.6
-    u4 = lambda r: math.exp(-4 * r) * (1 - r / rmax)
-    du4 = lambda r: math.exp(-4 * r) * (-4 * (1 - r / rmax) - 1 / rmax)
-    q4 = rayleigh_quotient(p, u4, du4)
+    q4 = rayleigh_quotient(p, *trial_pair(4, rmax))
     assert q4 > 25 and q4 > q5
 
 
 def test_rayleigh_quotient_fd_fallback():
     rmax = 30.0
     p = RadialProblem(2, 1e-3, rmax, 20000)
-    u5 = lambda r: math.exp(-5 * r) * (1 - r / rmax)
-    du5 = lambda r: math.exp(-5 * r) * (-5 * (1 - r / rmax) - 1 / rmax)
+    u5, du5 = trial_pair(5, rmax)
     exact = rayleigh_quotient(p, u5, du5)
     fd = rayleigh_quotient(p, u5)
     assert fd == pytest.approx(exact, rel=1e-4)
+
+
+def scalar_loop_rayleigh(p, trial, trial_derivative):
+    """rayleigh_quotient with the trial and its derivative evaluated one
+    node at a time, in Python loops."""
+    m = p.mesh_points if p.mesh_points % 2 == 0 else p.mesh_points + 1
+    h = (p.r_max - p.r_min) / m
+    rs = p.r_min + h * np.arange(m + 1)
+    ws = p.weight(rs)
+    us = np.array([trial(r) for r in rs])
+    dus = np.array([trial_derivative(r) for r in rs])
+
+    def simpson(vals):
+        return float(h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
+                              + 2 * vals[2:-1:2].sum()))
+
+    return simpson(dus * dus * ws) / simpson(us * us * ws)
+
+
+@pytest.mark.parametrize("n, k, rmax, mesh", [(2, 5, 30.0, 20000), (2, 4, 30.0, 20000),
+                                              (3, 7, 12.0, 4001)])
+def test_rayleigh_quotient_matches_the_scalar_loop(n, k, rmax, mesh):
+    # measured equal to the last bit on x86-64; numpy's exp may differ from
+    # libm's by an ulp on other builds, hence 1e-14
+    p = RadialProblem(n, 1e-3, rmax, mesh)
+    got = rayleigh_quotient(p, *trial_pair(k, rmax))
+    want = scalar_loop_rayleigh(p, *trial_pair(k, rmax, math))
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_rayleigh_requires_vanishing_trial():
