@@ -36,23 +36,13 @@ from .riccati import rational_sqrt
 
 @dataclass(frozen=True)
 class LevelSetGeometry:
-    """Intrinsic data of the level set at scale s = e^{-2t}.
-
-    Indices follow the ambient labels 2..4n; the scale-1 curvature is
-    also kept since the ambient displays weight it by powers of e^{-t}."""
+    """Intrinsic data of the level set at scale s = e^{-2t} over local axes:
+    0-based index i (1-based i + 1 in `curvature.entry`) is the ambient e_{i+2}."""
 
     n: int
     scale: Fraction
     second_fundamental: ExactArray  # shape-operator eigenvalues, local axes
     curvature: CurvatureTensor
-
-    def sectional(self, i: int, j: int) -> Fraction:
-        """K^N(e_i, e_j) with ambient 1-based indices 2..4n."""
-        return self.curvature.sectional(i - 1, j - 1)
-
-    def entry(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """bar R_{ijkl} with ambient indices 2..4n."""
-        return self.curvature.entry(i - 1, j - 1, k - 1, l - 1)
 
 
 def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:

@@ -270,9 +270,9 @@ class BergerData:
     """Curvature commutator 2-forms: alpha, beta, gamma as antisymmetric
     matrices over the frame."""
 
-    alpha: list
-    beta: list
-    gamma: list
+    alpha: ExactArray
+    beta: ExactArray
+    gamma: ExactArray
     checks: list[Check]
 
 
@@ -324,7 +324,6 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
     ric_bad = int(np.count_nonzero(
         at_image(a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
 
-    alpha, beta, gamma = a1.fractions(), b1.fractions(), g1.fractions()
     rng = random.Random(seed)
     triple_bad = 0
     for _ in range(triple_samples):
@@ -342,7 +341,8 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
             + sK * sI * R.entry(a + 1, b + 1, tI, tK)
         lhs_g = sK * R.entry(a + 1, b + 1, tK, cidx) \
             + sI * sJ * R.entry(a + 1, b + 1, tJ, tI)
-        if lhs_a != alpha[a][b] or lhs_b != beta[a][b] or lhs_g != gamma[a][b]:
+        if lhs_a != a1.fraction(a, b) or lhs_b != b1.fraction(a, b) \
+                or lhs_g != g1.fraction(a, b):
             triple_bad += 1
 
     checks = [
@@ -352,7 +352,7 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
         check_eq("alpha(X,IY) = -Ric(X,Y)/(n+2)", 0, ric_bad),
         check_eq("curvature-pair identities on seeded frame triples", 0, triple_bad),
     ]
-    return BergerData(alpha, beta, gamma, checks)
+    return BergerData(a1, b1, g1, checks)
 
 
 def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], int]:
@@ -503,13 +503,9 @@ def verify_parallel_four_form(sc: StructureConstants,
     gamma_conn = exterior_derivative(sc, fc) + wedge(fa, fb)
 
     if berger is not None:
-        def two_form(mat) -> Form:
-            terms = {}
-            for i in range(1, m + 1):
-                for j in range(i + 1, m + 1):
-                    if mat[i - 1][j - 1]:
-                        terms[(i, j)] = mat[i - 1][j - 1]
-            return Form.from_terms(space, 2, terms)
+        def two_form(mat: ExactArray) -> Form:
+            return Form.from_terms(space, 2, {(i + 1, j + 1): v
+                                              for (i, j), v in mat.items() if i < j})
 
         checks.append(check_true("alpha = da + b ^ c matches the curvature alpha",
                                  alpha_conn == two_form(berger.alpha)))

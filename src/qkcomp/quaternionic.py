@@ -10,7 +10,10 @@ the gradient along e_1, the vectors I e_1, J e_1, K e_1 are the indices
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
 denominator), built straight from the seeded int64 streams; its trace,
 line sums, norm and Kato slacks are guarded integer reductions read out
-as `Fraction`s.
+as `Fraction`s.  The Siu-Corlette defect form and both sides of the star
+commutation are 4-forms linear in the Hessian: each operator chain on
+Omega is built once per frame as a cached sparse integer map of the
+Hessian numerators, applied with one guarded int64 sum per call.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
                     ext_mult, guard_int64, interior, wedge)
-from .kernel import accumulate_scaled
 
 
 @dataclass(frozen=True)
@@ -267,51 +270,78 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
     return HessianMatrix(frame, ExactArray.of(h[0], 4 * int(q[0])))
 
 
+@dataclass(frozen=True, eq=False)
+class _FourFormMap:
+    """A linear map from the m x m Hessian numerators h to 4-form
+    numerators: entry k adds num[k] * h.ravel()[ij[k]] to the coefficient
+    of masks[slot[k]], all over den.  `weight`, the largest per-slot sum
+    of |num|, times the Hessian's bound bounds every output numerator."""
+
+    masks: tuple[int, ...]
+    slot: np.ndarray
+    ij: np.ndarray
+    num: np.ndarray
+    den: int
+    weight: int
+
+    @classmethod
+    def of(cls, forms: Iterable[tuple[int, Form]]) -> "_FourFormMap":
+        """The map h -> sum of h.ravel()[ij] f over the pairs (ij, f)."""
+        keys, flat, nums, dens = zip(*((k, ij, c, f.den) for ij, f in forms
+                                       for k, c in f._terms.items()))
+        den = math.lcm(*dens)
+        masks = sorted(set(keys))
+        slot_of = {k: s for s, k in enumerate(masks)}
+        slot = np.array([slot_of[k] for k in keys], dtype=np.int64)
+        num = np.array([c * (den // d) for c, d in zip(nums, dens)], dtype=np.int64)
+        weight = np.zeros(len(masks), dtype=np.int64)
+        np.add.at(weight, slot, np.abs(num))
+        return cls(tuple(masks), slot, np.array(flat), num, den, int(weight.max()))
+
+    def __call__(self, H: HessianMatrix, sign: int) -> Form:
+        """sign times the image of H, a degree-4 form."""
+        T = H.table
+        guard_int64(self.weight * T.bound, "Hessian 4-form map")
+        acc = np.zeros(len(self.masks), dtype=np.int64)
+        np.add.at(acc, self.slot, self.num * T.num.ravel()[self.ij])
+        terms = {k: sign * c for k, c in zip(self.masks, acc.tolist()) if c}
+        return Form(H.frame.space, 4, terms, self.den * T.den)
+
+
+@lru_cache(maxsize=None)
+def _hessian_four_form_maps(frame: QuaternionicFrame) -> tuple[_FourFormMap, _FourFormMap]:
+    """The two operator chains on Omega as maps of the Hessian, built
+    independently: h -> sum h_ij ell(e_i) eps(theta^j) Omega (left) and
+    h -> sum h_ij eps(theta^i) ell(e_j) Omega (right)."""
+    space = frame.space
+    Omega = build_fundamental_forms(frame).Omega
+    m = frame.dim
+    thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
+    vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
+    eps_then = [ext_mult(theta, Omega) for theta in thetas]
+    ell_then = [interior(v, Omega) for v in vecs]
+    left = _FourFormMap.of((i * m + j, interior(vecs[i], eps_then[j]))
+                           for i in range(m) for j in range(m))
+    right = _FourFormMap.of((i * m + j, ext_mult(thetas[i], ell_then[j]))
+                            for i in range(m) for j in range(m))
+    return left, right
+
+
 def siu_corlette_defect(H: HessianMatrix) -> Form:
-    """The degree-4 form sum_{A,B} f_AB theta^B ^ (e_A -| Omega).
+    """The degree-4 form sum_{i,j} f_ij theta^i ^ (e_j -| Omega).
 
     For a harmonic Hessian its coefficient on each line's top monomial
     theta^i ^ I theta^i ^ J theta^i ^ K theta^i is 6 times that line's
     quaternionic-harmonicity defect."""
     if not H.is_harmonic():
         raise ContractViolation("defect form requires a trace-free (harmonic) Hessian")
-    frame = H.frame
-    space = frame.space
-    ff = build_fundamental_forms(frame)
-    den = H.table.den
-    out = Form.zero(space, 4)
-    for a, row in enumerate(H.table.num.tolist(), start=1):
-        row_form = Form(space, 1, {1 << b: c for b, c in enumerate(row) if c}, den)
-        if row_form.is_zero():
-            continue
-        out = out + wedge(row_form, interior(Vector.basis(space, a), ff.Omega))
-    return out
+    return _hessian_four_form_maps(H.frame)[1](H, 1)
 
 
 def quaternionic_defects(H: HessianMatrix) -> list[Fraction]:
     """Per-line defect read off the Siu-Corlette form (coefficient / 6)."""
     form = siu_corlette_defect(H)
-    out = []
-    for s in range(1, H.frame.n + 1):
-        idx = H.frame.line_indices(s)
-        out.append(form.coefficient(idx) / 6)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _commutation_operator_forms(frame: QuaternionicFrame):
-    """Precompute ell(e_i) eps(theta_j) Omega and eps(theta_i) ell(e_j) Omega."""
-    space = frame.space
-    Omega = build_fundamental_forms(frame).Omega
-    m = frame.dim
-    thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
-    vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
-    eps_then = [ext_mult(thetas[j], Omega) for j in range(m)]
-    ell_then = [interior(vecs[j], Omega) for j in range(m)]
-    left = [[interior(vecs[i], eps_then[j]) for j in range(m)] for i in range(m)]
-    right = [[ext_mult(thetas[i], ell_then[j]) for j in range(m)] for i in range(m)]
-    den = math.lcm(*(f.den for ops in (left, right) for row in ops for f in row))
-    return left, right, den
+    return [form.coefficient(H.frame.line_indices(s)) / 6 for s in range(1, H.frame.n + 1)]
 
 
 def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
@@ -320,33 +350,16 @@ def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
 
     The left side is evaluated as (-1)^{p(m-p-1)} sum f_ij ell(e_i) eps(theta_j) Omega,
     the right side as (-1)^{m-1} (-1)^{(p-1)(m-p)} sum f_ij eps(theta_i) ell(e_j) Omega,
-    with p = 4; the two operator chains are computed independently."""
+    with p = 4; both are 4-forms, from independently built operator chains.
+    The right chain is that of `siu_corlette_defect`, so for m = 4n the right
+    side is minus the defect form."""
     if not H.is_harmonic():
         raise ContractViolation("star commutation requires a trace-free Hessian")
-    frame = H.frame
-    m = frame.dim
+    m = H.dim
     p = 4
-    left_ops, right_ops, op_den = _commutation_operator_forms(frame)
-    sign_left = -1 if (p * (m - p - 1)) % 2 else 1
-    sign_right = -1 if ((p - 1) * (m - p)) % 2 else 1
-    sign_eq = -1 if (m - 1) % 2 else 1
-
-    # integer numerators over den * op_den on both sides
-    den = H.table.den
-    lhs_terms: dict = {}
-    rhs_terms: dict = {}
-    for i, row in enumerate(H.table.num.tolist()):
-        for j, c in enumerate(row):
-            if not c:
-                continue
-            left, right = left_ops[i][j], right_ops[i][j]
-            accumulate_scaled(lhs_terms, left._terms,
-                              c * sign_left * (op_den // left.den))
-            accumulate_scaled(rhs_terms, right._terms,
-                              c * sign_right * sign_eq * (op_den // right.den))
-    space = frame.space
-    return (Form(space, 5, lhs_terms, den * op_den),
-            Form(space, 5, rhs_terms, den * op_den))
+    left, right = _hessian_four_form_maps(H.frame)
+    return (left(H, (-1) ** (p * (m - p - 1))),
+            right(H, (-1) ** ((p - 1) * (m - p) + m - 1)))
 
 
 def verify_star_commutation(H: HessianMatrix) -> bool:

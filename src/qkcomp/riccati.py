@@ -110,21 +110,19 @@ class ComparisonFunction:
         outside = ts <= 0 if pole is None else (ts <= 0) | (ts >= pole)
         if outside.any():
             self.domain_check(float(ts.flat[np.argmax(outside)]))
-        if self.kind == "reciprocal":
-            return self._m / ts
-        if self.kind == "coth":
-            return self.amplitude / np.tanh(self.frequency * ts)
-        return self.amplitude / np.tan(self.frequency * ts)
+        return self._barrier(np, ts)
 
     def __call__(self, t: float) -> float:
         self.domain_check(t)
+        return self._barrier(math, t)
+
+    def _barrier(self, lib, t):
+        """The formula of the barrier, with tanh/tan from `lib` (math or numpy)."""
         if self.kind == "reciprocal":
             return self._m / t
-        b = self.frequency
-        a = self.amplitude
         if self.kind == "coth":
-            return a / math.tanh(b * t)
-        return a / math.tan(b * t)
+            return self.amplitude / lib.tanh(self.frequency * t)
+        return self.amplitude / lib.tan(self.frequency * t)
 
     def derivative(self, t: float) -> float:
         self.domain_check(t)

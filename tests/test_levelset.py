@@ -51,9 +51,9 @@ def test_second_fundamental_form(setup2, setup3):
 def test_center_planes_are_flat(setup2):
     sc, _ = setup2
     lsg = level_set_geometry(sc, F(1))
-    assert lsg.sectional(2, 3) == 0
-    assert lsg.sectional(2, 4) == 0
-    assert lsg.sectional(3, 4) == 0
+    assert lsg.curvature.sectional(1, 2) == 0
+    assert lsg.curvature.sectional(1, 3) == 0
+    assert lsg.curvature.sectional(2, 3) == 0
 
 
 def test_level_set_sums(setup2, setup3):
@@ -67,7 +67,7 @@ def test_level_set_sums(setup2, setup3):
 def test_line_sum_minus_nine_explicit(setup2):
     sc, _ = setup2
     lsg = level_set_geometry(sc, F(1))
-    total = sum(lsg.sectional(8, 8 - i) for i in (1, 2, 3))
+    total = sum(lsg.curvature.sectional(7, 7 - i) for i in (1, 2, 3))
     assert total == -9
 
 
@@ -162,7 +162,8 @@ def reference_gauss_counts(R, lsg):
                     if k == i and l == j:
                         corr -= h[i - 2] * h[j - 2]
                     bad, total = counts.get(branch(i, j, k, l), (0, 0))
-                    bad += R.entry(i, j, k, l) != lsg.entry(i, j, k, l) + corr
+                    bar = lsg.curvature.entry(i - 1, j - 1, k - 1, l - 1)
+                    bad += R.entry(i, j, k, l) != bar + corr
                     counts[branch(i, j, k, l)] = (bad, total + 1)
     return counts
 
@@ -187,7 +188,11 @@ def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
 def reference_level_set_sums(lsg):
     """verify_level_set_sums written as loops over single Fraction entries."""
     n = lsg.n
-    K = lsg.sectional
+
+    def K(i, j):
+        """K^N(e_i, e_j) with ambient indices 2..4n."""
+        return lsg.curvature.sectional(i - 1, j - 1)
+
     zero_bad = sum(1 for (p, q) in ((2, 3), (2, 4), (3, 4)) if K(p, q) != 0)
     mixed_bad = sum(1 for p in (2, 3, 4) for s in range(2, n + 1)
                     if sum((K(p, 4 * s - i) for i in range(4)), F(0)) != 4)

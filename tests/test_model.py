@@ -321,8 +321,8 @@ def test_berger_commutators(n):
     data = verify_berger(model_curvature(n), frame, n)
     assert all(c.passed for c in data.checks), \
         [(c.name, c.actual) for c in data.checks if not c.passed]
-    assert data.alpha[0][1] == 4  # alpha(e1, I e1)
-    assert data.alpha[0][4] == 0  # alpha(e1, e5)
+    assert data.alpha.fraction(0, 1) == 4  # alpha(e1, I e1)
+    assert data.alpha.fraction(0, 4) == 0  # alpha(e1, e5)
 
 
 def test_curvature_pair_identity_named_triple(model2):
@@ -336,7 +336,7 @@ def test_curvature_pair_identity_named_triple(model2):
     tJ, sJ = J.apply(c)
     tK, sK = K.apply(c)
     lhs = sI * R.entry(a, b, tI, c) + sJ * sK * R.entry(a, b, tK, tJ)
-    assert lhs == data.alpha[a - 1][b - 1]
+    assert lhs == data.alpha.fraction(a - 1, b - 1)
 
 
 def test_parallel_four_form(model2):

@@ -2,8 +2,11 @@
 defects, the star-commutation identity, and the refined Kato chain.
 
 `ReferenceHessian` keeps the nested-`Fraction` Hessians the `ExactArray`
-tables of `HessianMatrix` are tested against."""
+tables of `HessianMatrix` are tested against, and `reference_defect` and
+`reference_star_sides` the Form-by-Form operator sums the cached integer
+maps of the defect form and the star commutation are tested against."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -11,7 +14,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qkcomp.forms import ContractViolation, ExactArray, Int64RangeError, form_inner, wedge
+from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector,
+                          ext_mult, form_inner, interior, wedge)
+from qkcomp.kernel import accumulate_scaled
 from qkcomp.quaternionic import (
     HessianMatrix,
     QuaternionicFrame,
@@ -243,6 +248,119 @@ def test_star_commutation_sides_nontrivial():
     lhs, rhs = star_commutation_sides(random_traceless_hessian(fr, rng))
     assert not lhs.is_zero()
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_commutation_sides_are_4_forms_and_rhs_is_minus_defect(n):
+    fr = build_frame(n)
+    rng = random.Random(80 + n)
+    for _ in range(5):
+        H = random_traceless_hessian(fr, rng)
+        lhs, rhs = star_commutation_sides(H)
+        assert lhs.degree == rhs.degree == 4
+        assert rhs == -siu_corlette_defect(H)
+
+
+# -- differential: the cached integer maps against the Form-by-Form sums ----
+
+def reference_defect(H):
+    """sum_a (sum_b f_ab theta^b) ^ (e_a -| Omega), one row form at a time."""
+    frame = H.frame
+    space = frame.space
+    Omega = build_fundamental_forms(frame).Omega
+    den = H.table.den
+    out = Form.zero(space, 4)
+    for a, row in enumerate(H.table.num.tolist(), start=1):
+        row_form = Form(space, 1, {1 << b: c for b, c in enumerate(row) if c}, den)
+        if row_form.is_zero():
+            continue
+        out = out + wedge(row_form, interior(Vector.basis(space, a), Omega))
+    return out
+
+
+def reference_operator_forms(frame):
+    """The m x m grids ell(e_i) eps(theta_j) Omega and eps(theta_i) ell(e_j) Omega."""
+    space = frame.space
+    Omega = build_fundamental_forms(frame).Omega
+    m = frame.dim
+    thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
+    vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
+    eps_then = [ext_mult(thetas[j], Omega) for j in range(m)]
+    ell_then = [interior(vecs[j], Omega) for j in range(m)]
+    left = [[interior(vecs[i], eps_then[j]) for j in range(m)] for i in range(m)]
+    right = [[ext_mult(thetas[i], ell_then[j]) for j in range(m)] for i in range(m)]
+    den = math.lcm(*(f.den for ops in (left, right) for row in ops for f in row))
+    return left, right, den
+
+
+def reference_star_sides(H, operator_forms):
+    """Both star-commutation sides as term maps, accumulated over the grids
+    of `reference_operator_forms` with the signs p = 4 gives."""
+    m = H.dim
+    p = 4
+    left_ops, right_ops, op_den = operator_forms
+    sign_left = -1 if (p * (m - p - 1)) % 2 else 1
+    sign_right = -1 if ((p - 1) * (m - p)) % 2 else 1
+    sign_eq = -1 if (m - 1) % 2 else 1
+    lhs_terms, rhs_terms = {}, {}
+    for i, row in enumerate(H.table.num.tolist()):
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            left, right = left_ops[i][j], right_ops[i][j]
+            accumulate_scaled(lhs_terms, left._terms, c * sign_left * (op_den // left.den))
+            accumulate_scaled(rhs_terms, right._terms,
+                              c * sign_right * sign_eq * (op_den // right.den))
+    space = H.frame.space
+    den = H.table.den * op_den
+    return Form(space, 4, lhs_terms, den), Form(space, 4, rhs_terms, den)
+
+
+def assert_maps_match_reference(H, operator_forms):
+    defect = siu_corlette_defect(H)
+    lhs, rhs = star_commutation_sides(H)
+    assert defect == reference_defect(H)
+    assert (lhs, rhs) == reference_star_sides(H, operator_forms)
+    assert defect.degree == lhs.degree == rhs.degree == 4
+
+
+# criterion 2's seeded streams: the defect checks' two Hessians and the
+# star commutation samples
+@pytest.mark.parametrize("n, seed, count", [(2, 1502, 2), (2, 2222, 200),
+                                            (3, 1503, 2), (3, 2333, 50)])
+def test_four_form_maps_match_reference_on_criterion_2_streams(n, seed, count):
+    fr = build_frame(n)
+    ops = reference_operator_forms(fr)
+    rng = random.Random(seed)
+    for _ in range(count):
+        assert_maps_match_reference(random_traceless_hessian(fr, rng), ops)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_four_form_maps_match_reference_on_line_violations(n):
+    fr = build_frame(n)
+    ops = reference_operator_forms(fr)
+    for line in range(1, n + 1):
+        for amount in (F(5), F(-7, 3)):
+            assert_maps_match_reference(line_violation_hessian(fr, line, amount), ops)
+    assert_maps_match_reference(HessianMatrix.zero(fr), ops)
+
+
+def test_four_form_maps_raise_rather_than_wrap():
+    # the trace fits in int64 at 2^58, a 4-form coefficient may not
+    fr = build_frame(2)
+    one = HessianMatrix(fr, ExactArray.of(np.diag([1, -1] * 4)))
+    big = HessianMatrix(fr, ExactArray.of(np.diag([1 << 58, -(1 << 58)] * 4)))
+    assert big.is_harmonic()
+    with pytest.raises(Int64RangeError, match="Hessian 4-form map"):
+        siu_corlette_defect(big)
+    with pytest.raises(Int64RangeError, match="Hessian 4-form map"):
+        verify_star_commutation(big)
+    # at 2^55 every coefficient still fits, and scales exactly
+    H = HessianMatrix(fr, ExactArray.of(np.diag([1 << 55, -(1 << 55)] * 4)))
+    assert siu_corlette_defect(H) == (1 << 55) * siu_corlette_defect(one)
+    lhs, rhs = star_commutation_sides(H)
+    assert lhs == rhs == (1 << 55) * star_commutation_sides(one)[0]
 
 
 # -- refined Kato -----------------------------------------------------------
