@@ -135,13 +135,16 @@ def integrate(f, a: float, b: float) -> float:
 
     Each panel is integrated by the 20-point and the 10-point
     Gauss-Legendre rules; it is accepted, with the 20-point value, once
-    the two agree to QUADRATURE_EPSREL of that value, and bisected
-    otherwise.  Panels are summed left to right.  RuntimeError when the
+    the two agree to QUADRATURE_EPSREL of that value or of the panel's
+    share of the whole (the first panel's value), so that negligible
+    panels, as near 0 for r^{4n-1}, are not split; otherwise it is
+    bisected.  Panels are summed left to right.  RuntimeError when the
     partition would pass QUADRATURE_PANELS panels, as for a divergent or
     non-finite integrand."""
     total = 0.0
     panels = 1
     pending = [(a, b)]
+    whole = None
     while pending:
         lo, hi = pending.pop()
         half = (hi - lo) / 2
@@ -149,7 +152,11 @@ def integrate(f, a: float, b: float) -> float:
         vals = np.array([f(x) for x in xs.tolist()])
         fine = half * float(_W20 @ vals[:20])
         coarse = half * float(_W10 @ vals[20:])
-        if abs(fine - coarse) <= QUADRATURE_EPSREL * abs(fine):
+        if whole is None:
+            whole = abs(fine)
+        error = abs(fine - coarse)
+        if (error <= QUADRATURE_EPSREL * abs(fine)
+                or error <= QUADRATURE_EPSREL * whole * (hi - lo) / (b - a)):
             total += fine
             continue
         panels += 1
@@ -182,8 +189,11 @@ class VolumeRatioResult:
 RATIO_TOLERANCE = 1e-8
 
 
-def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float,
-                       hypothesis_samples: int = 64) -> VolumeRatioResult:
+# radii on which volume_ratio_check samples density / J
+HYPOTHESIS_SAMPLES = 64
+
+
+def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float) -> VolumeRatioResult:
     """Check V(r2)/V(r1) <= V_model(r2)/V_model(r1) for an integrated density.
 
     The comparison hypothesis density/J nonincreasing is verified on a
@@ -192,8 +202,8 @@ def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float,
         raise ContractViolation(f"need 0 < r1 <= r2, got r1={r1}, r2={r2}")
     hypothesis_ok = True
     prev = None
-    for i in range(hypothesis_samples):
-        r = r1 / 2 + (r2 - r1 / 2) * i / (hypothesis_samples - 1)
+    for i in range(HYPOTHESIS_SAMPLES):
+        r = r1 / 2 + (r2 - r1 / 2) * i / (HYPOTHESIS_SAMPLES - 1)
         q = density(r) / area_density(g, r)
         if prev is not None and q > prev * (1 + 1e-12) + 1e-300:
             hypothesis_ok = False

@@ -452,3 +452,9 @@ def contract(spec: str, *ops: ExactArray) -> ExactArray:
     guard_int64(terms * math.prod(op.bound for op in ops), spec)
     return ExactArray.of(np.einsum(spec, *(op.num for op in ops)),
                          math.prod(op.den for op in ops))
+
+
+def two_form(space: InnerSpace, mat: ExactArray) -> Form:
+    """The 2-form sum_{i<j} mat[i, j] theta^i ^ theta^j of an antisymmetric
+    matrix (0-based axes)."""
+    return Form.from_terms(space, 2, {(i + 1, j + 1): v for (i, j), v in mat.items() if i < j})

@@ -60,11 +60,11 @@ def random_form(space: InnerSpace, degree: int, rng: random.Random) -> Form:
     return Form.from_terms(space, degree, terms)
 
 
-def random_vector(space: InnerSpace, rng: random.Random,
-                  nonzero: bool = True) -> Vector:
+def random_vector(space: InnerSpace, rng: random.Random) -> Vector:
+    """A nonzero vector of random rational components."""
     while True:
         v = Vector.of(space, [random_rational(rng) for _ in range(space.dim)])
-        if not nonzero or not v.is_zero():
+        if not v.is_zero():
             return v
 
 

@@ -21,12 +21,10 @@ import numpy as np
 
 from .forms import ContractViolation, ExactArray, contract
 from .model import (
-    ConnectionCoefficients,
     CurvatureTensor,
     StructureConstants,
     curvature_table,
     jacobi_violations,
-    levi_civita,
     levi_civita_table,
 )
 from .quaternionic import busemann_hessian
@@ -62,14 +60,10 @@ def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
         (a, b, d): v * w[a] * w[b] / w[d] for (a, b, d), v in C.items()})
 
 
-def second_fundamental_form(sc: StructureConstants,
-                            cc: ConnectionCoefficients | None = None
-                            ) -> tuple[ExactArray, int]:
+def second_fundamental_form(sc: StructureConstants) -> tuple[ExactArray, int]:
     """(h matrix over local axes, off-diagonal violations) with
     h_ab = <nabla_{e_a} e_b, e_1> from the ambient connection."""
-    if cc is None:
-        cc = levi_civita(sc)
-    h = cc.table[1:, 1:, 0]
+    h = levi_civita_table(sc.table)[1:, 1:, 0]
     off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
     return h, int(off)
 

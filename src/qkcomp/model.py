@@ -34,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, Vector, contract, form_inner,
-                    wedge)
+from .forms import (ContractViolation, ExactArray, Form, Vector, contract, ext_mult,
+                    form_inner, interior, two_form, wedge)
 from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
 from .report import Check, check_eq, check_true
 
@@ -58,10 +58,9 @@ def _bracket_table(n: int, c: Fraction) -> ExactArray:
     radial = np.where(targets <= 3, 2, 1) * c.denominator
     num[0, targets, targets] = radial
     num[targets, 0, targets] = -radial
-    v = np.arange(4, m)
-    for p, act in enumerate(build_frame(n).actions(), start=1):
-        images = np.array(act.targets) - 1
-        num[v, images[v], p] += c.numerator * np.array(act.signs)[v]
+    # [v_a, v_b] = c sum_p <I_p v_a, v_b> e_p
+    for p, A in enumerate(build_frame(n).actions(), start=1):
+        num[4:, 4:, p] += c.numerator * A.num[4:, 4:].T
     return ExactArray.of(num, c.denominator)
 
 
@@ -205,11 +204,8 @@ def levi_civita(sc: StructureConstants) -> ConnectionCoefficients:
     return ConnectionCoefficients(levi_civita_table(sc.table))
 
 
-def curvature(sc: StructureConstants,
-              cc: ConnectionCoefficients | None = None) -> CurvatureTensor:
-    if cc is None:
-        cc = levi_civita(sc)
-    return CurvatureTensor(sc.n, curvature_table(sc.table, cc.table))
+def curvature(sc: StructureConstants) -> CurvatureTensor:
+    return CurvatureTensor(sc.n, curvature_table(sc.table, levi_civita_table(sc.table)))
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +234,16 @@ def verify_quaternionic_traces(R: CurvatureTensor,
     geodesics; on the homogeneous model the two are equivalent."""
     m = frame.dim
     sec = R.sectional_table()
-    I, J, K = (np.array(act.targets) - 1 for act in frame.actions())
-    x = np.arange(m)
-    three = sec[x, I] + sec[x, J] + sec[x, K]
+    # images[t, b] = 1 where e_t = +-A e_b for A = I, J or K: the squared
+    # entries of the three matrices
+    images = ExactArray(sum(A.num * A.num for A in frame.actions()))
+    three = contract("xt,tx->x", sec, images)
     three_bad = int(np.count_nonzero(three.ne(-12)))
 
     # four[a, b] = K(e_a, e_b) + K(e_a, I e_b) + K(e_a, J e_b) + K(e_a, K e_b),
     # admissible when e_b lies off the quaternionic line of e_a
-    four = sec + sec[:, I] + sec[:, J] + sec[:, K]
+    four = sec + contract("at,tb->ab", sec, images)
+    x = np.arange(m)
     admissible = x[:, None] // 4 != x[None, :] // 4
     four_total = int(np.count_nonzero(admissible))
     four_bad = int(np.count_nonzero(admissible & four.ne(-4)))
@@ -255,14 +253,6 @@ def verify_quaternionic_traces(R: CurvatureTensor,
         Check("four-sum over quaternionic span = -4, all admissible pairs",
               f"0 of {four_total}", f"{four_bad} of {four_total}", four_bad == 0),
     ]
-
-
-def _structure_matrix(perm, m: int) -> ExactArray:
-    M = np.zeros((m, m), dtype=np.int64)
-    for col in range(1, m + 1):
-        t, s = perm.apply(col)
-        M[t - 1, col - 1] = s
-    return ExactArray(M)
 
 
 @dataclass
@@ -276,8 +266,12 @@ class BergerData:
     checks: list[Check]
 
 
+# seeded frame triples drawn by verify_berger (draws with a == b are skipped)
+TRIPLE_SAMPLES = 60
+
+
 def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
-                  seed: int = 0, triple_samples: int = 60) -> BergerData:
+                  seed: int = 0) -> BergerData:
     """Lemma-level commutator structure of R(X,Y) against I, J, K.
 
     For every frame pair, [R(X,Y), I] must equal gamma J - beta K (and
@@ -287,7 +281,6 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
     <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 on seeded frame triples."""
     m = frame.dim
     I, J, K = frame.actions()
-    MI, MJ, MK = (_structure_matrix(p, m) for p in (I, J, K))
     Rt = R.table
 
     def commutator(P: ExactArray) -> ExactArray:
@@ -304,46 +297,46 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
         span = contract("ab,ij->abij", c1, P1) + contract("ab,ij->abij", c2, P2)
         return com.ne(span).any(axis=(2, 3))
 
-    com_i, com_j, com_k = commutator(MI), commutator(MJ), commutator(MK)
-    g1, b1, a1 = extract(com_i, MJ), -extract(com_i, MK), extract(com_j, MK)
-    g2, b2, a2 = -extract(com_j, MI), extract(com_k, MI), -extract(com_k, MJ)
+    com_i, com_j, com_k = commutator(I), commutator(J), commutator(K)
+    g1, b1, a1 = extract(com_i, J), -extract(com_i, K), extract(com_j, K)
+    g2, b2, a2 = -extract(com_j, I), extract(com_k, I), -extract(com_k, J)
     pairs = ~np.eye(m, dtype=bool)
     cross_bad = int(np.count_nonzero(pairs & (g1.ne(g2) | b1.ne(b2) | a1.ne(a2))))
-    span = (off_span(com_i, g1, MJ, -b1, MK) | off_span(com_j, -g1, MI, a1, MK)
-            | off_span(com_k, b1, MI, -a1, MJ))
+    span = (off_span(com_i, g1, J, -b1, K) | off_span(com_j, -g1, I, a1, K)
+            | off_span(com_k, b1, I, -a1, J))
     span_bad = int(np.count_nonzero(pairs & span))
 
-    def at_image(form: ExactArray, act) -> ExactArray:
-        """The matrix [a, b] -> form(e_a, act e_b)."""
-        return ExactArray(form.num[:, np.array(act.targets) - 1] * np.array(act.signs),
-                          form.den)
-
     four = ExactArray(4 * np.eye(m, dtype=np.int64))
-    eq1_bad = sum(int(np.count_nonzero(at_image(form, act).ne(four)))
-                  for form, act in ((a1, I), (b1, J), (g1, K)))
+    eq1_bad = sum(int(np.count_nonzero(contract("at,tb->ab", form, P).ne(four)))
+                  for form, P in ((a1, I), (b1, J), (g1, K)))
     ric_bad = int(np.count_nonzero(
-        at_image(a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
+        contract("at,tb->ab", a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
 
+    # seeded frame triples (e_a, e_b, e_c), a != b
     rng = random.Random(seed)
-    triple_bad = 0
-    for _ in range(triple_samples):
+    triples = []
+    for _ in range(TRIPLE_SAMPLES):
         a = rng.randrange(m)
         b = rng.randrange(m)
         if a == b:
             continue
-        cidx = rng.randrange(m) + 1
-        tI, sI = I.apply(cidx)
-        tJ, sJ = J.apply(cidx)
-        tK, sK = K.apply(cidx)
-        lhs_a = sI * R.entry(a + 1, b + 1, tI, cidx) \
-            + sJ * sK * R.entry(a + 1, b + 1, tK, tJ)
-        lhs_b = sJ * R.entry(a + 1, b + 1, tJ, cidx) \
-            + sK * sI * R.entry(a + 1, b + 1, tI, tK)
-        lhs_g = sK * R.entry(a + 1, b + 1, tK, cidx) \
-            + sI * sJ * R.entry(a + 1, b + 1, tJ, tI)
-        if lhs_a != a1.fraction(a, b) or lhs_b != b1.fraction(a, b) \
-                or lhs_g != g1.fraction(a, b):
-            triple_bad += 1
+        triples.append((a, b, rng.randrange(m)))
+    a, b, c = (np.array(x, dtype=np.int64) for x in zip(*triples))
+    Rab = Rt[a, b]
+
+    def pair(X: ExactArray, Y: ExactArray) -> ExactArray:
+        """<R(e_a, e_b) Y, X> per triple."""
+        return contract("ktu,kt,ku->k", Rab, X, Y)
+
+    # <R(e_a,e_b) Z, IZ> + <R(e_a,e_b) JZ, KZ> = alpha(e_a, e_b) at Z = e_c,
+    # and cyclically in (I, J, K) for beta and gamma
+    Z = ExactArray(np.eye(m, dtype=np.int64)[c])
+    images = [ExactArray(P.num[:, c].T) for P in (I, J, K)]  # per triple: I e_c, ...
+    bad = np.zeros(len(c), dtype=bool)
+    for p, form in enumerate((a1, b1, g1)):
+        X, Y, W = images[p], images[(p + 1) % 3], images[(p + 2) % 3]
+        bad |= (pair(X, Z) + pair(W, Y)).ne(form[a, b])
+    triple_bad = int(np.count_nonzero(bad))
 
     checks = [
         check_eq("[R(X,Y), I] lies in span{J, K} (and cyclic)", 0, span_bad),
@@ -432,8 +425,6 @@ def exterior_derivative(sc: StructureConstants, omega: Form) -> Form:
 def covariant_derivative(cc: ConnectionCoefficients, a: int, omega: Form) -> Form:
     """nabla_{e_a} omega for a left-invariant form (1-based direction)."""
     space = omega.space
-    from .forms import ext_mult, interior
-
     out = Form.zero(space, omega.degree)
     for (i, j), coeff in cc.table[a - 1].items():
         contracted = interior(Vector.basis(space, j + 1), omega)
@@ -503,14 +494,10 @@ def verify_parallel_four_form(sc: StructureConstants,
     gamma_conn = exterior_derivative(sc, fc) + wedge(fa, fb)
 
     if berger is not None:
-        def two_form(mat: ExactArray) -> Form:
-            return Form.from_terms(space, 2, {(i + 1, j + 1): v
-                                              for (i, j), v in mat.items() if i < j})
-
         checks.append(check_true("alpha = da + b ^ c matches the curvature alpha",
-                                 alpha_conn == two_form(berger.alpha)))
+                                 alpha_conn == two_form(space, berger.alpha)))
         checks.append(check_true("beta = db + c ^ a matches the curvature beta",
-                                 beta_conn == two_form(berger.beta)))
+                                 beta_conn == two_form(space, berger.beta)))
         checks.append(check_true("gamma = dc + a ^ b matches the curvature gamma",
-                                 gamma_conn == two_form(berger.gamma)))
+                                 gamma_conn == two_form(space, berger.gamma)))
     return Sp1Connection(a_coms, b_coms, c_coms, checks)

@@ -7,6 +7,10 @@ Every module uses one frame: quaternionic line s is the block
 the gradient along e_1, the vectors I e_1, J e_1, K e_1 are the indices
 2, 3, 4, i.e. ``frame.line_indices(1)[1:]``.
 
+I, J, K are read-only int64 `ExactArray` signed-permutation matrices, one
+4 x 4 block per line, cached per n by `build_frame`; omega_a(X, Y) =
+<I_a X, Y> is the 2-form of the transpose of I_a.
+
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
 denominator), built straight from the seeded int64 streams; its trace,
 line sums, norm and Kato slacks are guarded integer reductions read out
@@ -28,52 +32,29 @@ from typing import Iterable
 import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
-                    ext_mult, guard_int64, interior, wedge)
+                    ext_mult, guard_int64, interior, two_form, wedge)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Signed permutation action A e_i = signs[i] * e_{targets[i]} (1-based)."""
-
-    targets: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def apply(self, i: int) -> tuple[int, int]:
-        """Image of basis index i as (target index, sign)."""
-        return self.targets[i - 1], self.signs[i - 1]
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: (self*other) e_i = self(other(e_i))."""
-        n = len(self.targets)
-        targets = []
-        signs = []
-        for i in range(1, n + 1):
-            j, s1 = other.apply(i)
-            k, s2 = self.apply(j)
-            targets.append(k)
-            signs.append(s1 * s2)
-        return SignedPermutation(tuple(targets), tuple(signs))
-
-    def __neg__(self) -> "SignedPermutation":
-        return SignedPermutation(self.targets, tuple(-s for s in self.signs))
-
-    def apply_vector(self, v: Vector) -> Vector:
-        comps = [Fraction(0)] * len(self.targets)
-        for i, c in enumerate(v.components, start=1):
-            if c:
-                t, s = self.apply(i)
-                comps[t - 1] += s * c
-        return Vector(v.space, tuple(comps))
+# The rows of I, J, K on one quaternionic line (a, b, c, d) = (e, Ie, Je, Ke),
+# column j holding the image of the j-th vector:
+#   I: a->b, b->-a, c->d,  d->-c
+#   J: a->c, c->-a, b->-d, d->b
+#   K: a->d, d->-a, b->c,  c->-b
+_LINE_ACTIONS = (((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+                 ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0)),
+                 ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuaternionicFrame:
-    """Canonical quaternionic actions on R^{4n}."""
+    """Canonical quaternionic actions on R^{4n}: I, J, K are read-only
+    int64 signed-permutation matrices whose column i is the image of
+    e_{i+1}, so that I^2 = J^2 = K^2 = -1 and IJ = K, JK = I, KI = J."""
 
     n: int
-    I: SignedPermutation
-    J: SignedPermutation
-    K: SignedPermutation
+    I: ExactArray
+    J: ExactArray
+    K: ExactArray
 
     @property
     def dim(self) -> int:
@@ -83,54 +64,26 @@ class QuaternionicFrame:
     def space(self) -> InnerSpace:
         return InnerSpace(self.dim)
 
-    def line_base_indices(self) -> tuple[int, ...]:
-        """Indices of the base vector e_s of each quaternionic line."""
-        return tuple(range(1, self.dim + 1, 4))
-
     def line_indices(self, s: int) -> tuple[int, int, int, int]:
         """Indices (e_s, I e_s, J e_s, K e_s) of line s (1-based)."""
         return (4 * s - 3, 4 * s - 2, 4 * s - 1, 4 * s)
 
-    def actions(self) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation]:
+    def actions(self) -> tuple[ExactArray, ExactArray, ExactArray]:
         return (self.I, self.J, self.K)
 
 
+@lru_cache(maxsize=None)
 def build_frame(n: int) -> QuaternionicFrame:
-    """Canonical signed-permutation realization of I, J, K.
-
-    Within each quaternionic line (a, b, c, d) = (e, Ie, Je, Ke):
-      I: a->b, b->-a, c->d,  d->-c
-      J: a->c, c->-a, b->-d, d->b
-      K: a->d, d->-a, b->c,  c->-b
-    so that I^2 = J^2 = K^2 = -1 and IJ = K, JK = I, KI = J.
-    """
+    """The frame of n quaternionic lines: each action is one 4 x 4 block
+    of _LINE_ACTIONS repeated down the diagonal."""
     if n < 2:
         raise ContractViolation(f"quaternionic frames need n >= 2, got n={n}")
-    m = 4 * n
-    tI = [0] * m
-    sI = [0] * m
-    tJ = [0] * m
-    sJ = [0] * m
-    tK = [0] * m
-    sK = [0] * m
-    for s in range(1, n + 1):
-        a, b, c, d = range(4 * s - 3, 4 * s + 1)
-        for idx, (t, sg) in zip((a, b, c, d),
-                                ((b, 1), (a, -1), (d, 1), (c, -1))):
-            tI[idx - 1], sI[idx - 1] = t, sg
-        for idx, (t, sg) in zip((a, b, c, d),
-                                ((c, 1), (d, -1), (a, -1), (b, 1))):
-            tJ[idx - 1], sJ[idx - 1] = t, sg
-        for idx, (t, sg) in zip((a, b, c, d),
-                                ((d, 1), (c, 1), (b, -1), (a, -1))):
-            tK[idx - 1], sK[idx - 1] = t, sg
-
-    return QuaternionicFrame(
-        n,
-        SignedPermutation(tuple(tI), tuple(sI)),
-        SignedPermutation(tuple(tJ), tuple(sJ)),
-        SignedPermutation(tuple(tK), tuple(sK)),
-    )
+    actions = []
+    for block in _LINE_ACTIONS:
+        num = np.kron(np.eye(n, dtype=np.int64), np.array(block, dtype=np.int64))
+        num.flags.writeable = False
+        actions.append(ExactArray(num))
+    return QuaternionicFrame(n, *actions)
 
 
 @dataclass(frozen=True)
@@ -144,28 +97,12 @@ class FundamentalForms:
     Omega: Form
 
 
-def _act_on_covector(action: SignedPermutation, space: InnerSpace, i: int) -> Form:
-    """A theta^i: dual basis transforms like the basis under isometries."""
-    t, s = action.apply(i)
-    return Form.basis(space, (t,), s)
-
-
 @lru_cache(maxsize=None)
 def build_fundamental_forms(frame: QuaternionicFrame) -> FundamentalForms:
-    """omega_1 = sum_i (theta^i ^ I theta^i + J theta^i ^ K theta^i), the
-    cyclic companions, and Omega = sum_a omega_a ^ omega_a."""
-    space = frame.space
-    I, J, K = frame.actions()
-    omegas = []
-    for first, second in ((I, (J, K)), (J, (K, I)), (K, (I, J))):
-        acc = Form.zero(space, 2)
-        for i in frame.line_base_indices():
-            ti = Form.basis(space, (i,))
-            acc = acc + wedge(ti, _act_on_covector(first, space, i))
-            acc = acc + wedge(_act_on_covector(second[0], space, i),
-                              _act_on_covector(second[1], space, i))
-        omegas.append(acc)
-    omega1, omega2, omega3 = omegas
+    """omega_a(X, Y) = <I_a X, Y>, whose matrix is the transpose of I_a,
+    and Omega = sum_a omega_a ^ omega_a."""
+    omega1, omega2, omega3 = (two_form(frame.space, contract("ij->ji", A))
+                              for A in frame.actions())
     Omega = wedge(omega1, omega1) + wedge(omega2, omega2) + wedge(omega3, omega3)
     return FundamentalForms(frame, omega1, omega2, omega3, Omega)
 

@@ -114,8 +114,7 @@ def discrete_rayleigh(p: RadialProblem, u: np.ndarray) -> float:
 
 
 def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray],
-                      trial_derivative: Callable[[np.ndarray], np.ndarray] | None = None
-                      ) -> float:
+                      trial_derivative: Callable[[np.ndarray], np.ndarray]) -> float:
     """integral (u')^2 w / integral u^2 w by Simpson quadrature on the mesh.
 
     `trial` and `trial_derivative` are called once, on the array of mesh
@@ -128,10 +127,7 @@ def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray
     us = np.broadcast_to(trial(rs), rs.shape)
     if abs(us[-1]) > 1e-12 * (np.max(np.abs(us)) or 1.0):
         raise ContractViolation("trial function must vanish at r_max")
-    if trial_derivative is not None:
-        dus = np.broadcast_to(trial_derivative(rs), rs.shape)
-    else:
-        dus = np.gradient(us, rs, edge_order=2)
+    dus = np.broadcast_to(trial_derivative(rs), rs.shape)
 
     def simpson(vals: np.ndarray) -> float:
         return float(h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()

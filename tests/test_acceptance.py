@@ -4,8 +4,14 @@ Run with `pytest -s tests/test_acceptance.py` to see the one-line
 pass/fail summary per criterion; each test also enforces the stated
 wall-clock budget around the shared battery implementation."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import qkcomp
 from qkcomp import suite as battery
 
 
@@ -118,3 +124,37 @@ def test_mutation_sanity_failing_check_reports_nonzero():
     rep.checks.append(Check("broken", 1, 2, False))
     assert not rep.passed
     assert rep.failures()[0].name == "broken"
+
+
+CACHE_PROBE = """
+import json, sys
+import qkcomp.suite
+from qkcomp import quaternionic
+
+def caches():
+    return {f"{mod.__name__}.{name}": obj for mod in list(sys.modules.values())
+            if mod.__name__.split(".")[0] == "qkcomp"
+            for name, obj in vars(mod).items() if hasattr(obj, "cache_info")}
+
+at_import = {name: c.cache_info().currsize for name, c in caches().items()}
+qkcomp.suite.criterion_2_harmonicity()
+print(json.dumps({"at_import": at_import, "misses": {
+    name: getattr(quaternionic, name).cache_info().misses
+    for name in ("build_frame", "build_fundamental_forms", "_hessian_four_form_maps")}}))
+"""
+
+
+def test_suite_import_leaves_every_cache_empty():
+    # a fresh interpreter starts with cold caches, as a user's run does;
+    # criterion 2 then builds the forms and maps of n = 2 and 3 once each
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", CACHE_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert "qkcomp.quaternionic.build_frame" in probe["at_import"]
+    assert set(probe["at_import"].values()) == {0}
+    assert probe["misses"] == {"build_frame": 2, "build_fundamental_forms": 2,
+                               "_hessian_four_form_maps": 2}

@@ -170,7 +170,7 @@ def test_projective_total_volume_finite():
     assert total == pytest.approx(oracle, rel=1e-7)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 10])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_volume_matches_quad(n, delta):
     g = ModelGeometry(n, delta)
@@ -223,6 +223,30 @@ def test_integrate_accepts_a_panel_at_its_tolerance(k, one_panel):
 
     assert integrate(f, 0.0, 1.0) == pytest.approx(1 / (k + 1), rel=1e-13)
     assert (len(calls) == 30) == one_panel
+
+
+@pytest.mark.parametrize("n, r, panels", [(6, 8.0, 11), (10, 12.0, 13)])
+def test_integrate_leaves_negligible_panels_unsplit(n, r, panels):
+    # near 0 the density ~ s^{4n-1} is negligible against the whole
+    # integral, yet its two rules never agree to 1e-10 of its own tiny
+    # value: a relative test alone bisected toward 0 (147 and 227 panels)
+    g = ModelGeometry(n, -1)
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return area_density(g, s)
+
+    integrate(f, 0.0, r)
+    assert len(calls) == 30 * panels
+
+
+def test_integrate_keeps_the_summed_error_within_the_whole():
+    # sqrt has the same relative rule gap on [0, h] at every h, so the panel
+    # at 0 is accepted on its share of the whole alone; the shares sum to
+    # one, so the accepted errors stay within QUADRATURE_EPSREL of the
+    # integral (accepting against the whole itself left 8.6e-12 here)
+    assert integrate(math.sqrt, 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-13)
 
 
 @pytest.mark.parametrize("f", [lambda s: 1 / s, lambda s: math.nan])

@@ -2,7 +2,8 @@
 curvature identity batteries.
 
 The dense nested-`Fraction` loops below are the reference the integer
-tables of `qkcomp.model` and `qkcomp.levelset` are tested against."""
+tables of `qkcomp.model` and `qkcomp.levelset` are tested against; they
+read I, J, K off the per-line tables of `test_quaternionic.reference_actions`."""
 
 import random
 from fractions import Fraction as F
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import qkcomp.model
-from qkcomp.forms import ContractViolation, ExactArray, Form, Int64RangeError, contract, ext_mult
+from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector, contract,
+                          ext_mult)
 from qkcomp.levelset import _nilpotent_brackets, level_set_geometry
 from qkcomp.model import (
     EINSTEIN_SWEEP,
+    TRIPLE_SAMPLES,
     CurvatureTensor,
     ModelConstructionError,
     _bracket_table,
@@ -37,6 +40,7 @@ from qkcomp.model import (
 from qkcomp.quaternionic import build_frame, build_fundamental_forms
 from qkcomp.riccati import rational_sqrt
 from qkcomp.suite import level_set_battery, model_battery
+from test_quaternionic import reference_actions
 
 
 def _zeros3(m):
@@ -46,19 +50,18 @@ def _zeros3(m):
 def reference_bracket_table(n, c):
     """Dense C[A][B][D] with [e_A, e_B] = sum_D C[A][B][D] e_D."""
     m = 4 * n
-    frame = build_frame(n)
     C = _zeros3(m)
     for p in range(1, m):
         scale = F(2) if p <= 3 else F(1)
         C[0][p][p] = scale
         C[p][0][p] = -scale
-    actions = frame.actions()
+    actions = reference_actions(n)
     for a in range(4, m):
         for b in range(4, m):
             if a == b:
                 continue
-            for p, act in enumerate(actions, start=1):
-                t, s = act.apply(a + 1)
+            for p, (targets, signs) in enumerate(actions, start=1):
+                t, s = targets[a], signs[a]
                 if t == b + 1:
                     C[a][b][p] += c * s
     return C
@@ -140,17 +143,13 @@ def reference_symmetry_violations(R):
 @pytest.fixture(scope="module")
 def model2():
     sc = build_model(2)
-    cc = levi_civita(sc)
-    R = curvature(sc, cc)
-    return sc, cc, R
+    return sc, levi_civita(sc), curvature(sc)
 
 
 @pytest.fixture(scope="module")
 def model3():
     sc = build_model(3)
-    cc = levi_civita(sc)
-    R = curvature(sc, cc)
-    return sc, cc, R
+    return sc, levi_civita(sc), curvature(sc)
 
 
 def test_bracket_scale_derived_by_einstein_sweep(model2):
@@ -310,8 +309,10 @@ def test_trace_identity_random_vectors(model2):
         x = random_vector(space, rng)
         norm4 = x.dot(x) ** 2
         total = F(0)
-        for act in frame.actions():
-            total += k_contract(x, act.apply_vector(x))
+        for A in frame.actions():
+            ax = [sum((A.num[i, j] * c for j, c in enumerate(x.components)), F(0))
+                  for i in range(m)]
+            total += k_contract(x, Vector.of(space, ax))
         assert total == -12 * norm4
 
 
@@ -330,13 +331,66 @@ def test_curvature_pair_identity_named_triple(model2):
     _, _, R = model2
     frame = build_frame(2)
     data = verify_berger(R, frame, 2)
-    I, J, K = frame.actions()
+    (tI, sI), (tJ, sJ), (tK, sK) = ((t[5], s[5]) for t, s in reference_actions(2))
     a, b, c = 1, 5, 6
-    tI, sI = I.apply(c)
-    tJ, sJ = J.apply(c)
-    tK, sK = K.apply(c)
     lhs = sI * R.entry(a, b, tI, c) + sJ * sK * R.entry(a, b, tK, tJ)
     assert lhs == data.alpha.fraction(a - 1, b - 1)
+
+
+def reference_triple_violations(R, data, seed):
+    """The curvature-pair identities on verify_berger's seeded frame
+    triples, one R.entry at a time through the reference tables."""
+    m = R.dim
+    (tI_, sI_), (tJ_, sJ_), (tK_, sK_) = reference_actions(m // 4)
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(TRIPLE_SAMPLES):
+        a = rng.randrange(m)
+        b = rng.randrange(m)
+        if a == b:
+            continue
+        c = rng.randrange(m) + 1
+        tI, sI, tJ, sJ, tK, sK = (x[c - 1] for x in (tI_, sI_, tJ_, sJ_, tK_, sK_))
+        lhs_a = sI * R.entry(a + 1, b + 1, tI, c) + sJ * sK * R.entry(a + 1, b + 1, tK, tJ)
+        lhs_b = sJ * R.entry(a + 1, b + 1, tJ, c) + sK * sI * R.entry(a + 1, b + 1, tI, tK)
+        lhs_g = sK * R.entry(a + 1, b + 1, tK, c) + sI * sJ * R.entry(a + 1, b + 1, tJ, tI)
+        if lhs_a != data.alpha.fraction(a, b) or lhs_b != data.beta.fraction(a, b) \
+                or lhs_g != data.gamma.fraction(a, b):
+            bad += 1
+    return bad
+
+
+def triple_check(data):
+    [check] = [c for c in data.checks if "seeded frame triples" in c.name]
+    return check.actual
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triple_check_matches_the_per_triple_loop(n, seed):
+    R = model_curvature(n)
+    frame = build_frame(n)
+    data = verify_berger(R, frame, n, seed)
+    assert triple_check(data) == reference_triple_violations(R, data, seed) == 0
+    # break R in one entry on the first seeded triple's slab, then in one
+    # entry out of 20: the batched contraction and the loop count the same
+    # bad triples
+    rng = random.Random(seed)
+    a, b = rng.randrange(R.dim), rng.randrange(R.dim)
+    while a == b:
+        a, b = rng.randrange(R.dim), rng.randrange(R.dim)
+    one = R.table.num.copy()
+    one[a, b, 0, 1] += 1
+    rng = random.Random(40 + seed)
+    many = R.table.num.copy()
+    for _ in range(R.dim ** 4 // 20):
+        many[tuple(rng.randrange(R.dim) for _ in range(4))] += rng.choice((-1, 1))
+    for num in (one, many):
+        broken = CurvatureTensor(n, ExactArray.of(num, R.table.den))
+        data = verify_berger(broken, frame, n, seed)
+        expected = reference_triple_violations(broken, data, seed)
+        assert expected > 0
+        assert triple_check(data) == expected
 
 
 def test_parallel_four_form(model2):

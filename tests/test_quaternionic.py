@@ -1,10 +1,13 @@
 """Quaternionic frame algebra, the fundamental 4-form, harmonicity
 defects, the star-commutation identity, and the refined Kato chain.
 
-`ReferenceHessian` keeps the nested-`Fraction` Hessians the `ExactArray`
-tables of `HessianMatrix` are tested against, and `reference_defect` and
-`reference_star_sides` the Form-by-Form operator sums the cached integer
-maps of the defect form and the star commutation are tested against."""
+`reference_actions` keeps the per-line target/sign tables of I, J, K the
+frame's integer matrices are tested against; `naive_omega` builds the
+fundamental forms from them.  `ReferenceHessian` keeps the nested-`Fraction`
+Hessians the `ExactArray` tables of `HessianMatrix` are tested against, and
+`reference_defect` and `reference_star_sides` the Form-by-Form operator sums
+the cached integer maps of the defect form and the star commutation are
+tested against."""
 
 import math
 import random
@@ -15,12 +18,12 @@ import numpy as np
 import pytest
 
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector,
-                          ext_mult, form_inner, interior, wedge)
+                          contract, ext_mult, form_inner, interior, wedge)
+from qkcomp.identities import random_vector
 from qkcomp.kernel import accumulate_scaled
 from qkcomp.quaternionic import (
     HessianMatrix,
     QuaternionicFrame,
-    SignedPermutation,
     build_frame,
     build_fundamental_forms,
     busemann_hessian,
@@ -59,17 +62,41 @@ def naive_wedge_terms(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def naive_omega(frame: QuaternionicFrame) -> dict:
-    acts = frame.actions()
+def reference_actions(n: int) -> list:
+    """(targets, signs) of I, J, K on R^{4n}: A e_i = signs[i-1] e_{targets[i-1]}
+    (1-based), tabulated line by line on (a, b, c, d) = (e, Ie, Je, Ke)."""
+    m = 4 * n
+    tables = [([0] * m, [0] * m) for _ in range(3)]
+    for s in range(1, n + 1):
+        a, b, c, d = range(4 * s - 3, 4 * s + 1)
+        images = (((b, 1), (a, -1), (d, 1), (c, -1)),  # I
+                  ((c, 1), (d, -1), (a, -1), (b, 1)),  # J
+                  ((d, 1), (c, 1), (b, -1), (a, -1)))  # K
+        for (targets, signs), row in zip(tables, images):
+            for idx, (t, sg) in zip((a, b, c, d), row):
+                targets[idx - 1], signs[idx - 1] = t, sg
+    return tables
+
+
+def naive_omega(n: int) -> tuple[list, dict]:
+    """omega_1 = sum over line bases i of theta^i ^ I theta^i + J theta^i ^ K theta^i,
+    its cyclic companions and Omega = sum_a omega_a ^ omega_a, from the
+    reference tables: ([omega_1, omega_2, omega_3], Omega) as term maps."""
+    acts = reference_actions(n)
+
+    def apply(p, i):
+        targets, signs = acts[p]
+        return targets[i - 1], signs[i - 1]
+
     omegas = []
     for first, pair in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
         terms: dict = {}
-        for i in frame.line_base_indices():
-            t1, s1 = acts[first].apply(i)
+        for i in range(1, 4 * n + 1, 4):
+            t1, s1 = apply(first, i)
             key = tuple(sorted((i, t1)))
             terms[key] = terms.get(key, F(0)) + s1 * (1 if i < t1 else -1)
-            a, sa = acts[pair[0]].apply(i)
-            b, sb = acts[pair[1]].apply(i)
+            a, sa = apply(pair[0], i)
+            b, sb = apply(pair[1], i)
             key = tuple(sorted((a, b)))
             terms[key] = terms.get(key, F(0)) + sa * sb * (1 if a < b else -1)
         omegas.append({k: v for k, v in terms.items() if v})
@@ -77,22 +104,34 @@ def naive_omega(frame: QuaternionicFrame) -> dict:
     for om in omegas:
         for k, v in naive_wedge_terms(om, om).items():
             total[k] = total.get(k, F(0)) + v
-    return {k: v for k, v in total.items() if v}
+    return omegas, {k: v for k, v in total.items() if v}
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_frame_algebra(n):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_frame_matrices_match_reference_tables(n):
     fr = build_frame(n)
     m = fr.dim
-    minus = SignedPermutation(tuple(range(1, m + 1)), (-1,) * m)
-    I, J, K = fr.actions()
-    assert I.compose(I) == minus
-    assert J.compose(J) == minus
-    assert K.compose(K) == minus
-    assert I.compose(J) == K
-    assert J.compose(K) == I
-    assert K.compose(I) == J
-    assert J.compose(I) == -K
+    for A, (targets, signs) in zip(fr.actions(), reference_actions(n)):
+        want = np.zeros((m, m), dtype=np.int64)
+        want[np.array(targets) - 1, np.arange(m)] = signs  # column i: A e_{i+1}
+        assert A.num.dtype == np.int64 and A.den == 1
+        assert (A.num == want).all()
+        assert not A.num.flags.writeable
+    assert build_frame(n) is fr
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_frame_algebra(n):
+    fr = build_frame(n)
+    one = np.eye(fr.dim, dtype=np.int64)
+    I, J, K = (A.num for A in fr.actions())
+    for A in (I, J, K):
+        assert (A @ A == -one).all()
+        assert (A.T @ A == one).all()
+    assert (I @ J == K).all()
+    assert (J @ K == I).all()
+    assert (K @ I == J).all()
+    assert (J @ I == -K).all()
 
 
 def test_frame_rejects_n1():
@@ -100,35 +139,35 @@ def test_frame_rejects_n1():
         build_frame(1)
 
 
-def test_ij_equals_k_on_first_vector():
-    fr = build_frame(2)
-    i_of_j = fr.I.compose(fr.J).apply(1)
-    assert i_of_j == fr.K.apply(1)
-
-
 def test_interleaved_quaternionic_line():
     fr = build_frame(2)
-    assert fr.I.apply(1) == (2, 1)
-    assert fr.I.apply(2) == (1, -1)
+    assert fr.I.num[:, 0].tolist() == [0, 1, 0, 0, 0, 0, 0, 0]  # I e1 = e2
+    assert fr.I.num[:, 1].tolist() == [-1, 0, 0, 0, 0, 0, 0, 0]  # I e2 = -e1
 
 
 def test_actions_preserve_inner_product():
     rng = random.Random(0)
     fr = build_frame(2)
-    from qkcomp.identities import random_vector
 
-    space = fr.space
-    for act in fr.actions():
+    def vector():
+        comps = random_vector(fr.space, rng).components
+        return ExactArray.from_entries((fr.dim,), dict(enumerate(comps)))
+
+    def dot(v, w):
+        return contract("i,i->", v, w).fraction()
+
+    for A in fr.actions():
         for _ in range(10):
-            v = random_vector(space, rng)
-            w = random_vector(space, rng)
-            assert act.apply_vector(v).dot(act.apply_vector(w)) == v.dot(w)
+            v, w = vector(), vector()
+            assert dot(contract("ij,j->i", A, v), contract("ij,j->i", A, w)) == dot(v, w)
 
 
 def test_omega_against_naive_expansion():
-    fr = build_frame(2)
-    ff = build_fundamental_forms(fr)
-    assert ff.Omega.terms() == naive_omega(fr)
+    for n in (2, 3, 4):
+        ff = build_fundamental_forms(build_frame(n))
+        omegas, Omega = naive_omega(n)
+        assert [om.terms() for om in (ff.omega1, ff.omega2, ff.omega3)] == omegas
+        assert ff.Omega.terms() == Omega
 
 
 def test_omega_top_coefficient_is_six():
@@ -136,7 +175,7 @@ def test_omega_top_coefficient_is_six():
     ff = build_fundamental_forms(fr)
     assert ff.Omega.coefficient(fr.line_indices(1)) == 6
     # the independent naive expansion sees the same factor
-    assert naive_omega(fr)[fr.line_indices(1)] == 6
+    assert naive_omega(2)[1][fr.line_indices(1)] == 6
 
 
 def test_omega1_squared_coefficient():

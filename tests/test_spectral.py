@@ -220,15 +220,6 @@ def test_rayleigh_trial_bounds():
     assert q4 > 25 and q4 > q5
 
 
-def test_rayleigh_quotient_fd_fallback():
-    rmax = 30.0
-    p = RadialProblem(2, 1e-3, rmax, 20000)
-    u5, du5 = trial_pair(5, rmax)
-    exact = rayleigh_quotient(p, u5, du5)
-    fd = rayleigh_quotient(p, u5)
-    assert fd == pytest.approx(exact, rel=1e-4)
-
-
 def scalar_loop_rayleigh(p, trial, trial_derivative):
     """rayleigh_quotient with the trial and its derivative evaluated one
     node at a time, in Python loops."""
@@ -260,7 +251,7 @@ def test_rayleigh_quotient_matches_the_scalar_loop(n, k, rmax, mesh):
 def test_rayleigh_requires_vanishing_trial():
     p = RadialProblem(2, 1e-3, 5.0, 1000)
     with pytest.raises(ContractViolation):
-        rayleigh_quotient(p, lambda r: 1.0)
+        rayleigh_quotient(p, lambda r: 1.0, lambda r: 0.0)
 
 
 def test_problem_validation():
