@@ -73,9 +73,8 @@ def _grid(args) -> tuple[float, list[float]]:
 def cmd_check_identities(args) -> int:
     degrees = range(1, args.dim + 1) if args.degree is None else [args.degree]
     rep = Report("check-identities", {
-        "dim": args.dim, "degree": "all" if args.degree is None else args.degree,
-        "trials": args.trials, "seed": args.seed})
-    rep.extend(suite_mod.identity_checks(args.dim, degrees, args.trials, args.seed))
+        "dim": args.dim, "degree": "all" if args.degree is None else args.degree})
+    rep.extend(suite_mod.identity_checks(args.dim, degrees))
     return _emit(rep, args)
 
 
@@ -224,10 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-identities",
                        help="the six star/interior/exterior operator laws")
     p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_positive_int, default=None,
                    help="single degree (default: all degrees 1..dim)")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    common(p, cmd_check_identities)
+    common(p, cmd_check_identities, seed=False)
 
     p = sub.add_parser("harmonicity",
                        help="quaternionic-harmonicity and refined Kato checks")

@@ -28,7 +28,7 @@ from .comparison import (
     volume_ratio_check,
 )
 from .forms import ExactArray
-from .identities import check_star_identities
+from .identities import check_operator_identities, operator_tables
 from .levelset import (
     level_set_geometry,
     radial_hessian_check,
@@ -70,26 +70,28 @@ def _tagged(n: int, checks: list[Check]) -> list[Check]:
     return checks
 
 
-def identity_checks(dim: int, degrees, trials: int, seed: int) -> list[Check]:
-    """The six operator identities in dimension `dim` at each degree, exact
-    on `trials` samples seeded at seed + degree."""
+def identity_checks(dim: int, degrees) -> list[Check]:
+    """The six operator identities in dimension `dim` at each degree,
+    proved on every basis form and basis index."""
+    tables = operator_tables(dim)
     checks = []
     for degree in degrees:
-        for res in check_star_identities(dim, degree, trials, seed + degree).results:
+        for res in check_operator_identities(dim, degree, tables):
             checks.append(Check(
                 f"dim {dim} degree {degree} identity {res.name}",
-                f"exact on {res.samples} samples",
-                "pass" if res.passed else f"fail: {res.counterexample}",
+                f"exact on the full basis ({res.cases} cases)",
+                "pass" if res.passed else
+                f"fail: {res.violations} violations, first at {res.first}",
                 res.passed))
     return checks
 
 
 def criterion_1_identities() -> Report:
-    """Operator identities: exact pass on 100 seeded samples per identity,
+    """Operator identities: exact on every basis form and basis index,
     dims 4 and 8, all degrees."""
     rep = Report("criterion-1-operator-identities")
     for dim in (4, 8):
-        rep.extend(identity_checks(dim, range(1, dim + 1), 100, 1000 + 100 * dim))
+        rep.extend(identity_checks(dim, range(1, dim + 1)))
     return rep
 
 

@@ -32,7 +32,7 @@ def run_criterion(label, fn, budget_seconds=None):
 
 
 def test_criterion_1_operator_identities():
-    # dims 4 and 8, all degrees, 100 seeded samples per identity, exact
+    # dims 4 and 8, all degrees, exact on every basis form and basis index
     rep = run_criterion("criterion 1: operator identities (<5s)",
                         battery.criterion_1_identities, budget_seconds=5.0)
     assert len(rep.checks) == (4 + 8) * 6

@@ -77,12 +77,13 @@ def test_lambda1_study(capsys):
 
 
 def test_check_identities_json(capsys):
-    status, out = run_cli(["check-identities", "--dim", "4", "--degree", "2",
-                           "--trials", "25", "--seed", "3"], capsys)
+    status, out = run_cli(["check-identities", "--dim", "4", "--degree", "2"], capsys)
     assert status == 0
     doc = json.loads(out)
     assert len(doc["checks"]) == 6
     assert all(c["pass"] for c in doc["checks"])
+    assert doc["params"] == {"dim": "4", "degree": "2"}
+    assert doc["checks"][0]["expected"] == "exact on the full basis (6 cases)"
 
 
 def test_riccati_command(capsys):
@@ -135,8 +136,8 @@ def test_determinism_identical_bytes(capsys):
 
 
 def test_seed_env_override(capsys, monkeypatch):
-    args = ["check-identities", "--dim", "4", "--degree", "1",
-            "--trials", "5", "--seed", "1"]
+    args = ["harmonicity", "--n", "2", "--samples", "1", "--kato-samples", "100",
+            "--seed", "1"]
     _, base = run_cli(args, capsys)
     monkeypatch.setenv("QKCOMP_SEED", "99")
     _, overridden = run_cli(args, capsys)
@@ -222,14 +223,24 @@ def test_internal_model_failure_is_not_a_usage_error(monkeypatch):
                                   ["volume", "--r-max", "3", "--steps", "0"],
                                   ["riccati", "--steps", "0"],
                                   ["check-identities", "--dim", "0"],
-                                  ["check-identities", "--dim", "4", "--trials", "0"],
-                                  ["check-identities", "--dim", "4", "--trials", "-2"]])
+                                  ["check-identities", "--dim", "-2"],
+                                  ["check-identities", "--dim", "4", "--degree", "0"]])
 def test_empty_sample_is_usage_error(argv, capsys):
     # zero samples would pass vacuously; it is bad input, not a result
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check-identities", "--dim", "13"],
+                                  ["check-identities", "--dim", "4", "--degree", "5"]])
+def test_identity_domain_is_usage_error(argv, capsys):
+    # the identities are checked for 1 <= degree <= dim <= 12 only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "<= 12" in capsys.readouterr().err
 
 
 def test_log_derivative_check_needs_a_grid_point(capsys):
@@ -281,7 +292,7 @@ def test_log_derivative_check_skips_an_unrepresentable_step(capsys):
 
 
 @pytest.mark.parametrize("argv, criteria, prefix", [
-    (["check-identities", "--dim", "4", "--trials", "100", "--seed", "1400"],
+    (["check-identities", "--dim", "4"],
      ("criterion_1_identities",), "dim 4 "),
     (["harmonicity", "--n", "3", "--seed", "1503"],
      ("criterion_2_harmonicity",), "n=3 "),
@@ -318,8 +329,7 @@ def test_module_entry_point():
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "qkcomp", "check-identities", "--dim", "2",
-         "--trials", "5"],
+        [sys.executable, "-m", "qkcomp", "check-identities", "--dim", "2"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

@@ -23,18 +23,32 @@ from qkcomp.forms import (
     interior,
     wedge,
 )
-from qkcomp.identities import (
-    antiderivation_defect,
-    anticommutator_defect,
-    adjointness_defect,
-    random_form,
-    random_orthogonal_pair,
-    random_vector,
-)
+from qkcomp.identities import random_form, random_orthogonal_pair, random_vector
 
 V2 = InnerSpace(2)
 V4 = InnerSpace(4)
 V8 = InnerSpace(8)
+
+
+def anticommutator_defect(v, vprime, xi):
+    """ell(v) eps(theta') xi + eps(theta') ell(v) xi - <v,v'> xi (identically zero)."""
+    thetap = vprime.dual()
+    return (interior(v, ext_mult(thetap, xi))
+            + ext_mult(thetap, interior(v, xi))
+            - xi * v.dot(vprime))
+
+
+def adjointness_defect(theta, a, b):
+    """<eps(theta) a, b> - <a, ell(v) b> with v the dual of theta (zero)."""
+    v = dual_vector(theta)
+    return form_inner(ext_mult(theta, a), b) - form_inner(a, interior(v, b))
+
+
+def antiderivation_defect(v, a, b):
+    """ell(v)(a^b) - (ell(v)a)^b - (-1)^deg(a) a^(ell(v)b) (identically zero)."""
+    lhs = interior(v, wedge(a, b))
+    rhs = wedge(interior(v, a), b) + wedge(a, interior(v, b)) * (-1) ** a.degree
+    return lhs - rhs
 
 
 def test_wedge_basis_product():
