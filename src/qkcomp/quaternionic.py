@@ -275,12 +275,6 @@ def siu_corlette_defect(H: HessianMatrix) -> Form:
     return _hessian_four_form_maps(H.frame)[1](H, 1)
 
 
-def quaternionic_defects(H: HessianMatrix) -> list[Fraction]:
-    """Per-line defect read off the Siu-Corlette form (coefficient / 6)."""
-    form = siu_corlette_defect(H)
-    return [form.coefficient(H.frame.line_indices(s)) / 6 for s in range(1, H.frame.n + 1)]
-
-
 def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
     """Both sides of the pointwise identity
     *d*(df ^ Omega) = (-1)^{m-1} d*(df ^ *Omega) on M^m, m = 4n.

@@ -154,9 +154,6 @@ class ComparisonFunction:
             return {"coth^2": -m * b2 + m * b2, "1": m * b2 + m * K}
         return {"cot^2": -m * b2 + m * b2, "1": -m * b2 + m * K}
 
-    def is_exact_solution(self) -> bool:
-        return all(c == 0 for c in self.symbolic_residual().values())
-
 
 def riccati_barrier(p: RiccatiProblem) -> ComparisonFunction:
     """The equality solution of u' + u^2/m + m K = 0 with u ~ m/t at 0."""

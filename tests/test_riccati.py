@@ -83,7 +83,6 @@ def test_barrier_forms_match_the_displayed_bounds():
 @pytest.mark.parametrize("block", [line_block_problem, transversal_block_problem])
 def test_symbolic_residual_vanishes(block, delta):
     barrier = riccati_barrier(block(delta))
-    assert barrier.is_exact_solution()
     assert all(v == 0 for v in barrier.symbolic_residual().values())
 
 

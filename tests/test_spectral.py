@@ -1,23 +1,29 @@
-"""Radial spectral estimation: discretization, the direct tridiagonal solve
-against inverse iteration and a dense oracle, the flat-ball Bessel
-cross-check, and domain monotonicity."""
+"""Radial spectral estimation: discretization, the cyclic-reduction count
+and solve against dense linear algebra, the eigen-solve against LAPACK's
+`eigh_tridiagonal`, an in-test inverse iteration and a dense oracle, its
+index certificate, the flat-ball Bessel cross-check, and domain
+monotonicity."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal
 
 import qkcomp.spectral as spectral
 from qkcomp.comparison import ModelGeometry, area_density
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import DomainError
 from qkcomp.spectral import (
+    MAX_SOLVES,
     RESIDUAL_TARGET,
     RadialProblem,
     _assemble,
+    _count_below,
+    _matvec,
+    _reduce,
+    _solve,
     convergence_study,
-    discrete_rayleigh,
     lambda1_dirichlet,
     rayleigh_quotient,
 )
@@ -69,6 +75,48 @@ def dense_generalized_eigenvalue(p: RadialProblem) -> float:
     return float(eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
+def lapack_lambda1(p: RadialProblem) -> tuple[float, float]:
+    """lambda1 as the Rayleigh quotient of LAPACK's lowest eigenvector of
+    B^{-1/2} A B^{-1/2} (`eigh_tridiagonal`, bisection and inverse
+    iteration), with its residual |Au - lambda Bu| / |Bu|."""
+    diag, off, w, _h = _assemble(p)
+    _, v = eigh_tridiagonal(*scaled_system(p), select="i", select_range=(0, 0))
+    u = v[:, 0] / np.sqrt(w)
+    au, bu = _matvec(diag, off, u), w * u
+    lam = float(u @ au) / float(u @ bu)
+    return lam, float(np.linalg.norm(au - lam * bu)) / float(np.linalg.norm(bu))
+
+
+def scaled_system(p: RadialProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of T = B^{-1/2} A B^{-1/2}."""
+    diag, off, w, _h = _assemble(p)
+    scale = 1.0 / np.sqrt(w)
+    return diag * scale * scale, off * scale[:-1] * scale[1:]
+
+
+def discrete_rayleigh(p: RadialProblem, u: np.ndarray) -> float:
+    """Rayleigh quotient of a vector on the interior nodes."""
+    diag, off, w_node, _h = _assemble(p)
+    return float(u @ _matvec(diag, off, u)) / float(u @ (w_node * u))
+
+
+def dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix as a dense array."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def random_tridiagonal(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded normal diagonal and off-diagonal."""
+    return rng.normal(size=size), rng.normal(size=size - 1)
+
+
+def shifts_across(eigenvalues: np.ndarray) -> np.ndarray:
+    """Shifts below, between and above the eigenvalues, none on one."""
+    mids = (eigenvalues[:-1] + eigenvalues[1:]) / 2
+    return np.concatenate([[eigenvalues[0] - 1.0, eigenvalues[0] - 1e-3], mids,
+                           [eigenvalues[-1] + 1e-3, eigenvalues[-1] + 10.0]])
+
+
 def inverse_iteration(p: RadialProblem, target: float = 1e-10,
                       max_iterations: int = 100_000) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenpair by inverse iteration with a banded
@@ -91,10 +139,16 @@ def inverse_iteration(p: RadialProblem, target: float = 1e-10,
     raise AssertionError(f"inverse iteration did not reach {target}")
 
 
-# |lambda1 - reference| allowed between the direct solve and either oracle;
+# |lambda1 - reference| allowed between the eigen-solve and each oracle;
 # measured 4e-13 against inverse iteration and 2.3e-10 against the dense
-# oracle at r_max 8, mesh 2000, n = 2 and 3
+# oracle at r_max 8, mesh 2000, n = 2 and 3, and at most 5.1e-11 against
+# LAPACK on ORACLE_PROBLEMS (the flat ball)
 LAMBDA_TOL = 1e-8
+# relative gap between the product of the pivots and numpy's determinant,
+# and between the cyclic-reduction and the dense solve, on the seeded
+# random tridiagonals of sizes 1 to 40; measured 5.7e-13 and 6.2e-13
+DETERMINANT_TOL = 1e-10
+SOLVE_TOL = 1e-10
 
 # Relative gap between the numpy and the scalar-loop assembly, where numpy's
 # sinh/sin differ from libm's by a few ulp, raised to the powers in J;
@@ -140,9 +194,155 @@ def test_direct_solve_matches_inverse_iteration_and_dense_oracle(n):
     p = RadialProblem(n, 1e-3, 8.0, 2000)
     est = lambda1_dirichlet(p)
     assert est.residual <= RESIDUAL_TARGET
-    assert est.iterations == 1
+    assert 1 <= est.iterations <= MAX_SOLVES
     assert abs(est.lambda1 - inverse_iteration(p)[0]) <= LAMBDA_TOL
     assert abs(est.lambda1 - dense_generalized_eigenvalue(p)) <= LAMBDA_TOL
+
+
+# criterion 7's four problems (the n = 2, r_max 12 one is also the `lambda1`
+# command's default), the flat and the projective model, and the minimum mesh
+ORACLE_PROBLEMS = {
+    "criterion7-n2-r6": RadialProblem(2, 1e-3, 6.0, 9999),
+    "criterion7-n2-r9": RadialProblem(2, 1e-3, 9.0, 15000),
+    "criterion7-n2-r12": RadialProblem(2, 1e-3, 12.0, 20000),
+    "criterion7-n3-r12": RadialProblem(3, 1e-3, 12.0, 20000),
+    "flat": RadialProblem(2, 1e-3, 1.0, 4000, delta=0),
+    "projective": RadialProblem(2, 1e-3, 1.5, 4000, delta=1),
+    "mesh-64": RadialProblem(2, 1e-3, 12.0, 64),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_lambda1_matches_lapack(name):
+    p = ORACLE_PROBLEMS[name]
+    est = lambda1_dirichlet(p)
+    assert est.residual <= RESIDUAL_TARGET
+    assert 1 <= est.iterations <= MAX_SOLVES
+    lam, residual = lapack_lambda1(p)
+    assert abs(est.lambda1 - lam) <= LAMBDA_TOL
+    # the iteration runs to the rounding floor, where LAPACK's vector sits
+    assert est.residual <= 2 * residual
+
+
+def test_iterations_count_the_solves(monkeypatch):
+    solves = []
+
+    def counted(passes, f):
+        solves.append(None)
+        return _solve(passes, f)
+
+    monkeypatch.setattr(spectral, "_solve", counted)
+    est = lambda1_dirichlet(ORACLE_PROBLEMS["mesh-64"])
+    # one more solve makes the start vector
+    assert est.iterations == len(solves) - 1
+    assert est.iterations > 1
+
+
+def test_shift_is_below_lambda1_and_separated():
+    rng = np.random.default_rng(4)
+    systems = [scaled_system(ORACLE_PROBLEMS["mesh-64"])]
+    systems += [random_tridiagonal(rng, size) for size in (2, 3, 10, 40)]
+    for diag, off in systems:
+        lam1, lam2 = np.linalg.eigvalsh(dense(diag, off))[:2]
+        shift, _start = spectral._shift_below_lowest(diag, off)
+        assert _count_below(diag, off, shift) == 0
+        assert lam1 - shift <= spectral.SEPARATION * (lam2 - shift)
+
+
+def test_criterion_7_solves_the_oracle_problems():
+    rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
+    assert [(row["r_max"], row["mesh"]) for row in rows] == [
+        (p.r_max, p.mesh_points) for name, p in ORACLE_PROBLEMS.items()
+        if name.startswith("criterion7-n2")]
+
+
+def test_count_below_matches_eigvalsh():
+    rng = np.random.default_rng(0)
+    for size in range(1, 41):
+        diag, off = random_tridiagonal(rng, size)
+        eigenvalues = np.linalg.eigvalsh(dense(diag, off))
+        for sigma in shifts_across(eigenvalues):
+            assert (_count_below(diag, off, sigma)
+                    == np.count_nonzero(eigenvalues < sigma)), (size, sigma)
+
+
+def test_pivots_multiply_to_the_determinant():
+    # the reduction is an LDL^T factorization in a permuted order
+    rng = np.random.default_rng(1)
+    for size in range(1, 41):
+        diag, off = random_tridiagonal(rng, size)
+        for sigma in shifts_across(np.linalg.eigvalsh(dense(diag, off))):
+            pivots = np.concatenate([p for p, _left, _right in _reduce(diag - sigma, off)])
+            assert pivots.size == size
+            det = np.linalg.det(dense(diag - sigma, off))
+            assert abs(np.prod(pivots) / det - 1) <= DETERMINANT_TOL, (size, sigma)
+
+
+def test_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(2)
+    for size in range(1, 41):
+        diag, off = random_tridiagonal(rng, size)
+        f = rng.normal(size=size)
+        for sigma in shifts_across(np.linalg.eigvalsh(dense(diag, off))):
+            x = _solve(_reduce(diag - sigma, off), f)
+            want = np.linalg.solve(dense(diag - sigma, off), f)
+            assert np.linalg.norm(x - want) <= SOLVE_TOL * np.linalg.norm(want), (size, sigma)
+
+
+def test_count_reads_every_pivot_sign(monkeypatch):
+    rng = np.random.default_rng(3)
+    diag, off = random_tridiagonal(rng, 40)
+    eigenvalues = np.linalg.eigvalsh(dense(diag, off))
+    sigma = (eigenvalues[19] + eigenvalues[20]) / 2
+    assert _count_below(diag, off, sigma) == 20
+    for level, (pivots, _left, _right) in enumerate(_reduce(diag - sigma, off)):
+        for k in range(pivots.size):
+            def flipped(d, e, level=level, k=k):
+                passes = _reduce(d, e)
+                p, left, right = passes[level]
+                p = p.copy()
+                p[k] = -p[k]
+                passes[level] = (p, left, right)
+                return passes
+
+            monkeypatch.setattr(spectral, "_reduce", flipped)
+            assert _count_below(diag, off, sigma) != 20, (level, k)
+            monkeypatch.undo()
+
+
+def test_index_certificate_rejects_the_second_eigenpair(monkeypatch):
+    # a shift next to lambda_2 makes inverse iteration converge to it
+    p = ORACLE_PROBLEMS["mesh-64"]
+    lam1, lam2 = np.linalg.eigvalsh(dense(*scaled_system(p)))[:2]
+    shift = lam2 - 1e-3 * (lam2 - lam1)
+    monkeypatch.setattr(spectral, "_shift_below_lowest", lambda d, e: (shift, np.ones_like(d)))
+    with pytest.raises(RuntimeError, match="index certificate"):
+        lambda1_dirichlet(p)
+
+
+def test_index_certificate_counts_one_eigenvalue_in_its_window(monkeypatch):
+    # a window reaching past lambda_2 holds two eigenvalues
+    monkeypatch.setattr(spectral, "INDEX_TOL", 0.5)
+    with pytest.raises(RuntimeError, match="index certificate"):
+        lambda1_dirichlet(ORACLE_PROBLEMS["mesh-64"])
+
+
+def test_index_certificate_reads_both_counts():
+    diag, off = scaled_system(ORACLE_PROBLEMS["mesh-64"])
+    lam1, lam2 = np.linalg.eigvalsh(dense(diag, off))[:2]
+    spectral._certify_lowest(diag, off, lam1)
+    tau = spectral.INDEX_TOL
+    # one eigenvalue below each end of the window; then none below either
+    for lam in ((lam1 + lam2) / 2, lam1 * (1 - 3 * tau)):
+        with pytest.raises(RuntimeError, match="index certificate"):
+            spectral._certify_lowest(diag, off, lam)
+
+
+def test_bisection_raises_on_a_double_lowest_eigenvalue():
+    # two equal blocks [[3, 1], [1, 1]]: every count is even
+    with pytest.raises(RuntimeError, match="cannot separate"):
+        spectral._shift_below_lowest(np.array([3.0, 1.0, 3.0, 1.0]),
+                                     np.array([1.0, 0.0, 1.0]))
 
 
 def test_residual_above_target_raises(monkeypatch):
