@@ -64,7 +64,11 @@ def _emit(report: Report, args) -> int:
 
 
 def _grid(args) -> tuple[float, list[float]]:
-    """(r_min, the `steps` evenly spaced radii from r_min to r_max)."""
+    """(r_min, the `steps` evenly spaced radii from r_min to r_max).  A
+    given --r-min must lie below --r-max; the default is r_max / steps."""
+    if args.r_min is not None and args.r_min >= args.r_max:
+        raise ContractViolation(f"need r_min < r_max, got r_min={args.r_min}, "
+                                f"r_max={args.r_max}")
     r_min = args.r_min if args.r_min is not None else args.r_max / args.steps
     return r_min, [r_min + (args.r_max - r_min) * i / max(args.steps - 1, 1)
                    for i in range(args.steps)]

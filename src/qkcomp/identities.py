@@ -109,10 +109,6 @@ class IdentityReport:
     seed: int
     results: list[IdentityResult] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
 
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1

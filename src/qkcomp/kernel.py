@@ -1,18 +1,127 @@
-"""The exterior-term kernel that :mod:`qkcomp.forms` calls.
+"""The exact term kernel: sparse exterior-algebra term arithmetic for
+:mod:`qkcomp.forms`.
 
-A plain re-export of the pure-Python integer kernel in
-:mod:`qkcomp._termops`, under the one module name that ``forms`` looks
-its functions up in, so callers (tests, instrumentation) can rebind them
-in one place."""
+A form of degree p over an n-dimensional oriented orthonormal basis is a
+mapping ``mask -> coefficient`` where ``mask`` is an integer whose set
+bits (bit i-1 for basis index i) name a strictly increasing index tuple,
+and the coefficient is an ``int``: the form's numerator on that monomial
+(:class:`qkcomp.forms.Form` keeps the one shared denominator).  The
+functions are exact for any exact coefficient type, ``Fraction`` included.
+All sign bookkeeping counts transpositions via bit tricks; nothing here is
+ever floating point.
 
-from ._termops import (
-    BACKEND,
-    accumulate_scaled,
-    inner_terms,
-    interior_terms,
-    star_terms,
-    wedge_terms,
-)
+``forms`` looks every function up on this module at call time, so callers
+(tests, instrumentation) can rebind them here in one place.
+"""
 
-__all__ = ["BACKEND", "accumulate_scaled", "inner_terms", "interior_terms",
-           "star_terms", "wedge_terms"]
+from __future__ import annotations
+
+BACKEND = "python"
+
+
+def _parity_mask(kb: int) -> int:
+    """Mask whose bit i is set iff an odd number of the bits of kb lie below i.
+
+    Negative (an infinite run of high ones) whenever kb has odd weight;
+    only its AND with a nonnegative mask is ever used."""
+    p = 0
+    while kb:
+        low = kb & -kb
+        p ^= -(low << 1)  # every bit strictly above this bit of kb
+        kb ^= low
+    return p
+
+
+def merge_sign(ka: int, kb: int) -> int:
+    """Sign of sorting the concatenation (tuple of ka, tuple of kb).
+
+    Both masks are assumed disjoint.  Equals (-1)**t where t is the
+    number of pairs (i in ka, j in kb) with i > j.
+    """
+    return -1 if (ka & _parity_mask(kb)).bit_count() & 1 else 1
+
+
+def wedge_terms(a: dict, b: dict) -> dict:
+    """Exterior product of two term maps."""
+    out: dict = {}
+    bs = [(kb, cb, _parity_mask(kb)) for kb, cb in b.items()]
+    for ka, ca in a.items():
+        for kb, cb, pb in bs:
+            if ka & kb:
+                continue
+            k = ka | kb
+            c = -ca * cb if (ka & pb).bit_count() & 1 else ca * cb
+            acc = out.get(k)
+            if acc is None:
+                out[k] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+    return out
+
+
+def star_terms(a: dict, dim: int) -> dict:
+    """Hodge dual of a term map for the canonical orientation."""
+    full = (1 << dim) - 1
+    out: dict = {}
+    for k, c in a.items():
+        kc = full & ~k
+        out[kc] = c if merge_sign(k, kc) > 0 else -c
+    return out
+
+
+def interior_terms(comps: tuple, a: dict) -> dict:
+    """Contraction with the vector whose i-th component is comps[i] (0-based)."""
+    out: dict = {}
+    for k, c in a.items():
+        rest = k
+        pos = 0
+        while rest:
+            low = rest & -rest
+            v = comps[low.bit_length() - 1]
+            if v:
+                k2 = k ^ low
+                c2 = v * c if pos % 2 == 0 else -v * c
+                acc = out.get(k2)
+                if acc is None:
+                    out[k2] = c2
+                else:
+                    acc = acc + c2
+                    if acc:
+                        out[k2] = acc
+                    else:
+                        del out[k2]
+            rest ^= low
+            pos += 1
+    return out
+
+
+def accumulate_scaled(acc: dict, terms: dict, coeff) -> None:
+    """In-place acc += coeff * terms (coeff an int, or any exact rational)."""
+    if not coeff:
+        return
+    for k, c in terms.items():
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = coeff * c
+        else:
+            cur = cur + coeff * c
+            if cur:
+                acc[k] = cur
+            else:
+                del acc[k]
+
+
+def inner_terms(a: dict, b: dict):
+    """Inner product of two term maps (basis forms are orthonormal)."""
+    total = 0
+    if len(b) < len(a):
+        a, b = b, a
+    for k, c in a.items():
+        cb = b.get(k)
+        if cb is not None:
+            total += c * cb
+    return total

@@ -17,6 +17,10 @@ formula for left-invariant orthonormal frames,
 and the curvature tensor follows the convention
 R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>.
 
+On left-invariant forms d and nabla_X are one operator, the (anti)derivation
+fixed by its values on the coframe, D omega = sum_k D(theta^k) ^ iota(e_k) omega
+(`derivation`), given d theta^k from C or nabla_X theta^k from Gamma.
+
 Every table here and on the horospheres of `levelset` (C, Gamma, R) is a
 `forms.ExactArray`: int64 numerators over one positive denominator.
 Koszul, curvature and the identity batteries are `contract` (np.einsum)
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, Vector, contract, ext_mult,
+from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
                     form_inner, interior, two_form, wedge)
 from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
 from .report import Check, check_eq, check_true
@@ -95,15 +99,6 @@ def levi_civita_table(C: ExactArray) -> ExactArray:
     """Koszul formula: Gamma[A, B, D] with nabla_{e_A} e_B = sum_D Gamma e_D,
     2 Gamma_ABD = C_ABD - C_BDA + C_DAB."""
     return (C - contract("bda->abd", C) + contract("dab->abd", C)) * Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    table: ExactArray  # Gamma[A, B, D], 0-based
-
-    def gamma(self, a: int, b: int, d: int) -> Fraction:
-        """<nabla_{e_a} e_b, e_d> (1-based)."""
-        return self.table.fraction(a - 1, b - 1, d - 1)
 
 
 def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
@@ -198,10 +193,6 @@ def build_model(n: int) -> StructureConstants:
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
     return StructureConstants(n, c, C, record)
-
-
-def levi_civita(sc: StructureConstants) -> ConnectionCoefficients:
-    return ConnectionCoefficients(levi_civita_table(sc.table))
 
 
 def curvature(sc: StructureConstants) -> CurvatureTensor:
@@ -405,31 +396,38 @@ def verify_radial_slabs(R: CurvatureTensor, n: int) -> list[Check]:
     ]
 
 
-def exterior_derivative(sc: StructureConstants, omega: Form) -> Form:
-    """d on left-invariant forms: d theta^C = -(1/2) C^C_AB theta^A ^ theta^B,
-    extended as an antiderivation."""
+def derivation(images: list[Form], omega: Form) -> Form:
+    """The (anti)derivation D of left-invariant forms fixed by its values
+    images[k] = D theta^{k+1} on the coframe:
+
+        D omega = sum_k D(theta^k) ^ iota(e_k) omega.
+
+    With d theta^k it is the exterior derivative d, with nabla_X theta^k
+    the covariant derivative nabla_X.  Either way the term of theta^k at
+    position pos of a monomial carries the sign (-1)^pos that iota(e_k)
+    gives: from the antiderivation rule for d (2-form images), from moving
+    the 1-form image to the front for nabla_X.
+    omega has degree >= 1; the images share one degree."""
     space = omega.space
-    d_one = [Form.zero(space, 2) for _ in range(sc.dim)]
-    for (a, b, cidx), coeff in sc.table.items():
-        if a < b:
-            d_one[cidx] = d_one[cidx] + Form.basis(space, (a + 1, b + 1), -coeff)
-    out = Form.zero(space, omega.degree + 1)
-    for idx, coeff in omega.terms().items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            out = out + wedge(d_one[i - 1], Form.basis(space, rest, sign * coeff))
+    out = Form.zero(space, omega.degree + images[0].degree - 1)
+    for k, image in enumerate(images, start=1):
+        if image:
+            contracted = interior(Vector.basis(space, k), omega)
+            if contracted:
+                out = out + wedge(image, contracted)
     return out
 
 
-def covariant_derivative(cc: ConnectionCoefficients, a: int, omega: Form) -> Form:
-    """nabla_{e_a} omega for a left-invariant form (1-based direction)."""
-    space = omega.space
-    out = Form.zero(space, omega.degree)
-    for (i, j), coeff in cc.table[a - 1].items():
-        contracted = interior(Vector.basis(space, j + 1), omega)
-        out = out - ext_mult(Form.basis(space, (i + 1,), coeff), contracted)
-    return out
+def d_coframe(space: InnerSpace, C: ExactArray) -> list[Form]:
+    """d theta^k = -(1/2) C^k_AB theta^A ^ theta^B, k = 1 .. m."""
+    return [two_form(space, -C[:, :, k]) for k in range(len(C.num))]
+
+
+def nabla_coframe(space: InnerSpace, G: ExactArray, x: int) -> list[Form]:
+    """nabla_{e_x} theta^k = -sum_i Gamma[x, i, k] theta^i, k = 1 .. m
+    (0-based x)."""
+    return [Form(space, 1, {1 << i: -v for i, v in enumerate(row) if v}, G.den)
+            for row in G.num[x].T.tolist()]
 
 
 @dataclass
@@ -445,59 +443,48 @@ class Sp1Connection:
 
 def verify_parallel_four_form(sc: StructureConstants,
                               frame: QuaternionicFrame,
-                              berger: BergerData | None = None) -> Sp1Connection:
+                              berger: BergerData) -> Sp1Connection:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
     the curvature relation alpha = da + b ^ c (with its cyclic companions)."""
     if frame.n != sc.n:
         raise ContractViolation("frame must be the model frame")
-    cc = levi_civita(sc)
     ff = build_fundamental_forms(frame)
     space = frame.space
     m = sc.dim
     norm = Fraction(2 * frame.n)
+    d_images = d_coframe(space, sc.table)
+    G = levi_civita_table(sc.table)
 
     checks: list[Check] = []
-    dOmega = exterior_derivative(sc, ff.Omega)
-    checks.append(check_true("d Omega = 0", dOmega.is_zero()))
+    checks.append(check_true("d Omega = 0", derivation(d_images, ff.Omega).is_zero()))
 
     a_coms = [Fraction(0)] * m
     b_coms = [Fraction(0)] * m
     c_coms = [Fraction(0)] * m
     rotation_bad = 0
     nabla_omega_bad = 0
-    for x in range(1, m + 1):
-        d1 = covariant_derivative(cc, x, ff.omega1)
-        d2 = covariant_derivative(cc, x, ff.omega2)
-        d3 = covariant_derivative(cc, x, ff.omega3)
+    for x in range(m):
+        images = nabla_coframe(space, G, x)
+        d1, d2, d3 = (derivation(images, w) for w in (ff.omega1, ff.omega2, ff.omega3))
         cx = form_inner(d1, ff.omega2) / norm
         bx = -form_inner(d1, ff.omega3) / norm
         ax = form_inner(d2, ff.omega3) / norm
-        a_coms[x - 1], b_coms[x - 1], c_coms[x - 1] = ax, bx, cx
+        a_coms[x], b_coms[x], c_coms[x] = ax, bx, cx
         if (d1 != cx * ff.omega2 - bx * ff.omega3
                 or d2 != -cx * ff.omega1 + ax * ff.omega3
                 or d3 != bx * ff.omega1 - ax * ff.omega2):
             rotation_bad += 1
-        if not covariant_derivative(cc, x, ff.Omega).is_zero():
+        if not derivation(images, ff.Omega).is_zero():
             nabla_omega_bad += 1
     checks.append(check_eq("nabla_X omega_a is the sp(1) rotation, all X",
                            0, rotation_bad))
     checks.append(check_eq("nabla_X Omega = 0, all X", 0, nabla_omega_bad))
 
-    def one_form(coms) -> Form:
-        return Form.from_terms(space, 1,
-                               {(i,): coms[i - 1] for i in range(1, m + 1)
-                                if coms[i - 1]})
-
-    fa, fb, fc = one_form(a_coms), one_form(b_coms), one_form(c_coms)
-    alpha_conn = exterior_derivative(sc, fa) + wedge(fb, fc)
-    beta_conn = exterior_derivative(sc, fb) + wedge(fc, fa)
-    gamma_conn = exterior_derivative(sc, fc) + wedge(fa, fb)
-
-    if berger is not None:
-        checks.append(check_true("alpha = da + b ^ c matches the curvature alpha",
-                                 alpha_conn == two_form(space, berger.alpha)))
-        checks.append(check_true("beta = db + c ^ a matches the curvature beta",
-                                 beta_conn == two_form(space, berger.beta)))
-        checks.append(check_true("gamma = dc + a ^ b matches the curvature gamma",
-                                 gamma_conn == two_form(space, berger.gamma)))
+    fa, fb, fc = (Vector.of(space, coms).dual() for coms in (a_coms, b_coms, c_coms))
+    for name, (f, g, h), curv in (
+            ("alpha = da + b ^ c matches the curvature alpha", (fa, fb, fc), berger.alpha),
+            ("beta = db + c ^ a matches the curvature beta", (fb, fc, fa), berger.beta),
+            ("gamma = dc + a ^ b matches the curvature gamma", (fc, fa, fb), berger.gamma)):
+        conn = derivation(d_images, f) + wedge(g, h)
+        checks.append(check_true(name, conn == two_form(space, curv)))
     return Sp1Connection(a_coms, b_coms, c_coms, checks)

@@ -218,6 +218,10 @@ def integrate_riccati_batch(p: RiccatiProblem, u0s, t0s, t1: float,
         raise ContractViolation("need at least one trajectory")
     if (t0s <= 0).any():
         raise ContractViolation(f"need t0 > 0, got {float(t0s[np.argmax(t0s <= 0)])}")
+    if (t0s >= t1).any():
+        # the comparison principle runs forward from t0 only
+        raise ContractViolation(
+            f"need t0 < t1, got t0={float(t0s[np.argmax(t0s >= t1)])} >= t1={t1}")
     if steps < 100:
         raise ContractViolation(f"need at least 100 steps, got {steps}")
     barrier = riccati_barrier(p)

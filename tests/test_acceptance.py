@@ -158,3 +158,24 @@ def test_suite_import_leaves_every_cache_empty():
     assert set(probe["at_import"].values()) == {0}
     assert probe["misses"] == {"build_frame": 2, "build_fundamental_forms": 2,
                                "_hessian_four_form_maps": 2}
+
+
+def test_traced_benchmark_worker_binds_every_spanned_name():
+    # the benchmark's traced worker wraps qkcomp.kernel's functions,
+    # riccati.integrate_riccati and the other spanned names, and reads
+    # qkcomp.BACKEND; a rename or deletion of any of them fails here
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, str(root / "certbench" / "worker.py"),
+                           "--workload", "kato", "--trace", "1", "--spawned-at", "0"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["context"]["backend"] == qkcomp.BACKEND
+    assert "layers" in result
+    for criterion in result["criteria"]:
+        assert criterion["error"] is None, criterion["error"]
+        assert criterion["checks"]
+        assert all(c["passed"] for c in criterion["checks"]), criterion["checks"]

@@ -243,6 +243,24 @@ def test_identity_domain_is_usage_error(argv, capsys):
     assert "<= 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "volume"])
+def test_reversed_radius_range_is_usage_error(command, capsys):
+    # a descending table is not a radius range; compare and volume both refuse
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--r-min", "5", "--r-max", "3", "--steps", "4"])
+    assert exc.value.code == 2
+    assert "need r_min < r_max" in capsys.readouterr().err
+
+
+def test_riccati_trajectories_started_past_r_max_are_usage_error(capsys):
+    # the trajectories start at t0 in [r_min, 2 r_min] = [2, 4], some of them
+    # past r_max = 3, where RK4 would step backwards
+    with pytest.raises(SystemExit) as exc:
+        main(["riccati", "--r-min", "2", "--r-max", "3"])
+    assert exc.value.code == 2
+    assert "need t0 < t1" in capsys.readouterr().err
+
+
 def test_log_derivative_check_needs_a_grid_point(capsys):
     # the check skips r_min, so one step leaves it nothing to pass on
     status, out = run_cli(["compare", "--r-max", "3", "--steps", "1"], capsys)

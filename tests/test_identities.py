@@ -26,7 +26,7 @@ from qkcomp.identities import (
 
 def test_all_identities_dim8_degree4():
     report = check_star_identities(8, 4, trials=100, seed=7)
-    assert report.all_passed, [r.name for r in report.results if not r.passed]
+    assert all(r.passed for r in report.results), [r.name for r in report.results if not r.passed]
     assert len(report.results) == 6
     assert [r.name for r in report.results] == list(IDENTITY_NAMES)
 
@@ -35,7 +35,7 @@ def test_all_identities_dim8_degree4():
 def test_identities_all_degrees(dim):
     for degree in range(1, dim + 1):
         report = check_star_identities(dim, degree, trials=25, seed=100 + degree)
-        assert report.all_passed, (dim, degree,
+        assert all(r.passed for r in report.results), (dim, degree,
                                    [r.name for r in report.results if not r.passed])
 
 
@@ -76,7 +76,7 @@ def test_failure_is_reported_not_raised():
     # asserting a counterexample string appears when a law is broken.
     # Simulate by running with trials=0: nothing to fail on.
     report = check_star_identities(4, 2, trials=0, seed=0)
-    assert report.all_passed
+    assert all(r.passed for r in report.results)
     assert all(r.counterexample is None for r in report.results)
 
 
@@ -103,7 +103,7 @@ def test_injected_star_sign_bug_is_caught(monkeypatch):
     assert not by_name["1 double star involution"].passed
     assert by_name["1 double star involution"].counterexample is not None
     monkeypatch.undo()
-    assert check_star_identities(4, 1, trials=5, seed=0).all_passed
+    assert all(r.passed for r in check_star_identities(4, 1, trials=5, seed=0).results)
 
 
 # --- the full-basis check on signed-permutation tables ---------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from qkcomp import _termops
+from qkcomp import kernel
 
 
 def random_int_terms(rng, dim, degree):
@@ -22,11 +22,11 @@ def random_int_terms(rng, dim, degree):
 
 def test_merge_sign_reference_cases():
     # ka = {1}, kb = {2}: already sorted
-    assert _termops.merge_sign(0b01, 0b10) == 1
+    assert kernel.merge_sign(0b01, 0b10) == 1
     # ka = {2}, kb = {1}: one transposition
-    assert _termops.merge_sign(0b10, 0b01) == -1
+    assert kernel.merge_sign(0b10, 0b01) == -1
     # ka = {1,3}, kb = {2}: 2 passes 3 only
-    assert _termops.merge_sign(0b101, 0b010) == -1
+    assert kernel.merge_sign(0b101, 0b010) == -1
 
 
 def test_merge_sign_counts_inversions_exhaustive():
@@ -36,7 +36,7 @@ def test_merge_sign_counts_inversions_exhaustive():
                 continue
             pairs = sum(1 for i in range(6) for j in range(6)
                         if ka >> i & 1 and kb >> j & 1 and i > j)
-            assert _termops.merge_sign(ka, kb) == (-1) ** pairs
+            assert kernel.merge_sign(ka, kb) == (-1) ** pairs
 
 
 def test_integer_maps_match_fraction_maps():
@@ -54,22 +54,22 @@ def test_integer_maps_match_fraction_maps():
         comps = tuple(rng.randint(-9, 9) for _ in range(dim))
         c = rng.randint(-9, 9)
         acc, facc = dict(a), dict(fa)
-        _termops.accumulate_scaled(acc, b, c)
-        _termops.accumulate_scaled(facc, fb, F(c))
-        pairs = ((_termops.wedge_terms(a, b), _termops.wedge_terms(fa, fb)),
-                 (_termops.star_terms(a, dim), _termops.star_terms(fa, dim)),
-                 (_termops.interior_terms(comps, a),
-                  _termops.interior_terms(tuple(map(F, comps)), fa)),
+        kernel.accumulate_scaled(acc, b, c)
+        kernel.accumulate_scaled(facc, fb, F(c))
+        pairs = ((kernel.wedge_terms(a, b), kernel.wedge_terms(fa, fb)),
+                 (kernel.star_terms(a, dim), kernel.star_terms(fa, dim)),
+                 (kernel.interior_terms(comps, a),
+                  kernel.interior_terms(tuple(map(F, comps)), fa)),
                  (acc, facc))
         for got, want in pairs:
             assert got == want
             assert all(type(v) is int and v for v in got.values())
-        inner = _termops.inner_terms(a, b)
-        assert type(inner) is int and inner == _termops.inner_terms(fa, fb)
+        inner = kernel.inner_terms(a, b)
+        assert type(inner) is int and inner == kernel.inner_terms(fa, fb)
 
 
 def test_accumulate_cancels_to_empty():
     a = {0b11: F(2, 3)}
     acc = dict(a)
-    _termops.accumulate_scaled(acc, a, F(-1))
+    kernel.accumulate_scaled(acc, a, F(-1))
     assert acc == {}

@@ -21,7 +21,7 @@ from qkcomp.model import (
     CurvatureTensor,
     StructureConstants,
     build_model,
-    levi_civita,
+    levi_civita_table,
     model_curvature,
 )
 from qkcomp.report import Check, check_eq
@@ -212,7 +212,7 @@ def reference_radial_hessian_check(sc):
     """radial_hessian_check written as loops over single Fraction entries,
     against the Busemann Hessian diag(0, -2, -2, -2, -1, ..., -1)."""
     n, m = sc.n, sc.dim
-    gamma = levi_civita(sc).table.fractions()
+    gamma = levi_civita_table(sc.table).fractions()
     h = [[gamma[a][b][0] for b in range(1, m)] for a in range(1, m)]
     beta = [0, -2, -2, -2] + [-1] * (m - 4)
     off = sum(1 for a in range(m - 1) for b in range(m - 1) if a != b and h[a][b])

@@ -5,6 +5,7 @@ The dense nested-`Fraction` loops below are the reference the integer
 tables of `qkcomp.model` and `qkcomp.levelset` are tested against; they
 read I, J, K off the per-line tables of `test_quaternionic.reference_actions`."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,8 @@ import pytest
 
 import qkcomp.model
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector, contract,
-                          ext_mult)
+                          ext_mult, form_inner, interior, two_form, wedge)
+from qkcomp.identities import random_form
 from qkcomp.levelset import _nilpotent_brackets, level_set_geometry
 from qkcomp.model import (
     EINSTEIN_SWEEP,
@@ -25,12 +27,12 @@ from qkcomp.model import (
     build_model,
     curvature,
     curvature_table,
-    covariant_derivative,
-    exterior_derivative,
+    d_coframe,
+    derivation,
     jacobi_violations,
-    levi_civita,
     levi_civita_table,
     model_curvature,
+    nabla_coframe,
     verify_berger,
     verify_einstein,
     verify_parallel_four_form,
@@ -140,16 +142,76 @@ def reference_symmetry_violations(R):
     return bad
 
 
+def reference_exterior_derivative(C, omega):
+    """d on left-invariant forms, term by term: d theta^C = -(1/2) C^C_AB
+    theta^A ^ theta^B, extended as an antiderivation."""
+    space = omega.space
+    d_one = [Form.zero(space, 2) for _ in range(space.dim)]
+    for (a, b, cidx), coeff in C.items():
+        if a < b:
+            d_one[cidx] = d_one[cidx] + Form.basis(space, (a + 1, b + 1), -coeff)
+    out = Form.zero(space, omega.degree + 1)
+    for idx, coeff in omega.terms().items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            sign = -1 if pos % 2 else 1
+            out = out + wedge(d_one[i - 1], Form.basis(space, rest, sign * coeff))
+    return out
+
+
+def reference_covariant_derivative(G, a, omega):
+    """nabla_{e_a} omega = -sum Gamma[a, i, j] theta^i ^ iota(e_j) omega
+    (1-based direction), one connection coefficient at a time."""
+    space = omega.space
+    out = Form.zero(space, omega.degree)
+    for (i, j), coeff in G[a - 1].items():
+        contracted = interior(Vector.basis(space, j + 1), omega)
+        out = out - ext_mult(Form.basis(space, (i + 1,), coeff), contracted)
+    return out
+
+
+def reference_parallel_four_form(sc, frame, berger):
+    """The six verdicts of verify_parallel_four_form through the reference
+    derivatives."""
+    ff = build_fundamental_forms(frame)
+    space, m = frame.space, sc.dim
+    G = levi_civita_table(sc.table)
+    norm = F(2 * frame.n)
+    coms = [[F(0)] * m for _ in range(3)]
+    rotation_bad = nabla_omega_bad = 0
+    for x in range(1, m + 1):
+        d1, d2, d3 = (reference_covariant_derivative(G, x, w)
+                      for w in (ff.omega1, ff.omega2, ff.omega3))
+        cx = form_inner(d1, ff.omega2) / norm
+        bx = -form_inner(d1, ff.omega3) / norm
+        ax = form_inner(d2, ff.omega3) / norm
+        coms[0][x - 1], coms[1][x - 1], coms[2][x - 1] = ax, bx, cx
+        rotation_bad += (d1 != cx * ff.omega2 - bx * ff.omega3
+                         or d2 != -cx * ff.omega1 + ax * ff.omega3
+                         or d3 != bx * ff.omega1 - ax * ff.omega2)
+        nabla_omega_bad += not reference_covariant_derivative(G, x, ff.Omega).is_zero()
+    fa, fb, fc = (Form.from_terms(space, 1, {(i + 1,): v for i, v in enumerate(c) if v})
+                  for c in coms)
+    return [reference_exterior_derivative(sc.table, ff.Omega).is_zero(),
+            rotation_bad == 0, nabla_omega_bad == 0,
+            reference_exterior_derivative(sc.table, fa) + wedge(fb, fc)
+            == two_form(space, berger.alpha),
+            reference_exterior_derivative(sc.table, fb) + wedge(fc, fa)
+            == two_form(space, berger.beta),
+            reference_exterior_derivative(sc.table, fc) + wedge(fa, fb)
+            == two_form(space, berger.gamma)]
+
+
 @pytest.fixture(scope="module")
 def model2():
     sc = build_model(2)
-    return sc, levi_civita(sc), curvature(sc)
+    return sc, levi_civita_table(sc.table), curvature(sc)
 
 
 @pytest.fixture(scope="module")
 def model3():
     sc = build_model(3)
-    return sc, levi_civita(sc), curvature(sc)
+    return sc, levi_civita_table(sc.table), curvature(sc)
 
 
 def test_bracket_scale_derived_by_einstein_sweep(model2):
@@ -196,30 +258,30 @@ def test_center_bracket(model2):
 
 
 def test_connection_radial_properties(model2):
-    sc, cc, _ = model2
+    sc, G, _ = model2
     m = sc.dim
-    assert all(cc.gamma(1, 1, d) == 0 for d in range(1, m + 1))
+    assert all(G.fraction(0, 0, d - 1) == 0 for d in range(1, m + 1))
     for al in range(2, m + 1):
         expect = F(-2) if al <= 4 else F(-1)
-        assert cc.gamma(al, 1, al) == expect
+        assert G.fraction(al - 1, 0, al - 1) == expect
 
 
 def test_connection_metric_compatibility(model2):
-    sc, cc, _ = model2
+    sc, G, _ = model2
     m = sc.dim
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             for d in range(1, m + 1):
-                assert cc.gamma(a, b, d) == -cc.gamma(a, d, b)
+                assert G.fraction(a - 1, b - 1, d - 1) == -G.fraction(a - 1, d - 1, b - 1)
 
 
 def test_connection_torsion_free(model2):
-    sc, cc, _ = model2
+    sc, G, _ = model2
     m = sc.dim
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             for d in range(1, m + 1):
-                assert cc.gamma(a, b, d) - cc.gamma(b, a, d) == \
+                assert G.fraction(a - 1, b - 1, d - 1) - G.fraction(b - 1, a - 1, d - 1) == \
                     sc.table.fraction(a - 1, b - 1, d - 1)
 
 
@@ -393,6 +455,9 @@ def test_triple_check_matches_the_per_triple_loop(n, seed):
         assert triple_check(data) == expected
 
 
+MUTANTS = 20
+
+
 def test_parallel_four_form(model2):
     sc, _, R = model2
     frame = build_frame(2)
@@ -400,23 +465,65 @@ def test_parallel_four_form(model2):
     sp1 = verify_parallel_four_form(sc, frame, berger)
     assert all(c.passed for c in sp1.checks), \
         [c.name for c in sp1.checks if not c.passed]
+    assert [c.passed for c in sp1.checks] == reference_parallel_four_form(sc, frame, berger)
     # the radial direction is annihilated by the connection
     assert sp1.a[0] == sp1.b[0] == sp1.c[0] == 0
 
 
 def test_exterior_derivative_matches_connection(model2):
     # torsion-free consistency: d omega = sum theta^A ^ nabla_A omega
-    sc, cc, _ = model2
+    sc, G, _ = model2
     frame = build_frame(2)
     ff = build_fundamental_forms(frame)
     space = frame.space
+    d_images = d_coframe(space, sc.table)
     for omega in (ff.omega1, ff.omega2):
-        lhs = exterior_derivative(sc, omega)
         rhs = Form.zero(space, omega.degree + 1)
-        for a in range(1, sc.dim + 1):
-            rhs = rhs + ext_mult(Form.basis(space, (a,)),
-                                 covariant_derivative(cc, a, omega))
-        assert lhs == rhs
+        for x in range(sc.dim):
+            rhs = rhs + ext_mult(Form.basis(space, (x + 1,)),
+                                 derivation(nabla_coframe(space, G, x), omega))
+        assert derivation(d_images, omega) == rhs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivation_matches_the_term_by_term_references(n):
+    # d and every nabla_X through the one derivation, against the old
+    # per-term loops: on omega_a, Omega and seeded random 1- to 4-forms
+    sc = build_model(n)
+    G = levi_civita_table(sc.table)
+    frame = build_frame(n)
+    ff = build_fundamental_forms(frame)
+    space = frame.space
+    rng = random.Random(30 + n)
+    forms = [ff.omega1, ff.omega2, ff.omega3, ff.Omega]
+    forms += [random_form(space, p, rng) for p in (1, 2, 3, 4)]
+    d_images = d_coframe(space, sc.table)
+    directions = [0, 1, 4, sc.dim - 1] + [rng.randrange(sc.dim) for _ in range(2)]
+    for omega in forms:
+        assert derivation(d_images, omega) == reference_exterior_derivative(sc.table, omega)
+        for x in directions:
+            assert derivation(nabla_coframe(space, G, x), omega) == \
+                reference_covariant_derivative(G, x + 1, omega)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_parallel_four_form_fails_on_perturbed_brackets(n):
+    # mutants: +-1 on one antisymmetric bracket pair [e_a, e_b], component d.
+    # Each fails a check, and the verdicts are those of the reference loops
+    sc = build_model(n)
+    frame = build_frame(n)
+    berger = verify_berger(model_curvature(n), frame, n)
+    rng = random.Random(50 + n)
+    for _ in range(MUTANTS):
+        a, b = rng.sample(range(sc.dim), 2)
+        d, s = rng.randrange(sc.dim), rng.choice((-1, 1))
+        num = sc.table.num.copy()
+        num[a, b, d] += s * sc.table.den
+        num[b, a, d] -= s * sc.table.den
+        mutant = dataclasses.replace(sc, table=ExactArray.of(num, sc.table.den))
+        verdicts = [c.passed for c in verify_parallel_four_form(mutant, frame, berger).checks]
+        assert not all(verdicts), (a, b, d, s)
+        assert verdicts == reference_parallel_four_form(mutant, frame, berger), (a, b, d, s)
 
 
 def test_build_model_validation():

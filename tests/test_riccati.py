@@ -228,6 +228,17 @@ def test_batch_preconditions():
         integrate_riccati_batch(prob, [0.0, 0.0], [0.5, -0.5], 3.0, steps=1000)
 
 
+@pytest.mark.parametrize("t0", [3.0, 3.5])
+def test_batch_refuses_to_step_backwards(t0):
+    # the comparison principle is a forward statement: t0 >= t1 would step
+    # with h <= 0 and certify nothing
+    prob = line_block_problem(-1)
+    with pytest.raises(ContractViolation, match="need t0 < t1"):
+        integrate_riccati_batch(prob, [0.0, 0.0], [0.5, t0], 3.0, steps=1000)
+    with pytest.raises(ContractViolation, match="need t0 < t1"):
+        integrate_riccati(prob, 0.0, t0, 3.0, steps=1000)
+
+
 def test_vectorized_barrier_values_and_domain():
     for prob in CRITERION_3_INSTANCES + [line_block_problem(1)]:
         barrier = riccati_barrier(prob)
