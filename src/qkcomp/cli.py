@@ -6,16 +6,17 @@ The subcommands build their checks with the parameterized builders of
 
 Exit status is 0 when every check in the run passes, 1 on any check
 failure, and 2 on usage errors.  Identical invocations emit identical
-bytes; the environment variable QKCOMP_SEED overrides --seed.
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import suite as suite_mod
 from .comparison import (
@@ -29,7 +30,7 @@ from .comparison import (
 from .forms import ContractViolation
 from .model import build_model, model_curvature
 from .report import Report, check_true, render_value
-from .riccati import integrate_riccati, riccati_barrier
+from .riccati import DomainError, integrate_riccati, riccati_barrier
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
 
 
@@ -63,12 +64,16 @@ def _emit(report: Report, args) -> int:
     return 0 if report.passed else 1
 
 
+def _check_range(r_min: float, r_max: float) -> None:
+    if r_min >= r_max:
+        raise ContractViolation(f"need r_min < r_max, got r_min={r_min}, r_max={r_max}")
+
+
 def _grid(args) -> tuple[float, list[float]]:
     """(r_min, the `steps` evenly spaced radii from r_min to r_max).  A
     given --r-min must lie below --r-max; the default is r_max / steps."""
-    if args.r_min is not None and args.r_min >= args.r_max:
-        raise ContractViolation(f"need r_min < r_max, got r_min={args.r_min}, "
-                                f"r_max={args.r_max}")
+    if args.r_min is not None:
+        _check_range(args.r_min, args.r_max)
     r_min = args.r_min if args.r_min is not None else args.r_max / args.steps
     return r_min, [r_min + (args.r_max - r_min) * i / max(args.steps - 1, 1)
                    for i in range(args.steps)]
@@ -100,11 +105,12 @@ def cmd_compare(args) -> int:
     r_min, grid = _grid(args)
     rep = Report("compare", {"n": n, "delta": delta, "r_min": r_min,
                              "r_max": args.r_max, "steps": args.steps})
-    for r in grid:
-        line, trans = hessian_block_bounds(g, r)
-        rep.results.append({"r": r, "laplacian": laplacian_distance(g, r),
-                            "line_block": line, "transversal_block": trans,
-                            "density": area_density(g, r)})
+    rs = np.array(grid)
+    line, trans = hessian_block_bounds(g, rs)
+    for r, lap, ln, tr, dens in zip(grid, laplacian_distance(g, rs).tolist(), line.tolist(),
+                                    trans.tolist(), area_density(g, rs).tolist()):
+        rep.results.append({"r": r, "laplacian": lap, "line_block": ln,
+                            "transversal_block": tr, "density": dens})
     rep.checks.append(suite_mod.closed_form_check(g, grid))
     # not at r_min: the difference error grows like r^-3 towards 0
     rep.checks.append(suite_mod.log_derivative_check(g, grid[1:]))
@@ -125,20 +131,25 @@ def cmd_riccati(args) -> int:
                              "m": prob.m, "K": prob.K, "r_min": args.r_min,
                              "r_max": args.r_max, "steps": args.steps,
                              "samples": args.samples, "seed": args.seed})
+    _check_range(args.r_min, args.r_max)
+    barrier.domain_check(args.r_max)
     rep.extend(suite_mod.barrier_residual_checks(args.block, args.delta))
     fine = max(args.steps, 8000)
     stride = max(fine // args.steps, 1)
     traj = integrate_riccati(prob, barrier(args.r_min), args.r_min,
                              args.r_max, fine)
-    worst_eq = max(abs(u - barrier(t)) for t, u in zip(traj.ts, traj.us))
+    at_ts = barrier(np.array(traj.ts))
+    worst_eq = float(np.abs(np.array(traj.us) - at_ts).max())
     rep.checks.append(check_true(
         "equality trajectory tracks the barrier within 1e-8",
         worst_eq <= 1e-8, detail=f"{worst_eq:.3e}"))
-    for t, u in list(zip(traj.ts, traj.us))[::stride]:
-        rep.results.append({"t": t, "u": u, "barrier": barrier(t)})
+    for t, u, b in zip(traj.ts[::stride], traj.us[::stride], at_ts[::stride].tolist()):
+        rep.results.append({"t": t, "u": u, "barrier": b})
+    # the comparison trajectories start in [r_min, r_min + span], below r_max
     rep.checks.append(suite_mod.trajectory_check(
         args.block, args.delta, args.samples, args.seed,
-        args.r_min, args.r_min, args.r_max, args.steps))
+        args.r_min, min(args.r_min, (args.r_max - args.r_min) / 2), args.r_max,
+        args.steps))
     return _emit(rep, args)
 
 
@@ -148,9 +159,8 @@ def cmd_volume(args) -> int:
     r_min, grid = _grid(args)
     rep = Report("volume", {"n": n, "delta": args.delta, "r_min": r_min,
                             "r_max": args.r_max, "steps": args.steps})
-    for r in grid:
-        rep.results.append({"r": r, "density": area_density(g, r),
-                            "volume": volume(g, r)})
+    for r, density in zip(grid, area_density(g, np.array(grid)).tolist()):
+        rep.results.append({"r": r, "density": density, "volume": volume(g, r)})
     rep.checks.append(suite_mod.volume_ratio_equality_check(
         g, max(r_min, args.r_max / 4), args.r_max))
     if args.delta == 0:
@@ -287,12 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "seed" in args and "QKCOMP_SEED" in os.environ:
-            args.seed = int(os.environ["QKCOMP_SEED"])
         return args.func(args)
-    except (ContractViolation, ValueError) as exc:
+    except (ContractViolation, DomainError) as exc:
         # bad input only, such as an n or --scale whose exact tables would
-        # pass int64; a ModelConstructionError is an internal failure
+        # pass int64; a ModelConstructionError or numpy's ValueError is an
+        # internal failure
         parser.exit(2, f"qkcomp: {exc}\n")
 
 

@@ -4,8 +4,10 @@ Distance Laplacian, Hessian block bounds, area density, ball volume,
 volume-ratio monotonicity, and the first-eigenvalue constants.  The
 curvature scale delta is -1 (quaternionic hyperbolic), 0 (flat), or +1
 (quaternionic projective, where the cot barrier pole at pi/2 is the
-diameter bound).  The volume integrals use `integrate`, an adaptive
-Gauss-Legendre rule.
+diameter bound).  Every radial quantity is one numpy expression that
+takes a radius or an array of radii.  The volume integrals use
+`integrate`, an adaptive Gauss-Legendre rule that evaluates its
+integrand on all the nodes of a panel in one call.
 
 Note on the flat case: summing the block barriers themselves (3/t for
 the line block plus 4/t per transversal block) gives (4n-1)/t, which
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .forms import ContractViolation
 from .riccati import (
     ComparisonFunction,
     DomainError,
+    first_outside,
     line_block_problem,
     riccati_barrier,
     transversal_block_problem,
@@ -54,16 +58,21 @@ class ModelGeometry:
     def transversal_barrier(self) -> ComparisonFunction:
         return riccati_barrier(transversal_block_problem(self.delta))
 
-    def domain_check(self, r: float) -> None:
-        if r <= 0:
-            raise DomainError(f"need r > 0, got r={r}")
-        if self.delta == 1 and r >= math.pi / 2:
-            raise DomainError(
-                f"delta=+1 model has diameter pi/2; got r={r}")
+    def domain_check(self, r) -> None:
+        """DomainError unless r, a radius or every entry of an array, lies
+        in (0, diameter); an array raises at its first entry outside it, in
+        row-major order."""
+        bad = first_outside(r, math.pi / 2 if self.delta == 1 else None)
+        if bad is None:
+            return
+        if bad <= 0:
+            raise DomainError(f"need r > 0, got r={bad}")
+        raise DomainError(f"delta=+1 model has diameter pi/2; got r={bad}")
 
 
-def hessian_block_bounds(g: ModelGeometry, r: float) -> tuple[float, float]:
-    """(line-block bound, transversal-block bound) for the distance Hessian.
+def hessian_block_bounds(g: ModelGeometry, r):
+    """(line-block bound, transversal-block bound) for the distance Hessian,
+    at a radius or elementwise for an array.
 
     (6 coth 2r, 4 coth r) for delta=-1, (3/r, 4/r) for delta=0, and
     (6 cot 2r, 4 cot r) for delta=+1."""
@@ -71,9 +80,9 @@ def hessian_block_bounds(g: ModelGeometry, r: float) -> tuple[float, float]:
     return g.line_barrier()(r), g.transversal_barrier()(r)
 
 
-def laplacian_distance(g: ModelGeometry, r: float) -> float:
-    """Model value of the distance Laplacian: one line block plus n-1
-    transversal blocks."""
+def laplacian_distance(g: ModelGeometry, r):
+    """Model value of the distance Laplacian, at a radius or elementwise for
+    an array: one line block plus n-1 transversal blocks."""
     line, transversal = hessian_block_bounds(g, r)
     return line + (g.n - 1) * transversal
 
@@ -88,31 +97,18 @@ def flat_laplacian_coefficient_printed(n: int) -> int:
     return 4 * n - 3
 
 
-def area_density(g: ModelGeometry, r: float) -> float:
-    """Density J(r), normalized so J ~ r^{4n-1} as r -> 0.
+def area_density(g: ModelGeometry, r):
+    """Density J(r), at a radius or elementwise for an array, normalized so
+    J ~ r^{4n-1} as r -> 0.
 
     delta=-1: (sinh 2r / 2)^3 sinh^{4(n-1)} r; delta=+1 with sin in
-    place of sinh; delta=0: r^{4n-1}.  Satisfies (log J)' = Delta r."""
+    place of sinh; delta=0: r^{4n-1}.  Satisfies (log J)' = Delta r.
+    np.power, not **, so a float and an array entry take the same ufunc."""
     g.domain_check(r)
-    return _density(math, g, r)
-
-
-def area_densities(g: ModelGeometry, rs: np.ndarray) -> np.ndarray:
-    """`area_density` at every radius of an array, in one numpy pass.
-
-    numpy's sinh and sin may differ from libm's by a few ulp, so entries
-    can differ from the scalar values in the last digits."""
-    g.domain_check(float(rs.min()))
-    g.domain_check(float(rs.max()))
-    return _density(np, g, rs)
-
-
-def _density(lib, g: ModelGeometry, r):
-    """The formula of J(r), with sinh/sin from `lib` (math or numpy)."""
     if g.delta == 0:
-        return r ** (4 * g.n - 1)
-    s = lib.sinh if g.delta == -1 else lib.sin
-    return (s(2 * r) / 2) ** 3 * s(r) ** (4 * (g.n - 1))
+        return np.power(r, 4 * g.n - 1)
+    s = np.sinh if g.delta == -1 else np.sin
+    return np.power(s(2 * r) / 2, 3) * np.power(s(r), 4 * (g.n - 1))
 
 
 def sphere_area_constant(n: int) -> float:
@@ -131,7 +127,8 @@ _NODES = np.concatenate([_X20, _X10])
 
 
 def integrate(f, a: float, b: float) -> float:
-    """integral_a^b f(s) ds for a scalar callable f, by adaptive bisection.
+    """integral_a^b f(s) ds by adaptive bisection, for an f that maps an
+    array of nodes to the array of its values: one call per panel.
 
     Each panel is integrated by the 20-point and the 10-point
     Gauss-Legendre rules; it is accepted, with the 20-point value, once
@@ -149,7 +146,7 @@ def integrate(f, a: float, b: float) -> float:
         lo, hi = pending.pop()
         half = (hi - lo) / 2
         xs = (lo + half) + half * _NODES
-        vals = np.array([f(x) for x in xs.tolist()])
+        vals = f(xs)
         fine = half * float(_W20 @ vals[:20])
         coarse = half * float(_W10 @ vals[20:])
         if whole is None:
@@ -172,7 +169,7 @@ def volume(g: ModelGeometry, r: float) -> float:
     """Geodesic-ball volume: omega_{4n-1} * integral_0^r J(s) ds, by
     `integrate` at relative tolerance QUADRATURE_EPSREL (1e-10)."""
     g.domain_check(r)
-    return sphere_area_constant(g.n) * integrate(lambda s: area_density(g, s), 0.0, r)
+    return sphere_area_constant(g.n) * integrate(partial(area_density, g), 0.0, r)
 
 
 @dataclass(frozen=True)
@@ -194,24 +191,21 @@ HYPOTHESIS_SAMPLES = 64
 
 
 def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float) -> VolumeRatioResult:
-    """Check V(r2)/V(r1) <= V_model(r2)/V_model(r1) for an integrated density.
+    """Check V(r2)/V(r1) <= V_model(r2)/V_model(r1) for an integrated density,
+    a callable that maps an array of radii to the array of its values.
 
     The comparison hypothesis density/J nonincreasing is verified on a
     sample grid; a violation is flagged but the ratio check still runs."""
     if not 0 < r1 <= r2:
         raise ContractViolation(f"need 0 < r1 <= r2, got r1={r1}, r2={r2}")
-    hypothesis_ok = True
-    prev = None
-    for i in range(HYPOTHESIS_SAMPLES):
-        r = r1 / 2 + (r2 - r1 / 2) * i / (HYPOTHESIS_SAMPLES - 1)
-        q = density(r) / area_density(g, r)
-        if prev is not None and q > prev * (1 + 1e-12) + 1e-300:
-            hypothesis_ok = False
-        prev = q
+    rs = r1 / 2 + (r2 - r1 / 2) * np.arange(HYPOTHESIS_SAMPLES) / (HYPOTHESIS_SAMPLES - 1)
+    q = density(rs) / area_density(g, rs)
+    hypothesis_ok = not (q[1:] > q[:-1] * (1 + 1e-12) + 1e-300).any()
+    model = partial(area_density, g)
     v1 = integrate(density, 0.0, r1)
     v2 = integrate(density, 0.0, r2)
-    m1 = integrate(lambda s: area_density(g, s), 0.0, r1)
-    m2 = integrate(lambda s: area_density(g, s), 0.0, r2)
+    m1 = integrate(model, 0.0, r1)
+    m2 = integrate(model, 0.0, r2)
     ratio = v2 / v1
     model_ratio = m2 / m1
     holds = ratio <= model_ratio * (1 + RATIO_TOLERANCE)

@@ -298,16 +298,6 @@ class Vector:
         return not any(self.components)
 
 
-def dual_vector(theta: Form) -> Vector:
-    """Metric-dual vector of a 1-form."""
-    if theta.degree != 1:
-        raise ContractViolation(f"expected a 1-form, got degree {theta.degree}")
-    comps = [Fraction(0)] * theta.space.dim
-    for m, c in theta._terms.items():
-        comps[m.bit_length() - 1] = Fraction(c, theta.den)
-    return Vector(theta.space, tuple(comps))
-
-
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product a ^ b."""
     a._check_compatible(b)

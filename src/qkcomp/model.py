@@ -90,10 +90,6 @@ class StructureConstants:
     def dim(self) -> int:
         return 4 * self.n
 
-    def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
-        """Components of [e_a, e_b] (1-based arguments)."""
-        return tuple(self.table[a - 1, b - 1].fractions())
-
 
 def levi_civita_table(C: ExactArray) -> ExactArray:
     """Koszul formula: Gamma[A, B, D] with nabla_{e_A} e_B = sum_D Gamma e_D,
@@ -123,10 +119,6 @@ class CurvatureTensor:
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """R_{abcd} = <R(e_a, e_b) e_d, e_c> (1-based)."""
         return self.table.fraction(a - 1, b - 1, c - 1, d - 1)
-
-    def operator(self, a: int, b: int) -> list:
-        """Matrix of R(e_a, e_b): rows are output components."""
-        return self.table[a - 1, b - 1].fractions()
 
     def sectional(self, a: int, b: int) -> Fraction:
         """K(e_a, e_b) = R_{abab}."""

@@ -10,6 +10,10 @@ solutions are
     K < 0:  m sqrt(-K) coth(sqrt(-K) t)
 
 and they dominate every sub-solution with the same initial asymptote.
+
+A barrier, its derivative and its domain check are numpy expressions
+that take a float or an array: one call evaluates a whole grid, and a
+float goes through the same ufuncs as an array entry.
 """
 
 from __future__ import annotations
@@ -28,6 +32,15 @@ Rational = Fraction | int
 
 class DomainError(ValueError):
     """Argument outside the function's domain of validity."""
+
+
+def first_outside(x, upper: float | None) -> float | None:
+    """The first entry of x (a float or an array, in row-major order) that
+    lies outside (0, upper), or outside (0, inf) when upper is None; None
+    when there is none."""
+    x = np.asarray(x, dtype=float)
+    outside = x <= 0 if upper is None else (x <= 0) | (x >= upper)
+    return float(x.flat[np.argmax(outside)]) if outside.any() else None
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -96,45 +109,34 @@ class ComparisonFunction:
             return math.pi / self.frequency
         return None
 
-    def domain_check(self, t: float) -> None:
-        if t <= 0:
-            raise DomainError(f"barrier domain is t > 0, got t={t}")
-        pole = self.pole
-        if pole is not None and t >= pole:
-            raise DomainError(f"cot barrier valid on (0, {pole:.6g}), got t={t}")
+    def domain_check(self, t) -> None:
+        """DomainError unless t, a float or every entry of an array, lies
+        in the barrier's domain; an array raises at its first entry outside
+        it, in row-major order."""
+        bad = first_outside(t, self.pole)
+        if bad is None:
+            return
+        if bad <= 0:
+            raise DomainError(f"barrier domain is t > 0, got t={bad}")
+        raise DomainError(f"cot barrier valid on (0, {self.pole:.6g}), got t={bad}")
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """The barrier at every entry of ts.  The first entry in row-major
-        order that lies outside the domain raises as domain_check does."""
-        pole = self.pole
-        outside = ts <= 0 if pole is None else (ts <= 0) | (ts >= pole)
-        if outside.any():
-            self.domain_check(float(ts.flat[np.argmax(outside)]))
-        return self._barrier(np, ts)
-
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """The barrier at t, a float or elementwise for an array."""
         self.domain_check(t)
-        return self._barrier(math, t)
-
-    def _barrier(self, lib, t):
-        """The formula of the barrier, with tanh/tan from `lib` (math or numpy)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "reciprocal":
             return self._m / t
-        if self.kind == "coth":
-            return self.amplitude / lib.tanh(self.frequency * t)
-        return self.amplitude / lib.tan(self.frequency * t)
+        tan_or_tanh = np.tanh if self.kind == "coth" else np.tan
+        return self.amplitude / tan_or_tanh(self.frequency * t)
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t):
+        """The barrier's derivative at t, a float or elementwise for an array."""
         self.domain_check(t)
+        t = np.asarray(t, dtype=float)
         if self.kind == "reciprocal":
             return -self._m / (t * t)
-        b = self.frequency
-        a = self.amplitude
-        if self.kind == "coth":
-            s = math.sinh(b * t)
-            return -a * b / (s * s)
-        s = math.sin(b * t)
-        return -a * b / (s * s)
+        s = (np.sinh if self.kind == "coth" else np.sin)(self.frequency * t)
+        return -self.amplitude * self.frequency / (s * s)
 
     def symbolic_residual(self) -> dict[str, Fraction]:
         """Exact coefficients of u' + u^2/m + m K in the natural basis.
@@ -193,7 +195,7 @@ class TrajectoryBatch:
         by trajectory (one row at a time keeps the temporaries small), so
         the first point outside the barrier's domain raises as a loop over
         the trajectories would."""
-        return max(float((self.us[j, :k] - barrier.values(self.ts[j, :k])).max())
+        return max(float((self.us[j, :k] - barrier(self.ts[j, :k])).max())
                    for j, k in enumerate(self.lengths.tolist()))
 
 
@@ -225,10 +227,11 @@ def integrate_riccati_batch(p: RiccatiProblem, u0s, t0s, t1: float,
     if steps < 100:
         raise ContractViolation(f"need at least 100 steps, got {steps}")
     barrier = riccati_barrier(p)
-    for u0, t0 in zip(u0s.tolist(), t0s.tolist()):
-        if u0 > barrier(t0):
-            raise ContractViolation(
-                f"u0={u0} starts above the barrier {barrier(t0)} at t0={t0}")
+    at_start = barrier(t0s)
+    if (u0s > at_start).any():
+        j = int(np.argmax(u0s > at_start))
+        raise ContractViolation(f"u0={float(u0s[j])} starts above the barrier "
+                                f"{float(at_start[j])} at t0={float(t0s[j])}")
     h = (t1 - t0s) / steps
     ts = np.empty((u0s.size, steps + 1))
     us = np.empty_like(ts)

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .comparison import ModelGeometry, area_densities
+from .comparison import ModelGeometry, area_density
 from .forms import ContractViolation
 
 
@@ -56,7 +56,7 @@ class RadialProblem:
 
     def weight(self, rs: np.ndarray) -> np.ndarray:
         """The area density J at every radius of `rs`."""
-        return area_densities(ModelGeometry(self.n, self.delta), rs)
+        return area_density(ModelGeometry(self.n, self.delta), rs)
 
 
 @dataclass(frozen=True)

@@ -163,19 +163,23 @@ def test_suite_import_leaves_every_cache_empty():
 def test_traced_benchmark_worker_binds_every_spanned_name():
     # the benchmark's traced worker wraps qkcomp.kernel's functions,
     # riccati.integrate_riccati and the other spanned names, and reads
-    # qkcomp.BACKEND; a rename or deletion of any of them fails here
+    # qkcomp.BACKEND; a rename or deletion of any of them fails here.  On
+    # numeric it also wraps the comparison functions that criterion 4 calls
+    # on arrays of radii, so an array call the wrapper breaks fails here too
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, str(root / "certbench" / "worker.py"),
-                           "--workload", "kato", "--trace", "1", "--spawned-at", "0"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["context"]["backend"] == qkcomp.BACKEND
-    assert "layers" in result
-    for criterion in result["criteria"]:
-        assert criterion["error"] is None, criterion["error"]
-        assert criterion["checks"]
-        assert all(c["passed"] for c in criterion["checks"]), criterion["checks"]
+    for workload in ("kato", "numeric"):
+        proc = subprocess.run([sys.executable, str(root / "certbench" / "worker.py"),
+                               "--workload", workload, "--trace", "1", "--spawned-at", "0"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["context"]["backend"] == qkcomp.BACKEND
+        assert "layers" in result
+        for criterion in result["criteria"]:
+            assert criterion["error"] is None, criterion["error"]
+            assert criterion["checks"]
+            assert all(c["passed"] for c in criterion["checks"]), criterion["checks"]
+    assert result["layers"]["comparison.s"] > 0

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import qkcomp.cli
+import qkcomp.suite
 from qkcomp.cli import main
 from qkcomp.model import ModelConstructionError
 
@@ -135,17 +136,6 @@ def test_determinism_identical_bytes(capsys):
     assert out1 == out2
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    args = ["harmonicity", "--n", "2", "--samples", "1", "--kato-samples", "100",
-            "--seed", "1"]
-    _, base = run_cli(args, capsys)
-    monkeypatch.setenv("QKCOMP_SEED", "99")
-    _, overridden = run_cli(args, capsys)
-    doc = json.loads(overridden)
-    assert doc["params"]["seed"] == "99"
-    assert json.loads(base)["params"]["seed"] == "1"
-
-
 def test_out_file_and_components(tmp_path, capsys):
     out_json = tmp_path / "model.json"
     comp_csv = tmp_path / "components.csv"
@@ -243,22 +233,47 @@ def test_identity_domain_is_usage_error(argv, capsys):
     assert "<= 12" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["compare", "volume"])
+@pytest.mark.parametrize("command", ["compare", "volume", "riccati"])
 def test_reversed_radius_range_is_usage_error(command, capsys):
-    # a descending table is not a radius range; compare and volume both refuse
+    # a descending table is not a radius range; compare, volume and riccati
+    # all refuse
     with pytest.raises(SystemExit) as exc:
         main([command, "--r-min", "5", "--r-max", "3", "--steps", "4"])
     assert exc.value.code == 2
     assert "need r_min < r_max" in capsys.readouterr().err
 
 
-def test_riccati_trajectories_started_past_r_max_are_usage_error(capsys):
-    # the trajectories start at t0 in [r_min, 2 r_min] = [2, 4], some of them
-    # past r_max = 3, where RK4 would step backwards
+@pytest.mark.parametrize("r_min", ["1.6", "2"])
+def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
+    # the trajectories start at t0 in [r_min, r_min + span] with span
+    # min(r_min, (r_max - r_min) / 2), so they stay below r_max = 3 (a span
+    # of r_min started some past it, where RK4 would step backwards)
+    status, out = run_cli(["riccati", "--r-min", r_min, "--r-max", "3"], capsys)
+    assert status == 0
+    doc = json.loads(out)
+    assert all(c["pass"] for c in doc["checks"])
+    assert doc["results"][0]["t"] == float(r_min)
+
+
+def test_riccati_checks_r_max_against_the_barrier_domain(capsys):
+    # the cot barrier has its pole at pi/2 < the default r_max = 3: the error
+    # names the given r_max, not an integration step past the pole
     with pytest.raises(SystemExit) as exc:
-        main(["riccati", "--r-min", "2", "--r-max", "3"])
+        main(["riccati", "--delta", "1"])
     assert exc.value.code == 2
-    assert "need t0 < t1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "qkcomp: cot barrier valid on (0, 1.5708), got t=3.0\n"
+    status, _ = run_cli(["riccati", "--delta", "1", "--r-max", "1.5"], capsys)
+    assert status == 0
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # numpy raises ValueError on a shape mismatch, a fault of the program:
+    # it must end in a traceback, not in exit 2
+    def fail(*args):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(qkcomp.suite, "closed_form_check", fail)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["compare", "--r-max", "3", "--steps", "4"])
 
 
 def test_log_derivative_check_needs_a_grid_point(capsys):

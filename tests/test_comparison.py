@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -29,6 +30,26 @@ from qkcomp.comparison import (
 )
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import DomainError
+from qkcomp.spectral import RadialProblem
+from test_riccati import reference_barrier
+
+
+# -- reference: the density one float at a time, with libm ---------------------
+
+def reference_model_domain_check(g, r):
+    if r <= 0:
+        raise DomainError(f"need r > 0, got r={r}")
+    if g.delta == 1 and r >= math.pi / 2:
+        raise DomainError(f"delta=+1 model has diameter pi/2; got r={r}")
+
+
+def reference_area_density(g, r):
+    """J(r) at a float r, with libm's sinh/sin and float powers."""
+    reference_model_domain_check(g, r)
+    if g.delta == 0:
+        return r ** (4 * g.n - 1)
+    s = math.sinh if g.delta == -1 else math.sin
+    return (s(2 * r) / 2) ** 3 * s(r) ** (4 * (g.n - 1))
 
 
 def simpson(f, a, b, n=4000):
@@ -187,8 +208,8 @@ def test_volume_ratio_check_matches_quad(n, delta):
     radii = grid_radii(delta)
     pairs = [(radii[1], radii[3]), (radii[3], radii[-1])]
     model = lambda s: area_density(g, s)
-    for density in (model, lambda s: model(s) * math.exp(-s),
-                    lambda s: model(s) * math.exp(s)):
+    for density in (model, lambda s: model(s) * np.exp(-s),
+                    lambda s: model(s) * np.exp(s)):
         for r1, r2 in pairs:
             res = volume_ratio_check(density, g, r1, r2)
             ratio = quad_integral(density, 0.0, r2) / quad_integral(density, 0.0, r1)
@@ -204,11 +225,12 @@ def test_integrate_is_exact_on_polynomials():
     calls = []
 
     def f(s):
-        calls.append(s)
+        calls.append(s.shape)
         return 3 * s ** 2 - s ** 19
 
     assert integrate(f, 0.0, 2.0) == pytest.approx(8 - 2.0 ** 20 / 20, rel=1e-13)
-    assert len(calls) == 30
+    # one call per panel, on its 20 + 10 nodes
+    assert calls == [(30,)]
 
 
 @pytest.mark.parametrize("k, one_panel", [(20, True), (21, False)])
@@ -218,11 +240,11 @@ def test_integrate_accepts_a_panel_at_its_tolerance(k, one_panel):
     calls = []
 
     def f(s):
-        calls.append(s)
+        calls.append(s.shape)
         return s ** k
 
     assert integrate(f, 0.0, 1.0) == pytest.approx(1 / (k + 1), rel=1e-13)
-    assert (len(calls) == 30) == one_panel
+    assert (calls == [(30,)]) == one_panel
 
 
 @pytest.mark.parametrize("n, r, panels", [(6, 8.0, 11), (10, 12.0, 13)])
@@ -234,11 +256,11 @@ def test_integrate_leaves_negligible_panels_unsplit(n, r, panels):
     calls = []
 
     def f(s):
-        calls.append(s)
+        calls.append(s.shape)
         return area_density(g, s)
 
     integrate(f, 0.0, r)
-    assert len(calls) == 30 * panels
+    assert calls == [(30,)] * panels
 
 
 def test_integrate_keeps_the_summed_error_within_the_whole():
@@ -246,10 +268,10 @@ def test_integrate_keeps_the_summed_error_within_the_whole():
     # at 0 is accepted on its share of the whole alone; the shares sum to
     # one, so the accepted errors stay within QUADRATURE_EPSREL of the
     # integral (accepting against the whole itself left 8.6e-12 here)
-    assert integrate(math.sqrt, 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-13)
+    assert integrate(np.sqrt, 0.0, 1.0) == pytest.approx(2 / 3, rel=1e-13)
 
 
-@pytest.mark.parametrize("f", [lambda s: 1 / s, lambda s: math.nan])
+@pytest.mark.parametrize("f", [lambda s: 1 / s, lambda s: s * math.nan])
 def test_integrate_raises_at_the_panel_cap(f):
     # the 1/s panel at 0 never converges (its rules differ by a fixed ratio
     # at every width), nor does a NaN
@@ -285,7 +307,7 @@ def test_volume_ratio_equality_case():
 
 def test_volume_ratio_strict_for_damped_density():
     g = ModelGeometry(2, -1)
-    res = volume_ratio_check(lambda r: area_density(g, r) * math.exp(-r),
+    res = volume_ratio_check(lambda r: area_density(g, r) * np.exp(-r),
                              g, 1.0, 2.0)
     assert res.holds and res.hypothesis_ok
     assert res.ratio < res.model_ratio
@@ -293,7 +315,7 @@ def test_volume_ratio_strict_for_damped_density():
 
 def test_volume_ratio_flags_violated_hypothesis():
     g = ModelGeometry(2, -1)
-    res = volume_ratio_check(lambda r: area_density(g, r) * math.exp(+r),
+    res = volume_ratio_check(lambda r: area_density(g, r) * np.exp(+r),
                              g, 1.0, 2.0)
     assert not res.hypothesis_ok
     assert not res.holds
@@ -307,3 +329,64 @@ def test_eigenvalue_bounds_table():
         assert eb.quaternionic == (2 * n + 1) ** 2
         assert eb.real_cheng == (4 * n - 1) * (n + 2)
         assert eb.quaternionic < eb.real_cheng
+
+
+CRITERION_4_RADII = ([0.1 + 0.065 * i for i in range(20)]
+                     + [0.3 + 0.15 * i for i in range(20)])
+
+
+def spectral_mesh(n, delta, r_max):
+    """The half-points and interior nodes of a 2000-point radial mesh."""
+    p = RadialProblem(n, 1e-3, r_max, 2000, delta)
+    h = (p.r_max - p.r_min) / p.mesh_points
+    return np.concatenate([p.r_min + h * (np.arange(p.mesh_points) + 0.5),
+                           p.r_min + h * np.arange(1, p.mesh_points)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("delta, r_max", [(-1, 12.0), (0, 3.0), (1, 1.5)])
+def test_area_density_matches_the_math_reference(n, delta, r_max):
+    # criterion 4's radii, with their log-derivative neighbours r +- 1e-6 r,
+    # and one spectral mesh
+    g = ModelGeometry(n, delta)
+    rs = np.array(CRITERION_4_RADII)
+    rs = np.concatenate([rs, rs * (1 + 1e-6), rs * (1 - 1e-6), spectral_mesh(n, delta, r_max)])
+    if delta == 1:
+        rs = rs[rs < math.pi / 2]
+    want = [reference_area_density(g, r) for r in rs.tolist()]
+    assert area_density(g, rs).tolist() == pytest.approx(want, rel=1e-14)
+    # a float goes through the ufuncs an array entry does
+    assert [float(area_density(g, r)) for r in rs[:40].tolist()] == \
+        area_density(g, rs[:40]).tolist()
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_block_bounds_match_the_math_reference(delta):
+    g = ModelGeometry(3, delta)
+    rs = np.array([r for r in CRITERION_4_RADII if delta != 1 or r < math.pi / 2])
+    line, trans = hessian_block_bounds(g, rs)
+    assert line.tolist() == pytest.approx(
+        [reference_barrier(g.line_barrier(), r) for r in rs.tolist()], rel=1e-14)
+    assert trans.tolist() == pytest.approx(
+        [reference_barrier(g.transversal_barrier(), r) for r in rs.tolist()], rel=1e-14)
+    assert laplacian_distance(g, rs).tolist() == (line + 2 * trans).tolist()
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("bad", [0.0, -3.0, math.pi / 2, 2.0])
+def test_array_domain_error_matches_the_scalar_reference(delta, bad):
+    g = ModelGeometry(2, delta)
+    try:
+        reference_model_domain_check(g, bad)
+    except DomainError as exc:
+        want = str(exc)
+    else:
+        return
+    for f in (g.domain_check, lambda r: area_density(g, r),
+              lambda r: laplacian_distance(g, r)):
+        with pytest.raises(DomainError) as exc:
+            f(np.array([[0.5, 1.0], [bad, -7.0]]))
+        assert str(exc.value) == want
+        with pytest.raises(DomainError) as exc:
+            f(bad)
+        assert str(exc.value) == want

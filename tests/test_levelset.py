@@ -89,8 +89,8 @@ def test_intrinsic_curvature_scale_invariant(setup2):
     m = 4 * sc.n - 1
     for i in range(m):
         for j in range(m):
-            assert a.curvature.operator(i + 1, j + 1) == \
-                b.curvature.operator(i + 1, j + 1)
+            assert a.curvature.table[i, j].fractions() == \
+                b.curvature.table[i, j].fractions()
 
 
 def test_weighted_displays(setup2, setup3):

@@ -45,6 +45,37 @@ def reference_rk4(p, u0, t0, t1, steps):
     return ts, us, False
 
 
+# -- reference: the barrier one float at a time, with libm ---------------------
+
+def reference_domain_check(barrier, t):
+    if t <= 0:
+        raise DomainError(f"barrier domain is t > 0, got t={t}")
+    pole = barrier.pole
+    if pole is not None and t >= pole:
+        raise DomainError(f"cot barrier valid on (0, {pole:.6g}), got t={t}")
+
+
+def reference_barrier(barrier, t):
+    """The barrier at a float t, with libm's tan/tanh."""
+    reference_domain_check(barrier, t)
+    if barrier.kind == "reciprocal":
+        return float(barrier.m) / t
+    if barrier.kind == "coth":
+        return barrier.amplitude / math.tanh(barrier.frequency * t)
+    return barrier.amplitude / math.tan(barrier.frequency * t)
+
+
+def reference_barrier_derivative(barrier, t):
+    """The barrier's derivative at a float t, with libm's sin/sinh."""
+    reference_domain_check(barrier, t)
+    if barrier.kind == "reciprocal":
+        return -float(barrier.m) / (t * t)
+    b = barrier.frequency
+    a = barrier.amplitude
+    s = math.sinh(b * t) if barrier.kind == "coth" else math.sin(b * t)
+    return -a * b / (s * s)
+
+
 def bits(xs):
     return [float(x).hex() for x in xs]
 
@@ -108,8 +139,7 @@ def test_equality_solution_tracked_to_1e8():
     barrier = riccati_barrier(prob)
     traj = integrate_riccati(prob, barrier(0.1), 0.1, 3.0, steps=10000)
     assert not traj.truncated
-    worst = max(abs(u - barrier(t)) for t, u in zip(traj.ts, traj.us))
-    assert worst <= 1e-8
+    assert np.abs(np.array(traj.us) - barrier(np.array(traj.ts))).max() <= 1e-8
 
 
 def test_flat_equality_solution():
@@ -124,7 +154,7 @@ def test_comparison_principle_oracle_high_resolution():
     prob = line_block_problem(-1)
     barrier = riccati_barrier(prob)
     traj = integrate_riccati(prob, barrier(0.1) - 0.5, 0.1, 3.0, steps=100000)
-    assert all(u <= barrier(t) + 1e-6 for t, u in zip(traj.ts, traj.us))
+    assert (np.array(traj.us) <= barrier(np.array(traj.ts)) + 1e-6).all()
     # sub-barrier solutions converge up toward the barrier (whose limit is
     # the asymptote 6) without ever crossing it
     assert 5.9 <= traj.us[-1] <= barrier(3.0)
@@ -182,9 +212,8 @@ def test_batch_matches_scalar_reference_bitwise(prob):
         assert bits(traj.ts) == bits(ts)
         assert bits(traj.us) == bits(us)
         assert traj.truncated is truncated
-        worst = max(worst, max(u - barrier(t) for t, u in zip(ts, us)))
-    # numpy's coth/cot may differ from math's in the last place
-    assert batch.max_excess(barrier) == pytest.approx(worst, abs=1e-14)
+        worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
+    assert batch.max_excess(barrier) == worst
 
 
 def test_batch_truncates_like_scalar_reference():
@@ -240,20 +269,63 @@ def test_batch_refuses_to_step_backwards(t0):
 
 
 def test_vectorized_barrier_values_and_domain():
+    # a float goes through the ufuncs an array entry does
     for prob in CRITERION_3_INSTANCES + [line_block_problem(1)]:
         barrier = riccati_barrier(prob)
         ts = np.array([0.1, 0.4, 0.7, 1.5])
-        want = [barrier(t) for t in ts.tolist()]
-        # numpy's tan/tanh may be a few ulp from libm's
-        assert barrier.values(ts).tolist() == pytest.approx(want, rel=1e-14)
+        assert barrier(ts).tolist() == [float(barrier(t)) for t in ts.tolist()]
+        assert barrier.derivative(ts).tolist() == [float(barrier.derivative(t))
+                                                   for t in ts.tolist()]
     cot = riccati_barrier(line_block_problem(1))
     ts = np.array([[0.5, 1.0], [math.pi / 2, 0.0]])
     # the first entry outside (0, pi/2) in row-major order raises, with the
-    # message the scalar evaluation gives
+    # message the scalar reference gives
     with pytest.raises(DomainError) as exc:
-        cot.values(ts)
+        cot(ts)
     with pytest.raises(DomainError) as scalar:
-        cot(math.pi / 2)
+        reference_barrier(cot, math.pi / 2)
     assert str(exc.value) == str(scalar.value)
     with pytest.raises(DomainError, match="t > 0"):
-        riccati_barrier(line_block_problem(0)).values(np.array([1.0, -1.0]))
+        riccati_barrier(line_block_problem(0))(np.array([1.0, -1.0]))
+
+
+ALL_BLOCKS = [block(delta) for block in (line_block_problem, transversal_block_problem)
+              for delta in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("prob", ALL_BLOCKS)
+def test_barrier_matches_the_math_reference(prob):
+    # criterion 3's trajectory start times and residual points
+    barrier = riccati_barrier(prob)
+    _, t0s = criterion_3_inputs(lambda t: reference_barrier(barrier, t))
+    ts = np.array(t0s + [0.2, 0.5, 0.7, 1.0, 2.0])
+    if barrier.pole is not None:
+        ts = ts[ts < barrier.pole]
+    assert barrier(ts).tolist() == pytest.approx(
+        [reference_barrier(barrier, t) for t in ts.tolist()], rel=1e-14)
+    assert barrier.derivative(ts).tolist() == pytest.approx(
+        [reference_barrier_derivative(barrier, t) for t in ts.tolist()], rel=1e-14)
+
+
+@pytest.mark.parametrize("prob", ALL_BLOCKS)
+@pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0, math.pi / 2, 3.0])
+def test_array_domain_error_matches_the_scalar_reference(prob, bad):
+    barrier = riccati_barrier(prob)
+    try:
+        reference_barrier(barrier, bad)
+    except DomainError as exc:
+        want = str(exc)
+    else:
+        want = None
+    ts = np.array([[0.3, 0.6], [bad, -5.0]])
+    for f in (barrier, barrier.derivative, barrier.domain_check):
+        if want is None:
+            f(ts[0])
+            f(np.array([bad]))
+            continue
+        with pytest.raises(DomainError) as exc:
+            f(ts)
+        assert str(exc.value) == want
+        with pytest.raises(DomainError) as exc:
+            f(bad)
+        assert str(exc.value) == want

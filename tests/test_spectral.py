@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal
 
 import qkcomp.spectral as spectral
-from qkcomp.comparison import ModelGeometry, area_density
+from qkcomp.comparison import ModelGeometry
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import DomainError
 from qkcomp.spectral import (
@@ -27,6 +27,7 @@ from qkcomp.spectral import (
     lambda1_dirichlet,
     rayleigh_quotient,
 )
+from test_comparison import reference_area_density
 
 
 # -- independent oracles ------------------------------------------------------
@@ -58,12 +59,12 @@ def bessel_j3_first_zero() -> float:
 
 
 def scalar_assemble(p: RadialProblem):
-    """The assembly as a loop of scalar `area_density` calls (libm sinh/sin)."""
+    """The assembly as a loop of the scalar math reference density."""
     g = ModelGeometry(p.n, p.delta)
     m = p.mesh_points
     h = (p.r_max - p.r_min) / m
-    w_half = np.array([area_density(g, p.r_min + h * (i + 0.5)) for i in range(m)])
-    w_node = np.array([area_density(g, p.r_min + h * i) for i in range(1, m)])
+    w_half = np.array([reference_area_density(g, p.r_min + h * (i + 0.5)) for i in range(m)])
+    w_node = np.array([reference_area_density(g, p.r_min + h * i) for i in range(1, m)])
     return (w_half[:-1] + w_half[1:]) / (h * h), -w_half[1:-1] / (h * h), w_node, h
 
 
