@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
+
+
+def _radius(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        # every comparison with NaN is false, so a NaN radius would pass the
+        # range and domain checks and certify a table of nothing
+        raise argparse.ArgumentTypeError(f"need a finite radius, got {text!r}")
     return value
 
 
@@ -146,8 +156,8 @@ def cmd_riccati(args) -> int:
     for t, u, b in zip(traj.ts[::stride], traj.us[::stride], at_ts[::stride].tolist()):
         rep.results.append({"t": t, "u": u, "barrier": b})
     # the comparison trajectories start in [r_min, r_min + span], below r_max
-    rep.checks.append(suite_mod.trajectory_check(
-        args.block, args.delta, args.samples, args.seed,
+    rep.extend(suite_mod.trajectory_checks(
+        [(args.block, args.delta)], args.samples, args.seed,
         args.r_min, min(args.r_min, (args.r_max - args.r_min) / 2), args.r_max,
         args.steps))
     return _emit(rep, args)
@@ -252,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
-        p.add_argument("--r-min", type=float, default=None)
-        p.add_argument("--r-max", type=float, required=True)
+        p.add_argument("--r-min", type=_radius, default=None)
+        p.add_argument("--r-max", type=_radius, required=True)
         p.add_argument("--steps", type=_positive_int, default=50)
         common(p, func, seed=False)
 
@@ -262,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riccati", help="barrier table and comparison trajectories")
     p.add_argument("--delta", type=int, choices=(-1, 0, 1), default=-1)
     p.add_argument("--block", choices=("line", "transversal"), default="line")
-    p.add_argument("--r-min", type=float, default=0.1)
-    p.add_argument("--r-max", type=float, default=3.0)
+    p.add_argument("--r-min", type=_radius, default=0.1)
+    p.add_argument("--r-max", type=_radius, default=3.0)
     p.add_argument("--steps", type=_positive_int, default=300)
     p.add_argument("--samples", type=_positive_int, default=25)
     common(p, cmd_riccati)

@@ -243,6 +243,20 @@ def test_reversed_radius_range_is_usage_error(command, capsys):
     assert "need r_min < r_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "volume", "riccati"])
+@pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_radius_is_usage_error(command, flag, value, capsys):
+    # every comparison with NaN is false, so a NaN radius once slipped past
+    # the range and domain checks: riccati passed every check on a table
+    # of start points, and volume raised an internal error
+    other = {"--r-min": ["--r-max", "3"], "--r-max": ["--r-min", "0.5"]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}", *other, "--steps", "4"])
+    assert exc.value.code == 2
+    assert f"need a finite radius, got '{value}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("r_min", ["1.6", "2"])
 def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
     # the trajectories start at t0 in [r_min, r_min + span] with span

@@ -11,8 +11,11 @@ import pytest
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import (
     BLOWUP_LIMIT,
+    WINDOW,
+    ComparisonFunction,
     DomainError,
     RiccatiProblem,
+    comparison_excess,
     integrate_riccati,
     integrate_riccati_batch,
     line_block_problem,
@@ -28,14 +31,19 @@ def reference_rk4(p, u0, t0, t1, steps):
     """(ts, us, truncated) of classical RK4 on u' = -u^2/m - m K in Python
     floats; a value that is not finite or exceeds BLOWUP_LIMIT in size ends
     the trajectory before it."""
+    m, K = float(p.m), float(p.K)
+
+    def rhs(u):
+        return -u * u / m - m * K
+
     h = (t1 - t0) / steps
     ts, us = [t0], [u0]
     t, u = t0, u0
     for _ in range(steps):
-        k1 = p.rhs(u)
-        k2 = p.rhs(u + 0.5 * h * k1)
-        k3 = p.rhs(u + 0.5 * h * k2)
-        k4 = p.rhs(u + h * k3)
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h * k2)
+        k4 = rhs(u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t + h
         if not math.isfinite(u) or abs(u) > BLOWUP_LIMIT:
@@ -74,6 +82,13 @@ def reference_barrier_derivative(barrier, t):
     a = barrier.amplitude
     s = math.sinh(b * t) if barrier.kind == "coth" else math.sin(b * t)
     return -a * b / (s * s)
+
+
+def max_excess(batch, barrier):
+    """Largest u - barrier(t) over the valid points of a batch's tables,
+    trajectory by trajectory."""
+    return max(float((batch.us[j, :k] - barrier(batch.ts[j, :k])).max())
+               for j, k in enumerate(batch.lengths.tolist()))
 
 
 def bits(xs):
@@ -119,8 +134,6 @@ def test_symbolic_residual_vanishes(block, delta):
 
 def test_symbolic_residual_nonzero_for_wrong_flat_constant():
     # m/t solves the K=0 equation only; with K != 0 the constant term survives
-    from qkcomp.riccati import ComparisonFunction
-
     wrong = ComparisonFunction("reciprocal", F(3), F(-4), F(0), F(0))
     assert wrong.symbolic_residual()["1"] == -12
 
@@ -213,7 +226,7 @@ def test_batch_matches_scalar_reference_bitwise(prob):
         assert bits(traj.us) == bits(us)
         assert traj.truncated is truncated
         worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
-    assert batch.max_excess(barrier) == worst
+    assert max_excess(batch, barrier) == worst
 
 
 def test_batch_truncates_like_scalar_reference():
@@ -329,3 +342,83 @@ def test_array_domain_error_matches_the_scalar_reference(prob, bad):
         with pytest.raises(DomainError) as exc:
             f(bad)
         assert str(exc.value) == want
+
+
+# -- comparison_excess: one windowed batch against the per-instance tables ------
+
+def excess_oracle(instances, t1, steps):
+    """(max excess, truncated count) of each instance from its own
+    integrate_riccati_batch tables."""
+    out = []
+    for prob, u0s, t0s in instances:
+        batch = integrate_riccati_batch(prob, u0s, t0s, t1, steps)
+        out.append((max_excess(batch, riccati_barrier(prob)), int(batch.truncated.sum())))
+    return out
+
+
+def seeded_instance(prob, count, seed, t0_span=0.4):
+    barrier = riccati_barrier(prob)
+    rng = random.Random(seed)
+    t0s = [0.1 + t0_span * rng.random() for _ in range(count)]
+    return prob, [barrier(t0) - 3.0 * rng.random() for t0 in t0s], t0s
+
+
+@pytest.mark.parametrize("steps", [1200, 1234])
+def test_comparison_excess_matches_batch_tables_across_barrier_kinds(steps):
+    # coth (delta = -1), reciprocal (delta = 0) and cot (delta = 1, t1 = 1.5
+    # below the pole pi/2) in one call, of different sizes; 1200 is a
+    # multiple of WINDOW and 1234 is not
+    assert 1200 % WINDOW == 0 and 1234 % WINDOW != 0
+    instances = [seeded_instance(line_block_problem(-1), 30, 1),
+                 seeded_instance(transversal_block_problem(0), 7, 2),
+                 seeded_instance(line_block_problem(1), 12, 3),
+                 seeded_instance(transversal_block_problem(1), 1, 4)]
+    got = comparison_excess(instances, 1.5, steps)
+    want = excess_oracle(instances, 1.5, steps)
+    assert [(x.hex(), n) for x, n in got] == [(x.hex(), n) for x, n in want]
+
+
+def test_comparison_excess_counts_truncations_like_the_batch():
+    # the -60 and -200 starts blow down at different windows; the others stay
+    truncating = (line_block_problem(-1), [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5])
+    instances = [seeded_instance(transversal_block_problem(-1), 5, 7), truncating]
+    got = comparison_excess(instances, 3.0, 5000)
+    assert got == excess_oracle(instances, 3.0, 5000)
+    assert [n for _, n in got] == [0, 2]
+
+
+def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
+    # every row blows down within the first window, so the loop stops there
+    # and later columns are never written, let alone passed to the barrier
+    prob = line_block_problem(-1)
+    instances = [(prob, [-1e6, -5e5], [0.2, 0.3]), (prob, [-2e6], [0.25])]
+    lengths = []
+    for prob_, u0s, t0s in instances:
+        lengths += integrate_riccati_batch(prob_, u0s, t0s, 3.0, 1200).lengths.tolist()
+    assert max(lengths) < WINDOW
+    want = excess_oracle(instances, 3.0, 1200)
+    points = []
+    barrier_call = ComparisonFunction.__call__
+
+    def counting_call(self, t):
+        points.append(np.size(t))
+        return barrier_call(self, t)
+
+    monkeypatch.setattr(ComparisonFunction, "__call__", counting_call)
+    got = comparison_excess(instances, 3.0, 1200)
+    assert got == want
+    assert [n for _, n in got] == [2, 1]
+    # the start points once for the preconditions, then the valid points
+    assert sum(points) == len(lengths) + sum(lengths)
+
+
+def test_comparison_excess_preconditions_match_the_batch():
+    prob = line_block_problem(-1)
+    good = seeded_instance(prob, 3, 5)
+    bad = (prob, [0.0, riccati_barrier(prob)(0.5) + 1.0], [0.5, 0.5])
+    with pytest.raises(ContractViolation) as want:
+        integrate_riccati_batch(*bad, 3.0, 1000)
+    assert "starts above" in str(want.value)
+    with pytest.raises(ContractViolation) as got:
+        comparison_excess([good, bad], 3.0, 1000)
+    assert str(got.value) == str(want.value)
