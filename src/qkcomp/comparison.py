@@ -1,13 +1,17 @@
 """Model-space comparison quantities for the quaternionic space forms.
 
 Distance Laplacian, Hessian block bounds, area density, ball volume,
-volume-ratio monotonicity, and the first-eigenvalue constants.  The
+the volume-ratio equality case, and the first-eigenvalue constants.  The
 curvature scale delta is -1 (quaternionic hyperbolic), 0 (flat), or +1
 (quaternionic projective, where the cot barrier pole at pi/2 is the
 diameter bound).  Every radial quantity is one numpy expression that
-takes a radius or an array of radii.  The volume integrals use
+takes a radius or an array of radii.  The ball volume has two
+independent evaluations: `volume` integrates the density with
 `integrate`, an adaptive Gauss-Legendre rule that evaluates its
-integrand on all the nodes of a panel in one call.
+integrand on all the nodes of a panel in one call, and `ball_volume` is
+its closed form; `volume_ratio_check` compares the two on the ratio
+V(r2)/V(r1), where the model meets Bishop-Gromov comparison with
+equality.
 
 Note on the flat case: summing the block barriers themselves (3/t for
 the line block plus 4/t per transversal block) gives (4n-1)/t, which
@@ -172,44 +176,35 @@ def volume(g: ModelGeometry, r: float) -> float:
     return sphere_area_constant(g.n) * integrate(partial(area_density, g), 0.0, r)
 
 
-@dataclass(frozen=True)
-class VolumeRatioResult:
-    holds: bool
-    hypothesis_ok: bool
-    ratio: float
-    model_ratio: float
+def ball_volume(g: ModelGeometry, r):
+    """Geodesic-ball volume in closed form, at a radius or elementwise for
+    an array.
 
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-RATIO_TOLERANCE = 1e-8
-
-
-# radii on which volume_ratio_check samples density / J
-HYPOTHESIS_SAMPLES = 64
+    J = S^{4n-1} C^3 with S = sinh r, C = cosh r (sin, cos for delta=+1),
+    and C^2 = 1 - delta S^2, so with k = 4n the integral of J is
+    S^k/k - delta S^{k+2}/(k+2); r^k/k for delta=0."""
+    g.domain_check(r)
+    k = 4 * g.n
+    omega = sphere_area_constant(g.n)
+    if g.delta == 0:
+        return omega * np.power(r, k) / k
+    s = (np.sinh if g.delta == -1 else np.sin)(r)
+    return omega * (np.power(s, k) / k - g.delta * np.power(s, k + 2) / (k + 2))
 
 
-def volume_ratio_check(density, g: ModelGeometry, r1: float, r2: float) -> VolumeRatioResult:
-    """Check V(r2)/V(r1) <= V_model(r2)/V_model(r1) for an integrated density,
-    a callable that maps an array of radii to the array of its values.
-
-    The comparison hypothesis density/J nonincreasing is verified on a
-    sample grid; a violation is flagged but the ratio check still runs."""
+def volume_ratio_check(g: ModelGeometry, r1: float, r2: float) -> tuple[float, float]:
+    """(V(r2)/V(r1) by `volume`, the same ratio by `ball_volume`): the
+    model's ball-volume ratio, the equality case of Bishop-Gromov volume
+    comparison, by quadrature and in closed form.  DomainError when a
+    volume at r1 is not positive, as when it underflows."""
     if not 0 < r1 <= r2:
         raise ContractViolation(f"need 0 < r1 <= r2, got r1={r1}, r2={r2}")
-    rs = r1 / 2 + (r2 - r1 / 2) * np.arange(HYPOTHESIS_SAMPLES) / (HYPOTHESIS_SAMPLES - 1)
-    q = density(rs) / area_density(g, rs)
-    hypothesis_ok = not (q[1:] > q[:-1] * (1 + 1e-12) + 1e-300).any()
-    model = partial(area_density, g)
-    v1 = integrate(density, 0.0, r1)
-    v2 = integrate(density, 0.0, r2)
-    m1 = integrate(model, 0.0, r1)
-    m2 = integrate(model, 0.0, r2)
-    ratio = v2 / v1
-    model_ratio = m2 / m1
-    holds = ratio <= model_ratio * (1 + RATIO_TOLERANCE)
-    return VolumeRatioResult(holds, hypothesis_ok, ratio, model_ratio)
+    v1, v2 = volume(g, r1), volume(g, r2)
+    c1, c2 = ball_volume(g, np.array([r1, r2])).tolist()
+    if not (v1 > 0 and c1 > 0):
+        raise DomainError(f"ball volume at r1={r1} is not positive: "
+                          f"{v1!r} by quadrature, {c1!r} in closed form")
+    return v2 / v1, c2 / c1
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ that take a float or an array: one call evaluates a whole grid, and a
 float goes through the same ufuncs as an array entry.
 
 The integrator is one RK4 loop over rows that may each carry their own
-(m, K).  `integrate_riccati_batch` tables every step of one problem's
-trajectories; `comparison_excess` steps several problems' trajectories
-as one batch, WINDOW steps at a time, and keeps only each problem's
-largest u - barrier(t), so its memory does not grow with the step count.
-Both give the same bits as the scalar loop, trajectory by trajectory; a
-single trajectory steps on numpy scalars.
+(m, K), stepped WINDOW steps at a time.  `comparison_excess` steps
+several problems' trajectories as one batch and keeps only each
+problem's largest u - barrier(t), so its memory does not grow with the
+step count; `integrate_riccati` steps one trajectory, on numpy scalars,
+and writes every window into one table.  Both give the same bits as the
+scalar loop, trajectory by trajectory.
 """
 
 from __future__ import annotations
@@ -170,29 +170,15 @@ def riccati_barrier(p: RiccatiProblem) -> ComparisonFunction:
 
 @dataclass(frozen=True)
 class Trajectory:
-    ts: tuple[float, ...]
-    us: tuple[float, ...]
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Trajectories stepped together: row j of `ts` and `us` holds
-    trajectory j, whose first `lengths[j]` entries are valid."""
+    """The valid points of one trajectory, as float arrays."""
 
     ts: np.ndarray
     us: np.ndarray
-    lengths: np.ndarray
-    truncated: np.ndarray
-
-    def trajectory(self, j: int) -> Trajectory:
-        k = int(self.lengths[j])
-        return Trajectory(tuple(self.ts[j, :k].tolist()),
-                          tuple(self.us[j, :k].tolist()), bool(self.truncated[j]))
+    truncated: bool
 
 
 BLOWUP_LIMIT = 1.0e9
-WINDOW = 100  # RK4 steps held at once by comparison_excess
+WINDOW = 100  # RK4 steps held at once
 
 
 def _validated(p: RiccatiProblem, u0s, t0s, t1: float,
@@ -223,12 +209,12 @@ def _validated(p: RiccatiProblem, u0s, t0s, t1: float,
 
 
 def _rk4_windows(m: np.ndarray, mK: np.ndarray, u0s: np.ndarray, t0s: np.ndarray,
-                 t1: float, steps: int, width: int):
+                 t1: float, steps: int):
     """Classical fixed-step RK4 for u' = -u^2/m - mK, row j with its own
     m[j] and mK[j] = m[j] K[j], from (t0s[j], u0s[j]) to t1 in `steps`
     steps of its own size.
 
-    Yields (start, ts, us, lengths) for each window of at most `width`
+    Yields (start, ts, us, lengths) for each window of at most WINDOW
     steps: columns c of ts and us hold step start + c, so column 0 repeats
     the last column of the window before (the start point in the first).
     ts and us are views of one buffer, which the next window overwrites.
@@ -248,10 +234,10 @@ def _rk4_windows(m: np.ndarray, mK: np.ndarray, u0s: np.ndarray, t0s: np.ndarray
     start = 0
     # one buffer for every window: a fresh pair per window took criterion
     # 3's peak RSS from 1.3 to 1.9 MB above import
-    ts_buf = np.empty((u0s.size, min(width, steps) + 1))
+    ts_buf = np.empty((u0s.size, min(WINDOW, steps) + 1))
     us_buf = np.empty_like(ts_buf)
     while start < steps:
-        w = min(width, steps - start)
+        w = min(WINDOW, steps - start)
         ts, us = ts_buf[:, :w + 1], us_buf[:, :w + 1]
         ts[:, 0], us[:, 0] = t, u
         with np.errstate(over="ignore", invalid="ignore"):
@@ -287,28 +273,12 @@ def _coefficients(problems, sizes) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(m, sizes), np.repeat(mK, sizes)
 
 
-def integrate_riccati_batch(p: RiccatiProblem, u0s, t0s, t1: float,
-                            steps: int) -> TrajectoryBatch:
-    """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K,
-    all trajectories at once.  Trajectory j runs from (t0s[j], u0s[j]) to
-    t1 in `steps` steps of its own size.
-
-    Solutions starting at or below the barrier stay below it; they may
-    reach -infinity in finite time.  A trajectory whose next value is not
-    finite or exceeds BLOWUP_LIMIT in size ends before that step and is
-    flagged truncated."""
-    u0s, t0s = _validated(p, u0s, t0s, t1, steps)
-    m, mK = _coefficients([p], [u0s.size])
-    (_, ts, us, lengths), = _rk4_windows(m, mK, u0s, t0s, t1, steps, steps)
-    return TrajectoryBatch(ts, us, lengths, lengths <= steps)
-
-
 def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int]]:
     """(largest u - barrier(t) over every valid point, number truncated)
     for each (problem, u0s, t0s) instance: the trajectories that
-    integrate_riccati_batch(problem, u0s, t0s, t1, steps) would table,
-    with the same bits, stepped as one batch WINDOW steps at a time, so
-    only one window of every instance is held at once."""
+    integrate_riccati(problem, u0, t0, t1, steps) gives one by one, with
+    the same bits, stepped as one batch WINDOW steps at a time, so only
+    one window of every instance is held at once."""
     problems = [p for p, _, _ in instances]
     u0s, t0s = zip(*(_validated(p, u0, t0, t1, steps) for p, u0, t0 in instances))
     sizes = [u0.size for u0 in u0s]
@@ -317,7 +287,7 @@ def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int
     rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
     barriers = [riccati_barrier(p) for p in problems]
     excess = [-math.inf] * len(problems)
-    windows = _rk4_windows(m, mK, np.concatenate(u0s), np.concatenate(t0s), t1, steps, WINDOW)
+    windows = _rk4_windows(m, mK, np.concatenate(u0s), np.concatenate(t0s), t1, steps)
     for start, ts, us, lengths in windows:
         # the unwritten columns of a window cut short lie past every length
         valid = np.arange(start, start + ts.shape[1]) < lengths[:, None]
@@ -330,8 +300,23 @@ def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int
 
 def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
                       steps: int) -> Trajectory:
-    """One trajectory of :func:`integrate_riccati_batch`."""
-    return integrate_riccati_batch(p, [u0], [t0], t1, steps).trajectory(0)
+    """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K from
+    (t0, u0) to t1 in `steps` steps.
+
+    A solution starting at or below the barrier stays below it; it may
+    reach -infinity in finite time.  The trajectory ends before a value
+    that is not finite or exceeds BLOWUP_LIMIT in size, and is then
+    flagged truncated."""
+    u0s, t0s = _validated(p, [u0], [t0], t1, steps)
+    m, mK = _coefficients([p], [1])
+    # one table for every window: per-window copies joined at the end were
+    # about 10% slower at 100k steps
+    ts, us = np.empty(steps + 1), np.empty(steps + 1)
+    for start, window_ts, window_us, lengths in _rk4_windows(m, mK, u0s, t0s, t1, steps):
+        ts[start:start + window_ts.shape[1]] = window_ts[0]
+        us[start:start + window_us.shape[1]] = window_us[0]
+    k = int(lengths[0])
+    return Trajectory(ts[:k], us[:k], k <= steps)
 
 
 def line_block_problem(delta: int) -> RiccatiProblem:

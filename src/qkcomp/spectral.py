@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .comparison import ModelGeometry, area_density
+from .comparison import ModelGeometry, area_density, eigenvalue_bounds
 from .forms import ContractViolation
 
 
@@ -270,7 +270,7 @@ def convergence_study(n: int, r_max_list: list[float],
     r_min = 1e-3
     density = (max(r_max_list) - r_min) / mesh
     rows = []
-    target = (2 * n + 1) ** 2
+    target = eigenvalue_bounds(n).quaternionic
     for r_max in r_max_list:
         points = max(64, round((r_max - r_min) / density))
         est = lambda1_dirichlet(RadialProblem(n, r_min, r_max, points))

@@ -246,11 +246,13 @@ def log_derivative_check(g: ModelGeometry, rgrid) -> Check:
 
 
 def volume_ratio_equality_check(g: ModelGeometry, r1: float, r2: float) -> Check:
-    """The model density meets the volume-ratio bound with equality (1e-10)."""
-    res = volume_ratio_check(lambda r: area_density(g, r), g, r1, r2)
-    dev = abs(res.ratio / res.model_ratio - 1)
+    """The model's ball-volume ratio V(r2)/V(r1), where Bishop-Gromov
+    comparison holds with equality, by quadrature matches its closed form
+    within 1e-10."""
+    ratio, model_ratio = volume_ratio_check(g, r1, r2)
+    dev = abs(ratio / model_ratio - 1)
     return check_true("volume ratio equality case within 1e-10",
-                      dev <= 1e-10 and res.holds, detail=f"|ratio/model - 1| = {dev:.3e}")
+                      dev <= 1e-10, detail=f"|ratio/model - 1| = {dev:.3e}")
 
 
 def flat_coefficient_check(n: int, r: float) -> Check:
@@ -354,7 +356,7 @@ def criterion_6_level_sets() -> Report:
 def convergence_check(n: int, rows: list[dict]) -> Check:
     """The Dirichlet estimates of a convergence study decrease as r_max
     grows and stay above (2n+1)^2."""
-    target = (2 * n + 1) ** 2
+    target = eigenvalue_bounds(n).quaternionic
     decreasing = all(a["lambda1"] > b["lambda1"] for a, b in zip(rows, rows[1:]))
     above = all(row["lambda1"] > target for row in rows)
     return check_true(f"n={n}: estimates decrease in r_max and stay above {target}",
@@ -369,11 +371,12 @@ def criterion_7_spectral() -> Report:
     # the last row solves RadialProblem(2, 1e-3, 12.0, 20000)
     rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
     last = rows[-1]
+    target = last["target"]
     rep.results.append({"n": 2, "r_max": last["r_max"], "mesh": last["mesh"],
-                        "lambda1": last["lambda1"], "target": 25, "gap": last["gap"]})
+                        "lambda1": last["lambda1"], "target": target, "gap": last["gap"]})
     rep.checks.append(check_true(
-        "n=2: lambda1(r_max=12, mesh 20000) in (25, 26)",
-        25 < last["lambda1"] < 26, detail=f"{last['lambda1']:.9f}"))
+        f"n=2: lambda1(r_max=12, mesh 20000) in ({target}, {target + 1})",
+        target < last["lambda1"] < target + 1, detail=f"{last['lambda1']:.9f}"))
 
     rep.checks.append(convergence_check(2, rows))
     rep.checks.append(check_true(
@@ -389,12 +392,13 @@ def criterion_7_spectral() -> Report:
         q <= 25.6, detail=f"{q:.6f}"))
 
     est3 = lambda1_dirichlet(RadialProblem(3, 1e-3, 12.0, 20000))
+    target = eigenvalue_bounds(3).quaternionic
     rep.results.append({"n": 3, "r_max": 12.0, "mesh": 20000,
-                        "lambda1": est3.lambda1, "target": 49,
-                        "gap": est3.lambda1 - 49})
+                        "lambda1": est3.lambda1, "target": target,
+                        "gap": est3.lambda1 - target})
     rep.checks.append(check_true(
-        "n=3: lambda1(r_max=12, mesh 20000) in (49, 50)",
-        49 < est3.lambda1 < 50, detail=f"{est3.lambda1:.9f}"))
+        f"n=3: lambda1(r_max=12, mesh 20000) in ({target}, {target + 1})",
+        target < est3.lambda1 < target + 1, detail=f"{est3.lambda1:.9f}"))
     rep.checks.append(sharpening_check())
     return rep
 

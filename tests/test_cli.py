@@ -128,6 +128,16 @@ def test_volume_command(capsys):
     assert len(doc["results"]) == 8
 
 
+def test_volume_refuses_an_underflowing_ball(capsys):
+    # the ball volume at r_max / 4 = 2.5e-301 underflows to 0, where the
+    # ratio once divided by zero
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--r-max", "1e-300"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "qkcomp: ball volume at r1=2.5e-301 is not positive")
+
+
 def test_determinism_identical_bytes(capsys):
     args = ["compare", "--delta", "-1", "--n", "2", "--r-max", "4",
             "--steps", "20", "--format", "json"]
@@ -243,16 +253,20 @@ def test_reversed_radius_range_is_usage_error(command, capsys):
     assert "need r_min < r_max" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["compare", "volume", "riccati"])
+@pytest.mark.parametrize("command", ["compare", "volume", "riccati", "lambda1"])
 @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_radius_is_usage_error(command, flag, value, capsys):
     # every comparison with NaN is false, so a NaN radius once slipped past
     # the range and domain checks: riccati passed every check on a table
-    # of start points, and volume raised an internal error
+    # of start points, volume raised an internal error, and lambda1 ended
+    # in a RuntimeError at --rmax inf (its flags are --rmin and --rmax)
     other = {"--r-min": ["--r-max", "3"], "--r-max": ["--r-min", "0.5"]}[flag]
+    argv = [f"{flag}={value}", *other, "--steps", "4"]
+    if command == "lambda1":
+        argv = [arg.replace("--r-", "--r") for arg in argv[:3]] + ["--mesh", "200"]
     with pytest.raises(SystemExit) as exc:
-        main([command, f"{flag}={value}", *other, "--steps", "4"])
+        main([command, *argv])
     assert exc.value.code == 2
     assert f"need a finite radius, got '{value}'" in capsys.readouterr().err
 
@@ -267,6 +281,23 @@ def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
     doc = json.loads(out)
     assert all(c["pass"] for c in doc["checks"])
     assert doc["results"][0]["t"] == float(r_min)
+
+
+@pytest.mark.parametrize("argv, end", [
+    (["--r-min", "1e-6"], "t=1e-06"),
+    (["--delta", "0", "--r-min", "1e-12"], "t=1e-12"),
+    (["--r-min", "1e-300"], "t=1e-300"),
+])
+def test_riccati_fails_when_the_equality_trajectory_truncates(argv, end, capsys):
+    # u0 = barrier(r_min) is so large that RK4 blows up at the first step;
+    # the start point alone once read as tracking the barrier within 1e-8
+    status, out = run_cli(["riccati", *argv], capsys)
+    assert status == 1
+    doc = json.loads(out)
+    assert len(doc["results"]) == 1
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["equality trajectory tracks the barrier within 1e-8"]
+    assert failed[0]["actual"] == f"0.000e+00, truncated at {end}, step 0 of 8000"
 
 
 def test_riccati_checks_r_max_against_the_barrier_domain(capsys):

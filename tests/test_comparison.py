@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from qkcomp.comparison import (
     EigenvalueBounds,
     ModelGeometry,
     area_density,
+    ball_volume,
     eigenvalue_bounds,
     flat_laplacian_coefficient,
     flat_laplacian_coefficient_printed,
@@ -31,6 +33,7 @@ from qkcomp.comparison import (
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import DomainError
 from qkcomp.spectral import RadialProblem
+from qkcomp.suite import volume_ratio_equality_check
 from test_riccati import reference_barrier
 
 
@@ -201,22 +204,34 @@ def test_volume_matches_quad(n, delta):
         assert abs(volume(g, r) / oracle - 1) <= QUAD_AGREEMENT, r
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 10])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_ball_volume_matches_quad(n, delta):
+    g = ModelGeometry(n, delta)
+    radii = grid_radii(delta)
+    oracle = [sphere_area_constant(n) * quad_integral(lambda s: area_density(g, s), 0.0, r)
+              for r in radii]
+    closed = ball_volume(g, np.array(radii))
+    assert closed.tolist() == [ball_volume(g, r) for r in radii]
+    for r, want, got in zip(radii, oracle, closed.tolist()):
+        assert abs(got / want - 1) <= QUAD_AGREEMENT, r
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_volume_ratio_check_matches_quad(n, delta):
     g = ModelGeometry(n, delta)
     radii = grid_radii(delta)
-    pairs = [(radii[1], radii[3]), (radii[3], radii[-1])]
-    model = lambda s: area_density(g, s)
-    for density in (model, lambda s: model(s) * np.exp(-s),
-                    lambda s: model(s) * np.exp(s)):
-        for r1, r2 in pairs:
-            res = volume_ratio_check(density, g, r1, r2)
-            ratio = quad_integral(density, 0.0, r2) / quad_integral(density, 0.0, r1)
-            model_ratio = quad_integral(model, 0.0, r2) / quad_integral(model, 0.0, r1)
-            assert abs(res.ratio / ratio - 1) <= 2 * QUAD_AGREEMENT
-            assert abs(res.model_ratio / model_ratio - 1) <= 2 * QUAD_AGREEMENT
-            assert res.holds == (ratio <= model_ratio * (1 + 1e-8))
+    model = partial(area_density, g)
+    for r1, r2 in [(radii[1], radii[3]), (radii[3], radii[-1])]:
+        ratio, model_ratio = volume_ratio_check(g, r1, r2)
+        oracle = quad_integral(model, 0.0, r2) / quad_integral(model, 0.0, r1)
+        assert abs(ratio / oracle - 1) <= 2 * QUAD_AGREEMENT
+        assert abs(model_ratio / oracle - 1) <= 2 * QUAD_AGREEMENT
+        # the quadrature ratio as it was computed when the check took a
+        # general density: the two integrals of it, without omega_{4n-1}
+        bare = integrate(model, 0.0, r2) / integrate(model, 0.0, r1)
+        assert abs(ratio / bare - 1) <= 1e-14
 
 
 def test_integrate_is_exact_on_polynomials():
@@ -299,26 +314,33 @@ def test_suite_leaves_out_scipy():
 
 
 def test_volume_ratio_equality_case():
+    # quadrature against the closed form: a real deviation, at rounding
     g = ModelGeometry(2, -1)
-    res = volume_ratio_check(lambda r: area_density(g, r), g, 1.0, 2.0)
-    assert res.holds and res.hypothesis_ok
-    assert res.ratio == pytest.approx(res.model_ratio, rel=1e-10)
+    ratio, model_ratio = volume_ratio_check(g, 1.0, 2.0)
+    assert 0 < abs(ratio / model_ratio - 1) <= 1e-14
 
 
-def test_volume_ratio_strict_for_damped_density():
+@pytest.mark.parametrize("delta, r1, r2", [(-1, 1.0, 2.0), (1, 0.5, 1.5)])
+def test_volume_ratio_equality_check_fails_without_the_delta_term(delta, r1, r2, monkeypatch):
+    # a closed form that keeps S^k/k and drops -delta S^{k+2}/(k+2) is the
+    # flat volume in the variable S: the check must tell it from the model
+    def without_delta(g, r):
+        k = 4 * g.n
+        s = (np.sinh if g.delta == -1 else np.sin)(r)
+        return sphere_area_constant(g.n) * np.power(s, k) / k
+
+    g = ModelGeometry(2, delta)
+    assert volume_ratio_equality_check(g, r1, r2).passed
+    monkeypatch.setattr(qkcomp.comparison, "ball_volume", without_delta)
+    assert not volume_ratio_equality_check(g, r1, r2).passed
+
+
+def test_volume_ratio_check_refuses_an_underflowing_volume():
     g = ModelGeometry(2, -1)
-    res = volume_ratio_check(lambda r: area_density(g, r) * np.exp(-r),
-                             g, 1.0, 2.0)
-    assert res.holds and res.hypothesis_ok
-    assert res.ratio < res.model_ratio
-
-
-def test_volume_ratio_flags_violated_hypothesis():
-    g = ModelGeometry(2, -1)
-    res = volume_ratio_check(lambda r: area_density(g, r) * np.exp(+r),
-                             g, 1.0, 2.0)
-    assert not res.hypothesis_ok
-    assert not res.holds
+    with pytest.raises(DomainError, match="not positive"):
+        volume_ratio_check(g, 1e-300, 1.0)
+    with pytest.raises(ContractViolation):
+        volume_ratio_check(g, 2.0, 1.0)
 
 
 def test_eigenvalue_bounds_table():

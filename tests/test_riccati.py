@@ -17,7 +17,6 @@ from qkcomp.riccati import (
     RiccatiProblem,
     comparison_excess,
     integrate_riccati,
-    integrate_riccati_batch,
     line_block_problem,
     rational_sqrt,
     riccati_barrier,
@@ -84,15 +83,16 @@ def reference_barrier_derivative(barrier, t):
     return -a * b / (s * s)
 
 
-def max_excess(batch, barrier):
-    """Largest u - barrier(t) over the valid points of a batch's tables,
-    trajectory by trajectory."""
-    return max(float((batch.us[j, :k] - barrier(batch.ts[j, :k])).max())
-               for j, k in enumerate(batch.lengths.tolist()))
-
-
-def bits(xs):
-    return [float(x).hex() for x in xs]
+def reference_excess(prob, u0s, t0s, t1, steps):
+    """(largest u - barrier(t) over every valid point, number truncated) of
+    reference_rk4's trajectories from (u0s, t0s)."""
+    barrier = riccati_barrier(prob)
+    worst, truncated = -math.inf, 0
+    for u0, t0 in zip(u0s, t0s):
+        ts, us, cut = reference_rk4(prob, u0, t0, t1, steps)
+        worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
+        truncated += cut
+    return worst, truncated
 
 
 def criterion_3_inputs(barrier, count=100):
@@ -213,61 +213,67 @@ def test_rational_sqrt():
     assert rational_sqrt(F(0)) == 0
 
 
+# -- the RK4 loop against the scalar reference ----------------------------------
+# `integrate_riccati` steps one trajectory (a batch of one, on numpy scalars);
+# `comparison_excess` steps a batch of rows, criterion 3's 400 among them.
+
+def assert_matches_reference(prob, u0, t0, t1, steps):
+    """integrate_riccati's trajectory is reference_rk4's, bit for bit."""
+    traj = integrate_riccati(prob, u0, t0, t1, steps)
+    ts, us, truncated = reference_rk4(prob, u0, t0, t1, steps)
+    assert traj.ts.tobytes() == np.array(ts).tobytes()
+    assert traj.us.tobytes() == np.array(us).tobytes()
+    assert traj.truncated is truncated
+    return traj
+
+
 @pytest.mark.parametrize("prob", CRITERION_3_INSTANCES)
 def test_batch_matches_scalar_reference_bitwise(prob):
-    barrier = riccati_barrier(prob)
-    u0s, t0s = criterion_3_inputs(barrier)
-    batch = integrate_riccati_batch(prob, u0s, t0s, 3.0, steps=1200)
-    worst = -math.inf
-    for j, (u0, t0) in enumerate(zip(u0s, t0s)):
-        ts, us, truncated = reference_rk4(prob, u0, t0, 3.0, 1200)
-        traj = batch.trajectory(j)
-        assert bits(traj.ts) == bits(ts)
-        assert bits(traj.us) == bits(us)
-        assert traj.truncated is truncated
-        worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
-    assert max_excess(batch, barrier) == worst
+    # criterion 3's seeded inputs, at its 1200 steps and at 1234, which is
+    # not a multiple of WINDOW; integrate_riccati on every 10th start, as
+    # each of its windows costs what a window of the whole batch does
+    assert 1200 % WINDOW == 0 and 1234 % WINDOW != 0
+    u0s, t0s = criterion_3_inputs(riccati_barrier(prob))
+    for steps in (1200, 1234):
+        for u0, t0 in list(zip(u0s, t0s))[::10]:
+            assert_matches_reference(prob, u0, t0, 3.0, steps)
+        (worst, truncated), = comparison_excess([(prob, u0s, t0s)], 3.0, steps)
+        want_worst, want_truncated = reference_excess(prob, u0s, t0s, 3.0, steps)
+        assert (worst.hex(), truncated) == (want_worst.hex(), want_truncated)
 
 
 def test_batch_truncates_like_scalar_reference():
     # -60 at t0=0.2 blows down; the others stay finite
     prob = line_block_problem(-1)
     u0s, t0s = [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5]
-    batch = integrate_riccati_batch(prob, u0s, t0s, 3.0, steps=5000)
-    flags = []
-    for j, (u0, t0) in enumerate(zip(u0s, t0s)):
-        ts, us, truncated = reference_rk4(prob, u0, t0, 3.0, 5000)
-        traj = batch.trajectory(j)
-        assert bits(traj.ts) == bits(ts)
-        assert bits(traj.us) == bits(us)
-        flags.append(traj.truncated)
-        assert traj.truncated is truncated
+    flags = [assert_matches_reference(prob, u0, t0, 3.0, 5000).truncated
+             for u0, t0 in zip(u0s, t0s)]
     assert flags == [True, False, True, False]
-    assert batch.truncated.tolist() == flags
+    assert comparison_excess([(prob, u0s, t0s)], 3.0, 5000) == \
+        [reference_excess(prob, u0s, t0s, 3.0, 5000)]
 
 
 def test_single_trajectory_is_batch_of_one():
     prob = line_block_problem(-1)
     barrier = riccati_barrier(prob)
-    traj = integrate_riccati(prob, barrier(0.1), 0.1, 3.0, steps=10000)
-    ts, us, truncated = reference_rk4(prob, barrier(0.1), 0.1, 3.0, 10000)
-    assert bits(traj.ts) == bits(ts) and bits(traj.us) == bits(us)
-    assert traj.truncated is truncated is False
-    assert all(type(u) is float for u in traj.us)
+    traj = assert_matches_reference(prob, barrier(0.1), 0.1, 3.0, 10000)
+    assert traj.truncated is False
+    assert traj.ts.dtype == traj.us.dtype == np.float64
+    assert traj.ts.shape == traj.us.shape == (10001,)
 
 
 def test_batch_preconditions():
     prob = line_block_problem(-1)
     barrier = riccati_barrier(prob)
     with pytest.raises(ContractViolation):
-        integrate_riccati_batch(prob, [], [], 3.0, steps=1000)
+        comparison_excess([(prob, [], [])], 3.0, steps=1000)
     with pytest.raises(ContractViolation):
-        integrate_riccati_batch(prob, [0.0, 0.0], [0.5], 3.0, steps=1000)
+        comparison_excess([(prob, [0.0, 0.0], [0.5])], 3.0, steps=1000)
     with pytest.raises(ContractViolation, match="starts above"):
-        integrate_riccati_batch(prob, [0.0, barrier(0.5) + 1.0], [0.5, 0.5],
-                                3.0, steps=1000)
+        comparison_excess([(prob, [0.0, barrier(0.5) + 1.0], [0.5, 0.5])],
+                          3.0, steps=1000)
     with pytest.raises(ContractViolation, match="need t0 > 0"):
-        integrate_riccati_batch(prob, [0.0, 0.0], [0.5, -0.5], 3.0, steps=1000)
+        comparison_excess([(prob, [0.0, 0.0], [0.5, -0.5])], 3.0, steps=1000)
 
 
 @pytest.mark.parametrize("t0", [3.0, 3.5])
@@ -276,7 +282,7 @@ def test_batch_refuses_to_step_backwards(t0):
     # with h <= 0 and certify nothing
     prob = line_block_problem(-1)
     with pytest.raises(ContractViolation, match="need t0 < t1"):
-        integrate_riccati_batch(prob, [0.0, 0.0], [0.5, t0], 3.0, steps=1000)
+        comparison_excess([(prob, [0.0, 0.0], [0.5, t0])], 3.0, steps=1000)
     with pytest.raises(ContractViolation, match="need t0 < t1"):
         integrate_riccati(prob, 0.0, t0, 3.0, steps=1000)
 
@@ -347,13 +353,9 @@ def test_array_domain_error_matches_the_scalar_reference(prob, bad):
 # -- comparison_excess: one windowed batch against the per-instance tables ------
 
 def excess_oracle(instances, t1, steps):
-    """(max excess, truncated count) of each instance from its own
-    integrate_riccati_batch tables."""
-    out = []
-    for prob, u0s, t0s in instances:
-        batch = integrate_riccati_batch(prob, u0s, t0s, t1, steps)
-        out.append((max_excess(batch, riccati_barrier(prob)), int(batch.truncated.sum())))
-    return out
+    """(max excess, truncated count) of each instance from the tables of its
+    batch of rows, stepped one by one by reference_rk4."""
+    return [reference_excess(prob, u0s, t0s, t1, steps) for prob, u0s, t0s in instances]
 
 
 def seeded_instance(prob, count, seed, t0_span=0.4):
@@ -394,7 +396,8 @@ def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
     instances = [(prob, [-1e6, -5e5], [0.2, 0.3]), (prob, [-2e6], [0.25])]
     lengths = []
     for prob_, u0s, t0s in instances:
-        lengths += integrate_riccati_batch(prob_, u0s, t0s, 3.0, 1200).lengths.tolist()
+        lengths += [len(integrate_riccati(prob_, u0, t0, 3.0, 1200).ts)
+                    for u0, t0 in zip(u0s, t0s)]
     assert max(lengths) < WINDOW
     want = excess_oracle(instances, 3.0, 1200)
     points = []
@@ -413,11 +416,12 @@ def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
 
 
 def test_comparison_excess_preconditions_match_the_batch():
+    # the instance's bad row raises as the single trajectory from it does
     prob = line_block_problem(-1)
     good = seeded_instance(prob, 3, 5)
     bad = (prob, [0.0, riccati_barrier(prob)(0.5) + 1.0], [0.5, 0.5])
     with pytest.raises(ContractViolation) as want:
-        integrate_riccati_batch(*bad, 3.0, 1000)
+        integrate_riccati(prob, bad[1][1], bad[2][1], 3.0, 1000)
     assert "starts above" in str(want.value)
     with pytest.raises(ContractViolation) as got:
         comparison_excess([good, bad], 3.0, 1000)
