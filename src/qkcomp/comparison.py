@@ -107,12 +107,23 @@ def area_density(g: ModelGeometry, r):
 
     delta=-1: (sinh 2r / 2)^3 sinh^{4(n-1)} r; delta=+1 with sin in
     place of sinh; delta=0: r^{4n-1}.  Satisfies (log J)' = Delta r.
-    np.power, not **, so a float and an array entry take the same ufunc."""
+    np.power, not **, so a float and an array entry take the same ufunc.
+    DomainError, naming the first such radius in row-major order, when J
+    overflows the float range inside the domain (near r = 71.6 at n = 2,
+    delta=-1), as a ball volume that underflows is refused by
+    `volume_ratio_check`."""
     g.domain_check(r)
-    if g.delta == 0:
-        return np.power(r, 4 * g.n - 1)
-    s = np.sinh if g.delta == -1 else np.sin
-    return np.power(s(2 * r) / 2, 3) * np.power(s(r), 4 * (g.n - 1))
+    with np.errstate(over="ignore"):
+        if g.delta == 0:
+            J = np.power(r, 4 * g.n - 1)
+        else:
+            s = np.sinh if g.delta == -1 else np.sin
+            J = np.power(s(2 * r) / 2, 3) * np.power(s(r), 4 * (g.n - 1))
+    finite = np.isfinite(J)
+    if not finite.all():
+        bad = float(np.asarray(r, dtype=float).flat[np.argmin(finite)])
+        raise DomainError(f"area density J overflows the float range at r={bad}")
+    return J
 
 
 def sphere_area_constant(n: int) -> float:

@@ -155,25 +155,54 @@ class HessianMatrix:
         return cls(frame, ExactArray(np.zeros((frame.dim, frame.dim), dtype=np.int64)))
 
 
-def random_symmetric(m: int, count: int,
-                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """`count` random symmetric m x m matrices: int64 numerators in [-9, 9]
-    of shape (count, m, m) over one denominator in [1, 9] per matrix.
+@lru_cache(maxsize=None)
+def _upper_triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, diag) of the packed upper triangle of an m x m matrix:
+    slot k holds entry (rows[k], cols[k]), row by row, and diag[i] is the
+    slot of (i, i)."""
+    rows, cols = np.triu_indices(m)
+    diag = np.flatnonzero(rows == cols)
+    for a in (rows, cols, diag):
+        a.flags.writeable = False
+    return rows, cols, diag
+
+
+def _unpack(packed: np.ndarray, m: int) -> np.ndarray:
+    """The symmetric m x m matrices of packed upper-triangle rows."""
+    rows, cols, _ = _upper_triangle(m)
+    nums = np.empty(packed.shape[:-1] + (m, m), dtype=np.int64)
+    nums[..., rows, cols] = packed
+    nums[..., cols, rows] = packed
+    return nums
+
+
+def _random_packed(m: int, count: int,
+                   rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random symmetric m x m matrices as int64 rows of their
+    m(m+1)/2 packed upper-triangle numerators in [-9, 9] (see
+    `_upper_triangle`), over one denominator in [1, 9] per matrix.
 
     Each matrix takes 1 + m(m+1)/2 consecutive 32-bit words w of `rng`:
     w % 9 + 1 of the first is the denominator, w % 19 - 9 of the others
     the upper triangle row by row.  So one draw of k matrices equals k
     draws of one."""
-    upper = np.triu_indices(m)
-    width = 1 + len(upper[0])
+    width = 1 + m * (m + 1) // 2
     bits = 32 * count * width
     words = np.frombuffer(rng.getrandbits(bits).to_bytes(bits // 8, "little"),
-                          dtype="<u4").reshape(count, width).astype(np.int64)
-    nums = np.empty((count, m, m), dtype=np.int64)
-    vals = words[:, 1:] % 19 - 9
-    nums[:, upper[0], upper[1]] = vals
-    nums[:, upper[1], upper[0]] = vals
-    return nums, words[:, 0] % 9 + 1
+                          dtype="<u4").reshape(count, width)
+    # w % 19 as w - 19 (w // 19): numpy divides uint32 by a uint32 scalar
+    # several times faster than it takes the remainder
+    entries = words[:, 1:]
+    entries = entries - np.uint32(19) * (entries // np.uint32(19))
+    return entries.astype(np.int64) - 9, (words[:, 0] % 9 + 1).astype(np.int64)
+
+
+def random_symmetric(m: int, count: int,
+                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of `_random_packed` as full matrices: int64 numerators of
+    shape (count, m, m) and the denominators."""
+    packed, q = _random_packed(m, count, rng)
+    return _unpack(packed, m), q
 
 
 def random_traceless_hessian(frame: QuaternionicFrame,
@@ -190,13 +219,14 @@ def _quaternionic_harmonic_batch(n: int, count: int,
                                  rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """`count` quaternionic-harmonic Hessians h / (4 q): random symmetric
     matrices whose lines' four diagonal entries each lose their mean.
-    Returns the int64 numerators h, of size at most 54, and the q."""
-    nums, q = random_symmetric(4 * n, count, rng)
+    Returns the packed upper-triangle rows of the int64 numerators h, of
+    size at most 54 (3 * 9 + 3 * 9 on the diagonal), and the q."""
+    packed, q = _random_packed(4 * n, count, rng)
     # line s is the diagonal block 4s-3..4s of the frame
-    diag = np.arange(4 * n)
-    line_sums = nums[:, diag, diag].reshape(count, n, 4).sum(axis=2)
-    h = 4 * nums
-    h[:, diag, diag] -= line_sums[:, diag // 4]
+    diag = _upper_triangle(4 * n)[2]
+    lines = packed[:, diag].reshape(count, n, 4)
+    h = 4 * packed
+    h[:, diag] = (4 * lines - lines.sum(axis=2, keepdims=True)).reshape(count, 4 * n)
     return h, q
 
 
@@ -204,7 +234,7 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
                                  rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
     h, q = _quaternionic_harmonic_batch(frame.n, 1, rng)
-    return HessianMatrix(frame, ExactArray.of(h[0], 4 * int(q[0])))
+    return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), 4 * int(q[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,12 +339,30 @@ class KatoReport:
     slack_row_factor: Fraction
 
 
+@lru_cache(maxsize=None)
+def _kato_weights(m: int) -> np.ndarray:
+    """Per-slot int64 weights w of the packed upper triangle (see
+    `_upper_triangle`) with 3|h|^2 - 4|h e_1|^2 = sum_k w_k h_k^2: an
+    off-diagonal slot stands for two entries and row 0 holds h e_1, so
+    w = 3 (1 if i == j else 2) - 4 [i == 0]: -1 at (0, 0), 2 on the rest
+    of row 0, 3 on the other diagonal slots and 6 elsewhere."""
+    rows, cols, _ = _upper_triangle(m)
+    weights = 3 * np.where(rows == cols, 1, 2) - 4 * (rows == 0)
+    weights.flags.writeable = False
+    return weights
+
+
 def scaled_kato_gap(h: np.ndarray) -> np.ndarray:
-    """3|h|^2 - 4|h e_1|^2 over the last two axes of the int64 numerators
-    h: three times the refined Kato gap of the Hessian h with the gradient
+    """3|h|^2 - 4|h e_1|^2 of the packed upper-triangle rows h of int64
+    numerators, one weighted sum of squares per row (`_kato_weights`):
+    three times the refined Kato gap of the Hessian h with the gradient
     along e_1, where |grad |grad f|| = |h e_1|.  Exact while the sums stay
     in the int64 range."""
-    return 3 * (h * h).sum(axis=(-2, -1)) - 4 * (h[..., 0, :] * h[..., 0, :]).sum(axis=-1)
+    m = (math.isqrt(8 * h.shape[-1] + 1) - 1) // 2
+    # a product and a sum, not an int64 matmul: as fast here, and the
+    # matmul's first call faults in 64 kB more of numpy's code, which
+    # criterion 8's peak resident memory then carries
+    return (h * h * _kato_weights(m)).sum(axis=-1)
 
 
 def refined_kato_gap(H: HessianMatrix) -> KatoReport:
@@ -337,38 +385,50 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
     slack3 = Fraction(2, 3) * row_sq
 
     guard_int64((3 * m * m + 4 * m) * T.bound ** 2, "Kato gap")
-    gap = Fraction(int(scaled_kato_gap(T.num)), 3 * T.den ** 2)
+    rows, cols, _ = _upper_triangle(m)
+    gap = Fraction(int(scaled_kato_gap(T.num[rows, cols])), 3 * T.den ** 2)
     if gap != slack1 + slack2 + slack3:
         raise RuntimeError(f"Kato slacks {slack1}, {slack2}, {slack3} do not "
                            f"sum to the gap {gap}")
     return KatoReport(gap, slack1, slack2, slack3)
 
 
-# entries per chunk of the scan, 256 Hessians at n = 2: larger chunks gain
-# little speed and add their arrays to the peak memory
+# matrix entries per chunk of the scan, 256 Hessians at n = 2.  Over 1e5
+# samples at n = 2 on a 2-vCPU x86-64 host, one series read 0.067 s at
+# 2^14, 0.081 s at 2^15 and 0.100 s at 2^16, another (medians of 15) 0.100,
+# 0.092 and 0.088 s: larger chunks gain nothing beyond the host's noise,
+# and each doubling doubles the scan's traced peak (0.29 MB at 2^14)
 _SCAN_ENTRIES = 1 << 14
 
 
 def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     """Scan the refined Kato gap over `samples` quaternionic-harmonic
     Hessians, the stream :func:`random_quaternionic_harmonic` draws from
-    random.Random(seed), in int64 chunks.  Returns (number of negative
-    gaps, least gap), both exact."""
+    random.Random(seed), in chunks of packed upper-triangle rows: one
+    weighted sum of squares per Hessian (`scaled_kato_gap`) and, per
+    denominator q in 1..9, the least scaled gap.  Returns (number of
+    negative gaps, least gap), both exact.
+
+    Every packed entry is at most 54 in size, so no gap exceeds 54^2 times
+    the sum of the weights' sizes; Int64RangeError when that bound leaves
+    the int64 range."""
     if samples < 1:
         raise ContractViolation(f"need at least one sample, got {samples}")
+    m = 4 * n
+    guard_int64(54 ** 2 * sum(abs(w) for w in _kato_weights(m).tolist()), "Kato gap scan")
     rng = random.Random(seed)
-    chunk = max(1, _SCAN_ENTRIES // (4 * n) ** 2)
+    chunk = max(1, _SCAN_ENTRIES // m ** 2)
     negatives = 0
-    least: dict[int, int] = {}  # denominator q -> least scaled gap
+    unseen = np.iinfo(np.int64).max
+    least = np.full(10, unseen, dtype=np.int64)  # denominator q -> least scaled gap
     for start in range(0, samples, chunk):
         h, q = _quaternionic_harmonic_batch(n, min(chunk, samples - start), rng)
         gaps = scaled_kato_gap(h)
         negatives += int((gaps < 0).sum())
-        for d in set(q.tolist()):
-            g = int(gaps[q == d].min())
-            least[d] = min(g, least.get(d, g))
+        np.minimum.at(least, q, gaps)
     # the gap of h / (4q) is scaled_kato_gap(h) / (3 (4q)^2)
-    return negatives, min(Fraction(g, 48 * d * d) for d, g in least.items())
+    return negatives, min(Fraction(g, 48 * d * d)
+                          for d, g in enumerate(least.tolist()) if g != unseen)
 
 
 def equality_case_hessian(frame: QuaternionicFrame, mu: Fraction) -> HessianMatrix:

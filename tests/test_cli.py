@@ -271,6 +271,31 @@ def test_non_finite_radius_is_usage_error(command, flag, value, capsys):
     assert f"need a finite radius, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, radius", [
+    (["volume", "--r-max", "200", "--steps", "2"], "r=100.0"),
+    (["volume", "--n", "40", "--r-max", "10"], "r=5.2"),
+    (["compare", "--r-max", "400", "--steps", "2"], "r=200.0"),
+    (["lambda1", "--rmax", "80", "--mesh", "200"], "r=71.8"),
+])
+def test_overflowing_density_is_usage_error(argv, radius, capsys):
+    # J overflows to inf near r = 71.6 at n = 2 (sooner for larger n): volume
+    # once ended in the quadrature's RuntimeError, compare failed its
+    # log-derivative check on nan and lambda1's bisection raised on a nan
+    # bracket; the first overflowing radius (a table or mesh node) is named
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qkcomp: area density J overflows the float range at {radius}")
+
+
+@pytest.mark.parametrize("command", ["volume", "compare"])
+def test_density_within_float_range_still_passes(command, capsys):
+    status, out = run_cli([command, "--r-max", "60", "--steps", "2"], capsys)
+    assert status == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
 @pytest.mark.parametrize("r_min", ["1.6", "2"])
 def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
     # the trajectories start at t0 in [r_min, r_min + span] with span

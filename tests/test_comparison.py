@@ -3,6 +3,7 @@ density, volumes, ratio monotonicity, eigenvalue constants."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -341,6 +342,23 @@ def test_volume_ratio_check_refuses_an_underflowing_volume():
         volume_ratio_check(g, 1e-300, 1.0)
     with pytest.raises(ContractViolation):
         volume_ratio_check(g, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("n, delta, finite, huge", [(2, -1, 71.0, 72.0),
+                                                    (40, -1, 5.0, 6.0),
+                                                    (2, 0, 1e44, 1e45)])
+def test_area_density_refuses_an_overflowing_radius(n, delta, finite, huge):
+    g = ModelGeometry(n, delta)
+    assert math.isfinite(area_density(g, finite))
+    want = re.escape(f"area density J overflows the float range at r={huge}")
+    with pytest.raises(DomainError, match=want):
+        area_density(g, huge)
+    # an array names its first overflowing entry in row-major order
+    with pytest.raises(DomainError, match=want):
+        area_density(g, np.array([[finite, huge], [2 * huge, finite]]))
+    # the quadrature's panels meet the same refusal, not its panel cap
+    with pytest.raises(DomainError, match="overflows the float range"):
+        volume(g, 2 * huge)
 
 
 def test_eigenvalue_bounds_table():

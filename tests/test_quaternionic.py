@@ -7,16 +7,22 @@ fundamental forms from them.  `ReferenceHessian` keeps the nested-`Fraction`
 Hessians the `ExactArray` tables of `HessianMatrix` are tested against, and
 `reference_defect` and `reference_star_sides` the Form-by-Form operator sums
 the cached integer maps of the defect form and the star commutation are
-tested against."""
+tested against.  `reference_kato_scan` keeps the full-matrix Kato scan the
+packed-triangle scan is tested against."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qkcomp import forms, quaternionic
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector,
                           contract, ext_mult, form_inner, interior, wedge)
 from qkcomp.identities import random_vector
@@ -445,6 +451,104 @@ def test_kato_scan_matches_exact_path():
     gaps = [refined_kato_gap(random_quaternionic_harmonic(fr, rng)).gap
             for _ in range(2500)]
     assert kato_gap_scan(2, 2500, seed=10) == (sum(g < 0 for g in gaps), min(gaps))
+
+
+# -- differential: the packed scan against the full-matrix scan --------------
+
+def reference_symmetric_batch(m, count, rng):
+    """`count` full symmetric matrices from the words of `rng`, scattered
+    into the upper and lower triangles with triu_indices."""
+    upper = np.triu_indices(m)
+    width = 1 + len(upper[0])
+    bits = 32 * count * width
+    words = np.frombuffer(rng.getrandbits(bits).to_bytes(bits // 8, "little"),
+                          dtype="<u4").reshape(count, width).astype(np.int64)
+    nums = np.empty((count, m, m), dtype=np.int64)
+    vals = words[:, 1:] % 19 - 9
+    nums[:, upper[0], upper[1]] = vals
+    nums[:, upper[1], upper[0]] = vals
+    return nums, words[:, 0] % 9 + 1
+
+
+def reference_kato_scan(n, samples, seed):
+    """The scan on full 4n x 4n matrices: line sums taken off the diagonal,
+    3|h|^2 - 4|h e_1|^2 over all entries, and a Python loop over the
+    denominators for the least gap."""
+    rng = random.Random(seed)
+    chunk = max(1, quaternionic._SCAN_ENTRIES // (4 * n) ** 2)
+    negatives = 0
+    least = {}
+    diag = np.arange(4 * n)
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        nums, q = reference_symmetric_batch(4 * n, count, rng)
+        line_sums = nums[:, diag, diag].reshape(count, n, 4).sum(axis=2)
+        h = 4 * nums
+        h[:, diag, diag] -= line_sums[:, diag // 4]
+        gaps = 3 * (h * h).sum(axis=(-2, -1)) - 4 * (h[:, 0, :] * h[:, 0, :]).sum(axis=-1)
+        negatives += int((gaps < 0).sum())
+        for d in set(q.tolist()):
+            g = int(gaps[q == d].min())
+            least[d] = min(g, least.get(d, g))
+    return negatives, min(F(g, 48 * d * d) for d, g in least.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10, 888])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_packed_kato_scan_matches_the_full_matrix_scan(n, seed):
+    chunk = max(1, quaternionic._SCAN_ENTRIES // (4 * n) ** 2)
+    for samples in (1, chunk - 1, chunk, chunk + 1, 2500):
+        assert kato_gap_scan(n, samples, seed) == reference_kato_scan(n, samples, seed), samples
+
+
+def raised_row_weights(row):
+    """The Kato weight table with 4 |h e_1|^2 replaced by row |h e_1|^2."""
+    def weights(m):
+        rows, cols = np.triu_indices(m)
+        return 3 * np.where(rows == cols, 1, 2) - row * (rows == 0)
+    return weights
+
+
+def test_kato_paths_see_a_raised_row_weight(monkeypatch):
+    # both paths read the one weight table.  With 4 raised to 5 the equality
+    # case has a negative gap, so its slack invariant raises, and the scan's
+    # least gap moves; the scan's verdict does not turn: on criterion 8's
+    # stream (n = 2, seed 888) the least gap stays far from equality, and
+    # 1e5 samples first show negative gaps at a row weight of 10
+    want = reference_kato_scan(2, 2000, 888)
+    assert want[0] == 0
+    monkeypatch.setattr(quaternionic, "_kato_weights", raised_row_weights(5))
+    with pytest.raises(RuntimeError, match="do not sum to the gap"):
+        refined_kato_gap(equality_case_hessian(build_frame(2), F(1)))
+    negatives, least = kato_gap_scan(2, 2000, 888)
+    assert negatives == 0 and least < want[1]
+    monkeypatch.setattr(quaternionic, "_kato_weights", raised_row_weights(12))
+    negatives, least = kato_gap_scan(2, 2000, 888)
+    assert negatives > 0 and least < 0
+
+
+def test_kato_scan_guards_its_int64_range(monkeypatch):
+    # at n = 2 the weights' sizes sum to 1 + 7 * 2 + 7 * 3 + 21 * 6 = 162,
+    # so no gap exceeds 54^2 * 162
+    bound = 54 ** 2 * 162
+    monkeypatch.setattr(forms, "INT_BOUND", bound)
+    assert kato_gap_scan(2, 10, 888) == reference_kato_scan(2, 10, 888)
+    monkeypatch.setattr(forms, "INT_BOUND", bound - 1)
+    with pytest.raises(Int64RangeError, match="Kato gap scan"):
+        kato_gap_scan(2, 10, 888)
+
+
+def test_kato_scan_guard_survives_optimize():
+    # -O strips assert statements; the range check must still raise
+    code = ("import qkcomp.forms as forms; forms.INT_BOUND = 54 ** 2 * 162 - 1; "
+            "from qkcomp.quaternionic import kato_gap_scan; kato_gap_scan(2, 10, 888)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(forms.__file__).parent.parent) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Int64RangeError" in proc.stderr and "Kato gap scan" in proc.stderr
 
 
 def test_kato_scan_memory_is_chunked():
