@@ -32,7 +32,7 @@ from .comparison import (
 from .forms import ContractViolation
 from .model import build_model, model_curvature
 from .report import Report, check_true, render_value
-from .riccati import DomainError, integrate_riccati, riccati_barrier
+from .riccati import DomainError, integrate_riccati
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
 
 
@@ -136,10 +136,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    prob = suite_mod.BLOCKS[args.block](args.delta)
-    barrier = riccati_barrier(prob)
+    barrier = suite_mod.BLOCKS[args.block](args.delta)
     rep = Report("riccati", {"delta": args.delta, "block": args.block,
-                             "m": prob.m, "K": prob.K, "r_min": args.r_min,
+                             "m": barrier.m, "K": barrier.K, "r_min": args.r_min,
                              "r_max": args.r_max, "steps": args.steps,
                              "samples": args.samples, "seed": args.seed})
     _check_range(args.r_min, args.r_max)
@@ -147,7 +146,7 @@ def cmd_riccati(args) -> int:
     rep.extend(suite_mod.barrier_residual_checks(args.block, args.delta))
     fine = max(args.steps, 8000)
     stride = max(fine // args.steps, 1)
-    traj = integrate_riccati(prob, barrier(args.r_min), args.r_min,
+    traj = integrate_riccati(barrier, barrier(args.r_min), args.r_min,
                              args.r_max, fine)
     at_ts = barrier(traj.ts)
     worst_eq = float(np.abs(traj.us - at_ts).max())

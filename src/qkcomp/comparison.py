@@ -29,14 +29,7 @@ from functools import partial
 import numpy as np
 
 from .forms import ContractViolation
-from .riccati import (
-    ComparisonFunction,
-    DomainError,
-    first_outside,
-    line_block_problem,
-    riccati_barrier,
-    transversal_block_problem,
-)
+from .riccati import DomainError, first_outside, line_block, transversal_block
 
 
 @dataclass(frozen=True)
@@ -55,12 +48,6 @@ class ModelGeometry:
     @property
     def dim(self) -> int:
         return 4 * self.n
-
-    def line_barrier(self) -> ComparisonFunction:
-        return riccati_barrier(line_block_problem(self.delta))
-
-    def transversal_barrier(self) -> ComparisonFunction:
-        return riccati_barrier(transversal_block_problem(self.delta))
 
     def domain_check(self, r) -> None:
         """DomainError unless r, a radius or every entry of an array, lies
@@ -81,7 +68,7 @@ def hessian_block_bounds(g: ModelGeometry, r):
     (6 coth 2r, 4 coth r) for delta=-1, (3/r, 4/r) for delta=0, and
     (6 cot 2r, 4 cot r) for delta=+1."""
     g.domain_check(r)
-    return g.line_barrier()(r), g.transversal_barrier()(r)
+    return line_block(g.delta)(r), transversal_block(g.delta)(r)
 
 
 def laplacian_distance(g: ModelGeometry, r):
@@ -150,9 +137,11 @@ def integrate(f, a: float, b: float) -> float:
     the two agree to QUADRATURE_EPSREL of that value or of the panel's
     share of the whole (the first panel's value), so that negligible
     panels, as near 0 for r^{4n-1}, are not split; otherwise it is
-    bisected.  Panels are summed left to right.  RuntimeError when the
-    partition would pass QUADRATURE_PANELS panels, as for a divergent or
-    non-finite integrand."""
+    bisected.  Panels are summed left to right.  DomainError, naming the
+    interval and the panel, when a panel's 20-point value overflows to
+    +-inf, as r^{4n}/4n does past the float range while J = r^{4n-1} is
+    still finite; RuntimeError when the partition would pass
+    QUADRATURE_PANELS panels, as for a divergent or NaN integrand."""
     total = 0.0
     panels = 1
     pending = [(a, b)]
@@ -164,6 +153,9 @@ def integrate(f, a: float, b: float) -> float:
         vals = f(xs)
         fine = half * float(_W20 @ vals[:20])
         coarse = half * float(_W10 @ vals[20:])
+        if math.isinf(fine):
+            raise DomainError(f"integral over [{a}, {b}] overflows the float range "
+                              f"(at [{lo}, {hi}]: {fine!r})")
         if whole is None:
             whole = abs(fine)
         error = abs(fine - coarse)

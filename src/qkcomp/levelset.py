@@ -75,7 +75,7 @@ def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeome
     C = _nilpotent_brackets(sc, scale)
     if jacobi_violations(C) != 0:
         raise ContractViolation("nilpotent bracket table violates Jacobi")
-    bar = CurvatureTensor(sc.n, curvature_table(C, levi_civita_table(C)))
+    bar = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
     h, off = second_fundamental_form(sc)
     if off:
         raise ContractViolation("ambient shape operator is not diagonal")

@@ -109,7 +109,6 @@ def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
 class CurvatureTensor:
     """Exact 4-index curvature array in the fixed convention."""
 
-    n: int
     table: ExactArray  # R[A, B, C, D], 0-based
 
     @property
@@ -166,7 +165,7 @@ def _derive_bracket_scale() -> tuple[Fraction, tuple]:
 
     def einstein_ok(c: Fraction) -> bool:
         C = _bracket_table(n, c)
-        R = CurvatureTensor(n, curvature_table(C, levi_civita_table(C)))
+        R = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
         return not _einstein_violations(R, n).any()
 
     record = tuple((cand, einstein_ok(cand)) for cand in EINSTEIN_SWEEP)
@@ -188,7 +187,7 @@ def build_model(n: int) -> StructureConstants:
 
 
 def curvature(sc: StructureConstants) -> CurvatureTensor:
-    return CurvatureTensor(sc.n, curvature_table(sc.table, levi_civita_table(sc.table)))
+    return CurvatureTensor(curvature_table(sc.table, levi_civita_table(sc.table)))
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,20 @@
 """Closed-form Riccati barriers and a certifying fixed-step integrator.
 
 The normal form is u' + u^2/m + m K <= 0 with u(t) ~ m/t as t -> 0+.
-The two instances that occur are (m=3, K=4*delta) for the quaternionic
-line block and (m=4, K=delta) for each transversal block.  The equality
-solutions are
+One type, `ComparisonFunction(m, K)`, is a block's equation and its
+closed-form barrier.  The two instances that occur are (m=3, K=4*delta)
+for the quaternionic line block (`line_block`) and (m=4, K=delta) for
+each transversal block (`transversal_block`).  The equality solutions
+are
 
     K > 0:  m sqrt(K)  cot(sqrt(K) t)     on (0, pi/sqrt(K))
     K = 0:  m / t
     K < 0:  m sqrt(-K) coth(sqrt(-K) t)
 
 and they dominate every sub-solution with the same initial asymptote.
+K is accepted when |K| is a rational square, so that sqrt(|K|) and the
+amplitude m sqrt(|K|) are exact and the residual of the barrier is an
+exact rational; delta in {-1, 0, 1} gives K in {0, +-1, +-4}.
 
 A barrier, its derivative and its domain check are numpy expressions
 that take a float or an array: one call evaluates a whole grid, and a
@@ -17,8 +22,8 @@ float goes through the same ufuncs as an array entry.
 
 The integrator is one RK4 loop over rows that may each carry their own
 (m, K), stepped WINDOW steps at a time.  `comparison_excess` steps
-several problems' trajectories as one batch and keeps only each
-problem's largest u - barrier(t), so its memory does not grow with the
+several barriers' trajectories as one batch and keeps only each
+barrier's largest u - barrier(t), so its memory does not grow with the
 step count; `integrate_riccati` steps one trajectory, on numpy scalars,
 and writes every window into one table.  Both give the same bits as the
 scalar loop, trajectory by trajectory.
@@ -63,8 +68,16 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 @dataclass(frozen=True)
-class RiccatiProblem:
-    """Block weight m > 0 and curvature constant K of the normal form."""
+class ComparisonFunction:
+    """The Riccati equation u' + u^2/m + m K = 0 of one Hessian block, with
+    block weight m > 0 and a curvature constant K whose |K| is a rational
+    square, and its equality solution a c(b t) with u ~ m/t as t -> 0+.
+
+    Everything else is worked out from (m, K): the kind of c ("cot" for
+    K > 0, "coth" for K < 0, "reciprocal" at K = 0, where the solution is
+    a/t), the exact b = sqrt(|K|) and a = m b (a = m at K = 0), and the
+    floats `frequency`, `amplitude` and `pole` that the barrier evaluates.
+    """
 
     m: Fraction
     K: Fraction
@@ -72,35 +85,33 @@ class RiccatiProblem:
     def __post_init__(self) -> None:
         if self.m <= 0:
             raise ContractViolation(f"block weight must be positive, got {self.m}")
+        if self.b is None:
+            raise ContractViolation(f"need |K| a rational square, got K={self.K}")
 
+    @cached_property
+    def kind(self) -> str:
+        if self.K == 0:
+            return "reciprocal"
+        return "cot" if self.K > 0 else "coth"
 
-@dataclass(frozen=True)
-class ComparisonFunction:
-    """Closed-form barrier with exact parameters where the frequency is rational.
+    @cached_property
+    def b(self) -> Fraction | None:
+        """The exact frequency sqrt(|K|); None, which the constructor
+        refuses, when it is irrational."""
+        return rational_sqrt(abs(Fraction(self.K)))
 
-    kind is one of "cot", "coth", "reciprocal"; b_squared = |K| exactly,
-    and b/a are exact Fractions whenever sqrt(|K|) is rational (all the
-    cases the theory needs: K in {0, +-1, +-4}).
-    """
-
-    kind: str
-    m: Fraction
-    K: Fraction
-    b_squared: Fraction
-    b_exact: Fraction | None
-
-    def __post_init__(self) -> None:
-        # float m, converted once: the barrier is evaluated at every step
-        object.__setattr__(self, "_m", float(self.m))
+    @cached_property
+    def a(self) -> Fraction:
+        """The exact amplitude: m b, and m at K = 0."""
+        return Fraction(self.m) * self.b if self.K != 0 else Fraction(self.m)
 
     @cached_property
     def frequency(self) -> float:
-        return float(self.b_exact) if self.b_exact is not None \
-            else math.sqrt(float(self.b_squared))
+        return float(self.b)
 
     @cached_property
     def amplitude(self) -> float:
-        return self._m * self.frequency
+        return float(self.a)
 
     @cached_property
     def pole(self) -> float | None:
@@ -125,7 +136,7 @@ class ComparisonFunction:
         self.domain_check(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "reciprocal":
-            return self._m / t
+            return self.amplitude / t
         tan_or_tanh = np.tanh if self.kind == "coth" else np.tan
         return self.amplitude / tan_or_tanh(self.frequency * t)
 
@@ -134,38 +145,33 @@ class ComparisonFunction:
         self.domain_check(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "reciprocal":
-            return -self._m / (t * t)
+            return -self.amplitude / (t * t)
         s = (np.sinh if self.kind == "coth" else np.sin)(self.frequency * t)
         return -self.amplitude * self.frequency / (s * s)
 
     def symbolic_residual(self) -> dict[str, Fraction]:
-        """Exact coefficients of u' + u^2/m + m K in the natural basis.
-
-        The residual is a linear combination of {1, c^2} with c the
-        transcendental of the branch (coth(bt), cot(bt), or 1/t); only
-        b^2 = |K| enters, so the coefficients are exact rationals even
-        when b itself is irrational.  Both must vanish for the equality
-        solution.
-        """
-        m, K, b2 = self.m, self.K, self.b_squared
+        """Exact coefficients of u' + u^2/m + m K for u = a c(b t), in the
+        basis {c^2, 1} with c = coth(bt), cot(bt), or 1/t, from the a and b
+        whose floats the barrier evaluates.  Both vanish for the equality
+        solution."""
+        m, K, a, b = Fraction(self.m), Fraction(self.K), self.a, self.b
         if self.kind == "reciprocal":
-            # u = m/t: u' = -m/t^2, u^2/m = m/t^2
-            return {"t^-2": Fraction(0), "1": m * K}
-        # a = m b: u' = -+ a b (c^2 -+ 1), u^2/m = m b^2 c^2
+            # u = a/t: u' = -a/t^2, u^2/m = a^2/(m t^2)
+            return {"t^-2": -a + a * a / m, "1": m * K}
+        # u' = -+ a b (c^2 -+ 1), u^2/m = (a^2/m) c^2
         if self.kind == "coth":
-            return {"coth^2": -m * b2 + m * b2, "1": m * b2 + m * K}
-        return {"cot^2": -m * b2 + m * b2, "1": -m * b2 + m * K}
+            return {"coth^2": -a * b + a * a / m, "1": a * b + m * K}
+        return {"cot^2": -a * b + a * a / m, "1": -a * b + m * K}
 
 
-def riccati_barrier(p: RiccatiProblem) -> ComparisonFunction:
-    """The equality solution of u' + u^2/m + m K = 0 with u ~ m/t at 0."""
-    K = Fraction(p.K)
-    m = Fraction(p.m)
-    if K == 0:
-        return ComparisonFunction("reciprocal", m, K, Fraction(0), Fraction(0))
-    b2 = abs(K)
-    kind = "cot" if K > 0 else "coth"
-    return ComparisonFunction(kind, m, K, b2, rational_sqrt(b2))
+def line_block(delta: int) -> ComparisonFunction:
+    """m = 3, K = 4 delta: the quaternionic line block of the Hessian."""
+    return ComparisonFunction(Fraction(3), Fraction(4 * delta))
+
+
+def transversal_block(delta: int) -> ComparisonFunction:
+    """m = 4, K = delta: one transversal quaternionic block."""
+    return ComparisonFunction(Fraction(4), Fraction(delta))
 
 
 @dataclass(frozen=True)
@@ -181,10 +187,10 @@ BLOWUP_LIMIT = 1.0e9
 WINDOW = 100  # RK4 steps held at once
 
 
-def _validated(p: RiccatiProblem, u0s, t0s, t1: float,
+def _validated(barrier: ComparisonFunction, u0s, t0s, t1: float,
                steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(u0s, t0s) as float arrays, once they are 1-d, of one nonzero
-    length, start at 0 < t0 < t1 at or below p's barrier, and `steps` is
+    length, start at 0 < t0 < t1 at or below the barrier, and `steps` is
     at least 100; ContractViolation otherwise."""
     u0s = np.asarray(u0s, dtype=float)
     t0s = np.asarray(t0s, dtype=float)
@@ -200,7 +206,7 @@ def _validated(p: RiccatiProblem, u0s, t0s, t1: float,
             f"need t0 < t1, got t0={float(t0s[np.argmax(t0s >= t1)])} >= t1={t1}")
     if steps < 100:
         raise ContractViolation(f"need at least 100 steps, got {steps}")
-    at_start = riccati_barrier(p)(t0s)
+    at_start = barrier(t0s)
     if (u0s > at_start).any():
         j = int(np.argmax(u0s > at_start))
         raise ContractViolation(f"u0={float(u0s[j])} starts above the barrier "
@@ -266,27 +272,26 @@ def _rk4_windows(m: np.ndarray, mK: np.ndarray, u0s: np.ndarray, t0s: np.ndarray
         start += w
 
 
-def _coefficients(problems, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row float m and m K for `sizes[i]` rows of problems[i]."""
-    m = [float(p.m) for p in problems]
-    mK = [mi * float(p.K) for mi, p in zip(m, problems)]
+def _coefficients(barriers, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row float m and m K for `sizes[i]` rows of barriers[i]."""
+    m = [float(f.m) for f in barriers]
+    mK = [mi * float(f.K) for mi, f in zip(m, barriers)]
     return np.repeat(m, sizes), np.repeat(mK, sizes)
 
 
 def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int]]:
     """(largest u - barrier(t) over every valid point, number truncated)
-    for each (problem, u0s, t0s) instance: the trajectories that
-    integrate_riccati(problem, u0, t0, t1, steps) gives one by one, with
+    for each (barrier, u0s, t0s) instance: the trajectories that
+    integrate_riccati(barrier, u0, t0, t1, steps) gives one by one, with
     the same bits, stepped as one batch WINDOW steps at a time, so only
     one window of every instance is held at once."""
-    problems = [p for p, _, _ in instances]
-    u0s, t0s = zip(*(_validated(p, u0, t0, t1, steps) for p, u0, t0 in instances))
+    barriers = [f for f, _, _ in instances]
+    u0s, t0s = zip(*(_validated(f, u0, t0, t1, steps) for f, u0, t0 in instances))
     sizes = [u0.size for u0 in u0s]
-    m, mK = _coefficients(problems, sizes)
+    m, mK = _coefficients(barriers, sizes)
     ends = np.cumsum([0] + sizes)
     rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    barriers = [riccati_barrier(p) for p in problems]
-    excess = [-math.inf] * len(problems)
+    excess = [-math.inf] * len(barriers)
     windows = _rk4_windows(m, mK, np.concatenate(u0s), np.concatenate(t0s), t1, steps)
     for start, ts, us, lengths in windows:
         # the unwritten columns of a window cut short lie past every length
@@ -298,7 +303,7 @@ def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int
     return [(worst, int((lengths[r] <= steps).sum())) for worst, r in zip(excess, rows)]
 
 
-def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
+def integrate_riccati(barrier: ComparisonFunction, u0: float, t0: float, t1: float,
                       steps: int) -> Trajectory:
     """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K from
     (t0, u0) to t1 in `steps` steps.
@@ -307,8 +312,8 @@ def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
     reach -infinity in finite time.  The trajectory ends before a value
     that is not finite or exceeds BLOWUP_LIMIT in size, and is then
     flagged truncated."""
-    u0s, t0s = _validated(p, [u0], [t0], t1, steps)
-    m, mK = _coefficients([p], [1])
+    u0s, t0s = _validated(barrier, [u0], [t0], t1, steps)
+    m, mK = _coefficients([barrier], [1])
     # one table for every window: per-window copies joined at the end were
     # about 10% slower at 100k steps
     ts, us = np.empty(steps + 1), np.empty(steps + 1)
@@ -318,12 +323,3 @@ def integrate_riccati(p: RiccatiProblem, u0: float, t0: float, t1: float,
     k = int(lengths[0])
     return Trajectory(ts[:k], us[:k], k <= steps)
 
-
-def line_block_problem(delta: int) -> RiccatiProblem:
-    """m = 3, K = 4 delta: the quaternionic line block of the Hessian."""
-    return RiccatiProblem(Fraction(3), Fraction(4 * delta))
-
-
-def transversal_block_problem(delta: int) -> RiccatiProblem:
-    """m = 4, K = delta: one transversal quaternionic block."""
-    return RiccatiProblem(Fraction(4), Fraction(delta))

@@ -66,8 +66,6 @@ class SpectralEstimate:
 
     lambda1: float
     residual: float
-    mesh_points: int
-    r_max: float
     iterations: int
 
 
@@ -232,7 +230,7 @@ def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
         raise RuntimeError(f"eigen-solve residual {residual:.3e} exceeds "
                            f"{RESIDUAL_TARGET:.0e} (lambda1 {lam})")
     _certify_lowest(t_diag, t_off, lam)
-    return SpectralEstimate(lam, residual, p.mesh_points, p.r_max, solves)
+    return SpectralEstimate(lam, residual, solves)
 
 
 def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray],

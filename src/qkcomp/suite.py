@@ -58,7 +58,7 @@ from .quaternionic import (
     verify_star_commutation,
 )
 from .report import Check, Report, check_eq, check_true
-from .riccati import comparison_excess, line_block_problem, riccati_barrier, transversal_block_problem
+from .riccati import comparison_excess, line_block, transversal_block
 from .spectral import RadialProblem, convergence_study, lambda1_dirichlet, rayleigh_quotient
 
 
@@ -153,17 +153,16 @@ def criterion_2_harmonicity() -> Report:
 
 
 TRAJECTORY_MARGIN = 1e-6
-BLOCKS = {"line": line_block_problem, "transversal": transversal_block_problem}
+BLOCKS = {"line": line_block, "transversal": transversal_block}
 
 
 def barrier_residual_checks(block: str, delta: int) -> list[Check]:
     """The barrier of one block solves the equality Riccati equation:
     symbolic residual exactly 0, floating residual <= 1e-12 at three points."""
-    prob = BLOCKS[block](delta)
-    barrier = riccati_barrier(prob)
+    barrier = BLOCKS[block](delta)
     resid = barrier.symbolic_residual()
     ts = np.array((0.2, 0.5, 0.7) if delta == 1 and block == "line" else (0.5, 1.0, 2.0))
-    m, K = float(prob.m), float(prob.K)
+    m, K = float(barrier.m), float(barrier.K)
     worst = float(np.abs(barrier.derivative(ts) + barrier(ts) ** 2 / m + m * K).max())
     return [check_true(f"{block} block, delta={delta}: symbolic residual is exactly 0",
                        all(v == 0 for v in resid.values()),
@@ -181,11 +180,11 @@ def trajectory_checks(instances, samples: int, seed: int, t0_min: float,
     (RK4, `steps` steps; every instance in one batch)."""
     data = []
     for block, delta in instances:
-        prob = BLOCKS[block](delta)
+        barrier = BLOCKS[block](delta)
         rng = random.Random(seed)
         draws = np.array([rng.random() for _ in range(2 * samples)]).reshape(-1, 2)
         t0s = t0_min + t0_span * draws[:, 0]
-        data.append((prob, riccati_barrier(prob)(t0s) - 3.0 * draws[:, 1], t0s))
+        data.append((barrier, barrier(t0s) - 3.0 * draws[:, 1], t0s))
     return [check_true(
         f"instance ({block} {delta}): {samples} trajectories stay <= barrier + 1e-6",
         worst <= TRAJECTORY_MARGIN, detail=f"max excess {worst:.3e}, truncated {truncated}")

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the one-line
 pass/fail summary per criterion; each test also enforces the stated
 wall-clock budget around the shared battery implementation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -183,3 +184,12 @@ def test_traced_benchmark_worker_binds_every_spanned_name():
             assert criterion["checks"]
             assert all(c["passed"] for c in criterion["checks"]), criterion["checks"]
     assert result["layers"]["comparison.s"] > 0
+
+
+def test_library_code_has_no_assert():
+    # invariants are real checks: `python -O` strips every assert statement
+    src = Path(qkcomp.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

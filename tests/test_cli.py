@@ -289,6 +289,28 @@ def test_overflowing_density_is_usage_error(argv, radius, capsys):
     assert err.startswith(f"qkcomp: area density J overflows the float range at {radius}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["volume", "--delta", "0", "--r-max", "1e40", "--steps", "2"],
+    ["volume", "--delta", "0", "--n", "5", "--r-max", "1e16", "--steps", "2"],
+])
+def test_overflowing_volume_integral_is_usage_error(argv, capsys):
+    # J = r^{4n-1} stays finite at r_max / 2, but its integral r^{4n}/4n
+    # does not, and the quadrature names the interval
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qkcomp: integral over [0.0, ")
+    assert "overflows the float range" in err
+
+
+def test_volume_integral_within_float_range_still_passes(capsys):
+    # (1e38)^8 / 8 = 1.25e303 is below the largest float
+    status, out = run_cli(["volume", "--delta", "0", "--r-max", "1e38", "--steps", "2"], capsys)
+    assert status == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
 @pytest.mark.parametrize("command", ["volume", "compare"])
 def test_density_within_float_range_still_passes(command, capsys):
     status, out = run_cli([command, "--r-max", "60", "--steps", "2"], capsys)

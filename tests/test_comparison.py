@@ -32,10 +32,10 @@ from qkcomp.comparison import (
     volume_ratio_check,
 )
 from qkcomp.forms import ContractViolation
-from qkcomp.riccati import DomainError
+from qkcomp.riccati import DomainError, line_block, transversal_block
 from qkcomp.spectral import RadialProblem
 from qkcomp.suite import volume_ratio_equality_check
-from test_riccati import reference_barrier
+from test_riccati import CRITERION_4_RADII, reference_barrier
 
 
 # -- reference: the density one float at a time, with libm ---------------------
@@ -295,6 +295,15 @@ def test_integrate_raises_at_the_panel_cap(f):
         integrate(f, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n, r", [(2, 1e40), (5, 1e16)])
+def test_integrate_refuses_an_overflowing_panel(n, r):
+    # J = r^{4n-1} is finite at r, but its integral r^{4n}/4n overflows
+    g = ModelGeometry(n, 0)
+    assert np.isfinite(area_density(g, r))
+    with pytest.raises(DomainError, match=re.escape(f"integral over [0.0, {r}] overflows")):
+        volume(g, r)
+
+
 def test_suite_leaves_out_scipy():
     # scipy was most of the suite's start-up time; the tests alone import
     # it, as an oracle
@@ -371,10 +380,6 @@ def test_eigenvalue_bounds_table():
         assert eb.quaternionic < eb.real_cheng
 
 
-CRITERION_4_RADII = ([0.1 + 0.065 * i for i in range(20)]
-                     + [0.3 + 0.15 * i for i in range(20)])
-
-
 def spectral_mesh(n, delta, r_max):
     """The half-points and interior nodes of a 2000-point radial mesh."""
     p = RadialProblem(n, 1e-3, r_max, 2000, delta)
@@ -406,9 +411,9 @@ def test_block_bounds_match_the_math_reference(delta):
     rs = np.array([r for r in CRITERION_4_RADII if delta != 1 or r < math.pi / 2])
     line, trans = hessian_block_bounds(g, rs)
     assert line.tolist() == pytest.approx(
-        [reference_barrier(g.line_barrier(), r) for r in rs.tolist()], rel=1e-14)
+        [reference_barrier(line_block(delta), r) for r in rs.tolist()], rel=1e-14)
     assert trans.tolist() == pytest.approx(
-        [reference_barrier(g.transversal_barrier(), r) for r in rs.tolist()], rel=1e-14)
+        [reference_barrier(transversal_block(delta), r) for r in rs.tolist()], rel=1e-14)
     assert laplacian_distance(g, rs).tolist() == (line + 2 * trans).tolist()
 
 

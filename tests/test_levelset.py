@@ -175,7 +175,7 @@ def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
     num = R.table.num.copy()
     for _ in range(40):
         num[tuple(rng.randrange(1, 8) for _ in range(4))] += 1
-    broken = CurvatureTensor(2, ExactArray.of(num, R.table.den))
+    broken = CurvatureTensor(ExactArray.of(num, R.table.den))
     lsg = level_set_geometry(sc, scale)
     counts = reference_gauss_counts(broken, lsg)
     assert sum(bad for bad, _ in counts.values()) > 0
@@ -251,7 +251,7 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
     if n == 3:
         num[6, 8, 6, 8] += 1  # K^N(e_8, e_10), across lines
     broken = LevelSetGeometry(n, lsg.scale, lsg.second_fundamental,
-                              CurvatureTensor(n, ExactArray.of(num, lsg.curvature.table.den)))
+                              CurvatureTensor(ExactArray.of(num, lsg.curvature.table.den)))
     expected = rendered(reference_level_set_sums(broken))
     # every sum fails but the cross-line one, which n = 2 does not have
     assert sum(not chk["pass"] for chk in expected) == (5 if n == 3 else 4)

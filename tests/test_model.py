@@ -452,7 +452,7 @@ def test_triple_check_matches_the_per_triple_loop(n, seed):
     for _ in range(R.dim ** 4 // 20):
         many[tuple(rng.randrange(R.dim) for _ in range(4))] += rng.choice((-1, 1))
     for num in (one, many):
-        broken = CurvatureTensor(n, ExactArray.of(num, R.table.den))
+        broken = CurvatureTensor(ExactArray.of(num, R.table.den))
         data = verify_berger(broken, frame, n, seed)
         expected = reference_triple_violations(broken, data, seed)
         assert expected > 0
@@ -579,7 +579,7 @@ def test_violation_counts_match_reference_on_a_perturbed_tensor():
     broken = ExactArray.of(num, R.den)
     expected = reference_symmetry_violations(broken.fractions())
     assert expected > 0
-    assert CurvatureTensor(2, broken).symmetry_violations() == expected
+    assert CurvatureTensor(broken).symmetry_violations() == expected
 
     C = build_model(2).table
     num = C.num.copy()

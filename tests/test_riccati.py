@@ -1,6 +1,7 @@
 """Riccati barriers: closed forms, exact residuals, and the comparison
 principle for the certifying integrator."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -14,14 +15,13 @@ from qkcomp.riccati import (
     WINDOW,
     ComparisonFunction,
     DomainError,
-    RiccatiProblem,
     comparison_excess,
     integrate_riccati,
-    line_block_problem,
+    line_block,
     rational_sqrt,
-    riccati_barrier,
-    transversal_block_problem,
+    transversal_block,
 )
+from qkcomp.suite import barrier_residual_checks
 
 
 # -- reference: the scalar RK4 loop, one trajectory at a time ------------------
@@ -50,6 +50,34 @@ def reference_rk4(p, u0, t0, t1, steps):
         ts.append(t)
         us.append(u)
     return ts, us, False
+
+
+# -- reference: the barrier as the five-field type built it -------------------
+# That type stored kind, m, K, |K| and the exact sqrt(|K|) (or None), took its
+# amplitude as float(m) times the float frequency, and was made from (m, K)
+# by a factory; ComparisonFunction(m, K) works all of that out itself.
+
+def reference_block_barrier(m, K):
+    """(barrier, derivative) of u' + u^2/m + m K = 0 with u ~ m/t at 0, as
+    functions of a float array, computed as the five-field type did."""
+    m_float = float(m)
+    if K == 0:
+        return (lambda t: m_float / t), (lambda t: -m_float / (t * t))
+    root = rational_sqrt(abs(F(K)))
+    b = float(root) if root is not None else math.sqrt(float(abs(F(K))))
+    a = m_float * b
+    tan_or_tanh, sin_or_sinh = (np.tan, np.sin) if K > 0 else (np.tanh, np.sinh)
+
+    def derivative(t):
+        s = sin_or_sinh(b * t)
+        return -a * b / (s * s)
+
+    return (lambda t: a / tan_or_tanh(b * t)), derivative
+
+
+# criterion 4's grids: the closed-form check's and the log-derivative check's
+CRITERION_4_RADII = ([0.1 + 0.065 * i for i in range(20)]
+                     + [0.3 + 0.15 * i for i in range(20)])
 
 
 # -- reference: the barrier one float at a time, with libm ---------------------
@@ -83,13 +111,12 @@ def reference_barrier_derivative(barrier, t):
     return -a * b / (s * s)
 
 
-def reference_excess(prob, u0s, t0s, t1, steps):
+def reference_excess(barrier, u0s, t0s, t1, steps):
     """(largest u - barrier(t) over every valid point, number truncated) of
     reference_rk4's trajectories from (u0s, t0s)."""
-    barrier = riccati_barrier(prob)
     worst, truncated = -math.inf, 0
     for u0, t0 in zip(u0s, t0s):
-        ts, us, cut = reference_rk4(prob, u0, t0, t1, steps)
+        ts, us, cut = reference_rk4(barrier, u0, t0, t1, steps)
         worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
         truncated += cut
     return worst, truncated
@@ -105,68 +132,95 @@ def criterion_3_inputs(barrier, count=100):
     return u0s, t0s
 
 
-CRITERION_3_INSTANCES = [line_block_problem(-1), transversal_block_problem(-1),
-                         line_block_problem(0), transversal_block_problem(0)]
+CRITERION_3_INSTANCES = [line_block(-1), transversal_block(-1),
+                         line_block(0), transversal_block(0)]
 
 
 def test_barrier_forms_match_the_displayed_bounds():
-    b = riccati_barrier(line_block_problem(-1))
+    b = line_block(-1)
     assert b.kind == "coth" and b.amplitude == 6.0 and b.frequency == 2.0
-    b = riccati_barrier(transversal_block_problem(-1))
+    b = transversal_block(-1)
     assert b.kind == "coth" and b.amplitude == 4.0 and b.frequency == 1.0
-    b = riccati_barrier(line_block_problem(0))
+    b = line_block(0)
     assert b.kind == "reciprocal"
     assert b(2.0) == 1.5
-    b = riccati_barrier(transversal_block_problem(0))
+    b = transversal_block(0)
     assert b(2.0) == 2.0
-    b = riccati_barrier(line_block_problem(1))
+    b = line_block(1)
     assert b.kind == "cot" and b.amplitude == 6.0 and b.frequency == 2.0
-    b = riccati_barrier(transversal_block_problem(1))
+    b = transversal_block(1)
     assert b.kind == "cot" and b.amplitude == 4.0 and b.frequency == 1.0
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
-@pytest.mark.parametrize("block", [line_block_problem, transversal_block_problem])
+@pytest.mark.parametrize("block", [line_block, transversal_block])
 def test_symbolic_residual_vanishes(block, delta):
-    barrier = riccati_barrier(block(delta))
+    barrier = block(delta)
     assert all(v == 0 for v in barrier.symbolic_residual().values())
 
 
-def test_symbolic_residual_nonzero_for_wrong_flat_constant():
-    # m/t solves the K=0 equation only; with K != 0 the constant term survives
-    wrong = ComparisonFunction("reciprocal", F(3), F(-4), F(0), F(0))
-    assert wrong.symbolic_residual()["1"] == -12
+def test_symbolic_residual_nonzero_for_wrong_flat_constant(monkeypatch):
+    # c/t solves the K = 0 equation only for c = m: with the exact amplitude
+    # set to 2m the t^-2 coefficient -c + c^2/m survives
+    monkeypatch.setattr(ComparisonFunction, "a", property(lambda self: 2 * F(self.m)))
+    assert transversal_block(0).symbolic_residual() == {"t^-2": 8, "1": 0}
+
+
+@pytest.mark.parametrize("block, delta, residual", [
+    ("line", -1, {"coth^2": -3, "1": -6}),
+    ("transversal", -1, {"coth^2": 0, "1": 0}),
+    ("line", 0, {"t^-2": 0, "1": 0}),
+    ("line", 1, {"cot^2": -3, "1": 6}),
+])
+def test_residual_checks_fail_with_the_amplitude_set_to_m(monkeypatch, block, delta, residual):
+    # the symbolic residual is computed from the exact a and b whose floats
+    # the barrier evaluates, so an amplitude m instead of m b shows in it and
+    # in the floating residual; at b = 1 and at K = 0, m b is m
+    monkeypatch.setattr(ComparisonFunction, "a", property(lambda self: F(self.m)))
+    symbolic, floating = barrier_residual_checks(block, delta)
+    assert symbolic.actual == ",".join(f"{k}={v}" for k, v in residual.items())
+    wrong = any(residual.values())
+    assert symbolic.passed == floating.passed == (not wrong)
+
+
+def test_comparison_function_is_m_and_K():
+    # kind, frequency, amplitude and pole are worked out from (m, K)
+    assert [f.name for f in dataclasses.fields(ComparisonFunction)] == ["m", "K"]
+    barrier = ComparisonFunction(F(3), F(-4))
+    assert (barrier.kind, barrier.b, barrier.a) == ("coth", 2, 6)
+    barrier = ComparisonFunction(F(4), F(1, 9))
+    assert (barrier.kind, barrier.b, barrier.a) == ("cot", F(1, 3), F(4, 3))
+    assert barrier.pole == pytest.approx(3 * math.pi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        barrier.m = F(5)
 
 
 def test_floating_residual_on_grid():
-    for prob in (line_block_problem(-1), transversal_block_problem(-1)):
-        barrier = riccati_barrier(prob)
+    for barrier in (line_block(-1), transversal_block(-1)):
         for t in (0.5, 1.0, 2.0):
-            resid = (barrier.derivative(t) + barrier(t) ** 2 / float(prob.m)
-                     + float(prob.m * prob.K))
+            resid = (barrier.derivative(t) + barrier(t) ** 2 / float(barrier.m)
+                     + float(barrier.m * barrier.K))
             assert abs(resid) <= 1e-12
 
 
 def test_equality_solution_tracked_to_1e8():
-    prob = line_block_problem(-1)
-    barrier = riccati_barrier(prob)
-    traj = integrate_riccati(prob, barrier(0.1), 0.1, 3.0, steps=10000)
+    barrier = line_block(-1)
+    traj = integrate_riccati(barrier, barrier(0.1), 0.1, 3.0, steps=10000)
     assert not traj.truncated
     assert np.abs(np.array(traj.us) - barrier(np.array(traj.ts))).max() <= 1e-8
 
 
 def test_flat_equality_solution():
-    prob = transversal_block_problem(0)
-    traj = integrate_riccati(prob, 4.0 / 0.5, 0.5, 4.0, steps=5000)
+    barrier = transversal_block(0)
+    traj = integrate_riccati(barrier, 4.0 / 0.5, 0.5, 4.0, steps=5000)
     worst = max(abs(u - 4.0 / t) for t, u in zip(traj.ts, traj.us))
     assert worst <= 1e-8
 
 
 def test_comparison_principle_oracle_high_resolution():
     # one trajectory checked against the barrier at oracle step count 1e5
-    prob = line_block_problem(-1)
-    barrier = riccati_barrier(prob)
-    traj = integrate_riccati(prob, barrier(0.1) - 0.5, 0.1, 3.0, steps=100000)
+    barrier = line_block(-1)
+    traj = integrate_riccati(barrier, barrier(0.1) - 0.5, 0.1, 3.0, steps=100000)
     assert (np.array(traj.us) <= barrier(np.array(traj.ts)) + 1e-6).all()
     # sub-barrier solutions converge up toward the barrier (whose limit is
     # the asymptote 6) without ever crossing it
@@ -174,25 +228,24 @@ def test_comparison_principle_oracle_high_resolution():
 
 
 def test_deep_substart_blows_down_and_truncates():
-    prob = line_block_problem(-1)
-    traj = integrate_riccati(prob, -60.0, 0.2, 3.0, steps=5000)
+    barrier = line_block(-1)
+    traj = integrate_riccati(barrier, -60.0, 0.2, 3.0, steps=5000)
     assert traj.truncated
     assert traj.us[-1] < 0
 
 
 def test_integrator_preconditions():
-    prob = line_block_problem(-1)
-    barrier = riccati_barrier(prob)
+    barrier = line_block(-1)
     with pytest.raises(ContractViolation):
-        integrate_riccati(prob, barrier(0.5) + 1.0, 0.5, 2.0, steps=1000)
+        integrate_riccati(barrier, barrier(0.5) + 1.0, 0.5, 2.0, steps=1000)
     with pytest.raises(ContractViolation):
-        integrate_riccati(prob, 0.0, -0.5, 2.0, steps=1000)
+        integrate_riccati(barrier, 0.0, -0.5, 2.0, steps=1000)
     with pytest.raises(ContractViolation):
-        integrate_riccati(prob, 0.0, 0.5, 2.0, steps=10)
+        integrate_riccati(barrier, 0.0, 0.5, 2.0, steps=10)
 
 
 def test_cot_barrier_domain():
-    barrier = riccati_barrier(line_block_problem(1))
+    barrier = line_block(1)
     assert barrier.pole == pytest.approx(math.pi / 2)
     barrier(0.7)
     with pytest.raises(DomainError):
@@ -202,8 +255,15 @@ def test_cot_barrier_domain():
 
 
 def test_problem_validation():
-    with pytest.raises(ContractViolation):
-        RiccatiProblem(F(0), F(1))
+    with pytest.raises(ContractViolation, match="block weight must be positive"):
+        ComparisonFunction(F(0), F(1))
+    with pytest.raises(ContractViolation, match="block weight must be positive"):
+        ComparisonFunction(F(-3), F(-4))
+    # sqrt(2) is irrational, so no exact amplitude or residual exists
+    with pytest.raises(ContractViolation, match="rational square"):
+        ComparisonFunction(F(4), F(2))
+    with pytest.raises(ContractViolation, match="rational square"):
+        ComparisonFunction(F(3), F(-1, 2))
 
 
 def test_rational_sqrt():
@@ -217,10 +277,10 @@ def test_rational_sqrt():
 # `integrate_riccati` steps one trajectory (a batch of one, on numpy scalars);
 # `comparison_excess` steps a batch of rows, criterion 3's 400 among them.
 
-def assert_matches_reference(prob, u0, t0, t1, steps):
+def assert_matches_reference(barrier, u0, t0, t1, steps):
     """integrate_riccati's trajectory is reference_rk4's, bit for bit."""
-    traj = integrate_riccati(prob, u0, t0, t1, steps)
-    ts, us, truncated = reference_rk4(prob, u0, t0, t1, steps)
+    traj = integrate_riccati(barrier, u0, t0, t1, steps)
+    ts, us, truncated = reference_rk4(barrier, u0, t0, t1, steps)
     assert traj.ts.tobytes() == np.array(ts).tobytes()
     assert traj.us.tobytes() == np.array(us).tobytes()
     assert traj.truncated is truncated
@@ -233,7 +293,7 @@ def test_batch_matches_scalar_reference_bitwise(prob):
     # not a multiple of WINDOW; integrate_riccati on every 10th start, as
     # each of its windows costs what a window of the whole batch does
     assert 1200 % WINDOW == 0 and 1234 % WINDOW != 0
-    u0s, t0s = criterion_3_inputs(riccati_barrier(prob))
+    u0s, t0s = criterion_3_inputs(prob)
     for steps in (1200, 1234):
         for u0, t0 in list(zip(u0s, t0s))[::10]:
             assert_matches_reference(prob, u0, t0, 3.0, steps)
@@ -244,58 +304,55 @@ def test_batch_matches_scalar_reference_bitwise(prob):
 
 def test_batch_truncates_like_scalar_reference():
     # -60 at t0=0.2 blows down; the others stay finite
-    prob = line_block_problem(-1)
+    barrier = line_block(-1)
     u0s, t0s = [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5]
-    flags = [assert_matches_reference(prob, u0, t0, 3.0, 5000).truncated
+    flags = [assert_matches_reference(barrier, u0, t0, 3.0, 5000).truncated
              for u0, t0 in zip(u0s, t0s)]
     assert flags == [True, False, True, False]
-    assert comparison_excess([(prob, u0s, t0s)], 3.0, 5000) == \
-        [reference_excess(prob, u0s, t0s, 3.0, 5000)]
+    assert comparison_excess([(barrier, u0s, t0s)], 3.0, 5000) == \
+        [reference_excess(barrier, u0s, t0s, 3.0, 5000)]
 
 
 def test_single_trajectory_is_batch_of_one():
-    prob = line_block_problem(-1)
-    barrier = riccati_barrier(prob)
-    traj = assert_matches_reference(prob, barrier(0.1), 0.1, 3.0, 10000)
+    barrier = line_block(-1)
+    traj = assert_matches_reference(barrier, barrier(0.1), 0.1, 3.0, 10000)
     assert traj.truncated is False
     assert traj.ts.dtype == traj.us.dtype == np.float64
     assert traj.ts.shape == traj.us.shape == (10001,)
 
 
 def test_batch_preconditions():
-    prob = line_block_problem(-1)
-    barrier = riccati_barrier(prob)
+    barrier = line_block(-1)
     with pytest.raises(ContractViolation):
-        comparison_excess([(prob, [], [])], 3.0, steps=1000)
+        comparison_excess([(barrier, [], [])], 3.0, steps=1000)
     with pytest.raises(ContractViolation):
-        comparison_excess([(prob, [0.0, 0.0], [0.5])], 3.0, steps=1000)
+        comparison_excess([(barrier, [0.0, 0.0], [0.5])], 3.0, steps=1000)
     with pytest.raises(ContractViolation, match="starts above"):
-        comparison_excess([(prob, [0.0, barrier(0.5) + 1.0], [0.5, 0.5])],
+        comparison_excess([(barrier, [0.0, barrier(0.5) + 1.0], [0.5, 0.5])],
                           3.0, steps=1000)
     with pytest.raises(ContractViolation, match="need t0 > 0"):
-        comparison_excess([(prob, [0.0, 0.0], [0.5, -0.5])], 3.0, steps=1000)
+        comparison_excess([(barrier, [0.0, 0.0], [0.5, -0.5])], 3.0, steps=1000)
 
 
 @pytest.mark.parametrize("t0", [3.0, 3.5])
 def test_batch_refuses_to_step_backwards(t0):
     # the comparison principle is a forward statement: t0 >= t1 would step
     # with h <= 0 and certify nothing
-    prob = line_block_problem(-1)
+    barrier = line_block(-1)
     with pytest.raises(ContractViolation, match="need t0 < t1"):
-        comparison_excess([(prob, [0.0, 0.0], [0.5, t0])], 3.0, steps=1000)
+        comparison_excess([(barrier, [0.0, 0.0], [0.5, t0])], 3.0, steps=1000)
     with pytest.raises(ContractViolation, match="need t0 < t1"):
-        integrate_riccati(prob, 0.0, t0, 3.0, steps=1000)
+        integrate_riccati(barrier, 0.0, t0, 3.0, steps=1000)
 
 
 def test_vectorized_barrier_values_and_domain():
     # a float goes through the ufuncs an array entry does
-    for prob in CRITERION_3_INSTANCES + [line_block_problem(1)]:
-        barrier = riccati_barrier(prob)
+    for barrier in CRITERION_3_INSTANCES + [line_block(1)]:
         ts = np.array([0.1, 0.4, 0.7, 1.5])
         assert barrier(ts).tolist() == [float(barrier(t)) for t in ts.tolist()]
         assert barrier.derivative(ts).tolist() == [float(barrier.derivative(t))
                                                    for t in ts.tolist()]
-    cot = riccati_barrier(line_block_problem(1))
+    cot = line_block(1)
     ts = np.array([[0.5, 1.0], [math.pi / 2, 0.0]])
     # the first entry outside (0, pi/2) in row-major order raises, with the
     # message the scalar reference gives
@@ -305,39 +362,54 @@ def test_vectorized_barrier_values_and_domain():
         reference_barrier(cot, math.pi / 2)
     assert str(exc.value) == str(scalar.value)
     with pytest.raises(DomainError, match="t > 0"):
-        riccati_barrier(line_block_problem(0))(np.array([1.0, -1.0]))
+        line_block(0)(np.array([1.0, -1.0]))
 
 
-ALL_BLOCKS = [block(delta) for block in (line_block_problem, transversal_block_problem)
+# every block's Riccati problem, which is also its barrier
+ALL_BLOCKS = [block(delta) for block in (line_block, transversal_block)
               for delta in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("prob", ALL_BLOCKS)
 def test_barrier_matches_the_math_reference(prob):
     # criterion 3's trajectory start times and residual points
-    barrier = riccati_barrier(prob)
-    _, t0s = criterion_3_inputs(lambda t: reference_barrier(barrier, t))
+    _, t0s = criterion_3_inputs(lambda t: reference_barrier(prob, t))
     ts = np.array(t0s + [0.2, 0.5, 0.7, 1.0, 2.0])
-    if barrier.pole is not None:
-        ts = ts[ts < barrier.pole]
-    assert barrier(ts).tolist() == pytest.approx(
-        [reference_barrier(barrier, t) for t in ts.tolist()], rel=1e-14)
-    assert barrier.derivative(ts).tolist() == pytest.approx(
-        [reference_barrier_derivative(barrier, t) for t in ts.tolist()], rel=1e-14)
+    if prob.pole is not None:
+        ts = ts[ts < prob.pole]
+    assert prob(ts).tolist() == pytest.approx(
+        [reference_barrier(prob, t) for t in ts.tolist()], rel=1e-14)
+    assert prob.derivative(ts).tolist() == pytest.approx(
+        [reference_barrier_derivative(prob, t) for t in ts.tolist()], rel=1e-14)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("block, m, K_per_delta", [(line_block, 3, 4), (transversal_block, 4, 1)])
+def test_barrier_is_bitwise_the_five_field_reference(block, m, K_per_delta, delta):
+    # criterion 3's 100 seeded start times and residual points, and
+    # criterion 4's radii with its flat-coefficient radius (those below the
+    # cot pole)
+    barrier = block(delta)
+    value, derivative = reference_block_barrier(m, K_per_delta * delta)
+    _, t0s = criterion_3_inputs(value)
+    ts = np.array(t0s + [0.2, 0.5, 0.7, 1.0, 2.0] + CRITERION_4_RADII + [1.7])
+    if delta == 1:
+        ts = ts[ts < math.pi / (2 if block is line_block else 1)]
+    assert barrier(ts).tobytes() == value(ts).tobytes()
+    assert barrier.derivative(ts).tobytes() == derivative(ts).tobytes()
 
 
 @pytest.mark.parametrize("prob", ALL_BLOCKS)
 @pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0, math.pi / 2, 3.0])
 def test_array_domain_error_matches_the_scalar_reference(prob, bad):
-    barrier = riccati_barrier(prob)
     try:
-        reference_barrier(barrier, bad)
+        reference_barrier(prob, bad)
     except DomainError as exc:
         want = str(exc)
     else:
         want = None
     ts = np.array([[0.3, 0.6], [bad, -5.0]])
-    for f in (barrier, barrier.derivative, barrier.domain_check):
+    for f in (prob, prob.derivative, prob.domain_check):
         if want is None:
             f(ts[0])
             f(np.array([bad]))
@@ -355,14 +427,13 @@ def test_array_domain_error_matches_the_scalar_reference(prob, bad):
 def excess_oracle(instances, t1, steps):
     """(max excess, truncated count) of each instance from the tables of its
     batch of rows, stepped one by one by reference_rk4."""
-    return [reference_excess(prob, u0s, t0s, t1, steps) for prob, u0s, t0s in instances]
+    return [reference_excess(barrier, u0s, t0s, t1, steps) for barrier, u0s, t0s in instances]
 
 
-def seeded_instance(prob, count, seed, t0_span=0.4):
-    barrier = riccati_barrier(prob)
+def seeded_instance(barrier, count, seed, t0_span=0.4):
     rng = random.Random(seed)
     t0s = [0.1 + t0_span * rng.random() for _ in range(count)]
-    return prob, [barrier(t0) - 3.0 * rng.random() for t0 in t0s], t0s
+    return barrier, [barrier(t0) - 3.0 * rng.random() for t0 in t0s], t0s
 
 
 @pytest.mark.parametrize("steps", [1200, 1234])
@@ -371,10 +442,10 @@ def test_comparison_excess_matches_batch_tables_across_barrier_kinds(steps):
     # below the pole pi/2) in one call, of different sizes; 1200 is a
     # multiple of WINDOW and 1234 is not
     assert 1200 % WINDOW == 0 and 1234 % WINDOW != 0
-    instances = [seeded_instance(line_block_problem(-1), 30, 1),
-                 seeded_instance(transversal_block_problem(0), 7, 2),
-                 seeded_instance(line_block_problem(1), 12, 3),
-                 seeded_instance(transversal_block_problem(1), 1, 4)]
+    instances = [seeded_instance(line_block(-1), 30, 1),
+                 seeded_instance(transversal_block(0), 7, 2),
+                 seeded_instance(line_block(1), 12, 3),
+                 seeded_instance(transversal_block(1), 1, 4)]
     got = comparison_excess(instances, 1.5, steps)
     want = excess_oracle(instances, 1.5, steps)
     assert [(x.hex(), n) for x, n in got] == [(x.hex(), n) for x, n in want]
@@ -382,8 +453,8 @@ def test_comparison_excess_matches_batch_tables_across_barrier_kinds(steps):
 
 def test_comparison_excess_counts_truncations_like_the_batch():
     # the -60 and -200 starts blow down at different windows; the others stay
-    truncating = (line_block_problem(-1), [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5])
-    instances = [seeded_instance(transversal_block_problem(-1), 5, 7), truncating]
+    truncating = (line_block(-1), [-60.0, 1.0, -200.0, 5.0], [0.2, 0.3, 0.25, 0.5])
+    instances = [seeded_instance(transversal_block(-1), 5, 7), truncating]
     got = comparison_excess(instances, 3.0, 5000)
     assert got == excess_oracle(instances, 3.0, 5000)
     assert [n for _, n in got] == [0, 2]
@@ -392,11 +463,11 @@ def test_comparison_excess_counts_truncations_like_the_batch():
 def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
     # every row blows down within the first window, so the loop stops there
     # and later columns are never written, let alone passed to the barrier
-    prob = line_block_problem(-1)
-    instances = [(prob, [-1e6, -5e5], [0.2, 0.3]), (prob, [-2e6], [0.25])]
+    barrier = line_block(-1)
+    instances = [(barrier, [-1e6, -5e5], [0.2, 0.3]), (barrier, [-2e6], [0.25])]
     lengths = []
-    for prob_, u0s, t0s in instances:
-        lengths += [len(integrate_riccati(prob_, u0, t0, 3.0, 1200).ts)
+    for barrier_, u0s, t0s in instances:
+        lengths += [len(integrate_riccati(barrier_, u0, t0, 3.0, 1200).ts)
                     for u0, t0 in zip(u0s, t0s)]
     assert max(lengths) < WINDOW
     want = excess_oracle(instances, 3.0, 1200)
@@ -417,11 +488,11 @@ def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
 
 def test_comparison_excess_preconditions_match_the_batch():
     # the instance's bad row raises as the single trajectory from it does
-    prob = line_block_problem(-1)
-    good = seeded_instance(prob, 3, 5)
-    bad = (prob, [0.0, riccati_barrier(prob)(0.5) + 1.0], [0.5, 0.5])
+    barrier = line_block(-1)
+    good = seeded_instance(barrier, 3, 5)
+    bad = (barrier, [0.0, barrier(0.5) + 1.0], [0.5, 0.5])
     with pytest.raises(ContractViolation) as want:
-        integrate_riccati(prob, bad[1][1], bad[2][1], 3.0, 1000)
+        integrate_riccati(barrier, bad[1][1], bad[2][1], 3.0, 1000)
     assert "starts above" in str(want.value)
     with pytest.raises(ContractViolation) as got:
         comparison_excess([good, bad], 3.0, 1000)
