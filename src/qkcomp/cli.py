@@ -194,7 +194,8 @@ def cmd_model(args) -> int:
     sc = build_model(n)
     R = model_curvature(n)
     rep = Report("model", {"n": n, "scale": args.scale})
-    rep.results.append({"n": n, "c": sc.c, "einstein_constant": R.ricci()[0][0],
+    rep.results.append({"n": n, "c": sc.c,
+                        "einstein_constant": R.ricci_table().fraction(0, 0),
                         "scalar": R.scalar()})
     rep.extend(suite_mod.model_battery(n))
     rep.extend(suite_mod.level_set_battery(n, args.scale))

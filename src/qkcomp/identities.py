@@ -32,7 +32,7 @@ nonzero coefficient anywhere is a failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,23 +93,6 @@ def random_orthogonal_pair(space: InnerSpace, rng: random.Random) -> tuple[Vecto
             return v, w2
 
 
-@dataclass
-class IdentityResult:
-    name: str
-    samples: int
-    passed: bool
-    counterexample: str | None = None
-
-
-@dataclass
-class IdentityReport:
-    dim: int
-    degree: int
-    trials: int
-    seed: int
-    results: list[IdentityResult] = field(default_factory=list)
-
-
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
@@ -121,19 +104,18 @@ def _check_domain(dim: int, degree: int) -> None:
 
 
 def check_star_identities(dim: int, degree: int, trials: int,
-                          seed: int) -> IdentityReport:
-    """Evaluate all six identities on seeded pseudo-random rational data.
+                          seed: int) -> list[BasisResult]:
+    """All six identities on `trials` seeded pseudo-random rational
+    samples, in IDENTITY_NAMES order.
 
-    Failures are reported with a counterexample, never raised.
+    Failures are counted and reported with the first failing sample, never
+    raised.
     """
     _check_domain(dim, degree)
     space = InnerSpace(dim)
     rng = random.Random(seed)
-    report = IdentityReport(dim=dim, degree=degree, trials=trials, seed=seed)
     n, p = dim, degree
-
-    passed = [True] * 6
-    counterexamples: list[str | None] = [None] * 6
+    results = [BasisResult(name, trials, 0) for name in IDENTITY_NAMES]
 
     for k in range(trials):
         xi = random_form(space, degree, rng)
@@ -155,16 +137,14 @@ def check_star_identities(dim: int, degree: int, trials: int,
             (interior(v, eps_thp_xi) + ext_mult(thetap, int_v_xi)).is_zero(),
             interior(v, eps_th_xi) + ext_mult(theta, int_v_xi) == xi * v.dot(v),
         )
-        for idx, ok in enumerate(verdicts):
-            if passed[idx] and not ok:
-                passed[idx] = False
-                counterexamples[idx] = (
-                    f"sample {k}: xi={xi!r}, v={[str(c) for c in v.components]}, "
-                    f"v'={[str(c) for c in vp.components]}")
-
-    for name, ok, ce in zip(IDENTITY_NAMES, passed, counterexamples):
-        report.results.append(IdentityResult(name, trials, ok, ce))
-    return report
+        for result, ok in zip(results, verdicts):
+            if not ok:
+                result.violations += 1
+                if result.first is None:
+                    result.first = (
+                        f"sample {k}: xi={xi!r}, v={[str(c) for c in v.components]}, "
+                        f"v'={[str(c) for c in vp.components]}")
+    return results
 
 
 # An image of basis forms: (target, sign, bad) arrays of one shape.  Entry k
@@ -247,8 +227,9 @@ def _sum_equal(a: Image, b: Image, want: Image) -> np.ndarray:
 
 @dataclass
 class BasisResult:
-    """One identity at one (dim, degree), checked on `cases` basis cases
-    (basis forms times basis indices)."""
+    """One identity at one (dim, degree), checked on `cases` cases: basis
+    forms times basis indices, or seeded samples.  `first` describes the
+    first case that breaks the law."""
 
     name: str
     cases: int

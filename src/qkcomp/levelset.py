@@ -22,6 +22,7 @@ import numpy as np
 from .forms import ContractViolation, ExactArray, contract
 from .model import (
     CurvatureTensor,
+    ModelConstructionError,
     StructureConstants,
     curvature_table,
     jacobi_violations,
@@ -74,11 +75,11 @@ def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeome
     scale = Fraction(scale)
     C = _nilpotent_brackets(sc, scale)
     if jacobi_violations(C) != 0:
-        raise ContractViolation("nilpotent bracket table violates Jacobi")
+        raise ModelConstructionError("nilpotent bracket table violates Jacobi")
     bar = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
     h, off = second_fundamental_form(sc)
     if off:
-        raise ContractViolation("ambient shape operator is not diagonal")
+        raise ModelConstructionError("ambient shape operator is not diagonal")
     return LevelSetGeometry(sc.n, scale, contract("ii->i", h), bar)
 
 

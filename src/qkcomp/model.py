@@ -9,7 +9,10 @@ v = span(e_5 .. e_{4n}).  Brackets:
 
 The center-bracket scale c is not assumed: it is derived by solving the
 Einstein condition Ric = -4(n+2) id at n = 2 over a rational sweep, then
-cross-checked against the curvature tables.  The Levi-Civita connection comes from the Koszul
+cross-checked against the curvature tables.  `build_model(n)` builds and
+Jacobi-checks one read-only model per n; every verifier takes only the
+tensor or table it checks, reading n off its dimension and the frame from
+`build_frame(n)`.  The Levi-Civita connection comes from the Koszul
 formula for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
@@ -40,16 +43,20 @@ import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
                     form_inner, interior, two_form, wedge)
-from .quaternionic import QuaternionicFrame, build_frame, build_fundamental_forms
+from .quaternionic import build_frame, build_fundamental_forms
 from .report import Check, check_eq, check_true
 
 
 class ModelConstructionError(RuntimeError):
-    """No bracket scale satisfies the Einstein condition exactly, or the
-    bracket table fails the Jacobi identity: an internal failure."""
+    """No bracket scale satisfies the Einstein condition exactly, or a
+    bracket table (of the model or of a horosphere) breaks an invariant of
+    the construction: an internal failure, never bad input."""
 
 
 EINSTEIN_SWEEP = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+# the largest n build_model accepts: the curvature tables hold (4n)^4 entries,
+# 2^20 at n = 8
+MAX_MODEL_N = 8
 
 
 def _bracket_table(n: int, c: Fraction) -> ExactArray:
@@ -79,12 +86,11 @@ def jacobi_violations(C: ExactArray) -> int:
 @dataclass(frozen=True)
 class StructureConstants:
     """Exact structure constants of the solvable model, with the derived
-    center-bracket scale and a record of how it was derived."""
+    center-bracket scale."""
 
     n: int
     c: Fraction
     table: ExactArray  # C[A, B, D], 0-based
-    derivation: tuple  # ((candidate, einstein_ok), ...)
 
     @property
     def dim(self) -> int:
@@ -130,9 +136,6 @@ class CurvatureTensor:
     def ricci_table(self) -> ExactArray:
         return contract("bidi->bd", self.table)
 
-    def ricci(self) -> list:
-        return self.ricci_table().fractions()
-
     def scalar(self) -> Fraction:
         return contract("ii->", self.ricci_table()).fraction()
 
@@ -152,38 +155,43 @@ class CurvatureTensor:
         return int(bad)
 
 
-def _einstein_violations(R: CurvatureTensor, n: int) -> np.ndarray:
-    """Where Ric differs from -4(n+2) id."""
+def _einstein_violations(R: CurvatureTensor) -> np.ndarray:
+    """Where Ric differs from -4(n+2) id, n = dim / 4."""
+    n = R.dim // 4
     return R.ricci_table().ne(ExactArray.of(-4 * (n + 2) * np.eye(R.dim, dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
-def _derive_bracket_scale() -> tuple[Fraction, tuple]:
+def _derive_bracket_scale() -> Fraction:
     """Solve the one-parameter Einstein condition at n = 2: exactly one
     candidate of EINSTEIN_SWEEP must satisfy it."""
-    n = 2
 
     def einstein_ok(c: Fraction) -> bool:
-        C = _bracket_table(n, c)
+        C = _bracket_table(2, c)
         R = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
-        return not _einstein_violations(R, n).any()
+        return not _einstein_violations(R).any()
 
-    record = tuple((cand, einstein_ok(cand)) for cand in EINSTEIN_SWEEP)
-    matches = [cand for cand, ok in record if ok]
+    matches = [cand for cand in EINSTEIN_SWEEP if einstein_ok(cand)]
     if len(matches) != 1:
         raise ModelConstructionError(f"need exactly one Einstein scale, found {matches}")
-    return matches[0], record
+    return matches[0]
 
 
+@lru_cache(maxsize=None)
 def build_model(n: int) -> StructureConstants:
-    """Construct the solvable model; the bracket scale is derived once."""
+    """The solvable model of dimension 4n, built and Jacobi-checked once per
+    n, with a read-only bracket table; the bracket scale is derived once."""
     if n < 2:
         raise ContractViolation(f"the model requires n >= 2, got n={n}")
-    c, record = _derive_bracket_scale()
+    if n > MAX_MODEL_N:
+        raise ContractViolation(f"the model tables hold (4n)^4 entries: "
+                                f"need n <= {MAX_MODEL_N}, got n={n}")
+    c = _derive_bracket_scale()
     C = _bracket_table(n, c)
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
-    return StructureConstants(n, c, C, record)
+    C.num.flags.writeable = False
+    return StructureConstants(n, c, C)
 
 
 def curvature(sc: StructureConstants) -> CurvatureTensor:
@@ -195,9 +203,10 @@ def model_curvature(n: int) -> CurvatureTensor:
     return curvature(build_model(n))
 
 
-def verify_einstein(R: CurvatureTensor, n: int) -> list[Check]:
+def verify_einstein(R: CurvatureTensor) -> list[Check]:
     """Ric = -4(n+2) id and scalar curvature -16 n (n+2), exactly."""
-    bad = _einstein_violations(R, n)
+    n = R.dim // 4
+    bad = _einstein_violations(R)
     diag_bad = int(np.count_nonzero(np.diagonal(bad)))
     return [
         check_eq("einstein diagonal entries equal -4(n+2)", 0, diag_bad),
@@ -207,14 +216,14 @@ def verify_einstein(R: CurvatureTensor, n: int) -> list[Check]:
     ]
 
 
-def verify_quaternionic_traces(R: CurvatureTensor,
-                               frame: QuaternionicFrame) -> list[Check]:
+def verify_quaternionic_traces(R: CurvatureTensor) -> list[Check]:
     """Three-sum -12 and four-sum -4 trace identities on every admissible
     frame configuration (delta = -1 normalization).
 
     This is the pointwise form of the parallel-transport statement along
     geodesics; on the homogeneous model the two are equivalent."""
-    m = frame.dim
+    m = R.dim
+    frame = build_frame(m // 4)
     sec = R.sectional_table()
     # images[t, b] = 1 where e_t = +-A e_b for A = I, J or K: the squared
     # entries of the three matrices
@@ -252,8 +261,7 @@ class BergerData:
 TRIPLE_SAMPLES = 60
 
 
-def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
-                  seed: int = 0) -> BergerData:
+def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     """Lemma-level commutator structure of R(X,Y) against I, J, K.
 
     For every frame pair, [R(X,Y), I] must equal gamma J - beta K (and
@@ -261,8 +269,9 @@ def verify_berger(R: CurvatureTensor, frame: QuaternionicFrame, n: int,
     and alpha(X, IY) = beta(X, JY) = gamma(X, KY) = -Ric(X,Y)/(n+2)
     = 4 <X, Y>.  Also spot-checks the three curvature-pair identities
     <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 on seeded frame triples."""
-    m = frame.dim
-    I, J, K = frame.actions()
+    m = R.dim
+    n = m // 4
+    I, J, K = build_frame(n).actions()
     Rt = R.table
 
     def commutator(P: ExactArray) -> ExactArray:
@@ -367,13 +376,13 @@ def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], int]:
     return t
 
 
-def verify_radial_slabs(R: CurvatureTensor, n: int) -> list[Check]:
+def verify_radial_slabs(R: CurvatureTensor) -> list[Check]:
     """Every R_{1BCD} entry against the tabulated families, including the
     '= 0 otherwise' clauses."""
     m = R.dim
     want = np.zeros((m, m, m), dtype=np.int64)
     listed = np.zeros((m, m, m), dtype=bool)
-    for (_, b, c, d), v in expected_radial_slabs(n).items():
+    for (_, b, c, d), v in expected_radial_slabs(m // 4).items():
         want[b - 1, c - 1, d - 1] = v
         listed[b - 1, c - 1, d - 1] = True
     bad = R.table[0, 1:].ne(ExactArray(want[1:]))
@@ -433,16 +442,14 @@ class Sp1Connection:
 
 
 def verify_parallel_four_form(sc: StructureConstants,
-                              frame: QuaternionicFrame,
                               berger: BergerData) -> Sp1Connection:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
     the curvature relation alpha = da + b ^ c (with its cyclic companions)."""
-    if frame.n != sc.n:
-        raise ContractViolation("frame must be the model frame")
+    frame = build_frame(sc.n)
     ff = build_fundamental_forms(frame)
     space = frame.space
     m = sc.dim
-    norm = Fraction(2 * frame.n)
+    norm = Fraction(2 * sc.n)
     d_images = d_coframe(space, sc.table)
     G = levi_civita_table(sc.table)
 

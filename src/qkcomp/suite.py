@@ -302,20 +302,19 @@ def model_battery(n: int) -> list[Check]:
     """The exact curvature battery of the solvable model of dimension 4n."""
     sc = build_model(n)
     R = model_curvature(n)
-    frame = build_frame(n)
     checks: list[Check] = []
     checks.append(check_eq(f"n={n}: derived bracket scale", Fraction(2), sc.c))
     checks.append(check_eq(f"n={n}: tensor symmetries and first Bianchi",
                            0, R.symmetry_violations()))
-    checks.extend(verify_einstein(R, n))
+    checks.extend(verify_einstein(R))
     sec_bad = sum(1 for p in (2, 3, 4) if R.sectional(1, p) != -4)
     sec_bad += sum(1 for al in range(5, 4 * n + 1) if R.sectional(1, al) != -1)
     checks.append(check_eq(f"n={n}: K(e1,e_p) = -4 and K(e1,e_a) = -1", 0, sec_bad))
-    checks.extend(verify_radial_slabs(R, n))
-    checks.extend(verify_quaternionic_traces(R, frame))
-    berger = verify_berger(R, frame, n)
+    checks.extend(verify_radial_slabs(R))
+    checks.extend(verify_quaternionic_traces(R))
+    berger = verify_berger(R)
     checks.extend(berger.checks)
-    checks.extend(verify_parallel_four_form(sc, frame, berger).checks)
+    checks.extend(verify_parallel_four_form(sc, berger).checks)
     return _tagged(n, checks)
 
 

@@ -161,6 +161,36 @@ def test_suite_import_leaves_every_cache_empty():
                                "_hessian_four_form_maps": 2}
 
 
+MODEL_PROBE = """
+import json
+import qkcomp.levelset, qkcomp.model, qkcomp.suite
+
+calls = {"model": 0, "levelset": 0}
+for mod in ("model", "levelset"):
+    module = getattr(qkcomp, mod)
+    def counted(C, fn=module.jacobi_violations, mod=mod):
+        calls[mod] += 1
+        return fn(C)
+    module.jacobi_violations = counted
+qkcomp.suite.criterion_5_model_curvature()
+qkcomp.suite.criterion_6_level_sets()
+print(json.dumps({"builds": qkcomp.model.build_model.cache_info().misses, "jacobi": calls}))
+"""
+
+
+def test_criteria_5_and_6_build_one_model_per_n():
+    # a fresh interpreter: n = 2 and 3 each build and Jacobi-check their
+    # model once; the other four Jacobi checks are the horosphere tables at
+    # scales 1 and 1/4
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", MODEL_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"builds": 2, "jacobi": {"model": 2, "levelset": 4}}
+
+
 def test_traced_benchmark_worker_binds_every_spanned_name():
     # the benchmark's traced worker wraps qkcomp.kernel's functions,
     # riccati.integrate_riccati and the other spanned names, and reads

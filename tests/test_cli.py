@@ -154,7 +154,8 @@ def test_out_file_and_components(tmp_path, capsys):
     assert status == 0
     doc = json.loads(out_json.read_text())
     assert doc["command"] == "model"
-    rows = list(csv.DictReader(comp_csv.open()))
+    with comp_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["A", "B", "C", "D", "value"]
     lookup = {(r["A"], r["B"], r["C"], r["D"]): r["value"] for r in rows}
     assert lookup[("1", "2", "1", "2")] == "-4/1"
@@ -203,6 +204,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["model", "--scale", "10000000000000000"])  # s^2 = 1e32 passes int64
     assert exc.value.code == 2
+
+
+def test_model_size_bound_is_a_usage_error(capsys):
+    # the curvature tables hold (4n)^4 entries: n = 9 passes the bound
+    # n <= 8 and is refused before any table is built
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "--n", "9"])
+    assert exc.value.code == 2
+    assert "need n <= 8, got n=9" in capsys.readouterr().err
 
 
 def test_internal_model_failure_is_not_a_usage_error(monkeypatch):

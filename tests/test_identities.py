@@ -25,18 +25,18 @@ from qkcomp.identities import (
 
 
 def test_all_identities_dim8_degree4():
-    report = check_star_identities(8, 4, trials=100, seed=7)
-    assert all(r.passed for r in report.results), [r.name for r in report.results if not r.passed]
-    assert len(report.results) == 6
-    assert [r.name for r in report.results] == list(IDENTITY_NAMES)
+    results = check_star_identities(8, 4, trials=100, seed=7)
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+    assert [(r.name, r.cases, r.violations, r.first) for r in results] == \
+        [(name, 100, 0, None) for name in IDENTITY_NAMES]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
 def test_identities_all_degrees(dim):
     for degree in range(1, dim + 1):
-        report = check_star_identities(dim, degree, trials=25, seed=100 + degree)
-        assert all(r.passed for r in report.results), (dim, degree,
-                                   [r.name for r in report.results if not r.passed])
+        results = check_star_identities(dim, degree, trials=25, seed=100 + degree)
+        assert all(r.passed for r in results), (dim, degree,
+                                                [r.name for r in results if not r.passed])
 
 
 def test_identity6_unit_pair_case():
@@ -75,16 +75,15 @@ def test_failure_is_reported_not_raised():
     # wrong law by checking a doctored report path: easiest equivalent is
     # asserting a counterexample string appears when a law is broken.
     # Simulate by running with trials=0: nothing to fail on.
-    report = check_star_identities(4, 2, trials=0, seed=0)
-    assert all(r.passed for r in report.results)
-    assert all(r.counterexample is None for r in report.results)
+    results = check_star_identities(4, 2, trials=0, seed=0)
+    assert all(r.passed and r.cases == 0 for r in results)
+    assert all(r.first is None for r in results)
 
 
 def test_determinism_same_seed():
     a = check_star_identities(4, 2, trials=10, seed=42)
     b = check_star_identities(4, 2, trials=10, seed=42)
-    assert [(r.name, r.passed) for r in a.results] == \
-        [(r.name, r.passed) for r in b.results]
+    assert a == b
 
 
 def test_injected_star_sign_bug_is_caught(monkeypatch):
@@ -98,12 +97,13 @@ def test_injected_star_sign_bug_is_caught(monkeypatch):
         return {full & ~k: c for k, c in terms.items()}
 
     monkeypatch.setattr(kernel, "star_terms", unsigned)
-    report = check_star_identities(4, 1, trials=5, seed=0)
-    by_name = {r.name: r for r in report.results}
-    assert not by_name["1 double star involution"].passed
-    assert by_name["1 double star involution"].counterexample is not None
+    results = check_star_identities(4, 1, trials=5, seed=0)
+    by_name = {r.name: r for r in results}
+    # every sample breaks ** = -id on 1-forms in dim 4
+    assert by_name["1 double star involution"].violations == 5
+    assert by_name["1 double star involution"].first.startswith("sample 0: ")
     monkeypatch.undo()
-    assert all(r.passed for r in check_star_identities(4, 1, trials=5, seed=0).results)
+    assert all(r.passed for r in check_star_identities(4, 1, trials=5, seed=0))
 
 
 # --- the full-basis check on signed-permutation tables ---------------------

@@ -1,6 +1,7 @@
 """Horosphere geometry: shape operator, intrinsic curvature, Gauss
 equation branches, weighted displays, and the Busemann cross-check."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from qkcomp.levelset import (
 )
 from qkcomp.model import (
     CurvatureTensor,
+    ModelConstructionError,
     StructureConstants,
     build_model,
     levi_civita_table,
@@ -114,6 +116,30 @@ def test_scale_validation(setup2):
         level_set_geometry(sc, F(-1))
     with pytest.raises(ContractViolation):
         level_set_geometry(sc, F(1, 2))  # sqrt(1/2) irrational
+
+
+def test_broken_model_invariants_are_internal_failures(setup2):
+    # a bracket table that breaks an invariant of the construction is a
+    # fault of the program, not bad input: ModelConstructionError, which
+    # the CLI does not map to exit 2
+    sc, _ = setup2
+    assert not issubclass(ModelConstructionError, ContractViolation)
+
+    def mutant(a, b, d):
+        num = sc.table.num.copy()
+        num[a, b, d] += sc.table.den
+        num[b, a, d] -= sc.table.den
+        return dataclasses.replace(sc, table=ExactArray.of(num, sc.table.den))
+
+    # [e_1, e_6] picks up e_7: h_67 = <nabla_{e_6} e_7, e_1> is off-diagonal,
+    # while the level-set brackets (no e_1) keep Jacobi
+    off_diagonal = mutant(0, 5, 6)
+    assert second_fundamental_form(off_diagonal)[1] > 0
+    with pytest.raises(ModelConstructionError, match="not diagonal"):
+        level_set_geometry(off_diagonal, F(1))
+    # [e_5, e_6] picks up e_5: [[e_5, e_6], e_7] = c e_3 breaks Jacobi on z + v
+    with pytest.raises(ModelConstructionError, match="Jacobi"):
+        level_set_geometry(mutant(4, 5, 4), F(1))
 
 
 def test_radial_hessian_check(setup2, setup3):
@@ -267,7 +293,7 @@ def test_busemann_cross_check_matches_reference_on_perturbed_brackets(setup2, se
     for _ in range(6):
         # [e_1, e_a] picks up e_b: moves h_ab = <nabla_{e_a} e_b, e_1>
         num[0, rng.randrange(1, sc.dim), rng.randrange(1, sc.dim)] += rng.choice((-1, 1))
-    broken = StructureConstants(n, sc.c, ExactArray.of(num, sc.table.den), sc.derivation)
+    broken = StructureConstants(n, sc.c, ExactArray.of(num, sc.table.den))
     expected = rendered(reference_radial_hessian_check(broken))
     assert sum(not chk["pass"] for chk in expected) >= 2
     assert rendered(radial_hessian_check(broken)) == expected

@@ -19,6 +19,7 @@ from qkcomp.identities import random_form
 from qkcomp.levelset import _nilpotent_brackets, level_set_geometry
 from qkcomp.model import (
     EINSTEIN_SWEEP,
+    MAX_MODEL_N,
     TRIPLE_SAMPLES,
     CurvatureTensor,
     ModelConstructionError,
@@ -170,9 +171,10 @@ def reference_covariant_derivative(G, a, omega):
     return out
 
 
-def reference_parallel_four_form(sc, frame, berger):
+def reference_parallel_four_form(sc, berger):
     """The six verdicts of verify_parallel_four_form through the reference
     derivatives."""
+    frame = build_frame(sc.n)
     ff = build_fundamental_forms(frame)
     space, m = frame.space, sc.dim
     G = levi_civita_table(sc.table)
@@ -216,9 +218,8 @@ def model3():
 
 def test_bracket_scale_derived_by_einstein_sweep(model2):
     sc, _, _ = model2
-    assert sc.c == 2
-    assert dict(sc.derivation)[F(2)] is True
-    assert sum(ok for _, ok in sc.derivation) == 1
+    assert sc.c == _derive_bracket_scale() == 2
+    assert [f.name for f in dataclasses.fields(sc)] == ["n", "c", "table"]
 
 
 @pytest.mark.parametrize("sweep", [(F(1), F(3)), (F(2), F(2))])
@@ -319,23 +320,21 @@ def test_cross_line_component(model3):
 @pytest.mark.parametrize("n", [2, 3])
 def test_einstein_and_scalar(n):
     R = model_curvature(n)
-    checks = verify_einstein(R, n)
+    checks = verify_einstein(R)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     assert R.scalar() == -16 * n * (n + 2)
-    ric = R.ricci()
-    assert ric[0][0] == -4 * (n + 2)
+    assert R.ricci_table().fraction(0, 0) == -4 * (n + 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_radial_slab_tables(n):
-    checks = verify_radial_slabs(model_curvature(n), n)
+    checks = verify_radial_slabs(model_curvature(n))
     assert all(c.passed for c in checks), [c.actual for c in checks]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_trace_identities(n):
-    frame = build_frame(n)
-    checks = verify_quaternionic_traces(model_curvature(n), frame)
+    checks = verify_quaternionic_traces(model_curvature(n))
     assert all(c.passed for c in checks)
 
 
@@ -384,8 +383,7 @@ def test_trace_identity_random_vectors(model2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_berger_commutators(n):
-    frame = build_frame(n)
-    data = verify_berger(model_curvature(n), frame, n)
+    data = verify_berger(model_curvature(n))
     assert all(c.passed for c in data.checks), \
         [(c.name, c.actual) for c in data.checks if not c.passed]
     assert data.alpha.fraction(0, 1) == 4  # alpha(e1, I e1)
@@ -395,8 +393,7 @@ def test_berger_commutators(n):
 def test_curvature_pair_identity_named_triple(model2):
     # <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 at (e1, e5, e6)
     _, _, R = model2
-    frame = build_frame(2)
-    data = verify_berger(R, frame, 2)
+    data = verify_berger(R)
     (tI, sI), (tJ, sJ), (tK, sK) = ((t[5], s[5]) for t, s in reference_actions(2))
     a, b, c = 1, 5, 6
     lhs = sI * R.entry(a, b, tI, c) + sJ * sK * R.entry(a, b, tK, tJ)
@@ -435,8 +432,7 @@ def triple_check(data):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_triple_check_matches_the_per_triple_loop(n, seed):
     R = model_curvature(n)
-    frame = build_frame(n)
-    data = verify_berger(R, frame, n, seed)
+    data = verify_berger(R, seed)
     assert triple_check(data) == reference_triple_violations(R, data, seed) == 0
     # break R in one entry on the first seeded triple's slab, then in one
     # entry out of 20: the batched contraction and the loop count the same
@@ -453,7 +449,7 @@ def test_triple_check_matches_the_per_triple_loop(n, seed):
         many[tuple(rng.randrange(R.dim) for _ in range(4))] += rng.choice((-1, 1))
     for num in (one, many):
         broken = CurvatureTensor(ExactArray.of(num, R.table.den))
-        data = verify_berger(broken, frame, n, seed)
+        data = verify_berger(broken, seed)
         expected = reference_triple_violations(broken, data, seed)
         assert expected > 0
         assert triple_check(data) == expected
@@ -464,12 +460,11 @@ MUTANTS = 20
 
 def test_parallel_four_form(model2):
     sc, _, R = model2
-    frame = build_frame(2)
-    berger = verify_berger(R, frame, 2)
-    sp1 = verify_parallel_four_form(sc, frame, berger)
+    berger = verify_berger(R)
+    sp1 = verify_parallel_four_form(sc, berger)
     assert all(c.passed for c in sp1.checks), \
         [c.name for c in sp1.checks if not c.passed]
-    assert [c.passed for c in sp1.checks] == reference_parallel_four_form(sc, frame, berger)
+    assert [c.passed for c in sp1.checks] == reference_parallel_four_form(sc, berger)
     # the radial direction is annihilated by the connection
     assert sp1.a[0] == sp1.b[0] == sp1.c[0] == 0
 
@@ -515,8 +510,7 @@ def test_parallel_four_form_fails_on_perturbed_brackets(n):
     # mutants: +-1 on one antisymmetric bracket pair [e_a, e_b], component d.
     # Each fails a check, and the verdicts are those of the reference loops
     sc = build_model(n)
-    frame = build_frame(n)
-    berger = verify_berger(model_curvature(n), frame, n)
+    berger = verify_berger(model_curvature(n))
     rng = random.Random(50 + n)
     for _ in range(MUTANTS):
         a, b = rng.sample(range(sc.dim), 2)
@@ -525,14 +519,23 @@ def test_parallel_four_form_fails_on_perturbed_brackets(n):
         num[a, b, d] += s * sc.table.den
         num[b, a, d] -= s * sc.table.den
         mutant = dataclasses.replace(sc, table=ExactArray.of(num, sc.table.den))
-        verdicts = [c.passed for c in verify_parallel_four_form(mutant, frame, berger).checks]
+        verdicts = [c.passed for c in verify_parallel_four_form(mutant, berger).checks]
         assert not all(verdicts), (a, b, d, s)
-        assert verdicts == reference_parallel_four_form(mutant, frame, berger), (a, b, d, s)
+        assert verdicts == reference_parallel_four_form(mutant, berger), (a, b, d, s)
 
 
 def test_build_model_validation():
-    with pytest.raises(ContractViolation):
-        build_model(1)
+    for n in (1, MAX_MODEL_N + 1):
+        with pytest.raises(ContractViolation):
+            build_model(n)
+
+
+def test_build_model_is_cached_and_read_only():
+    sc = build_model(2)
+    assert build_model(2) is sc
+    with pytest.raises(ValueError):
+        sc.table.num[0, 1, 1] = 0
+    assert sc.table.fraction(0, 1, 1) == 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
