@@ -17,7 +17,9 @@ line sums, norm and Kato slacks are guarded integer reductions read out
 as `Fraction`s.  The Siu-Corlette defect form and both sides of the star
 commutation are 4-forms linear in the Hessian: each operator chain on
 Omega is built once per frame as a cached sparse integer map of the
-Hessian numerators, applied with one guarded int64 sum per call.
+Hessian numerators, applied to a batch of them with one `np.add.reduceat`.
+Criterion 2 counts the star commutation's failures on chunks of the
+trace-free stream at a time (`star_commutation_failures`).
 """
 
 from __future__ import annotations
@@ -205,14 +207,23 @@ def random_symmetric(m: int, count: int,
     return _unpack(packed, m), q
 
 
+def _traceless_batch(m: int, count: int,
+                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random symmetric matrices h / q projected onto trace zero,
+    (m h - tr(h) id) / (m q): the int64 numerators, of shape (count, m, m)
+    and not reduced, and the denominators m q."""
+    nums, q = random_symmetric(m, count, rng)
+    trace = np.trace(nums, axis1=1, axis2=2)
+    nums *= m
+    nums[:, range(m), range(m)] -= trace[:, None]
+    return nums, m * q
+
+
 def random_traceless_hessian(frame: QuaternionicFrame,
                              rng: random.Random) -> HessianMatrix:
-    """Random symmetric matrix h / q projected onto trace zero:
-    (m h - tr(h) id) / (m q)."""
-    m = frame.dim
-    nums, q = random_symmetric(m, 1, rng)
-    h = m * nums[0] - np.trace(nums[0]) * np.eye(m, dtype=np.int64)
-    return HessianMatrix(frame, ExactArray.of(h, m * int(q[0])))
+    """One Hessian of :func:`_traceless_batch`'s stream, in lowest terms."""
+    h, d = _traceless_batch(frame.dim, 1, rng)
+    return HessianMatrix(frame, ExactArray.of(h[0], int(d[0])))
 
 
 def _quaternionic_harmonic_batch(n: int, count: int,
@@ -241,11 +252,12 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
 class _FourFormMap:
     """A linear map from the m x m Hessian numerators h to 4-form
     numerators: entry k adds num[k] * h.ravel()[ij[k]] to the coefficient
-    of masks[slot[k]], all over den.  `weight`, the largest per-slot sum
-    of |num|, times the Hessian's bound bounds every output numerator."""
+    of one mask, all over den.  The entries are sorted by mask, those of
+    masks[s] starting at starts[s].  `weight`, the largest per-mask sum of
+    |num|, times the Hessian's bound bounds every output numerator."""
 
     masks: tuple[int, ...]
-    slot: np.ndarray
+    starts: np.ndarray
     ij: np.ndarray
     num: np.ndarray
     den: int
@@ -254,23 +266,27 @@ class _FourFormMap:
     @classmethod
     def of(cls, forms: Iterable[tuple[int, Form]]) -> "_FourFormMap":
         """The map h -> sum of h.ravel()[ij] f over the pairs (ij, f)."""
-        keys, flat, nums, dens = zip(*((k, ij, c, f.den) for ij, f in forms
-                                       for k, c in f._terms.items()))
+        entries = sorted((k, ij, c, f.den) for ij, f in forms
+                         for k, c in f._terms.items())
+        keys, flat, nums, dens = zip(*entries)
         den = math.lcm(*dens)
         masks = sorted(set(keys))
-        slot_of = {k: s for s, k in enumerate(masks)}
-        slot = np.array([slot_of[k] for k in keys], dtype=np.int64)
+        starts = np.searchsorted(keys, masks)
         num = np.array([c * (den // d) for c, d in zip(nums, dens)], dtype=np.int64)
-        weight = np.zeros(len(masks), dtype=np.int64)
-        np.add.at(weight, slot, np.abs(num))
-        return cls(tuple(masks), slot, np.array(flat), num, den, int(weight.max()))
+        weight = np.add.reduceat(np.abs(num), starts)
+        return cls(tuple(masks), starts, np.array(flat), num, den, int(weight.max()))
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """The output numerators of the rows h of raveled Hessian numerators,
+        one row per Hessian; exact while `weight` times max|h| stays in the
+        int64 range, which callers guard."""
+        return np.add.reduceat(self.num * h[:, self.ij], self.starts, axis=1)
 
     def __call__(self, H: HessianMatrix, sign: int) -> Form:
         """sign times the image of H, a degree-4 form."""
         T = H.table
         guard_int64(self.weight * T.bound, "Hessian 4-form map")
-        acc = np.zeros(len(self.masks), dtype=np.int64)
-        np.add.at(acc, self.slot, self.num * T.num.ravel()[self.ij])
+        acc = self.apply(T.num.reshape(1, -1))[0]
         terms = {k: sign * c for k, c in zip(self.masks, acc.tolist()) if c}
         return Form(H.frame.space, 4, terms, self.den * T.den)
 
@@ -305,6 +321,13 @@ def siu_corlette_defect(H: HessianMatrix) -> Form:
     return _hessian_four_form_maps(H.frame)[1](H, 1)
 
 
+def _star_signs(m: int) -> tuple[int, int]:
+    """The signs (-1)^{p(m-p-1)} and (-1)^{(p-1)(m-p)+m-1}, p = 4, of the
+    left and right operator chains in the star commutation on M^m."""
+    p = 4
+    return (-1) ** (p * (m - p - 1)), (-1) ** ((p - 1) * (m - p) + m - 1)
+
+
 def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
     """Both sides of the pointwise identity
     *d*(df ^ Omega) = (-1)^{m-1} d*(df ^ *Omega) on M^m, m = 4n.
@@ -316,16 +339,47 @@ def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
     side is minus the defect form."""
     if not H.is_harmonic():
         raise ContractViolation("star commutation requires a trace-free Hessian")
-    m = H.dim
-    p = 4
     left, right = _hessian_four_form_maps(H.frame)
-    return (left(H, (-1) ** (p * (m - p - 1))),
-            right(H, (-1) ** ((p - 1) * (m - p) + m - 1)))
+    sign_left, sign_right = _star_signs(H.dim)
+    return left(H, sign_left), right(H, sign_right)
 
 
 def verify_star_commutation(H: HessianMatrix) -> bool:
     lhs, rhs = star_commutation_sides(H)
     return lhs == rhs
+
+
+def star_commutation_failures(frame: QuaternionicFrame, samples: int,
+                              rng: random.Random) -> int:
+    """How many of the next `samples` Hessians of
+    :func:`random_traceless_hessian`'s stream from `rng` fail
+    :func:`verify_star_commutation`, counted on chunks of int64 rows.
+
+    Each side's numerators, scaled by its sign and the other map's den,
+    lie on the union of both maps' masks; a row fails where the two sides
+    differ, the Hessian's denominator cancelling.  A chunk holds at most
+    _SCAN_ENTRIES map entries per side, and Int64RangeError is raised when
+    a scaled side could leave the int64 range."""
+    m = frame.dim
+    left, right = _hessian_four_form_maps(frame)
+    sign_left, sign_right = _star_signs(m)
+    masks = sorted(set(left.masks) | set(right.masks))
+    at_left, at_right = (np.searchsorted(masks, f.masks) for f in (left, right))
+    weight = max(left.weight * right.den, right.weight * left.den)
+    chunk = max(1, _SCAN_ENTRIES // max(len(left.num), len(right.num)))
+    bad = 0
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        h = _traceless_batch(m, count, rng)[0].reshape(count, m * m)
+        if h[:, ::m + 1].sum(axis=1).any():
+            raise ContractViolation("star commutation requires a trace-free Hessian")
+        guard_int64(weight * int(np.abs(h).max(initial=1)), "Hessian 4-form map")
+        lhs = np.zeros((count, len(masks)), dtype=np.int64)
+        rhs = np.zeros_like(lhs)
+        lhs[:, at_left] = sign_left * right.den * left.apply(h)
+        rhs[:, at_right] = sign_right * left.den * right.apply(h)
+        bad += int((lhs != rhs).any(axis=1).sum())
+    return bad
 
 
 @dataclass(frozen=True)
@@ -397,7 +451,8 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
 # samples at n = 2 on a 2-vCPU x86-64 host, one series read 0.067 s at
 # 2^14, 0.081 s at 2^15 and 0.100 s at 2^16, another (medians of 15) 0.100,
 # 0.092 and 0.088 s: larger chunks gain nothing beyond the host's noise,
-# and each doubling doubles the scan's traced peak (0.29 MB at 2^14)
+# and each doubling doubles the scan's traced peak (0.29 MB at 2^14).
+# star_commutation_failures holds at most as many map entries per chunk
 _SCAN_ENTRIES = 1 << 14
 
 

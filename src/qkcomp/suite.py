@@ -55,7 +55,7 @@ from .quaternionic import (
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
-    verify_star_commutation,
+    star_commutation_failures,
 )
 from .report import Check, Report, check_eq, check_true
 from .riccati import comparison_excess, line_block, transversal_block
@@ -130,12 +130,7 @@ def defect_checks(n: int, seed: int) -> list[Check]:
 def star_commutation_check(n: int, samples: int, seed: int) -> Check:
     """The star commutation identity on `samples` trace-free Hessians drawn
     from random.Random(seed)."""
-    frame = build_frame(n)
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(samples):
-        if not verify_star_commutation(random_traceless_hessian(frame, rng)):
-            bad += 1
+    bad = star_commutation_failures(build_frame(n), samples, random.Random(seed))
     return Check(f"star commutation identity, n={n}, {samples} trace-free samples",
                  f"0 of {samples}", f"{bad} of {samples}", bad == 0)
 

@@ -10,6 +10,7 @@ the cached integer maps of the defect form and the star commutation are
 tested against.  `reference_kato_scan` keeps the full-matrix Kato scan the
 packed-triangle scan is tested against."""
 
+import dataclasses
 import math
 import os
 import random
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from qkcomp import forms, quaternionic
+from qkcomp.cli import main
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector,
                           contract, ext_mult, form_inner, interior, wedge)
 from qkcomp.identities import random_vector
@@ -40,6 +42,7 @@ from qkcomp.quaternionic import (
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
+    star_commutation_failures,
     star_commutation_sides,
     verify_star_commutation,
 )
@@ -411,6 +414,130 @@ def test_four_form_maps_raise_rather_than_wrap():
     assert siu_corlette_defect(H) == (1 << 55) * siu_corlette_defect(one)
     lhs, rhs = star_commutation_sides(H)
     assert lhs == rhs == (1 << 55) * star_commutation_sides(one)[0]
+
+
+# -- the batched star commutation against the per-sample check -------------
+
+def star_chunk(frame):
+    """The Hessians per chunk of star_commutation_failures: at most
+    _SCAN_ENTRIES entries of either map."""
+    left, right = quaternionic._hessian_four_form_maps(frame)
+    return max(1, quaternionic._SCAN_ENTRIES // max(len(left.num), len(right.num)))
+
+
+def per_sample_failures(frame, samples, rng):
+    return sum(not verify_star_commutation(random_traceless_hessian(frame, rng))
+               for _ in range(samples))
+
+
+def failure_counts(n, seed, samples):
+    """(batched, per-sample) failure counts on one stream, after checking
+    that both paths leave the stream at the same place."""
+    fr = build_frame(n)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    counts = (star_commutation_failures(fr, samples, rng),
+              per_sample_failures(fr, samples, ref_rng))
+    assert rng.getrandbits(64) == ref_rng.getrandbits(64)
+    return counts
+
+
+# criterion 2's streams at their sizes, and every n at 1, chunk - 1, chunk
+# and chunk + 1 samples (58, 10 and 3 Hessians per chunk at n = 2, 3, 4)
+@pytest.mark.parametrize("n, seed, sizes", [(2, 2222, (200,)), (3, 2333, (50,)),
+                                            (4, 2444, ())])
+def test_star_commutation_failures_match_the_per_sample_check(n, seed, sizes):
+    chunk = star_chunk(build_frame(n))
+    for samples in sorted({1, chunk - 1, chunk, chunk + 1, *sizes} - {0}):
+        assert failure_counts(n, seed, samples) == (0, 0)
+
+
+@pytest.mark.parametrize("n, seed, samples", [(2, 2222, 200), (3, 2333, 50)])
+def test_star_commutation_paths_see_the_same_mutant(monkeypatch, n, seed, samples):
+    # one left-chain entry raised by 1: both paths must count the same
+    # failing samples, and some must fail
+    left, right = quaternionic._hessian_four_form_maps(build_frame(n))
+    num = left.num.copy()
+    num[0] += 1
+    mutant = dataclasses.replace(left, num=num, weight=left.weight + 1)
+    monkeypatch.setattr(quaternionic, "_hessian_four_form_maps",
+                        lambda frame: (mutant, right))
+    batched, per_sample = failure_counts(n, seed, samples)
+    assert batched == per_sample > 0
+
+
+@pytest.mark.parametrize("n, count", [(2, 200), (3, 50)])
+def test_traceless_batch_is_the_per_sample_stream(n, count):
+    fr = build_frame(n)
+    rng, ref_rng = random.Random(2200 + n), random.Random(2200 + n)
+    h, d = quaternionic._traceless_batch(fr.dim, count, rng)
+    assert h.shape == (count, fr.dim, fr.dim)
+    for k in range(count):
+        T = random_traceless_hessian(fr, ref_rng).table
+        reduced = ExactArray.of(h[k], int(d[k]))
+        assert (reduced.num == T.num).all() and reduced.den == T.den
+
+
+def star_guard_bound(samples, seed):
+    """At n = 2 both maps have den 1 and weight 24, so no scaled side of
+    the first chunk exceeds 24 times its largest unreduced numerator."""
+    left, right = quaternionic._hessian_four_form_maps(build_frame(2))
+    assert (left.den, right.den, left.weight, right.weight) == (1, 1, 24, 24)
+    assert samples <= star_chunk(build_frame(2))
+    nums, _ = random_symmetric(8, samples, random.Random(seed))
+    trace = np.trace(nums, axis1=1, axis2=2)[:, None, None]
+    return 24 * int(np.abs(8 * nums - trace * np.eye(8, dtype=np.int64)).max())
+
+
+def test_star_commutation_failures_guard_their_int64_range(monkeypatch):
+    bound = star_guard_bound(10, 2222)
+    monkeypatch.setattr(forms, "INT_BOUND", bound)
+    assert star_commutation_failures(build_frame(2), 10, random.Random(2222)) == 0
+    monkeypatch.setattr(forms, "INT_BOUND", bound - 1)
+    with pytest.raises(Int64RangeError, match="Hessian 4-form map"):
+        star_commutation_failures(build_frame(2), 10, random.Random(2222))
+
+
+def test_star_commutation_guard_survives_optimize():
+    # -O strips assert statements; the range check must still raise
+    code = (f"import qkcomp.forms as forms; forms.INT_BOUND = {star_guard_bound(10, 2222) - 1}; "
+            "import random; from qkcomp.quaternionic import build_frame, "
+            "star_commutation_failures as f; f(build_frame(2), 10, random.Random(2222))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(forms.__file__).parent.parent) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Int64RangeError" in proc.stderr and "Hessian 4-form map" in proc.stderr
+
+
+def test_star_commutation_requires_trace_free_rows(monkeypatch):
+    def shifted(m, count, rng):
+        h, d = traceless(m, count, rng)
+        h[-1, 0, 0] += 1
+        return h, d
+
+    traceless = quaternionic._traceless_batch
+    monkeypatch.setattr(quaternionic, "_traceless_batch", shifted)
+    with pytest.raises(ContractViolation, match="trace-free"):
+        star_commutation_failures(build_frame(2), 5, random.Random(2222))
+
+
+def test_harmonicity_draws_one_chunk_at_a_time(monkeypatch, capsys):
+    counts = []
+
+    def recording(m, count, rng):
+        counts.append(count)
+        return packed(m, count, rng)
+
+    packed = quaternionic._random_packed
+    monkeypatch.setattr(quaternionic, "_random_packed", recording)
+    assert main(["harmonicity", "--n", "3", "--samples", "100000",
+                 "--kato-samples", "1"]) == 0
+    capsys.readouterr()
+    # the star commutation's chunks, two defect-check draws and one Kato draw
+    assert sum(counts) == 100000 + 2 + 1
+    assert max(counts) == star_chunk(build_frame(3))
 
 
 # -- refined Kato -----------------------------------------------------------
