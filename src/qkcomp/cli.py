@@ -33,7 +33,7 @@ from .forms import ContractViolation
 from .model import build_model, model_curvature
 from .report import Report, check_true, render_value
 from .riccati import DomainError, integrate_riccati
-from .spectral import RadialProblem, convergence_study, lambda1_dirichlet
+from .spectral import RadialProblem, ResidualError, convergence_study, lambda1_dirichlet
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -212,20 +212,28 @@ def cmd_lambda1(args) -> int:
     rep = Report("lambda1", {"n": args.n, "rmax": args.rmax,
                              "mesh": args.mesh, "rmin": args.rmin})
     target = eigenvalue_bounds(args.n).quaternionic
+    est = None
     if args.study:
-        rows = convergence_study(args.n, [args.rmax / 2, 3 * args.rmax / 4,
-                                          args.rmax], args.mesh)
-        rep.results.extend(rows)
-        rep.checks.append(suite_mod.convergence_check(args.n, rows))
+        try:
+            rows = convergence_study(args.n, [args.rmax / 2, 3 * args.rmax / 4,
+                                              args.rmax], args.mesh)
+            rep.results.extend(rows)
+            rep.checks.append(suite_mod.convergence_check(args.n, rows))
+        except ResidualError as exc:
+            est = exc.estimate
     else:
-        est = lambda1_dirichlet(RadialProblem(args.n, args.rmin, args.rmax,
-                                              args.mesh))
+        try:
+            est = lambda1_dirichlet(RadialProblem(args.n, args.rmin, args.rmax,
+                                                  args.mesh))
+        except ResidualError as exc:
+            est = exc.estimate
         rep.results.append({"n": args.n, "r_max": args.rmax, "mesh": args.mesh,
                             "lambda1": est.lambda1, "target": target,
                             "gap": est.lambda1 - target})
         rep.checks.append(check_true(
             "Dirichlet estimate sits above the limit value",
             est.lambda1 > target, detail=f"{est.lambda1:.9f} > {target}"))
+    if est is not None:
         rep.checks.append(check_true(
             "residual within 1e-8", est.residual <= 1e-8,
             detail=f"{est.residual:.3e}"))

@@ -324,7 +324,8 @@ def interior(v: Vector, a: Form) -> Form:
     if a.degree == 0:
         return Form(a.space, 0)
     nums, den = v.scaled_components
-    return Form(a.space, a.degree - 1, kernel.interior_terms(nums, a._terms),
+    nonzero = {1 << i: c for i, c in enumerate(nums) if c}
+    return Form(a.space, a.degree - 1, kernel.interior_terms(nonzero, a._terms),
                 a.den * den)
 
 

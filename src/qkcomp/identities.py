@@ -196,10 +196,9 @@ def operator_tables(dim: int) -> tuple[SignedTable, SignedTable, SignedTable]:
     if not 1 <= dim <= 12:
         raise ContractViolation(f"need 1 <= dim <= 12, got dim={dim}")
     basis = [{mask: 1} for mask in range(1 << dim)]
-    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    units = [{1 << i: 1} for i in range(dim)]
     star = _signed_table([[kernel.star_terms(b, dim) for b in basis]])
-    eps = _signed_table([[kernel.wedge_terms({1 << i: 1}, b) for b in basis]
-                         for i in range(dim)])
+    eps = _signed_table([[kernel.wedge_terms(e, b) for b in basis] for e in units])
     iota = _signed_table([[kernel.interior_terms(e, b) for b in basis] for e in units])
     return star, eps, iota
 

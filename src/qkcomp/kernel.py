@@ -73,18 +73,16 @@ def star_terms(a: dict, dim: int) -> dict:
     return out
 
 
-def interior_terms(comps: tuple, a: dict) -> dict:
-    """Contraction with the vector whose i-th component is comps[i] (0-based)."""
+def interior_terms(v: dict, a: dict) -> dict:
+    """Contraction with the vector of nonzero components v = {1 << i: v_i}
+    (0-based i), which alone are visited: removing bit i of a monomial k
+    carries the sign (-1)^(bits of k below i)."""
     out: dict = {}
     for k, c in a.items():
-        rest = k
-        pos = 0
-        while rest:
-            low = rest & -rest
-            v = comps[low.bit_length() - 1]
-            if v:
-                k2 = k ^ low
-                c2 = v * c if pos % 2 == 0 else -v * c
+        for bit, vi in v.items():
+            if k & bit:
+                k2 = k ^ bit
+                c2 = -vi * c if (k & (bit - 1)).bit_count() & 1 else vi * c
                 acc = out.get(k2)
                 if acc is None:
                     out[k2] = c2
@@ -94,8 +92,6 @@ def interior_terms(comps: tuple, a: dict) -> dict:
                         out[k2] = acc
                     else:
                         del out[k2]
-            rest ^= low
-            pos += 1
     return out
 
 

@@ -20,9 +20,11 @@ formula for left-invariant orthonormal frames,
 and the curvature tensor follows the convention
 R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>.
 
-On left-invariant forms d and nabla_X are one operator, the (anti)derivation
-fixed by its values on the coframe, D omega = sum_k D(theta^k) ^ iota(e_k) omega
-(`derivation`), given d theta^k from C or nabla_X theta^k from Gamma.
+On left-invariant forms d and nabla_X are both the (anti)derivation fixed by
+its values on the coframe, D omega = sum_k D(theta^k) ^ iota(e_k) omega: d is
+`derivation` of the 2-forms d theta^k from C, and nabla_{e_x} omega is
+sum h_ik theta^i ^ iota(e_k) omega at h = -Gamma[x], one int64 map per form
+(`quaternionic.derivation_maps`) applied to every direction x at once.
 
 Every table here and on the horospheres of `levelset` (C, Gamma, R) is a
 `forms.ExactArray`: int64 numerators over one positive denominator.
@@ -42,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
-                    form_inner, interior, two_form, wedge)
-from .quaternionic import build_frame, build_fundamental_forms
+                    guard_int64, interior, two_form, wedge)
+from .quaternionic import build_frame, build_fundamental_forms, derivation_maps
 from .report import Check, check_eq, check_true
 
 
@@ -402,11 +404,9 @@ def derivation(images: list[Form], omega: Form) -> Form:
 
         D omega = sum_k D(theta^k) ^ iota(e_k) omega.
 
-    With d theta^k it is the exterior derivative d, with nabla_X theta^k
-    the covariant derivative nabla_X.  Either way the term of theta^k at
-    position pos of a monomial carries the sign (-1)^pos that iota(e_k)
-    gives: from the antiderivation rule for d (2-form images), from moving
-    the 1-form image to the front for nabla_X.
+    With the 2-forms d theta^k it is the exterior derivative d: the term
+    of theta^k at position pos of a monomial carries the sign (-1)^pos that
+    iota(e_k) gives, as the antiderivation rule asks.
     omega has degree >= 1; the images share one degree."""
     space = omega.space
     out = Form.zero(space, omega.degree + images[0].degree - 1)
@@ -423,13 +423,6 @@ def d_coframe(space: InnerSpace, C: ExactArray) -> list[Form]:
     return [two_form(space, -C[:, :, k]) for k in range(len(C.num))]
 
 
-def nabla_coframe(space: InnerSpace, G: ExactArray, x: int) -> list[Form]:
-    """nabla_{e_x} theta^k = -sum_i Gamma[x, i, k] theta^i, k = 1 .. m
-    (0-based x)."""
-    return [Form(space, 1, {1 << i: -v for i, v in enumerate(row) if v}, G.den)
-            for row in G.num[x].T.tolist()]
-
-
 @dataclass
 class Sp1Connection:
     """The local 1-forms a, b, c read off the connection's rotation of the
@@ -444,40 +437,48 @@ class Sp1Connection:
 def verify_parallel_four_form(sc: StructureConstants,
                               berger: BergerData) -> Sp1Connection:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
-    the curvature relation alpha = da + b ^ c (with its cyclic companions)."""
+    the curvature relation alpha = da + b ^ c (with its cyclic companions).
+    nabla_X omega_a and nabla_X Omega, for every X, are one application of
+    their maps of `derivation_maps` to the rows h = -Gamma[x]."""
     frame = build_frame(sc.n)
     ff = build_fundamental_forms(frame)
     space = frame.space
     m = sc.dim
-    norm = Fraction(2 * sc.n)
     d_images = d_coframe(space, sc.table)
     G = levi_civita_table(sc.table)
+    rows = -G.num.reshape(m, m * m)
+    maps = derivation_maps(frame)
+    guard_int64(max(f.weight for f in maps) * int(np.abs(rows).max(initial=1)), "nabla map")
+    omegas = (ff.omega1, ff.omega2, ff.omega3)
+    masks = sorted(set().union(*(f.masks for f in maps[:3]), *(w._terms for w in omegas)))
 
-    checks: list[Check] = []
-    checks.append(check_true("d Omega = 0", derivation(d_images, ff.Omega).is_zero()))
+    def nabla(f) -> ExactArray:
+        """nabla_X of f's form, row X, on the coefficients of `masks`."""
+        out = np.zeros((m, len(masks)), dtype=np.int64)
+        out[:, np.searchsorted(masks, f.masks)] = f.apply(rows)
+        return ExactArray.of(out, f.den * G.den)
 
-    a_coms = [Fraction(0)] * m
-    b_coms = [Fraction(0)] * m
-    c_coms = [Fraction(0)] * m
-    rotation_bad = 0
-    nabla_omega_bad = 0
-    for x in range(m):
-        images = nabla_coframe(space, G, x)
-        d1, d2, d3 = (derivation(images, w) for w in (ff.omega1, ff.omega2, ff.omega3))
-        cx = form_inner(d1, ff.omega2) / norm
-        bx = -form_inner(d1, ff.omega3) / norm
-        ax = form_inner(d2, ff.omega3) / norm
-        a_coms[x], b_coms[x], c_coms[x] = ax, bx, cx
-        if (d1 != cx * ff.omega2 - bx * ff.omega3
-                or d2 != -cx * ff.omega1 + ax * ff.omega3
-                or d3 != bx * ff.omega1 - ax * ff.omega2):
-            rotation_bad += 1
-        if not derivation(images, ff.Omega).is_zero():
-            nabla_omega_bad += 1
-    checks.append(check_eq("nabla_X omega_a is the sp(1) rotation, all X",
-                           0, rotation_bad))
-    checks.append(check_eq("nabla_X Omega = 0, all X", 0, nabla_omega_bad))
+    def span(s, w, t, v) -> ExactArray:
+        """s(X) w - t(X) v for every X."""
+        return contract("x,u->xu", s, w) - contract("x,u->xu", t, v)
 
+    d1, d2, d3 = (nabla(f) for f in maps[:3])
+    w1, w2, w3 = (ExactArray.of([w._terms.get(k, 0) for k in masks], w.den) for w in omegas)
+    per_norm = Fraction(1, 2 * sc.n)  # 1 / |omega_a|^2
+    c = contract("xu,u->x", d1, w2) * per_norm
+    b = -contract("xu,u->x", d1, w3) * per_norm
+    a = contract("xu,u->x", d2, w3) * per_norm
+    rotation_bad = (d1.ne(span(c, w2, b, w3)) | d2.ne(span(a, w3, c, w1))
+                    | d3.ne(span(b, w1, a, w2))).any(axis=1)
+    checks = [
+        check_true("d Omega = 0", derivation(d_images, ff.Omega).is_zero()),
+        check_eq("nabla_X omega_a is the sp(1) rotation, all X",
+                 0, int(np.count_nonzero(rotation_bad))),
+        check_eq("nabla_X Omega = 0, all X",
+                 0, int(np.count_nonzero(maps[3].apply(rows).any(axis=1)))),
+    ]
+
+    a_coms, b_coms, c_coms = (coms.fractions() for coms in (a, b, c))
     fa, fb, fc = (Vector.of(space, coms).dual() for coms in (a_coms, b_coms, c_coms))
     for name, (f, g, h), curv in (
             ("alpha = da + b ^ c matches the curvature alpha", (fa, fb, fc), berger.alpha),

@@ -16,8 +16,9 @@ denominator), built straight from the seeded int64 streams; its trace,
 line sums, norm and Kato slacks are guarded integer reductions read out
 as `Fraction`s.  The Siu-Corlette defect form and both sides of the star
 commutation are 4-forms linear in the Hessian: each operator chain on
-Omega is built once per frame as a cached sparse integer map of the
-Hessian numerators, applied to a batch of them with one `np.add.reduceat`.
+Omega is a cached sparse integer map of the Hessian numerators, built once
+per frame from Omega's term table (as are the model's nabla_X maps,
+`derivation_maps`) and applied to a batch with one `np.add.reduceat`.
 Criterion 2 counts the star commutation's failures on chunks of the
 trace-free stream at a time (`star_commutation_failures`).
 """
@@ -29,12 +30,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
-                    ext_mult, guard_int64, interior, two_form, wedge)
+from .forms import (ContractViolation, ExactArray, Form, InnerSpace, contract, guard_int64,
+                    two_form, wedge)
 
 
 # The rows of I, J, K on one quaternionic line (a, b, c, d) = (e, Ie, Je, Ke),
@@ -249,12 +249,13 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
 
 
 @dataclass(frozen=True, eq=False)
-class _FourFormMap:
-    """A linear map from the m x m Hessian numerators h to 4-form
-    numerators: entry k adds num[k] * h.ravel()[ij[k]] to the coefficient
-    of one mask, all over den.  The entries are sorted by mask, those of
-    masks[s] starting at starts[s].  `weight`, the largest per-mask sum of
-    |num|, times the Hessian's bound bounds every output numerator."""
+class _FormMap:
+    """A linear map from the m x m Hessian numerators h to the numerators
+    of forms of one degree: entry k adds num[k] * h.ravel()[ij[k]] to the
+    coefficient of one mask, all over den.  The entries are sorted by mask,
+    those of masks[s] starting at starts[s].  `weight`, the largest
+    per-mask sum of |num|, times the Hessian's bound bounds every output
+    numerator."""
 
     masks: tuple[int, ...]
     starts: np.ndarray
@@ -262,19 +263,7 @@ class _FourFormMap:
     num: np.ndarray
     den: int
     weight: int
-
-    @classmethod
-    def of(cls, forms: Iterable[tuple[int, Form]]) -> "_FourFormMap":
-        """The map h -> sum of h.ravel()[ij] f over the pairs (ij, f)."""
-        entries = sorted((k, ij, c, f.den) for ij, f in forms
-                         for k, c in f._terms.items())
-        keys, flat, nums, dens = zip(*entries)
-        den = math.lcm(*dens)
-        masks = sorted(set(keys))
-        starts = np.searchsorted(keys, masks)
-        num = np.array([c * (den // d) for c, d in zip(nums, dens)], dtype=np.int64)
-        weight = np.add.reduceat(np.abs(num), starts)
-        return cls(tuple(masks), starts, np.array(flat), num, den, int(weight.max()))
+    degree: int
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """The output numerators of the rows h of raveled Hessian numerators,
@@ -283,31 +272,64 @@ class _FourFormMap:
         return np.add.reduceat(self.num * h[:, self.ij], self.starts, axis=1)
 
     def __call__(self, H: HessianMatrix, sign: int) -> Form:
-        """sign times the image of H, a degree-4 form."""
+        """sign times the image of H."""
         T = H.table
         guard_int64(self.weight * T.bound, "Hessian 4-form map")
         acc = self.apply(T.num.reshape(1, -1))[0]
         terms = {k: sign * c for k, c in zip(self.masks, acc.tolist()) if c}
-        return Form(H.frame.space, 4, terms, self.den * T.den)
+        return Form(H.frame.space, self.degree, terms, self.den * T.den)
+
+
+def _sign(mask: int, bit: int) -> int:
+    """(-1)^(the bits of mask below bit): the sign of inserting bit into
+    mask, theta^b ^ ., or of removing it, iota(e_b)."""
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+
+
+def _chain_map(omega: Form, m: int, inner_first: bool) -> _FormMap:
+    """The map h -> sum h_ij theta^i ^ iota(e_j) omega (inner_first) or
+    h -> sum h_ij iota(e_i)(theta^j ^ omega), straight from omega's term
+    table: the first step removes (inserts) bit j of each monomial, the
+    second inserts (removes) bit i, each with its `_sign`."""
+    acc: dict = {}  # output mask * m^2 + ij -> coefficient
+    mm = m * m
+    bits = [1 << i for i in range(m)]
+    for k, c in omega._terms.items():
+        for j, bj in enumerate(bits):
+            if bool(k & bj) == inner_first:
+                mid, cj = k ^ bj, _sign(k, bj) * c
+                for i, bi in enumerate(bits):
+                    if bool(mid & bi) != inner_first:
+                        key = (mid ^ bi) * mm + i * m + j
+                        acc[key] = acc.get(key, 0) + _sign(mid, bi) * cj
+    keys, nums = zip(*((key, c) for key, c in sorted(acc.items()) if c))
+    keys = np.array(keys, dtype=np.int64)
+    g = math.gcd(omega.den, *nums)
+    entry_masks = keys // mm
+    masks = sorted(set(entry_masks.tolist()))
+    starts = np.searchsorted(entry_masks, masks)
+    num = np.array(nums, dtype=np.int64) // g
+    weight = np.add.reduceat(np.abs(num), starts)
+    return _FormMap(tuple(masks), starts, keys % mm, num, omega.den // g,
+                    int(weight.max()), omega.degree)
 
 
 @lru_cache(maxsize=None)
-def _hessian_four_form_maps(frame: QuaternionicFrame) -> tuple[_FourFormMap, _FourFormMap]:
-    """The two operator chains on Omega as maps of the Hessian, built
-    independently: h -> sum h_ij ell(e_i) eps(theta^j) Omega (left) and
-    h -> sum h_ij eps(theta^i) ell(e_j) Omega (right)."""
-    space = frame.space
+def derivation_maps(frame: QuaternionicFrame) -> tuple[_FormMap, ...]:
+    """h -> sum h_ij theta^i ^ iota(e_j) omega for omega = omega_1, omega_2,
+    omega_3 and Omega: at h = -Gamma[x], nabla_{e_x} omega."""
+    ff = build_fundamental_forms(frame)
+    return tuple(_chain_map(w, frame.dim, True)
+                 for w in (ff.omega1, ff.omega2, ff.omega3, ff.Omega))
+
+
+@lru_cache(maxsize=None)
+def _hessian_four_form_maps(frame: QuaternionicFrame) -> tuple[_FormMap, _FormMap]:
+    """The two operator chains on Omega as maps of the Hessian:
+    h -> sum h_ij ell(e_i) eps(theta^j) Omega (left) and
+    h -> sum h_ij eps(theta^i) ell(e_j) Omega (right, `derivation_maps`)."""
     Omega = build_fundamental_forms(frame).Omega
-    m = frame.dim
-    thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
-    vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
-    eps_then = [ext_mult(theta, Omega) for theta in thetas]
-    ell_then = [interior(v, Omega) for v in vecs]
-    left = _FourFormMap.of((i * m + j, interior(vecs[i], eps_then[j]))
-                           for i in range(m) for j in range(m))
-    right = _FourFormMap.of((i * m + j, ext_mult(thetas[i], ell_then[j]))
-                            for i in range(m) for j in range(m))
-    return left, right
+    return _chain_map(Omega, frame.dim, False), derivation_maps(frame)[3]
 
 
 def siu_corlette_defect(H: HessianMatrix) -> Form:

@@ -69,6 +69,15 @@ class SpectralEstimate:
     iterations: int
 
 
+class ResidualError(RuntimeError):
+    """The eigen-solve stopped above RESIDUAL_TARGET; `estimate` is where."""
+
+    def __init__(self, estimate: SpectralEstimate):
+        super().__init__(f"eigen-solve residual {estimate.residual:.3e} exceeds "
+                         f"{RESIDUAL_TARGET:.0e} (lambda1 {estimate.lambda1})")
+        self.estimate = estimate
+
+
 def _assemble(p: RadialProblem):
     """Symmetric tridiagonal A (flux form) and diagonal B on interior nodes."""
     m = p.mesh_points
@@ -205,9 +214,10 @@ def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
     solve no longer shrinks it tenfold, at its rounding floor, or after
     MAX_SOLVES solves.  lambda1 is the Rayleigh quotient of the last
     iterate, accurate to second order in its residual.  A residual above
-    RESIDUAL_TARGET raises RuntimeError, and so does a failed index
-    certificate: an eigenvalue of T below lambda1 (1 - INDEX_TOL), or other
-    than exactly one below lambda1 (1 + INDEX_TOL)."""
+    RESIDUAL_TARGET raises ResidualError, with the estimate reached, and a
+    failed index certificate RuntimeError: an eigenvalue of T below
+    lambda1 (1 - INDEX_TOL), or other than exactly one below
+    lambda1 (1 + INDEX_TOL)."""
     diag, off, w_node, _h = _assemble(p)
     scale = 1.0 / np.sqrt(w_node)
     t_diag = diag * scale * scale
@@ -227,8 +237,7 @@ def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
             break
         previous = residual
     if not residual <= RESIDUAL_TARGET:
-        raise RuntimeError(f"eigen-solve residual {residual:.3e} exceeds "
-                           f"{RESIDUAL_TARGET:.0e} (lambda1 {lam})")
+        raise ResidualError(SpectralEstimate(lam, residual, solves))
     _certify_lowest(t_diag, t_off, lam)
     return SpectralEstimate(lam, residual, solves)
 

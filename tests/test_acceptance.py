@@ -5,6 +5,7 @@ pass/fail summary per criterion; each test also enforces the stated
 wall-clock budget around the shared battery implementation."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -139,15 +140,18 @@ def caches():
 
 at_import = {name: c.cache_info().currsize for name, c in caches().items()}
 qkcomp.suite.criterion_2_harmonicity()
+qkcomp.suite.criterion_5_model_curvature()
 print(json.dumps({"at_import": at_import, "misses": {
     name: getattr(quaternionic, name).cache_info().misses
-    for name in ("build_frame", "build_fundamental_forms", "_hessian_four_form_maps")}}))
+    for name in ("build_frame", "build_fundamental_forms", "_hessian_four_form_maps",
+                 "derivation_maps")}}))
 """
 
 
 def test_suite_import_leaves_every_cache_empty():
     # a fresh interpreter starts with cold caches, as a user's run does;
-    # criterion 2 then builds the forms and maps of n = 2 and 3 once each
+    # criteria 2 and 5 then build the forms and maps of n = 2 and 3 once
+    # each, criterion 5 reusing the derivation maps criterion 2 built
     env = dict(os.environ)
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -157,8 +161,33 @@ def test_suite_import_leaves_every_cache_empty():
     probe = json.loads(proc.stdout)
     assert "qkcomp.quaternionic.build_frame" in probe["at_import"]
     assert set(probe["at_import"].values()) == {0}
+    assert "qkcomp.quaternionic.derivation_maps" in probe["at_import"]
     assert probe["misses"] == {"build_frame": 2, "build_fundamental_forms": 2,
-                               "_hessian_four_form_maps": 2}
+                               "_hessian_four_form_maps": 2, "derivation_maps": 2}
+
+
+def test_suite_checks_match_the_benchmark_golden(monkeypatch):
+    # every check's name, verdict and exact value against
+    # certbench/golden.json, through the benchmark's own gate and value
+    # rendering: a renamed check or a changed exact value fails here, not
+    # only in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "certbench"))
+    bench_run = importlib.import_module("run")
+    bench_worker = importlib.import_module("worker")
+    status, _text, reports = battery.run_suite()
+    rep = {"criteria": [{"criterion": k, "error": None,
+                         "checks": [{"name": c.name, "passed": bool(c.passed),
+                                     "exact": bench_worker.exact_value(c.actual)}
+                                    for c in report.checks]}
+                        for k, report in enumerate(reports, start=1)]}
+    golden = json.loads(bench_run.GOLDEN.read_text())
+    assert status == 0
+    for workload, criteria in bench_run.WORKLOADS.items():
+        attempted, failed, problems = bench_run.gate(workload, rep, golden)
+        assert (failed, problems) == (0, []), workload
+        assert attempted == sum(len(golden[str(k)]) for k in criteria)
+    assert sorted(k for criteria in bench_run.WORKLOADS.values() for k in criteria) == \
+        list(range(1, len(reports) + 1))
 
 
 MODEL_PROBE = """

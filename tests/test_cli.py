@@ -77,6 +77,20 @@ def test_lambda1_study(capsys):
     assert lams[0] > lams[1] > lams[2]
 
 
+@pytest.mark.parametrize("study", [False, True])
+def test_lambda1_reports_a_residual_it_cannot_reach(capsys, study):
+    # at r_max 2 and mesh 20000 the residual's rounding floor lies above
+    # 1e-8: the solver's ResidualError becomes the failed residual check,
+    # with the residual reached, not a traceback
+    status, out = run_cli(["lambda1", "--rmax", "2"] + ["--study"] * study, capsys)
+    assert status == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    residual = checks["residual within 1e-8"]
+    assert residual["pass"] is False
+    assert 1e-8 < float(residual["actual"]) < 1e-6
+    assert all(c["pass"] for name, c in checks.items() if name != "residual within 1e-8")
+
+
 def test_check_identities_json(capsys):
     status, out = run_cli(["check-identities", "--dim", "4", "--degree", "2"], capsys)
     assert status == 0

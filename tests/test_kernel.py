@@ -20,6 +20,12 @@ def random_int_terms(rng, dim, degree):
     return out
 
 
+def nonzero_components(comps):
+    """The vector of components comps as interior_terms takes it: its
+    nonzero components {1 << i: comps[i]}."""
+    return {1 << i: x for i, x in enumerate(comps) if x}
+
+
 def test_merge_sign_reference_cases():
     # ka = {1}, kb = {2}: already sorted
     assert kernel.merge_sign(0b01, 0b10) == 1
@@ -51,15 +57,15 @@ def test_integer_maps_match_fraction_maps():
         b = random_int_terms(rng, dim, q)
         fa = {k: F(c) for k, c in a.items()}
         fb = {k: F(c) for k, c in b.items()}
-        comps = tuple(rng.randint(-9, 9) for _ in range(dim))
+        v = nonzero_components(tuple(rng.randint(-9, 9) for _ in range(dim)))
         c = rng.randint(-9, 9)
         acc, facc = dict(a), dict(fa)
         kernel.accumulate_scaled(acc, b, c)
         kernel.accumulate_scaled(facc, fb, F(c))
         pairs = ((kernel.wedge_terms(a, b), kernel.wedge_terms(fa, fb)),
                  (kernel.star_terms(a, dim), kernel.star_terms(fa, dim)),
-                 (kernel.interior_terms(comps, a),
-                  kernel.interior_terms(tuple(map(F, comps)), fa)),
+                 (kernel.interior_terms(v, a),
+                  kernel.interior_terms({k: F(x) for k, x in v.items()}, fa)),
                  (acc, facc))
         for got, want in pairs:
             assert got == want
@@ -73,3 +79,48 @@ def test_accumulate_cancels_to_empty():
     acc = dict(a)
     kernel.accumulate_scaled(acc, a, F(-1))
     assert acc == {}
+
+
+def reference_interior_terms(comps, a):
+    """Contraction with the vector of components comps by the loop that
+    visits every set bit of every monomial, with the sign (-1)^pos of the
+    bit's position: the oracle of the loop over the nonzero components."""
+    out = {}
+    for k, c in a.items():
+        rest = k
+        pos = 0
+        while rest:
+            low = rest & -rest
+            v = comps[low.bit_length() - 1]
+            if v:
+                k2 = k ^ low
+                c2 = v * c if pos % 2 == 0 else -v * c
+                acc = out.get(k2)
+                if acc is None:
+                    out[k2] = c2
+                else:
+                    acc = acc + c2
+                    if acc:
+                        out[k2] = acc
+                    else:
+                        del out[k2]
+            rest ^= low
+            pos += 1
+    return out
+
+
+def test_interior_terms_match_the_every_bit_loop():
+    # seeded random term maps of every degree, against basis vectors,
+    # sparse vectors, dense vectors and the zero vector
+    rng = random.Random(126)
+    for _ in range(300):
+        dim = rng.randint(1, 10)
+        a = random_int_terms(rng, dim, rng.randint(0, dim))
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        vectors = [tuple(int(i == b) for i in range(dim)) for b in range(dim)]
+        vectors.append(tuple(rng.randint(-9, 9) if rng.random() < density else 0
+                             for _ in range(dim)))
+        for comps in vectors:
+            out = kernel.interior_terms(nonzero_components(comps), a)
+            assert out == reference_interior_terms(comps, a)
+            assert list(out) == list(reference_interior_terms(comps, a))

@@ -33,14 +33,13 @@ from qkcomp.model import (
     jacobi_violations,
     levi_civita_table,
     model_curvature,
-    nabla_coframe,
     verify_berger,
     verify_einstein,
     verify_parallel_four_form,
     verify_quaternionic_traces,
     verify_radial_slabs,
 )
-from qkcomp.quaternionic import build_frame, build_fundamental_forms
+from qkcomp.quaternionic import _chain_map, build_frame, build_fundamental_forms, derivation_maps
 from qkcomp.riccati import rational_sqrt
 from qkcomp.suite import level_set_battery, model_battery
 from test_quaternionic import reference_actions
@@ -469,6 +468,14 @@ def test_parallel_four_form(model2):
     assert sp1.a[0] == sp1.b[0] == sp1.c[0] == 0
 
 
+def nabla_through_map(G, f, space):
+    """nabla_{e_x} of the form of the map f, for every x: f applied to the
+    rows -Gamma[x], the path of verify_parallel_four_form."""
+    m = len(G.num)
+    return [Form(space, f.degree, {k: c for k, c in zip(f.masks, row) if c}, f.den * G.den)
+            for row in f.apply(-G.num.reshape(m, m * m)).tolist()]
+
+
 def test_exterior_derivative_matches_connection(model2):
     # torsion-free consistency: d omega = sum theta^A ^ nabla_A omega
     sc, G, _ = model2
@@ -476,18 +483,18 @@ def test_exterior_derivative_matches_connection(model2):
     ff = build_fundamental_forms(frame)
     space = frame.space
     d_images = d_coframe(space, sc.table)
-    for omega in (ff.omega1, ff.omega2):
+    for omega, f in zip((ff.omega1, ff.omega2), derivation_maps(frame)):
         rhs = Form.zero(space, omega.degree + 1)
-        for x in range(sc.dim):
-            rhs = rhs + ext_mult(Form.basis(space, (x + 1,)),
-                                 derivation(nabla_coframe(space, G, x), omega))
+        for x, nabla in enumerate(nabla_through_map(G, f, space)):
+            rhs = rhs + ext_mult(Form.basis(space, (x + 1,)), nabla)
         assert derivation(d_images, omega) == rhs
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_derivation_matches_the_term_by_term_references(n):
-    # d and every nabla_X through the one derivation, against the old
-    # per-term loops: on omega_a, Omega and seeded random 1- to 4-forms
+    # d through the one derivation, and every nabla_X through the maps,
+    # against the old per-term loops: on omega_a and Omega (the maps of
+    # derivation_maps) and on seeded random 1- to 4-forms (_chain_map)
     sc = build_model(n)
     G = levi_civita_table(sc.table)
     frame = build_frame(n)
@@ -495,14 +502,45 @@ def test_derivation_matches_the_term_by_term_references(n):
     space = frame.space
     rng = random.Random(30 + n)
     forms = [ff.omega1, ff.omega2, ff.omega3, ff.Omega]
-    forms += [random_form(space, p, rng) for p in (1, 2, 3, 4)]
+    maps = list(derivation_maps(frame))
+    for p in (1, 2, 3, 4):
+        forms.append(random_form(space, p, rng))
+        maps.append(_chain_map(forms[-1], sc.dim, True))
     d_images = d_coframe(space, sc.table)
-    directions = [0, 1, 4, sc.dim - 1] + [rng.randrange(sc.dim) for _ in range(2)]
-    for omega in forms:
+    for omega, f in zip(forms, maps):
         assert derivation(d_images, omega) == reference_exterior_derivative(sc.table, omega)
-        for x in directions:
-            assert derivation(nabla_coframe(space, G, x), omega) == \
-                reference_covariant_derivative(G, x + 1, omega)
+        assert nabla_through_map(G, f, space) == \
+            [reference_covariant_derivative(G, x, omega) for x in range(1, sc.dim + 1)]
+
+
+def perturbed_connection(monkeypatch, x, i, k, s):
+    """levi_civita_table as model.py reads it, with s added to Gamma[x, i, k]."""
+    def perturbed(C):
+        G = levi_civita_table(C)
+        num = G.num.copy()
+        num[x, i, k] += s * G.den
+        return ExactArray.of(num, G.den)
+    monkeypatch.setattr(qkcomp.model, "levi_civita_table", perturbed)
+    return perturbed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
+    # mutants: +-1 on one Gamma entry.  nabla_X Omega = 0 must fail in
+    # direction x alone, as the term-by-term reference sees it
+    sc = build_model(n)
+    berger = verify_berger(model_curvature(n))
+    Omega = build_fundamental_forms(build_frame(n)).Omega
+    rng = random.Random(60 + n)
+    for _ in range(4):
+        x, i, k = (rng.randrange(sc.dim) for _ in range(3))
+        s = rng.choice((-1, 1))
+        G = perturbed_connection(monkeypatch, x, i, k, s)(sc.table)
+        checks = {c.name: c for c in verify_parallel_four_form(sc, berger).checks}
+        bad = [d for d in range(1, sc.dim + 1)
+               if not reference_covariant_derivative(G, d, Omega).is_zero()]
+        assert bad == [x + 1], (x, i, k, s)
+        assert checks["nabla_X Omega = 0, all X"].actual == 1, (x, i, k, s)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -7,8 +7,9 @@ fundamental forms from them.  `ReferenceHessian` keeps the nested-`Fraction`
 Hessians the `ExactArray` tables of `HessianMatrix` are tested against, and
 `reference_defect` and `reference_star_sides` the Form-by-Form operator sums
 the cached integer maps of the defect form and the star commutation are
-tested against.  `reference_kato_scan` keeps the full-matrix Kato scan the
-packed-triangle scan is tested against."""
+tested against; `reference_form_map` keeps the Form-built constructor the
+term-table maps are tested against field by field.  `reference_kato_scan`
+keeps the full-matrix Kato scan the packed-triangle scan is tested against."""
 
 import dataclasses
 import math
@@ -46,6 +47,7 @@ from qkcomp.quaternionic import (
     star_commutation_sides,
     verify_star_commutation,
 )
+from qkcomp.suite import defect_checks, model_battery, star_commutation_check
 
 
 # -- independent oracle: naive wedge expansion over sorted tuples ----------
@@ -331,15 +333,16 @@ def reference_defect(H):
     return out
 
 
-def reference_operator_forms(frame):
-    """The m x m grids ell(e_i) eps(theta_j) Omega and eps(theta_i) ell(e_j) Omega."""
+def reference_operator_forms(frame, omega=None):
+    """The m x m grids ell(e_i) eps(theta_j) omega and eps(theta_i) ell(e_j)
+    omega, omega = Omega by default."""
     space = frame.space
-    Omega = build_fundamental_forms(frame).Omega
+    omega = build_fundamental_forms(frame).Omega if omega is None else omega
     m = frame.dim
     thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
     vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
-    eps_then = [ext_mult(thetas[j], Omega) for j in range(m)]
-    ell_then = [interior(vecs[j], Omega) for j in range(m)]
+    eps_then = [ext_mult(thetas[j], omega) for j in range(m)]
+    ell_then = [interior(vecs[j], omega) for j in range(m)]
     left = [[interior(vecs[i], eps_then[j]) for j in range(m)] for i in range(m)]
     right = [[ext_mult(thetas[i], ell_then[j]) for j in range(m)] for i in range(m)]
     den = math.lcm(*(f.den for ops in (left, right) for row in ops for f in row))
@@ -414,6 +417,102 @@ def test_four_form_maps_raise_rather_than_wrap():
     assert siu_corlette_defect(H) == (1 << 55) * siu_corlette_defect(one)
     lhs, rhs = star_commutation_sides(H)
     assert lhs == rhs == (1 << 55) * star_commutation_sides(one)[0]
+
+
+# -- the term-table map builder against the Form-built constructor ---------
+
+def reference_form_map(grid, degree):
+    """The map h -> sum h_ij grid[i][j], accumulated from the grid's Form
+    terms: the Form-built constructor that `_chain_map` replaced, kept as
+    its oracle."""
+    m = len(grid)
+    entries = sorted((k, i * m + j, c, grid[i][j].den) for i in range(m) for j in range(m)
+                     for k, c in grid[i][j]._terms.items())
+    keys, flat, nums, dens = zip(*entries)
+    den = math.lcm(*dens)
+    masks = sorted(set(keys))
+    starts = np.searchsorted(keys, masks)
+    num = np.array([c * (den // d) for c, d in zip(nums, dens)], dtype=np.int64)
+    weight = np.add.reduceat(np.abs(num), starts)
+    return quaternionic._FormMap(tuple(masks), starts, np.array(flat), num, den,
+                                 int(weight.max()), degree)
+
+
+def assert_same_map(f, g):
+    assert (f.masks, f.den, f.weight, f.degree) == (g.masks, g.den, g.weight, g.degree)
+    for a, b in ((f.starts, g.starts), (f.ij, g.ij), (f.num, g.num)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chain_maps_match_the_form_built_oracle(n):
+    # both chains on Omega, and the derivation maps of omega_a and Omega,
+    # field by field; the right chain on Omega is one shared map
+    fr = build_frame(n)
+    ff = build_fundamental_forms(fr)
+    left, right = quaternionic._hessian_four_form_maps(fr)
+    maps = quaternionic.derivation_maps(fr)
+    assert right is maps[3]
+    ref_left, ref_right, _ = reference_operator_forms(fr)
+    assert_same_map(left, reference_form_map(ref_left, 4))
+    assert_same_map(right, reference_form_map(ref_right, 4))
+    for f, omega in zip(maps, (ff.omega1, ff.omega2, ff.omega3, ff.Omega)):
+        assert_same_map(f, reference_form_map(reference_operator_forms(fr, omega)[1],
+                                              omega.degree))
+
+
+def at_or_below(mask, bit):
+    """A mutant of `quaternionic._sign`: counts the bits of mask at or
+    below bit instead of below it."""
+    return -1 if (mask & (2 * bit - 1)).bit_count() & 1 else 1
+
+
+@pytest.fixture
+def cold_maps():
+    """Empties the map caches before and after the test, so that maps built
+    under a patched builder leave with the patch."""
+    caches = (quaternionic.derivation_maps, quaternionic._hessian_four_form_maps)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_sign_rule_mutant_negates_every_map(monkeypatch, cold_maps):
+    # each chain removes exactly one bit, whose sign alone the mutant flips,
+    # so it negates every map.  The star commutation and nabla_X Omega = 0
+    # are homogeneous and stay true; the defect's top coefficient and
+    # alpha = da + b ^ c carry a fixed sign and fail
+    fr = build_frame(2)
+    maps = quaternionic._hessian_four_form_maps(fr) + quaternionic.derivation_maps(fr)
+    quaternionic.derivation_maps.cache_clear()
+    quaternionic._hessian_four_form_maps.cache_clear()
+    monkeypatch.setattr(quaternionic, "_sign", at_or_below)
+    mutants = quaternionic._hessian_four_form_maps(fr) + quaternionic.derivation_maps(fr)
+    for f, g in zip(maps, mutants):
+        assert_same_map(dataclasses.replace(f, num=-f.num), g)
+    checks = defect_checks(2, 1502) + [star_commutation_check(2, 200, 2222)] + model_battery(2)
+    assert sorted(c.name for c in checks if not c.passed) == sorted(
+        ["n=2 line 1: top coefficient = 6 x line sum",
+         "n=2 line 2: top coefficient = 6 x line sum"]
+        + [f"[n=2] {x} = d{y} + {z} matches the curvature {x}"
+           for x, y, z in (("alpha", "a", "b ^ c"), ("beta", "b", "c ^ a"),
+                           ("gamma", "c", "a ^ b"))])
+
+
+@pytest.mark.parametrize("n, seed, samples", [(2, 2222, 200), (3, 2333, 50)])
+def test_star_commutation_sees_the_sign_rule_mutant_in_one_chain(monkeypatch, n, seed,
+                                                                 samples):
+    # the mutant in the left chain alone makes it minus the true chain:
+    # every sample fails, on both paths
+    fr = build_frame(n)
+    right = quaternionic.derivation_maps(fr)[3]
+    with monkeypatch.context() as patched:
+        patched.setattr(quaternionic, "_sign", at_or_below)
+        left = quaternionic._chain_map(build_fundamental_forms(fr).Omega, fr.dim, False)
+    monkeypatch.setattr(quaternionic, "_hessian_four_form_maps", lambda frame: (left, right))
+    assert failure_counts(n, seed, samples) == (samples, samples)
 
 
 # -- the batched star commutation against the per-sample check -------------
