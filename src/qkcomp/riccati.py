@@ -21,12 +21,14 @@ that take a float or an array: one call evaluates a whole grid, and a
 float goes through the same ufuncs as an array entry.
 
 The integrator is one RK4 loop over rows that may each carry their own
-(m, K), stepped WINDOW steps at a time.  `comparison_excess` steps
+(m, K), stepped WINDOW steps at a time into one time-major buffer, one
+contiguous store per step; each window's times are one running sum and
+its blow-up test one pass over the window.  `comparison_excess` steps
 several barriers' trajectories as one batch and keeps only each
 barrier's largest u - barrier(t), so its memory does not grow with the
-step count; `integrate_riccati` steps one trajectory, on numpy scalars,
-and writes every window into one table.  Both give the same bits as the
-scalar loop, trajectory by trajectory.
+step count; `integrate_riccati` steps one trajectory through the same
+loop, on numpy scalars, and writes every window into one table.  Both
+give the same bits as the scalar loop, trajectory by trajectory.
 """
 
 from __future__ import annotations
@@ -223,52 +225,77 @@ def _rk4_windows(m: np.ndarray, mK: np.ndarray, u0s: np.ndarray, t0s: np.ndarray
     Yields (start, ts, us, lengths) for each window of at most WINDOW
     steps: columns c of ts and us hold step start + c, so column 0 repeats
     the last column of the window before (the start point in the first).
-    ts and us are views of one buffer, which the next window overwrites.
-    lengths[j] counts row j's valid points from step 0; it is final once
-    the row ends.  A row whose next value is not finite or exceeds
-    BLOWUP_LIMIT in size ends before that step; once every row has ended,
-    the window stops there and its later columns are never written.
+    ts and us are (rows, columns) views of one time-major buffer, which
+    the next window overwrites.  lengths[j] counts row j's valid points
+    from step 0; it is final once the row ends.  A row ends before its
+    first step whose value is not finite or exceeds BLOWUP_LIMIT in size;
+    that test runs once per window, over the live rows, so columns past a
+    row's end may hold anything, inf and nan included.  An ended row
+    restarts the next window at u = 0, and once every row has ended the
+    windows stop.
 
-    One row steps on numpy float64 scalars, which run the same IEEE
-    operations as 1-element arrays without their per-call cost."""
+    Each stage steps g = u^2/m + mK = -k, a negation that changes no
+    bits, and v = half g - u, the negation of the reference u + half k,
+    which squaring does not see; the augmented operators update arrays in
+    place, and one row steps on numpy float64 scalars, on which the same
+    statements rebind, without an array's per-call cost."""
     h = (t1 - t0s) / steps
     lengths = np.full(u0s.size, steps + 1)
-    t, u = t0s, u0s
+    u = u0s
     if u0s.size == 1:
-        m, mK, h, t, u = m[0], mK[0], h[0], t[0], u[0]
+        m, mK, h, u = m[0], mK[0], h[0], u[0]
     half, sixth = 0.5 * h, h / 6.0
     start = 0
     # one buffer for every window: a fresh pair per window took criterion
     # 3's peak RSS from 1.3 to 1.9 MB above import
-    ts_buf = np.empty((u0s.size, min(WINDOW, steps) + 1))
+    ts_buf = np.empty((min(WINDOW, steps) + 1, u0s.size))
     us_buf = np.empty_like(ts_buf)
+    ts_buf[0] = t0s
     while start < steps:
         w = min(WINDOW, steps - start)
-        ts, us = ts_buf[:, :w + 1], us_buf[:, :w + 1]
-        ts[:, 0], us[:, 0] = t, u
+        ts, us = ts_buf[:w + 1], us_buf[:w + 1]
+        # the left-to-right sums t + h + h + ... of stepping t = t + h
+        ts[1:] = h
+        np.add.accumulate(ts, out=ts)
+        us[0] = u
         with np.errstate(over="ignore", invalid="ignore"):
             for c in range(1, w + 1):
-                k1 = -u * u / m - mK
-                v = u + half * k1
-                k2 = -v * v / m - mK
-                v = u + half * k2
-                k3 = -v * v / m - mK
-                v = u + h * k3
-                k4 = -v * v / m - mK
-                u = u + sixth * (((k1 + 2 * k2) + 2 * k3) + k4)
-                t = t + h
-                bounded = np.abs(u) <= BLOWUP_LIMIT  # False for inf and nan
-                if not bounded.all():
-                    # ended rows carry u = 0 from here on, so stay bounded
-                    lengths[~bounded] = start + c
-                    ended = lengths <= steps
-                    if ended.all():
-                        break
-                    u = np.where(ended, 0.0, u)
-                ts[:, c], us[:, c] = t, u
-        yield start, ts, us, lengths
-        if (lengths <= steps).all():
+                g1 = u * u
+                g1 /= m
+                g1 += mK
+                v = g1 * half
+                v -= u
+                g2 = v * v
+                g2 /= m
+                g2 += mK
+                v = g2 * half
+                v -= u
+                g3 = v * v
+                g3 /= m
+                g3 += mK
+                v = g3 * h
+                v -= u
+                g4 = v * v
+                g4 /= m
+                g4 += mK
+                g2 *= 2
+                g2 += g1
+                g3 *= 2
+                g2 += g3
+                g2 += g4
+                g2 *= sixth
+                u = u - g2
+                us[c] = u
+            unbounded = ~(np.abs(us[1:]) <= BLOWUP_LIMIT)  # True for inf and nan
+        blown = unbounded.any(axis=0) & (lengths > steps)
+        lengths[blown] = start + 1 + unbounded.argmax(axis=0)[blown]
+        yield start, ts.T, us.T, lengths
+        ended = lengths <= steps
+        if ended.all():
             return
+        if ended.any():
+            u = np.where(ended, 0.0, u)
+        ts_buf[0] = ts[w]
         start += w
 
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import qkcomp.cli
+import qkcomp.spectral
 import qkcomp.suite
 from qkcomp.cli import main
 from qkcomp.model import ModelConstructionError
@@ -89,6 +90,40 @@ def test_lambda1_reports_a_residual_it_cannot_reach(capsys, study):
     assert residual["pass"] is False
     assert 1e-8 < float(residual["actual"]) < 1e-6
     assert all(c["pass"] for name, c in checks.items() if name != "residual within 1e-8")
+
+
+def test_lambda1_study_names_every_radius_that_misses_the_residual(capsys):
+    # at --rmax 2 all three solves of the study (r_max 1, 1.5, 2) stop
+    # above 1e-8; the check names them and reports the largest residual
+    status, out = run_cli(["lambda1", "--rmax", "2", "--study"], capsys)
+    assert status == 1
+    doc = json.loads(out)
+    assert doc["results"] == []
+    check, = doc["checks"]
+    assert check["name"] == "residual within 1e-8" and check["pass"] is False
+    assert check["expected"] == "<= 1e-08 at r_max=1.0, 1.5, 2.0"
+    assert 1e-8 < float(check["actual"]) < 1e-6
+
+
+def test_lambda1_study_keeps_the_rows_that_passed(capsys, monkeypatch):
+    # only the middle radius misses the residual: the other two rows stay
+    solve = qkcomp.spectral.lambda1_dirichlet
+
+    def failing_at_6(p):
+        est = solve(p)
+        if p.r_max == 6.0:
+            raise qkcomp.spectral.ResidualError(
+                qkcomp.spectral.SpectralEstimate(est.lambda1, 2e-8, est.iterations))
+        return est
+
+    monkeypatch.setattr(qkcomp.spectral, "lambda1_dirichlet", failing_at_6)
+    status, out = run_cli(["lambda1", "--rmax", "8", "--mesh", "4000", "--study"], capsys)
+    assert status == 1
+    doc = json.loads(out)
+    assert [row["r_max"] for row in doc["results"]] == [4.0, 8.0]
+    check, = doc["checks"]
+    assert (check["expected"], check["actual"], check["pass"]) == \
+        ("<= 1e-08 at r_max=6.0", "2.000e-08", False)
 
 
 def test_check_identities_json(capsys):

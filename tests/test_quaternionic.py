@@ -461,6 +461,33 @@ def test_chain_maps_match_the_form_built_oracle(n):
                                               omega.degree))
 
 
+def chain_entry(f, m, i, j, monomial):
+    """The coefficient on theta^monomial (0-based indices) of the chain map
+    f at the Hessian h = E_ij."""
+    h = np.zeros((1, m * m), dtype=np.int64)
+    h[0, i * m + j] = 1
+    out = dict(zip(f.masks, f.apply(h)[0].tolist()))
+    return F(out.get(sum(1 << b for b in monomial), 0), f.den)
+
+
+def test_one_entry_of_each_omega_chain_is_the_hand_computed_monomial():
+    # on R^8 (0-based indices) omega_2 = theta^02 - theta^13 + theta^46
+    # - theta^57, so Omega has coefficient 2 on theta^0246, from
+    # theta^02 ^ theta^46 and theta^46 ^ theta^02, and no other monomial
+    # of Omega reaches theta^0146 by trading 2 for 1.
+    #   right chain at h = E_12: iota(e_2) theta^0246 = -theta^046 and
+    #   theta^1 ^ theta^046 = -theta^0146, so +2;
+    #   left chain at h = E_21: theta^1 ^ theta^0246 = -theta^01246 and
+    #   iota(e_2) theta^01246 = +theta^0146, so -2.
+    # The sign rule's at-or-below mutant negates both.
+    fr = build_frame(2)
+    Omega = build_fundamental_forms(fr).Omega
+    assert F(Omega._terms[0b1010101], Omega.den) == 2
+    left, right = quaternionic._hessian_four_form_maps(fr)
+    assert chain_entry(right, 8, 1, 2, (0, 1, 4, 6)) == 2
+    assert chain_entry(left, 8, 2, 1, (0, 1, 4, 6)) == -2
+
+
 def at_or_below(mask, bit):
     """A mutant of `quaternionic._sign`: counts the bits of mask at or
     below bit instead of below it."""

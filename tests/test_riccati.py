@@ -461,8 +461,9 @@ def test_comparison_excess_counts_truncations_like_the_batch():
 
 
 def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
-    # every row blows down within the first window, so the loop stops there
-    # and later columns are never written, let alone passed to the barrier
+    # every row blows down within the first window, so the loop stops after
+    # it, and the columns past each row's end, which may hold inf or nan,
+    # never reach the barrier
     barrier = line_block(-1)
     instances = [(barrier, [-1e6, -5e5], [0.2, 0.3]), (barrier, [-2e6], [0.25])]
     lengths = []
@@ -497,3 +498,71 @@ def test_comparison_excess_preconditions_match_the_batch():
     with pytest.raises(ContractViolation) as got:
         comparison_excess([good, bad], 3.0, 1000)
     assert str(got.value) == str(want.value)
+
+
+# -- blow-up at window edges: the per-window test against the scalar loop ------
+
+def start_ending_at(barrier, t0, t1, steps, length):
+    """A start u0 below the barrier at t0 whose reference_rk4 trajectory
+    keeps exactly `length` points, found by bisection on u0: deeper starts
+    blow down sooner."""
+    deep, shallow = -1e8, barrier(t0)
+    for _ in range(200):
+        u0 = 0.5 * (deep + shallow)
+        kept = len(reference_rk4(barrier, u0, t0, t1, steps)[0])
+        if kept == length:
+            return u0
+        if kept < length:
+            deep = u0
+        else:
+            shallow = u0
+    raise AssertionError(f"no start keeps {length} points")
+
+
+def assert_batch_matches_reference(instances, t1, steps):
+    got = comparison_excess(instances, t1, steps)
+    want = excess_oracle(instances, t1, steps)
+    assert [(x.hex(), n) for x, n in got] == [(x.hex(), n) for x, n in want]
+    return got
+
+
+@pytest.mark.parametrize("column", [1, WINDOW])
+def test_blowup_at_a_window_edge_matches_the_reference(column):
+    # the row's last valid point is step 3 WINDOW + column - 1, so it blows
+    # down at column `column` of the fourth window: its first step, or its
+    # last, whose value also opens the next window
+    barrier = line_block(-1)
+    length = 3 * WINDOW + column
+    u0 = start_ending_at(barrier, 0.2, 3.0, 1200, length)
+    traj = assert_matches_reference(barrier, u0, 0.2, 3.0, 1200)
+    assert traj.truncated and len(traj.ts) == length
+    # alone in its instance, beside one that lives to t1
+    got = assert_batch_matches_reference(
+        [(barrier, [u0], [0.2]), seeded_instance(transversal_block(-1), 3, 8)], 3.0, 1200)
+    assert [n for _, n in got] == [1, 0]
+
+
+def test_two_rows_ending_in_one_window_match_the_reference():
+    # both blow down inside the third window, at different columns, while
+    # a third row lives on
+    barrier = line_block(-1)
+    u0s = [start_ending_at(barrier, t0, 3.0, 1200, length)
+           for t0, length in ((0.2, 2 * WINDOW + 7), (0.3, 2 * WINDOW + 61))]
+    for u0, t0 in zip(u0s, (0.2, 0.3)):
+        assert assert_matches_reference(barrier, u0, t0, 3.0, 1200).truncated
+    got = assert_batch_matches_reference(
+        [(barrier, u0s + [1.0], [0.2, 0.3, 0.4])], 3.0, 1200)
+    assert [n for _, n in got] == [2]
+
+
+def test_an_ended_row_that_blows_down_again_keeps_its_length():
+    # on the cot block an ended row restarts the next window at u = 0 and
+    # blows down again pi/4 later; at 200 steps to t1 = 3, past the pole
+    # pi/2, a window spans 1.4, so that happens inside one window.  Only
+    # live rows are tested for blow-up, so the row keeps its first length
+    # and no point past the pole reaches the barrier
+    cot = line_block(1)
+    assert len(reference_rk4(cot, -1e6, 0.2, 3.0, 200)[0]) == 1
+    got = assert_batch_matches_reference(
+        [(cot, [-1e6], [0.2]), seeded_instance(line_block(-1), 3, 9)], 3.0, 200)
+    assert [n for _, n in got] == [1, 0]
