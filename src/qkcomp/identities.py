@@ -21,16 +21,24 @@ every basis pair (e_i, e^j) holds for all xi, v and v'.  On basis forms
 *, eps(e^i) and i(e_i) each take a monomial to plus or minus one monomial
 or to 0 (F. W. Warner, *Foundations of Differentiable Manifolds and Lie
 Groups*, ch. 2 and 6), so each is tabulated from the term kernel that
-`Form` runs, as int64 (target mask, sign) arrays, and every side of every
-law is a composition of those tables by fancy indexing.  A kernel image
-that is not one term of coefficient +-1 is a violation of every law that
-reads it.  `check_star_identities` evaluates the same laws on seeded
-random `Form`s, as a differential oracle.  All checks are exact: a single
-nonzero coefficient anywhere is a failure.
+`Form` runs, one kernel call per monomial and operator, as (target mask,
+sign) arrays of int16 and int8, and every side of every law is a
+composition of those tables by flat-index `take`.  A kernel image that is
+not one term of coefficient +-1 is a violation of every law that reads it.
+
+The check makes one pass per dimension: it walks the basis forms of every
+requested degree, ordered by (degree, `combinations` order), in chunks of
+at most _CHUNK_ENTRIES (form, i, j) cases, so dims 4 and 8 run as one
+chunk and dim 12 as 37.  One reduction turns the per-form failure counts
+into per-degree counts, and only a degree that fails gets its first
+failing case written out.  `check_star_identities` evaluates the same
+laws on seeded random `Form`s, as a differential oracle.  All checks are
+exact: a single nonzero coefficient anywhere is a failure.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,8 +101,9 @@ def random_orthogonal_pair(space: InnerSpace, rng: random.Random) -> tuple[Vecto
             return v, w2
 
 
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
+def _sign(exponent):
+    """(-1)^exponent, for an int or elementwise for an integer array."""
+    return 1 - 2 * (exponent % 2)
 
 
 def _check_domain(dim: int, degree: int) -> None:
@@ -157,10 +166,10 @@ Image = tuple[np.ndarray, np.ndarray, np.ndarray]
 class SignedTable:
     """Operators on the 2^dim basis monomials (by mask) that take each to
     plus or minus one monomial or to 0.  Row r of the (rows, 2^dim + 1)
-    arrays is one operator: `target` is the image mask (the zero slot 2^dim
-    for 0, which maps to itself), `sign` its coefficient (0 for 0), and
-    `bad` marks the masks whose kernel image was not one term of
-    coefficient +-1."""
+    arrays is one operator: `target` (int16) is the image mask (the zero
+    slot 2^dim for 0, which maps to itself), `sign` (int8) its coefficient
+    (0 for 0), and `bad` marks the masks whose kernel image was not one
+    term of coefficient +-1."""
 
     target: np.ndarray
     sign: np.ndarray
@@ -168,42 +177,54 @@ class SignedTable:
 
     def __call__(self, image: Image, row=0) -> Image:
         """Operator `row` (an index array broadcasting with the image)
-        applied to each entry of `image`."""
+        applied to each entry of `image`, read at flat table indices."""
         t, s, b = image
-        return self.target[row, t], self.sign[row, t] * s, b | self.bad[row, t]
+        k = t + self.target.shape[1] * row
+        return self.target.take(k), self.sign.take(k) * s, b | self.bad.take(k)
 
 
-def _signed_table(rows: list[list[dict]]) -> SignedTable:
-    """The table of the kernel images rows[r][mask], one term map per mask."""
-    zero = len(rows[0])
-    target = np.full((len(rows), zero + 1), zero, dtype=np.int64)
-    sign = np.zeros(target.shape, dtype=np.int64)
-    bad = np.zeros(target.shape, dtype=bool)
-    for r, row in enumerate(rows):
-        for mask, image in enumerate(row):
-            terms = list(image.items())
-            if len(terms) == 1 and 0 <= terms[0][0] < zero and terms[0][1] in (1, -1):
-                target[r, mask], sign[r, mask] = terms[0]
-            elif terms:
-                bad[r, mask] = True
-    return SignedTable(target, sign, bad)
+def _signed_table(dim: int, rows) -> SignedTable:
+    """The table of the kernel images rows[r][mask], one term map per mask
+    of dimension `dim`, read row by row into lists."""
+    zero = 1 << dim
+    target, sign, bad = [], [], []
+    for row in rows:
+        for image in row:
+            if len(image) == 1:
+                ((t, s),) = image.items()
+                if 0 <= t < zero and s in (1, -1):
+                    target.append(t)
+                    sign.append(s)
+                    bad.append(False)
+                    continue
+            target.append(zero)
+            sign.append(0)
+            bad.append(bool(image))
+        target.append(zero)
+        sign.append(0)
+        bad.append(False)
+    shape = (-1, zero + 1)
+    return SignedTable(np.array(target, np.int16).reshape(shape),
+                       np.array(sign, np.int8).reshape(shape),
+                       np.array(bad, bool).reshape(shape))
 
 
 def operator_tables(dim: int) -> tuple[SignedTable, SignedTable, SignedTable]:
     """(*, eps(e^i), i(e_i)) on every basis monomial of dimension `dim`,
-    built by the kernel on the term maps {mask: 1}: one star row, and one
-    row per 0-based index i of the other two."""
+    built by the kernel on the term maps {mask: 1}, one call per monomial
+    and operator: one star row, and one row per 0-based index i of the
+    other two."""
     if not 1 <= dim <= 12:
         raise ContractViolation(f"need 1 <= dim <= 12, got dim={dim}")
     basis = [{mask: 1} for mask in range(1 << dim)]
     units = [{1 << i: 1} for i in range(dim)]
-    star = _signed_table([[kernel.star_terms(b, dim) for b in basis]])
-    eps = _signed_table([[kernel.wedge_terms(e, b) for b in basis] for e in units])
-    iota = _signed_table([[kernel.interior_terms(e, b) for b in basis] for e in units])
+    star = _signed_table(dim, [[kernel.star_terms(b, dim) for b in basis]])
+    eps = _signed_table(dim, ([kernel.wedge_terms(e, b) for b in basis] for e in units))
+    iota = _signed_table(dim, ([kernel.interior_terms(e, b) for b in basis] for e in units))
     return star, eps, iota
 
 
-def _scaled(image: Image, factor: int) -> Image:
+def _scaled(image: Image, factor) -> Image:
     t, s, b = image
     return t, s * factor, b
 
@@ -240,52 +261,27 @@ class BasisResult:
         return not self.violations
 
 
-def _basis_result(name: str, holds: np.ndarray, masks: np.ndarray,
-                  among=True) -> BasisResult:
-    """Summarise `holds` over axes (basis form, 0-based index i[, j]),
-    restricted to the cases `among` (broadcasting)."""
-    among = np.broadcast_to(among, holds.shape)
-    fails = among & ~holds
-    violations = int(fails.sum())
-    first = None
-    if violations:
-        x, *idx = np.argwhere(fails)[0].tolist()
-        mask = int(masks[x])
-        first = ", ".join(
-            [f"xi=theta{tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)}"]
-            + [f"{label}={k + 1}" for label, k in zip("ij", idx)])
-    return BasisResult(name, int(among.sum()), violations, first)
-
-
-def check_operator_identities(dim: int, degree: int, tables=None) -> list[BasisResult]:
-    """All six identities on every basis `degree`-form of dimension `dim`,
-    at every basis index i (identities 2-4 and 6) and every pair i != j
-    (identity 5), in IDENTITY_NAMES order.  `tables` is
-    `operator_tables(dim)`, built here when not given.
-
-    Failures are counted and reported with the first basis form and index
-    that break the law, never raised.
-    """
-    _check_domain(dim, degree)
-    n, p = dim, degree
-    star, eps, iota = tables or operator_tables(n)
-    masks = np.array([sum(1 << (k - 1) for k in combo)
-                      for combo in combinations(range(1, n + 1), p)], dtype=np.int64)
+def _law_failures(tables, n: int, masks: np.ndarray, p: np.ndarray) -> list[np.ndarray]:
+    """The six laws on the basis forms `masks` of degrees `p`: per law, in
+    IDENTITY_NAMES order, a (form, case) array marking the cases that break
+    it.  The cases are none (identity 1), each 0-based index i (identities
+    2-4 and 6), or each pair (i, j) row-major with i == j never marked
+    (identity 5)."""
+    star, eps, iota = tables
     m = len(masks)
-    xi = (masks[:, None], np.ones((m, 1), np.int64), np.zeros((m, 1), bool))
+    xi = (masks[:, None], np.ones((m, 1), np.int8), np.zeros((m, 1), bool))
+    p = p[:, None]
     i = np.arange(n)
 
     star_xi = star(xi)
     iota_xi = iota(xi, i)
     eps_star_xi = eps(star_xi, i)
-    laws = (
-        _equal(star(star_xi), _scaled(xi, _sign(p * (n - p))))[:, 0],
+    laws = [
+        _equal(star(star_xi), _scaled(xi, _sign(p * (n - p)))),
         _equal(star(eps(xi, i)), _scaled(iota(star_xi, i), _sign(p))),
         _equal(eps_star_xi, _scaled(star(iota_xi), _sign(p - 1))),
         _equal(star(eps_star_xi), _scaled(iota_xi, _sign((p - 1) * (n - p)))),
-    )
-    results = [_basis_result(name, holds, masks)
-               for name, holds in zip(IDENTITY_NAMES, laws)]
+    ]
 
     # i(e_i) eps(e^j) + eps(e^j) i(e_i) = delta_ij id, on axes (xi, i, j)
     xi3 = tuple(a[:, :, None] for a in xi)
@@ -293,7 +289,70 @@ def check_operator_identities(dim: int, degree: int, tables=None) -> list[BasisR
     diag = ii == jj
     want = (np.where(diag, xi3[0], 1 << n), diag * xi3[1], xi3[2])
     law = _sum_equal(iota(eps(xi3, jj), ii), eps(iota(xi3, ii), jj), want)
-    results.append(_basis_result(IDENTITY_NAMES[4], law, masks, ~diag))
-    results.append(_basis_result(IDENTITY_NAMES[5], np.diagonal(law, axis1=1, axis2=2),
-                                 masks))
+    return [~h for h in laws] + [~(law | diag).reshape(m, n * n),
+                                 ~np.diagonal(law, axis1=1, axis2=2)]
+
+
+def _basis_result(name: str, cases: int, violations: int, mask: int,
+                  idx: tuple[int, ...]) -> BasisResult:
+    """A law broken in `violations` of its `cases` at one degree, first at
+    the basis form `mask` and the 0-based indices `idx` (none, i, or i, j)."""
+    first = ", ".join(
+        [f"xi=theta{tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)}"]
+        + [f"{label}={k + 1}" for label, k in zip("ij", idx)])
+    return BasisResult(name, cases, violations, first)
+
+
+# The most (basis form, i, j) cases one chunk of the check holds: dims 4
+# and 8 (15 and 255 basis forms) each run as one chunk.
+_CHUNK_ENTRIES = 1 << 14
+
+
+def check_operator_identities(dim: int, degrees) -> dict[int, list[BasisResult]]:
+    """All six identities on every basis form of each of `degrees` in
+    dimension `dim`, at every basis index i (identities 2-4 and 6) and every
+    pair i != j (identity 5): {degree: results in IDENTITY_NAMES order}, by
+    ascending degree.
+
+    One pass walks the basis forms of all the degrees, ordered by (degree,
+    `combinations` order), in chunks of at most _CHUNK_ENTRIES cases of
+    identity 5.  Failures are counted per degree by one reduction and
+    reported with the first basis form and index of that degree that break
+    the law, never raised.
+    """
+    degrees = sorted(set(degrees))
+    for p in degrees:
+        _check_domain(dim, p)
+    n = dim
+    tables = operator_tables(n)
+    sizes = [math.comb(n, p) for p in degrees]
+    bits = [1 << k for k in range(n)]
+    masks = [sum(combo) for p in degrees for combo in combinations(bits, p)]
+    forms = np.array(masks, np.int16)
+    degree = np.repeat(degrees, sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+
+    # per law and basis form: how many cases fail, and the first that does
+    fails = np.zeros((6, len(masks)), np.int64)
+    first = np.zeros_like(fails)
+    step = _CHUNK_ENTRIES // n ** 2
+    for start in range(0, len(masks), step):
+        part = slice(start, start + step)
+        marked = _law_failures(tables, n, forms[part], degree[part])
+        fails[:, part] = [f.sum(1) for f in marked]
+        first[:, part] = [f.argmax(1) for f in marked]
+    per_degree = np.add.reduceat(fails, starts, axis=1).T.tolist()
+
+    cases = (1, n, n, n, n * (n - 1), n)
+    results = {}
+    for p, start, size, violations in zip(degrees, starts.tolist(), sizes, per_degree):
+        results[p] = row = []
+        for law, (name, count, bad) in enumerate(zip(IDENTITY_NAMES, cases, violations)):
+            if not bad:
+                row.append(BasisResult(name, size * count, 0))
+                continue
+            x = start + int(np.flatnonzero(fails[law, start:start + size])[0])
+            k = int(first[law, x])
+            idx = () if law == 0 else divmod(k, n) if law == 4 else (k,)
+            row.append(_basis_result(name, size * count, bad, masks[x], idx))
     return results

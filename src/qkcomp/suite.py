@@ -28,7 +28,7 @@ from .comparison import (
     volume_ratio_check,
 )
 from .forms import ExactArray
-from .identities import check_operator_identities, operator_tables
+from .identities import check_operator_identities
 from .levelset import (
     level_set_geometry,
     radial_hessian_check,
@@ -72,11 +72,10 @@ def _tagged(n: int, checks: list[Check]) -> list[Check]:
 
 def identity_checks(dim: int, degrees) -> list[Check]:
     """The six operator identities in dimension `dim` at each degree,
-    proved on every basis form and basis index."""
-    tables = operator_tables(dim)
+    proved on every basis form and basis index in one pass."""
     checks = []
-    for degree in degrees:
-        for res in check_operator_identities(dim, degree, tables):
+    for degree, results in check_operator_identities(dim, degrees).items():
+        for res in results:
             checks.append(Check(
                 f"dim {dim} degree {degree} identity {res.name}",
                 f"exact on the full basis ({res.cases} cases)",

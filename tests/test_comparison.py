@@ -235,6 +235,16 @@ def test_volume_ratio_check_matches_quad(n, delta):
         assert abs(ratio / bare - 1) <= 1e-14
 
 
+@pytest.mark.parametrize("nodes, weights, points",
+                         [("_X20", "_W20", 20), ("_X10", "_W10", 10)])
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit(nodes, weights, points):
+    from qkcomp import comparison
+
+    x, w = np.polynomial.legendre.leggauss(points)
+    assert getattr(comparison, nodes).tobytes() == x.tobytes()
+    assert getattr(comparison, weights).tobytes() == w.tobytes()
+
+
 def test_integrate_is_exact_on_polynomials():
     # both rules integrate degree 19 exactly, so one panel is accepted; the
     # nodes carry rounding that s^19 amplifies to about 1.5e-14 relative
@@ -321,6 +331,23 @@ def test_suite_leaves_out_scipy():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[] True", "[] True"]
+
+
+def test_suite_leaves_out_numpy_polynomial():
+    # the quadrature nodes are literals, so no process loads
+    # numpy.polynomial (and its first eigen-solve) to compute them
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qkcomp.suite\n"
+         "print('numpy.polynomial' in sys.modules, 'qkcomp.suite' in sys.modules)\n"
+         "report = qkcomp.suite.criterion_4_comparison()\n"
+         "print('numpy.polynomial' in sys.modules, all(c.passed for c in report.checks))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False True", "False True"]
 
 
 def test_volume_ratio_equality_case():

@@ -2,7 +2,10 @@
 signed-permutation tables, and as seeded random laws on `Form`s."""
 
 import random
+from functools import partial
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qkcomp.forms import (
@@ -15,7 +18,13 @@ from qkcomp.forms import (
     interior,
 )
 from qkcomp.identities import (
+    _CHUNK_ENTRIES,
     IDENTITY_NAMES,
+    BasisResult,
+    _equal,
+    _scaled,
+    _sign,
+    _sum_equal,
     check_operator_identities,
     check_star_identities,
     operator_tables,
@@ -143,29 +152,125 @@ def test_tables_reproduce_form_operators_on_criterion_streams(dim):
             assert apply_table(star, ((1,), 1), xi, dim - p) == hodge_star(xi)
 
 
+# --- the per-degree check, kept as the differential oracle of the one pass --
+
+def reference_apply(table, image, row=0):
+    """Operator `row` of `table` on each entry of `image`, by 2-d indexing."""
+    t, s, b = image
+    return table.target[row, t], table.sign[row, t] * s, b | table.bad[row, t]
+
+
+def reference_result(name, holds, masks, among=True):
+    """Summarise `holds` over axes (basis form, 0-based index i[, j]),
+    restricted to the cases `among` (broadcasting)."""
+    among = np.broadcast_to(among, holds.shape)
+    fails = among & ~holds
+    violations = int(fails.sum())
+    first = None
+    if violations:
+        x, *idx = np.argwhere(fails)[0].tolist()
+        mask = int(masks[x])
+        first = ", ".join(
+            [f"xi=theta{tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)}"]
+            + [f"{label}={k + 1}" for label, k in zip("ij", idx)])
+    return BasisResult(name, int(among.sum()), violations, first)
+
+
+def reference_check(dim, degree, tables):
+    """The six identities at one degree, one array pass per degree."""
+    n, p = dim, degree
+    star, eps, iota = (partial(reference_apply, table) for table in tables)
+    masks = np.array([sum(1 << (k - 1) for k in combo)
+                      for combo in combinations(range(1, n + 1), p)], dtype=np.int64)
+    m = len(masks)
+    xi = (masks[:, None], np.ones((m, 1), np.int64), np.zeros((m, 1), bool))
+    i = np.arange(n)
+
+    star_xi = star(xi)
+    iota_xi = iota(xi, i)
+    eps_star_xi = eps(star_xi, i)
+    laws = (
+        _equal(star(star_xi), _scaled(xi, _sign(p * (n - p))))[:, 0],
+        _equal(star(eps(xi, i)), _scaled(iota(star_xi, i), _sign(p))),
+        _equal(eps_star_xi, _scaled(star(iota_xi), _sign(p - 1))),
+        _equal(star(eps_star_xi), _scaled(iota_xi, _sign((p - 1) * (n - p)))),
+    )
+    results = [reference_result(name, holds, masks)
+               for name, holds in zip(IDENTITY_NAMES, laws)]
+
+    xi3 = tuple(a[:, :, None] for a in xi)
+    ii, jj = i[:, None], i[None, :]
+    diag = ii == jj
+    want = (np.where(diag, xi3[0], 1 << n), diag * xi3[1], xi3[2])
+    law = _sum_equal(iota(eps(xi3, jj), ii), eps(iota(xi3, ii), jj), want)
+    results.append(reference_result(IDENTITY_NAMES[4], law, masks, ~diag))
+    results.append(reference_result(IDENTITY_NAMES[5], np.diagonal(law, axis1=1, axis2=2),
+                                    masks))
+    return results
+
+
+def summary(results):
+    return [(r.name, r.cases, r.violations, r.first) for r in results]
+
+
+def assert_one_pass_matches_reference(dim):
+    """The one pass over every degree of `dim` against the per-degree
+    reference, under whatever kernel is bound now; returns the one pass."""
+    tables = operator_tables(dim)
+    one_pass = check_operator_identities(dim, range(1, dim + 1))
+    assert list(one_pass) == list(range(1, dim + 1))
+    for p, results in one_pass.items():
+        assert summary(results) == summary(reference_check(dim, p, tables)), (dim, p)
+    return one_pass
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_one_pass_matches_the_per_degree_reference(dim):
+    assert_one_pass_matches_reference(dim)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 12])
 def test_basis_check_passes_every_degree(dim):
-    tables = operator_tables(dim)
-    for p in range(1, dim + 1):
-        results = check_operator_identities(dim, p, tables)
-        assert [r.name for r in results] == list(IDENTITY_NAMES)
-        assert [(r.violations, r.first) for r in results] == [(0, None)] * 6, (dim, p)
+    results = check_operator_identities(dim, range(1, dim + 1))
+    assert list(results) == list(range(1, dim + 1))
+    for p, row in results.items():
+        assert [r.name for r in row] == list(IDENTITY_NAMES)
+        assert [(r.violations, r.first) for r in row] == [(0, None)] * 6, (dim, p)
 
 
 def test_basis_check_counts_every_case():
     # dim 4, degree 2: 6 basis forms, 4 indices, 12 ordered pairs i != j
-    results = check_operator_identities(4, 2)
-    assert [r.cases for r in results] == [6, 24, 24, 24, 72, 24]
-    assert check_operator_identities(4, 2, operator_tables(4)) == results
+    results = check_operator_identities(4, [2])
+    assert list(results) == [2]
+    assert [r.cases for r in results[2]] == [6, 24, 24, 24, 72, 24]
+    assert check_operator_identities(4, [4, 2, 2])[2] == results[2]
+    assert check_operator_identities(4, range(1, 5))[2] == results[2]
 
 
 def test_basis_check_preconditions():
     for dim, degree in ((13, 1), (4, 0), (4, 5), (0, 0)):
         with pytest.raises(ContractViolation):
-            check_operator_identities(dim, degree)
+            check_operator_identities(dim, [degree])
     for dim in (0, 13):
         with pytest.raises(ContractViolation):
             operator_tables(dim)
+
+
+def test_dims_4_and_8_run_as_one_chunk_and_dim_12_as_many():
+    assert 255 * 8 ** 2 <= _CHUNK_ENTRIES < 4095 * 12 ** 2
+
+
+def test_tables_make_one_kernel_call_per_monomial_and_operator(monkeypatch):
+    import qkcomp.kernel as kernel
+
+    calls = {}
+    for name in ("star_terms", "wedge_terms", "interior_terms"):
+        def counted(*args, _name=name, _func=getattr(kernel, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _func(*args)
+        monkeypatch.setattr(kernel, name, counted)
+    operator_tables(8)
+    assert calls == {"star_terms": 256, "wedge_terms": 2048, "interior_terms": 2048}
 
 
 def failing(results):
@@ -181,12 +286,13 @@ def test_injected_star_sign_bug_fails_the_basis_check(monkeypatch):
         return {full & ~k: c for k, c in terms.items()}
 
     monkeypatch.setattr(kernel, "star_terms", unsigned)
-    bad = failing(check_operator_identities(4, 1))
+    bad = failing(check_operator_identities(4, [1])[1])
     assert bad["1"].violations == 4
     assert bad["1"].first == "xi=theta(1,)"
     assert set(bad) <= {"1", "2", "3", "4"}
+    assert_one_pass_matches_reference(4)
     monkeypatch.undo()
-    assert not failing(check_operator_identities(4, 1))
+    assert not failing(check_operator_identities(4, [1])[1])
 
 
 def test_flipped_wedge_sign_fails_anticommutation(monkeypatch):
@@ -201,10 +307,11 @@ def test_flipped_wedge_sign_fails_anticommutation(monkeypatch):
         return out
 
     monkeypatch.setattr(kernel, "wedge_terms", flipped)
-    bad = failing(check_operator_identities(4, 1))
+    bad = failing(check_operator_identities(4, [1])[1])
     assert {"5", "6"} <= set(bad)
     assert bad["5"].first == "xi=theta(2,), i=2, j=1"
     assert bad["6"].first == "xi=theta(2,), i=1"
+    assert_one_pass_matches_reference(4)
 
 
 @pytest.mark.parametrize("image", [{0b0001: 1, 0b0010: 1}, {0b1110: 2}],
@@ -216,11 +323,12 @@ def test_non_monomial_kernel_image_is_a_violation(monkeypatch, image):
     star_terms = kernel.star_terms
     monkeypatch.setattr(kernel, "star_terms",
                         lambda terms, dim: image if terms == {0b1: 1} else star_terms(terms, dim))
-    results = check_operator_identities(4, 1)
+    results = check_operator_identities(4, [1])[1]
     bad = failing(results)
     assert bad["1"].violations == 1
     assert bad["1"].first == "xi=theta(1,)"
     assert all(r.first is not None for r in bad.values())
+    assert_one_pass_matches_reference(4)
 
 
 def test_cancelling_signs_on_different_masks_are_not_zero(monkeypatch):
@@ -231,5 +339,39 @@ def test_cancelling_signs_on_different_masks_are_not_zero(monkeypatch):
     wedge_terms = kernel.wedge_terms
     monkeypatch.setattr(kernel, "wedge_terms", lambda a, b: {0b1010: -1}
                         if (a, b) == ({0b1: 1}, {0b10: 1}) else wedge_terms(a, b))
-    bad = failing(check_operator_identities(4, 1))
+    bad = failing(check_operator_identities(4, [1])[1])
     assert bad["5"].first == "xi=theta(2,), i=2, j=1"
+    assert_one_pass_matches_reference(4)
+
+
+def flip_wedge(monkeypatch, mask):
+    """Rebind the kernel so that e^1 ^ theta^mask has the wrong sign."""
+    import qkcomp.kernel as kernel
+
+    wedge_terms = kernel.wedge_terms
+
+    def flipped(a, b):
+        out = wedge_terms(a, b)
+        return {k: -c for k, c in out.items()} if (a, b) == ({0b1: 1}, {mask: 1}) else out
+
+    monkeypatch.setattr(kernel, "wedge_terms", flipped)
+
+
+@pytest.mark.parametrize("dim, combo", [(8, (2, 4, 6)), (12, (5, 10, 12))])
+def test_one_broken_degree_3_image_fails_where_the_reference_does(monkeypatch, dim, combo):
+    # e^1 ^ theta(combo) with the wrong sign.  Identity 2 reads eps only on
+    # the basis form itself, so it fails at degree 3 alone, first at that
+    # form and i=1; identities 3-6 read the image through other degrees
+    # too, and every degree must fail exactly as the per-degree check does.
+    # At dim 12 the form lies past the first chunk of 113 basis forms.
+    mask = sum(1 << (k - 1) for k in combo)
+    flip_wedge(monkeypatch, mask)
+    results = assert_one_pass_matches_reference(dim)
+    law2 = {p: row[1] for p, row in results.items() if not row[1].passed}
+    assert list(law2) == [3]
+    assert (law2[3].violations, law2[3].first) == (1, f"xi=theta{combo}, i=1")
+    assert results[3][5].first == f"xi=theta{combo}, i=1"
+    assert all(r.passed for p in (1, 2) for r in results[p])
+    if dim == 12:
+        walk = [c for p in range(1, 4) for c in combinations(range(1, 13), p)]
+        assert walk.index(combo) >= _CHUNK_ENTRIES // 12 ** 2
