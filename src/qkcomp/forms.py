@@ -348,16 +348,32 @@ def form_inner(a: Form, b: Form) -> Fraction:
 @dataclass(frozen=True, eq=False)
 class ExactArray:
     """Exact rational array: int64 numerators `num` over the positive
-    denominator `den`, in lowest terms when built by `of`."""
+    denominator `den`.
+
+    Built by `of`, the pair is in lowest terms, ``gcd(den, *num) == 1``.
+    `of` takes over its argument without copying it when nothing cancels,
+    as `Form` takes over `terms`.  The numerators are read-only from
+    construction on, so `bound` is computed once per array and never goes
+    stale."""
 
     num: np.ndarray
     den: int = 1
 
+    def __post_init__(self) -> None:
+        if isinstance(self.num, np.ndarray):  # a numpy scalar is immutable
+            self.num.flags.writeable = False
+
     @classmethod
     def of(cls, num, den: int = 1) -> ExactArray:
+        if den < 1:
+            raise ContractViolation(f"denominator must be positive, got {den}")
         num = np.asarray(num, dtype=np.int64)
+        if den == 1:
+            return cls(num)
         g = math.gcd(den, int(np.gcd.reduce(num.ravel())))
-        return cls(num // g if num.any() else num, den // g)
+        if g == 1:
+            return cls(num, den)
+        return cls(num // g if num.any() else num, den // g)  # g may pass int64 on zeros
 
     @classmethod
     def from_entries(cls, shape, entries: dict) -> ExactArray:
@@ -372,7 +388,7 @@ class ExactArray:
             num[idx] = v
         return cls.of(num, den)
 
-    @property
+    @cached_property
     def bound(self) -> int:
         """The largest numerator magnitude, at least 1, so that it times a
         multiplier also bounds the multiplier."""

@@ -192,7 +192,6 @@ def build_model(n: int) -> StructureConstants:
     C = _bracket_table(n, c)
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
-    C.num.flags.writeable = False
     return StructureConstants(n, c, C)
 
 

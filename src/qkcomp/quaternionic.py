@@ -80,12 +80,9 @@ def build_frame(n: int) -> QuaternionicFrame:
     of _LINE_ACTIONS repeated down the diagonal."""
     if n < 2:
         raise ContractViolation(f"quaternionic frames need n >= 2, got n={n}")
-    actions = []
-    for block in _LINE_ACTIONS:
-        num = np.kron(np.eye(n, dtype=np.int64), np.array(block, dtype=np.int64))
-        num.flags.writeable = False
-        actions.append(ExactArray(num))
-    return QuaternionicFrame(n, *actions)
+    eye = np.eye(n, dtype=np.int64)
+    return QuaternionicFrame(n, *(ExactArray(np.kron(eye, np.array(block, dtype=np.int64)))
+                                  for block in _LINE_ACTIONS))
 
 
 @dataclass(frozen=True)

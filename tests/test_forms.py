@@ -6,16 +6,21 @@ from fractions import Fraction as F
 from math import gcd
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkcomp import forms
 from qkcomp.forms import (
     ContractViolation,
     DimensionMismatch,
+    ExactArray,
     Form,
     InnerSpace,
+    Int64RangeError,
     Vector,
+    contract,
     ext_mult,
     form_inner,
     hodge_star,
@@ -383,3 +388,132 @@ def test_hypothesis_integer_storage_is_canonical_dim4(ac, bc):
     assert flipped == -a
     assert (a + flipped).is_zero() and (a + flipped).den == 1
     assert a.terms() == {k: c for k, c in zip(keys, ac) if c}
+
+
+def reference_of(num, den=1):
+    """`ExactArray.of` without its shortcuts: always a gcd pass and a
+    division."""
+    num = np.asarray(num, dtype=np.int64)
+    g = gcd(den, int(np.gcd.reduce(num.ravel())))
+    return ExactArray(num // g if num.any() else num, den // g)
+
+
+def assert_same_array(got, want):
+    assert type(got.den) is type(want.den) is int and got.den == want.den
+    g, w = np.asarray(got.num), np.asarray(want.num)
+    assert g.dtype == w.dtype == np.int64
+    assert g.shape == w.shape and (g == w).all()
+    assert got.bound == want.bound
+
+
+def _of_cases(rng):
+    """(label, numerators, den): every shape of input `of` meets."""
+    a = rng.integers(-50, 51, size=(3, 4, 5))
+    b = rng.integers(-50, 51, size=(4, 3, 2, 5))
+    ones = a.copy()
+    ones[0, 0, 0] = 1  # pins the gcd to 1
+    yield "den 1", a, 1
+    yield "den > 1, gcd 1", ones, 7
+    yield "den > 1, gcd > 1", 6 * a, 4
+    yield "den > 1, all divisible", 15 * a, 5
+    yield "all zero, den 1", np.zeros((2, 3), dtype=np.int64), 1
+    yield "all zero, den > 1", np.zeros((2, 3), dtype=np.int64), 9
+    yield "empty, den > 1", np.zeros((0, 3), dtype=np.int64), 4
+    yield "all zero, den past int64", np.zeros((2, 3), dtype=np.int64), 10 ** 24
+    yield "negative entries", -3 * np.abs(a) - 3, 9
+    yield "0-d einsum scalar, den 1", np.einsum("i,i->", a[0, 0], a[1, 0]), 1
+    yield "0-d einsum scalar, den > 1", np.einsum("i,i->", 2 * a[0, 0], a[1, 0]), 6
+    yield "0-d zero scalar, den > 1", np.einsum("i,i->", 0 * a[0, 0], a[1, 0]), 6
+    assert not a[::2, 1:, ::-1].flags.c_contiguous
+    yield "non-contiguous view, den 1", a[::2, 1:, ::-1], 1
+    yield "non-contiguous view, den > 1", (4 * a).transpose(2, 0, 1)[1:], 8
+    yield "bacd->abcd transpose, den 1", np.einsum("bacd->abcd", b), 1
+    yield "bacd->abcd transpose, den > 1", np.einsum("bacd->abcd", 3 * b), 3
+    yield "python list", [[2, -4], [6, 0]], 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_of_matches_the_reference_on_every_kind_of_input(seed):
+    for label, num, den in _of_cases(np.random.default_rng(seed)):
+        got, want = ExactArray.of(num, den), reference_of(num, den)  # neither writes
+        try:
+            assert_same_array(got, want)
+        except AssertionError as exc:
+            raise AssertionError(label) from exc
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_contract_transposes_match_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-50, 51, size=(4, 3, 2, 5))
+    for k, den in ((1, 1), (3, 3), (2, 6)):
+        op = ExactArray.of(k * b, den)
+        want = reference_of(np.einsum("bacd->abcd", op.num), op.den)
+        assert_same_array(contract("bacd->abcd", op), want)
+    x = ExactArray.of(rng.integers(-9, 10, size=5), 4)
+    assert_same_array(contract("i,i->", x, x),
+                      reference_of(np.einsum("i,i->", x.num, x.num), x.den * x.den))
+
+
+def test_of_takes_over_its_argument_when_nothing_cancels():
+    x = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+    assert np.shares_memory(ExactArray.of(x, 1).num, x)
+    y = np.array([1, 2, 3], dtype=np.int64)
+    assert np.shares_memory(ExactArray.of(y, 5).num, y)
+    z = np.array([2, 4, 6], dtype=np.int64)
+    reduced = ExactArray.of(z, 4)
+    assert not np.shares_memory(reduced.num, z)
+    assert (reduced.num == [1, 2, 3]).all() and reduced.den == 2
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_of_refuses_a_nonpositive_denominator(den):
+    with pytest.raises(ContractViolation):
+        ExactArray.of([1], den)
+
+
+def test_numerators_are_read_only():
+    x = np.arange(6, dtype=np.int64).reshape(2, 3)
+    a = ExactArray.of(x, 1)
+    arrays = (a, ExactArray(np.ones(3, dtype=np.int64)), ExactArray.of([2, 4], 6),
+              a[1], a.reshape(3, 2), -a, a + a, a * F(1, 2), contract("ij,kj->ik", a, a),
+              ExactArray.from_entries((2, 2), {(0, 1): F(1, 3)}))
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.num[...] = 0
+    with pytest.raises(ValueError):  # `of` took `x` over
+        x[0, 0] = 1
+    assert (a.num == np.arange(6).reshape(2, 3)).all()
+
+
+def _guard_cases():
+    """(label, step, its exact int64 guard figure) on operands made fresh by
+    `_guard_operands`: a over 2 with bound 40, b over 3 with bound 37."""
+    yield "contract", lambda a, b: contract("ij,kj->ik", a, b), 4 * 40 * 37
+    yield "add", lambda a, b: a + a, 40 + 40
+    yield "add over the lcm", lambda a, b: a - b, 3 * 40 + 2 * 37
+    yield "scale", lambda a, b: a * F(7, 5), 40 * 7
+
+
+def _guard_operands():
+    rng = np.random.default_rng(5)
+    p, q = rng.integers(-36, 37, size=(2, 3, 4))
+    p[0, :2] = 1, -40  # gcd 1 with any den, and bound 40
+    q[0, :2] = 1, 37
+    return ExactArray.of(p, 2), ExactArray.of(q, 3)
+
+
+@pytest.mark.parametrize("label, step, exact", list(_guard_cases()),
+                         ids=[c[0] for c in _guard_cases()])
+def test_guards_bite_through_the_cached_bound(monkeypatch, label, step, exact):
+    monkeypatch.setattr(forms, "INT_BOUND", exact)
+    a, b = _guard_operands()
+    assert (a.bound, a.den, b.bound, b.den) == (40, 2, 37, 3)
+    ops = _guard_operands()
+    step(*ops)  # first use computes and caches the bounds
+    assert "bound" in vars(ops[0])
+    step(*ops)  # repeated use reads them
+    monkeypatch.setattr(forms, "INT_BOUND", exact - 1)
+    for operands in (_guard_operands(), ops):  # first use, then repeated use
+        with pytest.raises(Int64RangeError):
+            step(*operands)
