@@ -181,19 +181,22 @@ def _random_packed(m: int, count: int,
     m(m+1)/2 packed upper-triangle numerators in [-9, 9] (see
     `_upper_triangle`), over one denominator in [1, 9] per matrix.
 
-    Each matrix takes 1 + m(m+1)/2 consecutive 32-bit words w of `rng`:
-    w % 9 + 1 of the first is the denominator, w % 19 - 9 of the others
-    the upper triangle row by row.  So one draw of k matrices equals k
-    draws of one."""
-    width = 1 + m * (m + 1) // 2
-    bits = 32 * count * width
-    words = np.frombuffer(rng.getrandbits(bits).to_bytes(bits // 8, "little"),
-                          dtype="<u4").reshape(count, width)
-    # w % 19 as w - 19 (w // 19): numpy divides uint32 by a uint32 scalar
+    Each matrix takes 1 + ceil(m(m+1)/4) consecutive 32-bit words w of
+    `rng`: w % 9 + 1 of the first is the denominator, and each of the
+    others holds two 16-bit fields f, w & 0xFFFF then w >> 16, whose
+    f % 19 - 9 are the upper triangle row by row; when m(m+1)/2 is odd
+    the last high half is padding.  So one draw of k matrices equals k
+    draws of one.  As 2^16 = 19 * 3449 + 5, the entries -9..-5 are
+    3450/3449 times as likely as the others."""
+    size = m * (m + 1) // 2
+    width = 1 + (size + 1) // 2
+    data = rng.getrandbits(32 * count * width).to_bytes(4 * count * width, "little")
+    denominators = np.frombuffer(data, dtype="<u4")[::width] % 9 + 1
+    fields = np.frombuffer(data, dtype="<u2").reshape(count, 2 * width)[:, 2:2 + size]
+    # f % 19 as f - 19 (f // 19): numpy divides by an unsigned scalar
     # several times faster than it takes the remainder
-    entries = words[:, 1:]
-    entries = entries - np.uint32(19) * (entries // np.uint32(19))
-    return entries.astype(np.int64) - 9, (words[:, 0] % 9 + 1).astype(np.int64)
+    entries = fields - np.uint16(19) * (fields // np.uint16(19))
+    return entries.astype(np.int64) - 9, denominators.astype(np.int64)
 
 
 def random_symmetric(m: int, count: int,
@@ -467,11 +470,12 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
 
 
 # matrix entries per chunk of the scan, 256 Hessians at n = 2.  Over 1e5
-# samples at n = 2 on a 2-vCPU x86-64 host, one series read 0.067 s at
-# 2^14, 0.081 s at 2^15 and 0.100 s at 2^16, another (medians of 15) 0.100,
-# 0.092 and 0.088 s: larger chunks gain nothing beyond the host's noise,
-# and each doubling doubles the scan's traced peak (0.29 MB at 2^14).
-# star_commutation_failures holds at most as many map entries per chunk
+# samples at n = 2 on a 2-vCPU x86-64 host, two in-process series (medians
+# of 15, sizes alternating) read 0.082 / 0.077 s at 2^14, 0.071 / 0.068 s
+# at 2^15 and 0.069 / 0.068 s at 2^16, and fresh processes spread 0.05-0.08 s
+# at every size: a larger chunk saves up to a tenth of the scan, while each
+# doubling doubles its traced peak (0.29 MB at 2^14) and the chunk of
+# star_commutation_failures, which holds at most as many map entries
 _SCAN_ENTRIES = 1 << 14
 
 

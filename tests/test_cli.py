@@ -233,9 +233,9 @@ def test_components_csv_bytes(tmp_path, n, sha256):
     (["model", "--n", "3", "--scale", "1/4"],
      "5107f283e58c35136aa0edb83b33fd455047530f177ee9c82656d5be9dc84119"),
     (["harmonicity", "--n", "2", "--samples", "50", "--kato-samples", "1000"],
-     "cf959d24dea5807688aac4bf2e27c936e47f4a478be51558d1a79daccdf8d469"),
+     "7a6b870e3035bfdee22a0203b00ba2d59442e452012c949ccd92b2cd1aab678b"),
     (["harmonicity", "--n", "3", "--samples", "50", "--kato-samples", "1000"],
-     "0404546457216ae390a8f38a6fb0565fb12e9071d9b562d43397d2c33a4b3344"),
+     "b8e4e3b870496b1e13386edc5da76839d1658fa356438477aab39ad82bbd1af1"),
 ])
 def test_report_json_bytes(tmp_path, argv, sha256):
     out = tmp_path / "report.json"

@@ -709,18 +709,25 @@ def test_kato_scan_matches_exact_path():
 # -- differential: the packed scan against the full-matrix scan --------------
 
 def reference_symmetric_batch(m, count, rng):
-    """`count` full symmetric matrices from the words of `rng`, scattered
-    into the upper and lower triangles with triu_indices."""
+    """`count` full symmetric matrices from the words of `rng`, drawn and
+    decoded one Python int at a time: the denominator w % 9 + 1 of a
+    matrix's first word, then two entries (w & 0xFFFF) % 19 - 9 and
+    (w >> 16) % 19 - 9 from each further word, the last high half unused
+    when m(m+1)/2 is odd, scattered into the upper and lower triangles
+    with triu_indices."""
     upper = np.triu_indices(m)
-    width = 1 + len(upper[0])
-    bits = 32 * count * width
-    words = np.frombuffer(rng.getrandbits(bits).to_bytes(bits // 8, "little"),
-                          dtype="<u4").reshape(count, width).astype(np.int64)
+    size = len(upper[0])
     nums = np.empty((count, m, m), dtype=np.int64)
-    vals = words[:, 1:] % 19 - 9
-    nums[:, upper[0], upper[1]] = vals
-    nums[:, upper[1], upper[0]] = vals
-    return nums, words[:, 0] % 9 + 1
+    dens = np.empty(count, dtype=np.int64)
+    for k in range(count):
+        dens[k] = rng.getrandbits(32) % 9 + 1
+        vals = []
+        for _ in range((size + 1) // 2):
+            w = rng.getrandbits(32)
+            vals += [(w & 0xFFFF) % 19 - 9, (w >> 16) % 19 - 9]
+        nums[k, upper[0], upper[1]] = vals[:size]
+        nums[k, upper[1], upper[0]] = vals[:size]
+    return nums, dens
 
 
 def reference_kato_scan(n, samples, seed):
@@ -766,8 +773,9 @@ def test_kato_paths_see_a_raised_row_weight(monkeypatch):
     # both paths read the one weight table.  With 4 raised to 5 the equality
     # case has a negative gap, so its slack invariant raises, and the scan's
     # least gap moves; the scan's verdict does not turn: on criterion 8's
-    # stream (n = 2, seed 888) the least gap stays far from equality, and
-    # 1e5 samples first show negative gaps at a row weight of 10
+    # stream (n = 2, seed 888) the least gap stays far from equality
+    # (661/81 over 1e5 samples), and 1e5 samples first show negative gaps
+    # at a row weight of 10 (2 of them); the 2000 samples here show 1 at 12
     want = reference_kato_scan(2, 2000, 888)
     assert want[0] == 0
     monkeypatch.setattr(quaternionic, "_kato_weights", raised_row_weights(5))
@@ -823,6 +831,51 @@ def test_random_symmetric_stream():
     assert (nums == nums.transpose(0, 2, 1)).all()
     assert set(nums.ravel().tolist()) == set(range(-9, 10))
     assert set(q.tolist()) == set(range(1, 10))
+
+
+def test_first_matrix_of_random_symmetric_by_hand():
+    # the first 19 words of random.Random(5); word 0 = 2675342405 = 9 * 297260267 + 2
+    # gives q = 3, and each later word gives its low 16 bits, then its high 16 bits:
+    # word 1 = 0x4164d839 gives 0xd839 = 55353 = 19 * 2913 + 6 -> -3 at (1,1) and
+    # 0x4164 = 16740 = 19 * 881 + 1 -> -8 at (1,2); word 18 = 0xa6233255 gives
+    # 0x3255 = 12885 = 19 * 678 + 3 -> -6 at (7,8) and
+    # 0xa623 = 42531 = 19 * 2238 + 9 -> 0 at (8,8)
+    rng = random.Random(5)
+    words = [rng.getrandbits(32) for _ in range(19)]
+    assert words[0] == 0x9f767c45 and words[1] == 0x4164d839 and words[18] == 0xa6233255
+    nums, q = random_symmetric(8, 1, random.Random(5))
+    assert q.tolist() == [3]
+    assert nums[0].tolist() == [[-3, -8, -9, 2, 6, 3, 0, 6],
+                                [-8, -2, 1, -9, 5, -4, 2, 0],
+                                [-9, 1, -8, 3, -9, 3, -3, 6],
+                                [2, -9, 3, -5, 3, -9, 2, 2],
+                                [6, 5, -9, 3, 5, -8, 6, 0],
+                                [3, -4, 3, -9, -8, -8, 7, 4],
+                                [0, 2, -3, 2, 6, 7, -9, -6],
+                                [6, 0, 6, 2, 0, 4, -6, 0]]
+
+
+# words per matrix, 1 + ceil(m(m+1)/4): at m = 5 and 6, m(m+1)/2 = 15 and
+# 21 are odd and the last word's high half is padding
+@pytest.mark.parametrize("m, words", [(5, 9), (6, 12), (8, 19)])
+def test_random_symmetric_takes_whole_words(m, words):
+    for k in (1, 2, 7):
+        rng, ref_rng = random.Random(31), random.Random(31)
+        nums, q = random_symmetric(m, k, rng)
+        ref_nums, ref_q = reference_symmetric_batch(m, k, ref_rng)
+        assert (nums == ref_nums).all() and (q == ref_q).all()
+        fresh = random.Random(31)
+        stream = [fresh.getrandbits(32) for _ in range(k * words + 1)]
+        assert rng.getrandbits(32) == stream[k * words], k
+
+
+def test_random_symmetric_entries_are_near_uniform():
+    # 2^16 = 19 * 3449 + 5 over-weights -9..-5 by 1/3449, far inside 2%;
+    # 720000 entries put one standard deviation near 0.5%
+    packed, _ = quaternionic._random_packed(8, 20000, random.Random(17))
+    freq = np.bincount(packed.ravel() + 9, minlength=19) / packed.size
+    assert len(freq) == 19
+    assert np.abs(19 * freq - 1).max() < 0.02, freq
 
 
 def test_kato_scan_rejects_empty_sample():
