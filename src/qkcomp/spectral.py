@@ -27,7 +27,7 @@ truncation means every estimate sits strictly above the limit value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -289,31 +289,28 @@ def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray
     return num / den
 
 
-def convergence_study(n: int, r_max_list: list[float],
-                      mesh: int) -> list[dict]:
-    """Dirichlet estimates at fixed mesh density over growing r_max; a
-    StudyError, once every r_max is solved, if any solve missed
-    RESIDUAL_TARGET."""
-    if any(b <= a for a, b in zip(r_max_list, r_max_list[1:])):
-        raise ContractViolation("r_max_list must be increasing")
-    r_min = 1e-3
-    density = (max(r_max_list) - r_min) / mesh
+def lambda1_row(p: RadialProblem, est: SpectralEstimate) -> dict:
+    """p's r_max and mesh, and est's lambda1 with its gap above (2n+1)^2."""
+    target = eigenvalue_bounds(p.n).quaternionic
+    return {"r_max": p.r_max, "mesh": p.mesh_points, "lambda1": est.lambda1,
+            "target": target, "gap": est.lambda1 - target}
+
+
+def convergence_study(p: RadialProblem) -> list[dict]:
+    """The rows of p solved at r_max / 2, 3 r_max / 4 and r_max, each from
+    p.r_min at p's mesh density (at least 64 points); a StudyError, once
+    every radius is solved, if any solve missed RESIDUAL_TARGET."""
+    first = p.r_max / 2
+    if not p.r_min < first:
+        raise ContractViolation(f"need r_min < the study's first radius r_max / 2 = {first}")
+    density = (p.r_max - p.r_min) / p.mesh_points
     rows, failed = [], {}
-    target = eigenvalue_bounds(n).quaternionic
-    for r_max in r_max_list:
-        points = max(64, round((r_max - r_min) / density))
+    for r_max in (first, 3 * p.r_max / 4, p.r_max):
+        q = replace(p, r_max=r_max, mesh_points=max(64, round((r_max - p.r_min) / density)))
         try:
-            est = lambda1_dirichlet(RadialProblem(n, r_min, r_max, points))
+            rows.append(lambda1_row(q, lambda1_dirichlet(q)))
         except ResidualError as exc:
             failed[r_max] = exc.estimate
-            continue
-        rows.append({
-            "r_max": r_max,
-            "mesh": points,
-            "lambda1": est.lambda1,
-            "target": target,
-            "gap": est.lambda1 - target,
-        })
     if failed:
         raise StudyError(failed, rows)
     return rows

@@ -59,7 +59,8 @@ from .quaternionic import (
 )
 from .report import Check, Report, check_eq, check_true
 from .riccati import comparison_excess, line_block, transversal_block
-from .spectral import RadialProblem, convergence_study, lambda1_dirichlet, rayleigh_quotient
+from .spectral import (RadialProblem, convergence_study, lambda1_dirichlet, lambda1_row,
+                       rayleigh_quotient)
 
 
 def _tagged(n: int, checks: list[Check]) -> list[Check]:
@@ -360,12 +361,11 @@ def criterion_7_spectral() -> Report:
     """Spectral sharpness of (2n+1)^2 from above, with the Rayleigh upper
     bound and the sharpening over the rescaled Cheng constant."""
     rep = Report("criterion-7-spectral")
-    # the last row solves RadialProblem(2, 1e-3, 12.0, 20000)
-    rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
+    # solves at r_max 6, 9 and 12; the last row is RadialProblem(2) itself
+    rows = convergence_study(RadialProblem(2))
     last = rows[-1]
     target = last["target"]
-    rep.results.append({"n": 2, "r_max": last["r_max"], "mesh": last["mesh"],
-                        "lambda1": last["lambda1"], "target": target, "gap": last["gap"]})
+    rep.results.append({"n": 2, **last})
     rep.checks.append(check_true(
         f"n=2: lambda1(r_max=12, mesh 20000) in ({target}, {target + 1})",
         target < last["lambda1"] < target + 1, detail=f"{last['lambda1']:.9f}"))
@@ -378,19 +378,18 @@ def criterion_7_spectral() -> Report:
     rmax = 30.0
     trial = lambda r: np.exp(-5 * r) * (1 - r / rmax)
     dtrial = lambda r: np.exp(-5 * r) * (-5 * (1 - r / rmax) - 1 / rmax)
-    q = rayleigh_quotient(RadialProblem(2, 1e-3, rmax, 20000), trial, dtrial)
+    q = rayleigh_quotient(RadialProblem(2, r_max=rmax), trial, dtrial)
     rep.checks.append(check_true(
         "n=2: Rayleigh quotient of e^{-5r} trial <= 25.6",
         q <= 25.6, detail=f"{q:.6f}"))
 
-    est3 = lambda1_dirichlet(RadialProblem(3, 1e-3, 12.0, 20000))
-    target = eigenvalue_bounds(3).quaternionic
-    rep.results.append({"n": 3, "r_max": 12.0, "mesh": 20000,
-                        "lambda1": est3.lambda1, "target": target,
-                        "gap": est3.lambda1 - target})
+    p3 = RadialProblem(3)
+    row = lambda1_row(p3, lambda1_dirichlet(p3))
+    target = row["target"]
+    rep.results.append({"n": 3, **row})
     rep.checks.append(check_true(
         f"n=3: lambda1(r_max=12, mesh 20000) in ({target}, {target + 1})",
-        target < est3.lambda1 < target + 1, detail=f"{est3.lambda1:.9f}"))
+        target < row["lambda1"] < target + 1, detail=f"{row['lambda1']:.9f}"))
     rep.checks.append(sharpening_check())
     return rep
 

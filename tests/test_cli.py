@@ -12,8 +12,10 @@ import pytest
 import qkcomp.cli
 import qkcomp.spectral
 import qkcomp.suite
-from qkcomp.cli import main
+from qkcomp.cli import build_parser, main
 from qkcomp.model import ModelConstructionError
+from qkcomp.report import json_value
+from qkcomp.spectral import RadialProblem, convergence_study
 
 
 def run_cli(argv, capsys):
@@ -124,6 +126,78 @@ def test_lambda1_study_keeps_the_rows_that_passed(capsys, monkeypatch):
     check, = doc["checks"]
     assert (check["expected"], check["actual"], check["pass"]) == \
         ("<= 1e-08 at r_max=6.0", "2.000e-08", False)
+
+
+def test_lambda1_study_solves_from_rmin(capsys):
+    # the study once solved every radius from a hidden r_min of 1e-3 while
+    # reporting the --rmin it was given
+    argv = ["lambda1", "--rmax", "8", "--mesh", "4000"]
+    status, out = run_cli(argv + ["--rmin", "0.05", "--study"], capsys)
+    assert status == 0
+    rows = json.loads(out)["results"]
+    want = convergence_study(RadialProblem(2, 0.05, 8.0, 4000))
+    assert rows == [{k: json_value(v) for k, v in row.items()} for row in want]
+    # the last radius is the single solve's problem
+    _status, out = run_cli(argv + ["--rmin", "0.05"], capsys)
+    assert {"n": 2, **rows[-1]} == json.loads(out)["results"][0]
+    status, out = run_cli(argv + ["--rmin", "0.001", "--study"], capsys)
+    assert status == 0
+    assert json.loads(out)["results"] != rows
+
+
+@pytest.mark.parametrize("study", [False, True])
+@pytest.mark.parametrize("argv, message", [
+    (["--rmin", "13"], "need r_min < r_max"),
+    (["--mesh", "10"], "need at least 64 mesh points"),
+])
+def test_lambda1_refuses_a_bad_problem_alike_on_both_paths(study, argv, message, capsys):
+    # the study once ran --rmin 13 from r_min 1e-3 and --mesh 10 at mesh 64
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda1", *argv] + ["--study"] * study)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"qkcomp: {message}\n"
+
+
+def test_lambda1_study_names_its_first_radius_when_r_min_reaches_it(capsys):
+    # r_min 5 < r_max 8 is a range, but the study's first radius is 8 / 2
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda1", "--study", "--rmin", "5", "--rmax", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "qkcomp: need r_min < the study's first radius r_max / 2 = 4.0\n"
+
+
+def test_lambda1_defaults_are_the_radial_problem_defaults():
+    args = build_parser().parse_args(["lambda1"])
+    p = RadialProblem(args.n)
+    assert (args.rmin, args.rmax, args.mesh) == (p.r_min, p.r_max, p.mesh_points)
+
+
+@pytest.mark.parametrize("study", [False, True])
+def test_lambda1_residual_verdict_is_the_solver_s(capsys, monkeypatch, study):
+    # at --rmax 2 the residual stops between 1e-8 and 1e-6 (see above); the
+    # single solve once compared it with a literal 1e-8 of its own, so only
+    # the study followed a changed RESIDUAL_TARGET
+    monkeypatch.setattr(qkcomp.spectral, "RESIDUAL_TARGET", 1e-6)
+    status, out = run_cli(["lambda1", "--rmax", "2"] + ["--study"] * study, capsys)
+    assert status == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["suite"], "--out"),
+    (["lambda1", "--rmax", "8", "--mesh", "4000"], "--out"),
+    (["model", "--n", "2"], "--components"),
+])
+def test_unwritable_output_path_is_usage_error(argv, flag, tmp_path, capsys):
+    # open() once ended in a FileNotFoundError traceback with exit 1, the
+    # status of a failed check
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        f"qkcomp: cannot write {path}: No such file or directory\n"
 
 
 def test_check_identities_json(capsys):

@@ -251,7 +251,7 @@ def test_shift_is_below_lambda1_and_separated():
 
 
 def test_criterion_7_solves_the_oracle_problems():
-    rows = convergence_study(2, [6.0, 9.0, 12.0], 20000)
+    rows = convergence_study(RadialProblem(2))
     assert [(row["r_max"], row["mesh"]) for row in rows] == [
         (p.r_max, p.mesh_points) for name, p in ORACLE_PROBLEMS.items()
         if name.startswith("criterion7-n2")]
@@ -370,7 +370,7 @@ def test_bessel_oracle_value():
 
 
 def test_domain_monotonicity():
-    rows = convergence_study(2, [5.0, 7.0, 9.0], 6000)
+    rows = convergence_study(RadialProblem(2, 1e-3, 9.0, 6000))
     lams = [r["lambda1"] for r in rows]
     assert lams[0] > lams[1] > lams[2] > 25
     gaps = [r["gap"] for r in rows]
@@ -379,7 +379,7 @@ def test_domain_monotonicity():
 
 def test_study_last_row_is_the_direct_solve():
     # criterion 7 reads lambda1(r_max=12, mesh 20000) off this row
-    row = convergence_study(2, [6.0, 9.0, 12.0], 20000)[-1]
+    row = convergence_study(RadialProblem(2))[-1]
     assert (row["r_max"], row["mesh"]) == (12.0, 20000)
     assert row["lambda1"] == lambda1_dirichlet(RadialProblem(2, 1e-3, 12.0, 20000)).lambda1
 
@@ -462,8 +462,8 @@ def test_problem_validation():
         RadialProblem(2, 0.0, 1.0, 1000)
     with pytest.raises(ContractViolation):
         RadialProblem(2, 1e-3, 1.0, 32)
-    with pytest.raises(ContractViolation):
-        convergence_study(2, [5.0, 4.0], 1000)
+    with pytest.raises(ContractViolation, match="the study's first radius"):
+        convergence_study(RadialProblem(2, 5.0, 8.0, 1000))
     with pytest.raises(ContractViolation):
         RadialProblem(2, 1e-3, 1.0, 1000, delta=2)
     with pytest.raises(DomainError):
