@@ -12,13 +12,14 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 import numpy as np
 
+from . import spectral
 from . import suite as suite_mod
 from .comparison import (
     ModelGeometry,
@@ -67,16 +68,8 @@ def _open_for_writing(path: str):
         raise ContractViolation(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write(text: str, out: str) -> None:
-    if out and out != "-":
-        with _open_for_writing(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit(report: Report, args) -> int:
-    _write(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    args.out.write(report.to_csv() if args.format == "csv" else report.to_json())
     for chk in report.failures():
         print(f"FAIL {chk.name}: expected {render_value(chk.expected)}, "
               f"got {render_value(chk.actual)}", file=sys.stderr)
@@ -208,11 +201,12 @@ def cmd_model(args) -> int:
     rep.extend(suite_mod.model_battery(n))
     rep.extend(suite_mod.level_set_battery(n, args.scale))
     if args.components:
-        with _open_for_writing(args.components) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["A", "B", "C", "D", "value"])
-            for abcd, v in R.table.items():
-                writer.writerow([*(i + 1 for i in abcd), render_value(v)])
+        import csv  # only this table and --format csv need it
+
+        writer = csv.writer(args.components, lineterminator="\n")
+        writer.writerow(["A", "B", "C", "D", "value"])
+        for abcd, v in R.table.items():
+            writer.writerow([*(i + 1 for i in abcd), render_value(v)])
     return _emit(rep, args)
 
 
@@ -220,6 +214,7 @@ def cmd_lambda1(args) -> int:
     rep = Report("lambda1", {"n": args.n, "rmax": args.rmax,
                              "mesh": args.mesh, "rmin": args.rmin})
     p = RadialProblem(args.n, args.rmin, args.rmax, args.mesh)
+    residual_check = f"residual within {spectral.RESIDUAL_TARGET:.0e}"
     if args.study:
         try:
             rows = convergence_study(p)
@@ -227,8 +222,8 @@ def cmd_lambda1(args) -> int:
             # the rows that passed, and the largest residual of the others
             rep.results.extend(exc.rows)
             rep.checks.append(Check(
-                "residual within 1e-8",
-                f"<= 1e-08 at r_max={', '.join(map(str, exc.failed))}",
+                residual_check,
+                f"<= {spectral.RESIDUAL_TARGET:.0e} at r_max={', '.join(map(str, exc.failed))}",
                 f"{max(e.residual for e in exc.failed.values()):.3e}", False))
         else:
             rep.results.extend(rows)
@@ -243,13 +238,13 @@ def cmd_lambda1(args) -> int:
         rep.checks.append(check_true(
             "Dirichlet estimate sits above the limit value",
             est.lambda1 > row["target"], detail=f"{est.lambda1:.9f} > {row['target']}"))
-        rep.checks.append(check_true("residual within 1e-8", reached, detail=f"{est.residual:.3e}"))
+        rep.checks.append(check_true(residual_check, reached, detail=f"{est.residual:.3e}"))
     return _emit(rep, args)
 
 
 def cmd_suite(args) -> int:
     status, text, _reports = suite_mod.run_suite()
-    _write(text, args.out)
+    args.out.write(text)
     return status
 
 
@@ -331,7 +326,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with ExitStack() as files:
+            # the output paths open before the work runs, so that an
+            # unwritable one is refused at once; "-" (or an empty --out) is stdout
+            args.out = (sys.stdout if args.out in ("", "-")
+                        else files.enter_context(_open_for_writing(args.out)))
+            if getattr(args, "components", None):
+                args.components = files.enter_context(_open_for_writing(args.components))
+            return args.func(args)
     except (ContractViolation, DomainError) as exc:
         # bad input only, such as an n or --scale whose exact tables would
         # pass int64; a ModelConstructionError or numpy's ValueError is an

@@ -22,28 +22,26 @@ treated as an erratum, and both values are surfaced by the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .forms import ContractViolation
+from .forms import ContractViolation, ValueEq
 from .riccati import DomainError, first_outside, line_block, transversal_block
 
 
-@dataclass(frozen=True)
 class ModelGeometry:
     """Quaternionic model space of real dimension 4n with curvature scale delta."""
 
-    n: int
-    delta: int
+    __slots__ = ("n", "delta")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ContractViolation(f"need n >= 2, got n={self.n}")
-        if self.delta not in (-1, 0, 1):
-            raise ContractViolation(f"delta must be -1, 0, or +1, got {self.delta}")
+    def __init__(self, n: int, delta: int):
+        if n < 2:
+            raise ContractViolation(f"need n >= 2, got n={n}")
+        if delta not in (-1, 0, 1):
+            raise ContractViolation(f"delta must be -1, 0, or +1, got {delta}")
+        self.n, self.delta = n, delta
 
     @property
     def dim(self) -> int:
@@ -241,13 +239,14 @@ def volume_ratio_check(g: ModelGeometry, r1: float, r2: float) -> tuple[float, f
     return v2 / v1, c2 / c1
 
 
-@dataclass(frozen=True)
-class EigenvalueBounds:
+class EigenvalueBounds(ValueEq):
     """lambda_1 upper bounds: the quaternionic value with its real
     reference constant."""
 
-    quaternionic: int
-    real_cheng: Fraction
+    __slots__ = ("quaternionic", "real_cheng")
+
+    def __init__(self, quaternionic: int, real_cheng: Fraction):
+        self.quaternionic, self.real_cheng = quaternionic, real_cheng
 
 
 def eigenvalue_bounds(n: int) -> EigenvalueBounds:

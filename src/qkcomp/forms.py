@@ -17,7 +17,6 @@ they could pass 2^62.  Entries read one at a time are `Fraction`s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -51,15 +50,41 @@ def guard_int64(bound: int, step: str) -> None:
             f"exact table out of the int64 range: {step} could reach {bound} > 2^62")
 
 
-@dataclass(frozen=True)
-class InnerSpace:
-    """Oriented inner-product space with the canonical orthonormal basis."""
+class Frozen:
+    """A record whose cached properties are read from its fields: `__init__`
+    sets the fields once, into `__dict__` (where `cached_property` also
+    stores), and assigning or deleting an attribute raises AttributeError,
+    so a cached value never goes stale."""
 
-    dim: int
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {type(self).__name__}.{name}")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ContractViolation(f"dimension must be >= 1, got {self.dim}")
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class ValueEq:
+    """A record equal to one of its own class whose `__slots__` fields are
+    all equal; unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+
+class InnerSpace(ValueEq):
+    """Oriented inner-product space with the canonical orthonormal basis;
+    equal by value, as a frame builds a new one on every read of `space`."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ContractViolation(f"dimension must be >= 1, got {dim}")
+        self.dim = dim
 
     def basis_indices(self) -> range:
         return range(1, self.dim + 1)
@@ -255,17 +280,14 @@ class Form:
                 f"ambient dimensions differ: {self.space.dim} vs {other.space.dim}")
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(Frozen):
     """Vector with exact rational components over the canonical basis."""
 
-    space: InnerSpace
-    components: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.space.dim:
+    def __init__(self, space: InnerSpace, components: tuple[Fraction, ...]):
+        if len(components) != space.dim:
             raise DimensionMismatch(
-                f"expected {self.space.dim} components, got {len(self.components)}")
+                f"expected {space.dim} components, got {len(components)}")
+        self.__dict__.update(space=space, components=components)
 
     @classmethod
     def of(cls, space: InnerSpace, comps: Iterable[Rational]) -> "Vector":
@@ -345,8 +367,7 @@ def form_inner(a: Form, b: Form) -> Fraction:
     return Fraction(kernel.inner_terms(a._terms, b._terms), a.den * b.den)
 
 
-@dataclass(frozen=True, eq=False)
-class ExactArray:
+class ExactArray(Frozen):
     """Exact rational array: int64 numerators `num` over the positive
     denominator `den`.
 
@@ -356,12 +377,10 @@ class ExactArray:
     construction on, so `bound` is computed once per array and never goes
     stale."""
 
-    num: np.ndarray
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        if isinstance(self.num, np.ndarray):  # a numpy scalar is immutable
-            self.num.flags.writeable = False
+    def __init__(self, num: np.ndarray, den: int = 1):
+        if isinstance(num, np.ndarray):  # a numpy scalar is immutable
+            num.flags.writeable = False
+        self.__dict__.update(num=num, den=den)
 
     @classmethod
     def of(cls, num, den: int = 1) -> ExactArray:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +50,7 @@ from .forms import (
     ContractViolation,
     Form,
     InnerSpace,
+    ValueEq,
     Vector,
     ext_mult,
     hodge_star,
@@ -162,7 +162,6 @@ def check_star_identities(dim: int, degree: int, trials: int,
 Image = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
 class SignedTable:
     """Operators on the 2^dim basis monomials (by mask) that take each to
     plus or minus one monomial or to 0.  Row r of the (rows, 2^dim + 1)
@@ -171,9 +170,10 @@ class SignedTable:
     (0 for 0), and `bad` marks the masks whose kernel image was not one
     term of coefficient +-1."""
 
-    target: np.ndarray
-    sign: np.ndarray
-    bad: np.ndarray
+    __slots__ = ("target", "sign", "bad")
+
+    def __init__(self, target: np.ndarray, sign: np.ndarray, bad: np.ndarray):
+        self.target, self.sign, self.bad = target, sign, bad
 
     def __call__(self, image: Image, row=0) -> Image:
         """Operator `row` (an index array broadcasting with the image)
@@ -245,16 +245,15 @@ def _sum_equal(a: Image, b: Image, want: Image) -> np.ndarray:
     return ~(ba | bb | bw) & single & (((s == 0) & (sw == 0)) | ((t == tw) & (s == sw)))
 
 
-@dataclass
-class BasisResult:
+class BasisResult(ValueEq):
     """One identity at one (dim, degree), checked on `cases` cases: basis
     forms times basis indices, or seeded samples.  `first` describes the
     first case that breaks the law."""
 
-    name: str
-    cases: int
-    violations: int
-    first: str | None = None
+    __slots__ = ("name", "cases", "violations", "first")
+
+    def __init__(self, name: str, cases: int, violations: int, first: str | None = None):
+        self.name, self.cases, self.violations, self.first = name, cases, violations, first
 
     @property
     def passed(self) -> bool:

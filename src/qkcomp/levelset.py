@@ -14,7 +14,6 @@ cross-check are reductions and elementwise comparisons of those arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,15 +32,17 @@ from .report import Check, check_eq, check_true
 from .riccati import rational_sqrt
 
 
-@dataclass(frozen=True)
 class LevelSetGeometry:
     """Intrinsic data of the level set at scale s = e^{-2t} over local axes:
-    0-based index i (1-based i + 1 in `curvature.entry`) is the ambient e_{i+2}."""
+    0-based index i (1-based i + 1 in `curvature.entry`) is the ambient e_{i+2};
+    `second_fundamental` holds the shape-operator eigenvalues."""
 
-    n: int
-    scale: Fraction
-    second_fundamental: ExactArray  # shape-operator eigenvalues, local axes
-    curvature: CurvatureTensor
+    __slots__ = ("n", "scale", "second_fundamental", "curvature")
+
+    def __init__(self, n: int, scale: Fraction, second_fundamental: ExactArray,
+                 curvature: CurvatureTensor):
+        self.n, self.scale = n, scale
+        self.second_fundamental, self.curvature = second_fundamental, curvature
 
 
 def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:

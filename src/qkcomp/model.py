@@ -37,7 +37,6 @@ time are `Fraction`s.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,14 +84,14 @@ def jacobi_violations(C: ExactArray) -> int:
     return int(np.count_nonzero(cyclic.num[(a < b) & (b < d)]))
 
 
-@dataclass(frozen=True)
 class StructureConstants:
     """Exact structure constants of the solvable model, with the derived
-    center-bracket scale."""
+    center-bracket scale c; `table` is C[A, B, D], 0-based."""
 
-    n: int
-    c: Fraction
-    table: ExactArray  # C[A, B, D], 0-based
+    __slots__ = ("n", "c", "table")
+
+    def __init__(self, n: int, c: Fraction, table: ExactArray):
+        self.n, self.c, self.table = n, c, table
 
     @property
     def dim(self) -> int:
@@ -113,11 +112,14 @@ def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
             - contract("abe,edc->abcd", C, G))
 
 
-@dataclass(frozen=True)
 class CurvatureTensor:
-    """Exact 4-index curvature array in the fixed convention."""
+    """Exact 4-index curvature array in the fixed convention: `table` is
+    R[A, B, C, D], 0-based."""
 
-    table: ExactArray  # R[A, B, C, D], 0-based
+    __slots__ = ("table",)
+
+    def __init__(self, table: ExactArray):
+        self.table = table
 
     @property
     def dim(self) -> int:
@@ -247,15 +249,15 @@ def verify_quaternionic_traces(R: CurvatureTensor) -> list[Check]:
     ]
 
 
-@dataclass
 class BergerData:
     """Curvature commutator 2-forms: alpha, beta, gamma as antisymmetric
     matrices over the frame."""
 
-    alpha: ExactArray
-    beta: ExactArray
-    gamma: ExactArray
-    checks: list[Check]
+    __slots__ = ("alpha", "beta", "gamma", "checks")
+
+    def __init__(self, alpha: ExactArray, beta: ExactArray, gamma: ExactArray,
+                 checks: list[Check]):
+        self.alpha, self.beta, self.gamma, self.checks = alpha, beta, gamma, checks
 
 
 # seeded frame triples drawn by verify_berger (draws with a == b are skipped)
@@ -422,15 +424,14 @@ def d_coframe(space: InnerSpace, C: ExactArray) -> list[Form]:
     return [two_form(space, -C[:, :, k]) for k in range(len(C.num))]
 
 
-@dataclass
 class Sp1Connection:
     """The local 1-forms a, b, c read off the connection's rotation of the
     fundamental 2-forms."""
 
-    a: list
-    b: list
-    c: list
-    checks: list[Check]
+    __slots__ = ("a", "b", "c", "checks")
+
+    def __init__(self, a: list, b: list, c: list, checks: list[Check]):
+        self.a, self.b, self.c, self.checks = a, b, c, checks
 
 
 def verify_parallel_four_form(sc: StructureConstants,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,16 +46,16 @@ _LINE_ACTIONS = (((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
                  ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 
-@dataclass(frozen=True, eq=False)
 class QuaternionicFrame:
     """Canonical quaternionic actions on R^{4n}: I, J, K are read-only
     int64 signed-permutation matrices whose column i is the image of
-    e_{i+1}, so that I^2 = J^2 = K^2 = -1 and IJ = K, JK = I, KI = J."""
+    e_{i+1}, so that I^2 = J^2 = K^2 = -1 and IJ = K, JK = I, KI = J.
+    Equal and hashed by identity, as the key of lru_caches."""
 
-    n: int
-    I: ExactArray
-    J: ExactArray
-    K: ExactArray
+    __slots__ = ("n", "I", "J", "K")
+
+    def __init__(self, n: int, I: ExactArray, J: ExactArray, K: ExactArray):
+        self.n, self.I, self.J, self.K = n, I, J, K
 
     @property
     def dim(self) -> int:
@@ -85,15 +84,15 @@ def build_frame(n: int) -> QuaternionicFrame:
                                   for block in _LINE_ACTIONS))
 
 
-@dataclass(frozen=True)
 class FundamentalForms:
     """The three local 2-forms and the global 4-form they square to."""
 
-    frame: QuaternionicFrame
-    omega1: Form
-    omega2: Form
-    omega3: Form
-    Omega: Form
+    __slots__ = ("frame", "omega1", "omega2", "omega3", "Omega")
+
+    def __init__(self, frame: QuaternionicFrame, omega1: Form, omega2: Form, omega3: Form,
+                 Omega: Form):
+        self.frame, self.omega1, self.omega2, self.omega3 = frame, omega1, omega2, omega3
+        self.Omega = Omega
 
 
 @lru_cache(maxsize=None)
@@ -248,22 +247,20 @@ def random_quaternionic_harmonic(frame: QuaternionicFrame,
     return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), 4 * int(q[0])))
 
 
-@dataclass(frozen=True, eq=False)
 class _FormMap:
     """A linear map from the m x m Hessian numerators h to the numerators
     of forms of one degree: entry k adds num[k] * h.ravel()[ij[k]] to the
     coefficient of one mask, all over den.  The entries are sorted by mask,
     those of masks[s] starting at starts[s].  `weight`, the largest
     per-mask sum of |num|, times the Hessian's bound bounds every output
-    numerator."""
+    numerator.  Equal and hashed by identity, as the values of lru_caches."""
 
-    masks: tuple[int, ...]
-    starts: np.ndarray
-    ij: np.ndarray
-    num: np.ndarray
-    den: int
-    weight: int
-    degree: int
+    __slots__ = ("masks", "starts", "ij", "num", "den", "weight", "degree")
+
+    def __init__(self, masks: tuple[int, ...], starts: np.ndarray, ij: np.ndarray,
+                 num: np.ndarray, den: int, weight: int, degree: int):
+        self.masks, self.starts, self.ij, self.num = masks, starts, ij, num
+        self.den, self.weight, self.degree = den, weight, degree
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """The output numerators of the rows h of raveled Hessian numerators,
@@ -404,15 +401,16 @@ def star_commutation_failures(frame: QuaternionicFrame, samples: int,
     return bad
 
 
-@dataclass(frozen=True)
 class KatoReport:
     """Refined Hessian inequality |H|^2 >= (4/3) |grad |grad f||^2, split into
     the three intermediate slacks of the chain (each nonnegative)."""
 
-    gap: Fraction
-    slack_dropped_entries: Fraction
-    slack_cauchy_schwarz: Fraction
-    slack_row_factor: Fraction
+    __slots__ = ("gap", "slack_dropped_entries", "slack_cauchy_schwarz", "slack_row_factor")
+
+    def __init__(self, gap: Fraction, slack_dropped_entries: Fraction,
+                 slack_cauchy_schwarz: Fraction, slack_row_factor: Fraction):
+        self.gap, self.slack_dropped_entries = gap, slack_dropped_entries
+        self.slack_cauchy_schwarz, self.slack_row_factor = slack_cauchy_schwarz, slack_row_factor
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,8 @@ byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -36,12 +34,11 @@ def json_value(v):
     return v
 
 
-@dataclass
 class Check:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
+    __slots__ = ("name", "expected", "actual", "passed")
+
+    def __init__(self, name: str, expected: object, actual: object, passed: bool):
+        self.name, self.expected, self.actual, self.passed = name, expected, actual, passed
 
     def as_dict(self) -> dict:
         return {
@@ -60,13 +57,16 @@ def check_true(name: str, condition: bool, detail: object = "") -> Check:
     return Check(name, True, condition if not detail else detail, bool(condition))
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("command", "params", "results", "checks", "notes")
+
+    def __init__(self, command: str, params: dict | None = None, results: list | None = None,
+                 checks: list[Check] | None = None, notes: list[str] | None = None):
+        self.command = command
+        self.params = {} if params is None else params
+        self.results = [] if results is None else results
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -92,6 +92,8 @@ class Report:
 
     def to_csv(self) -> str:
         """Result rows if present (fixed, documented columns), else the checks."""
+        import csv  # only --format csv renders it; the suite's import stays lean
+
         buf = io.StringIO()
         if self.results:
             fieldnames = list(self.results[0].keys())

@@ -34,13 +34,12 @@ give the same bits as the scalar loop, trajectory by trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .forms import ContractViolation
+from .forms import ContractViolation, Frozen
 
 Rational = Fraction | int
 
@@ -69,8 +68,7 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ComparisonFunction:
+class ComparisonFunction(Frozen):
     """The Riccati equation u' + u^2/m + m K = 0 of one Hessian block, with
     block weight m > 0 and a curvature constant K whose |K| is a rational
     square, and its equality solution a c(b t) with u ~ m/t as t -> 0+.
@@ -81,12 +79,10 @@ class ComparisonFunction:
     floats `frequency`, `amplitude` and `pole` that the barrier evaluates.
     """
 
-    m: Fraction
-    K: Fraction
-
-    def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ContractViolation(f"block weight must be positive, got {self.m}")
+    def __init__(self, m: Fraction, K: Fraction):
+        if m <= 0:
+            raise ContractViolation(f"block weight must be positive, got {m}")
+        self.__dict__.update(m=m, K=K)
         if self.b is None:
             raise ContractViolation(f"need |K| a rational square, got K={self.K}")
 
@@ -176,13 +172,13 @@ def transversal_block(delta: int) -> ComparisonFunction:
     return ComparisonFunction(Fraction(4), Fraction(delta))
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """The valid points of one trajectory, as float arrays."""
 
-    ts: np.ndarray
-    us: np.ndarray
-    truncated: bool
+    __slots__ = ("ts", "us", "truncated")
+
+    def __init__(self, ts: np.ndarray, us: np.ndarray, truncated: bool):
+        self.ts, self.us, self.truncated = ts, us, truncated
 
 
 BLOWUP_LIMIT = 1.0e9

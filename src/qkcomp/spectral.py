@@ -27,7 +27,6 @@ truncation means every estimate sits strictly above the limit value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,38 +35,37 @@ from .comparison import ModelGeometry, area_density, eigenvalue_bounds
 from .forms import ContractViolation
 
 
-@dataclass(frozen=True)
 class RadialProblem:
-    """Mesh and model geometry of one radial Dirichlet problem."""
+    """Mesh and model geometry of one radial Dirichlet problem.  The class
+    attributes are the defaults, which the CLI's options read."""
 
-    n: int
-    r_min: float = 1e-3
-    r_max: float = 12.0
-    mesh_points: int = 20000
-    delta: int = -1
+    r_min, r_max, mesh_points, delta = 1e-3, 12.0, 20000, -1
 
-    def __post_init__(self) -> None:
-        if not self.r_min < self.r_max:
+    def __init__(self, n: int, r_min: float = r_min, r_max: float = r_max,
+                 mesh_points: int = mesh_points, delta: int = delta):
+        if not r_min < r_max:
             raise ContractViolation("need r_min < r_max")
-        if self.r_min <= 0:
+        if r_min <= 0:
             raise ContractViolation("need r_min > 0")
-        if self.mesh_points < 64:
+        if mesh_points < 64:
             raise ContractViolation("need at least 64 mesh points")
-        ModelGeometry(self.n, self.delta).domain_check(self.r_max)
+        ModelGeometry(n, delta).domain_check(r_max)
+        self.n, self.r_min, self.r_max, self.mesh_points, self.delta = (
+            n, r_min, r_max, mesh_points, delta)
 
     def weight(self, rs: np.ndarray) -> np.ndarray:
         """The area density J at every radius of `rs`."""
         return area_density(ModelGeometry(self.n, self.delta), rs)
 
 
-@dataclass(frozen=True)
 class SpectralEstimate:
     """lambda1 with its residual certificate; `iterations` counts the
     inverse-iteration solves, at most MAX_SOLVES."""
 
-    lambda1: float
-    residual: float
-    iterations: int
+    __slots__ = ("lambda1", "residual", "iterations")
+
+    def __init__(self, lambda1: float, residual: float, iterations: int):
+        self.lambda1, self.residual, self.iterations = lambda1, residual, iterations
 
 
 class ResidualError(RuntimeError):
@@ -306,7 +304,8 @@ def convergence_study(p: RadialProblem) -> list[dict]:
     density = (p.r_max - p.r_min) / p.mesh_points
     rows, failed = [], {}
     for r_max in (first, 3 * p.r_max / 4, p.r_max):
-        q = replace(p, r_max=r_max, mesh_points=max(64, round((r_max - p.r_min) / density)))
+        q = RadialProblem(p.n, p.r_min, r_max, max(64, round((r_max - p.r_min) / density)),
+                          p.delta)
         try:
             rows.append(lambda1_row(q, lambda1_dirichlet(q)))
         except ResidualError as exc:

@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import qkcomp
 from qkcomp import suite as battery
 
@@ -164,6 +166,21 @@ def test_suite_import_leaves_every_cache_empty():
     assert "qkcomp.quaternionic.derivation_maps" in probe["at_import"]
     assert probe["misses"] == {"build_frame": 2, "build_fundamental_forms": 2,
                                "_hessian_four_form_maps": 2, "derivation_maps": 2}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_suite_import_loads_neither_dataclasses_nor_csv(flags):
+    # where bytecode is not cached, every start compiles the source and
+    # runs its class bodies: a @dataclass then execs its generated methods
+    # (about 1 ms per class), and csv serves --format csv alone
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, qkcomp.suite; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, *flags, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_suite_checks_match_the_benchmark_golden(monkeypatch):

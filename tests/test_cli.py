@@ -88,10 +88,10 @@ def test_lambda1_reports_a_residual_it_cannot_reach(capsys, study):
     status, out = run_cli(["lambda1", "--rmax", "2"] + ["--study"] * study, capsys)
     assert status == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    residual = checks["residual within 1e-8"]
+    residual = checks["residual within 1e-08"]
     assert residual["pass"] is False
     assert 1e-8 < float(residual["actual"]) < 1e-6
-    assert all(c["pass"] for name, c in checks.items() if name != "residual within 1e-8")
+    assert all(c["pass"] for name, c in checks.items() if name != "residual within 1e-08")
 
 
 def test_lambda1_study_names_every_radius_that_misses_the_residual(capsys):
@@ -102,7 +102,7 @@ def test_lambda1_study_names_every_radius_that_misses_the_residual(capsys):
     doc = json.loads(out)
     assert doc["results"] == []
     check, = doc["checks"]
-    assert check["name"] == "residual within 1e-8" and check["pass"] is False
+    assert check["name"] == "residual within 1e-08" and check["pass"] is False
     assert check["expected"] == "<= 1e-08 at r_max=1.0, 1.5, 2.0"
     assert 1e-8 < float(check["actual"]) < 1e-6
 
@@ -177,11 +177,23 @@ def test_lambda1_defaults_are_the_radial_problem_defaults():
 def test_lambda1_residual_verdict_is_the_solver_s(capsys, monkeypatch, study):
     # at --rmax 2 the residual stops between 1e-8 and 1e-6 (see above); the
     # single solve once compared it with a literal 1e-8 of its own, so only
-    # the study followed a changed RESIDUAL_TARGET
+    # the study followed a changed RESIDUAL_TARGET, and the check's name and
+    # the study's expected text were literals too.  A study that passes
+    # reports its convergence check in place of the residual check
+    argv = ["lambda1", "--rmax", "2"] + ["--study"] * study
     monkeypatch.setattr(qkcomp.spectral, "RESIDUAL_TARGET", 1e-6)
-    status, out = run_cli(["lambda1", "--rmax", "2"] + ["--study"] * study, capsys)
+    status, out = run_cli(argv, capsys)
+    checks = json.loads(out)["checks"]
     assert status == 0
-    assert all(c["pass"] for c in json.loads(out)["checks"])
+    assert all(c["pass"] for c in checks)
+    assert ("residual within 1e-06" in [c["name"] for c in checks]) is not study
+    monkeypatch.setattr(qkcomp.spectral, "RESIDUAL_TARGET", 1e-12)
+    status, out = run_cli(argv, capsys)
+    check, = [c for c in json.loads(out)["checks"] if c["name"].startswith("residual")]
+    assert status == 1
+    assert (check["name"], check["pass"]) == ("residual within 1e-12", False)
+    if study:
+        assert check["expected"] == "<= 1e-12 at r_max=1.0, 1.5, 2.0"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -189,9 +201,14 @@ def test_lambda1_residual_verdict_is_the_solver_s(capsys, monkeypatch, study):
     (["lambda1", "--rmax", "8", "--mesh", "4000"], "--out"),
     (["model", "--n", "2"], "--components"),
 ])
-def test_unwritable_output_path_is_usage_error(argv, flag, tmp_path, capsys):
+def test_unwritable_output_path_is_usage_error(argv, flag, tmp_path, capsys, monkeypatch):
     # open() once ended in a FileNotFoundError traceback with exit 1, the
-    # status of a failed check
+    # status of a failed check, and came after the work: the suite ran all
+    # eight criteria first.  The path now opens before the command runs
+    def must_not_run(args):
+        raise AssertionError(f"{argv[0]} ran before {flag} was opened")
+
+    monkeypatch.setattr(qkcomp.cli, f"cmd_{argv[0]}", must_not_run)
     path = tmp_path / "missing" / "out.txt"
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, str(path)])

@@ -368,6 +368,31 @@ def test_equal_forms_by_different_routes_compare_equal():
     assert repr(half_12) == "Form(dim=4, deg=2, (1/2)*theta(1, 2))"
 
 
+def test_forms_over_distinct_equal_spaces_compare_equal():
+    # a frame builds a new InnerSpace on every read of `space`, so Form
+    # equality rests on the spaces comparing by value
+    a, b = InnerSpace(4), InnerSpace(4)
+    assert a is not b and a == b and InnerSpace(4) != InnerSpace(8)
+    assert Form.basis(a, (1, 2), F(1, 2)) == Form.basis(b, (1, 2), F(1, 2))
+    assert Form.basis(a, (1,)) != Form.basis(InnerSpace(5), (1,))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ExactArray.of([1, 2], 3), "num"),
+    (lambda: ExactArray.of([1, 2], 3), "den"),
+    (lambda: Vector.of(V4, [1, F(1, 2), 0, 0]), "components"),
+    (lambda: Vector.of(V4, [1, F(1, 2), 0, 0]), "space"),
+], ids=["ExactArray.num", "ExactArray.den", "Vector.components", "Vector.space"])
+def test_records_with_cached_values_refuse_assignment(make, field):
+    # `bound` and `scaled_components` are computed once from the fields,
+    # so a field that could change would leave them stale
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
 def test_form_rejects_nonpositive_denominator():
     with pytest.raises(ContractViolation):
         Form(V4, 1, {0b1: 1}, 0)

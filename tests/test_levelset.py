@@ -1,7 +1,6 @@
 """Horosphere geometry: shape operator, intrinsic curvature, Gauss
 equation branches, weighted displays, and the Busemann cross-check."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -129,7 +128,7 @@ def test_broken_model_invariants_are_internal_failures(setup2):
         num = sc.table.num.copy()
         num[a, b, d] += sc.table.den
         num[b, a, d] -= sc.table.den
-        return dataclasses.replace(sc, table=ExactArray.of(num, sc.table.den))
+        return StructureConstants(sc.n, sc.c, ExactArray.of(num, sc.table.den))
 
     # [e_1, e_6] picks up e_7: h_67 = <nabla_{e_6} e_7, e_1> is off-diagonal,
     # while the level-set brackets (no e_1) keep Jacobi

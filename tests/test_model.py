@@ -5,7 +5,7 @@ The dense nested-`Fraction` loops below are the reference the integer
 tables of `qkcomp.model` and `qkcomp.levelset` are tested against; they
 read I, J, K off the per-line tables of `test_quaternionic.reference_actions`."""
 
-import dataclasses
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -23,6 +23,7 @@ from qkcomp.model import (
     TRIPLE_SAMPLES,
     CurvatureTensor,
     ModelConstructionError,
+    StructureConstants,
     _bracket_table,
     _derive_bracket_scale,
     build_model,
@@ -218,7 +219,7 @@ def model3():
 def test_bracket_scale_derived_by_einstein_sweep(model2):
     sc, _, _ = model2
     assert sc.c == _derive_bracket_scale() == 2
-    assert [f.name for f in dataclasses.fields(sc)] == ["n", "c", "table"]
+    assert list(inspect.signature(StructureConstants).parameters) == ["n", "c", "table"]
 
 
 @pytest.mark.parametrize("sweep", [(F(1), F(3)), (F(2), F(2))])
@@ -556,7 +557,7 @@ def test_parallel_four_form_fails_on_perturbed_brackets(n):
         num = sc.table.num.copy()
         num[a, b, d] += s * sc.table.den
         num[b, a, d] -= s * sc.table.den
-        mutant = dataclasses.replace(sc, table=ExactArray.of(num, sc.table.den))
+        mutant = StructureConstants(sc.n, sc.c, ExactArray.of(num, sc.table.den))
         verdicts = [c.passed for c in verify_parallel_four_form(mutant, berger).checks]
         assert not all(verdicts), (a, b, d, s)
         assert verdicts == reference_parallel_four_form(mutant, berger), (a, b, d, s)

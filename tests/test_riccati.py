@@ -1,7 +1,7 @@
 """Riccati barriers: closed forms, exact residuals, and the comparison
 principle for the certifying integrator."""
 
-import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -185,13 +185,13 @@ def test_residual_checks_fail_with_the_amplitude_set_to_m(monkeypatch, block, de
 
 def test_comparison_function_is_m_and_K():
     # kind, frequency, amplitude and pole are worked out from (m, K)
-    assert [f.name for f in dataclasses.fields(ComparisonFunction)] == ["m", "K"]
+    assert list(inspect.signature(ComparisonFunction).parameters) == ["m", "K"]
     barrier = ComparisonFunction(F(3), F(-4))
     assert (barrier.kind, barrier.b, barrier.a) == ("coth", 2, 6)
     barrier = ComparisonFunction(F(4), F(1, 9))
     assert (barrier.kind, barrier.b, barrier.a) == ("cot", F(1, 3), F(4, 3))
     assert barrier.pole == pytest.approx(3 * math.pi)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         barrier.m = F(5)
 
 
