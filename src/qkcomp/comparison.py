@@ -11,7 +11,7 @@ independent evaluations: `volume` integrates the density with
 integrand on all the nodes of a panel in one call, and `ball_volume` is
 its closed form; `volume_ratio_check` compares the two on the ratio
 V(r2)/V(r1), where the model meets Bishop-Gromov comparison with
-equality.
+equality.  `spectral.rayleigh_quotient` integrates with `integrate` too.
 
 Note on the flat case: summing the block barriers themselves (3/t for
 the line block plus 4/t per transversal block) gives (4n-1)/t, which

@@ -65,7 +65,7 @@ def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
 def second_fundamental_form(sc: StructureConstants) -> tuple[ExactArray, int]:
     """(h matrix over local axes, off-diagonal violations) with
     h_ab = <nabla_{e_a} e_b, e_1> from the ambient connection."""
-    h = levi_civita_table(sc.table)[1:, 1:, 0]
+    h = sc.connection[1:, 1:, 0]
     off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
     return h, int(off)
 

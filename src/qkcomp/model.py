@@ -86,12 +86,14 @@ def jacobi_violations(C: ExactArray) -> int:
 
 class StructureConstants:
     """Exact structure constants of the solvable model, with the derived
-    center-bracket scale c; `table` is C[A, B, D], 0-based."""
+    center-bracket scale c; `table` is C[A, B, D], 0-based, and
+    `connection` its Levi-Civita table, computed once per model."""
 
-    __slots__ = ("n", "c", "table")
+    __slots__ = ("n", "c", "table", "connection")
 
     def __init__(self, n: int, c: Fraction, table: ExactArray):
         self.n, self.c, self.table = n, c, table
+        self.connection = levi_civita_table(table)
 
     @property
     def dim(self) -> int:
@@ -198,7 +200,7 @@ def build_model(n: int) -> StructureConstants:
 
 
 def curvature(sc: StructureConstants) -> CurvatureTensor:
-    return CurvatureTensor(curvature_table(sc.table, levi_civita_table(sc.table)))
+    return CurvatureTensor(curvature_table(sc.table, sc.connection))
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +447,7 @@ def verify_parallel_four_form(sc: StructureConstants,
     space = frame.space
     m = sc.dim
     d_images = d_coframe(space, sc.table)
-    G = levi_civita_table(sc.table)
+    G = sc.connection
     rows = -G.num.reshape(m, m * m)
     maps = derivation_maps(frame)
     guard_int64(max(f.weight for f in maps) * int(np.abs(rows).max(initial=1)), "nabla map")

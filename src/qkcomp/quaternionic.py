@@ -12,13 +12,17 @@ I, J, K are read-only int64 `ExactArray` signed-permutation matrices, one
 <I_a X, Y> is the 2-form of the transpose of I_a.
 
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
-denominator), built straight from the seeded int64 streams; its trace,
-line sums, norm and Kato slacks are guarded integer reductions read out
-as `Fraction`s.  The Siu-Corlette defect form and both sides of the star
-commutation are 4-forms linear in the Hessian: each operator chain on
-Omega is a cached sparse integer map of the Hessian numerators, built once
-per frame from Omega's term table (as are the model's nabla_X maps,
-`derivation_maps`) and applied to a batch with one `np.add.reduceat`.
+denominator).  Both seeded streams are one projection of the packed
+upper-triangle rows of random symmetric matrices (`_constrained_batch`):
+each run of `group` diagonal entries loses its mean, all m of them for
+criterion 2's trace-free Hessians and each line's four for criterion 8's
+quaternionic-harmonic ones.  A Hessian's trace, line sums, norm and Kato
+slacks are guarded integer reductions read out as `Fraction`s.  The
+Siu-Corlette defect form and both sides of the star commutation are
+4-forms linear in the Hessian: each operator chain on Omega is a cached
+sparse integer map of the Hessian numerators, built once per frame from
+Omega's term table (as are the model's nabla_X maps, `derivation_maps`)
+and applied to a batch with one `np.add.reduceat`.
 Criterion 2 counts the star commutation's failures on chunks of the
 trace-free stream at a time (`star_commutation_failures`).
 """
@@ -198,52 +202,34 @@ def _random_packed(m: int, count: int,
     return entries.astype(np.int64) - 9, denominators.astype(np.int64)
 
 
-def random_symmetric(m: int, count: int,
-                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """The draw of `_random_packed` as full matrices: int64 numerators of
-    shape (count, m, m) and the denominators."""
+def _constrained_batch(m: int, group: int, count: int,
+                       rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random symmetric m x m Hessians h / (group q) whose diagonal
+    runs of `group` entries each lose their mean: group m gives criterion
+    2's trace-free Hessians, group 4 criterion 8's quaternionic-harmonic
+    ones.  Returns `_random_packed`'s draw with its packed rows projected,
+    h = group * packed off the diagonal and group * d - sum(d) on each run
+    d (int64, not reduced), and its q."""
     packed, q = _random_packed(m, count, rng)
-    return _unpack(packed, m), q
-
-
-def _traceless_batch(m: int, count: int,
-                     rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """`count` random symmetric matrices h / q projected onto trace zero,
-    (m h - tr(h) id) / (m q): the int64 numerators, of shape (count, m, m)
-    and not reduced, and the denominators m q."""
-    nums, q = random_symmetric(m, count, rng)
-    trace = np.trace(nums, axis1=1, axis2=2)
-    nums *= m
-    nums[:, range(m), range(m)] -= trace[:, None]
-    return nums, m * q
+    diag = _upper_triangle(m)[2]
+    runs = packed[:, diag].reshape(count, m // group, group)
+    h = group * packed
+    h[:, diag] = (group * runs - runs.sum(axis=2, keepdims=True)).reshape(count, m)
+    return h, q
 
 
 def random_traceless_hessian(frame: QuaternionicFrame,
                              rng: random.Random) -> HessianMatrix:
-    """One Hessian of :func:`_traceless_batch`'s stream, in lowest terms."""
-    h, d = _traceless_batch(frame.dim, 1, rng)
-    return HessianMatrix(frame, ExactArray.of(h[0], int(d[0])))
-
-
-def _quaternionic_harmonic_batch(n: int, count: int,
-                                 rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """`count` quaternionic-harmonic Hessians h / (4 q): random symmetric
-    matrices whose lines' four diagonal entries each lose their mean.
-    Returns the packed upper-triangle rows of the int64 numerators h, of
-    size at most 54 (3 * 9 + 3 * 9 on the diagonal), and the q."""
-    packed, q = _random_packed(4 * n, count, rng)
-    # line s is the diagonal block 4s-3..4s of the frame
-    diag = _upper_triangle(4 * n)[2]
-    lines = packed[:, diag].reshape(count, n, 4)
-    h = 4 * packed
-    h[:, diag] = (4 * lines - lines.sum(axis=2, keepdims=True)).reshape(count, 4 * n)
-    return h, q
+    """One Hessian of :func:`_constrained_batch`'s stream at group m, in
+    lowest terms."""
+    h, q = _constrained_batch(frame.dim, frame.dim, 1, rng)
+    return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), frame.dim * int(q[0])))
 
 
 def random_quaternionic_harmonic(frame: QuaternionicFrame,
                                  rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
-    h, q = _quaternionic_harmonic_batch(frame.n, 1, rng)
+    h, q = _constrained_batch(frame.dim, 4, 1, rng)
     return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), 4 * int(q[0])))
 
 
@@ -389,7 +375,7 @@ def star_commutation_failures(frame: QuaternionicFrame, samples: int,
     bad = 0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        h = _traceless_batch(m, count, rng)[0].reshape(count, m * m)
+        h = _unpack(_constrained_batch(m, m, count, rng)[0], m).reshape(count, m * m)
         if h[:, ::m + 1].sum(axis=1).any():
             raise ContractViolation("star commutation requires a trace-free Hessian")
         guard_int64(weight * int(np.abs(h).max(initial=1)), "Hessian 4-form map")
@@ -485,9 +471,9 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     denominator q in 1..9, the least scaled gap.  Returns (number of
     negative gaps, least gap), both exact.
 
-    Every packed entry is at most 54 in size, so no gap exceeds 54^2 times
-    the sum of the weights' sizes; Int64RangeError when that bound leaves
-    the int64 range."""
+    Every packed entry is at most 54 in size (36 off the diagonal, 3 * 9 +
+    3 * 9 on it), so no gap exceeds 54^2 times the sum of the weights'
+    sizes; Int64RangeError when that bound leaves the int64 range."""
     if samples < 1:
         raise ContractViolation(f"need at least one sample, got {samples}")
     m = 4 * n
@@ -498,7 +484,7 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     unseen = np.iinfo(np.int64).max
     least = np.full(10, unseen, dtype=np.int64)  # denominator q -> least scaled gap
     for start in range(0, samples, chunk):
-        h, q = _quaternionic_harmonic_batch(n, min(chunk, samples - start), rng)
+        h, q = _constrained_batch(m, 4, min(chunk, samples - start), rng)
         gaps = scaled_kato_gap(h)
         negatives += int((gaps < 0).sum())
         np.minimum.at(least, q, gaps)

@@ -22,6 +22,9 @@ eigenvalue of T below lambda (1 - INDEX_TOL) and exactly one below
 lambda (1 + INDEX_TOL), so that lambda is the smallest.  Dirichlet
 truncation means every estimate sits strictly above the limit value
 (2n+1)^2 and decreases as r_max grows.
+
+A trial function's min-max upper bound, `rayleigh_quotient`, takes both
+of its integrals with `comparison.integrate`, the rule of the volumes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .comparison import ModelGeometry, area_density, eigenvalue_bounds
+from .comparison import ModelGeometry, area_density, eigenvalue_bounds, integrate
 from .forms import ContractViolation
 
 
@@ -262,29 +265,26 @@ def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
 
 def rayleigh_quotient(p: RadialProblem, trial: Callable[[np.ndarray], np.ndarray],
                       trial_derivative: Callable[[np.ndarray], np.ndarray]) -> float:
-    """integral (u')^2 w / integral u^2 w by Simpson quadrature on the mesh.
+    """integral (u')^2 w / integral u^2 w over (p.r_min, p.r_max), both by
+    the adaptive Gauss-Legendre rule `comparison.integrate`; p's mesh is
+    not read.  `trial` and `trial_derivative` are called on the array of
+    each panel's nodes.  An upper bound for the truncated problem's
+    lambda_1; the trial must vanish at r_max, to 1e-12 of its largest size
+    at the nodes."""
+    sizes = [0.0]  # the largest |f| per panel, only the trial's when checked
 
-    `trial` and `trial_derivative` are called once, on the array of mesh
-    nodes.  An upper bound for the truncated problem's lambda_1; the trial
-    must vanish at r_max."""
-    m = p.mesh_points if p.mesh_points % 2 == 0 else p.mesh_points + 1
-    h = (p.r_max - p.r_min) / m
-    rs = p.r_min + h * np.arange(m + 1)
-    ws = p.weight(rs)
-    us = np.broadcast_to(trial(rs), rs.shape)
-    if abs(us[-1]) > 1e-12 * (np.max(np.abs(us)) or 1.0):
+    def weighted_square(f, rs: np.ndarray) -> np.ndarray:
+        us = np.broadcast_to(f(rs), rs.shape)
+        sizes.append(np.abs(us).max())
+        return us * us * p.weight(rs)
+
+    den = integrate(lambda rs: weighted_square(trial, rs), p.r_min, p.r_max)
+    end = np.broadcast_to(trial(np.array([p.r_max])), (1,))
+    if abs(end[0]) > 1e-12 * (max(sizes) or 1.0):
         raise ContractViolation("trial function must vanish at r_max")
-    dus = np.broadcast_to(trial_derivative(rs), rs.shape)
-
-    def simpson(vals: np.ndarray) -> float:
-        return float(h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
-                              + 2 * vals[2:-1:2].sum()))
-
-    num = simpson(dus * dus * ws)
-    den = simpson(us * us * ws)
     if den <= 0:
         raise ContractViolation("trial function has no mass against the weight")
-    return num / den
+    return integrate(lambda rs: weighted_square(trial_derivative, rs), p.r_min, p.r_max) / den
 
 
 def lambda1_row(p: RadialProblem, est: SpectralEstimate) -> dict:

@@ -58,7 +58,7 @@ from .quaternionic import (
     star_commutation_failures,
 )
 from .report import Check, Report, check_eq, check_true
-from .riccati import comparison_excess, line_block, transversal_block
+from .riccati import DomainError, comparison_excess, line_block, transversal_block
 from .spectral import (RadialProblem, convergence_study, lambda1_dirichlet, lambda1_row,
                        rayleigh_quotient)
 
@@ -225,14 +225,20 @@ def log_derivative_check(g: ModelGeometry, rgrid) -> Check:
     h = 1e-6 d, at every grid point where that step is nonzero; fails when
     no point has one.  The detail is the worst deviation times min(1, d),
     which the bound holds to 1e-8: the difference error grows like 1/d
-    towards a pole."""
+    towards a pole.  DomainError, naming the grid point, where J(r -+ h) is
+    below the smallest normal float, too few digits for the quotient."""
     rs = np.asarray(rgrid, dtype=float)
     d = np.minimum(rs, math.pi / 2 - rs) if g.delta == 1 else rs
     h = 1e-6 * d
     step = (rs + h) - (rs - h)
     keep = step > 0
     rs, d, h, step = rs[keep], d[keep], h[keep], step[keep]
-    fd = np.log(area_density(g, rs + h) / area_density(g, rs - h)) / step
+    below, above = area_density(g, rs - h), area_density(g, rs + h)
+    tiny = np.minimum(below, above) < np.finfo(float).tiny
+    if tiny.any():
+        raise DomainError(f"area density J is below the smallest normal float near "
+                          f"r={float(rs[np.argmax(tiny)])}")
+    fd = np.log(above / below) / step
     worst = float((np.abs(fd - laplacian_distance(g, rs)) * np.minimum(1.0, d)).max(initial=0.0))
     points = rs.size
     return check_true(f"(d/dr) log J = laplacian at {points} grid points (1e-8)",

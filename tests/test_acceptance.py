@@ -237,29 +237,64 @@ def test_criteria_5_and_6_build_one_model_per_n():
     assert json.loads(proc.stdout) == {"builds": 2, "jacobi": {"model": 2, "levelset": 4}}
 
 
+CONNECTION_PROBE = """
+import json
+import qkcomp.levelset, qkcomp.model, qkcomp.suite
+
+calls = []
+def counted(C, fn=qkcomp.model.levi_civita_table):
+    calls.append(len(C.num))
+    return fn(C)
+qkcomp.model.levi_civita_table = qkcomp.levelset.levi_civita_table = counted
+qkcomp.suite.criterion_5_model_curvature()
+qkcomp.suite.criterion_6_level_sets()
+print(json.dumps(sorted(calls)))
+"""
+
+
+def test_criteria_5_and_6_build_one_connection_per_table():
+    # a fresh interpreter: one Levi-Civita table per bracket table, the five
+    # Einstein-sweep candidates at n = 2 (m = 8), the two models (m = 8, 12)
+    # and the four horospheres at scales 1 and 1/4 (m = 7, 11)
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", CONNECTION_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [7, 7] + [8] * 6 + [11, 11, 12]
+
+
 def test_traced_benchmark_worker_binds_every_spanned_name():
     # the benchmark's traced worker wraps qkcomp.kernel's functions,
     # riccati.integrate_riccati and the other spanned names, and reads
     # qkcomp.BACKEND; a rename or deletion of any of them fails here.  On
     # numeric it also wraps the comparison functions that criterion 4 calls
-    # on arrays of radii, so an array call the wrapper breaks fails here too
+    # on arrays of radii, so an array call the wrapper breaks fails here too.
+    # Only exact runs the sampled trace-free Hessians, the defect form and
+    # the model and horosphere spans
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    for workload in ("kato", "numeric"):
+    layers = {}
+    for workload in ("exact", "kato", "numeric"):
         proc = subprocess.run([sys.executable, str(root / "certbench" / "worker.py"),
                                "--workload", workload, "--trace", "1", "--spawned-at", "0"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["context"]["backend"] == qkcomp.BACKEND
-        assert "layers" in result
+        layers[workload] = result["layers"]
         for criterion in result["criteria"]:
             assert criterion["error"] is None, criterion["error"]
             assert criterion["checks"]
             assert all(c["passed"] for c in criterion["checks"]), criterion["checks"]
-    assert result["layers"]["comparison.s"] > 0
+    assert layers["numeric"]["comparison.s"] > 0
+    for name in ("quaternionic.random_traceless_hessian", "quaternionic.siu_corlette_defect",
+                 "model.curvature", "levelset.level_set_geometry",
+                 "levelset.verify_gauss_equation", "levelset.verify_weighted_displays"):
+        assert layers["exact"][f"{name}.calls"] > 0, name
 
 
 def test_library_code_has_no_assert():

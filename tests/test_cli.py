@@ -468,6 +468,29 @@ def test_density_within_float_range_still_passes(command, capsys):
     assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
+@pytest.mark.parametrize("r_max, status", [("1e-60", 2), ("1e-45", 2), ("1e-40", 0)])
+def test_subnormal_density_is_usage_error(r_max, status):
+    # at --delta 0, J = r^7 is subnormal below r = 1.3e-44: the log-derivative
+    # check once divided 0 by 0 at 1e-60 (a RuntimeWarning, then a FAIL on
+    # nan) and failed on subnormal digits at 1e-45; the radii at 1e-40 keep
+    # J normal.  Under -W error a warning would end in a traceback
+    import os
+    from pathlib import Path
+
+    import qkcomp
+
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qkcomp", "compare",
+                           "--delta", "0", "--r-max", r_max, "--steps", "3"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == status, proc.stderr
+    if status == 2:
+        assert proc.stderr.startswith(
+            "qkcomp: area density J is below the smallest normal float near r=")
+
+
 @pytest.mark.parametrize("r_min", ["1.6", "2"])
 def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
     # the trajectories start at t0 in [r_min, r_min + span] with span

@@ -515,7 +515,8 @@ def test_derivation_matches_the_term_by_term_references(n):
 
 
 def perturbed_connection(monkeypatch, x, i, k, s):
-    """levi_civita_table as model.py reads it, with s added to Gamma[x, i, k]."""
+    """levi_civita_table as StructureConstants reads it, with s added to
+    Gamma[x, i, k]."""
     def perturbed(C):
         G = levi_civita_table(C)
         num = G.num.copy()
@@ -537,7 +538,8 @@ def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
         x, i, k = (rng.randrange(sc.dim) for _ in range(3))
         s = rng.choice((-1, 1))
         G = perturbed_connection(monkeypatch, x, i, k, s)(sc.table)
-        checks = {c.name: c for c in verify_parallel_four_form(sc, berger).checks}
+        mutant = StructureConstants(sc.n, sc.c, sc.table)
+        checks = {c.name: c for c in verify_parallel_four_form(mutant, berger).checks}
         bad = [d for d in range(1, sc.dim + 1)
                if not reference_covariant_derivative(G, d, Omega).is_zero()]
         assert bad == [x + 1], (x, i, k, s)

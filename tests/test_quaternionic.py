@@ -9,7 +9,9 @@ Hessians the `ExactArray` tables of `HessianMatrix` are tested against, and
 the cached integer maps of the defect form and the star commutation are
 tested against; `reference_form_map` keeps the Form-built constructor the
 term-table maps are tested against field by field.  `reference_kato_scan`
-keeps the full-matrix Kato scan the packed-triangle scan is tested against."""
+keeps the full-matrix Kato scan the packed-triangle scan is tested against,
+and `traceless_batch` and `quaternionic_harmonic_batch` the two sampled
+streams that the one projection `_constrained_batch` replaced."""
 
 import math
 import os
@@ -38,7 +40,6 @@ from qkcomp.quaternionic import (
     equality_case_hessian,
     kato_gap_scan,
     random_quaternionic_harmonic,
-    random_symmetric,
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
@@ -592,11 +593,58 @@ def test_star_commutation_paths_see_the_same_mutant(monkeypatch, n, seed, sample
     assert batched == per_sample > 0
 
 
+def random_symmetric(m, count, rng):
+    """The draw of `_random_packed` as full matrices: int64 numerators of
+    shape (count, m, m) and the denominators."""
+    packed, q = quaternionic._random_packed(m, count, rng)
+    return quaternionic._unpack(packed, m), q
+
+
+def traceless_batch(m, count, rng):
+    """The full-matrix trace-free stream the packed projection replaced:
+    `count` random symmetric matrices h / q projected onto trace zero,
+    (m h - tr(h) id) / (m q), as unreduced numerators of shape
+    (count, m, m) and the denominators m q."""
+    nums, q = random_symmetric(m, count, rng)
+    trace = np.trace(nums, axis1=1, axis2=2)
+    nums *= m
+    nums[:, range(m), range(m)] -= trace[:, None]
+    return nums, m * q
+
+
+def quaternionic_harmonic_batch(n, count, rng):
+    """The packed quaternionic-harmonic stream the group-4 projection
+    replaced: each line's four diagonal slots lose their mean, h / (4 q)."""
+    packed, q = quaternionic._random_packed(4 * n, count, rng)
+    diag = quaternionic._upper_triangle(4 * n)[2]
+    lines = packed[:, diag].reshape(count, n, 4)
+    h = 4 * packed
+    h[:, diag] = (4 * lines - lines.sum(axis=2, keepdims=True)).reshape(count, 4 * n)
+    return h, q
+
+
+# criterion 2's streams at their sizes, and n = 4; the Kato streams at
+# their seeds
+@pytest.mark.parametrize("n, seed, count", [(2, 2222, 200), (3, 2333, 50), (4, 2444, 20),
+                                            (2, 888, 300), (5, 0, 10)])
+def test_constrained_batch_reproduces_the_old_streams(n, seed, count):
+    m = 4 * n
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    h, q = quaternionic._constrained_batch(m, m, count, rng)
+    ref_h, ref_d = traceless_batch(m, count, ref_rng)
+    assert (quaternionic._unpack(h, m) == ref_h).all() and (m * q == ref_d).all()
+    assert rng.getrandbits(64) == ref_rng.getrandbits(64)
+    h, q = quaternionic._constrained_batch(m, 4, count, rng)
+    ref_h, ref_q = quaternionic_harmonic_batch(n, count, ref_rng)
+    assert (h == ref_h).all() and (q == ref_q).all()
+    assert rng.getrandbits(64) == ref_rng.getrandbits(64)
+
+
 @pytest.mark.parametrize("n, count", [(2, 200), (3, 50)])
 def test_traceless_batch_is_the_per_sample_stream(n, count):
     fr = build_frame(n)
     rng, ref_rng = random.Random(2200 + n), random.Random(2200 + n)
-    h, d = quaternionic._traceless_batch(fr.dim, count, rng)
+    h, d = traceless_batch(fr.dim, count, rng)
     assert h.shape == (count, fr.dim, fr.dim)
     for k in range(count):
         T = random_traceless_hessian(fr, ref_rng).table
@@ -639,13 +687,13 @@ def test_star_commutation_guard_survives_optimize():
 
 
 def test_star_commutation_requires_trace_free_rows(monkeypatch):
-    def shifted(m, count, rng):
-        h, d = traceless(m, count, rng)
-        h[-1, 0, 0] += 1
-        return h, d
+    def shifted(m, group, count, rng):
+        h, q = constrained(m, group, count, rng)
+        h[-1, 0] += 1  # packed slot 0 is the (0, 0) entry
+        return h, q
 
-    traceless = quaternionic._traceless_batch
-    monkeypatch.setattr(quaternionic, "_traceless_batch", shifted)
+    constrained = quaternionic._constrained_batch
+    monkeypatch.setattr(quaternionic, "_constrained_batch", shifted)
     with pytest.raises(ContractViolation, match="trace-free"):
         star_commutation_failures(build_frame(2), 5, random.Random(2222))
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal
 
 import qkcomp.spectral as spectral
-from qkcomp.comparison import ModelGeometry
+from qkcomp.comparison import ModelGeometry, eigenvalue_bounds
 from qkcomp.forms import ContractViolation
 from qkcomp.riccati import DomainError
 from qkcomp.spectral import (
@@ -422,8 +422,9 @@ def test_rayleigh_trial_bounds():
 
 
 def scalar_loop_rayleigh(p, trial, trial_derivative):
-    """rayleigh_quotient with the trial and its derivative evaluated one
-    node at a time, in Python loops."""
+    """The Rayleigh quotient by an independent rule, composite Simpson on
+    p's mesh (rounded up to even), with the trial and its derivative
+    evaluated one node at a time, in Python loops."""
     m = p.mesh_points if p.mesh_points % 2 == 0 else p.mesh_points + 1
     h = (p.r_max - p.r_min) / m
     rs = p.r_min + h * np.arange(m + 1)
@@ -441,18 +442,55 @@ def scalar_loop_rayleigh(p, trial, trial_derivative):
 @pytest.mark.parametrize("n, k, rmax, mesh", [(2, 5, 30.0, 20000), (2, 4, 30.0, 20000),
                                               (3, 7, 12.0, 4001)])
 def test_rayleigh_quotient_matches_the_scalar_loop(n, k, rmax, mesh):
-    # measured equal to the last bit on x86-64; numpy's exp may differ from
-    # libm's by an ulp on other builds, hence 1e-14
+    # two quadrature rules: Gauss-Legendre and Simpson were measured to
+    # agree within 9e-13 on these trials
     p = RadialProblem(n, 1e-3, rmax, mesh)
     got = rayleigh_quotient(p, *trial_pair(k, rmax))
     want = scalar_loop_rayleigh(p, *trial_pair(k, rmax, math))
+    assert got == pytest.approx(want, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("n, k, rmax", [(2, 5, 30.0), (3, 7, 12.0)])
+def test_rayleigh_quotient_evaluates_the_trial_on_arrays(n, k, rmax):
+    # the trial called on each panel's node array, or one node at a time:
+    # measured equal to the last bit on x86-64; numpy's exp may differ from
+    # libm's by an ulp on other builds, hence 1e-14
+    def pointwise(f):
+        return lambda rs: np.array([f(r) for r in rs.tolist()])
+
+    p = RadialProblem(n, 1e-3, rmax)
+    got = rayleigh_quotient(p, *trial_pair(k, rmax))
+    want = rayleigh_quotient(p, *map(pointwise, trial_pair(k, rmax, math)))
     assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_criterion_7_trial_quotient_is_pinned():
+    # e^{-5r} (1 - r/30) at n = 2: the exact enclosure of this quotient
+    # reads 25.52197618584894
+    q = rayleigh_quotient(RadialProblem(2, r_max=30.0), *trial_pair(5, 30.0))
+    assert q == pytest.approx(25.52197618584894, rel=1e-12, abs=0)
 
 
 def test_rayleigh_requires_vanishing_trial():
     p = RadialProblem(2, 1e-3, 5.0, 1000)
     with pytest.raises(ContractViolation):
         rayleigh_quotient(p, lambda r: 1.0, lambda r: 0.0)
+
+
+def test_rayleigh_refuses_a_trial_without_mass():
+    p = RadialProblem(2, 1e-3, 5.0, 1000)
+    with pytest.raises(ContractViolation, match="no mass"):
+        rayleigh_quotient(p, lambda r: 0.0, lambda r: 0.0)
+
+
+def test_rayleigh_accepts_a_trial_that_vanishes_to_rounding():
+    # sin(pi) is 1.2e-16, not 0: vanishing is judged against the trial's
+    # largest size on the interval, about 1
+    p = RadialProblem(2, 1e-3, 5.0, 1000)
+    k = math.pi / (p.r_max - p.r_min)
+    q = rayleigh_quotient(p, lambda r: np.sin(k * (r - p.r_min)),
+                          lambda r: k * np.cos(k * (r - p.r_min)))
+    assert q > eigenvalue_bounds(2).quaternionic
 
 
 def test_problem_validation():
