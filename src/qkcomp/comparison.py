@@ -22,6 +22,7 @@ treated as an erratum, and both values are surfaced by the CLI.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -227,15 +228,20 @@ def ball_volume(g: ModelGeometry, r):
 def volume_ratio_check(g: ModelGeometry, r1: float, r2: float) -> tuple[float, float]:
     """(V(r2)/V(r1) by `volume`, the same ratio by `ball_volume`): the
     model's ball-volume ratio, the equality case of Bishop-Gromov volume
-    comparison, by quadrature and in closed form.  DomainError when a
-    volume at r1 is not positive, as when it underflows."""
+    comparison, by quadrature and in closed form.  DomainError, naming the
+    radius, when a volume is below the smallest normal float, too few
+    digits for the ratio, as when it underflows."""
     if not 0 < r1 <= r2:
         raise ContractViolation(f"need 0 < r1 <= r2, got r1={r1}, r2={r2}")
     v1, v2 = volume(g, r1), volume(g, r2)
     c1, c2 = ball_volume(g, np.array([r1, r2])).tolist()
-    if not (v1 > 0 and c1 > 0):
-        raise DomainError(f"ball volume at r1={r1} is not positive: "
-                          f"{v1!r} by quadrature, {c1!r} in closed form")
+    for r, v, c in ((r1, v1, c1), (r2, v2, c2)):
+        # sys.float_info.min is numpy's finfo(float).tiny, 2^-1022; asking
+        # numpy for it here raised the numeric workload's peak memory by
+        # about 0.08 MB
+        if not (v >= sys.float_info.min and c >= sys.float_info.min):
+            raise DomainError(f"ball volume at r={r} is below the smallest normal float: "
+                              f"{v!r} by quadrature, {c!r} in closed form")
     return v2 / v1, c2 / c1
 
 

@@ -13,16 +13,17 @@ I, J, K are read-only int64 `ExactArray` signed-permutation matrices, one
 
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
 denominator).  Both seeded streams are one projection of the packed
-upper-triangle rows of random symmetric matrices (`_constrained_batch`):
-each run of `group` diagonal entries loses its mean, all m of them for
-criterion 2's trace-free Hessians and each line's four for criterion 8's
-quaternionic-harmonic ones.  A Hessian's trace, line sums, norm and Kato
-slacks are guarded integer reductions read out as `Fraction`s.  The
-Siu-Corlette defect form and both sides of the star commutation are
-4-forms linear in the Hessian: each operator chain on Omega is a cached
-sparse integer map of the Hessian numerators, built once per frame from
-Omega's term table (as are the model's nabla_X maps, `derivation_maps`)
-and applied to a batch with one `np.add.reduceat`.
+upper-triangle int16 rows of random symmetric matrices
+(`_constrained_batch`): each run of `group` diagonal entries loses its
+mean, all m of them for criterion 2's trace-free Hessians and each
+line's four for criterion 8's quaternionic-harmonic ones.  A Hessian's
+trace, line sums, norm and Kato slacks are guarded integer reductions
+read out as `Fraction`s.  The Siu-Corlette defect form and both sides
+of the star commutation are 4-forms linear in the Hessian: each
+operator chain on Omega is a cached sparse integer map of the Hessian
+numerators, built once per frame from Omega's term table (as are the
+model's nabla_X maps, `derivation_maps`) and applied to a batch with one
+`np.add.reduceat`.
 Criterion 2 counts the star commutation's failures on chunks of the
 trace-free stream at a time (`star_commutation_failures`).
 """
@@ -180,9 +181,9 @@ def _unpack(packed: np.ndarray, m: int) -> np.ndarray:
 
 def _random_packed(m: int, count: int,
                    rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """`count` random symmetric m x m matrices as int64 rows of their
+    """`count` random symmetric m x m matrices as int16 rows of their
     m(m+1)/2 packed upper-triangle numerators in [-9, 9] (see
-    `_upper_triangle`), over one denominator in [1, 9] per matrix.
+    `_upper_triangle`), over one int64 denominator in [1, 9] per matrix.
 
     Each matrix takes 1 + ceil(m(m+1)/4) consecutive 32-bit words w of
     `rng`: w % 9 + 1 of the first is the denominator, and each of the
@@ -196,10 +197,14 @@ def _random_packed(m: int, count: int,
     data = rng.getrandbits(32 * count * width).to_bytes(4 * count * width, "little")
     denominators = np.frombuffer(data, dtype="<u4")[::width] % 9 + 1
     fields = np.frombuffer(data, dtype="<u2").reshape(count, 2 * width)[:, 2:2 + size]
-    # f % 19 as f - 19 (f // 19): numpy divides by an unsigned scalar
-    # several times faster than it takes the remainder
-    entries = fields - np.uint16(19) * (fields // np.uint16(19))
-    return entries.astype(np.int64) - 9, denominators.astype(np.int64)
+    # f % 19 as f - 19 (f // 19), in one new array: numpy divides by an
+    # unsigned scalar several times faster than it takes the remainder
+    entries = fields // np.uint16(19)
+    entries *= np.uint16(19)
+    np.subtract(fields, entries, out=entries)
+    entries = entries.view(np.int16)  # 0..18 reads the same in either type
+    entries -= 9
+    return entries, denominators.astype(np.int64)
 
 
 def _constrained_batch(m: int, group: int, count: int,
@@ -207,14 +212,18 @@ def _constrained_batch(m: int, group: int, count: int,
     """`count` random symmetric m x m Hessians h / (group q) whose diagonal
     runs of `group` entries each lose their mean: group m gives criterion
     2's trace-free Hessians, group 4 criterion 8's quaternionic-harmonic
-    ones.  Returns `_random_packed`'s draw with its packed rows projected,
-    h = group * packed off the diagonal and group * d - sum(d) on each run
-    d (int64, not reduced), and its q."""
-    packed, q = _random_packed(m, count, rng)
+    ones.  Returns `_random_packed`'s draw with its packed rows projected
+    in place, h = group * packed off the diagonal and group * d - sum(d)
+    on each run d (int16, not reduced: less than 18 group in size), and
+    its q."""
+    if 18 * group > np.iinfo(np.int16).max:
+        raise ContractViolation(f"a run of {group} diagonal entries leaves the int16 range")
+    h, q = _random_packed(m, count, rng)
     diag = _upper_triangle(m)[2]
-    runs = packed[:, diag].reshape(count, m // group, group)
-    h = group * packed
-    h[:, diag] = (group * runs - runs.sum(axis=2, keepdims=True)).reshape(count, m)
+    runs = h[:, diag].reshape(count, m // group, group)
+    h *= group
+    sums = runs.sum(axis=2, keepdims=True, dtype=np.int16)
+    h[:, diag] = (group * runs - sums).reshape(count, m)
     return h, q
 
 
@@ -413,16 +422,20 @@ def _kato_weights(m: int) -> np.ndarray:
 
 
 def scaled_kato_gap(h: np.ndarray) -> np.ndarray:
-    """3|h|^2 - 4|h e_1|^2 of the packed upper-triangle rows h of int64
-    numerators, one weighted sum of squares per row (`_kato_weights`):
-    three times the refined Kato gap of the Hessian h with the gradient
-    along e_1, where |grad |grad f|| = |h e_1|.  Exact while the sums stay
-    in the int64 range."""
+    """3|h|^2 - 4|h e_1|^2 of the packed upper-triangle rows h of integer
+    numerators, one weighted sum of squares per row (`_kato_weights`),
+    summed in int64: three times the refined Kato gap of the Hessian h
+    with the gradient along e_1, where |grad |grad f|| = |h e_1|.  h is
+    overwritten with its weighted squares, so the result is exact while
+    each w_k h_k^2 stays in h's integer type and the sums in int64."""
     m = (math.isqrt(8 * h.shape[-1] + 1) - 1) // 2
-    # a product and a sum, not an int64 matmul: as fast here, and the
-    # matmul's first call faults in 64 kB more of numpy's code, which
-    # criterion 8's peak resident memory then carries
-    return (h * h * _kato_weights(m)).sum(axis=-1)
+    # squares and weights in place, and a sum, not a matmul: on the scan's
+    # int16 rows this skips the int64 copies of the entries and two
+    # temporaries per chunk, and an int64 matmul's first call faults in
+    # 64 kB more of numpy's code, which criterion 8's peak memory carries
+    np.multiply(h, h, out=h)
+    np.multiply(h, _kato_weights(m).astype(h.dtype, copy=False), out=h)
+    return h.sum(axis=-1, dtype=np.int64)
 
 
 def refined_kato_gap(H: HessianMatrix) -> KatoReport:
@@ -453,33 +466,47 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
     return KatoReport(gap, slack1, slack2, slack3)
 
 
-# matrix entries per chunk of the scan, 256 Hessians at n = 2.  Over 1e5
-# samples at n = 2 on a 2-vCPU x86-64 host, two in-process series (medians
-# of 15, sizes alternating) read 0.082 / 0.077 s at 2^14, 0.071 / 0.068 s
-# at 2^15 and 0.069 / 0.068 s at 2^16, and fresh processes spread 0.05-0.08 s
-# at every size: a larger chunk saves up to a tenth of the scan, while each
-# doubling doubles its traced peak (0.29 MB at 2^14) and the chunk of
-# star_commutation_failures, which holds at most as many map entries
+# map entries per side in a chunk of star_commutation_failures: 58
+# Hessians at n = 2
 _SCAN_ENTRIES = 1 << 14
+
+# matrix entries per chunk of the Kato scan, 1024 Hessians at n = 2 and
+# 113 at n = 6.  The scan's rows are int16, so a chunk takes the bytes
+# that 2^14 int64 entries took: over 1e5 samples at n = 2 the traced
+# peak is 0.255 MB, against 0.288 MB with int64 rows at 2^14.  On a
+# 2-vCPU x86-64 host (in process, medians of 8 fresh processes of 15
+# scans each, sizes alternating), int64 rows at 2^14 entries read
+# 0.078 s; int16 rows squared and weighted in place read 0.063 s at
+# 2^14, 0.048 s at 2^15, 0.052 s at 2^16 and 0.049 s at 2^17, of which
+# drawing the random words (getrandbits, to_bytes) is about 0.03 s
+_KATO_SCAN_ENTRIES = 1 << 16
 
 
 def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     """Scan the refined Kato gap over `samples` quaternionic-harmonic
     Hessians, the stream :func:`random_quaternionic_harmonic` draws from
-    random.Random(seed), in chunks of packed upper-triangle rows: one
-    weighted sum of squares per Hessian (`scaled_kato_gap`) and, per
+    random.Random(seed), in chunks of int16 packed upper-triangle rows:
+    one weighted sum of squares per Hessian (`scaled_kato_gap`) and, per
     denominator q in 1..9, the least scaled gap.  Returns (number of
     negative gaps, least gap), both exact.
 
     Every packed entry is at most 54 in size (36 off the diagonal, 3 * 9 +
-    3 * 9 on it), so no gap exceeds 54^2 times the sum of the weights'
-    sizes; Int64RangeError when that bound leaves the int64 range."""
+    3 * 9 on it).  Each weighted square is formed in int16, so
+    ContractViolation when 54^2 times the largest weight's size exceeds
+    the int16 range; no gap exceeds 54^2 times the sum of the weights'
+    sizes, so Int64RangeError when that bound leaves the int64 range.
+    Both are refused before the first draw."""
     if samples < 1:
         raise ContractViolation(f"need at least one sample, got {samples}")
     m = 4 * n
-    guard_int64(54 ** 2 * sum(abs(w) for w in _kato_weights(m).tolist()), "Kato gap scan")
+    sizes = [abs(w) for w in _kato_weights(m).tolist()]
+    guard_int64(54 ** 2 * sum(sizes), "Kato gap scan")
+    square = 54 ** 2 * max(sizes)
+    if square > np.iinfo(np.int16).max:
+        raise ContractViolation(f"int16 rows out of range: Kato gap scan could reach "
+                                f"{square} > {np.iinfo(np.int16).max}")
     rng = random.Random(seed)
-    chunk = max(1, _SCAN_ENTRIES // m ** 2)
+    chunk = max(1, _KATO_SCAN_ENTRIES // m ** 2)
     negatives = 0
     unseen = np.iinfo(np.int64).max
     least = np.full(10, unseen, dtype=np.int64)  # denominator q -> least scaled gap

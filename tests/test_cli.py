@@ -275,7 +275,7 @@ def test_volume_refuses_an_underflowing_ball(capsys):
         main(["volume", "--r-max", "1e-300"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(
-        "qkcomp: ball volume at r1=2.5e-301 is not positive")
+        "qkcomp: ball volume at r=2.5e-301 is below the smallest normal float")
 
 
 def test_determinism_identical_bytes(capsys):
@@ -489,6 +489,26 @@ def test_subnormal_density_is_usage_error(r_max, status):
     if status == 2:
         assert proc.stderr.startswith(
             "qkcomp: area density J is below the smallest normal float near r=")
+
+
+@pytest.mark.parametrize("r_max, status", [("1e-39", 2), ("3e-40", 2), ("1e-38", 0)])
+def test_subnormal_ball_volume_is_usage_error(r_max, status, capsys):
+    # at --delta 0 the ball volume is a multiple of r^8: at the ratio's
+    # inner radius r_max / 2 it is 1.6e-304 for r_max = 1e-38 and
+    # subnormal, 1.6e-312, for 1e-39.  The ratio once failed on subnormal
+    # digits at 1e-39 (2.478e-09 > 1e-10), and at 3e-40 the flat
+    # closed-form check failed too
+    args = ["volume", "--delta", "0", "--r-max", r_max, "--steps", "2"]
+    if status == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "qkcomp: ball volume at r=")
+        return
+    got, out = run_cli(args, capsys)
+    assert got == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
 @pytest.mark.parametrize("r_min", ["1.6", "2"])

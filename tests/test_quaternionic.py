@@ -10,7 +10,8 @@ the cached integer maps of the defect form and the star commutation are
 tested against; `reference_form_map` keeps the Form-built constructor the
 term-table maps are tested against field by field.  `reference_kato_scan`
 keeps the full-matrix Kato scan the packed-triangle scan is tested against,
-and `traceless_batch` and `quaternionic_harmonic_batch` the two sampled
+`int64_kato_scan` the scan on int64 rows that the int16 rows replaced, and
+`traceless_batch` and `quaternionic_harmonic_batch` the two sampled
 streams that the one projection `_constrained_batch` replaced."""
 
 import math
@@ -614,8 +615,10 @@ def traceless_batch(m, count, rng):
 
 def quaternionic_harmonic_batch(n, count, rng):
     """The packed quaternionic-harmonic stream the group-4 projection
-    replaced: each line's four diagonal slots lose their mean, h / (4 q)."""
+    replaced: each line's four diagonal slots lose their mean, h / (4 q),
+    on int64 rows in new arrays."""
     packed, q = quaternionic._random_packed(4 * n, count, rng)
+    packed = packed.astype(np.int64)
     diag = quaternionic._upper_triangle(4 * n)[2]
     lines = packed[:, diag].reshape(count, n, 4)
     h = 4 * packed
@@ -746,8 +749,8 @@ def test_kato_gap_nonnegative_sampled():
 
 
 def test_kato_scan_matches_exact_path():
-    # 2500 samples span ten int64 chunks of the scan at n=2; the exact
-    # path draws the same Hessians one at a time
+    # 2500 samples span three chunks of the scan at n=2; the exact path
+    # draws the same Hessians one at a time
     fr = build_frame(2)
     rng = random.Random(10)
     gaps = [refined_kato_gap(random_quaternionic_harmonic(fr, rng)).gap
@@ -784,7 +787,7 @@ def reference_kato_scan(n, samples, seed):
     3|h|^2 - 4|h e_1|^2 over all entries, and a Python loop over the
     denominators for the least gap."""
     rng = random.Random(seed)
-    chunk = max(1, quaternionic._SCAN_ENTRIES // (4 * n) ** 2)
+    chunk = kato_chunk(n)
     negatives = 0
     least = {}
     diag = np.arange(4 * n)
@@ -802,12 +805,43 @@ def reference_kato_scan(n, samples, seed):
     return negatives, min(F(g, 48 * d * d) for d, g in least.items())
 
 
+def kato_chunk(n):
+    """Hessians per chunk of the Kato scan: 1024 at n = 2, 113 at n = 6."""
+    return max(1, quaternionic._KATO_SCAN_ENTRIES // (4 * n) ** 2)
+
+
+def int64_kato_scan(n, samples, seed):
+    """The scan on int64 rows (`quaternionic_harmonic_batch`) at its old
+    chunk of 2^14 entries (256 Hessians at n = 2), the weighted squares
+    h * h * w in new arrays; it reads the weight table as the scan does."""
+    m = 4 * n
+    rng = random.Random(seed)
+    chunk = max(1, (1 << 14) // m ** 2)
+    negatives = 0
+    unseen = np.iinfo(np.int64).max
+    least = np.full(10, unseen, dtype=np.int64)
+    for start in range(0, samples, chunk):
+        h, q = quaternionic_harmonic_batch(n, min(chunk, samples - start), rng)
+        gaps = (h * h * quaternionic._kato_weights(m)).sum(axis=-1)
+        negatives += int((gaps < 0).sum())
+        np.minimum.at(least, q, gaps)
+    return negatives, min(F(g, 48 * d * d) for d, g in enumerate(least.tolist()) if g != unseen)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 10, 888])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_packed_kato_scan_matches_the_full_matrix_scan(n, seed):
-    chunk = max(1, quaternionic._SCAN_ENTRIES // (4 * n) ** 2)
-    for samples in (1, chunk - 1, chunk, chunk + 1, 2500):
-        assert kato_gap_scan(n, samples, seed) == reference_kato_scan(n, samples, seed), samples
+    # and the int64 scan it replaced, at the edges of the first chunks
+    c = kato_chunk(n)
+    for samples in (1, c - 1, c, c + 1, 2 * c + 1, 2500):
+        got = kato_gap_scan(n, samples, seed)
+        assert got == reference_kato_scan(n, samples, seed), samples
+        assert got == int64_kato_scan(n, samples, seed), samples
+
+
+def test_int16_kato_scan_on_criterion_8_stream():
+    # criterion 8's scan: 1e5 Hessians at n = 2 from seed 888
+    assert kato_gap_scan(2, 100000, 888) == int64_kato_scan(2, 100000, 888) == (0, F(661, 81))
 
 
 def raised_row_weights(row):
@@ -846,6 +880,42 @@ def test_kato_scan_guards_its_int64_range(monkeypatch):
     monkeypatch.setattr(forms, "INT_BOUND", bound - 1)
     with pytest.raises(Int64RangeError, match="Kato gap scan"):
         kato_gap_scan(2, 10, 888)
+
+
+def test_kato_scan_refuses_weights_past_the_int16_range(monkeypatch):
+    # a weighted square 54^2 |w| is formed in int16: row weight 14 puts
+    # -11 at (0, 0), 54^2 * 11 = 32076, the largest size that fits, where
+    # the int16 scan still equals the int64 one; row weight 15 puts -12
+    # there, 54^2 * 12 = 34992 > 32767, refused before the first draw
+    monkeypatch.setattr(quaternionic, "_kato_weights", raised_row_weights(14))
+    assert kato_gap_scan(2, 3000, 888) == int64_kato_scan(2, 3000, 888)
+    monkeypatch.setattr(quaternionic, "_kato_weights", raised_row_weights(15))
+    with pytest.raises(ContractViolation, match="int16 rows out of range: Kato gap scan "
+                                                "could reach 34992 > 32767"):
+        kato_gap_scan(2, 10, 888)
+
+
+def test_kato_scan_int16_guard_survives_optimize():
+    # -O strips assert statements; the range check must still raise
+    code = ("import numpy as np, qkcomp.quaternionic as q; "
+            "rows, cols = np.triu_indices(8); "
+            "q._kato_weights = lambda m: 3 * np.where(rows == cols, 1, 2) - 15 * (rows == 0); "
+            "q.kato_gap_scan(2, 10, 888)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(forms.__file__).parent.parent) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "ContractViolation: int16 rows out of range: Kato gap scan" in proc.stderr
+
+
+def test_constrained_batch_refuses_runs_past_the_int16_range():
+    # a projected entry is less than 18 group in size; 18 * 1821 = 32778
+    rng = random.Random(0)
+    with pytest.raises(ContractViolation, match="int16 range"):
+        quaternionic._constrained_batch(1821, 1821, 1, rng)
+    assert rng.getrandbits(64) == random.Random(0).getrandbits(64)
 
 
 def test_kato_scan_guard_survives_optimize():
