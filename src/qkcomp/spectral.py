@@ -13,13 +13,15 @@ reduction of T - sigma I (Buzbee, Golub and Nielson, SIAM J. Numer.
 Anal. 7, 1970) eliminates every other unknown per pass, so O(log m)
 vectorised passes solve with T - sigma I.  The reduction is a symmetric
 elimination in a permuted order, so by Sylvester's law of inertia its
-negative pivots count the eigenvalues of T below sigma.  Bisection on
-that count finds a shift below lambda_1 and well apart from lambda_2;
-there T - sigma I is positive definite, and inverse iteration from the
-shift converges in a few solves.  Two certificates back the result: the
-residual |Au - lambda Bu| / |Bu|, and the index, which counts no
-eigenvalue of T below lambda (1 - INDEX_TOL) and exactly one below
-lambda (1 + INDEX_TOL), so that lambda is the smallest.  Dirichlet
+negative pivots count the eigenvalues of T below sigma.  Probes of that
+count, placed by Rayleigh quotients, upper bounds on lambda_1 (B. N.
+Parlett, The Symmetric Eigenvalue Problem, 1980), find a shift below
+lambda_1 and well apart from lambda_2; there T - sigma I is positive
+definite, and inverse iteration from the shift, on the reduction that
+counted there, converges in a few solves.  Two certificates back the
+result: the residual |Au - lambda Bu| / |Bu|, and the index, which
+counts no eigenvalue of T below lambda (1 - INDEX_TOL) and exactly one
+below lambda (1 + INDEX_TOL), so that lambda is the smallest.  Dirichlet
 truncation means every estimate sits strictly above the limit value
 (2n+1)^2 and decreases as r_max grows.
 
@@ -30,12 +32,14 @@ of its integrals with `comparison.integrate`, the rule of the volumes.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
 from .comparison import ModelGeometry, area_density, eigenvalue_bounds, integrate
 from .forms import ContractViolation
+from .riccati import DomainError
 
 
 class RadialProblem:
@@ -91,11 +95,19 @@ class StudyError(ResidualError):
 
 
 def _assemble(p: RadialProblem):
-    """Symmetric tridiagonal A (flux form) and diagonal B on interior nodes."""
+    """Symmetric tridiagonal A (flux form) and diagonal B on interior nodes;
+    DomainError, naming the first node, where J is below the smallest
+    normal float, as when it underflows to 0 near r = 0 (zero weights)."""
     m = p.mesh_points
     h = (p.r_max - p.r_min) / m
     w_half = p.weight(p.r_min + h * (np.arange(m) + 0.5))
     w_node = p.weight(p.r_min + h * np.arange(1, m))
+    tiny = sys.float_info.min  # numpy's finfo(float).tiny, without asking numpy
+    if not (w_half.min() >= tiny and w_node.min() >= tiny):
+        low = np.empty(2 * m - 1, dtype=bool)  # the half and interior nodes in mesh order
+        low[0::2], low[1::2] = ~(w_half >= tiny), ~(w_node >= tiny)
+        first = p.r_min + h * ((int(np.argmax(low)) + 1) / 2)
+        raise DomainError(f"area density J is below the smallest normal float at r={first}")
     diag = (w_half[:-1] + w_half[1:]) / (h * h)
     off = -w_half[1:-1] / (h * h)
     return diag, off, w_node, h
@@ -157,10 +169,16 @@ def _reduce(diag: np.ndarray, off: np.ndarray) -> list:
     return passes
 
 
+def _negatives(passes: list) -> int:
+    """The number of negative pivots of the reduction `_reduce` of M, which
+    is the number of eigenvalues of M below 0."""
+    return sum(int(np.count_nonzero(p < 0)) for p, _left, _right in passes)
+
+
 def _count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     """The number of eigenvalues below sigma of the symmetric tridiagonal
     matrix: the negative pivots of the reduction of it minus sigma I."""
-    return sum(int(np.count_nonzero(p < 0)) for p, _left, _right in _reduce(diag - sigma, off))
+    return _negatives(_reduce(diag - sigma, off))
 
 
 def _solve(passes: list, f: np.ndarray) -> np.ndarray:
@@ -182,34 +200,48 @@ def _solve(passes: list, f: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shift_below_lowest(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+def _shift_below_lowest(diag: np.ndarray, off: np.ndarray) -> tuple[float, list, np.ndarray]:
     """A shift sigma <= lambda_1 with lambda_1 - sigma <= SEPARATION
-    (lambda_2 - sigma), by bisection on the eigenvalue count, and a start
-    vector for inverse iteration.
+    (lambda_2 - sigma), found on the eigenvalue count, with the reduction
+    `_reduce` of T - sigma I and a start vector for inverse iteration.
 
-    The bracket starts from the Gershgorin bounds.  One solve at the lower
-    bound, where T - sigma I is positive semidefinite, damps the upper
-    spectrum of (1, ..., 1): the result is the start vector, and its
-    Rayleigh quotient, at or above lambda_1, is the first probe."""
+    The bracket starts from the Gershgorin bounds.  Two solves at the lower
+    bound, where T - sigma I is positive semidefinite, damp the upper
+    spectrum of (1, ..., 1).  The first one's Rayleigh quotient, at or
+    above lambda_1, is the first probe; the second one's, the start
+    vector's, bounds lambda_1 from above more closely: the bracket's top.
+    The next probe sits just below the top, where a count of 0 meets the
+    separation test, or at the bracket's midpoint where that point is not
+    inside the bracket."""
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))  # no eigenvalue below lo
-    hi = float(np.max(diag + radius))  # at least one below hi
+    hi = float(np.max(diag + radius))  # at least one at or below hi
     floor2 = lo  # no second eigenvalue below floor2
-    start = _solve(_reduce(diag - lo, off), np.ones_like(diag))
+    passes = _reduce(diag - lo, off)
+    start = _solve(passes, np.ones_like(diag))
     sigma = _dot(start, _matvec(diag, off, start)) / _dot(start, start)
+    start = _solve(passes, start)
+    hi = min(hi, _dot(start, _matvec(diag, off, start)) / _dot(start, start))
     while True:
-        below = _count_below(diag, off, sigma)
+        del passes  # one reduction alive at a time
+        passes = _reduce(diag - sigma, off)
+        below = _negatives(passes)
         if below == 0:
             lo = sigma
         else:
-            hi = sigma
+            hi = min(hi, sigma)
             if below == 1:
                 floor2 = max(floor2, sigma)
         if hi - lo <= SEPARATION * (floor2 - lo):
-            return lo, start
-        sigma = 0.5 * (lo + hi)
+            if sigma != lo:
+                del passes
+                passes = _reduce(diag - lo, off)
+            return lo, passes, start
+        sigma = hi - SEPARATION * (floor2 - hi) / (1 + SEPARATION)
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
         if not lo < sigma < hi:
             raise RuntimeError(f"bisection cannot separate lambda_1 from lambda_2 "
                                f"in [{lo}, {hi}]")
@@ -242,8 +274,7 @@ def lambda1_dirichlet(p: RadialProblem) -> SpectralEstimate:
     scale = 1.0 / np.sqrt(w_node)
     t_diag = diag * scale * scale
     t_off = off * scale[:-1] * scale[1:]
-    shift, v = _shift_below_lowest(t_diag, t_off)
-    passes = _reduce(t_diag - shift, t_off)
+    _shift, passes, v = _shift_below_lowest(t_diag, t_off)
     previous = np.inf
     for solves in range(1, MAX_SOLVES + 1):
         v = _solve(passes, v)

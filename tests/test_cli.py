@@ -511,6 +511,44 @@ def test_subnormal_ball_volume_is_usage_error(r_max, status, capsys):
     assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
+@pytest.mark.parametrize("r_min, r_max, status", [
+    ("1e-300", "1e-299", 2), ("1e-200", "1e-199", 2), ("1e-100", "2e-100", 2),
+    ("1e-20", "1e-19", 1)])
+def test_underflowing_lambda1_density_is_usage_error(r_min, r_max, status):
+    # J = sinh^7 cosh^3 underflows to 0 at the first three ranges: the solve
+    # once divided by zero weights and ended in a traceback (a RuntimeWarning
+    # under -W error, else "bisection cannot separate ... in [nan, nan]").
+    # At 1e-20, J is about 1e-140: the solve runs and misses its residual
+    import os
+    from pathlib import Path
+
+    import qkcomp
+
+    env = dict(os.environ)
+    pkg_root = str(Path(qkcomp.__file__).parent.parent)
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qkcomp", "lambda1",
+                           "--rmin", r_min, "--rmax", r_max, "--mesh", "64"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == status, proc.stderr
+    if status == 2:
+        assert proc.stderr.startswith(
+            "qkcomp: area density J is below the smallest normal float at r=")
+    else:
+        assert proc.stderr.startswith("FAIL residual within 1e-08")
+
+
+@pytest.mark.parametrize("study, first", [(False, "1.0703125e-300"), (True, "1.03125e-300")])
+def test_lambda1_names_the_first_underflowing_node_on_both_paths(study, first, capsys):
+    # the study's first solve runs to r_max / 2 at the same mesh density
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda1", "--rmin", "1e-300", "--rmax", "1e-299", "--mesh", "64"]
+             + ["--study"] * study)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"qkcomp: area density J is below the smallest normal float at r={first}\n")
+
+
 @pytest.mark.parametrize("r_min", ["1.6", "2"])
 def test_riccati_comparison_starts_stay_below_r_max(r_min, capsys):
     # the trajectories start at t0 in [r_min, r_min + span] with span

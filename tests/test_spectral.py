@@ -1,5 +1,6 @@
 """Radial spectral estimation: discretization, the cyclic-reduction count
-and solve against dense linear algebra, the eigen-solve against LAPACK's
+and solve against dense linear algebra, the shift search against the
+bisection it replaced, the eigen-solve against LAPACK's
 `eigh_tridiagonal`, an in-test inverse iteration and a dense oracle, its
 index certificate, the flat-ball Bessel cross-check, and domain
 monotonicity."""
@@ -17,9 +18,11 @@ from qkcomp.riccati import DomainError
 from qkcomp.spectral import (
     MAX_SOLVES,
     RESIDUAL_TARGET,
+    SEPARATION,
     RadialProblem,
     _assemble,
     _count_below,
+    _dot,
     _matvec,
     _reduce,
     _solve,
@@ -116,6 +119,45 @@ def shifts_across(eigenvalues: np.ndarray) -> np.ndarray:
     mids = (eigenvalues[:-1] + eigenvalues[1:]) / 2
     return np.concatenate([[eigenvalues[0] - 1.0, eigenvalues[0] - 1e-3], mids,
                            [eigenvalues[-1] + 1e-3, eigenvalues[-1] + 10.0]])
+
+
+def reference_shift_below_lowest(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+    """The shift search by bisection alone, as the solver made it before
+    Rayleigh quotients placed its probes: (the shift, the start vector).
+
+    The bracket starts from the Gershgorin bounds.  One solve at the lower
+    bound damps the upper spectrum of (1, ..., 1): the result is the start
+    vector, and its Rayleigh quotient, at or above lambda_1, is the first
+    probe; every later probe is the bracket's midpoint."""
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float(np.min(diag - radius))  # no eigenvalue below lo
+    hi = float(np.max(diag + radius))  # at least one below hi
+    floor2 = lo  # no second eigenvalue below floor2
+    start = _solve(_reduce(diag - lo, off), np.ones_like(diag))
+    sigma = _dot(start, _matvec(diag, off, start)) / _dot(start, start)
+    while True:
+        below = _count_below(diag, off, sigma)
+        if below == 0:
+            lo = sigma
+        else:
+            hi = sigma
+            if below == 1:
+                floor2 = max(floor2, sigma)
+        if hi - lo <= SEPARATION * (floor2 - lo):
+            return lo, start
+        sigma = 0.5 * (lo + hi)
+        if not lo < sigma < hi:
+            raise RuntimeError(f"bisection cannot separate lambda_1 from lambda_2 "
+                               f"in [{lo}, {hi}]")
+
+
+def reference_shifted(diag: np.ndarray, off: np.ndarray) -> tuple[float, list, np.ndarray]:
+    """`_shift_below_lowest`'s result, (the shift, its reduction, the start
+    vector), from the reference search."""
+    shift, start = reference_shift_below_lowest(diag, off)
+    return shift, _reduce(diag - shift, off), start
 
 
 def inverse_iteration(p: RadialProblem, target: float = 1e-10,
@@ -234,20 +276,59 @@ def test_iterations_count_the_solves(monkeypatch):
 
     monkeypatch.setattr(spectral, "_solve", counted)
     est = lambda1_dirichlet(ORACLE_PROBLEMS["mesh-64"])
-    # one more solve makes the start vector
-    assert est.iterations == len(solves) - 1
+    # two more solves make the start vector and refine it
+    assert est.iterations == len(solves) - 2
     assert est.iterations > 1
 
 
-def test_shift_is_below_lambda1_and_separated():
+def shift_systems() -> list[tuple[np.ndarray, np.ndarray]]:
+    """T of every ORACLE_PROBLEMS entry, then 156 seeded random
+    tridiagonals, four of each size from 2 to 40."""
     rng = np.random.default_rng(4)
-    systems = [scaled_system(ORACLE_PROBLEMS["mesh-64"])]
-    systems += [random_tridiagonal(rng, size) for size in (2, 3, 10, 40)]
-    for diag, off in systems:
-        lam1, lam2 = np.linalg.eigvalsh(dense(diag, off))[:2]
-        shift, _start = spectral._shift_below_lowest(diag, off)
-        assert _count_below(diag, off, shift) == 0
-        assert lam1 - shift <= spectral.SEPARATION * (lam2 - shift)
+    systems = [scaled_system(p) for p in ORACLE_PROBLEMS.values()]
+    return systems + [random_tridiagonal(rng, size) for size in range(2, 41) for _ in range(4)]
+
+
+def test_shift_is_below_lambda1_and_separated():
+    # the contract of the shift, for the search and for the bisection it
+    # replaced: no eigenvalue below it, and lambda_1 - shift at most
+    # SEPARATION (lambda_2 - shift); the search hands on its reduction there
+    for diag, off in shift_systems():
+        lam1, lam2 = eigh_tridiagonal(diag, off, eigvals_only=True,
+                                      select="i", select_range=(0, 1))
+        shift, passes, _start = spectral._shift_below_lowest(diag, off)
+        for p, want in zip(passes, _reduce(diag - shift, off), strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(p, want))
+        for shift in (shift, reference_shift_below_lowest(diag, off)[0]):
+            assert _count_below(diag, off, shift) == 0
+            assert lam1 - shift <= SEPARATION * (lam2 - shift), (diag.size, shift)
+
+
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_lambda1_matches_the_reference_shift(name, monkeypatch):
+    p = ORACLE_PROBLEMS[name]
+    ours = lambda1_dirichlet(p).lambda1
+    monkeypatch.setattr(spectral, "_shift_below_lowest", reference_shifted)
+    assert abs(lambda1_dirichlet(p).lambda1 - ours) <= LAMBDA_TOL
+
+
+def test_criterion_7_solves_reduce_at_most_five_times(monkeypatch):
+    # one reduction at the Gershgorin bound, two counted probes (the first
+    # Rayleigh quotient and one just below the second), whose last inverse
+    # iteration reuses, and two for the index certificate; bisection alone
+    # made 14 or 15
+    reductions = []
+
+    def counted(diag, off):
+        reductions.append(None)
+        return _reduce(diag, off)
+
+    monkeypatch.setattr(spectral, "_reduce", counted)
+    for name, p in ORACLE_PROBLEMS.items():
+        if name.startswith("criterion7"):
+            reductions.clear()
+            lambda1_dirichlet(p)
+            assert len(reductions) <= 5, name
 
 
 def test_criterion_7_solves_the_oracle_problems():
@@ -316,7 +397,8 @@ def test_index_certificate_rejects_the_second_eigenpair(monkeypatch):
     p = ORACLE_PROBLEMS["mesh-64"]
     lam1, lam2 = np.linalg.eigvalsh(dense(*scaled_system(p)))[:2]
     shift = lam2 - 1e-3 * (lam2 - lam1)
-    monkeypatch.setattr(spectral, "_shift_below_lowest", lambda d, e: (shift, np.ones_like(d)))
+    monkeypatch.setattr(spectral, "_shift_below_lowest",
+                        lambda d, e: (shift, _reduce(d - shift, e), np.ones_like(d)))
     with pytest.raises(RuntimeError, match="index certificate"):
         lambda1_dirichlet(p)
 
@@ -491,6 +573,25 @@ def test_rayleigh_accepts_a_trial_that_vanishes_to_rounding():
     q = rayleigh_quotient(p, lambda r: np.sin(k * (r - p.r_min)),
                           lambda r: k * np.cos(k * (r - p.r_min)))
     assert q > eigenvalue_bounds(2).quaternionic
+
+
+@pytest.mark.parametrize("r_min, r_max, first", [
+    (1e-300, 1e-299, 1e-300 + 9e-300 / 128), (1e-100, 2e-100, 1e-100 + 1e-100 / 128),
+    (1e-45, 1e-43, 1e-45 + 9.9e-44 / 128)])
+@pytest.mark.parametrize("delta", [-1, 0])
+def test_assembly_refuses_an_underflowing_density(r_min, r_max, first, delta):
+    # J ~ r^7 near 0 at n = 2 is below the smallest normal float under
+    # r = 1.1e-44; the first half node is named.  The solve once divided by
+    # zero weights there, and at 1e-300 by h^2 = 0
+    with pytest.raises(DomainError, match="below the smallest normal float") as exc:
+        _assemble(RadialProblem(2, r_min, r_max, 64, delta))
+    assert str(exc.value).endswith(f"at r={first}")
+
+
+@pytest.mark.parametrize("r_min, r_max", [(1e-20, 1e-19), (1e-43, 1e-42)])
+def test_assembly_keeps_a_normal_density(r_min, r_max):
+    # J is about 1e-140 from 1e-20 and 1e-301 from 1e-43: normal floats
+    assert _assemble(RadialProblem(2, r_min, r_max, 64))[2].min() > 0
 
 
 def test_problem_validation():
