@@ -19,17 +19,19 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def _parity_mask(kb: int) -> int:
-    """Mask whose bit i is set iff an odd number of the bits of kb lie below i.
+def _above(ka: int) -> int:
+    """Mask whose bit j is set iff an odd number of the bits of ka lie above j.
 
-    Negative (an infinite run of high ones) whenever kb has odd weight;
-    only its AND with a nonnegative mask is ever used."""
-    p = 0
-    while kb:
-        low = kb & -kb
-        p ^= -(low << 1)  # every bit strictly above this bit of kb
-        kb ^= low
-    return p
+    Nonnegative: each bit of ka flips every bit strictly below it.  The
+    sign of theta^ka ^ theta^kb (disjoint masks) is the parity of
+    kb & _above(ka), since each bit of kb passes the bits of ka above it;
+    for one bit, _above(bit) is bit - 1, the sign of `interior_terms`."""
+    q = 0
+    while ka:
+        low = ka & -ka
+        q ^= low - 1
+        ka ^= low
+    return q
 
 
 def merge_sign(ka: int, kb: int) -> int:
@@ -38,19 +40,19 @@ def merge_sign(ka: int, kb: int) -> int:
     Both masks are assumed disjoint.  Equals (-1)**t where t is the
     number of pairs (i in ka, j in kb) with i > j.
     """
-    return -1 if (ka & _parity_mask(kb)).bit_count() & 1 else 1
+    return -1 if (kb & _above(ka)).bit_count() & 1 else 1
 
 
 def wedge_terms(a: dict, b: dict) -> dict:
     """Exterior product of two term maps."""
     out: dict = {}
-    bs = [(kb, cb, _parity_mask(kb)) for kb, cb in b.items()]
     for ka, ca in a.items():
-        for kb, cb, pb in bs:
+        q = _above(ka)
+        for kb, cb in b.items():
             if ka & kb:
                 continue
             k = ka | kb
-            c = -ca * cb if (ka & pb).bit_count() & 1 else ca * cb
+            c = -ca * cb if (kb & q).bit_count() & 1 else ca * cb
             acc = out.get(k)
             if acc is None:
                 out[k] = c

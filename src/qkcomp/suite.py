@@ -27,7 +27,7 @@ from .comparison import (
     laplacian_distance,
     volume_ratio_check,
 )
-from .forms import ExactArray
+from .forms import ContractViolation, ExactArray
 from .identities import check_operator_identities
 from .levelset import (
     level_set_geometry,
@@ -464,12 +464,20 @@ CRITERIA = (
 
 
 def run_suite() -> tuple[int, str, list[Report]]:
-    """Run the full battery; returns (exit status, summary text, reports)."""
+    """Run the full battery; returns (exit status, summary text, reports).
+
+    A criterion that raises ContractViolation or DomainError reports one
+    failed check naming the exception, and the battery runs on: the suite
+    takes no input, so the error is the program's, not bad input."""
     lines = []
     reports = []
     failed = False
     for label, fn in CRITERIA:
-        rep = fn()
+        try:
+            rep = fn()
+        except (ContractViolation, DomainError) as exc:
+            rep = Report(label, checks=[Check("runs to its verdict", "no exception",
+                                              f"{type(exc).__name__}: {exc}", False)])
         reports.append(rep)
         ok = rep.passed
         failed = failed or not ok

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ import qkcomp.suite
 from qkcomp.cli import build_parser, main
 from qkcomp.model import ModelConstructionError
 from qkcomp.report import json_value
+from qkcomp.riccati import ComparisonFunction
 from qkcomp.spectral import RadialProblem, convergence_study
 
 
@@ -673,6 +675,31 @@ def test_domain_error_is_usage_error():
         main(["compare", "--delta", "1", "--n", "2", "--r-max", "3",
               "--steps", "10"])  # beyond the pi/2 diameter
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("weight, K, error", [
+    (4, 4, "DomainError: cot barrier valid on (0, 1.5708), got t=2.0"),
+    (0, 1, "ContractViolation: block weight must be positive, got 0"),
+], ids=["pole inside the range", "zero weight"])
+def test_suite_fails_a_raising_criterion_and_runs_on(weight, K, error, capsys, monkeypatch):
+    # a broken transversal block (K = 4 delta puts a cot pole inside
+    # criterion 3's range; weight 0 is refused) is a fault of the program,
+    # since the suite takes no input: criterion 3 fails, the others still
+    # run, and the exit status is 1, not the usage error 2
+    def broken(delta):
+        return ComparisonFunction(Fraction(weight), Fraction(K * delta))
+
+    monkeypatch.setitem(qkcomp.suite.BLOCKS, "transversal", broken)
+    status, out = run_cli(["suite"], capsys)
+    lines = out.splitlines()
+    assert status == 1
+    assert [line.split(": ")[0] for line in lines if not line.startswith(" ")] == \
+        [f"criterion {k}" for k in range(1, 9)] + ["suite"]
+    assert lines[2:5] == ["criterion 3: riccati barriers: FAIL (0/1 checks)",
+                          f"  FAIL runs to its verdict: expected no exception, got {error}",
+                          "criterion 4: comparison bookkeeping: PASS (8/8 checks)"]
+    assert sum("FAIL" in line for line in lines) == 3
+    assert lines[-1] == "suite: FAIL"
 
 
 def test_module_entry_point():

@@ -21,6 +21,7 @@ from qkcomp.identities import (
     _CHUNK_ENTRIES,
     IDENTITY_NAMES,
     BasisResult,
+    SignedTable,
     _equal,
     _scaled,
     _sign,
@@ -31,6 +32,7 @@ from qkcomp.identities import (
     random_form,
     random_orthogonal_pair,
 )
+from test_kernel import reference_star_terms, reference_wedge_terms
 
 
 def test_all_identities_dim8_degree4():
@@ -271,6 +273,21 @@ def test_tables_make_one_kernel_call_per_monomial_and_operator(monkeypatch):
         monkeypatch.setattr(kernel, name, counted)
     operator_tables(8)
     assert calls == {"star_terms": 256, "wedge_terms": 2048, "interior_terms": 2048}
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_tables_match_the_inversion_count_reference(monkeypatch, dim):
+    # the tables criterion 1 composes, against tables built on the kernel
+    # oracles that count inversions pair by pair
+    import qkcomp.kernel as kernel
+
+    tables = operator_tables(dim)
+    monkeypatch.setattr(kernel, "wedge_terms", reference_wedge_terms)
+    monkeypatch.setattr(kernel, "star_terms", reference_star_terms)
+    for got, want in zip(tables, operator_tables(dim)):
+        assert not want.bad.any()
+        for name in SignedTable.__slots__:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (dim, name)
 
 
 def failing(results):

@@ -1,5 +1,6 @@
-"""The term-arithmetic kernel: merge signs against inversion counts, and the
-integer-numerator maps that Form passes against the same maps in Fraction."""
+"""The term-arithmetic kernel: merge signs, wedge and star against inversion
+counts, and the integer-numerator maps that Form passes against the same
+maps in Fraction."""
 
 import random
 from fractions import Fraction as F
@@ -26,6 +27,12 @@ def nonzero_components(comps):
     return {1 << i: x for i, x in enumerate(comps) if x}
 
 
+def inversions(ka, kb):
+    """The pairs (i in ka, j in kb) with i > j, counted one pair at a time."""
+    return sum(1 for i in range(ka.bit_length()) if ka >> i & 1
+               for j in range(i) if kb >> j & 1)
+
+
 def test_merge_sign_reference_cases():
     # ka = {1}, kb = {2}: already sorted
     assert kernel.merge_sign(0b01, 0b10) == 1
@@ -40,9 +47,7 @@ def test_merge_sign_counts_inversions_exhaustive():
         for kb in range(64):
             if ka & kb:
                 continue
-            pairs = sum(1 for i in range(6) for j in range(6)
-                        if ka >> i & 1 and kb >> j & 1 and i > j)
-            assert kernel.merge_sign(ka, kb) == (-1) ** pairs
+            assert kernel.merge_sign(ka, kb) == (-1) ** inversions(ka, kb)
 
 
 def test_integer_maps_match_fraction_maps():
@@ -124,3 +129,54 @@ def test_interior_terms_match_the_every_bit_loop():
             out = kernel.interior_terms(nonzero_components(comps), a)
             assert out == reference_interior_terms(comps, a)
             assert list(out) == list(reference_interior_terms(comps, a))
+
+
+def accumulate(out, k, c):
+    """out[k] += c, dropping k when the sum cancels, as the kernel does."""
+    if k in out:
+        out[k] += c
+        if not out[k]:
+            del out[k]
+    else:
+        out[k] = c
+
+
+def reference_wedge_terms(a, b):
+    """Exterior product by the inversion count of every pair of disjoint
+    monomials: the oracle of the kernel's one mask per left term."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if not ka & kb:
+                accumulate(out, ka | kb, (-1) ** inversions(ka, kb) * ca * cb)
+    return out
+
+
+def reference_star_terms(a, dim):
+    """Hodge dual by the inversion count of each monomial against its
+    complement."""
+    full = (1 << dim) - 1
+    return {full & ~k: (-1) ** inversions(k, full & ~k) * c for k, c in a.items()}
+
+
+def random_sparse_terms(rng, dim, degree):
+    """A seeded term map of one degree: a random share of its monomials, in
+    random insertion order."""
+    items = list(random_int_terms(rng, dim, degree).items())
+    rng.shuffle(items)
+    return dict(items[:rng.randint(0, len(items))])
+
+
+def test_wedge_and_star_terms_match_the_inversion_count():
+    # seeded random term maps of every degree in dims 1-10, including the
+    # empty map and single monomials; keys come in the reference's order
+    rng = random.Random(127)
+    for _ in range(400):
+        dim = rng.randint(1, 10)
+        a = random_sparse_terms(rng, dim, rng.randint(0, dim))
+        b = random_sparse_terms(rng, dim, rng.randint(0, dim))
+        for got, want in ((kernel.wedge_terms(a, b), reference_wedge_terms(a, b)),
+                          (kernel.star_terms(a, dim), reference_star_terms(a, dim))):
+            assert got == want
+            assert list(got) == list(want)
+
