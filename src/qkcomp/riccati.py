@@ -21,14 +21,16 @@ that take a float or an array: one call evaluates a whole grid, and a
 float goes through the same ufuncs as an array entry.
 
 The integrator is one RK4 loop over rows that may each carry their own
-(m, K), stepped WINDOW steps at a time into one time-major buffer, one
-contiguous store per step; each window's times are one running sum and
-its blow-up test one pass over the window.  `comparison_excess` steps
-several barriers' trajectories as one batch and keeps only each
-barrier's largest u - barrier(t), so its memory does not grow with the
-step count; `integrate_riccati` steps one trajectory through the same
-loop, on numpy scalars, and writes every window into one table.  Both
-give the same bits as the scalar loop, trajectory by trajectory.
+(m, K), stepping w = u/m under w' = -(w^2 + K): RK4 commutes with that
+scaling, so only rounding moves, and m stays out of the loop.  It steps
+WINDOW steps at a time into one time-major buffer, one contiguous store
+per step; each window's times are one running sum and its blow-up test
+one max and one min per row.  `comparison_excess` steps several
+barriers' trajectories as one batch and keeps only each barrier's
+largest u - barrier(t), so its memory does not grow with the step count;
+`integrate_riccati` steps one trajectory through the same loop, on
+numpy scalars, and writes every window into one table.  Both give the
+bits of the scalar RK4 loop in w, times m.
 """
 
 from __future__ import annotations
@@ -212,137 +214,132 @@ def _validated(barrier: ComparisonFunction, u0s, t0s, t1: float,
     return u0s, t0s
 
 
-def _rk4_windows(m: np.ndarray, mK: np.ndarray, u0s: np.ndarray, t0s: np.ndarray,
+def _rk4_windows(m: np.ndarray, K: np.ndarray, u0s: np.ndarray, t0s: np.ndarray,
                  t1: float, steps: int):
-    """Classical fixed-step RK4 for u' = -u^2/m - mK, row j with its own
-    m[j] and mK[j] = m[j] K[j], from (t0s[j], u0s[j]) to t1 in `steps`
-    steps of its own size.
+    """Classical fixed-step RK4 for w = u/m under w' = -(w^2 + K), row j
+    with its own m[j] and K[j], from (t0s[j], u0s[j] / m[j]) to t1 in
+    `steps` steps of its own size.
 
-    Yields (start, ts, us, lengths) for each window of at most WINDOW
-    steps: columns c of ts and us hold step start + c, so column 0 repeats
+    Yields (start, ts, ws, lengths) for each window of at most WINDOW
+    steps: columns c of ts and ws hold step start + c, so column 0 repeats
     the last column of the window before (the start point in the first).
-    ts and us are (rows, columns) views of one time-major buffer, which
+    ts and ws are (rows, columns) views of one time-major buffer, which
     the next window overwrites.  lengths[j] counts row j's valid points
     from step 0; it is final once the row ends.  A row ends before its
-    first step whose value is not finite or exceeds BLOWUP_LIMIT in size;
-    that test runs once per window, over the live rows, so columns past a
-    row's end may hold anything, inf and nan included.  An ended row
-    restarts the next window at u = 0, and once every row has ended the
-    windows stop.
+    first step whose w is not finite or exceeds BLOWUP_LIMIT / m[j] in
+    size; that test runs once per window, over the live rows, so columns
+    past a row's end may hold anything, inf and nan included.  An ended
+    row restarts the next window at w = 0, and once every row has ended
+    the windows stop.
 
-    Each stage steps g = u^2/m + mK = -k, a negation that changes no
-    bits, and v = half g - u, the negation of the reference u + half k,
-    which squaring does not see; the augmented operators update arrays in
-    place, and one row steps on numpy float64 scalars, on which the same
-    statements rebind, without an array's per-call cost."""
+    Each stage steps g = w^2 + K = -k and v = half g - w = -(w + half k),
+    negations that change no bits and that squaring does not see; the
+    stage sum is 2 (g2 + g3) + g1 + g4.  The augmented operators update
+    arrays in place, and one row steps on numpy float64 scalars, on which
+    the same statements rebind, without an array's per-call cost."""
     h = (t1 - t0s) / steps
+    limit, w = BLOWUP_LIMIT / m, u0s / m
     lengths = np.full(u0s.size, steps + 1)
-    u = u0s
     if u0s.size == 1:
-        m, mK, h, u = m[0], mK[0], h[0], u[0]
+        K, h, w = K[0], h[0], w[0]
     half, sixth = 0.5 * h, h / 6.0
     start = 0
     # one buffer for every window: a fresh pair per window took criterion
     # 3's peak RSS from 1.3 to 1.9 MB above import
-    ts_buf = np.empty((min(WINDOW, steps) + 1, u0s.size))
-    us_buf = np.empty_like(ts_buf)
+    ts_buf, ws_buf = np.empty((2, min(WINDOW, steps) + 1, u0s.size))
     ts_buf[0] = t0s
     while start < steps:
-        w = min(WINDOW, steps - start)
-        ts, us = ts_buf[:w + 1], us_buf[:w + 1]
+        n = min(WINDOW, steps - start)
+        ts, ws = ts_buf[:n + 1], ws_buf[:n + 1]
         # the left-to-right sums t + h + h + ... of stepping t = t + h
         ts[1:] = h
         np.add.accumulate(ts, out=ts)
-        us[0] = u
+        ws[0] = w
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(1, w + 1):
-                g1 = u * u
-                g1 /= m
-                g1 += mK
+            for c in range(1, n + 1):
+                g1 = w * w
+                g1 += K
                 v = g1 * half
-                v -= u
+                v -= w
                 g2 = v * v
-                g2 /= m
-                g2 += mK
+                g2 += K
                 v = g2 * half
-                v -= u
+                v -= w
                 g3 = v * v
-                g3 /= m
-                g3 += mK
+                g3 += K
                 v = g3 * h
-                v -= u
+                v -= w
                 g4 = v * v
-                g4 /= m
-                g4 += mK
+                g4 += K
+                g2 += g3
                 g2 *= 2
                 g2 += g1
-                g3 *= 2
-                g2 += g3
                 g2 += g4
                 g2 *= sixth
-                u = u - g2
-                us[c] = u
-            unbounded = ~(np.abs(us[1:]) <= BLOWUP_LIMIT)  # True for inf and nan
-        blown = unbounded.any(axis=0) & (lengths > steps)
-        lengths[blown] = start + 1 + unbounded.argmax(axis=0)[blown]
-        yield start, ts.T, us.T, lengths
+                w = w - g2
+                ws[c] = w
+            top, bottom = np.maximum.reduce(ws[1:]), np.minimum.reduce(ws[1:])
+        # nan reaches both reductions and fails both comparisons
+        blown = np.flatnonzero(~((top <= limit) & (bottom >= -limit)) & (lengths > steps))
+        unbounded = ~(np.abs(ws[1:, blown]) <= limit[blown])  # True for inf and nan
+        lengths[blown] = start + 1 + unbounded.argmax(axis=0)
+        yield start, ts.T, ws.T, lengths
         ended = lengths <= steps
         if ended.all():
             return
         if ended.any():
-            u = np.where(ended, 0.0, u)
-        ts_buf[0] = ts[w]
-        start += w
-
-
-def _coefficients(barriers, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row float m and m K for `sizes[i]` rows of barriers[i]."""
-    m = [float(f.m) for f in barriers]
-    mK = [mi * float(f.K) for mi, f in zip(m, barriers)]
-    return np.repeat(m, sizes), np.repeat(mK, sizes)
+            w = np.where(ended, 0.0, w)
+        ts_buf[0] = ts[n]
+        start += n
 
 
 def comparison_excess(instances, t1: float, steps: int) -> list[tuple[float, int]]:
     """(largest u - barrier(t) over every valid point, number truncated)
-    for each (barrier, u0s, t0s) instance: the trajectories that
-    integrate_riccati(barrier, u0, t0, t1, steps) gives one by one, with
-    the same bits, stepped as one batch WINDOW steps at a time, so only
-    one window of every instance is held at once."""
+    for each (barrier, u0s, t0s) instance: the trajectories of
+    integrate_riccati(barrier, u0, t0, t1, steps), stepped as one batch
+    WINDOW steps at a time, so only one window of every instance is held
+    at once.  The excess is m max(w - barrier(t)/m): u0 <= barrier(t0)
+    rounds to u0/m <= barrier(t0)/m, so no start reads above the barrier."""
     barriers = [f for f, _, _ in instances]
     u0s, t0s = zip(*(_validated(f, u0, t0, t1, steps) for f, u0, t0 in instances))
     sizes = [u0.size for u0 in u0s]
-    m, mK = _coefficients(barriers, sizes)
+    weights = [float(f.m) for f in barriers]
+    m = np.repeat(weights, sizes)
+    K = np.repeat([float(f.K) for f in barriers], sizes)
     ends = np.cumsum([0] + sizes)
     rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
     excess = [-math.inf] * len(barriers)
-    windows = _rk4_windows(m, mK, np.concatenate(u0s), np.concatenate(t0s), t1, steps)
-    for start, ts, us, lengths in windows:
-        # the unwritten columns of a window cut short lie past every length
-        valid = np.arange(start, start + ts.shape[1]) < lengths[:, None]
-        for i, (r, barrier) in enumerate(zip(rows, barriers)):
-            mask = valid[r]
-            if mask.any():
-                excess[i] = max(excess[i], float((us[r][mask] - barrier(ts[r][mask])).max()))
+    windows = _rk4_windows(m, K, np.concatenate(u0s), np.concatenate(t0s), t1, steps)
+    for start, ts, ws, lengths in windows:
+        # every point is valid until a row ends; from then on the lengths
+        # mask each window, whose unwritten columns lie past every length
+        valid = (None if lengths.min() >= start + ts.shape[1]
+                 else np.arange(start, start + ts.shape[1]) < lengths[:, None])
+        for i, (r, barrier, mi) in enumerate(zip(rows, barriers, weights)):
+            w, t = (ws[r], ts[r]) if valid is None else (ws[r][valid[r]], ts[r][valid[r]])
+            if w.size:
+                excess[i] = max(excess[i], mi * float((w - barrier(t) / mi).max()))
     return [(worst, int((lengths[r] <= steps).sum())) for worst, r in zip(excess, rows)]
 
 
 def integrate_riccati(barrier: ComparisonFunction, u0: float, t0: float, t1: float,
                       steps: int) -> Trajectory:
     """Classical fixed-step RK4 for the equality ODE u' = -u^2/m - m K from
-    (t0, u0) to t1 in `steps` steps.
+    (t0, u0) to t1 in `steps` steps, stepped as w = u/m.
 
     A solution starting at or below the barrier stays below it; it may
     reach -infinity in finite time.  The trajectory ends before a value
     that is not finite or exceeds BLOWUP_LIMIT in size, and is then
     flagged truncated."""
     u0s, t0s = _validated(barrier, [u0], [t0], t1, steps)
-    m, mK = _coefficients([barrier], [1])
+    m, K = np.array([float(barrier.m)]), np.array([float(barrier.K)])
     # one table for every window: per-window copies joined at the end were
     # about 10% slower at 100k steps
     ts, us = np.empty(steps + 1), np.empty(steps + 1)
-    for start, window_ts, window_us, lengths in _rk4_windows(m, mK, u0s, t0s, t1, steps):
+    for start, window_ts, window_ws, lengths in _rk4_windows(m, K, u0s, t0s, t1, steps):
         ts[start:start + window_ts.shape[1]] = window_ts[0]
-        us[start:start + window_us.shape[1]] = window_us[0]
+        us[start:start + window_ws.shape[1]] = window_ws[0]
     k = int(lengths[0])
+    us[:k] *= m[0]  # the table holds w = u/m; its start is u0 itself
+    us[0] = u0s[0]
     return Trajectory(ts[:k], us[:k], k <= steps)
-

@@ -212,7 +212,11 @@ def _shift_below_lowest(diag: np.ndarray, off: np.ndarray) -> tuple[float, list,
     vector's, bounds lambda_1 from above more closely: the bracket's top.
     The next probe sits just below the top, where a count of 0 meets the
     separation test, or at the bracket's midpoint where that point is not
-    inside the bracket."""
+    inside the bracket.  A zero off-diagonal entry splits T into blocks
+    whose eigenvalues may coincide, and is refused."""
+    if not off.all():
+        raise ContractViolation(
+            f"T is reducible: off-diagonal entry {int(np.argmin(off != 0))} is 0")
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)

@@ -466,16 +466,17 @@ CRITERIA = (
 def run_suite() -> tuple[int, str, list[Report]]:
     """Run the full battery; returns (exit status, summary text, reports).
 
-    A criterion that raises ContractViolation or DomainError reports one
-    failed check naming the exception, and the battery runs on: the suite
-    takes no input, so the error is the program's, not bad input."""
+    A criterion that raises ContractViolation, DomainError or RuntimeError
+    reports one failed check naming the exception, and the battery runs
+    on: the suite takes no input, so the error is the program's, not bad
+    input."""
     lines = []
     reports = []
     failed = False
     for label, fn in CRITERIA:
         try:
             rep = fn()
-        except (ContractViolation, DomainError) as exc:
+        except (ContractViolation, DomainError, RuntimeError) as exc:
             rep = Report(label, checks=[Check("runs to its verdict", "no exception",
                                               f"{type(exc).__name__}: {exc}", False)])
         reports.append(rep)

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qkcomp.cli
+import qkcomp.quaternionic
 import qkcomp.spectral
 import qkcomp.suite
 from qkcomp.cli import build_parser, main
@@ -700,6 +702,28 @@ def test_suite_fails_a_raising_criterion_and_runs_on(weight, K, error, capsys, m
                           "criterion 4: comparison bookkeeping: PASS (8/8 checks)"]
     assert sum("FAIL" in line for line in lines) == 3
     assert lines[-1] == "suite: FAIL"
+
+
+def test_suite_fails_a_criterion_that_raises_runtime_error(capsys, monkeypatch):
+    # Kato's row weight 4 -> 5 breaks the refined Kato chain: its slacks no
+    # longer sum to the gap, which refined_kato_gap raises as a
+    # RuntimeError inside criterion 8; the suite reports that as one failed
+    # check and exit 1, not a traceback
+    def mutant_weights(m):
+        rows, cols, _ = qkcomp.quaternionic._upper_triangle(m)
+        return 3 * np.where(rows == cols, 1, 2) - 5 * (rows == 0)
+
+    monkeypatch.setattr(qkcomp.quaternionic, "_kato_weights", mutant_weights)
+    status, out = run_cli(["suite"], capsys)
+    lines = out.splitlines()
+    assert status == 1
+    assert [line.split(": ")[0] for line in lines if not line.startswith(" ")] == \
+        [f"criterion {k}" for k in range(1, 9)] + ["suite"]
+    failed = [line for line in lines if "FAIL" in line]
+    assert failed[0].startswith("criterion 8: ") and failed[0].endswith(": FAIL (0/1 checks)")
+    assert failed[1].startswith("  FAIL runs to its verdict: expected no exception, "
+                                "got RuntimeError: Kato slacks")
+    assert failed[2:] == ["suite: FAIL"]
 
 
 def test_module_entry_point():

@@ -15,6 +15,7 @@ from qkcomp.riccati import (
     WINDOW,
     ComparisonFunction,
     DomainError,
+    _rk4_windows,
     comparison_excess,
     integrate_riccati,
     line_block,
@@ -24,7 +25,21 @@ from qkcomp.riccati import (
 from qkcomp.suite import barrier_residual_checks
 
 
-# -- reference: the scalar RK4 loop, one trajectory at a time ------------------
+# -- references: the scalar RK4 loop, one trajectory at a time ----------------
+# The integrator steps w = u/m under w' = -(w^2 + K), so reference_rk4_w,
+# the same loop in Python floats, is its bitwise oracle.  reference_rk4 is
+# the textbook loop in u that the integrator stepped before; RK4 commutes
+# with the scaling u = m w, so the two differ only by rounding, and it is
+# the differential oracle within W_FORM_RTOL.
+
+# largest |u_w - u_u| / |u_u| between the w-form and the u-form over
+# criterion 3's 400 rows (measured 4.8e-15)
+W_FORM_RTOL = 2e-14
+# largest |u - m w(t)| against the closed-form solution w(t) on every 5th
+# of criterion 3's rows (measured 1.06e-8) and on the delta = 1
+# trajectories of test_cot_trajectories_match_the_tan_form
+CLOSED_FORM_TOL = 2e-8
+
 
 def reference_rk4(p, u0, t0, t1, steps):
     """(ts, us, truncated) of classical RK4 on u' = -u^2/m - m K in Python
@@ -50,6 +65,47 @@ def reference_rk4(p, u0, t0, t1, steps):
         ts.append(t)
         us.append(u)
     return ts, us, False
+
+
+def reference_rk4_w(p, u0, t0, t1, steps):
+    """(ts, ws, truncated) of classical RK4 on w' = -(w^2 + K) from
+    w0 = u0/m in Python floats, with the stage sum 2 (k2 + k3) + k1 + k4;
+    a w that is not finite or exceeds BLOWUP_LIMIT / m in size ends the
+    trajectory before it."""
+    m, K = float(p.m), float(p.K)
+
+    def rhs(w):
+        return -(w * w + K)
+
+    h = (t1 - t0) / steps
+    ts, ws = [t0], [u0 / m]
+    t, w = ts[0], ws[0]
+    for _ in range(steps):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * h * k1)
+        k3 = rhs(w + 0.5 * h * k2)
+        k4 = rhs(w + h * k3)
+        w = w + (h / 6.0) * (2 * (k2 + k3) + k1 + k4)
+        t = t + h
+        if not math.isfinite(w) or abs(w) > BLOWUP_LIMIT / m:
+            return ts, ws, True
+        ts.append(t)
+        ws.append(w)
+    return ts, ws, False
+
+
+def closed_form_w(p, w0, tau):
+    """The exact solution of w' = -(w^2 + K) with w(0) = w0, at the float
+    array tau >= 0 (before any pole)."""
+    K = float(p.K)
+    if K == 0:
+        return w0 / (1 + w0 * tau)
+    b = p.frequency
+    if K < 0:
+        th = np.tanh(b * tau)
+        return (b * th + w0) / (1 + (w0 / b) * th)
+    tn = np.tan(b * tau)
+    return (w0 - b * tn) / (1 + (w0 / b) * tn)
 
 
 # -- reference: the barrier as the five-field type built it -------------------
@@ -113,11 +169,12 @@ def reference_barrier_derivative(barrier, t):
 
 def reference_excess(barrier, u0s, t0s, t1, steps):
     """(largest u - barrier(t) over every valid point, number truncated) of
-    reference_rk4's trajectories from (u0s, t0s)."""
+    reference_rk4_w's trajectories from (u0s, t0s), as m (w - barrier/m)."""
+    m = float(barrier.m)
     worst, truncated = -math.inf, 0
     for u0, t0 in zip(u0s, t0s):
-        ts, us, cut = reference_rk4(barrier, u0, t0, t1, steps)
-        worst = max(worst, float((np.array(us) - barrier(np.array(ts))).max()))
+        ts, ws, cut = reference_rk4_w(barrier, u0, t0, t1, steps)
+        worst = max(worst, float(m * (np.array(ws) - barrier(np.array(ts)) / m).max()))
         truncated += cut
     return worst, truncated
 
@@ -278,12 +335,17 @@ def test_rational_sqrt():
 # `comparison_excess` steps a batch of rows, criterion 3's 400 among them.
 
 def assert_matches_reference(barrier, u0, t0, t1, steps):
-    """integrate_riccati's trajectory is reference_rk4's, bit for bit."""
+    """integrate_riccati's trajectory is reference_rk4_w's, times m past
+    the start, bit for bit, and ends where reference_rk4's does."""
     traj = integrate_riccati(barrier, u0, t0, t1, steps)
-    ts, us, truncated = reference_rk4(barrier, u0, t0, t1, steps)
+    ts, ws, truncated = reference_rk4_w(barrier, u0, t0, t1, steps)
+    us = float(barrier.m) * np.array(ws)
+    us[0] = u0
     assert traj.ts.tobytes() == np.array(ts).tobytes()
-    assert traj.us.tobytes() == np.array(us).tobytes()
+    assert traj.us.tobytes() == us.tobytes()
     assert traj.truncated is truncated
+    u_ts, _, u_truncated = reference_rk4(barrier, u0, t0, t1, steps)
+    assert (len(u_ts), u_truncated) == (len(ts), truncated)
     return traj
 
 
@@ -311,6 +373,73 @@ def test_batch_truncates_like_scalar_reference():
     assert flags == [True, False, True, False]
     assert comparison_excess([(barrier, u0s, t0s)], 3.0, 5000) == \
         [reference_excess(barrier, u0s, t0s, 3.0, 5000)]
+
+
+def batch_tables(instances, t1, steps):
+    """(ts, us, lengths) of every row of the instances as comparison_excess's
+    batch steps them, with u = m w at every point."""
+    sizes = [len(u0s) for _, u0s, _ in instances]
+    m = np.repeat([float(barrier.m) for barrier, _, _ in instances], sizes)
+    K = np.repeat([float(barrier.K) for barrier, _, _ in instances], sizes)
+    u0s = np.concatenate([u0s for _, u0s, _ in instances])
+    t0s = np.concatenate([t0s for _, _, t0s in instances])
+    ts, us = np.empty((2, u0s.size, steps + 1))
+    for start, window_ts, window_ws, lengths in _rk4_windows(m, K, u0s, t0s, t1, steps):
+        ts[:, start:start + window_ts.shape[1]] = window_ts
+        us[:, start:start + window_ws.shape[1]] = m[:, None] * window_ws
+    return ts, us, lengths
+
+
+def test_w_form_matches_the_u_form_on_criterion_3():
+    # the differential test of the w-form against the textbook loop in u
+    # that it replaced, on criterion 3's 400 rows at its 1200 steps: the
+    # times are the same bits, every u agrees within W_FORM_RTOL, and each
+    # instance's largest excess prints the same 4 digits in the suite
+    instances = [(prob, *criterion_3_inputs(prob)) for prob in CRITERION_3_INSTANCES]
+    ts, us, lengths = batch_tables(instances, 3.0, 1200)
+    assert (lengths == 1201).all()
+    rows = iter(zip(ts, us))
+    for (prob, u0s, t0s), (worst, truncated) in zip(instances,
+                                                   comparison_excess(instances, 3.0, 1200)):
+        u_form_worst = -math.inf
+        for u0, t0 in zip(u0s, t0s):
+            row_ts, row_us = next(rows)
+            want_ts, want_us, cut = reference_rk4(prob, u0, t0, 3.0, 1200)
+            want_us = np.array(want_us)
+            assert not cut and row_ts.tobytes() == np.array(want_ts).tobytes()
+            assert (np.abs(row_us - want_us) <= W_FORM_RTOL * np.abs(want_us)).all()
+            u_form_worst = max(u_form_worst, float((want_us - prob(row_ts)).max()))
+        assert (f"{worst:.3e}", truncated) == (f"{u_form_worst:.3e}", 0)
+
+
+def assert_matches_closed_form(prob, u0, t0, t1, steps):
+    traj = integrate_riccati(prob, u0, t0, t1, steps)
+    assert not traj.truncated
+    m = float(prob.m)
+    exact = m * closed_form_w(prob, u0 / m, traj.ts - t0)
+    assert np.abs(traj.us - exact).max() <= CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("prob", CRITERION_3_INSTANCES)
+def test_criterion_3_trajectories_match_the_closed_form(prob):
+    # the coth and reciprocal forms, on every 5th of criterion 3's rows
+    u0s, t0s = criterion_3_inputs(prob)
+    for u0, t0 in list(zip(u0s, t0s))[::5]:
+        assert_matches_closed_form(prob, u0, t0, 3.0, 1200)
+
+
+def test_cot_trajectories_match_the_tan_form():
+    # delta = 1: each block's equality trajectory as the CLI steps it, from
+    # t = 0.1 at 8000 steps (the line block to 1.4, below its pole pi/2;
+    # the transversal block to 3, below pi), and line-block starts in the
+    # CLI's range [0.1, 0.2] at criterion 3's 1200 steps
+    for block, t1 in ((line_block, 1.4), (transversal_block, 3.0)):
+        prob = block(1)
+        assert t1 < prob.pole
+        assert_matches_closed_form(prob, prob(0.1), 0.1, t1, 8000)
+    prob, u0s, t0s = seeded_instance(line_block(1), 20, 1, t0_span=0.1)
+    for u0, t0 in zip(u0s, t0s):
+        assert_matches_closed_form(prob, u0, t0, 1.4, 1200)
 
 
 def test_single_trajectory_is_batch_of_one():
@@ -485,6 +614,18 @@ def test_comparison_excess_when_every_row_ends_inside_one_window(monkeypatch):
     assert [n for _, n in got] == [2, 1]
     # the start points once for the preconditions, then the valid points
     assert sum(points) == len(lengths) + sum(lengths)
+
+
+def test_a_start_on_the_barrier_never_reads_above_it():
+    # m (u0/m) may round an ulp above u0, which near t0 = 1e-300 is about
+    # 1e284, far past any margin; taken as m (w - barrier/m), the excess of
+    # a start on the barrier is 0, since u0/m and barrier(t0)/m round alike.
+    # Each row blows up at its first step, so its start is its only point
+    barrier = line_block(-1)
+    t0s = [1.4341718354537837e-300, 1.1910670915023905e-300]
+    u0s = [float(barrier(t0)) for t0 in t0s]
+    assert all(3.0 * (u0 / 3.0) > u0 for u0 in u0s)
+    assert comparison_excess([(barrier, u0s, t0s)], 3.0, 1200) == [(0.0, 2)]
 
 
 def test_comparison_excess_preconditions_match_the_batch():

@@ -422,10 +422,24 @@ def test_index_certificate_reads_both_counts():
 
 
 def test_bisection_raises_on_a_double_lowest_eigenvalue():
-    # two equal blocks [[3, 1], [1, 1]]: every count is even
+    # two equal blocks [[3, 1], [1, 1]] coupled by 1e-17: T is irreducible,
+    # but its two lowest eigenvalues lie about 7e-18 apart, below the float
+    # spacing at 2 - sqrt(2), so every count is even
     with pytest.raises(RuntimeError, match="cannot separate"):
         spectral._shift_below_lowest(np.array([3.0, 1.0, 3.0, 1.0]),
-                                     np.array([1.0, 0.0, 1.0]))
+                                     np.array([1.0, 1e-17, 1.0]))
+
+
+@pytest.mark.parametrize("diag, off, index", [
+    ([1.0, 2.0, 3.0], [0.0, 0.0], 0),
+    ([3.0, 1.0, 3.0, 1.0], [1.0, 0.0, 1.0], 1),
+], ids=["diagonal", "two equal blocks"])
+def test_shift_search_refuses_a_reducible_T(diag, off, index):
+    # a zero off-diagonal entry splits T; on diag(1, 2, 3) the start solve
+    # met a zero pivot and the search ended on NaN ("cannot separate ...
+    # [nan, 3.0]"), and two equal blocks have a double lowest eigenvalue
+    with pytest.raises(ContractViolation, match=f"off-diagonal entry {index} is 0"):
+        spectral._shift_below_lowest(np.array(diag), np.array(off))
 
 
 def test_residual_above_target_raises(monkeypatch):
