@@ -1,11 +1,12 @@
-"""Exact exterior algebra over an oriented inner-product space, and the
-one dense exact array type.
+"""Exact exterior algebra over R^dim with its canonical inner product, and
+the one dense exact array type.
 
 Coefficients are arbitrary-precision rationals throughout, stored as
 integer numerators over one shared positive denominator per form; every
 operator identity checked on top of this module is therefore exact, with
 no tolerances.  The canonical ordered basis is orthonormal and fixes the
-orientation.
+orientation, so a form's space is its dimension `dim`, and a vector is its
+metric-dual 1-form: the two have the same components.
 
 Dense exact data (Hessians, the model's bracket, connection and curvature
 tables) is an `ExactArray` in the same format: int64 numerators over one
@@ -75,21 +76,6 @@ class ValueEq:
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-class InnerSpace(ValueEq):
-    """Oriented inner-product space with the canonical orthonormal basis;
-    equal by value, as a frame builds a new one on every read of `space`."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ContractViolation(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-
-    def basis_indices(self) -> range:
-        return range(1, self.dim + 1)
-
-
 def _mask(indices: Iterable[int], dim: int) -> int:
     m = 0
     for i in indices:
@@ -136,12 +122,14 @@ class Form:
     structural.  Instances are immutable; all operations return new forms.
     """
 
-    __slots__ = ("space", "degree", "_terms", "den")
+    __slots__ = ("dim", "degree", "_terms", "den")
 
-    def __init__(self, space: InnerSpace, degree: int, terms: dict | None = None,
-                 den: int = 1):
-        """Form ``sum terms[mask] / den * theta^mask``; ``terms`` maps index
-        masks to integer numerators and is taken over (not copied)."""
+    def __init__(self, dim: int, degree: int, terms: dict | None = None, den: int = 1):
+        """Form ``sum terms[mask] / den * theta^mask`` on R^dim; ``terms``
+        maps index masks to integer numerators and is taken over (not
+        copied)."""
+        if dim < 1:
+            raise ContractViolation(f"dimension must be >= 1, got {dim}")
         if degree < 0:
             raise ContractViolation(f"degree must be >= 0, got {degree}")
         if den < 1:
@@ -155,29 +143,27 @@ class Form:
             if g != 1:
                 terms = {k: c // g for k, c in terms.items()}
                 den //= g
-        self.space = space
+        self.dim = dim
         self.degree = degree
         self._terms: dict = terms
         self.den: int = den
 
     @classmethod
-    def zero(cls, space: InnerSpace, degree: int) -> "Form":
-        return cls(space, degree)
+    def zero(cls, dim: int, degree: int) -> "Form":
+        return cls(dim, degree)
 
     @classmethod
-    def basis(cls, space: InnerSpace, indices: Iterable[int],
-              coeff: Rational = 1) -> "Form":
+    def basis(cls, dim: int, indices: Iterable[int], coeff: Rational = 1) -> "Form":
         """Form coeff * theta^{i1} ^ ... ^ theta^{ip} for the given index order."""
         idx = tuple(indices)
         sign = _sort_sign(idx)
         c = Fraction(coeff) * sign
         if not c:
-            return cls(space, len(idx))
-        return cls(space, len(idx), {_mask(idx, space.dim): c.numerator},
-                   c.denominator)
+            return cls(dim, len(idx))
+        return cls(dim, len(idx), {_mask(idx, dim): c.numerator}, c.denominator)
 
     @classmethod
-    def from_terms(cls, space: InnerSpace, degree: int,
+    def from_terms(cls, dim: int, degree: int,
                    term_map: Mapping[tuple[int, ...], Rational]) -> "Form":
         entries = []
         for idx, coeff in term_map.items():
@@ -187,12 +173,12 @@ class Form:
             c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             sign = _sort_sign(tuple(idx))
             if sign and c:
-                entries.append((_mask(idx, space.dim), sign * c.numerator, c.denominator))
+                entries.append((_mask(idx, dim), sign * c.numerator, c.denominator))
         den = math.lcm(*(d for _, _, d in entries))
         terms: dict = {}
         for m, num, d in entries:
             terms[m] = terms.get(m, 0) + num * (den // d)
-        return cls(space, degree, {m: c for m, c in terms.items() if c}, den)
+        return cls(dim, degree, {m: c for m, c in terms.items() if c}, den)
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         """Coefficient on the monomial written in the given index order."""
@@ -200,8 +186,7 @@ class Form:
         sign = _sort_sign(idx)
         if sign == 0:
             return Fraction(0)
-        return Fraction(sign * self._terms.get(_mask(idx, self.space.dim), 0),
-                        self.den)
+        return Fraction(sign * self._terms.get(_mask(idx, self.dim), 0), self.den)
 
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """Sorted-index view of the stored terms."""
@@ -217,7 +202,7 @@ class Form:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return (self.space == other.space and self.degree == other.degree
+        return (self.dim == other.dim and self.degree == other.degree
                 and self.den == other.den and self._terms == other._terms)
 
     def __hash__(self):  # pragma: no cover - forms are not hashable
@@ -239,7 +224,7 @@ class Form:
             sign *= da // g
             da *= scale
         kernel.accumulate_scaled(out, other._terms, sign)
-        return Form(self.space, self.degree, out, da)
+        return Form(self.dim, self.degree, out, da)
 
     def __add__(self, other: "Form") -> "Form":
         return self._combine(other, 1, "add")
@@ -248,8 +233,7 @@ class Form:
         return self._combine(other, -1, "subtract")
 
     def __neg__(self) -> "Form":
-        return Form(self.space, self.degree,
-                    {k: -c for k, c in self._terms.items()}, self.den)
+        return Form(self.dim, self.degree, {k: -c for k, c in self._terms.items()}, self.den)
 
     def __mul__(self, scalar: Rational) -> "Form":
         if scalar == 1:
@@ -258,9 +242,9 @@ class Form:
             return self.__neg__()
         c = Fraction(scalar)
         if not c:
-            return Form(self.space, self.degree)
+            return Form(self.dim, self.degree)
         num = c.numerator
-        return Form(self.space, self.degree,
+        return Form(self.dim, self.degree,
                     {k: num * v for k, v in self._terms.items()},
                     self.den * c.denominator)
 
@@ -268,87 +252,44 @@ class Form:
 
     def __repr__(self) -> str:
         if not self._terms:
-            return f"Form(dim={self.space.dim}, deg={self.degree}, 0)"
+            return f"Form(dim={self.dim}, deg={self.degree}, 0)"
         parts = " + ".join(
             f"({Fraction(c, self.den)})*theta{_indices(m)}"
             for m, c in sorted(self._terms.items()))
-        return f"Form(dim={self.space.dim}, deg={self.degree}, {parts})"
+        return f"Form(dim={self.dim}, deg={self.degree}, {parts})"
 
     def _check_compatible(self, other: "Form") -> None:
-        if self.space.dim != other.space.dim:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {self.space.dim} vs {other.space.dim}")
-
-
-class Vector(Frozen):
-    """Vector with exact rational components over the canonical basis."""
-
-    def __init__(self, space: InnerSpace, components: tuple[Fraction, ...]):
-        if len(components) != space.dim:
-            raise DimensionMismatch(
-                f"expected {space.dim} components, got {len(components)}")
-        self.__dict__.update(space=space, components=components)
-
-    @classmethod
-    def of(cls, space: InnerSpace, comps: Iterable[Rational]) -> "Vector":
-        return cls(space, tuple(Fraction(c) for c in comps))
-
-    @classmethod
-    def basis(cls, space: InnerSpace, i: int) -> "Vector":
-        comps = [Fraction(0)] * space.dim
-        comps[i - 1] = Fraction(1)
-        return cls(space, tuple(comps))
-
-    @cached_property
-    def scaled_components(self) -> tuple[tuple[int, ...], int]:
-        """Components as integer numerators over their least common
-        denominator: ``(numerators, den)``."""
-        den = math.lcm(*(c.denominator for c in self.components))
-        return tuple(c.numerator * (den // c.denominator)
-                     for c in self.components), den
-
-    def dual(self) -> Form:
-        """Metric-dual 1-form (the basis is orthonormal)."""
-        nums, den = self.scaled_components
-        return Form(self.space, 1, {1 << i: c for i, c in enumerate(nums) if c}, den)
-
-    def dot(self, other: "Vector") -> Fraction:
-        return sum((a * b for a, b in zip(self.components, other.components)),
-                   Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not any(self.components)
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"ambient dimensions differ: {self.dim} vs {other.dim}")
 
 
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product a ^ b."""
     a._check_compatible(b)
     degree = a.degree + b.degree
-    if degree > a.space.dim:
-        return Form(a.space, degree)
-    return Form(a.space, degree, kernel.wedge_terms(a._terms, b._terms),
-                a.den * b.den)
+    if degree > a.dim:
+        return Form(a.dim, degree)
+    return Form(a.dim, degree, kernel.wedge_terms(a._terms, b._terms), a.den * b.den)
 
 
 def hodge_star(a: Form) -> Form:
     """Hodge star for the canonical orientation: maps degree p to dim - p."""
-    if a.degree > a.space.dim:
-        return Form(a.space, 0)
-    return Form(a.space, a.space.dim - a.degree,
-                kernel.star_terms(a._terms, a.space.dim), a.den)
+    if a.degree > a.dim:
+        return Form(a.dim, 0)
+    return Form(a.dim, a.dim - a.degree, kernel.star_terms(a._terms, a.dim), a.den)
 
 
-def interior(v: Vector, a: Form) -> Form:
-    """Interior product (contraction) of a vector into a form."""
-    if v.space.dim != a.space.dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {v.space.dim} vs {a.space.dim}")
+def interior(theta: Form, a: Form) -> Form:
+    """Interior product i_v a with the vector v dual to the 1-form theta:
+    the basis is orthonormal, so v has theta's components."""
+    if theta.degree != 1:
+        raise ContractViolation(
+            f"interior product requires a 1-form, got degree {theta.degree}")
+    theta._check_compatible(a)
     if a.degree == 0:
-        return Form(a.space, 0)
-    nums, den = v.scaled_components
-    nonzero = {1 << i: c for i, c in enumerate(nums) if c}
-    return Form(a.space, a.degree - 1, kernel.interior_terms(nonzero, a._terms),
-                a.den * den)
+        return Form(a.dim, 0)
+    return Form(a.dim, a.degree - 1, kernel.interior_terms(theta._terms, a._terms),
+                a.den * theta.den)
 
 
 def ext_mult(theta: Form, a: Form) -> Form:
@@ -480,7 +421,7 @@ def contract(spec: str, *ops: ExactArray) -> ExactArray:
                          math.prod(op.den for op in ops))
 
 
-def two_form(space: InnerSpace, mat: ExactArray) -> Form:
+def two_form(dim: int, mat: ExactArray) -> Form:
     """The 2-form sum_{i<j} mat[i, j] theta^i ^ theta^j of an antisymmetric
     matrix (0-based axes)."""
-    return Form.from_terms(space, 2, {(i + 1, j + 1): v for (i, j), v in mat.items() if i < j})
+    return Form.from_terms(dim, 2, {(i + 1, j + 1): v for (i, j), v in mat.items() if i < j})

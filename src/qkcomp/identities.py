@@ -12,7 +12,9 @@ For a 1-form theta with metric dual v and any p-form xi in dimension n:
 
 Identities (5) and (6) are the two faces of the same anticommutation law
 ell(v) eps(theta') + eps(theta') ell(v) = <v, v'> id; (6) reduces to the
-unnormalised statement exactly when v is a unit vector.
+unnormalised statement exactly when v is a unit vector.  The basis is
+orthonormal, so v has theta's components: a vector is its 1-form, and
+`forms.interior` contracts with the vector of a 1-form.
 
 `check_operator_identities` proves them.  Every side of (1)-(4) is linear
 in xi and in theta (or v), and both sides of the anticommutation law are
@@ -49,10 +51,10 @@ from . import kernel
 from .forms import (
     ContractViolation,
     Form,
-    InnerSpace,
     ValueEq,
-    Vector,
+    _indices,
     ext_mult,
+    form_inner,
     hodge_star,
     interior,
 )
@@ -72,32 +74,30 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def random_form(space: InnerSpace, degree: int, rng: random.Random) -> Form:
+def random_form(dim: int, degree: int, rng: random.Random) -> Form:
     terms = {}
-    for combo in combinations(space.basis_indices(), degree):
+    for combo in combinations(range(1, dim + 1), degree):
         c = random_rational(rng)
         if c:
             terms[combo] = c
-    return Form.from_terms(space, degree, terms)
+    return Form.from_terms(dim, degree, terms)
 
 
-def random_vector(space: InnerSpace, rng: random.Random) -> Vector:
-    """A nonzero vector of random rational components."""
+def random_vector(dim: int, rng: random.Random) -> Form:
+    """A nonzero vector of random rational components, as its 1-form."""
     while True:
-        v = Vector.of(space, [random_rational(rng) for _ in range(space.dim)])
-        if not v.is_zero():
+        v = random_form(dim, 1, rng)
+        if v:
             return v
 
 
-def random_orthogonal_pair(space: InnerSpace, rng: random.Random) -> tuple[Vector, Vector]:
+def random_orthogonal_pair(dim: int, rng: random.Random) -> tuple[Form, Form]:
     """Exact orthogonal pair via one Gram-Schmidt step."""
-    v = random_vector(space, rng)
+    v = random_vector(dim, rng)
     while True:
-        w = random_vector(space, rng)
-        proj = w.dot(v) / v.dot(v)
-        w2 = Vector(space, tuple(wc - proj * vc
-                                 for wc, vc in zip(w.components, v.components)))
-        if not w2.is_zero():
+        w = random_vector(dim, rng)
+        w2 = w - v * (form_inner(w, v) / form_inner(v, v))
+        if w2:
             return v, w2
 
 
@@ -121,38 +121,37 @@ def check_star_identities(dim: int, degree: int, trials: int,
     raised.
     """
     _check_domain(dim, degree)
-    space = InnerSpace(dim)
     rng = random.Random(seed)
     n, p = dim, degree
     results = [BasisResult(name, trials, 0) for name in IDENTITY_NAMES]
 
     for k in range(trials):
-        xi = random_form(space, degree, rng)
-        v, vp = random_orthogonal_pair(space, rng)
-        theta, thetap = v.dual(), vp.dual()
+        xi = random_form(dim, degree, rng)
+        theta, thetap = random_orthogonal_pair(dim, rng)
 
         # shared subexpressions across the six laws
         star_xi = hodge_star(xi)
-        int_v_xi = interior(v, xi)
+        int_v_xi = interior(theta, xi)
         eps_th_xi = ext_mult(theta, xi)
         eps_thp_xi = ext_mult(thetap, xi)
         eps_th_star_xi = ext_mult(theta, star_xi)
 
         verdicts = (
             hodge_star(star_xi) == xi * _sign(p * (n - p)),
-            hodge_star(eps_th_xi) == interior(v, star_xi) * _sign(p),
+            hodge_star(eps_th_xi) == interior(theta, star_xi) * _sign(p),
             eps_th_star_xi == hodge_star(int_v_xi) * _sign(p - 1),
             hodge_star(eps_th_star_xi) == int_v_xi * _sign((p - 1) * (n - p)),
-            (interior(v, eps_thp_xi) + ext_mult(thetap, int_v_xi)).is_zero(),
-            interior(v, eps_th_xi) + ext_mult(theta, int_v_xi) == xi * v.dot(v),
+            (interior(theta, eps_thp_xi) + ext_mult(thetap, int_v_xi)).is_zero(),
+            interior(theta, eps_th_xi) + ext_mult(theta, int_v_xi)
+            == xi * form_inner(theta, theta),
         )
         for result, ok in zip(results, verdicts):
             if not ok:
                 result.violations += 1
                 if result.first is None:
-                    result.first = (
-                        f"sample {k}: xi={xi!r}, v={[str(c) for c in v.components]}, "
-                        f"v'={[str(c) for c in vp.components]}")
+                    v, vp = ([str(f.coefficient((i,))) for i in range(1, n + 1)]
+                             for f in (theta, thetap))
+                    result.first = f"sample {k}: xi={xi!r}, v={v}, v'={vp}"
     return results
 
 
@@ -297,7 +296,7 @@ def _basis_result(name: str, cases: int, violations: int, mask: int,
     """A law broken in `violations` of its `cases` at one degree, first at
     the basis form `mask` and the 0-based indices `idx` (none, i, or i, j)."""
     first = ", ".join(
-        [f"xi=theta{tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)}"]
+        [f"xi=theta{_indices(mask)}"]
         + [f"{label}={k + 1}" for label, k in zip("ij", idx)])
     return BasisResult(name, cases, violations, first)
 

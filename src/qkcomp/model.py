@@ -42,8 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, InnerSpace, Vector, contract,
-                    guard_int64, interior, two_form, wedge)
+from .forms import (ContractViolation, ExactArray, Form, contract, guard_int64, interior,
+                    two_form, wedge)
 from .quaternionic import build_frame, build_fundamental_forms, derivation_maps
 from .report import Check, check_eq, check_true
 
@@ -411,19 +411,19 @@ def derivation(images: list[Form], omega: Form) -> Form:
     of theta^k at position pos of a monomial carries the sign (-1)^pos that
     iota(e_k) gives, as the antiderivation rule asks.
     omega has degree >= 1; the images share one degree."""
-    space = omega.space
-    out = Form.zero(space, omega.degree + images[0].degree - 1)
+    out = Form.zero(omega.dim, omega.degree + images[0].degree - 1)
     for k, image in enumerate(images, start=1):
         if image:
-            contracted = interior(Vector.basis(space, k), omega)
+            contracted = interior(Form.basis(omega.dim, (k,)), omega)
             if contracted:
                 out = out + wedge(image, contracted)
     return out
 
 
-def d_coframe(space: InnerSpace, C: ExactArray) -> list[Form]:
+def d_coframe(C: ExactArray) -> list[Form]:
     """d theta^k = -(1/2) C^k_AB theta^A ^ theta^B, k = 1 .. m."""
-    return [two_form(space, -C[:, :, k]) for k in range(len(C.num))]
+    m = len(C.num)
+    return [two_form(m, -C[:, :, k]) for k in range(m)]
 
 
 class Sp1Connection:
@@ -444,9 +444,8 @@ def verify_parallel_four_form(sc: StructureConstants,
     their maps of `derivation_maps` to the rows h = -Gamma[x]."""
     frame = build_frame(sc.n)
     ff = build_fundamental_forms(frame)
-    space = frame.space
     m = sc.dim
-    d_images = d_coframe(space, sc.table)
+    d_images = d_coframe(sc.table)
     G = sc.connection
     rows = -G.num.reshape(m, m * m)
     maps = derivation_maps(frame)
@@ -481,11 +480,12 @@ def verify_parallel_four_form(sc: StructureConstants,
     ]
 
     a_coms, b_coms, c_coms = (coms.fractions() for coms in (a, b, c))
-    fa, fb, fc = (Vector.of(space, coms).dual() for coms in (a_coms, b_coms, c_coms))
+    fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(coms)})
+                  for coms in (a_coms, b_coms, c_coms))
     for name, (f, g, h), curv in (
             ("alpha = da + b ^ c matches the curvature alpha", (fa, fb, fc), berger.alpha),
             ("beta = db + c ^ a matches the curvature beta", (fb, fc, fa), berger.beta),
             ("gamma = dc + a ^ b matches the curvature gamma", (fc, fa, fb), berger.gamma)):
         conn = derivation(d_images, f) + wedge(g, h)
-        checks.append(check_true(name, conn == two_form(space, curv)))
+        checks.append(check_true(name, conn == two_form(m, curv)))
     return Sp1Connection(a_coms, b_coms, c_coms, checks)

@@ -37,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, InnerSpace, contract, guard_int64,
-                    two_form, wedge)
+from .forms import ContractViolation, ExactArray, Form, contract, guard_int64, two_form, wedge
 
 
 # The rows of I, J, K on one quaternionic line (a, b, c, d) = (e, Ie, Je, Ke),
@@ -65,10 +64,6 @@ class QuaternionicFrame:
     @property
     def dim(self) -> int:
         return 4 * self.n
-
-    @property
-    def space(self) -> InnerSpace:
-        return InnerSpace(self.dim)
 
     def line_indices(self, s: int) -> tuple[int, int, int, int]:
         """Indices (e_s, I e_s, J e_s, K e_s) of line s (1-based)."""
@@ -104,7 +99,7 @@ class FundamentalForms:
 def build_fundamental_forms(frame: QuaternionicFrame) -> FundamentalForms:
     """omega_a(X, Y) = <I_a X, Y>, whose matrix is the transpose of I_a,
     and Omega = sum_a omega_a ^ omega_a."""
-    omega1, omega2, omega3 = (two_form(frame.space, contract("ij->ji", A))
+    omega1, omega2, omega3 = (two_form(frame.dim, contract("ij->ji", A))
                               for A in frame.actions())
     Omega = wedge(omega1, omega1) + wedge(omega2, omega2) + wedge(omega3, omega3)
     return FundamentalForms(frame, omega1, omega2, omega3, Omega)
@@ -269,7 +264,7 @@ class _FormMap:
         guard_int64(self.weight * T.bound, "Hessian 4-form map")
         acc = self.apply(T.num.reshape(1, -1))[0]
         terms = {k: sign * c for k, c in zip(self.masks, acc.tolist()) if c}
-        return Form(H.frame.space, self.degree, terms, self.den * T.den)
+        return Form(H.frame.dim, self.degree, terms, self.den * T.den)
 
 
 def _sign(mask: int, bit: int) -> int:

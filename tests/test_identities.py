@@ -1,6 +1,7 @@
 """The six operator identities: proved on the full basis through the
 signed-permutation tables, and as seeded random laws on `Form`s."""
 
+import hashlib
 import random
 from functools import partial
 from itertools import combinations
@@ -11,9 +12,8 @@ import pytest
 from qkcomp.forms import (
     ContractViolation,
     Form,
-    InnerSpace,
-    Vector,
     ext_mult,
+    form_inner,
     hodge_star,
     interior,
 )
@@ -31,6 +31,7 @@ from qkcomp.identities import (
     operator_tables,
     random_form,
     random_orthogonal_pair,
+    random_vector,
 )
 from test_kernel import reference_star_terms, reference_wedge_terms
 
@@ -51,25 +52,45 @@ def test_identities_all_degrees(dim):
 
 
 def test_identity6_unit_pair_case():
-    V4 = InnerSpace(4)
-    v = Vector.basis(V4, 1)
-    theta = v.dual()
-    xi = Form.basis(V4, (2,))
-    lhs = interior(v, ext_mult(theta, xi)) + ext_mult(theta, interior(v, xi))
+    theta = Form.basis(4, (1,))
+    xi = Form.basis(4, (2,))
+    lhs = interior(theta, ext_mult(theta, xi)) + ext_mult(theta, interior(theta, xi))
     assert lhs == xi
 
 
 def test_identity5_orthogonal_frame_pair():
-    V8 = InnerSpace(8)
     rng = random.Random(3)
-    v = Vector.basis(V8, 1)
-    thetap = Vector.basis(V8, 2).dual()
-    from qkcomp.identities import random_form
-
+    theta, thetap = Form.basis(8, (1,)), Form.basis(8, (2,))
     for _ in range(50):
-        xi = random_form(V8, 2, rng)
-        lhs = interior(v, ext_mult(thetap, xi)) + ext_mult(thetap, interior(v, xi))
+        xi = random_form(8, 2, rng)
+        lhs = interior(theta, ext_mult(thetap, xi)) + ext_mult(thetap, interior(theta, xi))
         assert lhs.is_zero()
+
+
+def _components(theta):
+    return [str(theta.coefficient((i,))) for i in range(1, theta.dim + 1)]
+
+
+def test_samplers_draw_the_coefficients_the_vector_samplers_drew():
+    # 90 draws at dims 4, 6 and 8, hashed while `Vector` was its own type
+    # with its own Gram-Schmidt step: the 1-form samplers must read the same
+    # `random_rational` stream into the same exact coefficients
+    draws = []
+    for dim in (4, 6, 8):
+        rng = random.Random(dim)
+        for k in range(10):
+            form = random_form(dim, k % 3 + 1, rng)
+            draws.append(sorted((idx, str(c)) for idx, c in form.terms().items()))
+            draws.append([_components(v) for v in random_orthogonal_pair(dim, rng)])
+            draws.append(_components(random_vector(dim, rng)))
+    assert draws[1] == [["-9/7", "8/5", "-2", "7/9"],
+                        ["-2386811/8749660", "-508684/437483", "-2268893/1749932",
+                         "-12188313/8749660"]]
+    assert draws[2] == ["-1/4", "-4/5", "0", "-7/6"]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
+        "ceb3c0397cbe954777dfc86dc06e2db529a568c25940aab80fd8531ed82696a8"
+    v, w = random_orthogonal_pair(8, random.Random(0))
+    assert v.degree == w.degree == 1 and form_inner(v, w) == 0
 
 
 def test_precondition_validation():
@@ -134,7 +155,12 @@ def apply_table(rows, weights, form, degree):
             for m, c in form._terms.items():
                 if sign[m]:
                     out[target[m]] = out.get(target[m], 0) + w * sign[m] * c
-    return Form(form.space, degree, {k: c for k, c in out.items() if c}, form.den * den)
+    return Form(form.dim, degree, {k: c for k, c in out.items() if c}, form.den * den)
+
+
+def weights(theta):
+    """The 1-form theta as table weights: (numerators by index, den)."""
+    return tuple(theta._terms.get(1 << i, 0) for i in range(theta.dim)), theta.den
 
 
 @pytest.mark.parametrize("dim", [4, 8])
@@ -142,15 +168,13 @@ def test_tables_reproduce_form_operators_on_criterion_streams(dim):
     # the seeded streams criterion 1 sampled before it moved to the full
     # basis: the tables, applied linearly, give the Form operators exactly
     star, eps, iota = map(rows_of, operator_tables(dim))
-    space = InnerSpace(dim)
     for p in range(1, dim + 1):
         rng = random.Random(1000 + 100 * dim + p)
         for _ in range(100):
-            xi = random_form(space, p, rng)
-            for v in random_orthogonal_pair(space, rng):
-                assert apply_table(iota, v.scaled_components, xi, p - 1) == interior(v, xi)
-                assert (apply_table(eps, v.scaled_components, xi, p + 1)
-                        == ext_mult(v.dual(), xi))
+            xi = random_form(dim, p, rng)
+            for v in random_orthogonal_pair(dim, rng):
+                assert apply_table(iota, weights(v), xi, p - 1) == interior(v, xi)
+                assert apply_table(eps, weights(v), xi, p + 1) == ext_mult(v, xi)
             assert apply_table(star, ((1,), 1), xi, dim - p) == hodge_star(xi)
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import qkcomp.model
-from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector, contract,
-                          ext_mult, form_inner, interior, two_form, wedge)
+from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, contract, ext_mult,
+                          form_inner, interior, two_form, wedge)
 from qkcomp.identities import random_form
 from qkcomp.levelset import _nilpotent_brackets, level_set_geometry
 from qkcomp.model import (
@@ -146,28 +146,28 @@ def reference_symmetry_violations(R):
 def reference_exterior_derivative(C, omega):
     """d on left-invariant forms, term by term: d theta^C = -(1/2) C^C_AB
     theta^A ^ theta^B, extended as an antiderivation."""
-    space = omega.space
-    d_one = [Form.zero(space, 2) for _ in range(space.dim)]
+    dim = omega.dim
+    d_one = [Form.zero(dim, 2) for _ in range(dim)]
     for (a, b, cidx), coeff in C.items():
         if a < b:
-            d_one[cidx] = d_one[cidx] + Form.basis(space, (a + 1, b + 1), -coeff)
-    out = Form.zero(space, omega.degree + 1)
+            d_one[cidx] = d_one[cidx] + Form.basis(dim, (a + 1, b + 1), -coeff)
+    out = Form.zero(dim, omega.degree + 1)
     for idx, coeff in omega.terms().items():
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             sign = -1 if pos % 2 else 1
-            out = out + wedge(d_one[i - 1], Form.basis(space, rest, sign * coeff))
+            out = out + wedge(d_one[i - 1], Form.basis(dim, rest, sign * coeff))
     return out
 
 
 def reference_covariant_derivative(G, a, omega):
     """nabla_{e_a} omega = -sum Gamma[a, i, j] theta^i ^ iota(e_j) omega
     (1-based direction), one connection coefficient at a time."""
-    space = omega.space
-    out = Form.zero(space, omega.degree)
+    dim = omega.dim
+    out = Form.zero(dim, omega.degree)
     for (i, j), coeff in G[a - 1].items():
-        contracted = interior(Vector.basis(space, j + 1), omega)
-        out = out - ext_mult(Form.basis(space, (i + 1,), coeff), contracted)
+        contracted = interior(Form.basis(dim, (j + 1,)), omega)
+        out = out - ext_mult(Form.basis(dim, (i + 1,), coeff), contracted)
     return out
 
 
@@ -176,7 +176,7 @@ def reference_parallel_four_form(sc, berger):
     derivatives."""
     frame = build_frame(sc.n)
     ff = build_fundamental_forms(frame)
-    space, m = frame.space, sc.dim
+    m = sc.dim
     G = levi_civita_table(sc.table)
     norm = F(2 * frame.n)
     coms = [[F(0)] * m for _ in range(3)]
@@ -192,16 +192,16 @@ def reference_parallel_four_form(sc, berger):
                          or d2 != -cx * ff.omega1 + ax * ff.omega3
                          or d3 != bx * ff.omega1 - ax * ff.omega2)
         nabla_omega_bad += not reference_covariant_derivative(G, x, ff.Omega).is_zero()
-    fa, fb, fc = (Form.from_terms(space, 1, {(i + 1,): v for i, v in enumerate(c) if v})
+    fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(c) if v})
                   for c in coms)
     return [reference_exterior_derivative(sc.table, ff.Omega).is_zero(),
             rotation_bad == 0, nabla_omega_bad == 0,
             reference_exterior_derivative(sc.table, fa) + wedge(fb, fc)
-            == two_form(space, berger.alpha),
+            == two_form(m, berger.alpha),
             reference_exterior_derivative(sc.table, fb) + wedge(fc, fa)
-            == two_form(space, berger.beta),
+            == two_form(m, berger.beta),
             reference_exterior_derivative(sc.table, fc) + wedge(fa, fb)
-            == two_form(space, berger.gamma)]
+            == two_form(m, berger.gamma)]
 
 
 @pytest.fixture(scope="module")
@@ -350,9 +350,8 @@ def test_trace_identity_random_vectors(model2):
 
     rng = random.Random(21)
 
-    def k_contract(x, y):
+    def k_contract(xc, yc):
         total = F(0)
-        xc, yc = x.components, y.components
         for a in range(m):
             if not xc[a]:
                 continue
@@ -369,15 +368,14 @@ def test_trace_identity_random_vectors(model2):
                             total += xc[a] * yc[b] * yc[c] * xc[d] * v
         return total
 
-    space = frame.space
     for _ in range(3):
-        x = random_vector(space, rng)
-        norm4 = x.dot(x) ** 2
+        x = random_vector(m, rng)
+        norm4 = form_inner(x, x) ** 2
+        xc = [x.coefficient((i + 1,)) for i in range(m)]
         total = F(0)
         for A in frame.actions():
-            ax = [sum((A.num[i, j] * c for j, c in enumerate(x.components)), F(0))
-                  for i in range(m)]
-            total += k_contract(x, Vector.of(space, ax))
+            ax = [sum((A.num[i, j] * c for j, c in enumerate(xc)), F(0)) for i in range(m)]
+            total += k_contract(xc, ax)
         assert total == -12 * norm4
 
 
@@ -469,11 +467,11 @@ def test_parallel_four_form(model2):
     assert sp1.a[0] == sp1.b[0] == sp1.c[0] == 0
 
 
-def nabla_through_map(G, f, space):
+def nabla_through_map(G, f):
     """nabla_{e_x} of the form of the map f, for every x: f applied to the
     rows -Gamma[x], the path of verify_parallel_four_form."""
     m = len(G.num)
-    return [Form(space, f.degree, {k: c for k, c in zip(f.masks, row) if c}, f.den * G.den)
+    return [Form(m, f.degree, {k: c for k, c in zip(f.masks, row) if c}, f.den * G.den)
             for row in f.apply(-G.num.reshape(m, m * m)).tolist()]
 
 
@@ -482,12 +480,11 @@ def test_exterior_derivative_matches_connection(model2):
     sc, G, _ = model2
     frame = build_frame(2)
     ff = build_fundamental_forms(frame)
-    space = frame.space
-    d_images = d_coframe(space, sc.table)
+    d_images = d_coframe(sc.table)
     for omega, f in zip((ff.omega1, ff.omega2), derivation_maps(frame)):
-        rhs = Form.zero(space, omega.degree + 1)
-        for x, nabla in enumerate(nabla_through_map(G, f, space)):
-            rhs = rhs + ext_mult(Form.basis(space, (x + 1,)), nabla)
+        rhs = Form.zero(sc.dim, omega.degree + 1)
+        for x, nabla in enumerate(nabla_through_map(G, f)):
+            rhs = rhs + ext_mult(Form.basis(sc.dim, (x + 1,)), nabla)
         assert derivation(d_images, omega) == rhs
 
 
@@ -500,17 +497,16 @@ def test_derivation_matches_the_term_by_term_references(n):
     G = levi_civita_table(sc.table)
     frame = build_frame(n)
     ff = build_fundamental_forms(frame)
-    space = frame.space
     rng = random.Random(30 + n)
     forms = [ff.omega1, ff.omega2, ff.omega3, ff.Omega]
     maps = list(derivation_maps(frame))
     for p in (1, 2, 3, 4):
-        forms.append(random_form(space, p, rng))
+        forms.append(random_form(sc.dim, p, rng))
         maps.append(_chain_map(forms[-1], sc.dim, True))
-    d_images = d_coframe(space, sc.table)
+    d_images = d_coframe(sc.table)
     for omega, f in zip(forms, maps):
         assert derivation(d_images, omega) == reference_exterior_derivative(sc.table, omega)
-        assert nabla_through_map(G, f, space) == \
+        assert nabla_through_map(G, f) == \
             [reference_covariant_derivative(G, x, omega) for x in range(1, sc.dim + 1)]
 
 

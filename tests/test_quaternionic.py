@@ -28,8 +28,8 @@ import pytest
 
 from qkcomp import forms, quaternionic
 from qkcomp.cli import main
-from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, Vector,
-                          contract, ext_mult, form_inner, interior, wedge)
+from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, contract,
+                          ext_mult, form_inner, interior, wedge)
 from qkcomp.identities import random_vector
 from qkcomp.kernel import accumulate_scaled
 from qkcomp.quaternionic import (
@@ -161,8 +161,9 @@ def test_actions_preserve_inner_product():
     fr = build_frame(2)
 
     def vector():
-        comps = random_vector(fr.space, rng).components
-        return ExactArray.from_entries((fr.dim,), dict(enumerate(comps)))
+        v = random_vector(fr.dim, rng)
+        return ExactArray.from_entries((fr.dim,), {i: v.coefficient((i + 1,))
+                                                   for i in range(fr.dim)})
 
     def dot(v, w):
         return contract("i,i->", v, w).fraction()
@@ -322,29 +323,27 @@ def test_star_commutation_sides_are_4_forms_and_rhs_is_minus_defect(n):
 def reference_defect(H):
     """sum_a (sum_b f_ab theta^b) ^ (e_a -| Omega), one row form at a time."""
     frame = H.frame
-    space = frame.space
+    m = frame.dim
     Omega = build_fundamental_forms(frame).Omega
     den = H.table.den
-    out = Form.zero(space, 4)
+    out = Form.zero(m, 4)
     for a, row in enumerate(H.table.num.tolist(), start=1):
-        row_form = Form(space, 1, {1 << b: c for b, c in enumerate(row) if c}, den)
+        row_form = Form(m, 1, {1 << b: c for b, c in enumerate(row) if c}, den)
         if row_form.is_zero():
             continue
-        out = out + wedge(row_form, interior(Vector.basis(space, a), Omega))
+        out = out + wedge(row_form, interior(Form.basis(m, (a,)), Omega))
     return out
 
 
 def reference_operator_forms(frame, omega=None):
     """The m x m grids ell(e_i) eps(theta_j) omega and eps(theta_i) ell(e_j)
     omega, omega = Omega by default."""
-    space = frame.space
     omega = build_fundamental_forms(frame).Omega if omega is None else omega
     m = frame.dim
-    thetas = [Form.basis(space, (i,)) for i in range(1, m + 1)]
-    vecs = [Vector.basis(space, i) for i in range(1, m + 1)]
+    thetas = [Form.basis(m, (i,)) for i in range(1, m + 1)]
     eps_then = [ext_mult(thetas[j], omega) for j in range(m)]
-    ell_then = [interior(vecs[j], omega) for j in range(m)]
-    left = [[interior(vecs[i], eps_then[j]) for j in range(m)] for i in range(m)]
+    ell_then = [interior(thetas[j], omega) for j in range(m)]
+    left = [[interior(thetas[i], eps_then[j]) for j in range(m)] for i in range(m)]
     right = [[ext_mult(thetas[i], ell_then[j]) for j in range(m)] for i in range(m)]
     den = math.lcm(*(f.den for ops in (left, right) for row in ops for f in row))
     return left, right, den
@@ -368,9 +367,8 @@ def reference_star_sides(H, operator_forms):
             accumulate_scaled(lhs_terms, left._terms, c * sign_left * (op_den // left.den))
             accumulate_scaled(rhs_terms, right._terms,
                               c * sign_right * sign_eq * (op_den // right.den))
-    space = H.frame.space
     den = H.table.den * op_den
-    return Form(space, 4, lhs_terms, den), Form(space, 4, rhs_terms, den)
+    return Form(m, 4, lhs_terms, den), Form(m, 4, rhs_terms, den)
 
 
 def assert_maps_match_reference(H, operator_forms):
@@ -710,12 +708,14 @@ def test_harmonicity_draws_one_chunk_at_a_time(monkeypatch, capsys):
 
     packed = quaternionic._random_packed
     monkeypatch.setattr(quaternionic, "_random_packed", recording)
-    assert main(["harmonicity", "--n", "3", "--samples", "100000",
+    chunk = star_chunk(build_frame(3))
+    samples = 3 * chunk + 7  # three full chunks and one partial one
+    assert main(["harmonicity", "--n", "3", "--samples", str(samples),
                  "--kato-samples", "1"]) == 0
     capsys.readouterr()
     # the star commutation's chunks, two defect-check draws and one Kato draw
-    assert sum(counts) == 100000 + 2 + 1
-    assert max(counts) == star_chunk(build_frame(3))
+    assert sum(counts) == samples + 2 + 1
+    assert max(counts) == chunk and counts.count(chunk) == 3
 
 
 # -- refined Kato -----------------------------------------------------------
