@@ -11,8 +11,8 @@ The center-bracket scale c is not assumed: it is derived by solving the
 Einstein condition Ric = -4(n+2) id at n = 2 over a rational sweep, then
 cross-checked against the curvature tables.  `build_model(n)` builds and
 Jacobi-checks one read-only model per n; every verifier takes only the
-tensor or table it checks, reading n off its dimension and the frame from
-`build_frame(n)`.  The Levi-Civita connection comes from the Koszul
+tensor or table it checks, reading n off its dimension and I, J, K from
+`quaternionic_actions(n)`.  The Levi-Civita connection comes from the Koszul
 formula for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
@@ -44,7 +44,8 @@ import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, contract, guard_int64, interior,
                     two_form, wedge)
-from .quaternionic import build_frame, build_fundamental_forms, derivation_maps
+from .quaternionic import (derivation_maps, fundamental_forms, line_indices,
+                           quaternionic_actions)
 from .report import Check, check_eq, check_true
 
 
@@ -71,7 +72,7 @@ def _bracket_table(n: int, c: Fraction) -> ExactArray:
     num[0, targets, targets] = radial
     num[targets, 0, targets] = -radial
     # [v_a, v_b] = c sum_p <I_p v_a, v_b> e_p
-    for p, A in enumerate(build_frame(n).actions(), start=1):
+    for p, A in enumerate(quaternionic_actions(n), start=1):
         num[4:, 4:, p] += c.numerator * A.num[4:, 4:].T
     return ExactArray.of(num, c.denominator)
 
@@ -228,11 +229,10 @@ def verify_quaternionic_traces(R: CurvatureTensor) -> list[Check]:
     This is the pointwise form of the parallel-transport statement along
     geodesics; on the homogeneous model the two are equivalent."""
     m = R.dim
-    frame = build_frame(m // 4)
     sec = R.sectional_table()
     # images[t, b] = 1 where e_t = +-A e_b for A = I, J or K: the squared
     # entries of the three matrices
-    images = ExactArray(sum(A.num * A.num for A in frame.actions()))
+    images = ExactArray(sum(A.num * A.num for A in quaternionic_actions(m // 4)))
     three = contract("xt,tx->x", sec, images)
     three_bad = int(np.count_nonzero(three.ne(-12)))
 
@@ -276,7 +276,7 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 on seeded frame triples."""
     m = R.dim
     n = m // 4
-    I, J, K = build_frame(n).actions()
+    I, J, K = quaternionic_actions(n)
     Rt = R.table
 
     def commutator(P: ExactArray) -> ExactArray:
@@ -358,7 +358,7 @@ def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], int]:
     for al in range(5, 4 * n + 1):
         put(1, al, 1, al, -1)
     for s in range(2, n + 1):
-        a4, b4, c4, d4 = 4 * s - 3, 4 * s - 2, 4 * s - 1, 4 * s
+        a4, b4, c4, d4 = line_indices(s)
         put(1, 2, c4, d4, -2)
         put(1, 2, a4, b4, -2)
         put(1, 3, d4, b4, -2)
@@ -442,15 +442,13 @@ def verify_parallel_four_form(sc: StructureConstants,
     the curvature relation alpha = da + b ^ c (with its cyclic companions).
     nabla_X omega_a and nabla_X Omega, for every X, are one application of
     their maps of `derivation_maps` to the rows h = -Gamma[x]."""
-    frame = build_frame(sc.n)
-    ff = build_fundamental_forms(frame)
+    *omegas, Omega = fundamental_forms(sc.n)
     m = sc.dim
     d_images = d_coframe(sc.table)
     G = sc.connection
     rows = -G.num.reshape(m, m * m)
-    maps = derivation_maps(frame)
+    maps = derivation_maps(sc.n)
     guard_int64(max(f.weight for f in maps) * int(np.abs(rows).max(initial=1)), "nabla map")
-    omegas = (ff.omega1, ff.omega2, ff.omega3)
     masks = sorted(set().union(*(f.masks for f in maps[:3]), *(w._terms for w in omegas)))
 
     def nabla(f) -> ExactArray:
@@ -472,7 +470,7 @@ def verify_parallel_four_form(sc: StructureConstants,
     rotation_bad = (d1.ne(span(c, w2, b, w3)) | d2.ne(span(a, w3, c, w1))
                     | d3.ne(span(b, w1, a, w2))).any(axis=1)
     checks = [
-        check_true("d Omega = 0", derivation(d_images, ff.Omega).is_zero()),
+        check_true("d Omega = 0", derivation(d_images, Omega).is_zero()),
         check_eq("nabla_X omega_a is the sp(1) rotation, all X",
                  0, int(np.count_nonzero(rotation_bad))),
         check_eq("nabla_X Omega = 0, all X",

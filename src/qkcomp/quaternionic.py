@@ -2,26 +2,27 @@
 degree-4 form Omega, the pointwise quaternionic-harmonicity identities,
 and the refined Hessian (Kato-type) inequality algebra.
 
-Every module uses one frame: quaternionic line s is the block
-(e_{4s-3}, e_{4s-2}, e_{4s-1}, e_{4s}) = (e_s, I e_s, J e_s, K e_s).  With
-the gradient along e_1, the vectors I e_1, J e_1, K e_1 are the indices
-2, 3, 4, i.e. ``frame.line_indices(1)[1:]``.
+Every module uses one frame, fixed by n: quaternionic line s is the block
+(e_{4s-3}, e_{4s-2}, e_{4s-1}, e_{4s}) = (e_s, I e_s, J e_s, K e_s)
+(`line_indices`).  With the gradient along e_1, the vectors I e_1, J e_1,
+K e_1 are the indices 2, 3, 4, i.e. ``line_indices(1)[1:]``.
 
 I, J, K are read-only int64 `ExactArray` signed-permutation matrices, one
-4 x 4 block per line, cached per n by `build_frame`; omega_a(X, Y) =
-<I_a X, Y> is the 2-form of the transpose of I_a.
+4 x 4 block per line, cached per n by `quaternionic_actions`; omega_a(X, Y)
+= <I_a X, Y> is the 2-form of the transpose of I_a, and the omega_a and
+Omega are cached per n by `fundamental_forms`.
 
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
-denominator).  Both seeded streams are one projection of the packed
-upper-triangle int16 rows of random symmetric matrices
-(`_constrained_batch`): each run of `group` diagonal entries loses its
-mean, all m of them for criterion 2's trace-free Hessians and each
-line's four for criterion 8's quaternionic-harmonic ones.  A Hessian's
+denominator) whose side 4n fixes its n.  Both seeded streams are one
+projection of the packed upper-triangle int16 rows of random symmetric
+matrices (`_constrained_batch`): each run of `group` diagonal entries
+loses its mean, all m of them for criterion 2's trace-free Hessians and
+each line's four for criterion 8's quaternionic-harmonic ones.  A Hessian's
 trace, line sums, norm and Kato slacks are guarded integer reductions
 read out as `Fraction`s.  The Siu-Corlette defect form and both sides
 of the star commutation are 4-forms linear in the Hessian: each
 operator chain on Omega is a cached sparse integer map of the Hessian
-numerators, built once per frame from Omega's term table (as are the
+numerators, built once per n from Omega's term table (as are the
 model's nabla_X maps, `derivation_maps`) and applied to a batch with one
 `np.add.reduceat`.
 Criterion 2 counts the star commutation's failures on chunks of the
@@ -50,85 +51,63 @@ _LINE_ACTIONS = (((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
                  ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 
-class QuaternionicFrame:
-    """Canonical quaternionic actions on R^{4n}: I, J, K are read-only
-    int64 signed-permutation matrices whose column i is the image of
-    e_{i+1}, so that I^2 = J^2 = K^2 = -1 and IJ = K, JK = I, KI = J.
-    Equal and hashed by identity, as the key of lru_caches."""
-
-    __slots__ = ("n", "I", "J", "K")
-
-    def __init__(self, n: int, I: ExactArray, J: ExactArray, K: ExactArray):
-        self.n, self.I, self.J, self.K = n, I, J, K
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n
-
-    def line_indices(self, s: int) -> tuple[int, int, int, int]:
-        """Indices (e_s, I e_s, J e_s, K e_s) of line s (1-based)."""
-        return (4 * s - 3, 4 * s - 2, 4 * s - 1, 4 * s)
-
-    def actions(self) -> tuple[ExactArray, ExactArray, ExactArray]:
-        return (self.I, self.J, self.K)
-
-
 @lru_cache(maxsize=None)
-def build_frame(n: int) -> QuaternionicFrame:
-    """The frame of n quaternionic lines: each action is one 4 x 4 block
-    of _LINE_ACTIONS repeated down the diagonal."""
+def quaternionic_actions(n: int) -> tuple[ExactArray, ExactArray, ExactArray]:
+    """I, J, K on R^{4n}: read-only int64 signed-permutation matrices,
+    one 4 x 4 block of _LINE_ACTIONS per line down the diagonal, whose
+    column i is the image of e_{i+1}, so that I^2 = J^2 = K^2 = -1 and
+    IJ = K, JK = I, KI = J."""
     if n < 2:
         raise ContractViolation(f"quaternionic frames need n >= 2, got n={n}")
     eye = np.eye(n, dtype=np.int64)
-    return QuaternionicFrame(n, *(ExactArray(np.kron(eye, np.array(block, dtype=np.int64)))
-                                  for block in _LINE_ACTIONS))
+    return tuple(ExactArray(np.kron(eye, np.array(block, dtype=np.int64)))
+                 for block in _LINE_ACTIONS)
 
 
-class FundamentalForms:
-    """The three local 2-forms and the global 4-form they square to."""
-
-    __slots__ = ("frame", "omega1", "omega2", "omega3", "Omega")
-
-    def __init__(self, frame: QuaternionicFrame, omega1: Form, omega2: Form, omega3: Form,
-                 Omega: Form):
-        self.frame, self.omega1, self.omega2, self.omega3 = frame, omega1, omega2, omega3
-        self.Omega = Omega
+def line_indices(s: int) -> tuple[int, int, int, int]:
+    """Indices (e_s, I e_s, J e_s, K e_s) of line s (1-based)."""
+    return (4 * s - 3, 4 * s - 2, 4 * s - 1, 4 * s)
 
 
 @lru_cache(maxsize=None)
-def build_fundamental_forms(frame: QuaternionicFrame) -> FundamentalForms:
-    """omega_a(X, Y) = <I_a X, Y>, whose matrix is the transpose of I_a,
-    and Omega = sum_a omega_a ^ omega_a."""
-    omega1, omega2, omega3 = (two_form(frame.dim, contract("ij->ji", A))
-                              for A in frame.actions())
+def fundamental_forms(n: int) -> tuple[Form, Form, Form, Form]:
+    """(omega_1, omega_2, omega_3, Omega): omega_a(X, Y) = <I_a X, Y>,
+    whose matrix is the transpose of I_a, and
+    Omega = omega_1 ^ omega_1 + omega_2 ^ omega_2 + omega_3 ^ omega_3."""
+    omega1, omega2, omega3 = (two_form(4 * n, contract("ij->ji", A))
+                              for A in quaternionic_actions(n))
     Omega = wedge(omega1, omega1) + wedge(omega2, omega2) + wedge(omega3, omega3)
-    return FundamentalForms(frame, omega1, omega2, omega3, Omega)
+    return omega1, omega2, omega3, Omega
 
 
 class HessianMatrix:
-    """4n x 4n symmetric matrix of exact rationals, tied to a frame: an
-    `ExactArray` table whose reductions are guarded integer sums, read out
-    as `Fraction`s.
+    """4n x 4n symmetric matrix of exact rationals, n >= 2 read off its
+    table: an `ExactArray` whose reductions are guarded integer sums, read
+    out as `Fraction`s.
 
     Constraint flags express harmonicity (zero trace) and quaternionic
     harmonicity (each line's four diagonal entries sum to zero)."""
 
-    __slots__ = ("frame", "table")
+    __slots__ = ("table",)
 
-    def __init__(self, frame: QuaternionicFrame, table: ExactArray):
-        m = frame.dim
-        if table.num.shape != (m, m):
-            raise ContractViolation(f"expected a {m}x{m} matrix")
+    def __init__(self, table: ExactArray):
+        shape = table.num.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 4 or shape[0] < 8:
+            raise ContractViolation("expected a 4n x 4n matrix with n >= 2, got shape "
+                                    + "x".join(map(str, shape)))
         asym = np.argwhere(np.triu(table.num != table.num.T))
         if len(asym):
             a, b = asym[0].tolist()
             raise ContractViolation(f"matrix not symmetric at ({a + 1},{b + 1})")
-        self.frame = frame
         self.table = table
 
     @property
     def dim(self) -> int:
-        return self.frame.dim
+        return len(self.table.num)
+
+    @property
+    def n(self) -> int:
+        return self.dim // 4
 
     def diagonal(self) -> ExactArray:
         return contract("ii->i", self.table)
@@ -140,17 +119,18 @@ class HessianMatrix:
         return self.trace() == 0
 
     def line_sum(self, s: int) -> Fraction:
-        return contract("i->", self.diagonal()[4 * s - 4:4 * s]).fraction()
+        first, *_, last = line_indices(s)
+        return contract("i->", self.diagonal()[first - 1:last]).fraction()
 
     def is_quaternionic_harmonic(self) -> bool:
-        return all(self.line_sum(s) == 0 for s in range(1, self.frame.n + 1))
+        return all(self.line_sum(s) == 0 for s in range(1, self.n + 1))
 
     def frobenius_sq(self) -> Fraction:
         return contract("ij,ij->", self.table, self.table).fraction()
 
     @classmethod
-    def zero(cls, frame: QuaternionicFrame) -> "HessianMatrix":
-        return cls(frame, ExactArray(np.zeros((frame.dim, frame.dim), dtype=np.int64)))
+    def zero(cls, n: int) -> "HessianMatrix":
+        return cls(ExactArray(np.zeros((4 * n, 4 * n), dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
@@ -222,19 +202,18 @@ def _constrained_batch(m: int, group: int, count: int,
     return h, q
 
 
-def random_traceless_hessian(frame: QuaternionicFrame,
-                             rng: random.Random) -> HessianMatrix:
-    """One Hessian of :func:`_constrained_batch`'s stream at group m, in
-    lowest terms."""
-    h, q = _constrained_batch(frame.dim, frame.dim, 1, rng)
-    return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), frame.dim * int(q[0])))
+def random_traceless_hessian(n: int, rng: random.Random) -> HessianMatrix:
+    """One Hessian of :func:`_constrained_batch`'s stream at group m = 4n,
+    in lowest terms."""
+    m = 4 * n
+    h, q = _constrained_batch(m, m, 1, rng)
+    return HessianMatrix(ExactArray.of(_unpack(h[0], m), m * int(q[0])))
 
 
-def random_quaternionic_harmonic(frame: QuaternionicFrame,
-                                 rng: random.Random) -> HessianMatrix:
+def random_quaternionic_harmonic(n: int, rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
-    h, q = _constrained_batch(frame.dim, 4, 1, rng)
-    return HessianMatrix(frame, ExactArray.of(_unpack(h[0], frame.dim), 4 * int(q[0])))
+    h, q = _constrained_batch(4 * n, 4, 1, rng)
+    return HessianMatrix(ExactArray.of(_unpack(h[0], 4 * n), 4 * int(q[0])))
 
 
 class _FormMap:
@@ -264,7 +243,7 @@ class _FormMap:
         guard_int64(self.weight * T.bound, "Hessian 4-form map")
         acc = self.apply(T.num.reshape(1, -1))[0]
         terms = {k: sign * c for k, c in zip(self.masks, acc.tolist()) if c}
-        return Form(H.frame.dim, self.degree, terms, self.den * T.den)
+        return Form(H.dim, self.degree, terms, self.den * T.den)
 
 
 def _sign(mask: int, bit: int) -> int:
@@ -302,21 +281,18 @@ def _chain_map(omega: Form, m: int, inner_first: bool) -> _FormMap:
 
 
 @lru_cache(maxsize=None)
-def derivation_maps(frame: QuaternionicFrame) -> tuple[_FormMap, ...]:
+def derivation_maps(n: int) -> tuple[_FormMap, ...]:
     """h -> sum h_ij theta^i ^ iota(e_j) omega for omega = omega_1, omega_2,
     omega_3 and Omega: at h = -Gamma[x], nabla_{e_x} omega."""
-    ff = build_fundamental_forms(frame)
-    return tuple(_chain_map(w, frame.dim, True)
-                 for w in (ff.omega1, ff.omega2, ff.omega3, ff.Omega))
+    return tuple(_chain_map(w, 4 * n, True) for w in fundamental_forms(n))
 
 
 @lru_cache(maxsize=None)
-def _hessian_four_form_maps(frame: QuaternionicFrame) -> tuple[_FormMap, _FormMap]:
+def _hessian_four_form_maps(n: int) -> tuple[_FormMap, _FormMap]:
     """The two operator chains on Omega as maps of the Hessian:
     h -> sum h_ij ell(e_i) eps(theta^j) Omega (left) and
     h -> sum h_ij eps(theta^i) ell(e_j) Omega (right, `derivation_maps`)."""
-    Omega = build_fundamental_forms(frame).Omega
-    return _chain_map(Omega, frame.dim, False), derivation_maps(frame)[3]
+    return _chain_map(fundamental_forms(n)[3], 4 * n, False), derivation_maps(n)[3]
 
 
 def siu_corlette_defect(H: HessianMatrix) -> Form:
@@ -327,7 +303,7 @@ def siu_corlette_defect(H: HessianMatrix) -> Form:
     quaternionic-harmonicity defect."""
     if not H.is_harmonic():
         raise ContractViolation("defect form requires a trace-free (harmonic) Hessian")
-    return _hessian_four_form_maps(H.frame)[1](H, 1)
+    return _hessian_four_form_maps(H.n)[1](H, 1)
 
 
 def _star_signs(m: int) -> tuple[int, int]:
@@ -348,7 +324,7 @@ def star_commutation_sides(H: HessianMatrix) -> tuple[Form, Form]:
     side is minus the defect form."""
     if not H.is_harmonic():
         raise ContractViolation("star commutation requires a trace-free Hessian")
-    left, right = _hessian_four_form_maps(H.frame)
+    left, right = _hessian_four_form_maps(H.n)
     sign_left, sign_right = _star_signs(H.dim)
     return left(H, sign_left), right(H, sign_right)
 
@@ -358,8 +334,7 @@ def verify_star_commutation(H: HessianMatrix) -> bool:
     return lhs == rhs
 
 
-def star_commutation_failures(frame: QuaternionicFrame, samples: int,
-                              rng: random.Random) -> int:
+def star_commutation_failures(n: int, samples: int, rng: random.Random) -> int:
     """How many of the next `samples` Hessians of
     :func:`random_traceless_hessian`'s stream from `rng` fail
     :func:`verify_star_commutation`, counted on chunks of int64 rows.
@@ -369,8 +344,8 @@ def star_commutation_failures(frame: QuaternionicFrame, samples: int,
     differ, the Hessian's denominator cancelling.  A chunk holds at most
     _SCAN_ENTRIES map entries per side, and Int64RangeError is raised when
     a scaled side could leave the int64 range."""
-    m = frame.dim
-    left, right = _hessian_four_form_maps(frame)
+    left, right = _hessian_four_form_maps(n)
+    m = 4 * n
     sign_left, sign_right = _star_signs(m)
     masks = sorted(set(left.masks) | set(right.masks))
     at_left, at_right = (np.searchsorted(masks, f.masks) for f in (left, right))
@@ -442,7 +417,7 @@ def refined_kato_gap(H: HessianMatrix) -> KatoReport:
     m = H.dim
     T = H.table
     f11 = T.fraction(0, 0)
-    iks = H.diagonal()[1:4]  # at I e1, J e1, K e1: frame.line_indices(1)[1:]
+    iks = H.diagonal()[1:4]  # at I e1, J e1, K e1: line_indices(1)[1:]
     row = T[0, 1:]
     row_sq = contract("i,i->", row, row).fraction()
     iks_sq = contract("i,i->", iks, iks).fraction()
@@ -515,18 +490,17 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
                           for d, g in enumerate(least.tolist()) if g != unseen)
 
 
-def equality_case_hessian(frame: QuaternionicFrame, mu: Fraction) -> HessianMatrix:
+def equality_case_hessian(n: int, mu: Fraction) -> HessianMatrix:
     """The equality-case shape: -3 mu at e_1, mu at I e_1, J e_1, K e_1 and
     zero elsewhere (one scalar function of the gradient direction)."""
-    diag = np.zeros(frame.dim, dtype=np.int64)
-    diag[:4] = (-3, 1, 1, 1)  # frame.line_indices(1)
-    return HessianMatrix(frame, ExactArray.of(np.diag(diag)) * mu)
+    diag = np.zeros(4 * n, dtype=np.int64)
+    diag[:4] = (-3, 1, 1, 1)  # line_indices(1)
+    return HessianMatrix(ExactArray.of(np.diag(diag)) * mu)
 
 
 def busemann_hessian(n: int) -> HessianMatrix:
     """Equality-case Hessian of the Busemann function,
     diag(0, -2, -2, -2, -1, ..., -1): 0 at e_1, -2 at I e_1, J e_1, K e_1
     and -1 on the other lines.  Trace is -2(2n+1); the e_1 row vanishes."""
-    frame = build_frame(n)
-    diag = [0, -2, -2, -2] + [-1] * (frame.dim - 4)
-    return HessianMatrix(frame, ExactArray.of(np.diag(diag)))
+    diag = [0, -2, -2, -2] + [-1] * (4 * n - 4)
+    return HessianMatrix(ExactArray.of(np.diag(diag)))

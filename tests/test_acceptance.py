@@ -145,7 +145,7 @@ qkcomp.suite.criterion_2_harmonicity()
 qkcomp.suite.criterion_5_model_curvature()
 print(json.dumps({"at_import": at_import, "misses": {
     name: getattr(quaternionic, name).cache_info().misses
-    for name in ("build_frame", "build_fundamental_forms", "_hessian_four_form_maps",
+    for name in ("quaternionic_actions", "fundamental_forms", "_hessian_four_form_maps",
                  "derivation_maps")}}))
 """
 
@@ -161,10 +161,10 @@ def test_suite_import_leaves_every_cache_empty():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
-    assert "qkcomp.quaternionic.build_frame" in probe["at_import"]
+    assert "qkcomp.quaternionic.quaternionic_actions" in probe["at_import"]
     assert set(probe["at_import"].values()) == {0}
     assert "qkcomp.quaternionic.derivation_maps" in probe["at_import"]
-    assert probe["misses"] == {"build_frame": 2, "build_fundamental_forms": 2,
+    assert probe["misses"] == {"quaternionic_actions": 2, "fundamental_forms": 2,
                                "_hessian_four_form_maps": 2, "derivation_maps": 2}
 
 

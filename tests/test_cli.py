@@ -359,6 +359,16 @@ def test_model_size_bound_is_a_usage_error(capsys):
     assert "need n <= 8, got n=9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_harmonicity_refuses_n_below_2(n, capsys):
+    # the defect checks reach the quaternionic actions, which refuse
+    # n < 2, before they index a line or size a table
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonicity", "--n", n])
+    assert exc.value.code == 2
+    assert "need n >= 2" in capsys.readouterr().err
+
+
 def test_internal_model_failure_is_not_a_usage_error(monkeypatch):
     # no Einstein scale or a failing Jacobi identity is a fault of the
     # program, not of its input: it must not exit 2

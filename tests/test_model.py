@@ -40,7 +40,7 @@ from qkcomp.model import (
     verify_quaternionic_traces,
     verify_radial_slabs,
 )
-from qkcomp.quaternionic import _chain_map, build_frame, build_fundamental_forms, derivation_maps
+from qkcomp.quaternionic import _chain_map, derivation_maps, fundamental_forms, quaternionic_actions
 from qkcomp.riccati import rational_sqrt
 from qkcomp.suite import level_set_battery, model_battery
 from test_quaternionic import reference_actions
@@ -174,27 +174,26 @@ def reference_covariant_derivative(G, a, omega):
 def reference_parallel_four_form(sc, berger):
     """The six verdicts of verify_parallel_four_form through the reference
     derivatives."""
-    frame = build_frame(sc.n)
-    ff = build_fundamental_forms(frame)
+    omega1, omega2, omega3, Omega = fundamental_forms(sc.n)
     m = sc.dim
     G = levi_civita_table(sc.table)
-    norm = F(2 * frame.n)
+    norm = F(2 * sc.n)
     coms = [[F(0)] * m for _ in range(3)]
     rotation_bad = nabla_omega_bad = 0
     for x in range(1, m + 1):
         d1, d2, d3 = (reference_covariant_derivative(G, x, w)
-                      for w in (ff.omega1, ff.omega2, ff.omega3))
-        cx = form_inner(d1, ff.omega2) / norm
-        bx = -form_inner(d1, ff.omega3) / norm
-        ax = form_inner(d2, ff.omega3) / norm
+                      for w in (omega1, omega2, omega3))
+        cx = form_inner(d1, omega2) / norm
+        bx = -form_inner(d1, omega3) / norm
+        ax = form_inner(d2, omega3) / norm
         coms[0][x - 1], coms[1][x - 1], coms[2][x - 1] = ax, bx, cx
-        rotation_bad += (d1 != cx * ff.omega2 - bx * ff.omega3
-                         or d2 != -cx * ff.omega1 + ax * ff.omega3
-                         or d3 != bx * ff.omega1 - ax * ff.omega2)
-        nabla_omega_bad += not reference_covariant_derivative(G, x, ff.Omega).is_zero()
+        rotation_bad += (d1 != cx * omega2 - bx * omega3
+                         or d2 != -cx * omega1 + ax * omega3
+                         or d3 != bx * omega1 - ax * omega2)
+        nabla_omega_bad += not reference_covariant_derivative(G, x, Omega).is_zero()
     fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(c) if v})
                   for c in coms)
-    return [reference_exterior_derivative(sc.table, ff.Omega).is_zero(),
+    return [reference_exterior_derivative(sc.table, Omega).is_zero(),
             rotation_bad == 0, nabla_omega_bad == 0,
             reference_exterior_derivative(sc.table, fa) + wedge(fb, fc)
             == two_form(m, berger.alpha),
@@ -342,7 +341,6 @@ def test_trace_identity_random_vectors(model2):
     # Thm-level statement for non-frame vectors: contract the tensor with
     # a rational vector X and its I, J, K images
     sc, _, R = model2
-    frame = build_frame(2)
     m = sc.dim
     import random
 
@@ -373,7 +371,7 @@ def test_trace_identity_random_vectors(model2):
         norm4 = form_inner(x, x) ** 2
         xc = [x.coefficient((i + 1,)) for i in range(m)]
         total = F(0)
-        for A in frame.actions():
+        for A in quaternionic_actions(2):
             ax = [sum((A.num[i, j] * c for j, c in enumerate(xc)), F(0)) for i in range(m)]
             total += k_contract(xc, ax)
         assert total == -12 * norm4
@@ -478,10 +476,8 @@ def nabla_through_map(G, f):
 def test_exterior_derivative_matches_connection(model2):
     # torsion-free consistency: d omega = sum theta^A ^ nabla_A omega
     sc, G, _ = model2
-    frame = build_frame(2)
-    ff = build_fundamental_forms(frame)
     d_images = d_coframe(sc.table)
-    for omega, f in zip((ff.omega1, ff.omega2), derivation_maps(frame)):
+    for omega, f in zip(fundamental_forms(2)[:2], derivation_maps(2)):
         rhs = Form.zero(sc.dim, omega.degree + 1)
         for x, nabla in enumerate(nabla_through_map(G, f)):
             rhs = rhs + ext_mult(Form.basis(sc.dim, (x + 1,)), nabla)
@@ -495,11 +491,9 @@ def test_derivation_matches_the_term_by_term_references(n):
     # derivation_maps) and on seeded random 1- to 4-forms (_chain_map)
     sc = build_model(n)
     G = levi_civita_table(sc.table)
-    frame = build_frame(n)
-    ff = build_fundamental_forms(frame)
     rng = random.Random(30 + n)
-    forms = [ff.omega1, ff.omega2, ff.omega3, ff.Omega]
-    maps = list(derivation_maps(frame))
+    forms = list(fundamental_forms(n))
+    maps = list(derivation_maps(n))
     for p in (1, 2, 3, 4):
         forms.append(random_form(sc.dim, p, rng))
         maps.append(_chain_map(forms[-1], sc.dim, True))
@@ -528,7 +522,7 @@ def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
     # direction x alone, as the term-by-term reference sees it
     sc = build_model(n)
     berger = verify_berger(model_curvature(n))
-    Omega = build_fundamental_forms(build_frame(n)).Omega
+    Omega = fundamental_forms(n)[3]
     rng = random.Random(60 + n)
     for _ in range(4):
         x, i, k = (rng.randrange(sc.dim) for _ in range(3))
