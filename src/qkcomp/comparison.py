@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from .forms import ContractViolation, ValueEq
+from .quaternionic import frame_dim
 from .riccati import DomainError, first_outside, line_block, transversal_block
 
 
@@ -38,8 +39,7 @@ class ModelGeometry:
     __slots__ = ("n", "delta")
 
     def __init__(self, n: int, delta: int):
-        if n < 2:
-            raise ContractViolation(f"need n >= 2, got n={n}")
+        frame_dim(n)
         if delta not in (-1, 0, 1):
             raise ContractViolation(f"delta must be -1, 0, or +1, got {delta}")
         self.n, self.delta = n, delta
@@ -261,7 +261,6 @@ def eigenvalue_bounds(n: int) -> EigenvalueBounds:
     Cheng in dimension d with Ric >= -(d-1) gives (d-1)^2/4; rescaling
     the curvature normalization to Ric >= -4(n+2) multiplies it by
     4(n+2)/(4n-1), which yields (4n-1)(n+2)."""
-    if n < 2:
-        raise ContractViolation(f"need n >= 2, got n={n}")
+    frame_dim(n)
     cheng = Fraction((4 * n - 1) ** 2, 4) * Fraction(4 * (n + 2), 4 * n - 1)
     return EigenvalueBounds((2 * n + 1) ** 2, cheng)

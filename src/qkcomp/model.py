@@ -29,9 +29,9 @@ sum h_ik theta^i ^ iota(e_k) omega at h = -Gamma[x], one int64 map per form
 Every table here and on the horospheres of `levelset` (C, Gamma, R) is a
 `forms.ExactArray`: int64 numerators over one positive denominator.
 Koszul, curvature and the identity batteries are `contract` (np.einsum)
-reductions and elementwise comparisons of numerators, each refused with
-Int64RangeError if its numerators could pass 2^62.  Entries read one at a
-time are `Fraction`s.
+reductions, gathers through the signed permutations I, J, K (the Berger
+commutators) and elementwise comparisons of numerators, each refused with
+Int64RangeError if they could pass 2^62; single entries are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .forms import (ContractViolation, ExactArray, Form, contract, guard_int64, interior,
                     two_form, wedge)
-from .quaternionic import (derivation_maps, fundamental_forms, line_indices,
+from .quaternionic import (derivation_maps, frame_dim, fundamental_forms, line_indices,
                            quaternionic_actions)
 from .report import Check, check_eq, check_true
 
@@ -188,8 +188,7 @@ def _derive_bracket_scale() -> Fraction:
 def build_model(n: int) -> StructureConstants:
     """The solvable model of dimension 4n, built and Jacobi-checked once per
     n, with a read-only bracket table; the bracket scale is derived once."""
-    if n < 2:
-        raise ContractViolation(f"the model requires n >= 2, got n={n}")
+    frame_dim(n)
     if n > MAX_MODEL_N:
         raise ContractViolation(f"the model tables hold (4n)^4 entries: "
                                 f"need n <= {MAX_MODEL_N}, got n={n}")
@@ -262,6 +261,20 @@ class BergerData:
         self.alpha, self.beta, self.gamma, self.checks = alpha, beta, gamma, checks
 
 
+def curvature_commutators(Rt: ExactArray, P: ExactArray) -> ExactArray:
+    """[R(e_a, e_b), P] = R_ab P - P R_ab, R_ab = Rt[a, b], for every pair (a, b)
+    and a signed permutation P (ContractViolation for any other): R_ab's columns
+    gathered through P's permutation, its rows through the inverse, times P's signs."""
+    m = Rt.num.shape[-1]
+    if P.den != 1 or not np.isin(P.num, (-1, 0, 1)).all() \
+            or not np.array_equal(np.einsum("ji,jk->ik", P.num, P.num), np.eye(m)):
+        raise ContractViolation("a curvature commutator needs a signed permutation matrix")
+    rows, inverse = np.abs(P.num).argmax(axis=0), np.abs(P.num).argmax(axis=1)
+    signs = P.num[rows, np.arange(m)]  # column k of P is signs[k] e_{rows[k]}
+    return (ExactArray(Rt.num[..., rows] * signs, Rt.den)
+            - ExactArray(Rt.num[..., inverse, :] * signs[inverse, None], Rt.den))
+
+
 # seeded frame triples drawn by verify_berger (draws with a == b are skipped)
 TRIPLE_SAMPLES = 60
 
@@ -269,8 +282,8 @@ TRIPLE_SAMPLES = 60
 def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     """Lemma-level commutator structure of R(X,Y) against I, J, K.
 
-    For every frame pair, [R(X,Y), I] must equal gamma J - beta K (and
-    cyclically), the extractions from different commutators must agree,
+    For every frame pair, [R(X,Y), I] (`curvature_commutators`, O(m^4))
+    must equal gamma J - beta K (and cyclically), the extractions agree,
     and alpha(X, IY) = beta(X, JY) = gamma(X, KY) = -Ric(X,Y)/(n+2)
     = 4 <X, Y>.  Also spot-checks the three curvature-pair identities
     <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 on seeded frame triples."""
@@ -278,10 +291,6 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     n = m // 4
     I, J, K = quaternionic_actions(n)
     Rt = R.table
-
-    def commutator(P: ExactArray) -> ExactArray:
-        """[R(e_a, e_b), P] for every pair (a, b)."""
-        return contract("abij,jk->abik", Rt, P) - contract("ij,abjk->abik", P, Rt)
 
     def extract(com: ExactArray, P: ExactArray) -> ExactArray:
         """<com, P> / m: the coefficient of P in com, since the structure
@@ -293,7 +302,7 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
         span = contract("ab,ij->abij", c1, P1) + contract("ab,ij->abij", c2, P2)
         return com.ne(span).any(axis=(2, 3))
 
-    com_i, com_j, com_k = commutator(I), commutator(J), commutator(K)
+    com_i, com_j, com_k = (curvature_commutators(Rt, P) for P in (I, J, K))
     g1, b1, a1 = extract(com_i, J), -extract(com_i, K), extract(com_j, K)
     g2, b2, a2 = -extract(com_j, I), extract(com_k, I), -extract(com_k, J)
     pairs = ~np.eye(m, dtype=bool)
@@ -308,15 +317,10 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     ric_bad = int(np.count_nonzero(
         contract("at,tb->ab", a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
 
-    # seeded frame triples (e_a, e_b, e_c), a != b
+    # seeded frame triples (e_a, e_b, e_c), a != b, c drawn after its pair
     rng = random.Random(seed)
-    triples = []
-    for _ in range(TRIPLE_SAMPLES):
-        a = rng.randrange(m)
-        b = rng.randrange(m)
-        if a == b:
-            continue
-        triples.append((a, b, rng.randrange(m)))
+    draws = ((rng.randrange(m), rng.randrange(m)) for _ in range(TRIPLE_SAMPLES))
+    triples = [(a, b, rng.randrange(m)) for a, b in draws if a != b]
     a, b, c = (np.array(x, dtype=np.int64) for x in zip(*triples))
     Rab = Rt[a, b]
 
@@ -344,40 +348,40 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     return BergerData(a1, b1, g1, checks)
 
 
-def expected_radial_slabs(n: int) -> dict[tuple[int, int, int, int], int]:
-    """The tabulated R_{1pAB} and R_{1aAB} families (all other slab-1
-    entries vanish)."""
-    t: dict[tuple[int, int, int, int], int] = {}
+def expected_radial_slabs(n: int) -> dict[tuple[int, int, int], int]:
+    """The tabulated R_{1pAB} and R_{1aAB} families, R_{1BCD} keyed by
+    (B, C, D) (all other slab-1 entries vanish)."""
+    t: dict[tuple[int, int, int], int] = {}
 
-    def put(a, b, c, d, v):
-        t[(a, b, c, d)] = v
-        t[(a, b, d, c)] = -v
+    def put(b, c, d, v):
+        t[(b, c, d)] = v
+        t[(b, d, c)] = -v
 
     for p in (2, 3, 4):
-        put(1, p, 1, p, -4)
+        put(p, 1, p, -4)
     for al in range(5, 4 * n + 1):
-        put(1, al, 1, al, -1)
+        put(al, 1, al, -1)
     for s in range(2, n + 1):
         a4, b4, c4, d4 = line_indices(s)
-        put(1, 2, c4, d4, -2)
-        put(1, 2, a4, b4, -2)
-        put(1, 3, d4, b4, -2)
-        put(1, 3, c4, a4, 2)
-        put(1, 4, d4, a4, 2)
-        put(1, 4, c4, b4, 2)
+        put(2, c4, d4, -2)
+        put(2, a4, b4, -2)
+        put(3, d4, b4, -2)
+        put(3, c4, a4, 2)
+        put(4, d4, a4, 2)
+        put(4, c4, b4, 2)
         # the transversal slabs, both members of each displayed pair
-        put(1, d4, c4, 2, -1)
-        put(1, c4, d4, 2, 1)
-        put(1, d4, b4, 3, 1)
-        put(1, b4, d4, 3, -1)
-        put(1, d4, a4, 4, -1)
-        put(1, a4, d4, 4, 1)
-        put(1, c4, a4, 3, -1)
-        put(1, a4, c4, 3, 1)
-        put(1, c4, b4, 4, -1)
-        put(1, b4, c4, 4, 1)
-        put(1, b4, a4, 2, -1)
-        put(1, a4, b4, 2, 1)
+        put(d4, c4, 2, -1)
+        put(c4, d4, 2, 1)
+        put(d4, b4, 3, 1)
+        put(b4, d4, 3, -1)
+        put(d4, a4, 4, -1)
+        put(a4, d4, 4, 1)
+        put(c4, a4, 3, -1)
+        put(a4, c4, 3, 1)
+        put(c4, b4, 4, -1)
+        put(b4, c4, 4, 1)
+        put(b4, a4, 2, -1)
+        put(a4, b4, 2, 1)
     return t
 
 
@@ -387,7 +391,7 @@ def verify_radial_slabs(R: CurvatureTensor) -> list[Check]:
     m = R.dim
     want = np.zeros((m, m, m), dtype=np.int64)
     listed = np.zeros((m, m, m), dtype=bool)
-    for (_, b, c, d), v in expected_radial_slabs(m // 4).items():
+    for (b, c, d), v in expected_radial_slabs(m // 4).items():
         want[b - 1, c - 1, d - 1] = v
         listed[b - 1, c - 1, d - 1] = True
     bad = R.table[0, 1:].ne(ExactArray(want[1:]))

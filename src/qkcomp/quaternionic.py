@@ -10,7 +10,7 @@ K e_1 are the indices 2, 3, 4, i.e. ``line_indices(1)[1:]``.
 I, J, K are read-only int64 `ExactArray` signed-permutation matrices, one
 4 x 4 block per line, cached per n by `quaternionic_actions`; omega_a(X, Y)
 = <I_a X, Y> is the 2-form of the transpose of I_a, and the omega_a and
-Omega are cached per n by `fundamental_forms`.
+Omega are cached per n by `fundamental_forms`.  `frame_dim` refuses n < 2.
 
 A Hessian is a `forms.ExactArray` table (int64 numerators over one
 denominator) whose side 4n fixes its n.  Both seeded streams are one
@@ -20,13 +20,12 @@ loses its mean, all m of them for criterion 2's trace-free Hessians and
 each line's four for criterion 8's quaternionic-harmonic ones.  A Hessian's
 trace, line sums, norm and Kato slacks are guarded integer reductions
 read out as `Fraction`s.  The Siu-Corlette defect form and both sides
-of the star commutation are 4-forms linear in the Hessian: each
-operator chain on Omega is a cached sparse integer map of the Hessian
-numerators, built once per n from Omega's term table (as are the
-model's nabla_X maps, `derivation_maps`) and applied to a batch with one
-`np.add.reduceat`.
-Criterion 2 counts the star commutation's failures on chunks of the
-trace-free stream at a time (`star_commutation_failures`).
+of the star commutation are 4-forms linear in the Hessian: each operator
+chain on Omega, like the model's nabla_X maps (`derivation_maps`), is a
+cached sparse integer map of the Hessian numerators, built once per n by
+index arithmetic on the form's term table (`_chain_map`) and applied to a
+batch with one `np.add.reduceat`.  Criterion 2 counts the star
+commutation's failures on chunks of the trace-free stream at a time.
 """
 
 from __future__ import annotations
@@ -51,15 +50,20 @@ _LINE_ACTIONS = (((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
                  ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 
+def frame_dim(n: int) -> int:
+    """4n, refusing n < 2 before any table is built or any draw made."""
+    if n < 2:
+        raise ContractViolation(f"quaternionic frames need n >= 2, got n={n}")
+    return 4 * n
+
+
 @lru_cache(maxsize=None)
 def quaternionic_actions(n: int) -> tuple[ExactArray, ExactArray, ExactArray]:
     """I, J, K on R^{4n}: read-only int64 signed-permutation matrices,
     one 4 x 4 block of _LINE_ACTIONS per line down the diagonal, whose
     column i is the image of e_{i+1}, so that I^2 = J^2 = K^2 = -1 and
     IJ = K, JK = I, KI = J."""
-    if n < 2:
-        raise ContractViolation(f"quaternionic frames need n >= 2, got n={n}")
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(frame_dim(n) // 4, dtype=np.int64)
     return tuple(ExactArray(np.kron(eye, np.array(block, dtype=np.int64)))
                  for block in _LINE_ACTIONS)
 
@@ -205,15 +209,16 @@ def _constrained_batch(m: int, group: int, count: int,
 def random_traceless_hessian(n: int, rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`_constrained_batch`'s stream at group m = 4n,
     in lowest terms."""
-    m = 4 * n
+    m = frame_dim(n)
     h, q = _constrained_batch(m, m, 1, rng)
     return HessianMatrix(ExactArray.of(_unpack(h[0], m), m * int(q[0])))
 
 
 def random_quaternionic_harmonic(n: int, rng: random.Random) -> HessianMatrix:
     """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
-    h, q = _constrained_batch(4 * n, 4, 1, rng)
-    return HessianMatrix(ExactArray.of(_unpack(h[0], 4 * n), 4 * int(q[0])))
+    m = frame_dim(n)
+    h, q = _constrained_batch(m, 4, 1, rng)
+    return HessianMatrix(ExactArray.of(_unpack(h[0], m), 4 * int(q[0])))
 
 
 class _FormMap:
@@ -246,44 +251,37 @@ class _FormMap:
         return Form(H.dim, self.degree, terms, self.den * T.den)
 
 
-def _sign(mask: int, bit: int) -> int:
-    """(-1)^(the bits of mask below bit): the sign of inserting bit into
-    mask, theta^b ^ ., or of removing it, iota(e_b)."""
-    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+def _below(bits: np.ndarray) -> np.ndarray:
+    """Per position x of the 0/1 rows `bits`, the set bits below x, whose parity
+    signs inserting bit x into the row's mask (theta^x ^ .) or removing it."""
+    return np.cumsum(bits, axis=-1) - bits
 
 
 def _chain_map(omega: Form, m: int, inner_first: bool) -> _FormMap:
     """The map h -> sum h_ij theta^i ^ iota(e_j) omega (inner_first) or
     h -> sum h_ij iota(e_i)(theta^j ^ omega), straight from omega's term
-    table: the first step removes (inserts) bit j of each monomial, the
-    second inserts (removes) bit i, each with its `_sign`."""
-    acc: dict = {}  # output mask * m^2 + ij -> coefficient
-    mm = m * m
-    bits = [1 << i for i in range(m)]
-    for k, c in omega._terms.items():
-        for j, bj in enumerate(bits):
-            if bool(k & bj) == inner_first:
-                mid, cj = k ^ bj, _sign(k, bj) * c
-                for i, bi in enumerate(bits):
-                    if bool(mid & bi) != inner_first:
-                        key = (mid ^ bi) * mm + i * m + j
-                        acc[key] = acc.get(key, 0) + _sign(mid, bi) * cj
-    keys, nums = zip(*((key, c) for key, c in sorted(acc.items()) if c))
-    keys = np.array(keys, dtype=np.int64)
-    g = math.gcd(omega.den, *nums)
-    entry_masks = keys // mm
-    masks = sorted(set(entry_masks.tolist()))
-    starts = np.searchsorted(entry_masks, masks)
-    num = np.array(nums, dtype=np.int64) // g
-    weight = np.add.reduceat(np.abs(num), starts)
-    return _FormMap(tuple(masks), starts, keys % mm, num, omega.den // g,
-                    int(weight.max()), omega.degree)
+    table: step one removes (inserts) bit j of monomial k, step two inserts
+    (removes) bit i of k ^ (1 << j), each signed by the `_below` count of its
+    mask, which for k ^ (1 << j) is mod 2 that of k plus that of row j of the
+    identity.  One source k per (mask, ij): the sorted entries are signed terms."""
+    keys, coeffs = np.array(list(omega._terms.items()), dtype=np.int64).T
+    bits = keys[:, None] >> np.arange(m) & 1
+    first = bits.astype(bool) == inner_first  # bit j may take the first step
+    # the second step takes bit i back where the first left it, or bit j
+    t, i, j = np.nonzero(first[:, None, :] & (~first[:, :, None] | np.eye(m, dtype=bool)))
+    below = _below(bits)
+    odd = (below[t, j] + below[t, i] + _below(np.eye(m, dtype=np.int64))[j, i]) & 1
+    out, ij, num = keys[t] ^ (1 << i) ^ (1 << j), i * m + j, coeffs[t] * (1 - 2 * odd)
+    order = np.lexsort((ij, out))
+    masks, starts = np.unique(out[order], return_index=True)
+    return _FormMap(tuple(masks.tolist()), starts, ij[order], num[order], omega.den,
+                    int(np.add.reduceat(np.abs(num[order]), starts).max()), omega.degree)
 
 
 @lru_cache(maxsize=None)
 def derivation_maps(n: int) -> tuple[_FormMap, ...]:
     """h -> sum h_ij theta^i ^ iota(e_j) omega for omega = omega_1, omega_2,
-    omega_3 and Omega: at h = -Gamma[x], nabla_{e_x} omega."""
+    omega_3 and Omega (`_chain_map`): at h = -Gamma[x], nabla_{e_x} omega."""
     return tuple(_chain_map(w, 4 * n, True) for w in fundamental_forms(n))
 
 
@@ -465,10 +463,10 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     ContractViolation when 54^2 times the largest weight's size exceeds
     the int16 range; no gap exceeds 54^2 times the sum of the weights'
     sizes, so Int64RangeError when that bound leaves the int64 range.
-    Both are refused before the first draw."""
+    Both are refused before the first draw, as is n < 2."""
+    m = frame_dim(n)
     if samples < 1:
         raise ContractViolation(f"need at least one sample, got {samples}")
-    m = 4 * n
     sizes = [abs(w) for w in _kato_weights(m).tolist()]
     guard_int64(54 ** 2 * sum(sizes), "Kato gap scan")
     square = 54 ** 2 * max(sizes)
@@ -493,7 +491,7 @@ def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
 def equality_case_hessian(n: int, mu: Fraction) -> HessianMatrix:
     """The equality-case shape: -3 mu at e_1, mu at I e_1, J e_1, K e_1 and
     zero elsewhere (one scalar function of the gradient direction)."""
-    diag = np.zeros(4 * n, dtype=np.int64)
+    diag = np.zeros(frame_dim(n), dtype=np.int64)
     diag[:4] = (-3, 1, 1, 1)  # line_indices(1)
     return HessianMatrix(ExactArray.of(np.diag(diag)) * mu)
 
@@ -502,5 +500,5 @@ def busemann_hessian(n: int) -> HessianMatrix:
     """Equality-case Hessian of the Busemann function,
     diag(0, -2, -2, -2, -1, ..., -1): 0 at e_1, -2 at I e_1, J e_1, K e_1
     and -1 on the other lines.  Trace is -2(2n+1); the e_1 row vanishes."""
-    diag = [0, -2, -2, -2] + [-1] * (4 * n - 4)
+    diag = [0, -2, -2, -2] + [-1] * (frame_dim(n) - 4)
     return HessianMatrix(ExactArray.of(np.diag(diag)))

@@ -53,9 +53,9 @@ from .quaternionic import (
     HessianMatrix,
     busemann_hessian,
     equality_case_hessian,
+    frame_dim,
     kato_gap_scan,
     line_indices,
-    quaternionic_actions,
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
@@ -103,8 +103,7 @@ def defect_checks(n: int, seed: int) -> list[Check]:
     """The defect form's top coefficient is 6 x the line sum on every line,
     vanishes for the zero Hessian, and is linear on two trace-free Hessians
     drawn from random.Random(seed)."""
-    quaternionic_actions(n)  # refuses n < 2 before any table is built
-    m = 4 * n
+    m = frame_dim(n)  # refuses n < 2 before any table is built
     checks = []
     for line in range(1, n + 1):
         entries = {(i - 1, i - 1): v for i, v in zip(line_indices(line), (2, 1, 1, 1))}

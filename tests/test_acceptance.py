@@ -169,14 +169,16 @@ def test_suite_import_leaves_every_cache_empty():
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
-def test_suite_import_loads_neither_dataclasses_nor_csv(flags):
+def test_suite_import_loads_neither_dataclasses_nor_csv_nor_json(flags):
     # where bytecode is not cached, every start compiles the source and
     # runs its class bodies: a @dataclass then execs its generated methods
-    # (about 1 ms per class), and csv serves --format csv alone
+    # (about 1 ms per class); csv serves --format csv alone, and json the
+    # CLI's JSON reports, never `qkcomp suite`'s text
     env = dict(os.environ)
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    probe = "import sys, qkcomp.suite; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    probe = ("import sys, qkcomp.suite; "
+             "print(sorted({'dataclasses', 'csv', 'json'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, *flags, "-c", probe],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -361,8 +361,8 @@ def test_model_size_bound_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_harmonicity_refuses_n_below_2(n, capsys):
-    # the defect checks reach the quaternionic actions, which refuse
-    # n < 2, before they index a line or size a table
+    # the defect checks reach `frame_dim`, which refuses n < 2, before
+    # they index a line or size a table
     with pytest.raises(SystemExit) as exc:
         main(["harmonicity", "--n", n])
     assert exc.value.code == 2

@@ -28,6 +28,7 @@ from qkcomp.model import (
     _derive_bracket_scale,
     build_model,
     curvature,
+    curvature_commutators,
     curvature_table,
     d_coframe,
     derivation,
@@ -384,6 +385,52 @@ def test_berger_commutators(n):
         [(c.name, c.actual) for c in data.checks if not c.passed]
     assert data.alpha.fraction(0, 1) == 4  # alpha(e1, I e1)
     assert data.alpha.fraction(0, 4) == 0  # alpha(e1, e5)
+
+
+def reference_commutators(Rt, P):
+    """[R(e_a, e_b), P] for every pair by two O(m^5) einsums: the products
+    that the signed-permutation gathers of `curvature_commutators`
+    replaced, kept as their oracle."""
+    return contract("abij,jk->abik", Rt, P) - contract("ij,abjk->abik", P, Rt)
+
+
+def assert_same_table(got, want):
+    assert got.den == want.den and got.num.dtype == want.num.dtype
+    assert np.array_equal(got.num, want.num)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_commutators_match_the_einsum_oracle(n):
+    R = model_curvature(n)
+    for P in quaternionic_actions(n):
+        assert_same_table(curvature_commutators(R.table, P), reference_commutators(R.table, P))
+    # a table with none of the curvature symmetries, over a den, against a
+    # seeded signed permutation that is neither antisymmetric nor I, J, K
+    m = 4 * n
+    rng = np.random.default_rng(36 + n)
+    table = ExactArray.of(rng.integers(-9, 10, size=(m,) * 4), 6)
+    P = np.zeros((m, m), dtype=np.int64)
+    P[rng.permutation(m), np.arange(m)] = rng.choice((-1, 1), size=m)
+    P = ExactArray(P)
+    assert_same_table(curvature_commutators(table, P), reference_commutators(table, P))
+
+
+def not_signed_permutations():
+    I, J, _ = quaternionic_actions(2)
+    repeated = np.eye(8, dtype=np.int64)
+    repeated[:, 1] = repeated[:, 0]
+    # int64 wraps: these two entries leave P^T P = 1 in int64 arithmetic
+    wrapped = np.eye(8, dtype=np.int64)
+    wrapped[1, 0] = wrapped[0, 1] = np.iinfo(np.int64).min
+    return {"2I": I * 2, "I/2": I * F(1, 2), "I+J": I + J,
+            "a repeated column": ExactArray(repeated), "zero": ExactArray.of(np.zeros((8, 8))),
+            "another size": quaternionic_actions(3)[0], "wrapped": ExactArray(wrapped)}
+
+
+@pytest.mark.parametrize("name", sorted(not_signed_permutations()))
+def test_curvature_commutators_refuse_other_matrices(name):
+    with pytest.raises(ContractViolation, match="needs a signed permutation matrix"):
+        curvature_commutators(model_curvature(2).table, not_signed_permutations()[name])
 
 
 def test_curvature_pair_identity_named_triple(model2):

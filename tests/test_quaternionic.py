@@ -8,7 +8,9 @@ Hessians the `ExactArray` tables of `HessianMatrix` are tested against, and
 `reference_defect` and `reference_star_sides` the Form-by-Form operator sums
 the cached integer maps of the defect form and the star commutation are
 tested against; `reference_form_map` keeps the Form-built constructor the
-term-table maps are tested against field by field.  `reference_kato_scan`
+term-table maps are tested against field by field, and `reference_chain_map`
+the per-term loop, with its scalar sign rule `reference_sign`, that the
+index arithmetic of `_chain_map` replaced.  `reference_kato_scan`
 keeps the full-matrix Kato scan the packed-triangle scan is tested against,
 `int64_kato_scan` the scan on int64 rows that the int16 rows replaced, and
 `traceless_batch` and `quaternionic_harmonic_batch` the two sampled
@@ -30,7 +32,7 @@ from qkcomp import forms, quaternionic
 from qkcomp.cli import main
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, contract,
                           ext_mult, form_inner, interior, two_form, wedge)
-from qkcomp.identities import random_vector
+from qkcomp.identities import random_form, random_vector
 from qkcomp.kernel import accumulate_scaled
 from qkcomp.quaternionic import (
     HessianMatrix,
@@ -148,6 +150,29 @@ def test_frame_algebra(n):
 def test_actions_reject_n_below_2(n):
     with pytest.raises(ContractViolation, match=f"need n >= 2, got n={n}"):
         quaternionic_actions(n)
+
+
+# every constructor that takes n, called as (n, rng)
+N_CONSTRUCTORS = {
+    "equality_case_hessian": lambda n, rng: equality_case_hessian(n, F(1)),
+    "random_traceless_hessian": random_traceless_hessian,
+    "busemann_hessian": lambda n, rng: busemann_hessian(n),
+    "random_quaternionic_harmonic": random_quaternionic_harmonic,
+    "kato_gap_scan": lambda n, rng: kato_gap_scan(n, 10, 0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("name", sorted(N_CONSTRUCTORS))
+def test_constructors_refuse_n_below_2_before_any_draw(name, n):
+    # the refusal that frame_dim shares with quaternionic_actions, not
+    # numpy's ValueError or the shape check of HessianMatrix, and the stream
+    # is left where it was
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ContractViolation, match=f"quaternionic frames need n >= 2, got n={n}"):
+        N_CONSTRUCTORS[name](n, rng)
+    assert rng.getstate() == state
 
 
 def test_interleaved_quaternionic_line():
@@ -475,10 +500,70 @@ def test_one_entry_of_each_omega_chain_is_the_hand_computed_monomial():
     assert chain_entry(left, 8, 2, 1, (0, 1, 4, 6)) == -2
 
 
-def at_or_below(mask, bit):
-    """A mutant of `quaternionic._sign`: counts the bits of mask at or
-    below bit instead of below it."""
-    return -1 if (mask & (2 * bit - 1)).bit_count() & 1 else 1
+def reference_sign(mask, bit):
+    """(-1)^(the bits of mask below bit): the sign of inserting bit into
+    mask, theta^b ^ ., or of removing it, iota(e_b)."""
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+
+
+def reference_chain_map(omega, m, inner_first):
+    """`_chain_map` as a loop over omega's terms and both bits, summing
+    into a dict keyed (output mask) m^2 + ij: the builder the index
+    arithmetic replaced, kept as its oracle."""
+    acc = {}
+    mm = m * m
+    bits = [1 << i for i in range(m)]
+    for k, c in omega._terms.items():
+        for j, bj in enumerate(bits):
+            if bool(k & bj) == inner_first:
+                mid, cj = k ^ bj, reference_sign(k, bj) * c
+                for i, bi in enumerate(bits):
+                    if bool(mid & bi) != inner_first:
+                        key = (mid ^ bi) * mm + i * m + j
+                        acc[key] = acc.get(key, 0) + reference_sign(mid, bi) * cj
+    keys, nums = zip(*((key, c) for key, c in sorted(acc.items()) if c))
+    keys = np.array(keys, dtype=np.int64)
+    g = math.gcd(omega.den, *nums)
+    entry_masks = keys // mm
+    masks = sorted(set(entry_masks.tolist()))
+    starts = np.searchsorted(entry_masks, masks)
+    num = np.array(nums, dtype=np.int64) // g
+    weight = np.add.reduceat(np.abs(num), starts)
+    return quaternionic._FormMap(tuple(masks), starts, keys % mm, num, omega.den // g,
+                                 int(weight.max()), omega.degree)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chain_maps_match_the_loop_oracle(n):
+    # both chains on omega_1, omega_2, omega_3 and Omega, field by field,
+    # and the cached maps are those chains
+    omegas = fundamental_forms(n)
+    for omega in omegas:
+        for inner_first in (True, False):
+            assert_same_map(quaternionic._chain_map(omega, 4 * n, inner_first),
+                            reference_chain_map(omega, 4 * n, inner_first))
+    left, right = quaternionic._hessian_four_form_maps(n)
+    assert_same_map(left, reference_chain_map(omegas[3], 4 * n, False))
+    for f, omega in zip(quaternionic.derivation_maps(n), omegas):
+        assert_same_map(f, reference_chain_map(omega, 4 * n, True))
+
+
+def test_chain_maps_of_random_forms_match_the_loop_oracle():
+    # seeded 1- to 7-forms on R^8 with rational coefficients: every degree
+    # at which both chains are nonzero, each form over a den above 1
+    rng = random.Random(36)
+    for degree in range(1, 8):
+        omega = random_form(8, degree, rng)
+        assert omega.den > 1
+        for inner_first in (True, False):
+            assert_same_map(quaternionic._chain_map(omega, 8, inner_first),
+                            reference_chain_map(omega, 8, inner_first))
+
+
+def at_or_below(bits):
+    """A mutant of `quaternionic._below`: counts the bits at or below each
+    position instead of those below it."""
+    return np.cumsum(bits, axis=-1)
 
 
 @pytest.fixture
@@ -502,7 +587,7 @@ def test_sign_rule_mutant_negates_every_map(monkeypatch, cold_maps):
     maps = quaternionic._hessian_four_form_maps(n) + quaternionic.derivation_maps(n)
     quaternionic.derivation_maps.cache_clear()
     quaternionic._hessian_four_form_maps.cache_clear()
-    monkeypatch.setattr(quaternionic, "_sign", at_or_below)
+    monkeypatch.setattr(quaternionic, "_below", at_or_below)
     mutants = quaternionic._hessian_four_form_maps(n) + quaternionic.derivation_maps(n)
     for f, g in zip(maps, mutants):
         assert_same_map(quaternionic._FormMap(f.masks, f.starts, f.ij, -f.num, f.den, f.weight,
@@ -523,7 +608,7 @@ def test_star_commutation_sees_the_sign_rule_mutant_in_one_chain(monkeypatch, n,
     # every sample fails, on both paths
     right = quaternionic.derivation_maps(n)[3]
     with monkeypatch.context() as patched:
-        patched.setattr(quaternionic, "_sign", at_or_below)
+        patched.setattr(quaternionic, "_below", at_or_below)
         left = quaternionic._chain_map(fundamental_forms(n)[3], 4 * n, False)
     monkeypatch.setattr(quaternionic, "_hessian_four_form_maps", lambda n: (left, right))
     assert failure_counts(n, seed, samples) == (samples, samples)
