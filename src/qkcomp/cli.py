@@ -29,8 +29,8 @@ from .comparison import (
     laplacian_distance,
     volume,
 )
-from .forms import ContractViolation
-from .model import build_model, model_curvature
+from .forms import ContractViolation, contract
+from .model import build_model, model_curvature, ricci
 from .report import Check, Report, check_true, render_value
 from .riccati import DomainError, integrate_riccati
 from .spectral import (RadialProblem, ResidualError, StudyError, convergence_study,
@@ -194,10 +194,10 @@ def cmd_model(args) -> int:
     n = args.n
     sc = build_model(n)
     R = model_curvature(n)
+    Ric = ricci(R)
     rep = Report("model", {"n": n, "scale": args.scale})
-    rep.results.append({"n": n, "c": sc.c,
-                        "einstein_constant": R.ricci_table().fraction(0, 0),
-                        "scalar": R.scalar()})
+    rep.results.append({"n": n, "c": sc.c, "einstein_constant": Ric.fraction(0, 0),
+                        "scalar": contract("ii->", Ric).fraction()})
     rep.extend(suite_mod.model_battery(n))
     rep.extend(suite_mod.level_set_battery(n, args.scale))
     if args.components:
@@ -205,7 +205,7 @@ def cmd_model(args) -> int:
 
         writer = csv.writer(args.components, lineterminator="\n")
         writer.writerow(["A", "B", "C", "D", "value"])
-        for abcd, v in R.table.items():
+        for abcd, v in R.items():
             writer.writerow([*(i + 1 for i in abcd), render_value(v)])
     return _emit(rep, args)
 

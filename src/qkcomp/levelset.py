@@ -7,8 +7,9 @@ induced metric of block weights (s^-2 on z, s^-1 on v) at scale
 s = e^{-2t}; rational scales with rational square root (s = 1, 1/4)
 keep every check exact.  Its tables, the shape operator among them, are
 `forms.ExactArray`s (int64 numerators over one denominator) over local
-0-based axes, index i standing for the ambient e_{i+2}; the Gauss
-equation, the curvature sums, the weighted displays and the Busemann
+0-based axes, index i standing for the ambient e_{i+2}, the curvature
+bar R among them in the convention of `model`; the Gauss equation, the
+curvature sums (`model.sectional`), the weighted displays and the Busemann
 cross-check are reductions and elementwise comparisons of those arrays.
 """
 
@@ -20,12 +21,12 @@ import numpy as np
 
 from .forms import ContractViolation, ExactArray, contract
 from .model import (
-    CurvatureTensor,
     ModelConstructionError,
     StructureConstants,
     curvature_table,
     jacobi_violations,
     levi_civita_table,
+    sectional,
 )
 from .quaternionic import busemann_hessian
 from .report import Check, check_eq, check_true
@@ -33,14 +34,14 @@ from .riccati import rational_sqrt
 
 
 class LevelSetGeometry:
-    """Intrinsic data of the level set at scale s = e^{-2t} over local axes:
-    0-based index i (1-based i + 1 in `curvature.entry`) is the ambient e_{i+2};
-    `second_fundamental` holds the shape-operator eigenvalues."""
+    """Intrinsic data of the level set at scale s = e^{-2t} over local axes,
+    0-based index i the ambient e_{i+2}: the curvature table bar R[i, j, k, l]
+    and `second_fundamental`, the shape-operator eigenvalues."""
 
     __slots__ = ("n", "scale", "second_fundamental", "curvature")
 
     def __init__(self, n: int, scale: Fraction, second_fundamental: ExactArray,
-                 curvature: CurvatureTensor):
+                 curvature: ExactArray):
         self.n, self.scale = n, scale
         self.second_fundamental, self.curvature = second_fundamental, curvature
 
@@ -77,7 +78,7 @@ def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeome
     C = _nilpotent_brackets(sc, scale)
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("nilpotent bracket table violates Jacobi")
-    bar = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
+    bar = curvature_table(C, levi_civita_table(C))
     h, off = second_fundamental_form(sc)
     if off:
         raise ModelConstructionError("ambient shape operator is not diagonal")
@@ -93,15 +94,15 @@ def verify_second_fundamental(lsg: LevelSetGeometry) -> list[Check]:
                        detail=",".join(str(x) for x in h[:6].fractions()))]
 
 
-def verify_gauss_equation(R: CurvatureTensor, lsg: LevelSetGeometry) -> list[Check]:
+def verify_gauss_equation(R: ExactArray, lsg: LevelSetGeometry) -> list[Check]:
     """All branches of the Gauss equation
     R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj over 2 <= i,j,k,l <= 4n."""
     m = 4 * lsg.n - 1
     h = lsg.second_fundamental
     i, j, k, l = np.ogrid[:m, :m, :m, :m]  # local: ambient index - 2
     pairing = ((l == i) & (k == j)).astype(np.int64) - ((k == i) & (l == j))
-    want = lsg.curvature.table + contract("i,j,ijkl->ijkl", h, h, ExactArray(pairing))
-    bad = R.table[1:, 1:, 1:, 1:].ne(want)
+    want = lsg.curvature + contract("i,j,ijkl->ijkl", h, h, ExactArray(pairing))
+    bad = R[1:, 1:, 1:, 1:].ne(want)
 
     z, v = (lambda x: x < 3), (lambda x: x >= 3)
     # the branches are disjoint; "plain" is every other slot
@@ -129,7 +130,7 @@ def verify_level_set_sums(lsg: LevelSetGeometry) -> list[Check]:
     K^N(z, v) = 1 values."""
     n = lsg.n
     # local axes: z at 0..2, line s of v at 4s-5..4s-2
-    K = lsg.curvature.sectional_table()
+    K = sectional(lsg.curvature)
     zv = K[:3, 3:]
     vv = K[3:, 3:].reshape(n - 1, 4, n - 1, 4)  # [line s, entry i, line r, entry j]
 
@@ -150,7 +151,7 @@ def verify_level_set_sums(lsg: LevelSetGeometry) -> list[Check]:
     ]
 
 
-def verify_weighted_displays(R: CurvatureTensor, base: LevelSetGeometry,
+def verify_weighted_displays(R: ExactArray, base: LevelSetGeometry,
                              scale: Fraction) -> list[Check]:
     """The scale-weighted component displays: z-block entries carry
     e^{-4t} = s^2 on bar R, the mixed z-z-v-v families carry e^{-2t} = s
@@ -158,13 +159,13 @@ def verify_weighted_displays(R: CurvatureTensor, base: LevelSetGeometry,
     if base.scale != 1:
         raise ContractViolation("weighted displays are stated against the scale-1 level set")
     n = base.n
-    bar = base.curvature.table
+    bar = base.curvature
     s2 = scale * scale
     checks = []
 
     p, q, r, o = np.ogrid[:3, :3, :3, :3]
     delta = -4 * (((r == p) & (o == q)).astype(np.int64) - ((r == q) & (o == p)))
-    zblock = R.table[1:4, 1:4, 1:4, 1:4].ne(bar[:3, :3, :3, :3] * s2 + ExactArray(delta))
+    zblock = R[1:4, 1:4, 1:4, 1:4].ne(bar[:3, :3, :3, :3] * s2 + ExactArray(delta))
     checks.append(check_eq(
         f"z-block display with s^2 = {s2} weighting", 0, int(np.count_nonzero(zblock))))
 
@@ -184,7 +185,7 @@ def verify_weighted_displays(R: CurvatureTensor, base: LevelSetGeometry,
     p, q = np.ogrid[:3, :3]
     checked = (p != q)[:, :, None, None] & (shown | ~partners)
     want = bar[:3, :3, 3:, 3:] * scale + ExactArray(listed) * (-2 * (scale - 1))
-    mixed = checked & R.table[1:4, 1:4, 4:, 4:].ne(want)
+    mixed = checked & R[1:4, 1:4, 4:, 4:].ne(want)
     checks.append(check_eq(
         f"mixed z-z-v-v display with s = {scale} weighting", 0,
         int(np.count_nonzero(mixed))))

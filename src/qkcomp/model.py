@@ -17,8 +17,9 @@ formula for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
 
-and the curvature tensor follows the convention
-R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>.
+and the curvature tensor is its table R[A, B, C, D], 0-based, in the
+convention R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>,
+read by `sectional`, `ricci` and `symmetry_violations`.
 
 On left-invariant forms d and nabla_X are both the (anti)derivation fixed by
 its values on the coframe, D omega = sum_k D(theta^k) ^ iota(e_k) omega: d is
@@ -115,57 +116,35 @@ def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
             - contract("abe,edc->abcd", C, G))
 
 
-class CurvatureTensor:
-    """Exact 4-index curvature array in the fixed convention: `table` is
-    R[A, B, C, D], 0-based."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: ExactArray):
-        self.table = table
-
-    @property
-    def dim(self) -> int:
-        return len(self.table.num)
-
-    def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        """R_{abcd} = <R(e_a, e_b) e_d, e_c> (1-based)."""
-        return self.table.fraction(a - 1, b - 1, c - 1, d - 1)
-
-    def sectional(self, a: int, b: int) -> Fraction:
-        """K(e_a, e_b) = R_{abab}."""
-        return self.entry(a, b, a, b)
-
-    def sectional_table(self) -> ExactArray:
-        """K[A, B] = R_ABAB, 0-based."""
-        return contract("abab->ab", self.table)
-
-    def ricci_table(self) -> ExactArray:
-        return contract("bidi->bd", self.table)
-
-    def scalar(self) -> Fraction:
-        return contract("ii->", self.ricci_table()).fraction()
-
-    def symmetry_violations(self) -> int:
-        """Slots violating the pair symmetries or the first Bianchi identity."""
-        R = self.table
-        m = self.dim
-        a, b, c, d = np.ogrid[:m, :m, :m, :m]
-        pairs = (a <= b) & (c <= d)
-        bad = sum(np.count_nonzero(pairs & R.ne(other))
-                  for other in (-contract("bacd->abcd", R), -contract("abdc->abcd", R),
-                                contract("cdab->abcd", R)))
-        # first Bianchi on the vector slots (a, b, c)
-        bianchi = (contract("abdc->abcd", R) + contract("bcda->abcd", R)
-                   + contract("cadb->abcd", R))
-        bad += np.count_nonzero(((a < b) & (b < c)) & (bianchi.num != 0))
-        return int(bad)
+def sectional(R: ExactArray) -> ExactArray:
+    """K[A, B] = R_ABAB, 0-based."""
+    return contract("abab->ab", R)
 
 
-def _einstein_violations(R: CurvatureTensor) -> np.ndarray:
+def ricci(R: ExactArray) -> ExactArray:
+    """Ric[B, D] = sum_I R_BIDI, 0-based."""
+    return contract("bidi->bd", R)
+
+
+def symmetry_violations(R: ExactArray) -> int:
+    """Slots violating the pair symmetries or the first Bianchi identity."""
+    m = len(R.num)
+    a, b, c, d = np.ogrid[:m, :m, :m, :m]
+    pairs = (a <= b) & (c <= d)
+    bad = sum(np.count_nonzero(pairs & R.ne(other))
+              for other in (-contract("bacd->abcd", R), -contract("abdc->abcd", R),
+                            contract("cdab->abcd", R)))
+    # first Bianchi on the vector slots (a, b, c)
+    bianchi = (contract("abdc->abcd", R) + contract("bcda->abcd", R)
+               + contract("cadb->abcd", R))
+    bad += np.count_nonzero(((a < b) & (b < c)) & (bianchi.num != 0))
+    return int(bad)
+
+
+def _einstein_violations(R: ExactArray) -> np.ndarray:
     """Where Ric differs from -4(n+2) id, n = dim / 4."""
-    n = R.dim // 4
-    return R.ricci_table().ne(ExactArray.of(-4 * (n + 2) * np.eye(R.dim, dtype=np.int64)))
+    m = len(R.num)
+    return ricci(R).ne(ExactArray.of(-4 * (m // 4 + 2) * np.eye(m, dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +154,7 @@ def _derive_bracket_scale() -> Fraction:
 
     def einstein_ok(c: Fraction) -> bool:
         C = _bracket_table(2, c)
-        R = CurvatureTensor(curvature_table(C, levi_civita_table(C)))
-        return not _einstein_violations(R).any()
+        return not _einstein_violations(curvature_table(C, levi_civita_table(C))).any()
 
     matches = [cand for cand in EINSTEIN_SWEEP if einstein_ok(cand)]
     if len(matches) != 1:
@@ -199,36 +177,38 @@ def build_model(n: int) -> StructureConstants:
     return StructureConstants(n, c, C)
 
 
-def curvature(sc: StructureConstants) -> CurvatureTensor:
-    return CurvatureTensor(curvature_table(sc.table, sc.connection))
+def curvature(sc: StructureConstants) -> ExactArray:
+    """R[A, B, C, D] of the model, 0-based."""
+    return curvature_table(sc.table, sc.connection)
 
 
 @lru_cache(maxsize=None)
-def model_curvature(n: int) -> CurvatureTensor:
+def model_curvature(n: int) -> ExactArray:
     return curvature(build_model(n))
 
 
-def verify_einstein(R: CurvatureTensor) -> list[Check]:
+def verify_einstein(R: ExactArray) -> list[Check]:
     """Ric = -4(n+2) id and scalar curvature -16 n (n+2), exactly."""
-    n = R.dim // 4
+    n = len(R.num) // 4
     bad = _einstein_violations(R)
     diag_bad = int(np.count_nonzero(np.diagonal(bad)))
     return [
         check_eq("einstein diagonal entries equal -4(n+2)", 0, diag_bad),
         check_eq("einstein off-diagonal entries vanish", 0,
                  int(np.count_nonzero(bad)) - diag_bad),
-        check_eq("scalar curvature", Fraction(-16 * n * (n + 2)), R.scalar()),
+        check_eq("scalar curvature", Fraction(-16 * n * (n + 2)),
+                 contract("ii->", ricci(R)).fraction()),
     ]
 
 
-def verify_quaternionic_traces(R: CurvatureTensor) -> list[Check]:
+def verify_quaternionic_traces(R: ExactArray) -> list[Check]:
     """Three-sum -12 and four-sum -4 trace identities on every admissible
     frame configuration (delta = -1 normalization).
 
     This is the pointwise form of the parallel-transport statement along
     geodesics; on the homogeneous model the two are equivalent."""
-    m = R.dim
-    sec = R.sectional_table()
+    m = len(R.num)
+    sec = sectional(R)
     # images[t, b] = 1 where e_t = +-A e_b for A = I, J or K: the squared
     # entries of the three matrices
     images = ExactArray(sum(A.num * A.num for A in quaternionic_actions(m // 4)))
@@ -261,25 +241,25 @@ class BergerData:
         self.alpha, self.beta, self.gamma, self.checks = alpha, beta, gamma, checks
 
 
-def curvature_commutators(Rt: ExactArray, P: ExactArray) -> ExactArray:
-    """[R(e_a, e_b), P] = R_ab P - P R_ab, R_ab = Rt[a, b], for every pair (a, b)
+def curvature_commutators(R: ExactArray, P: ExactArray) -> ExactArray:
+    """[R(e_a, e_b), P] = R_ab P - P R_ab, R_ab = R[a, b], for every pair (a, b)
     and a signed permutation P (ContractViolation for any other): R_ab's columns
     gathered through P's permutation, its rows through the inverse, times P's signs."""
-    m = Rt.num.shape[-1]
+    m = R.num.shape[-1]
     if P.den != 1 or not np.isin(P.num, (-1, 0, 1)).all() \
             or not np.array_equal(np.einsum("ji,jk->ik", P.num, P.num), np.eye(m)):
         raise ContractViolation("a curvature commutator needs a signed permutation matrix")
     rows, inverse = np.abs(P.num).argmax(axis=0), np.abs(P.num).argmax(axis=1)
     signs = P.num[rows, np.arange(m)]  # column k of P is signs[k] e_{rows[k]}
-    return (ExactArray(Rt.num[..., rows] * signs, Rt.den)
-            - ExactArray(Rt.num[..., inverse, :] * signs[inverse, None], Rt.den))
+    return (ExactArray(R.num[..., rows] * signs, R.den)
+            - ExactArray(R.num[..., inverse, :] * signs[inverse, None], R.den))
 
 
 # seeded frame triples drawn by verify_berger (draws with a == b are skipped)
 TRIPLE_SAMPLES = 60
 
 
-def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
+def verify_berger(R: ExactArray, seed: int = 0) -> BergerData:
     """Lemma-level commutator structure of R(X,Y) against I, J, K.
 
     For every frame pair, [R(X,Y), I] (`curvature_commutators`, O(m^4))
@@ -287,10 +267,9 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     and alpha(X, IY) = beta(X, JY) = gamma(X, KY) = -Ric(X,Y)/(n+2)
     = 4 <X, Y>.  Also spot-checks the three curvature-pair identities
     <R(X,Y)Z, IZ> + <R(X,Y)JZ, KZ> = alpha(X,Y) |Z|^2 on seeded frame triples."""
-    m = R.dim
+    m = len(R.num)
     n = m // 4
     I, J, K = quaternionic_actions(n)
-    Rt = R.table
 
     def extract(com: ExactArray, P: ExactArray) -> ExactArray:
         """<com, P> / m: the coefficient of P in com, since the structure
@@ -302,7 +281,7 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
         span = contract("ab,ij->abij", c1, P1) + contract("ab,ij->abij", c2, P2)
         return com.ne(span).any(axis=(2, 3))
 
-    com_i, com_j, com_k = (curvature_commutators(Rt, P) for P in (I, J, K))
+    com_i, com_j, com_k = (curvature_commutators(R, P) for P in (I, J, K))
     g1, b1, a1 = extract(com_i, J), -extract(com_i, K), extract(com_j, K)
     g2, b2, a2 = -extract(com_j, I), extract(com_k, I), -extract(com_k, J)
     pairs = ~np.eye(m, dtype=bool)
@@ -315,14 +294,14 @@ def verify_berger(R: CurvatureTensor, seed: int = 0) -> BergerData:
     eq1_bad = sum(int(np.count_nonzero(contract("at,tb->ab", form, P).ne(four)))
                   for form, P in ((a1, I), (b1, J), (g1, K)))
     ric_bad = int(np.count_nonzero(
-        contract("at,tb->ab", a1, I).ne(R.ricci_table() * Fraction(-1, n + 2))))
+        contract("at,tb->ab", a1, I).ne(ricci(R) * Fraction(-1, n + 2))))
 
     # seeded frame triples (e_a, e_b, e_c), a != b, c drawn after its pair
     rng = random.Random(seed)
     draws = ((rng.randrange(m), rng.randrange(m)) for _ in range(TRIPLE_SAMPLES))
     triples = [(a, b, rng.randrange(m)) for a, b in draws if a != b]
     a, b, c = (np.array(x, dtype=np.int64) for x in zip(*triples))
-    Rab = Rt[a, b]
+    Rab = R[a, b]
 
     def pair(X: ExactArray, Y: ExactArray) -> ExactArray:
         """<R(e_a, e_b) Y, X> per triple."""
@@ -385,16 +364,16 @@ def expected_radial_slabs(n: int) -> dict[tuple[int, int, int], int]:
     return t
 
 
-def verify_radial_slabs(R: CurvatureTensor) -> list[Check]:
+def verify_radial_slabs(R: ExactArray) -> list[Check]:
     """Every R_{1BCD} entry against the tabulated families, including the
     '= 0 otherwise' clauses."""
-    m = R.dim
+    m = len(R.num)
     want = np.zeros((m, m, m), dtype=np.int64)
     listed = np.zeros((m, m, m), dtype=bool)
     for (b, c, d), v in expected_radial_slabs(m // 4).items():
         want[b - 1, c - 1, d - 1] = v
         listed[b - 1, c - 1, d - 1] = True
-    bad = R.table[0, 1:].ne(ExactArray(want[1:]))
+    bad = R[0, 1:].ne(ExactArray(want[1:]))
     total = (m - 1) * m * m
     count = int(np.count_nonzero(bad))
     return [
@@ -430,18 +409,7 @@ def d_coframe(C: ExactArray) -> list[Form]:
     return [two_form(m, -C[:, :, k]) for k in range(m)]
 
 
-class Sp1Connection:
-    """The local 1-forms a, b, c read off the connection's rotation of the
-    fundamental 2-forms."""
-
-    __slots__ = ("a", "b", "c", "checks")
-
-    def __init__(self, a: list, b: list, c: list, checks: list[Check]):
-        self.a, self.b, self.c, self.checks = a, b, c, checks
-
-
-def verify_parallel_four_form(sc: StructureConstants,
-                              berger: BergerData) -> Sp1Connection:
+def verify_parallel_four_form(sc: StructureConstants, berger: BergerData) -> list[Check]:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
     the curvature relation alpha = da + b ^ c (with its cyclic companions).
     nabla_X omega_a and nabla_X Omega, for every X, are one application of
@@ -481,13 +449,12 @@ def verify_parallel_four_form(sc: StructureConstants,
                  0, int(np.count_nonzero(maps[3].apply(rows).any(axis=1)))),
     ]
 
-    a_coms, b_coms, c_coms = (coms.fractions() for coms in (a, b, c))
-    fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(coms)})
-                  for coms in (a_coms, b_coms, c_coms))
+    fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(coms.fractions())})
+                  for coms in (a, b, c))
     for name, (f, g, h), curv in (
             ("alpha = da + b ^ c matches the curvature alpha", (fa, fb, fc), berger.alpha),
             ("beta = db + c ^ a matches the curvature beta", (fb, fc, fa), berger.beta),
             ("gamma = dc + a ^ b matches the curvature gamma", (fc, fa, fb), berger.gamma)):
         conn = derivation(d_images, f) + wedge(g, h)
         checks.append(check_true(name, conn == two_form(m, curv)))
-    return Sp1Connection(a_coms, b_coms, c_coms, checks)
+    return checks

@@ -214,13 +214,6 @@ def random_traceless_hessian(n: int, rng: random.Random) -> HessianMatrix:
     return HessianMatrix(ExactArray.of(_unpack(h[0], m), m * int(q[0])))
 
 
-def random_quaternionic_harmonic(n: int, rng: random.Random) -> HessianMatrix:
-    """One Hessian of :func:`kato_gap_scan`'s stream, in exact arithmetic."""
-    m = frame_dim(n)
-    h, q = _constrained_batch(m, 4, 1, rng)
-    return HessianMatrix(ExactArray.of(_unpack(h[0], m), 4 * int(q[0])))
-
-
 class _FormMap:
     """A linear map from the m x m Hessian numerators h to the numerators
     of forms of one degree: entry k adds num[k] * h.ravel()[ij[k]] to the
@@ -263,7 +256,9 @@ def _chain_map(omega: Form, m: int, inner_first: bool) -> _FormMap:
     table: step one removes (inserts) bit j of monomial k, step two inserts
     (removes) bit i of k ^ (1 << j), each signed by the `_below` count of its
     mask, which for k ^ (1 << j) is mod 2 that of k plus that of row j of the
-    identity.  One source k per (mask, ij): the sorted entries are signed terms."""
+    identity.  One source k per (mask, ij): the sorted entries are signed terms.
+    The masks of R^m are int64, so Int64RangeError from m = 64 on."""
+    guard_int64(1 << (m - 1), "monomial mask")
     keys, coeffs = np.array(list(omega._terms.items()), dtype=np.int64).T
     bits = keys[:, None] >> np.arange(m) & 1
     first = bits.astype(bool) == inner_first  # bit j may take the first step
@@ -452,7 +447,7 @@ _KATO_SCAN_ENTRIES = 1 << 16
 
 def kato_gap_scan(n: int, samples: int, seed: int) -> tuple[int, Fraction]:
     """Scan the refined Kato gap over `samples` quaternionic-harmonic
-    Hessians, the stream :func:`random_quaternionic_harmonic` draws from
+    Hessians, the stream of :func:`_constrained_batch` at group 4 from
     random.Random(seed), in chunks of int16 packed upper-triangle rows:
     one weighted sum of squares per Hessian (`scaled_kato_gap`) and, per
     denominator q in 1..9, the least scaled gap.  Returns (number of

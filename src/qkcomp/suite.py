@@ -43,6 +43,8 @@ from .levelset import (
 from .model import (
     build_model,
     model_curvature,
+    sectional,
+    symmetry_violations,
     verify_berger,
     verify_einstein,
     verify_parallel_four_form,
@@ -308,16 +310,16 @@ def model_battery(n: int) -> list[Check]:
     checks: list[Check] = []
     checks.append(check_eq(f"n={n}: derived bracket scale", Fraction(2), sc.c))
     checks.append(check_eq(f"n={n}: tensor symmetries and first Bianchi",
-                           0, R.symmetry_violations()))
+                           0, symmetry_violations(R)))
     checks.extend(verify_einstein(R))
-    sec_bad = sum(1 for p in (2, 3, 4) if R.sectional(1, p) != -4)
-    sec_bad += sum(1 for al in range(5, 4 * n + 1) if R.sectional(1, al) != -1)
+    radial = sectional(R)[0, 1:]  # K(e1, e_B), B = 2 .. 4n
+    sec_bad = int(np.count_nonzero(radial.ne(ExactArray.of([-4] * 3 + [-1] * (4 * n - 4)))))
     checks.append(check_eq(f"n={n}: K(e1,e_p) = -4 and K(e1,e_a) = -1", 0, sec_bad))
     checks.extend(verify_radial_slabs(R))
     checks.extend(verify_quaternionic_traces(R))
     berger = verify_berger(R)
     checks.extend(berger.checks)
-    checks.extend(verify_parallel_four_form(sc, berger).checks)
+    checks.extend(verify_parallel_four_form(sc, berger))
     return _tagged(n, checks)
 
 

@@ -369,6 +369,15 @@ def test_harmonicity_refuses_n_below_2(n, capsys):
     assert "need n >= 2" in capsys.readouterr().err
 
 
+def test_harmonicity_refuses_n_past_the_int64_masks(capsys):
+    # at n = 16 a monomial mask of R^64 leaves int64: bad input, refused
+    # by the chain maps before they build a table, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonicity", "--n", "16", "--samples", "1", "--kato-samples", "10"])
+    assert exc.value.code == 2
+    assert "out of the int64 range: monomial mask" in capsys.readouterr().err
+
+
 def test_internal_model_failure_is_not_a_usage_error(monkeypatch):
     # no Einstein scale or a failing Jacobi identity is a fault of the
     # program, not of its input: it must not exit 2

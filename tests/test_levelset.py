@@ -18,12 +18,12 @@ from qkcomp.levelset import (
     verify_weighted_displays,
 )
 from qkcomp.model import (
-    CurvatureTensor,
     ModelConstructionError,
     StructureConstants,
     build_model,
     levi_civita_table,
     model_curvature,
+    sectional,
 )
 from qkcomp.report import Check, check_eq
 
@@ -51,10 +51,10 @@ def test_second_fundamental_form(setup2, setup3):
 
 def test_center_planes_are_flat(setup2):
     sc, _ = setup2
-    lsg = level_set_geometry(sc, F(1))
-    assert lsg.curvature.sectional(1, 2) == 0
-    assert lsg.curvature.sectional(1, 3) == 0
-    assert lsg.curvature.sectional(2, 3) == 0
+    K = sectional(level_set_geometry(sc, F(1)).curvature)
+    assert K.fraction(0, 1) == 0
+    assert K.fraction(0, 2) == 0
+    assert K.fraction(1, 2) == 0
 
 
 def test_level_set_sums(setup2, setup3):
@@ -68,7 +68,7 @@ def test_level_set_sums(setup2, setup3):
 def test_line_sum_minus_nine_explicit(setup2):
     sc, _ = setup2
     lsg = level_set_geometry(sc, F(1))
-    total = sum(lsg.curvature.sectional(7, 7 - i) for i in (1, 2, 3))
+    total = sum(lsg.curvature.fraction(6, 6 - i, 6, 6 - i) for i in (1, 2, 3))
     assert total == -9
 
 
@@ -90,8 +90,7 @@ def test_intrinsic_curvature_scale_invariant(setup2):
     m = 4 * sc.n - 1
     for i in range(m):
         for j in range(m):
-            assert a.curvature.table[i, j].fractions() == \
-                b.curvature.table[i, j].fractions()
+            assert a.curvature[i, j].fractions() == b.curvature[i, j].fractions()
 
 
 def test_weighted_displays(setup2, setup3):
@@ -187,8 +186,8 @@ def reference_gauss_counts(R, lsg):
                     if k == i and l == j:
                         corr -= h[i - 2] * h[j - 2]
                     bad, total = counts.get(branch(i, j, k, l), (0, 0))
-                    bar = lsg.curvature.entry(i - 1, j - 1, k - 1, l - 1)
-                    bad += R.entry(i, j, k, l) != bar + corr
+                    bar = lsg.curvature.fraction(i - 2, j - 2, k - 2, l - 2)
+                    bad += R.fraction(i - 1, j - 1, k - 1, l - 1) != bar + corr
                     counts[branch(i, j, k, l)] = (bad, total + 1)
     return counts
 
@@ -197,10 +196,10 @@ def reference_gauss_counts(R, lsg):
 def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
     sc, R = setup2
     rng = random.Random(7)
-    num = R.table.num.copy()
+    num = R.num.copy()
     for _ in range(40):
         num[tuple(rng.randrange(1, 8) for _ in range(4))] += 1
-    broken = CurvatureTensor(ExactArray.of(num, R.table.den))
+    broken = ExactArray.of(num, R.den)
     lsg = level_set_geometry(sc, scale)
     counts = reference_gauss_counts(broken, lsg)
     assert sum(bad for bad, _ in counts.values()) > 0
@@ -216,7 +215,7 @@ def reference_level_set_sums(lsg):
 
     def K(i, j):
         """K^N(e_i, e_j) with ambient indices 2..4n."""
-        return lsg.curvature.sectional(i - 1, j - 1)
+        return lsg.curvature.fraction(i - 2, j - 2, i - 2, j - 2)
 
     zero_bad = sum(1 for (p, q) in ((2, 3), (2, 4), (3, 4)) if K(p, q) != 0)
     mixed_bad = sum(1 for p in (2, 3, 4) for s in range(2, n + 1)
@@ -266,7 +265,7 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
     lsg = level_set_geometry(sc, F(1, 4))
     assert rendered(verify_level_set_sums(lsg)) == rendered(reference_level_set_sums(lsg))
     rng = random.Random(11)
-    num = lsg.curvature.table.num.copy()
+    num = lsg.curvature.num.copy()
     m = 4 * n - 1
     for _ in range(12):
         a, b = rng.randrange(m), rng.randrange(m)
@@ -276,7 +275,7 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
     if n == 3:
         num[6, 8, 6, 8] += 1  # K^N(e_8, e_10), across lines
     broken = LevelSetGeometry(n, lsg.scale, lsg.second_fundamental,
-                              CurvatureTensor(ExactArray.of(num, lsg.curvature.table.den)))
+                              ExactArray.of(num, lsg.curvature.den))
     expected = rendered(reference_level_set_sums(broken))
     # every sum fails but the cross-line one, which n = 2 does not have
     assert sum(not chk["pass"] for chk in expected) == (5 if n == 3 else 4)

@@ -21,7 +21,6 @@ from qkcomp.model import (
     EINSTEIN_SWEEP,
     MAX_MODEL_N,
     TRIPLE_SAMPLES,
-    CurvatureTensor,
     ModelConstructionError,
     StructureConstants,
     _bracket_table,
@@ -32,9 +31,13 @@ from qkcomp.model import (
     curvature_table,
     d_coframe,
     derivation,
+    expected_radial_slabs,
     jacobi_violations,
     levi_civita_table,
     model_curvature,
+    ricci,
+    sectional,
+    symmetry_violations,
     verify_berger,
     verify_einstein,
     verify_parallel_four_form,
@@ -292,29 +295,31 @@ def test_connection_torsion_free(model2):
 
 def test_curvature_symmetries(model2):
     _, _, R = model2
-    assert R.symmetry_violations() == 0
+    assert symmetry_violations(R) == 0
 
 
 def test_curvature_symmetries_n3(model3):
     _, _, R = model3
-    assert R.symmetry_violations() == 0
+    assert symmetry_violations(R) == 0
 
 
 def test_sectional_values(model2):
     _, _, R = model2
+    K = sectional(R)
     for p in (2, 3, 4):
-        assert R.sectional(1, p) == -4
+        assert K.fraction(0, p - 1) == -4
     for al in range(5, 9):
-        assert R.sectional(1, al) == -1
-    assert R.sectional(5, 6) == -4
-    assert R.sectional(2, 5) == -1
+        assert K.fraction(0, al - 1) == -1
+    assert K.fraction(4, 5) == -4
+    assert K.fraction(1, 4) == -1
+    assert K.fraction(4, 5) == R.fraction(4, 5, 4, 5)
 
 
 def test_cross_line_component(model3):
     _, _, R = model3
     for s in (2, 3):
-        assert R.entry(1, 2, 4 * s - 1, 4 * s) == -2
-        assert R.entry(1, 2, 4 * s, 4 * s - 1) == 2
+        assert R.fraction(0, 1, 4 * s - 2, 4 * s - 1) == -2
+        assert R.fraction(0, 1, 4 * s - 1, 4 * s - 2) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -322,8 +327,38 @@ def test_einstein_and_scalar(n):
     R = model_curvature(n)
     checks = verify_einstein(R)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-    assert R.scalar() == -16 * n * (n + 2)
-    assert R.ricci_table().fraction(0, 0) == -4 * (n + 2)
+    assert contract("ii->", ricci(R)).fraction() == -16 * n * (n + 2)
+    assert ricci(R).fraction(0, 0) == -4 * (n + 2)
+
+
+def quaternionic_hyperbolic_numerators(n):
+    """R_abcd of QH^n, the symmetric space, at holomorphic sectional
+    curvature -4: -(d_bd d_ac - d_ad d_bc + sum_P (P_db P_ca - P_da P_cb
+    - 2 P_ba P_cd)) over P = I, J, K, as dense integers."""
+    d = np.eye(4 * n, dtype=np.int64)
+    R = np.einsum("bd,ac->abcd", d, d) - np.einsum("ad,bc->abcd", d, d)
+    for P in quaternionic_actions(n):
+        p = P.num
+        R += (np.einsum("db,ca->abcd", p, p) - np.einsum("da,cb->abcd", p, p)
+              - 2 * np.einsum("ba,cd->abcd", p, p))
+    return -R
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_model_curvature_is_that_of_quaternionic_hyperbolic_space(n):
+    # the solvable model is QH^n: its table is the closed-form tensor, entry
+    # for entry, and the tabulated radial slabs are that tensor's slab 1
+    R = model_curvature(n)
+    want = quaternionic_hyperbolic_numerators(n)
+    assert R.den == 1
+    assert np.array_equal(R.num, want)
+    m = 4 * n
+    slabs = np.zeros((m, m, m), dtype=np.int64)
+    for (b, c, d), v in expected_radial_slabs(n).items():
+        slabs[b - 1, c - 1, d - 1] = v
+    assert np.array_equal(want[0, 1:], slabs[1:])
+    # not vacuous: the negated tensor (curvature +4) is not the model's
+    assert not np.array_equal(R.num, -want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -357,7 +392,7 @@ def test_trace_identity_random_vectors(model2):
             for b in range(m):
                 if not yc[b]:
                     continue
-                row = R.table[a, b].fractions()
+                row = R[a, b].fractions()
                 for c in range(m):
                     if not yc[c]:
                         continue
@@ -387,11 +422,11 @@ def test_berger_commutators(n):
     assert data.alpha.fraction(0, 4) == 0  # alpha(e1, e5)
 
 
-def reference_commutators(Rt, P):
+def reference_commutators(R, P):
     """[R(e_a, e_b), P] for every pair by two O(m^5) einsums: the products
     that the signed-permutation gathers of `curvature_commutators`
     replaced, kept as their oracle."""
-    return contract("abij,jk->abik", Rt, P) - contract("ij,abjk->abik", P, Rt)
+    return contract("abij,jk->abik", R, P) - contract("ij,abjk->abik", P, R)
 
 
 def assert_same_table(got, want):
@@ -403,7 +438,7 @@ def assert_same_table(got, want):
 def test_curvature_commutators_match_the_einsum_oracle(n):
     R = model_curvature(n)
     for P in quaternionic_actions(n):
-        assert_same_table(curvature_commutators(R.table, P), reference_commutators(R.table, P))
+        assert_same_table(curvature_commutators(R, P), reference_commutators(R, P))
     # a table with none of the curvature symmetries, over a den, against a
     # seeded signed permutation that is neither antisymmetric nor I, J, K
     m = 4 * n
@@ -430,7 +465,7 @@ def not_signed_permutations():
 @pytest.mark.parametrize("name", sorted(not_signed_permutations()))
 def test_curvature_commutators_refuse_other_matrices(name):
     with pytest.raises(ContractViolation, match="needs a signed permutation matrix"):
-        curvature_commutators(model_curvature(2).table, not_signed_permutations()[name])
+        curvature_commutators(model_curvature(2), not_signed_permutations()[name])
 
 
 def test_curvature_pair_identity_named_triple(model2):
@@ -439,14 +474,15 @@ def test_curvature_pair_identity_named_triple(model2):
     data = verify_berger(R)
     (tI, sI), (tJ, sJ), (tK, sK) = ((t[5], s[5]) for t, s in reference_actions(2))
     a, b, c = 1, 5, 6
-    lhs = sI * R.entry(a, b, tI, c) + sJ * sK * R.entry(a, b, tK, tJ)
+    lhs = (sI * R.fraction(a - 1, b - 1, tI - 1, c - 1)
+           + sJ * sK * R.fraction(a - 1, b - 1, tK - 1, tJ - 1))
     assert lhs == data.alpha.fraction(a - 1, b - 1)
 
 
 def reference_triple_violations(R, data, seed):
     """The curvature-pair identities on verify_berger's seeded frame
-    triples, one R.entry at a time through the reference tables."""
-    m = R.dim
+    triples, one entry of R at a time through the reference tables."""
+    m = len(R.num)
     (tI_, sI_), (tJ_, sJ_), (tK_, sK_) = reference_actions(m // 4)
     rng = random.Random(seed)
     bad = 0
@@ -457,9 +493,11 @@ def reference_triple_violations(R, data, seed):
             continue
         c = rng.randrange(m) + 1
         tI, sI, tJ, sJ, tK, sK = (x[c - 1] for x in (tI_, sI_, tJ_, sJ_, tK_, sK_))
-        lhs_a = sI * R.entry(a + 1, b + 1, tI, c) + sJ * sK * R.entry(a + 1, b + 1, tK, tJ)
-        lhs_b = sJ * R.entry(a + 1, b + 1, tJ, c) + sK * sI * R.entry(a + 1, b + 1, tI, tK)
-        lhs_g = sK * R.entry(a + 1, b + 1, tK, c) + sI * sJ * R.entry(a + 1, b + 1, tJ, tI)
+        c -= 1
+        tI, tJ, tK = tI - 1, tJ - 1, tK - 1
+        lhs_a = sI * R.fraction(a, b, tI, c) + sJ * sK * R.fraction(a, b, tK, tJ)
+        lhs_b = sJ * R.fraction(a, b, tJ, c) + sK * sI * R.fraction(a, b, tI, tK)
+        lhs_g = sK * R.fraction(a, b, tK, c) + sI * sJ * R.fraction(a, b, tJ, tI)
         if lhs_a != data.alpha.fraction(a, b) or lhs_b != data.beta.fraction(a, b) \
                 or lhs_g != data.gamma.fraction(a, b):
             bad += 1
@@ -480,18 +518,19 @@ def test_triple_check_matches_the_per_triple_loop(n, seed):
     # break R in one entry on the first seeded triple's slab, then in one
     # entry out of 20: the batched contraction and the loop count the same
     # bad triples
+    m = len(R.num)
     rng = random.Random(seed)
-    a, b = rng.randrange(R.dim), rng.randrange(R.dim)
+    a, b = rng.randrange(m), rng.randrange(m)
     while a == b:
-        a, b = rng.randrange(R.dim), rng.randrange(R.dim)
-    one = R.table.num.copy()
+        a, b = rng.randrange(m), rng.randrange(m)
+    one = R.num.copy()
     one[a, b, 0, 1] += 1
     rng = random.Random(40 + seed)
-    many = R.table.num.copy()
-    for _ in range(R.dim ** 4 // 20):
-        many[tuple(rng.randrange(R.dim) for _ in range(4))] += rng.choice((-1, 1))
+    many = R.num.copy()
+    for _ in range(m ** 4 // 20):
+        many[tuple(rng.randrange(m) for _ in range(4))] += rng.choice((-1, 1))
     for num in (one, many):
-        broken = CurvatureTensor(ExactArray.of(num, R.table.den))
+        broken = ExactArray.of(num, R.den)
         data = verify_berger(broken, seed)
         expected = reference_triple_violations(broken, data, seed)
         assert expected > 0
@@ -504,12 +543,14 @@ MUTANTS = 20
 def test_parallel_four_form(model2):
     sc, _, R = model2
     berger = verify_berger(R)
-    sp1 = verify_parallel_four_form(sc, berger)
-    assert all(c.passed for c in sp1.checks), \
-        [c.name for c in sp1.checks if not c.passed]
-    assert [c.passed for c in sp1.checks] == reference_parallel_four_form(sc, berger)
-    # the radial direction is annihilated by the connection
-    assert sp1.a[0] == sp1.b[0] == sp1.c[0] == 0
+    checks = verify_parallel_four_form(sc, berger)
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert [c.passed for c in checks] == reference_parallel_four_form(sc, berger)
+    # the radial direction is annihilated by the connection: nabla_{e1} omega_a
+    # = 0 for a = 1, 2, 3, so the sp(1) 1-forms a, b, c vanish on e1
+    for n in (2, 3):
+        G = levi_civita_table(build_model(n).table)
+        assert all(nabla_through_map(G, f)[0].is_zero() for f in derivation_maps(n)[:3])
 
 
 def nabla_through_map(G, f):
@@ -576,7 +617,7 @@ def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
         s = rng.choice((-1, 1))
         G = perturbed_connection(monkeypatch, x, i, k, s)(sc.table)
         mutant = StructureConstants(sc.n, sc.c, sc.table)
-        checks = {c.name: c for c in verify_parallel_four_form(mutant, berger).checks}
+        checks = {c.name: c for c in verify_parallel_four_form(mutant, berger)}
         bad = [d for d in range(1, sc.dim + 1)
                if not reference_covariant_derivative(G, d, Omega).is_zero()]
         assert bad == [x + 1], (x, i, k, s)
@@ -597,7 +638,7 @@ def test_parallel_four_form_fails_on_perturbed_brackets(n):
         num[a, b, d] += s * sc.table.den
         num[b, a, d] -= s * sc.table.den
         mutant = StructureConstants(sc.n, sc.c, ExactArray.of(num, sc.table.den))
-        verdicts = [c.passed for c in verify_parallel_four_form(mutant, berger).checks]
+        verdicts = [c.passed for c in verify_parallel_four_form(mutant, berger)]
         assert not all(verdicts), (a, b, d, s)
         assert verdicts == reference_parallel_four_form(mutant, berger), (a, b, d, s)
 
@@ -645,14 +686,14 @@ def test_level_set_tables_match_fraction_reference(n, scale):
     ref_G = reference_levi_civita(ref_C)
     assert C.fractions() == ref_C
     assert levi_civita_table(C).fractions() == ref_G
-    assert level_set_geometry(sc, scale).curvature.table.fractions() == \
+    assert level_set_geometry(sc, scale).curvature.fractions() == \
         reference_curvature(ref_C, ref_G)
 
 
 def test_violation_counts_match_reference_on_a_perturbed_tensor():
     # the array counts are not vacuous: break the tensor in seeded slots and
     # count as the reference loops do
-    R = model_curvature(2).table
+    R = model_curvature(2)
     rng = random.Random(5)
     num = R.num.copy()
     for _ in range(6):
@@ -660,7 +701,7 @@ def test_violation_counts_match_reference_on_a_perturbed_tensor():
     broken = ExactArray.of(num, R.den)
     expected = reference_symmetry_violations(broken.fractions())
     assert expected > 0
-    assert CurvatureTensor(broken).symmetry_violations() == expected
+    assert symmetry_violations(broken) == expected
 
     C = build_model(2).table
     num = C.num.copy()

@@ -14,7 +14,9 @@ index arithmetic of `_chain_map` replaced.  `reference_kato_scan`
 keeps the full-matrix Kato scan the packed-triangle scan is tested against,
 `int64_kato_scan` the scan on int64 rows that the int16 rows replaced, and
 `traceless_batch` and `quaternionic_harmonic_batch` the two sampled
-streams that the one projection `_constrained_batch` replaced."""
+streams that the one projection `_constrained_batch` replaced.
+`random_quaternionic_harmonic` draws the Kato scan's stream one exact
+Hessian at a time."""
 
 import math
 import os
@@ -42,7 +44,6 @@ from qkcomp.quaternionic import (
     kato_gap_scan,
     line_indices,
     quaternionic_actions,
-    random_quaternionic_harmonic,
     random_traceless_hessian,
     refined_kato_gap,
     siu_corlette_defect,
@@ -157,7 +158,6 @@ N_CONSTRUCTORS = {
     "equality_case_hessian": lambda n, rng: equality_case_hessian(n, F(1)),
     "random_traceless_hessian": random_traceless_hessian,
     "busemann_hessian": lambda n, rng: busemann_hessian(n),
-    "random_quaternionic_harmonic": random_quaternionic_harmonic,
     "kato_gap_scan": lambda n, rng: kato_gap_scan(n, 10, 0),
 }
 
@@ -432,6 +432,16 @@ def test_four_form_maps_raise_rather_than_wrap():
     assert lhs == rhs == (1 << 55) * star_commutation_sides(one)[0]
 
 
+def test_chain_maps_refuse_masks_past_int64():
+    # a monomial mask of R^m is an int64 bit set: R^64 (n = 16) has no
+    # room for one, and the refusal comes before any table is built
+    with pytest.raises(Int64RangeError, match="monomial mask"):
+        quaternionic.derivation_maps(16)
+    # R^60 still builds; uncached, so the 19 MB of maps are not kept
+    maps = quaternionic.derivation_maps.__wrapped__(15)
+    assert max(maps[3].masks) >= 1 << 59
+
+
 # -- the term-table map builder against the Form-built constructor ---------
 
 def reference_form_map(grid, degree):
@@ -693,6 +703,14 @@ def quaternionic_harmonic_batch(n, count, rng):
     h = 4 * packed
     h[:, diag] = (4 * lines - lines.sum(axis=2, keepdims=True)).reshape(count, 4 * n)
     return h, q
+
+
+def random_quaternionic_harmonic(n, rng):
+    """One Hessian of `kato_gap_scan`'s stream, in exact arithmetic: the
+    group-4 projection of `_constrained_batch`, one draw at a time."""
+    m = 4 * n
+    h, q = quaternionic._constrained_batch(m, 4, 1, rng)
+    return HessianMatrix(ExactArray.of(quaternionic._unpack(h[0], m), 4 * int(q[0])))
 
 
 # criterion 2's streams at their sizes, and n = 4; the Kato streams at
