@@ -30,7 +30,7 @@ from .comparison import (
     volume,
 )
 from .forms import ContractViolation, contract
-from .model import build_model, model_curvature, ricci
+from .model import bracket_scale, model_curvature, ricci
 from .report import Check, Report, check_true, render_value
 from .riccati import DomainError, integrate_riccati
 from .spectral import (RadialProblem, ResidualError, StudyError, convergence_study,
@@ -192,11 +192,10 @@ def cmd_volume(args) -> int:
 
 def cmd_model(args) -> int:
     n = args.n
-    sc = build_model(n)
     R = model_curvature(n)
     Ric = ricci(R)
     rep = Report("model", {"n": n, "scale": args.scale})
-    rep.results.append({"n": n, "c": sc.c, "einstein_constant": Ric.fraction(0, 0),
+    rep.results.append({"n": n, "c": bracket_scale(), "einstein_constant": Ric.fraction(0, 0),
                         "scalar": contract("ii->", Ric).fraction()})
     rep.extend(suite_mod.model_battery(n))
     rep.extend(suite_mod.level_set_battery(n, args.scale))

@@ -2,10 +2,11 @@
 intrinsic curvature of the nilpotent level sets, the Gauss equation in
 all its branches, and the radial-Hessian equality-case certification.
 
-A level set carries the two-step nilpotent algebra z + v with the
-induced metric of block weights (s^-2 on z, s^-1 on v) at scale
-s = e^{-2t}; rational scales with rational square root (s = 1, 1/4)
-keep every check exact.  Its tables, the shape operator among them, are
+A level set of the model with bracket table C carries the two-step
+nilpotent algebra z + v of C with the induced metric of block weights
+(s^-2 on z, s^-1 on v) at scale s = e^{-2t}; rational scales with
+rational square root (s = 1, 1/4) keep every check exact.  Its tables,
+the shape operator (read off `levi_civita_table(C)`) among them, are
 `forms.ExactArray`s (int64 numerators over one denominator) over local
 0-based axes, index i standing for the ambient e_{i+2}, the curvature
 bar R among them in the convention of `model`; the Gauss equation, the
@@ -20,14 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import ContractViolation, ExactArray, contract
-from .model import (
-    ModelConstructionError,
-    StructureConstants,
-    curvature_table,
-    jacobi_violations,
-    levi_civita_table,
-    sectional,
-)
+from .model import (ModelConstructionError, curvature_table, jacobi_violations,
+                    levi_civita_table, sectional)
 from .quaternionic import busemann_hessian
 from .report import Check, check_eq, check_true
 from .riccati import rational_sqrt
@@ -46,43 +41,43 @@ class LevelSetGeometry:
         self.second_fundamental, self.curvature = second_fundamental, curvature
 
 
-def _nilpotent_brackets(sc: StructureConstants, scale: Fraction) -> ExactArray:
+def _nilpotent_brackets(C: ExactArray, scale: Fraction) -> ExactArray:
     """Structure constants of z + v in the orthonormal frame of the
     rescaled metric: u_p = s f_p on z, u_a = sqrt(s) f_a on v, so
     C[a, b, d] = C^model[a, b, d] w_a w_b / w_d with w = (s, s, s, sqrt(s), ...)
-    on the nonzero model entries."""
+    on the nonzero entries of the model table C."""
     if scale <= 0:
         raise ContractViolation(f"scale must be positive, got {scale}")
     root = rational_sqrt(scale)
     if root is None:
         raise ContractViolation(
             f"scale must have a rational square root, got {scale}")
-    w = [scale] * 3 + [root] * (4 * sc.n - 4)
-    C = sc.table[1:, 1:, 1:]
-    return ExactArray.from_entries(C.num.shape, {
-        (a, b, d): v * w[a] * w[b] / w[d] for (a, b, d), v in C.items()})
+    w = [scale] * 3 + [root] * (len(C.num) - 4)
+    z_v = C[1:, 1:, 1:]
+    return ExactArray.from_entries(z_v.num.shape, {
+        (a, b, d): v * w[a] * w[b] / w[d] for (a, b, d), v in z_v.items()})
 
 
-def second_fundamental_form(sc: StructureConstants) -> tuple[ExactArray, int]:
+def second_fundamental_form(C: ExactArray) -> tuple[ExactArray, int]:
     """(h matrix over local axes, off-diagonal violations) with
-    h_ab = <nabla_{e_a} e_b, e_1> from the ambient connection."""
-    h = sc.connection[1:, 1:, 0]
+    h_ab = <nabla_{e_a} e_b, e_1> from the connection of the model table C."""
+    h = levi_civita_table(C)[1:, 1:, 0]
     off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
     return h, int(off)
 
 
-def level_set_geometry(sc: StructureConstants, scale: Fraction) -> LevelSetGeometry:
-    """Intrinsic curvature of the level set at scale s by the Koszul
-    formula on the rescaled nilpotent algebra, plus the shape operator."""
+def level_set_geometry(C: ExactArray, scale: Fraction) -> LevelSetGeometry:
+    """Intrinsic curvature of the level set at scale s by the Koszul formula
+    on the rescaled nilpotent algebra of C, plus the shape operator."""
     scale = Fraction(scale)
-    C = _nilpotent_brackets(sc, scale)
-    if jacobi_violations(C) != 0:
+    N = _nilpotent_brackets(C, scale)
+    if jacobi_violations(N) != 0:
         raise ModelConstructionError("nilpotent bracket table violates Jacobi")
-    bar = curvature_table(C, levi_civita_table(C))
-    h, off = second_fundamental_form(sc)
+    bar = curvature_table(N, levi_civita_table(N))
+    h, off = second_fundamental_form(C)
     if off:
         raise ModelConstructionError("ambient shape operator is not diagonal")
-    return LevelSetGeometry(sc.n, scale, contract("ii->i", h), bar)
+    return LevelSetGeometry(len(C.num) // 4, scale, contract("ii->i", h), bar)
 
 
 def verify_second_fundamental(lsg: LevelSetGeometry) -> list[Check]:
@@ -192,13 +187,13 @@ def verify_weighted_displays(R: ExactArray, base: LevelSetGeometry,
     return checks
 
 
-def radial_hessian_check(sc: StructureConstants) -> list[Check]:
+def radial_hessian_check(C: ExactArray) -> list[Check]:
     """The level-set shape operator reproduces the Busemann equality-case
     Hessian (orientation: the Hessian is minus the shape operator on the
     level-set block), and its block traces are the r -> infinity barrier
     limits 6, 4, and 4n+2 in total."""
-    n = sc.n
-    h, off = second_fundamental_form(sc)
+    n = len(C.num) // 4
+    h, off = second_fundamental_form(C)
     checks = [check_eq("shape operator off-diagonal vanishes", 0, off)]
 
     beta = busemann_hessian(n).table

@@ -9,11 +9,12 @@ v = span(e_5 .. e_{4n}).  Brackets:
 
 The center-bracket scale c is not assumed: it is derived by solving the
 Einstein condition Ric = -4(n+2) id at n = 2 over a rational sweep, then
-cross-checked against the curvature tables.  `build_model(n)` builds and
-Jacobi-checks one read-only model per n; every verifier takes only the
-tensor or table it checks, reading n off its dimension and I, J, K from
-`quaternionic_actions(n)`.  The Levi-Civita connection comes from the Koszul
-formula for left-invariant orthonormal frames,
+cross-checked against the curvature tables (`bracket_scale`).  A model is
+its bracket table C[A, B, D], built read-only and Jacobi-checked once per n
+by `build_model(n)`; every verifier takes only the table it checks, reading
+n off its dimension and I, J, K from `quaternionic_actions(n)`.  The
+Levi-Civita connection Gamma = `levi_civita_table(C)` is the Koszul formula
+for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
 
@@ -21,11 +22,10 @@ and the curvature tensor is its table R[A, B, C, D], 0-based, in the
 convention R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>,
 read by `sectional`, `ricci` and `symmetry_violations`.
 
-On left-invariant forms d and nabla_X are both the (anti)derivation fixed by
-its values on the coframe, D omega = sum_k D(theta^k) ^ iota(e_k) omega: d is
-`derivation` of the 2-forms d theta^k from C, and nabla_{e_x} omega is
-sum h_ik theta^i ^ iota(e_k) omega at h = -Gamma[x], one int64 map per form
-(`quaternionic.derivation_maps`) applied to every direction x at once.
+On left-invariant forms d and nabla_X both run through one int64 map per
+form, h -> sum h_ij theta^i ^ iota(e_j) omega (`quaternionic.derivation_maps`):
+nabla_{e_x} omega is its image at h = -Gamma[x], for every x at once, and
+d omega is -(1/2) sum_A theta^A ^ (its image at h = C[A]) (`exterior_derivative`).
 
 Every table here and on the horospheres of `levelset` (C, Gamma, R) is a
 `forms.ExactArray`: int64 numerators over one positive denominator.
@@ -43,10 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import (ContractViolation, ExactArray, Form, contract, guard_int64, interior,
-                    two_form, wedge)
-from .quaternionic import (derivation_maps, frame_dim, fundamental_forms, line_indices,
-                           quaternionic_actions)
+from .forms import ContractViolation, ExactArray, Form, contract, guard_int64
+from .quaternionic import (_below, _FormMap, derivation_maps, frame_dim, fundamental_forms,
+                           line_indices, quaternionic_actions)
 from .report import Check, check_eq, check_true
 
 
@@ -84,22 +83,6 @@ def jacobi_violations(C: ExactArray) -> int:
     cyclic = J + contract("bdaf->abdf", J) + contract("dabf->abdf", J)
     a, b, d = np.ogrid[:len(C.num), :len(C.num), :len(C.num)]
     return int(np.count_nonzero(cyclic.num[(a < b) & (b < d)]))
-
-
-class StructureConstants:
-    """Exact structure constants of the solvable model, with the derived
-    center-bracket scale c; `table` is C[A, B, D], 0-based, and
-    `connection` its Levi-Civita table, computed once per model."""
-
-    __slots__ = ("n", "c", "table", "connection")
-
-    def __init__(self, n: int, c: Fraction, table: ExactArray):
-        self.n, self.c, self.table = n, c, table
-        self.connection = levi_civita_table(table)
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n
 
 
 def levi_civita_table(C: ExactArray) -> ExactArray:
@@ -148,7 +131,7 @@ def _einstein_violations(R: ExactArray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _derive_bracket_scale() -> Fraction:
+def bracket_scale() -> Fraction:
     """Solve the one-parameter Einstein condition at n = 2: exactly one
     candidate of EINSTEIN_SWEEP must satisfy it."""
 
@@ -163,23 +146,22 @@ def _derive_bracket_scale() -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def build_model(n: int) -> StructureConstants:
-    """The solvable model of dimension 4n, built and Jacobi-checked once per
-    n, with a read-only bracket table; the bracket scale is derived once."""
+def build_model(n: int) -> ExactArray:
+    """The solvable model of dimension 4n: its read-only bracket table C,
+    built and Jacobi-checked once per n; the bracket scale is derived once."""
     frame_dim(n)
     if n > MAX_MODEL_N:
         raise ContractViolation(f"the model tables hold (4n)^4 entries: "
                                 f"need n <= {MAX_MODEL_N}, got n={n}")
-    c = _derive_bracket_scale()
-    C = _bracket_table(n, c)
+    C = _bracket_table(n, bracket_scale())
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
-    return StructureConstants(n, c, C)
+    return C
 
 
-def curvature(sc: StructureConstants) -> ExactArray:
-    """R[A, B, C, D] of the model, 0-based."""
-    return curvature_table(sc.table, sc.connection)
+def curvature(C: ExactArray) -> ExactArray:
+    """R[A, B, C, D] of the model with bracket table C, 0-based."""
+    return curvature_table(C, levi_civita_table(C))
 
 
 @lru_cache(maxsize=None)
@@ -384,42 +366,39 @@ def verify_radial_slabs(R: ExactArray) -> list[Check]:
     ]
 
 
-def derivation(images: list[Form], omega: Form) -> Form:
-    """The (anti)derivation D of left-invariant forms fixed by its values
-    images[k] = D theta^{k+1} on the coframe:
-
-        D omega = sum_k D(theta^k) ^ iota(e_k) omega.
-
-    With the 2-forms d theta^k it is the exterior derivative d: the term
-    of theta^k at position pos of a monomial carries the sign (-1)^pos that
-    iota(e_k) gives, as the antiderivation rule asks.
-    omega has degree >= 1; the images share one degree."""
-    out = Form.zero(omega.dim, omega.degree + images[0].degree - 1)
-    for k, image in enumerate(images, start=1):
-        if image:
-            contracted = interior(Form.basis(omega.dim, (k,)), omega)
-            if contracted:
-                out = out + wedge(image, contracted)
-    return out
-
-
-def d_coframe(C: ExactArray) -> list[Form]:
-    """d theta^k = -(1/2) C^k_AB theta^A ^ theta^B, k = 1 .. m."""
+def exterior_derivative(C: ExactArray, f: _FormMap) -> Form:
+    """d omega of the left-invariant form omega of the chain map f
+    (`_chain_map(omega, m, True)`): as d theta^k = -(1/2) C^k_AB theta^A ^ theta^B,
+    d omega = sum_k d theta^k ^ iota(e_k) omega = -(1/2) sum_A theta^A ^ f(C[A]),
+    f applied to the rows C[A] at once, then bit A set in every mask that
+    lacks it, signed by the parity of the mask's bits below A.
+    Int64RangeError if the sum over A could pass 2^62."""
     m = len(C.num)
-    return [two_form(m, -C[:, :, k]) for k in range(m)]
+    guard_int64(m * f.weight * C.bound, "exterior derivative")
+    images = f.apply(C.num.reshape(m, m * m))  # row A: f(C[A]) on f.masks
+    masks = np.array(f.masks, dtype=np.int64)
+    bits = masks[:, None] >> np.arange(m) & 1
+    t, A = np.nonzero(bits == 0)
+    out = masks[t] | (1 << A)
+    keys = sorted(set(out.tolist()))
+    acc = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(acc, np.searchsorted(keys, out), images[A, t] * (1 - 2 * (_below(bits)[t, A] & 1)))
+    return Form(m, f.degree + 1, {k: -c for k, c in zip(keys, acc.tolist()) if c},
+                2 * f.den * C.den)
 
 
-def verify_parallel_four_form(sc: StructureConstants, berger: BergerData) -> list[Check]:
+def verify_parallel_four_form(C: ExactArray, berger: BergerData) -> list[Check]:
     """d Omega = 0, nabla Omega = 0, the sp(1) rotation of the omega_a, and
     the curvature relation alpha = da + b ^ c (with its cyclic companions).
-    nabla_X omega_a and nabla_X Omega, for every X, are one application of
-    their maps of `derivation_maps` to the rows h = -Gamma[x]."""
-    *omegas, Omega = fundamental_forms(sc.n)
-    m = sc.dim
-    d_images = d_coframe(sc.table)
-    G = sc.connection
+    d Omega and nabla_X omega_a and nabla_X Omega, for every X, are
+    applications of their maps of `derivation_maps`: to the rows C[A]
+    (`exterior_derivative`) and to the rows h = -Gamma[x]."""
+    m = len(C.num)
+    n = m // 4
+    omegas = fundamental_forms(n)[:3]
+    G = levi_civita_table(C)
     rows = -G.num.reshape(m, m * m)
-    maps = derivation_maps(sc.n)
+    maps = derivation_maps(n)
     guard_int64(max(f.weight for f in maps) * int(np.abs(rows).max(initial=1)), "nabla map")
     masks = sorted(set().union(*(f.masks for f in maps[:3]), *(w._terms for w in omegas)))
 
@@ -435,26 +414,27 @@ def verify_parallel_four_form(sc: StructureConstants, berger: BergerData) -> lis
 
     d1, d2, d3 = (nabla(f) for f in maps[:3])
     w1, w2, w3 = (ExactArray.of([w._terms.get(k, 0) for k in masks], w.den) for w in omegas)
-    per_norm = Fraction(1, 2 * sc.n)  # 1 / |omega_a|^2
+    per_norm = Fraction(1, 2 * n)  # 1 / |omega_a|^2
     c = contract("xu,u->x", d1, w2) * per_norm
     b = -contract("xu,u->x", d1, w3) * per_norm
     a = contract("xu,u->x", d2, w3) * per_norm
     rotation_bad = (d1.ne(span(c, w2, b, w3)) | d2.ne(span(a, w3, c, w1))
                     | d3.ne(span(b, w1, a, w2))).any(axis=1)
     checks = [
-        check_true("d Omega = 0", derivation(d_images, Omega).is_zero()),
+        check_true("d Omega = 0", exterior_derivative(C, maps[3]).is_zero()),
         check_eq("nabla_X omega_a is the sp(1) rotation, all X",
                  0, int(np.count_nonzero(rotation_bad))),
         check_eq("nabla_X Omega = 0, all X",
                  0, int(np.count_nonzero(maps[3].apply(rows).any(axis=1)))),
     ]
 
-    fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(coms.fractions())})
-                  for coms in (a, b, c))
+    # on the strict upper triangle, the entries of a 2-form's matrix: on a
+    # 1-form f, df is -sum_k f_k C[:, :, k], and g ^ h is g h^T - h g^T
     for name, (f, g, h), curv in (
-            ("alpha = da + b ^ c matches the curvature alpha", (fa, fb, fc), berger.alpha),
-            ("beta = db + c ^ a matches the curvature beta", (fb, fc, fa), berger.beta),
-            ("gamma = dc + a ^ b matches the curvature gamma", (fc, fa, fb), berger.gamma)):
-        conn = derivation(d_images, f) + wedge(g, h)
-        checks.append(check_true(name, conn == two_form(m, curv)))
+            ("alpha = da + b ^ c matches the curvature alpha", (a, b, c), berger.alpha),
+            ("beta = db + c ^ a matches the curvature beta", (b, c, a), berger.beta),
+            ("gamma = dc + a ^ b matches the curvature gamma", (c, a, b), berger.gamma)):
+        conn = (contract("a,b->ab", g, h) - contract("a,b->ab", h, g)
+                - contract("k,abk->ab", f, C))
+        checks.append(check_true(name, not np.triu(conn.ne(curv), 1).any()))
     return checks

@@ -41,6 +41,7 @@ from .levelset import (
     verify_weighted_displays,
 )
 from .model import (
+    bracket_scale,
     build_model,
     model_curvature,
     sectional,
@@ -305,10 +306,10 @@ def criterion_4_comparison() -> Report:
 
 def model_battery(n: int) -> list[Check]:
     """The exact curvature battery of the solvable model of dimension 4n."""
-    sc = build_model(n)
+    C = build_model(n)
     R = model_curvature(n)
     checks: list[Check] = []
-    checks.append(check_eq(f"n={n}: derived bracket scale", Fraction(2), sc.c))
+    checks.append(check_eq(f"n={n}: derived bracket scale", Fraction(2), bracket_scale()))
     checks.append(check_eq(f"n={n}: tensor symmetries and first Bianchi",
                            0, symmetry_violations(R)))
     checks.extend(verify_einstein(R))
@@ -319,7 +320,7 @@ def model_battery(n: int) -> list[Check]:
     checks.extend(verify_quaternionic_traces(R))
     berger = verify_berger(R)
     checks.extend(berger.checks)
-    checks.extend(verify_parallel_four_form(sc, berger))
+    checks.extend(verify_parallel_four_form(C, berger))
     return _tagged(n, checks)
 
 
@@ -335,16 +336,16 @@ def level_set_battery(n: int, scale: Fraction) -> list[Check]:
     """Horosphere checks at scale s = e^{-2t}: the shape operator and the
     curvature sums at s, the Gauss equation at scales 1 and s, the displays
     weighted by s against scale 1, and the Busemann cross-check."""
-    sc = build_model(n)
+    C = build_model(n)
     R = model_curvature(n)
-    base = level_set_geometry(sc, Fraction(1))
-    lsg = base if scale == 1 else level_set_geometry(sc, scale)
+    base = level_set_geometry(C, Fraction(1))
+    lsg = base if scale == 1 else level_set_geometry(C, scale)
     checks = (verify_second_fundamental(lsg)
               + verify_level_set_sums(lsg)
               + verify_gauss_equation(R, base))
     if scale != 1:
         checks += verify_gauss_equation(R, lsg) + verify_weighted_displays(R, base, scale)
-    return _tagged(n, checks + radial_hessian_check(sc))
+    return _tagged(n, checks + radial_hessian_check(C))
 
 
 def criterion_6_level_sets() -> Report:

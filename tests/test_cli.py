@@ -381,9 +381,9 @@ def test_harmonicity_refuses_n_past_the_int64_masks(capsys):
 def test_internal_model_failure_is_not_a_usage_error(monkeypatch):
     # no Einstein scale or a failing Jacobi identity is a fault of the
     # program, not of its input: it must not exit 2
-    def fail(n):
+    def fail():
         raise ModelConstructionError("need exactly one Einstein scale, found []")
-    monkeypatch.setattr(qkcomp.cli, "build_model", fail)
+    monkeypatch.setattr(qkcomp.cli, "bracket_scale", fail)
     with pytest.raises(ModelConstructionError):
         main(["model", "--n", "2"])
 

@@ -17,32 +17,24 @@ from qkcomp.levelset import (
     verify_second_fundamental,
     verify_weighted_displays,
 )
-from qkcomp.model import (
-    ModelConstructionError,
-    StructureConstants,
-    build_model,
-    levi_civita_table,
-    model_curvature,
-    sectional,
-)
+from qkcomp.model import (ModelConstructionError, build_model, levi_civita_table,
+                          model_curvature, sectional)
 from qkcomp.report import Check, check_eq
 
 
 @pytest.fixture(scope="module")
 def setup2():
-    sc = build_model(2)
-    return sc, model_curvature(2)
+    return build_model(2), model_curvature(2)
 
 
 @pytest.fixture(scope="module")
 def setup3():
-    sc = build_model(3)
-    return sc, model_curvature(3)
+    return build_model(3), model_curvature(3)
 
 
 def test_second_fundamental_form(setup2, setup3):
-    for sc, _ in (setup2, setup3):
-        lsg = level_set_geometry(sc, F(1))
+    for C, _ in (setup2, setup3):
+        lsg = level_set_geometry(C, F(1))
         checks = verify_second_fundamental(lsg)
         assert all(c.passed for c in checks)
         assert lsg.second_fundamental[:3].fractions() == [F(2)] * 3
@@ -50,32 +42,32 @@ def test_second_fundamental_form(setup2, setup3):
 
 
 def test_center_planes_are_flat(setup2):
-    sc, _ = setup2
-    K = sectional(level_set_geometry(sc, F(1)).curvature)
+    C, _ = setup2
+    K = sectional(level_set_geometry(C, F(1)).curvature)
     assert K.fraction(0, 1) == 0
     assert K.fraction(0, 2) == 0
     assert K.fraction(1, 2) == 0
 
 
 def test_level_set_sums(setup2, setup3):
-    for sc, _ in (setup2, setup3):
-        lsg = level_set_geometry(sc, F(1))
+    for C, _ in (setup2, setup3):
+        lsg = level_set_geometry(C, F(1))
         checks = verify_level_set_sums(lsg)
         assert all(c.passed for c in checks), \
             [c.name for c in checks if not c.passed]
 
 
 def test_line_sum_minus_nine_explicit(setup2):
-    sc, _ = setup2
-    lsg = level_set_geometry(sc, F(1))
+    C, _ = setup2
+    lsg = level_set_geometry(C, F(1))
     total = sum(lsg.curvature.fraction(6, 6 - i, 6, 6 - i) for i in (1, 2, 3))
     assert total == -9
 
 
 def test_gauss_equation_both_scales(setup2, setup3):
-    for sc, R in (setup2, setup3):
+    for C, R in (setup2, setup3):
         for scale in (F(1), F(1, 4)):
-            lsg = level_set_geometry(sc, scale)
+            lsg = level_set_geometry(C, scale)
             checks = verify_gauss_equation(R, lsg)
             assert all(c.passed for c in checks), \
                 [(c.name, c.actual) for c in checks if not c.passed]
@@ -84,18 +76,18 @@ def test_gauss_equation_both_scales(setup2, setup3):
 def test_intrinsic_curvature_scale_invariant(setup2):
     # horospheres at different radii are mutually isometric: the intrinsic
     # curvature in the orthonormal frame does not depend on the scale
-    sc, _ = setup2
-    a = level_set_geometry(sc, F(1))
-    b = level_set_geometry(sc, F(1, 4))
-    m = 4 * sc.n - 1
+    C, _ = setup2
+    a = level_set_geometry(C, F(1))
+    b = level_set_geometry(C, F(1, 4))
+    m = len(C.num) - 1
     for i in range(m):
         for j in range(m):
             assert a.curvature[i, j].fractions() == b.curvature[i, j].fractions()
 
 
 def test_weighted_displays(setup2, setup3):
-    for sc, R in (setup2, setup3):
-        base = level_set_geometry(sc, F(1))
+    for C, R in (setup2, setup3):
+        base = level_set_geometry(C, F(1))
         for scale in (F(1), F(1, 4), F(4), F(1, 10**12)):
             checks = verify_weighted_displays(R, base, scale)
             assert all(c.passed for c in checks), \
@@ -103,31 +95,31 @@ def test_weighted_displays(setup2, setup3):
 
 
 def test_weighted_display_requires_base_scale(setup2):
-    sc, R = setup2
+    C, R = setup2
     with pytest.raises(ContractViolation):
-        verify_weighted_displays(R, level_set_geometry(sc, F(1, 4)), F(1, 4))
+        verify_weighted_displays(R, level_set_geometry(C, F(1, 4)), F(1, 4))
 
 
 def test_scale_validation(setup2):
-    sc, _ = setup2
+    C, _ = setup2
     with pytest.raises(ContractViolation):
-        level_set_geometry(sc, F(-1))
+        level_set_geometry(C, F(-1))
     with pytest.raises(ContractViolation):
-        level_set_geometry(sc, F(1, 2))  # sqrt(1/2) irrational
+        level_set_geometry(C, F(1, 2))  # sqrt(1/2) irrational
 
 
 def test_broken_model_invariants_are_internal_failures(setup2):
     # a bracket table that breaks an invariant of the construction is a
     # fault of the program, not bad input: ModelConstructionError, which
     # the CLI does not map to exit 2
-    sc, _ = setup2
+    C, _ = setup2
     assert not issubclass(ModelConstructionError, ContractViolation)
 
     def mutant(a, b, d):
-        num = sc.table.num.copy()
-        num[a, b, d] += sc.table.den
-        num[b, a, d] -= sc.table.den
-        return StructureConstants(sc.n, sc.c, ExactArray.of(num, sc.table.den))
+        num = C.num.copy()
+        num[a, b, d] += C.den
+        num[b, a, d] -= C.den
+        return ExactArray.of(num, C.den)
 
     # [e_1, e_6] picks up e_7: h_67 = <nabla_{e_6} e_7, e_1> is off-diagonal,
     # while the level-set brackets (no e_1) keep Jacobi
@@ -141,15 +133,15 @@ def test_broken_model_invariants_are_internal_failures(setup2):
 
 
 def test_radial_hessian_check(setup2, setup3):
-    for sc, _ in (setup2, setup3):
-        checks = radial_hessian_check(sc)
+    for C, _ in (setup2, setup3):
+        checks = radial_hessian_check(C)
         assert all(c.passed for c in checks), \
             [(c.name, c.actual) for c in checks if not c.passed]
 
 
 def test_shape_operator_diagonal(setup2):
-    sc, _ = setup2
-    h, off = second_fundamental_form(sc)
+    C, _ = setup2
+    h, off = second_fundamental_form(C)
     assert off == 0
     assert [h.fraction(i, i) for i in range(7)] == [2, 2, 2, 1, 1, 1, 1]
 
@@ -194,13 +186,13 @@ def reference_gauss_counts(R, lsg):
 
 @pytest.mark.parametrize("scale", [F(1), F(1, 4)])
 def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
-    sc, R = setup2
+    C, R = setup2
     rng = random.Random(7)
     num = R.num.copy()
     for _ in range(40):
         num[tuple(rng.randrange(1, 8) for _ in range(4))] += 1
     broken = ExactArray.of(num, R.den)
-    lsg = level_set_geometry(sc, scale)
+    lsg = level_set_geometry(C, scale)
     counts = reference_gauss_counts(broken, lsg)
     assert sum(bad for bad, _ in counts.values()) > 0
     got = {chk.name: (chk.actual, chk.passed) for chk in verify_gauss_equation(broken, lsg)}
@@ -232,11 +224,12 @@ def reference_level_set_sums(lsg):
             check_eq("K^N(center, transversal) = 1", 0, unit_bad)]
 
 
-def reference_radial_hessian_check(sc):
+def reference_radial_hessian_check(C):
     """radial_hessian_check written as loops over single Fraction entries,
     against the Busemann Hessian diag(0, -2, -2, -2, -1, ..., -1)."""
-    n, m = sc.n, sc.dim
-    gamma = levi_civita_table(sc.table).fractions()
+    m = len(C.num)
+    n = m // 4
+    gamma = levi_civita_table(C).fractions()
     h = [[gamma[a][b][0] for b in range(1, m)] for a in range(1, m)]
     beta = [0, -2, -2, -2] + [-1] * (m - 4)
     off = sum(1 for a in range(m - 1) for b in range(m - 1) if a != b and h[a][b])
@@ -261,8 +254,8 @@ def rendered(checks: list[Check]) -> list[dict]:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n):
-    sc, _ = setup2 if n == 2 else setup3
-    lsg = level_set_geometry(sc, F(1, 4))
+    C, _ = setup2 if n == 2 else setup3
+    lsg = level_set_geometry(C, F(1, 4))
     assert rendered(verify_level_set_sums(lsg)) == rendered(reference_level_set_sums(lsg))
     rng = random.Random(11)
     num = lsg.curvature.num.copy()
@@ -284,14 +277,14 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_busemann_cross_check_matches_reference_on_perturbed_brackets(setup2, setup3, n):
-    sc, _ = setup2 if n == 2 else setup3
-    assert rendered(radial_hessian_check(sc)) == rendered(reference_radial_hessian_check(sc))
+    C, _ = setup2 if n == 2 else setup3
+    assert rendered(radial_hessian_check(C)) == rendered(reference_radial_hessian_check(C))
     rng = random.Random(13)
-    num = sc.table.num.copy()
+    num = C.num.copy()
     for _ in range(6):
         # [e_1, e_a] picks up e_b: moves h_ab = <nabla_{e_a} e_b, e_1>
-        num[0, rng.randrange(1, sc.dim), rng.randrange(1, sc.dim)] += rng.choice((-1, 1))
-    broken = StructureConstants(n, sc.c, ExactArray.of(num, sc.table.den))
+        num[0, rng.randrange(1, 4 * n), rng.randrange(1, 4 * n)] += rng.choice((-1, 1))
+    broken = ExactArray.of(num, C.den)
     expected = rendered(reference_radial_hessian_check(broken))
     assert sum(not chk["pass"] for chk in expected) >= 2
     assert rendered(radial_hessian_check(broken)) == expected

@@ -5,7 +5,6 @@ The dense nested-`Fraction` loops below are the reference the integer
 tables of `qkcomp.model` and `qkcomp.levelset` are tested against; they
 read I, J, K off the per-line tables of `test_quaternionic.reference_actions`."""
 
-import inspect
 import random
 from fractions import Fraction as F
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import qkcomp.model
+from qkcomp import forms, riccati
 from qkcomp.forms import (ContractViolation, ExactArray, Form, Int64RangeError, contract, ext_mult,
                           form_inner, interior, two_form, wedge)
 from qkcomp.identities import random_form
@@ -22,16 +22,14 @@ from qkcomp.model import (
     MAX_MODEL_N,
     TRIPLE_SAMPLES,
     ModelConstructionError,
-    StructureConstants,
     _bracket_table,
-    _derive_bracket_scale,
+    bracket_scale,
     build_model,
     curvature,
     curvature_commutators,
     curvature_table,
-    d_coframe,
-    derivation,
     expected_radial_slabs,
+    exterior_derivative,
     jacobi_violations,
     levi_civita_table,
     model_curvature,
@@ -47,6 +45,7 @@ from qkcomp.model import (
 from qkcomp.quaternionic import _chain_map, derivation_maps, fundamental_forms, quaternionic_actions
 from qkcomp.riccati import rational_sqrt
 from qkcomp.suite import level_set_battery, model_battery
+from test_mutants import line_block_9_4, line_block_m4, patch_block
 from test_quaternionic import reference_actions
 
 
@@ -175,13 +174,13 @@ def reference_covariant_derivative(G, a, omega):
     return out
 
 
-def reference_parallel_four_form(sc, berger):
+def reference_parallel_four_form(C, berger):
     """The six verdicts of verify_parallel_four_form through the reference
     derivatives."""
-    omega1, omega2, omega3, Omega = fundamental_forms(sc.n)
-    m = sc.dim
-    G = levi_civita_table(sc.table)
-    norm = F(2 * sc.n)
+    m = len(C.num)
+    omega1, omega2, omega3, Omega = fundamental_forms(m // 4)
+    G = levi_civita_table(C)
+    norm = F(m // 2)
     coms = [[F(0)] * m for _ in range(3)]
     rotation_bad = nabla_omega_bad = 0
     for x in range(1, m + 1):
@@ -197,63 +196,60 @@ def reference_parallel_four_form(sc, berger):
         nabla_omega_bad += not reference_covariant_derivative(G, x, Omega).is_zero()
     fa, fb, fc = (Form.from_terms(m, 1, {(i + 1,): v for i, v in enumerate(c) if v})
                   for c in coms)
-    return [reference_exterior_derivative(sc.table, Omega).is_zero(),
+    return [reference_exterior_derivative(C, Omega).is_zero(),
             rotation_bad == 0, nabla_omega_bad == 0,
-            reference_exterior_derivative(sc.table, fa) + wedge(fb, fc)
-            == two_form(m, berger.alpha),
-            reference_exterior_derivative(sc.table, fb) + wedge(fc, fa)
-            == two_form(m, berger.beta),
-            reference_exterior_derivative(sc.table, fc) + wedge(fa, fb)
-            == two_form(m, berger.gamma)]
+            reference_exterior_derivative(C, fa) + wedge(fb, fc) == two_form(m, berger.alpha),
+            reference_exterior_derivative(C, fb) + wedge(fc, fa) == two_form(m, berger.beta),
+            reference_exterior_derivative(C, fc) + wedge(fa, fb) == two_form(m, berger.gamma)]
 
 
 @pytest.fixture(scope="module")
 def model2():
-    sc = build_model(2)
-    return sc, levi_civita_table(sc.table), curvature(sc)
+    C = build_model(2)
+    return C, levi_civita_table(C), curvature(C)
 
 
 @pytest.fixture(scope="module")
 def model3():
-    sc = build_model(3)
-    return sc, levi_civita_table(sc.table), curvature(sc)
+    C = build_model(3)
+    return C, levi_civita_table(C), curvature(C)
 
 
 def test_bracket_scale_derived_by_einstein_sweep(model2):
-    sc, _, _ = model2
-    assert sc.c == _derive_bracket_scale() == 2
-    assert list(inspect.signature(StructureConstants).parameters) == ["n", "c", "table"]
+    C, _, _ = model2
+    assert bracket_scale() == 2
+    assert C.fraction(4, 5, 1) == bracket_scale()  # [e5, e6] = c e2
 
 
 @pytest.mark.parametrize("sweep", [(F(1), F(3)), (F(2), F(2))])
 def test_bracket_scale_needs_exactly_one_match(monkeypatch, sweep):
     monkeypatch.setattr(qkcomp.model, "EINSTEIN_SWEEP", sweep)
-    _derive_bracket_scale.cache_clear()
+    bracket_scale.cache_clear()
     try:
         with pytest.raises(ModelConstructionError):
-            _derive_bracket_scale()
+            bracket_scale()
     finally:
-        _derive_bracket_scale.cache_clear()
+        bracket_scale.cache_clear()
 
 
 def test_jacobi_identity(model2, model3):
-    for sc, _, _ in (model2, model3):
-        assert jacobi_violations(sc.table) == 0
+    for C, _, _ in (model2, model3):
+        assert jacobi_violations(C) == 0
 
 
 def test_ad_e1_eigenvalues(model2):
-    sc, _, _ = model2
+    C, _, _ = model2
     # [e1, z] = 2z on three directions, [e1, v] = v on 4(n-1)
-    diag = [sc.table.fraction(0, b, b) for b in range(1, sc.dim)]
+    diag = [C.fraction(0, b, b) for b in range(1, len(C.num))]
     assert diag[:3] == [2, 2, 2]
-    assert diag[3:] == [1] * (4 * sc.n - 4)
+    assert diag[3:] == [1] * (len(C.num) - 4)
 
 
 def test_center_bracket(model2):
-    sc, _, _ = model2
+    C, _, _ = model2
 
     def bracket(a, b):  # components of [e_a, e_b]
-        return tuple(sc.table[a - 1, b - 1].fractions())
+        return tuple(C[a - 1, b - 1].fractions())
 
     # [e5, e6] = c e2 with the derived scale
     assert bracket(5, 6) == (0, F(2), 0, 0, 0, 0, 0, 0)
@@ -266,8 +262,8 @@ def test_center_bracket(model2):
 
 
 def test_connection_radial_properties(model2):
-    sc, G, _ = model2
-    m = sc.dim
+    C, G, _ = model2
+    m = len(C.num)
     assert all(G.fraction(0, 0, d - 1) == 0 for d in range(1, m + 1))
     for al in range(2, m + 1):
         expect = F(-2) if al <= 4 else F(-1)
@@ -275,8 +271,8 @@ def test_connection_radial_properties(model2):
 
 
 def test_connection_metric_compatibility(model2):
-    sc, G, _ = model2
-    m = sc.dim
+    C, G, _ = model2
+    m = len(C.num)
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             for d in range(1, m + 1):
@@ -284,13 +280,13 @@ def test_connection_metric_compatibility(model2):
 
 
 def test_connection_torsion_free(model2):
-    sc, G, _ = model2
-    m = sc.dim
+    C, G, _ = model2
+    m = len(C.num)
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             for d in range(1, m + 1):
                 assert G.fraction(a - 1, b - 1, d - 1) - G.fraction(b - 1, a - 1, d - 1) == \
-                    sc.table.fraction(a - 1, b - 1, d - 1)
+                    C.fraction(a - 1, b - 1, d - 1)
 
 
 def test_curvature_symmetries(model2):
@@ -361,6 +357,33 @@ def test_model_curvature_is_that_of_quaternionic_hyperbolic_space(n):
     assert not np.array_equal(R.num, -want)
 
 
+def riccati_jacobi_diagonal(n):
+    """The Jacobi operator's diagonal that the Riccati blocks of criteria 3
+    and 4 assume at delta = -1: 0 on e_1, then each block's K repeated its
+    weight m times, the line block first and one transversal block per line
+    2..n, read through the module as the suite reads them."""
+    blocks = [riccati.line_block(-1)] + [riccati.transversal_block(-1)] * (n - 1)
+    return [0] + [b.K for b in blocks for _ in range(int(b.m))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jacobi_operator_is_the_riccati_blocks(monkeypatch, n):
+    # ROADMAP item 10, as a test: Y -> R(Y, e1) e1, the table R[:, 0, :, 0],
+    # is diagonal with 0, -4 three times and -1 4n - 4 times, which are the
+    # Riccati blocks.  The line-block mutants that criterion 3 passes (the
+    # strict xfails of test_mutants) break the comparison
+    R = model_curvature(n)
+    jacobi = R.num[:, 0, :, 0]
+    assert R.den == 1
+    assert np.array_equal(jacobi, np.diag(np.diagonal(jacobi)))
+    diagonal = np.diagonal(jacobi).tolist()
+    assert diagonal == riccati_jacobi_diagonal(n) == [0] + [-4] * 3 + [-1] * (4 * n - 4)
+    for mutant in (line_block_9_4, line_block_m4):
+        with monkeypatch.context() as patched:
+            patch_block(patched, "line", mutant)
+            assert diagonal != riccati_jacobi_diagonal(n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_radial_slab_tables(n):
     checks = verify_radial_slabs(model_curvature(n))
@@ -376,8 +399,8 @@ def test_trace_identities(n):
 def test_trace_identity_random_vectors(model2):
     # Thm-level statement for non-frame vectors: contract the tensor with
     # a rational vector X and its I, J, K images
-    sc, _, R = model2
-    m = sc.dim
+    C, _, R = model2
+    m = len(C.num)
     import random
 
     from qkcomp.identities import random_vector
@@ -541,15 +564,15 @@ MUTANTS = 20
 
 
 def test_parallel_four_form(model2):
-    sc, _, R = model2
+    C, _, R = model2
     berger = verify_berger(R)
-    checks = verify_parallel_four_form(sc, berger)
+    checks = verify_parallel_four_form(C, berger)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-    assert [c.passed for c in checks] == reference_parallel_four_form(sc, berger)
+    assert [c.passed for c in checks] == reference_parallel_four_form(C, berger)
     # the radial direction is annihilated by the connection: nabla_{e1} omega_a
     # = 0 for a = 1, 2, 3, so the sp(1) 1-forms a, b, c vanish on e1
     for n in (2, 3):
-        G = levi_civita_table(build_model(n).table)
+        G = levi_civita_table(build_model(n))
         assert all(nabla_through_map(G, f)[0].is_zero() for f in derivation_maps(n)[:3])
 
 
@@ -563,37 +586,37 @@ def nabla_through_map(G, f):
 
 def test_exterior_derivative_matches_connection(model2):
     # torsion-free consistency: d omega = sum theta^A ^ nabla_A omega
-    sc, G, _ = model2
-    d_images = d_coframe(sc.table)
+    C, G, _ = model2
+    m = len(C.num)
     for omega, f in zip(fundamental_forms(2)[:2], derivation_maps(2)):
-        rhs = Form.zero(sc.dim, omega.degree + 1)
+        rhs = Form.zero(m, omega.degree + 1)
         for x, nabla in enumerate(nabla_through_map(G, f)):
-            rhs = rhs + ext_mult(Form.basis(sc.dim, (x + 1,)), nabla)
-        assert derivation(d_images, omega) == rhs
+            rhs = rhs + ext_mult(Form.basis(m, (x + 1,)), nabla)
+        assert exterior_derivative(C, f) == rhs
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_derivation_matches_the_term_by_term_references(n):
-    # d through the one derivation, and every nabla_X through the maps,
-    # against the old per-term loops: on omega_a and Omega (the maps of
-    # derivation_maps) and on seeded random 1- to 4-forms (_chain_map)
-    sc = build_model(n)
-    G = levi_civita_table(sc.table)
+    # d and every nabla_X through the same maps, against the per-term
+    # loops: on omega_a and Omega (the maps of derivation_maps) and on
+    # seeded random 1- to 4-forms (_chain_map)
+    C = build_model(n)
+    m = len(C.num)
+    G = levi_civita_table(C)
     rng = random.Random(30 + n)
     forms = list(fundamental_forms(n))
     maps = list(derivation_maps(n))
     for p in (1, 2, 3, 4):
-        forms.append(random_form(sc.dim, p, rng))
-        maps.append(_chain_map(forms[-1], sc.dim, True))
-    d_images = d_coframe(sc.table)
+        forms.append(random_form(m, p, rng))
+        maps.append(_chain_map(forms[-1], m, True))
     for omega, f in zip(forms, maps):
-        assert derivation(d_images, omega) == reference_exterior_derivative(sc.table, omega)
+        assert exterior_derivative(C, f) == reference_exterior_derivative(C, omega)
         assert nabla_through_map(G, f) == \
-            [reference_covariant_derivative(G, x, omega) for x in range(1, sc.dim + 1)]
+            [reference_covariant_derivative(G, x, omega) for x in range(1, m + 1)]
 
 
 def perturbed_connection(monkeypatch, x, i, k, s):
-    """levi_civita_table as StructureConstants reads it, with s added to
+    """levi_civita_table as verify_parallel_four_form reads it, with s added to
     Gamma[x, i, k]."""
     def perturbed(C):
         G = levi_civita_table(C)
@@ -608,17 +631,17 @@ def perturbed_connection(monkeypatch, x, i, k, s):
 def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
     # mutants: +-1 on one Gamma entry.  nabla_X Omega = 0 must fail in
     # direction x alone, as the term-by-term reference sees it
-    sc = build_model(n)
+    C = build_model(n)
+    m = len(C.num)
     berger = verify_berger(model_curvature(n))
     Omega = fundamental_forms(n)[3]
     rng = random.Random(60 + n)
     for _ in range(4):
-        x, i, k = (rng.randrange(sc.dim) for _ in range(3))
+        x, i, k = (rng.randrange(m) for _ in range(3))
         s = rng.choice((-1, 1))
-        G = perturbed_connection(monkeypatch, x, i, k, s)(sc.table)
-        mutant = StructureConstants(sc.n, sc.c, sc.table)
-        checks = {c.name: c for c in verify_parallel_four_form(mutant, berger)}
-        bad = [d for d in range(1, sc.dim + 1)
+        G = perturbed_connection(monkeypatch, x, i, k, s)(C)
+        checks = {c.name: c for c in verify_parallel_four_form(C, berger)}
+        bad = [d for d in range(1, m + 1)
                if not reference_covariant_derivative(G, d, Omega).is_zero()]
         assert bad == [x + 1], (x, i, k, s)
         assert checks["nabla_X Omega = 0, all X"].actual == 1, (x, i, k, s)
@@ -628,16 +651,16 @@ def test_nabla_omega_fails_on_a_perturbed_connection(monkeypatch, n):
 def test_parallel_four_form_fails_on_perturbed_brackets(n):
     # mutants: +-1 on one antisymmetric bracket pair [e_a, e_b], component d.
     # Each fails a check, and the verdicts are those of the reference loops
-    sc = build_model(n)
+    C = build_model(n)
     berger = verify_berger(model_curvature(n))
     rng = random.Random(50 + n)
     for _ in range(MUTANTS):
-        a, b = rng.sample(range(sc.dim), 2)
-        d, s = rng.randrange(sc.dim), rng.choice((-1, 1))
-        num = sc.table.num.copy()
-        num[a, b, d] += s * sc.table.den
-        num[b, a, d] -= s * sc.table.den
-        mutant = StructureConstants(sc.n, sc.c, ExactArray.of(num, sc.table.den))
+        a, b = rng.sample(range(len(C.num)), 2)
+        d, s = rng.randrange(len(C.num)), rng.choice((-1, 1))
+        num = C.num.copy()
+        num[a, b, d] += s * C.den
+        num[b, a, d] -= s * C.den
+        mutant = ExactArray.of(num, C.den)
         verdicts = [c.passed for c in verify_parallel_four_form(mutant, berger)]
         assert not all(verdicts), (a, b, d, s)
         assert verdicts == reference_parallel_four_form(mutant, berger), (a, b, d, s)
@@ -650,11 +673,11 @@ def test_build_model_validation():
 
 
 def test_build_model_is_cached_and_read_only():
-    sc = build_model(2)
-    assert build_model(2) is sc
+    C = build_model(2)
+    assert build_model(2) is C
     with pytest.raises(ValueError):
-        sc.table.num[0, 1, 1] = 0
-    assert sc.table.fraction(0, 1, 1) == 2
+        C.num[0, 1, 1] = 0
+    assert C.fraction(0, 1, 1) == 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -680,13 +703,12 @@ def test_tables_match_fraction_reference(n, c):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("scale", [F(1), F(1, 4), F(4)])
 def test_level_set_tables_match_fraction_reference(n, scale):
-    sc = build_model(n)
-    C = _nilpotent_brackets(sc, scale)
-    ref_C = reference_nilpotent_brackets(reference_bracket_table(n, sc.c), scale)
+    C = _nilpotent_brackets(build_model(n), scale)
+    ref_C = reference_nilpotent_brackets(reference_bracket_table(n, bracket_scale()), scale)
     ref_G = reference_levi_civita(ref_C)
     assert C.fractions() == ref_C
     assert levi_civita_table(C).fractions() == ref_G
-    assert level_set_geometry(sc, scale).curvature.fractions() == \
+    assert level_set_geometry(build_model(n), scale).curvature.fractions() == \
         reference_curvature(ref_C, ref_G)
 
 
@@ -703,7 +725,7 @@ def test_violation_counts_match_reference_on_a_perturbed_tensor():
     assert expected > 0
     assert symmetry_violations(broken) == expected
 
-    C = build_model(2).table
+    C = build_model(2)
     num = C.num.copy()
     num[4, 5, 1] += 1
     assert jacobi_violations(ExactArray.of(num, C.den)) > 0
@@ -728,3 +750,17 @@ def test_products_refuse_to_leave_int64():
     coprime = ExactArray.of([1], NEAR_2_31)
     with pytest.raises(Int64RangeError):
         ExactArray.of([1 << 33], (1 << 31) - 1) - coprime
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exterior_derivative_guards_its_int64_range(monkeypatch, n):
+    # d Omega sums, per mask, at most m images f(C[A]), each bounded by the
+    # map's weight times the largest bracket numerator
+    C = build_model(n)
+    f = derivation_maps(n)[3]
+    bound = len(C.num) * f.weight * C.bound
+    monkeypatch.setattr(forms, "INT_BOUND", bound)
+    assert exterior_derivative(C, f).is_zero()
+    monkeypatch.setattr(forms, "INT_BOUND", bound - 1)
+    with pytest.raises(Int64RangeError, match="exterior derivative"):
+        exterior_derivative(C, f)

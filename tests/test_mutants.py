@@ -67,17 +67,23 @@ def line_block_m4(delta):
     return ComparisonFunction(Fraction(4), Fraction(4 * delta))
 
 
-def negated_connection_entry(init=model.StructureConstants.__init__):
-    """StructureConstants.__init__ with the first nonzero connection entry,
-    Gamma[1, 0, 1] = -2, negated after the bracket scale is derived: in
-    levi_civita_table the mutant would also reach the Einstein sweep,
-    which then finds no scale."""
-    def mutant(self, n, c, table):
-        init(self, n, c, table)
-        num = self.connection.num.copy()
+def negated_connection_entry(mp):
+    """levi_civita_table, in every module that binds it, with the first
+    nonzero entry of the model's connection, Gamma[1, 0, 1] = -2, negated on
+    tables of side 4n only, so that the horospheres (side 4n - 1) keep
+    theirs; planted after the bracket scale is derived, since the Einstein
+    sweep would reach the mutant too and then find no scale."""
+    model.bracket_scale()
+
+    def mutant(C, levi_civita=model.levi_civita_table):
+        G = levi_civita(C)
+        if len(C.num) % 4:
+            return G
+        num = G.num.copy()
         num[1, 0, 1] *= -1
-        self.connection = ExactArray.of(num, self.connection.den)
-    return mutant
+        return ExactArray.of(num, G.den)
+    for module in (model, levelset):
+        mp.setattr(module, "levi_civita_table", mutant)
 
 
 def busemann_hessian_z3(n):
@@ -128,13 +134,13 @@ TABLE = {
         (lambda mp: [mp.setattr(module, "area_density", area_density_lowered)
                      for module in (comparison, suite, spectral, cli)], DENSITY_FAILS),
     "bracket scale 2 -> 3":
-        (lambda mp: mp.setattr(model, "_derive_bracket_scale", lambda: Fraction(3)),
+        (lambda mp: [mp.setattr(module, "bracket_scale", lambda: Fraction(3))
+                     for module in (model, suite, cli)],
          {5: 34, 6: {f"[n={n}] {name}" for n in (2, 3) for name in (
              "K^N(center, transversal) = 1", "mixed z-z-v-v display with s = 1/4 weighting",
              "sum_i K^N(e_p, e_{4s-i}) = 4", "sum_i K^N(e_{4s}, e_{4s-i}) = -9")}}),
     "connection entry Gamma[1, 0, 1] negated":
-        (lambda mp: mp.setattr(model.StructureConstants, "__init__",
-                               negated_connection_entry()), {5: 26, 6: 14}),
+        (negated_connection_entry, {5: 26, 6: 14}),
     "line block m = 3 -> 4":
         (lambda mp: patch_block(mp, "line", line_block_m4),
          {4: LAPLACIAN_FAILS | {
@@ -153,7 +159,7 @@ TABLE = {
 # the caches that a mutant of the model reaches, bound before any row
 # patches a name: the rows that touch the model empty them before and
 # after their run, so that no model built under a mutant outlives it
-MODEL_CACHES = (model.build_model, model.model_curvature, model._derive_bracket_scale)
+MODEL_CACHES = (model.build_model, model.model_curvature, model.bracket_scale)
 MODEL_ROWS = {"bracket scale 2 -> 3", "connection entry Gamma[1, 0, 1] negated"}
 
 

@@ -955,6 +955,27 @@ def test_kato_paths_see_a_raised_row_weight(monkeypatch):
     assert negatives > 0 and least < 0
 
 
+def off_diagonal_row_weight_3(m):
+    """The Kato weight table with 3 in place of 2 on row 0's off-diagonal
+    slots: a mutant that keeps the form positive semidefinite."""
+    rows, cols = np.triu_indices(m)
+    return 3 * np.where(rows == cols, 1, 2) - 4 * (rows == 0) + ((rows == 0) & (cols > 0))
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_scaled_kato_gap_on_the_packed_basis(monkeypatch, m):
+    # ROADMAP item 3, as a test: on each unit row of the packed upper
+    # triangle the scaled gap is 3|H|^2 - 4|H e_1|^2 of the unpacked matrix,
+    # read off H and not off the weight table.  Criterion 8 passes the
+    # off-diagonal mutant, since no suite Hessian has a row-1 entry; this fails it
+    units = np.eye(m * (m + 1) // 2, dtype=np.int64)
+    H = quaternionic._unpack(units, m)
+    want = (3 * (H * H).sum(axis=(1, 2)) - 4 * (H[:, :, 0] ** 2).sum(axis=1)).tolist()
+    assert quaternionic.scaled_kato_gap(units.copy()).tolist() == want
+    monkeypatch.setattr(quaternionic, "_kato_weights", off_diagonal_row_weight_3)
+    assert quaternionic.scaled_kato_gap(units.copy()).tolist() != want
+
+
 def test_kato_scan_guards_its_int64_range(monkeypatch):
     # at n = 2 the weights' sizes sum to 1 + 7 * 2 + 7 * 3 + 21 * 6 = 162,
     # so no gap exceeds 54^2 * 162

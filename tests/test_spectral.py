@@ -488,6 +488,17 @@ def test_mesh_refinement_is_second_order():
     assert ratio == pytest.approx(4.0, rel=0.2)
 
 
+def test_radial_scheme_has_observed_order_2():
+    # ROADMAP item 12, fault 2, as a test: criterion 7's problem (n = 2,
+    # r_max 12) at meshes 10000/20000/40000, whose successive differences
+    # shrink fourfold (4.00001).  A first-order mistake in the assembly, such
+    # as the half-node offset 0.5 -> 0.625 (ratio 2.004), fails here, while
+    # criterion 7's bracket (25, 26) still holds
+    vals = [lambda1_dirichlet(RadialProblem(2, 1e-3, 12.0, mesh)).lambda1
+            for mesh in (10000, 20000, 40000)]
+    assert (vals[0] - vals[1]) / (vals[1] - vals[2]) == pytest.approx(4.0, abs=0.1)
+
+
 def test_inner_boundary_insensitivity():
     a = lambda1_dirichlet(RadialProblem(2, 1e-3, 12.0, 8000)).lambda1
     b = lambda1_dirichlet(RadialProblem(2, 1e-2, 12.0, 8000)).lambda1
