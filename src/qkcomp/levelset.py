@@ -5,13 +5,17 @@ all its branches, and the radial-Hessian equality-case certification.
 A level set of the model with bracket table C carries the two-step
 nilpotent algebra z + v of C with the induced metric of block weights
 (s^-2 on z, s^-1 on v) at scale s = e^{-2t}; rational scales with
-rational square root (s = 1, 1/4) keep every check exact.  Its tables,
-the shape operator (read off `levi_civita_table(C)`) among them, are
-`forms.ExactArray`s (int64 numerators over one denominator) over local
-0-based axes, index i standing for the ambient e_{i+2}, the curvature
-bar R among them in the convention of `model`; the Gauss equation, the
-curvature sums (`model.sectional`), the weighted displays and the Busemann
-cross-check are reductions and elementwise comparisons of those arrays.
+rational square root (s = 1, 1/4) keep every check exact.  A level set
+is its curvature table bar R = `level_set_geometry(C, s)`, the
+`model.curvature` of its bracket table, in the convention of `model`.
+The shape operator h = `second_fundamental_form(C)` does not depend on
+the scale: it is read once per model, as a matrix, off
+`levi_civita_table(C)`.  Both are `forms.ExactArray`s (int64 numerators
+over one denominator) over local 0-based axes, index i standing for the
+ambient e_{i+2}, and every verifier reads n off the table it checks; the
+Gauss equation, the curvature sums (`model.sectional`), the weighted
+displays and the Busemann cross-check are reductions and elementwise
+comparisons of those arrays.
 """
 
 from __future__ import annotations
@@ -21,24 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import ContractViolation, ExactArray, contract
-from .model import (ModelConstructionError, curvature_table, jacobi_violations,
+from .model import (ModelConstructionError, curvature, jacobi_violations,
                     levi_civita_table, sectional)
 from .quaternionic import busemann_hessian
 from .report import Check, check_eq, check_true
 from .riccati import rational_sqrt
-
-
-class LevelSetGeometry:
-    """Intrinsic data of the level set at scale s = e^{-2t} over local axes,
-    0-based index i the ambient e_{i+2}: the curvature table bar R[i, j, k, l]
-    and `second_fundamental`, the shape-operator eigenvalues."""
-
-    __slots__ = ("n", "scale", "second_fundamental", "curvature")
-
-    def __init__(self, n: int, scale: Fraction, second_fundamental: ExactArray,
-                 curvature: ExactArray):
-        self.n, self.scale = n, scale
-        self.second_fundamental, self.curvature = second_fundamental, curvature
 
 
 def _nilpotent_brackets(C: ExactArray, scale: Fraction) -> ExactArray:
@@ -58,46 +49,38 @@ def _nilpotent_brackets(C: ExactArray, scale: Fraction) -> ExactArray:
         (a, b, d): v * w[a] * w[b] / w[d] for (a, b, d), v in z_v.items()})
 
 
-def second_fundamental_form(C: ExactArray) -> tuple[ExactArray, int]:
-    """(h matrix over local axes, off-diagonal violations) with
+def second_fundamental_form(C: ExactArray) -> ExactArray:
+    """The shape-operator matrix h over local axes,
     h_ab = <nabla_{e_a} e_b, e_1> from the connection of the model table C."""
-    h = levi_civita_table(C)[1:, 1:, 0]
-    off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
-    return h, int(off)
+    return levi_civita_table(C)[1:, 1:, 0]
 
 
-def level_set_geometry(C: ExactArray, scale: Fraction) -> LevelSetGeometry:
-    """Intrinsic curvature of the level set at scale s by the Koszul formula
-    on the rescaled nilpotent algebra of C, plus the shape operator."""
-    scale = Fraction(scale)
-    N = _nilpotent_brackets(C, scale)
+def level_set_geometry(C: ExactArray, scale: Fraction) -> ExactArray:
+    """The curvature table bar R[i, j, k, l] of the level set at scale s: the
+    Koszul formula on the rescaled nilpotent algebra of C."""
+    N = _nilpotent_brackets(C, Fraction(scale))
     if jacobi_violations(N) != 0:
         raise ModelConstructionError("nilpotent bracket table violates Jacobi")
-    bar = curvature_table(N, levi_civita_table(N))
-    h, off = second_fundamental_form(C)
-    if off:
-        raise ModelConstructionError("ambient shape operator is not diagonal")
-    return LevelSetGeometry(len(C.num) // 4, scale, contract("ii->i", h), bar)
+    return curvature(N)
 
 
-def verify_second_fundamental(lsg: LevelSetGeometry) -> list[Check]:
+def verify_second_fundamental(h: ExactArray) -> list[Check]:
     """Shape operator diag(2, 2, 2, 1, ..., 1)."""
-    h = lsg.second_fundamental
-    expected = ExactArray.of([2] * 3 + [1] * (4 * lsg.n - 4))
+    diag = [2] * 3 + [1] * (len(h.num) - 3)
     return [check_true("second fundamental form = diag(2,2,2,1,...,1)",
-                       not h.ne(expected).any(),
-                       detail=",".join(str(x) for x in h[:6].fractions()))]
+                       not h.ne(ExactArray.of(np.diag(diag))).any(),
+                       detail=",".join(str(x) for x in contract("ii->i", h)[:6].fractions()))]
 
 
-def verify_gauss_equation(R: ExactArray, lsg: LevelSetGeometry) -> list[Check]:
+def verify_gauss_equation(R: ExactArray, h: ExactArray, bar: ExactArray,
+                          scale: Fraction) -> list[Check]:
     """All branches of the Gauss equation
-    R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj over 2 <= i,j,k,l <= 4n."""
-    m = 4 * lsg.n - 1
-    h = lsg.second_fundamental
-    i, j, k, l = np.ogrid[:m, :m, :m, :m]  # local: ambient index - 2
-    pairing = ((l == i) & (k == j)).astype(np.int64) - ((k == i) & (l == j))
-    want = lsg.curvature + contract("i,j,ijkl->ijkl", h, h, ExactArray(pairing))
+    R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj over 2 <= i,j,k,l <= 4n,
+    bar R the level set's curvature at scale s and h the shape operator."""
+    m = len(bar.num)
+    want = bar + contract("li,kj->ijkl", h, h) - contract("ki,lj->ijkl", h, h)
     bad = R[1:, 1:, 1:, 1:].ne(want)
+    i, j, k, l = np.ogrid[:m, :m, :m, :m]  # local: ambient index - 2
 
     z, v = (lambda x: x < 3), (lambda x: x >= 3)
     # the branches are disjoint; "plain" is every other slot
@@ -115,17 +98,17 @@ def verify_gauss_equation(R: ExactArray, lsg: LevelSetGeometry) -> list[Check]:
     for name, mask in branches.items():
         total = int(np.count_nonzero(mask))
         count = int(np.count_nonzero(mask & bad))
-        checks.append(Check(f"gauss equation at scale {lsg.scale} [{name}]",
+        checks.append(Check(f"gauss equation at scale {scale} [{name}]",
                             f"0 of {total}", f"{count} of {total}", count == 0))
     return checks
 
 
-def verify_level_set_sums(lsg: LevelSetGeometry) -> list[Check]:
+def verify_level_set_sums(bar: ExactArray) -> list[Check]:
     """The horosphere curvature sums {0, 4, -9, 0} and the individual
-    K^N(z, v) = 1 values."""
-    n = lsg.n
+    K^N(z, v) = 1 values of the level-set curvature bar R."""
+    n = (len(bar.num) + 1) // 4
     # local axes: z at 0..2, line s of v at 4s-5..4s-2
-    K = sectional(lsg.curvature)
+    K = sectional(bar)
     zv = K[:3, 3:]
     vv = K[3:, 3:].reshape(n - 1, 4, n - 1, 4)  # [line s, entry i, line r, entry j]
 
@@ -146,15 +129,12 @@ def verify_level_set_sums(lsg: LevelSetGeometry) -> list[Check]:
     ]
 
 
-def verify_weighted_displays(R: ExactArray, base: LevelSetGeometry,
+def verify_weighted_displays(R: ExactArray, bar: ExactArray,
                              scale: Fraction) -> list[Check]:
-    """The scale-weighted component displays: z-block entries carry
-    e^{-4t} = s^2 on bar R, the mixed z-z-v-v families carry e^{-2t} = s
-    plus the -2(s-1) shifts."""
-    if base.scale != 1:
-        raise ContractViolation("weighted displays are stated against the scale-1 level set")
-    n = base.n
-    bar = base.curvature
+    """The scale-weighted component displays against bar R, the curvature of
+    the scale-1 level set: z-block entries carry e^{-4t} = s^2 on bar R,
+    the mixed z-z-v-v families carry e^{-2t} = s plus the -2(s-1) shifts."""
+    n = (len(bar.num) + 1) // 4
     s2 = scale * scale
     checks = []
 
@@ -187,14 +167,14 @@ def verify_weighted_displays(R: ExactArray, base: LevelSetGeometry,
     return checks
 
 
-def radial_hessian_check(C: ExactArray) -> list[Check]:
-    """The level-set shape operator reproduces the Busemann equality-case
+def radial_hessian_check(h: ExactArray) -> list[Check]:
+    """The level-set shape operator h reproduces the Busemann equality-case
     Hessian (orientation: the Hessian is minus the shape operator on the
     level-set block), and its block traces are the r -> infinity barrier
     limits 6, 4, and 4n+2 in total."""
-    n = len(C.num) // 4
-    h, off = second_fundamental_form(C)
-    checks = [check_eq("shape operator off-diagonal vanishes", 0, off)]
+    n = (len(h.num) + 1) // 4
+    off = np.count_nonzero(h.num) - np.count_nonzero(np.diagonal(h.num))
+    checks = [check_eq("shape operator off-diagonal vanishes", 0, int(off))]
 
     beta = busemann_hessian(n).table
     radial = (beta.num[0] != 0) | (beta.num[:, 0] != 0)

@@ -18,9 +18,11 @@ for left-invariant orthonormal frames,
 
     2 Gamma^C_AB = C^C_AB - C^A_BC + C^B_CA,
 
-and the curvature tensor is its table R[A, B, C, D], 0-based, in the
-convention R_ABCD = <R(e_A, e_B) e_D, e_C> with K(X, Y) = <R(X,Y)Y, X>,
-read by `sectional`, `ricci` and `symmetry_violations`.
+and the curvature tensor is its table R[A, B, C, D] = `curvature(C)`,
+0-based, in the convention R_ABCD = <R(e_A, e_B) e_D, e_C> with
+K(X, Y) = <R(X,Y)Y, X>, read by `sectional`, `ricci` and
+`symmetry_violations`.  `curvature` serves every bracket table: the
+model's, each Einstein-sweep candidate's and each horosphere's.
 
 On left-invariant forms d and nabla_X both run through one int64 map per
 form, h -> sum h_ij theta^i ^ iota(e_j) omega (`quaternionic.derivation_maps`):
@@ -51,8 +53,8 @@ from .report import Check, check_eq, check_true
 
 class ModelConstructionError(RuntimeError):
     """No bracket scale satisfies the Einstein condition exactly, or a
-    bracket table (of the model or of a horosphere) breaks an invariant of
-    the construction: an internal failure, never bad input."""
+    bracket table (of the model or of a horosphere) breaks the Jacobi
+    identity: an internal failure, never bad input."""
 
 
 EINSTEIN_SWEEP = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
@@ -91,10 +93,13 @@ def levi_civita_table(C: ExactArray) -> ExactArray:
     return (C - contract("bda->abd", C) + contract("dab->abd", C)) * Fraction(1, 2)
 
 
-def curvature_table(C: ExactArray, G: ExactArray) -> ExactArray:
-    """R[A, B, C, D] = <R(e_A, e_B) e_D, e_C> from
+def curvature(C: ExactArray) -> ExactArray:
+    """R[A, B, C, D] = <R(e_A, e_B) e_D, e_C>, 0-based, of any bracket table C
+    (the model, an Einstein-sweep candidate, a horosphere) from
     R(e_a, e_b) e_d = nabla_a nabla_b e_d - nabla_b nabla_a e_d
-    - nabla_{[e_a, e_b]} e_d, everything contracted through Gamma."""
+    - nabla_{[e_a, e_b]} e_d, everything contracted through
+    Gamma = `levi_civita_table(C)`."""
+    G = levi_civita_table(C)
     return (contract("bde,aec->abcd", G, G) - contract("ade,bec->abcd", G, G)
             - contract("abe,edc->abcd", C, G))
 
@@ -134,12 +139,8 @@ def _einstein_violations(R: ExactArray) -> np.ndarray:
 def bracket_scale() -> Fraction:
     """Solve the one-parameter Einstein condition at n = 2: exactly one
     candidate of EINSTEIN_SWEEP must satisfy it."""
-
-    def einstein_ok(c: Fraction) -> bool:
-        C = _bracket_table(2, c)
-        return not _einstein_violations(curvature_table(C, levi_civita_table(C))).any()
-
-    matches = [cand for cand in EINSTEIN_SWEEP if einstein_ok(cand)]
+    matches = [c for c in EINSTEIN_SWEEP
+               if not _einstein_violations(curvature(_bracket_table(2, c))).any()]
     if len(matches) != 1:
         raise ModelConstructionError(f"need exactly one Einstein scale, found {matches}")
     return matches[0]
@@ -157,11 +158,6 @@ def build_model(n: int) -> ExactArray:
     if jacobi_violations(C) != 0:
         raise ModelConstructionError("Jacobi identity fails for the bracket table")
     return C
-
-
-def curvature(C: ExactArray) -> ExactArray:
-    """R[A, B, C, D] of the model with bracket table C, 0-based."""
-    return curvature_table(C, levi_civita_table(C))
 
 
 @lru_cache(maxsize=None)

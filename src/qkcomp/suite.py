@@ -35,6 +35,7 @@ from .identities import check_operator_identities
 from .levelset import (
     level_set_geometry,
     radial_hessian_check,
+    second_fundamental_form,
     verify_gauss_equation,
     verify_level_set_sums,
     verify_second_fundamental,
@@ -333,19 +334,21 @@ def criterion_5_model_curvature() -> Report:
 
 
 def level_set_battery(n: int, scale: Fraction) -> list[Check]:
-    """Horosphere checks at scale s = e^{-2t}: the shape operator and the
-    curvature sums at s, the Gauss equation at scales 1 and s, the displays
-    weighted by s against scale 1, and the Busemann cross-check."""
+    """Horosphere checks at scale s = e^{-2t}: the shape operator, read once,
+    the curvature sums at s, the Gauss equation at scales 1 and s, the
+    displays weighted by s against scale 1, and the Busemann cross-check."""
     C = build_model(n)
     R = model_curvature(n)
+    h = second_fundamental_form(C)
     base = level_set_geometry(C, Fraction(1))
-    lsg = base if scale == 1 else level_set_geometry(C, scale)
-    checks = (verify_second_fundamental(lsg)
-              + verify_level_set_sums(lsg)
-              + verify_gauss_equation(R, base))
+    bar = base if scale == 1 else level_set_geometry(C, scale)
+    checks = (verify_second_fundamental(h)
+              + verify_level_set_sums(bar)
+              + verify_gauss_equation(R, h, base, Fraction(1)))
     if scale != 1:
-        checks += verify_gauss_equation(R, lsg) + verify_weighted_displays(R, base, scale)
-    return _tagged(n, checks + radial_hessian_check(C))
+        checks += (verify_gauss_equation(R, h, bar, scale)
+                   + verify_weighted_displays(R, base, scale))
+    return _tagged(n, checks + radial_hessian_check(h))
 
 
 def criterion_6_level_sets() -> Report:

@@ -258,16 +258,16 @@ def test_criteria_5_and_6_build_a_connection_where_they_read_it():
     # a fresh interpreter: a model is its bracket table, and Gamma is built
     # where it is read (about 50 us at m = 12): once per Einstein-sweep
     # candidate at n = 2 (m = 8); per model (m = 8, 12) once in `curvature`,
-    # once in `verify_parallel_four_form` and once in each of the three
-    # shape-operator reads of the level-set battery; once per horosphere at
-    # scales 1 and 1/4 (m = 7, 11)
+    # once in `verify_parallel_four_form` and once where the level-set
+    # battery reads the shape operator, which does not depend on the scale;
+    # once per horosphere at scales 1 and 1/4 (m = 7, 11)
     env = dict(os.environ)
     pkg_root = str(Path(qkcomp.__file__).parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", CONNECTION_PROBE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [7, 7] + [8] * 10 + [11, 11] + [12] * 5
+    assert json.loads(proc.stdout) == [7, 7] + [8] * 8 + [11, 11] + [12] * 3
 
 
 def test_traced_benchmark_worker_binds_every_spanned_name():

@@ -4,11 +4,11 @@ equation branches, weighted displays, and the Busemann cross-check."""
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qkcomp.forms import ContractViolation, ExactArray
 from qkcomp.levelset import (
-    LevelSetGeometry,
     level_set_geometry,
     radial_hessian_check,
     second_fundamental_form,
@@ -17,8 +17,8 @@ from qkcomp.levelset import (
     verify_second_fundamental,
     verify_weighted_displays,
 )
-from qkcomp.model import (ModelConstructionError, build_model, levi_civita_table,
-                          model_curvature, sectional)
+from qkcomp.model import (ModelConstructionError, build_model, curvature,
+                          levi_civita_table, model_curvature, sectional)
 from qkcomp.report import Check, check_eq
 
 
@@ -34,16 +34,16 @@ def setup3():
 
 def test_second_fundamental_form(setup2, setup3):
     for C, _ in (setup2, setup3):
-        lsg = level_set_geometry(C, F(1))
-        checks = verify_second_fundamental(lsg)
+        h = second_fundamental_form(C)
+        checks = verify_second_fundamental(h)
         assert all(c.passed for c in checks)
-        assert lsg.second_fundamental[:3].fractions() == [F(2)] * 3
-        assert set(lsg.second_fundamental[3:].fractions()) == {F(1)}
+        assert [h.fraction(i, i) for i in range(3)] == [F(2)] * 3
+        assert {h.fraction(i, i) for i in range(3, len(h.num))} == {F(1)}
 
 
 def test_center_planes_are_flat(setup2):
     C, _ = setup2
-    K = sectional(level_set_geometry(C, F(1)).curvature)
+    K = sectional(level_set_geometry(C, F(1)))
     assert K.fraction(0, 1) == 0
     assert K.fraction(0, 2) == 0
     assert K.fraction(1, 2) == 0
@@ -51,24 +51,23 @@ def test_center_planes_are_flat(setup2):
 
 def test_level_set_sums(setup2, setup3):
     for C, _ in (setup2, setup3):
-        lsg = level_set_geometry(C, F(1))
-        checks = verify_level_set_sums(lsg)
+        checks = verify_level_set_sums(level_set_geometry(C, F(1)))
         assert all(c.passed for c in checks), \
             [c.name for c in checks if not c.passed]
 
 
 def test_line_sum_minus_nine_explicit(setup2):
     C, _ = setup2
-    lsg = level_set_geometry(C, F(1))
-    total = sum(lsg.curvature.fraction(6, 6 - i, 6, 6 - i) for i in (1, 2, 3))
+    bar = level_set_geometry(C, F(1))
+    total = sum(bar.fraction(6, 6 - i, 6, 6 - i) for i in (1, 2, 3))
     assert total == -9
 
 
 def test_gauss_equation_both_scales(setup2, setup3):
     for C, R in (setup2, setup3):
+        h = second_fundamental_form(C)
         for scale in (F(1), F(1, 4)):
-            lsg = level_set_geometry(C, scale)
-            checks = verify_gauss_equation(R, lsg)
+            checks = verify_gauss_equation(R, h, level_set_geometry(C, scale), scale)
             assert all(c.passed for c in checks), \
                 [(c.name, c.actual) for c in checks if not c.passed]
 
@@ -82,7 +81,7 @@ def test_intrinsic_curvature_scale_invariant(setup2):
     m = len(C.num) - 1
     for i in range(m):
         for j in range(m):
-            assert a.curvature[i, j].fractions() == b.curvature[i, j].fractions()
+            assert a[i, j].fractions() == b[i, j].fractions()
 
 
 def test_weighted_displays(setup2, setup3):
@@ -92,12 +91,6 @@ def test_weighted_displays(setup2, setup3):
             checks = verify_weighted_displays(R, base, scale)
             assert all(c.passed for c in checks), \
                 [(c.name, c.actual) for c in checks if not c.passed]
-
-
-def test_weighted_display_requires_base_scale(setup2):
-    C, R = setup2
-    with pytest.raises(ContractViolation):
-        verify_weighted_displays(R, level_set_geometry(C, F(1, 4)), F(1, 4))
 
 
 def test_scale_validation(setup2):
@@ -122,11 +115,21 @@ def test_broken_model_invariants_are_internal_failures(setup2):
         return ExactArray.of(num, C.den)
 
     # [e_1, e_6] picks up e_7: h_67 = <nabla_{e_6} e_7, e_1> is off-diagonal,
-    # while the level-set brackets (no e_1) keep Jacobi
+    # while the level-set brackets (no e_1) keep Jacobi.  That is not a
+    # refusal but a FAIL of the named shape-operator checks; the Gauss
+    # equation, in its general form, holds with the mutant's own curvature
+    # and fails with the model's, branch by branch as the reference counts
     off_diagonal = mutant(0, 5, 6)
-    assert second_fundamental_form(off_diagonal)[1] > 0
-    with pytest.raises(ModelConstructionError, match="not diagonal"):
-        level_set_geometry(off_diagonal, F(1))
+    h = second_fundamental_form(off_diagonal)
+    verdicts = {c.name: c.passed for c in verify_second_fundamental(h)
+                + radial_hessian_check(h)}
+    assert not verdicts["shape operator off-diagonal vanishes"]
+    assert not verdicts["second fundamental form = diag(2,2,2,1,...,1)"]
+    for R, holds in ((curvature(off_diagonal), True), (model_curvature(2), False)):
+        for scale in (F(1), F(1, 4)):
+            got, want = gauss_verdicts(R, h, level_set_geometry(off_diagonal, scale), scale)
+            assert got == want
+            assert all(passed for _, passed in want.values()) == holds
     # [e_5, e_6] picks up e_5: [[e_5, e_6], e_7] = c e_3 breaks Jacobi on z + v
     with pytest.raises(ModelConstructionError, match="Jacobi"):
         level_set_geometry(mutant(4, 5, 4), F(1))
@@ -134,22 +137,24 @@ def test_broken_model_invariants_are_internal_failures(setup2):
 
 def test_radial_hessian_check(setup2, setup3):
     for C, _ in (setup2, setup3):
-        checks = radial_hessian_check(C)
+        checks = radial_hessian_check(second_fundamental_form(C))
         assert all(c.passed for c in checks), \
             [(c.name, c.actual) for c in checks if not c.passed]
 
 
 def test_shape_operator_diagonal(setup2):
     C, _ = setup2
-    h, off = second_fundamental_form(C)
-    assert off == 0
+    h = second_fundamental_form(C)
+    assert not h.num[~np.eye(7, dtype=bool)].any()
     assert [h.fraction(i, i) for i in range(7)] == [2, 2, 2, 1, 1, 1, 1]
 
 
-def reference_gauss_counts(R, lsg):
-    """(bad, total) per branch of the Gauss equation, slot by slot."""
-    m = 4 * lsg.n
-    h = lsg.second_fundamental.fractions()
+def reference_gauss_counts(R, h, bar):
+    """(bad, total) per branch of the Gauss equation, slot by slot, with the
+    full shape-operator matrix h:
+    R_ijkl = bar R_ijkl + h_li h_kj - h_ki h_lj."""
+    m = len(bar.num) + 1
+    h = h.fractions()
     z, v = range(2, 5), range(5, m + 1)
     counts = {}
 
@@ -172,16 +177,22 @@ def reference_gauss_counts(R, lsg):
         for j in range(2, m + 1):
             for k in range(2, m + 1):
                 for l in range(2, m + 1):
-                    corr = F(0)
-                    if l == i and k == j:
-                        corr += h[i - 2] * h[j - 2]
-                    if k == i and l == j:
-                        corr -= h[i - 2] * h[j - 2]
+                    corr = (h[l - 2][i - 2] * h[k - 2][j - 2]
+                            - h[k - 2][i - 2] * h[l - 2][j - 2])
                     bad, total = counts.get(branch(i, j, k, l), (0, 0))
-                    bar = lsg.curvature.fraction(i - 2, j - 2, k - 2, l - 2)
-                    bad += R.fraction(i - 1, j - 1, k - 1, l - 1) != bar + corr
+                    want = bar.fraction(i - 2, j - 2, k - 2, l - 2) + corr
+                    bad += R.fraction(i - 1, j - 1, k - 1, l - 1) != want
                     counts[branch(i, j, k, l)] = (bad, total + 1)
     return counts
+
+
+def gauss_verdicts(R, h, bar, scale):
+    """({check name: (actual, passed)} of verify_gauss_equation, the same
+    from reference_gauss_counts)."""
+    got = {chk.name: (chk.actual, chk.passed)
+           for chk in verify_gauss_equation(R, h, bar, scale)}
+    return got, {f"gauss equation at scale {scale} [{name}]": (f"{bad} of {total}", bad == 0)
+                 for name, (bad, total) in reference_gauss_counts(R, h, bar).items()}
 
 
 @pytest.mark.parametrize("scale", [F(1), F(1, 4)])
@@ -192,22 +203,19 @@ def test_gauss_branches_match_reference_on_a_perturbed_tensor(setup2, scale):
     for _ in range(40):
         num[tuple(rng.randrange(1, 8) for _ in range(4))] += 1
     broken = ExactArray.of(num, R.den)
-    lsg = level_set_geometry(C, scale)
-    counts = reference_gauss_counts(broken, lsg)
-    assert sum(bad for bad, _ in counts.values()) > 0
-    got = {chk.name: (chk.actual, chk.passed) for chk in verify_gauss_equation(broken, lsg)}
-    assert got == {f"gauss equation at scale {scale} [{name}]":
-                   (f"{bad} of {total}", bad == 0)
-                   for name, (bad, total) in counts.items()}
+    h, bar = second_fundamental_form(C), level_set_geometry(C, scale)
+    got, want = gauss_verdicts(broken, h, bar, scale)
+    assert not all(passed for _, passed in want.values())
+    assert got == want
 
 
-def reference_level_set_sums(lsg):
+def reference_level_set_sums(bar):
     """verify_level_set_sums written as loops over single Fraction entries."""
-    n = lsg.n
+    n = (len(bar.num) + 1) // 4
 
     def K(i, j):
         """K^N(e_i, e_j) with ambient indices 2..4n."""
-        return lsg.curvature.fraction(i - 2, j - 2, i - 2, j - 2)
+        return bar.fraction(i - 2, j - 2, i - 2, j - 2)
 
     zero_bad = sum(1 for (p, q) in ((2, 3), (2, 4), (3, 4)) if K(p, q) != 0)
     mixed_bad = sum(1 for p in (2, 3, 4) for s in range(2, n + 1)
@@ -255,10 +263,10 @@ def rendered(checks: list[Check]) -> list[dict]:
 @pytest.mark.parametrize("n", [2, 3])
 def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n):
     C, _ = setup2 if n == 2 else setup3
-    lsg = level_set_geometry(C, F(1, 4))
-    assert rendered(verify_level_set_sums(lsg)) == rendered(reference_level_set_sums(lsg))
+    bar = level_set_geometry(C, F(1, 4))
+    assert rendered(verify_level_set_sums(bar)) == rendered(reference_level_set_sums(bar))
     rng = random.Random(11)
-    num = lsg.curvature.num.copy()
+    num = bar.num.copy()
     m = 4 * n - 1
     for _ in range(12):
         a, b = rng.randrange(m), rng.randrange(m)
@@ -267,8 +275,7 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
     num[6, 6, 6, 6] += 1  # K^N(e_8, e_8), outside every sum
     if n == 3:
         num[6, 8, 6, 8] += 1  # K^N(e_8, e_10), across lines
-    broken = LevelSetGeometry(n, lsg.scale, lsg.second_fundamental,
-                              ExactArray.of(num, lsg.curvature.den))
+    broken = ExactArray.of(num, bar.den)
     expected = rendered(reference_level_set_sums(broken))
     # every sum fails but the cross-line one, which n = 2 does not have
     assert sum(not chk["pass"] for chk in expected) == (5 if n == 3 else 4)
@@ -278,7 +285,8 @@ def test_level_set_sums_match_reference_on_a_perturbed_tensor(setup2, setup3, n)
 @pytest.mark.parametrize("n", [2, 3])
 def test_busemann_cross_check_matches_reference_on_perturbed_brackets(setup2, setup3, n):
     C, _ = setup2 if n == 2 else setup3
-    assert rendered(radial_hessian_check(C)) == rendered(reference_radial_hessian_check(C))
+    assert rendered(radial_hessian_check(second_fundamental_form(C))) == \
+        rendered(reference_radial_hessian_check(C))
     rng = random.Random(13)
     num = C.num.copy()
     for _ in range(6):
@@ -287,4 +295,4 @@ def test_busemann_cross_check_matches_reference_on_perturbed_brackets(setup2, se
     broken = ExactArray.of(num, C.den)
     expected = rendered(reference_radial_hessian_check(broken))
     assert sum(not chk["pass"] for chk in expected) >= 2
-    assert rendered(radial_hessian_check(broken)) == expected
+    assert rendered(radial_hessian_check(second_fundamental_form(broken))) == expected
